@@ -39,6 +39,7 @@ from .metrics import (
     BenchmarkSolution,
     ConvergenceSeries,
     SessionReport,
+    evaluate_session,
     normalize_avg_bitrate,
     qoe_metrics,
     regret_and_residuals,
@@ -85,6 +86,7 @@ __all__ = [
     "concat_traces",
     "derive_bb_parameters",
     "download",
+    "evaluate_session",
     "export_log_csv",
     "generate_markovian",
     "gradients",

@@ -35,6 +35,7 @@ COMPARISON_COLUMNS = (
     "continuity",
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
+SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
 
 
 class CliError(Exception):
@@ -43,6 +44,11 @@ class CliError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _default_k(horizon: int, k_exponent: float) -> int:
+    """Benchmark window ceil(T^k_exponent), clipped to 1..T."""
+    return max(1, min(horizon, math.ceil(horizon**k_exponent)))
 
 
 def method_name(spec: dict) -> str:
@@ -133,9 +139,18 @@ def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, chann
     raise CliError("traces spec needs a list of paths or a 'generate' block")
 
 
+def _benchmark_dict(bench: metrics.BenchmarkSolution) -> dict:
+    return {
+        "omega_star": [float(w) for w in bench.omega_star],
+        "objective_kbps": float(bench.objective),
+        "max_window_violation": float(bench.max_window_violation),
+        "slack_used": float(bench.slack_used),
+    }
+
+
 def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
-                 bench: metrics.BenchmarkSolution | None) -> dict:
-    doc = {
+                 bench: metrics.BenchmarkSolution) -> dict:
+    return {
         "method": name,
         "trace": trace_name,
         "avg_bitrate_kbps": float(report.avg_bitrate_kbps),
@@ -145,20 +160,9 @@ def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
         "consistency": float(report.consistency),
         "continuity": float(report.continuity),
         "flags": list(report.flags),
-        "series": {
-            "regret_rate": [float(v) for v in report.regret_rate] if report.regret_rate is not None else None,
-            "residual1_rate": [float(v) for v in report.residual1_rate] if report.residual1_rate is not None else None,
-            "residual2_rate": [float(v) for v in report.residual2_rate] if report.residual2_rate is not None else None,
-        },
+        "series": {key: [float(v) for v in getattr(report, key)] for key in SERIES_KEYS},
+        "benchmark": _benchmark_dict(bench),
     }
-    if bench is not None:
-        doc["benchmark"] = {
-            "omega_star": [float(w) for w in bench.omega_star],
-            "objective_kbps": float(bench.objective),
-            "max_window_violation": float(bench.max_window_violation),
-            "slack_used": float(bench.slack_used),
-        }
-    return doc
 
 
 def _write_json(doc, path: Path) -> None:
@@ -172,6 +176,15 @@ def _write_csv_rows(path: Path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _write_convergence(path: Path, series) -> None:
+    """One row per epoch of the three rate series, in SERIES_KEYS order."""
+    _write_csv_rows(
+        path,
+        CONVERGENCE_COLUMNS,
+        ([str(t + 1)] + [_fmt(values[t]) for values in series] for t in range(len(series[0]))),
+    )
 
 
 def _print_metrics(name: str, report: metrics.SessionReport) -> None:
@@ -209,9 +222,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError("config needs at least one trace")
     traces.sort(key=lambda item: item[0])
 
-    horizon = manifest.num_segments
-    duration = manifest.duration_s
-    k = max(1, min(horizon, math.ceil(horizon**k_exponent)))
+    k = _default_k(manifest.num_segments, k_exponent)
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,21 +240,11 @@ def run_compare(config: dict, out_dir: Path) -> None:
         mspec = specs[name]
         for trace_name, trace in traces:
             try:
-                policy = build_policy(mspec, manifest, b_max, horizon)
+                policy = build_policy(mspec, manifest, b_max, manifest.num_segments)
                 state = session.run_session(policy, sess_cfg, manifest, trace)
-                realized = [rec.rate_kbps for rec in state.history]
-                bench = metrics.solve_benchmark(
-                    manifest, realized, k, manifest.segment_duration_s, b_max, sliding=sliding
+                report, bench = metrics.evaluate_session(
+                    state.history, manifest, b_max, tau, k, sliding=sliding
                 )
-                series = metrics.regret_and_residuals(
-                    state.history, manifest, bench, manifest.segment_duration_s, b_max
-                )
-                report = metrics.qoe_metrics(state.history, manifest, tau, duration)
-                report.regret_rate = list(series.regret_rate)
-                report.residual1_rate = list(series.residual1_rate)
-                report.residual2_rate = list(series.residual2_rate)
-                if series.one_hot_fallback:
-                    report.flags.append("one-hot-omega")
             except Exception as exc:
                 raise CliError(
                     f"session failed for method {name!r} on trace {trace_name!r}: {exc}"
@@ -290,15 +291,10 @@ def run_compare(config: dict, out_dir: Path) -> None:
                 _report_dict(name, trace_name, report, bench),
                 sessions_dir / f"{name}__{trace_name}.json",
             )
-        series_mat = {
-            key: np.mean([getattr(entry[1], key) for entry in entries], axis=0)
-            for key in ("regret_rate", "residual1_rate", "residual2_rate")
-        }
-        conv_rows = [
-            [str(t + 1)] + [_fmt(series_mat[key][t]) for key in ("regret_rate", "residual1_rate", "residual2_rate")]
-            for t in range(horizon)
-        ]
-        _write_csv_rows(out_dir / f"convergence_{name}.csv", CONVERGENCE_COLUMNS, conv_rows)
+        _write_convergence(
+            out_dir / f"convergence_{name}.csv",
+            [np.mean([getattr(report, key) for _, report, _ in entries], axis=0) for key in SERIES_KEYS],
+        )
 
     for row in rows:
         print(
@@ -336,18 +332,8 @@ def _cmd_run(args) -> int:
     policy = build_policy(spec, manifest, b_max, horizon)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-
-    k = args.k if args.k else max(1, min(horizon, math.ceil(horizon**args.k_exponent)))
-    bench = metrics.solve_benchmark(
-        manifest, [r.rate_kbps for r in state.history], k, manifest.segment_duration_s, b_max
-    )
-    series = metrics.regret_and_residuals(
-        state.history, manifest, bench, manifest.segment_duration_s, b_max
-    )
-    report = metrics.qoe_metrics(state.history, manifest, args.tau, manifest.duration_s)
-    report.regret_rate = list(series.regret_rate)
-    report.residual1_rate = list(series.residual1_rate)
-    report.residual2_rate = list(series.residual2_rate)
+    k = args.k or _default_k(horizon, args.k_exponent)
+    report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau, k)
     metrics.normalize_avg_bitrate([report])
 
     out = Path(args.out)
@@ -356,14 +342,7 @@ def _cmd_run(args) -> int:
         session.export_log_csv(state.history, out / f"session_{name}.csv")
     else:
         _write_json(
-            [
-                {
-                    "t": r.t, "x_t": r.x, "r_kbps": r.bitrate_kbps, "size_kbit": r.size_kbit,
-                    "C_kbps": r.rate_kbps, "download_s": r.download_s, "delta_s": r.delta_s,
-                    "buffer_s": r.buffer_after_s, "stall": int(r.stall), "stall_s": r.stall_s,
-                }
-                for r in state.history
-            ],
+            [dict(zip(session.LOG_COLUMNS, session.log_row(r))) for r in state.history],
             out / f"session_{name}.json",
         )
     _write_json(_report_dict(name, Path(args.trace).stem, report, bench), out / f"report_{name}.json")
@@ -411,35 +390,19 @@ def _cmd_concat(args) -> int:
 def _cmd_benchmark(args) -> int:
     manifest = media.load_manifest(args.manifest)
     history = session.read_log_csv(args.log)
-    horizon = len(history)
-    if horizon == 0:
+    if not history:
         raise CliError(f"{args.log}: empty session log")
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
-    k = args.k if args.k else max(1, min(horizon, math.ceil(horizon**args.k_exponent)))
-    bench = metrics.solve_benchmark(
-        manifest, [r.rate_kbps for r in history], k, manifest.segment_duration_s, b_max,
-        sliding=not args.disjoint_windows,
+    k = args.k or _default_k(len(history), args.k_exponent)
+    report, bench = metrics.evaluate_session(
+        history, manifest, b_max, DEFAULT_TAU, k, sliding=not args.disjoint_windows
     )
-    series = metrics.regret_and_residuals(
-        history, manifest, bench, manifest.segment_duration_s, b_max
-    )
-    if series.one_hot_fallback:
+    if "one-hot-omega" in report.flags:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
-    doc = {
-        "k": k,
-        "omega_star": [float(w) for w in bench.omega_star],
-        "objective_kbps": float(bench.objective),
-        "max_window_violation": float(bench.max_window_violation),
-        "slack_used": float(bench.slack_used),
-    }
     if args.out:
-        _write_json(doc, Path(args.out))
+        _write_json({"k": k, **_benchmark_dict(bench)}, Path(args.out))
     if args.series:
-        rows = [
-            [str(t + 1), _fmt(series.regret_rate[t]), _fmt(series.residual1_rate[t]), _fmt(series.residual2_rate[t])]
-            for t in range(horizon)
-        ]
-        _write_csv_rows(Path(args.series), CONVERGENCE_COLUMNS, rows)
+        _write_convergence(Path(args.series), [getattr(report, key) for key in SERIES_KEYS])
     print(
         f"k={k} objective={_fmt(bench.objective)} kbps"
         f" omega_star=[{', '.join(_fmt(w) for w in bench.omega_star)}]"

@@ -26,6 +26,7 @@ __all__ = [
     "BenchmarkSolution",
     "ConvergenceSeries",
     "SessionReport",
+    "evaluate_session",
     "normalize_avg_bitrate",
     "qoe_metrics",
     "regret_and_residuals",
@@ -403,3 +404,38 @@ def regret_and_residuals(
         regret = (np.cumsum(losses) + epochs * star) / epochs
 
     return ConvergenceSeries(regret, residual1, residual2, fallback)
+
+
+# ---------------------------------------------------------------------------
+# The evaluation pipeline
+
+
+def evaluate_session(
+    history: Sequence[EpochRecord],
+    manifest: Manifest,
+    b_max_s: float,
+    tau: int,
+    k: int,
+    sliding: bool = True,
+) -> tuple[SessionReport, BenchmarkSolution]:
+    """Score one session log against its hindsight benchmark.
+
+    Solves the benchmark over length-``k`` windows of the log's realized
+    channel rates, then returns the five session metrics (viewing budget:
+    the manifest's duration) with the regret and residual series filled in,
+    together with the benchmark solution.  A log without decision
+    distributions is scored on its one-hot choices and flagged
+    ``one-hot-omega``.
+    """
+    v = manifest.segment_duration_s
+    bench = solve_benchmark(
+        manifest, [rec.rate_kbps for rec in history], k, v, b_max_s, sliding=sliding
+    )
+    series = regret_and_residuals(history, manifest, bench, v, b_max_s)
+    report = qoe_metrics(history, manifest, tau, manifest.duration_s)
+    report.regret_rate = list(series.regret_rate)
+    report.residual1_rate = list(series.residual1_rate)
+    report.residual2_rate = list(series.residual2_rate)
+    if series.one_hot_fallback:
+        report.flags.append("one-hot-omega")
+    return report, bench

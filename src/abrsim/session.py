@@ -28,6 +28,7 @@ __all__ = [
     "SessionConfig",
     "SessionState",
     "export_log_csv",
+    "log_row",
     "read_log_csv",
     "run_session",
     "step",
@@ -229,26 +230,28 @@ def run_session(
     return state
 
 
+def log_row(r: EpochRecord) -> tuple:
+    """One record's values in ``LOG_COLUMNS`` order, as the log stores them."""
+    return (
+        r.t,
+        r.x,
+        float(r.bitrate_kbps),
+        float(r.size_kbit),
+        float(r.rate_kbps),
+        float(r.download_s),
+        float(r.delta_s),
+        float(r.buffer_after_s),
+        int(r.stall),
+        float(r.stall_s),
+    )
+
+
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
-        for r in history:
-            writer.writerow(
-                [
-                    r.t,
-                    r.x,
-                    repr(float(r.bitrate_kbps)),
-                    repr(float(r.size_kbit)),
-                    repr(float(r.rate_kbps)),
-                    repr(float(r.download_s)),
-                    repr(float(r.delta_s)),
-                    repr(float(r.buffer_after_s)),
-                    int(r.stall),
-                    repr(float(r.stall_s)),
-                ]
-            )
+        writer.writerows(log_row(r) for r in history)
 
 
 def read_log_csv(path: str | Path) -> list[EpochRecord]:

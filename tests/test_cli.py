@@ -5,6 +5,7 @@ import pytest
 
 from abrsim import load_manifest, load_trace
 from abrsim.cli import main
+from abrsim.session import LOG_COLUMNS
 
 
 def run_cli(*argv):
@@ -73,6 +74,19 @@ def test_run_rb_and_bb(assets, tmp_path):
         assert (out / f"report_{abr}.json").exists()
 
 
+def test_run_flags_one_hot_series_only_for_index_policies(assets, tmp_path):
+    # rb exposes no decision distribution, so its series use one-hot choices
+    manifest, trace = assets
+    flags = {}
+    for abr in ("rb", "l2a"):
+        out = tmp_path / f"out-{abr}"
+        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", abr, "--out", out) == 0
+        (report,) = out.glob("report_*.json")
+        flags[abr] = json.loads(report.read_text())["flags"]
+    assert "one-hot-omega" in flags["rb"]
+    assert "one-hot-omega" not in flags["l2a"]
+
+
 def test_run_live_scenario_bmax(assets, tmp_path):
     manifest, trace = assets
     out = tmp_path / "live"
@@ -84,6 +98,7 @@ def test_run_live_scenario_bmax(assets, tmp_path):
         == 0
     )
     rows = json.loads((out / "session_bb.json").read_text())
+    assert all(sorted(row) == sorted(LOG_COLUMNS) for row in rows)
     assert all(row["buffer_s"] <= 20.0 for row in rows)
 
 
@@ -117,6 +132,27 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     assert len(lines) == 61
     captured = capsys.readouterr()
     assert "one-hot" in captured.err
+
+
+def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    bench_json, series_csv = tmp_path / "bench.json", tmp_path / "series.csv"
+    assert (
+        run_cli(
+            "benchmark", "--manifest", manifest, "--log", out / "session_rb.csv",
+            "--out", bench_json, "--series", series_csv,
+        )
+        == 0
+    )
+    report = json.loads((out / "report_rb.json").read_text())
+    assert json.loads(bench_json.read_text())["omega_star"] == report["benchmark"]["omega_star"]
+    header, *rows = series_csv.read_text().splitlines()
+    keys = header.split(",")[1:]
+    for t, row in enumerate(rows):
+        values = row.split(",")[1:]
+        assert values == [f"{report['series'][key][t]:.6g}" for key in keys]
 
 
 def _compare_config(tmp_path, segments=50, count=2):
