@@ -58,9 +58,6 @@ class RBState:
     bw_probe_kbps: float = 0.0
     bw_smooth_kbps: float = 0.0
     last_index: int = 1
-    # informational only: requests are issued back to back, the session's
-    # overflow delay plays the scheduler's role
-    target_interrequest_s: float = 0.0
     initialized: bool = False
 
 
@@ -114,7 +111,12 @@ def rb_decide(
 
 
 class RBPolicy:
-    """Session adapter for the throughput-probe policy."""
+    """Session adapter for the throughput-probe policy.
+
+    ``segment_duration_s`` is not read: requests go back to back and the
+    session's overflow delay paces them.  It keeps the (ladder, V, ...)
+    signature that ``L2APolicy`` shares.
+    """
 
     name = "rb"
 
@@ -134,7 +136,7 @@ class RBPolicy:
             ewma_weight=ewma_weight,
         )
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
-        self.state = RBState(target_interrequest_s=float(segment_duration_s))
+        self.state = RBState()
 
     def decide(self, feedback: EpochFeedback | None) -> int:
         x, self.state = rb_decide(self.state, self.params, feedback, self.bitrates_kbps)

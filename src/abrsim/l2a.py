@@ -139,10 +139,8 @@ class L2AState:
     q2: float = 0.0
     gamma: int = 0  # switch counter
     t: int = 0  # epochs decided so far
-    t_prime: int = 1  # first epoch of the current accumulation run
     grad_accum: np.ndarray = field(default_factory=lambda: np.zeros(0))
     accum_epochs: int = 0
-    last_feedback: tuple | None = None  # (rate, sizes row, previous omega)
 
     @classmethod
     def initial(cls, n_levels: int) -> "L2AState":
@@ -169,7 +167,6 @@ def l2a_decide(
     t = state.t
     rates = np.asarray(bitrates_kbps, dtype=float)
     if feedback is None:
-        state.last_feedback = None
         return map_to_quality(state.omega, rates), state
 
     c_prev = float(feedback.realized_rate_kbps)
@@ -188,7 +185,6 @@ def l2a_decide(
         if params.average_blocked_grads and state.accum_epochs > 1:
             step_vec = step_vec / state.accum_epochs
         omega_new = project_simplex(omega_prev - step_vec)
-        state.t_prime = t + 1
         state.gamma += 1
         state.grad_accum = np.zeros_like(state.grad_accum)
         state.accum_epochs = 0
@@ -205,40 +201,23 @@ def l2a_decide(
     state.q2 = max(state.q2 + g2_hat, 0.0)
 
     state.omega = omega_new
-    state.last_feedback = (c_prev, sizes_prev, omega_prev)
     return map_to_quality(omega_new, rates), state
 
 
 class L2APolicy:
-    """Session adapter that owns one controller state per stream."""
+    """Session adapter that owns one controller state per stream.
 
-    def __init__(
-        self,
-        bitrates_kbps,
-        segment_duration_s: float,
-        b_max_s: float,
-        horizon_t: int,
-        beta: float = 1.0,
-        epsilon: float = 0.2,
-        v_l: float | None = None,
-        alpha: float | None = None,
-        utility_rate_scale: float = 1.5e-5,
-        average_blocked_grads: bool = False,
-    ):
-        self.params = L2AParams(
-            horizon_t=horizon_t,
-            beta=beta,
-            epsilon=epsilon,
-            v_l=v_l,
-            alpha=alpha,
-            utility_rate_scale=utility_rate_scale,
-            average_blocked_grads=average_blocked_grads,
-        )
+    Keyword arguments are the ``L2AParams`` schedule fields.
+    """
+
+    def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
+                 horizon_t: int, **params):
+        self.params = L2AParams(horizon_t, **params)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.segment_duration_s = float(segment_duration_s)
         self.b_max_s = float(b_max_s)
         self.state = L2AState.initial(len(self.bitrates_kbps))
-        self.name = f"l2a-beta{beta:g}"
+        self.name = f"l2a-beta{self.params.beta:g}"
 
     @property
     def omega(self) -> np.ndarray:

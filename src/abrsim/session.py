@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Protocol
 
+import numpy as np
+
 from .channel import ChannelTrace, download
 from .media import Manifest
 
@@ -54,15 +56,12 @@ class SessionConfig:
 
     b_max_s: float
     tau_resume: int = 2
-    startup_policy: str = "start-at-lowest"
 
     def __post_init__(self) -> None:
         if self.b_max_s <= 0:
             raise ValueError("b_max_s must be positive")
         if self.tau_resume < 1:
             raise ValueError("tau_resume must be at least 1")
-        if self.startup_policy != "start-at-lowest":
-            raise ValueError(f"unsupported startup policy {self.startup_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class EpochFeedback:
 
     realized_rate_kbps: float
     chosen_size_kbit: float
-    row_sizes_kbit: tuple[float, ...]
+    row_sizes_kbit: np.ndarray  # the manifest's read-only sizes row
     buffer_s: float
 
 
@@ -198,7 +197,7 @@ def step(
     feedback = EpochFeedback(
         realized_rate_kbps=result.effective_rate_kbps,
         chosen_size_kbit=size,
-        row_sizes_kbit=tuple(float(s) for s in row),
+        row_sizes_kbit=row,
         buffer_s=b1,
     )
     state.epoch_t += 1

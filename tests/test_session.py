@@ -110,8 +110,6 @@ def test_config_validation():
         SessionConfig(b_max_s=0.0)
     with pytest.raises(ValueError):
         SessionConfig(b_max_s=10.0, tau_resume=0)
-    with pytest.raises(ValueError):
-        SessionConfig(b_max_s=10.0, startup_policy="start-at-highest")
 
 
 # ---------------------------------------------------------------------------
