@@ -32,7 +32,6 @@ from .l2a import (
     l2a_decide,
     loss_and_constraints,
     map_to_quality,
-    predict_constraint,
 )
 from .media import Manifest, ManifestError, load_manifest, synthesize_manifest, write_manifest
 from .metrics import (
@@ -96,7 +95,6 @@ __all__ = [
     "loss_and_constraints",
     "map_to_quality",
     "normalize_avg_bitrate",
-    "predict_constraint",
     "project_simplex",
     "qoe_metrics",
     "rb_decide",

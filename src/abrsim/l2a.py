@@ -9,16 +9,16 @@ and overflow pressure.  Each epoch it
 2. takes a projected gradient step ``omega = proj(omega - accum / (2 alpha))``
    when the switching budget allows (at most a ``beta`` fraction of epochs),
    flushing the accumulator,
-3. performs dual ascent on the queues using a first-order prediction of the
-   current constraints at the new point, and
+3. performs dual ascent on the queues with the previous epoch's constraint
+   values at the new point, and
 4. maps the distribution to the quality whose ladder bitrate is nearest the
    expected bitrate.
 
 The loss is the negated expected bitrate and the constraints are the expected
 download time against the segment duration (underflow side) and against an
 overflow allowance of b_max / T per epoch.  All three are linear in omega, so
-their gradients do not depend on omega and the first-order constraint
-prediction is exact for the previous epoch's channel rate.
+their gradients do not depend on omega, and a first-order prediction of the
+constraints at the new point equals their value there.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "l2a_decide",
     "loss_and_constraints",
     "map_to_quality",
-    "predict_constraint",
 ]
 
 
@@ -74,12 +73,6 @@ def gradients(sizes_row_kbit, rate_kbps: float, bitrates):
     """
     dl = np.asarray(sizes_row_kbit, dtype=float) / rate_kbps
     return -np.asarray(bitrates, dtype=float), dl, -dl
-
-
-def predict_constraint(g_prev: float, grad_prev, omega_new, omega_prev) -> float:
-    """First-order prediction of a constraint value at the new point."""
-    diff = np.asarray(omega_new, dtype=float) - np.asarray(omega_prev, dtype=float)
-    return float(g_prev + np.asarray(grad_prev, dtype=float) @ diff)
 
 
 def map_to_quality(omega, bitrates_kbps) -> int:
@@ -192,13 +185,11 @@ def l2a_decide(
         omega_new = omega_prev
 
     # dual ascent on the queues, evaluated at the post-step distribution
-    _, g1_prev, g2_prev = loss_and_constraints(
-        omega_prev, sizes_prev, rates, c_prev, segment_duration_s, b_max_s, params.horizon_t
+    _, g1, g2 = loss_and_constraints(
+        omega_new, sizes_prev, rates, c_prev, segment_duration_s, b_max_s, params.horizon_t
     )
-    g1_hat = predict_constraint(g1_prev, grad_g1, omega_new, omega_prev)
-    g2_hat = predict_constraint(g2_prev, grad_g2, omega_new, omega_prev)
-    state.q1 = max(state.q1 + g1_hat, 0.0)
-    state.q2 = max(state.q2 + g2_hat, 0.0)
+    state.q1 = max(state.q1 + g1, 0.0)
+    state.q2 = max(state.q2 + g2, 0.0)
 
     state.omega = omega_new
     return map_to_quality(omega_new, rates), state

@@ -14,7 +14,6 @@ from abrsim import (
     l2a_decide,
     loss_and_constraints,
     map_to_quality,
-    predict_constraint,
     run_session,
     synthesize_manifest,
 )
@@ -81,24 +80,6 @@ def test_constraint_gradients_mirror():
     assert np.array_equal(g1, -g2)
 
 
-def test_predict_constraint_cases():
-    assert predict_constraint(0.7, (1.0, -1.0), (0.2, 0.8), (0.2, 0.8)) == 0.7
-    assert predict_constraint(0.0, (1.0, -1.0), (0.6, 0.4), (0.5, 0.5)) == pytest.approx(0.2)
-
-
-def test_prediction_exact_for_linear_constraints():
-    sizes = (1800.0, 4200.0)
-    rates = (1000.0, 2000.0)
-    rate_c = 1300.0
-    omega_prev = np.array([0.7, 0.3])
-    omega_new = np.array([0.25, 0.75])
-    _, g1_prev, _ = loss_and_constraints(omega_prev, sizes, rates, rate_c, 2.0, 120.0, 100)
-    _, grad_g1, _ = gradients(sizes, rate_c, rates)
-    predicted = predict_constraint(g1_prev, grad_g1, omega_new, omega_prev)
-    _, g1_new, _ = loss_and_constraints(omega_new, sizes, rates, rate_c, 2.0, 120.0, 100)
-    assert predicted == pytest.approx(g1_new, abs=1e-12)
-
-
 def test_map_to_quality_tie_breaks_low():
     assert map_to_quality((0.5, 0.5), (1000.0, 3000.0)) == 1
     assert map_to_quality((0.0, 1.0), (1000.0, 3000.0)) == 2
@@ -127,6 +108,26 @@ def test_first_epoch_starts_lowest():
     assert x == 1
     assert state.omega.tolist() == [1.0, 0.0, 0.0]
     assert state.gamma == 0
+
+
+def test_queues_add_the_constraints_at_the_new_omega():
+    # q_i <- [q_i + g_i(omega_new)]^+ with g_i from loss_and_constraints, both
+    # when the gradient step is taken (gamma = 0) and when the switching
+    # budget blocks it (gamma/t = 5/6 > beta)
+    sizes, rates, rate_c = (1800.0, 4200.0), (1000.0, 2000.0), 1300.0
+    params = L2AParams(horizon_t=60, beta=0.5)
+    for gamma, taken in ((0, True), (5, False)):
+        state = L2AState.initial(2)
+        state.omega = np.array([0.7, 0.3])
+        state.gamma, state.t = gamma, 5
+        state.q1, state.q2 = 0.4, 30.0
+        q1_before, q2_before = state.q1, state.q2
+        _, state = l2a_decide(state, params, make_feedback(sizes, rate_c), rates, 2.0, 120.0)
+        assert (state.gamma == gamma + 1) is taken
+        assert (state.omega.tolist() != [0.7, 0.3]) is taken
+        _, g1, g2 = loss_and_constraints(state.omega, sizes, rates, rate_c, 2.0, 120.0, 60)
+        assert state.q1 == pytest.approx(max(q1_before + g1, 0.0), abs=1e-12)
+        assert state.q2 == pytest.approx(max(q2_before + g2, 0.0), abs=1e-12)
 
 
 def test_queue_floor_at_zero():
