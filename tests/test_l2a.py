@@ -110,10 +110,11 @@ def test_first_epoch_starts_lowest():
     assert state.gamma == 0
 
 
-def test_queues_add_the_constraints_at_the_new_omega():
+def test_predict_constraint_cases():
+    # the queues add the constraints at the post-step omega,
     # q_i <- [q_i + g_i(omega_new)]^+ with g_i from loss_and_constraints, both
     # when the gradient step is taken (gamma = 0) and when the switching
-    # budget blocks it (gamma/t = 5/6 > beta)
+    # budget blocks it (gamma/t = 5/6 > beta, so omega_new = omega_prev)
     sizes, rates, rate_c = (1800.0, 4200.0), (1000.0, 2000.0), 1300.0
     params = L2AParams(horizon_t=60, beta=0.5)
     for gamma, taken in ((0, True), (5, False)):
@@ -128,6 +129,22 @@ def test_queues_add_the_constraints_at_the_new_omega():
         _, g1, g2 = loss_and_constraints(state.omega, sizes, rates, rate_c, 2.0, 120.0, 60)
         assert state.q1 == pytest.approx(max(q1_before + g1, 0.0), abs=1e-12)
         assert state.q2 == pytest.approx(max(q2_before + g2, 0.0), abs=1e-12)
+
+
+def test_prediction_exact_for_linear_constraints():
+    # the constraints are linear in omega, so the first-order prediction from
+    # the previous point equals their value at the new point; this is why the
+    # queue update evaluates loss_and_constraints at omega_new directly
+    sizes = (1800.0, 4200.0)
+    rates = (1000.0, 2000.0)
+    rate_c = 1300.0
+    omega_prev = np.array([0.7, 0.3])
+    omega_new = np.array([0.25, 0.75])
+    _, g1_prev, g2_prev = loss_and_constraints(omega_prev, sizes, rates, rate_c, 2.0, 120.0, 100)
+    _, grad_g1, grad_g2 = gradients(sizes, rate_c, rates)
+    _, g1_new, g2_new = loss_and_constraints(omega_new, sizes, rates, rate_c, 2.0, 120.0, 100)
+    assert g1_prev + grad_g1 @ (omega_new - omega_prev) == pytest.approx(g1_new, abs=1e-12)
+    assert g2_prev + grad_g2 @ (omega_new - omega_prev) == pytest.approx(g2_new, abs=1e-12)
 
 
 def test_queue_floor_at_zero():
