@@ -145,6 +145,7 @@ def _benchmark_dict(bench: metrics.BenchmarkSolution) -> dict:
         "objective_kbps": float(bench.objective),
         "max_window_violation": float(bench.max_window_violation),
         "slack_used": float(bench.slack_used),
+        "binding_windows": int(bench.binding_windows),
     }
 
 

@@ -6,21 +6,23 @@ smoothness (switch amplitude), consistency (stall seconds against the viewing
 time budget) and continuity (stall count against the resumable segment
 budget).  The benchmark is the best fixed decision distribution in hindsight
 whose average download time stays within bounds over every length-K window of
-the realized channel; regret is the cumulative loss gap against it.
+the realized channel; regret is the cumulative loss gap against it.  The
+benchmark is solved exactly, as two linear programs (the smallest uniform
+slack that makes the window bounds feasible, then the best bitrate at that
+slack), by a small revised simplex on their duals: the dual has one row per
+quality level however many windows there are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .media import Manifest
 from .session import EpochRecord
-from .simplex import project_simplex
 
 __all__ = [
     "BenchmarkSolution",
@@ -127,12 +129,17 @@ class BenchmarkSolution:
     objective: float  # expected bitrate under omega_star, kbps
     max_window_violation: float  # against the unslackened constraints
     slack_used: float  # 0 when the instance is feasible as stated
+    binding_windows: int = 0  # bounds, widened by slack_used, met within 1e-9 by omega_star
 
 
 _FEAS_TOL = 1e-9
-_PHASE1_ITERS = 3000
-_PHASE2_ITERS = 4000
-_STALL_LIMIT = 400  # iterations without 1e-6 objective improvement
+# The optimum sits on the boundary of the polytope at the minimum slack, which
+# rounding can leave empty; the bitrate LP is solved with this much more slack.
+_SLACK_MARGIN = 1e-10
+_COST_TOL = 1e-11  # reduced costs are primal constraint residuals, in seconds
+_PIVOT_TOL = 1e-9
+_TIE_TOL = 1e-12  # ratios this close tie, and the lexicographic rule picks
+_MAX_PIVOTS = 5000
 
 
 def _window_means(dt: np.ndarray, k: int, sliding: bool) -> np.ndarray:
@@ -145,151 +152,42 @@ def _window_means(dt: np.ndarray, k: int, sliding: bool) -> np.ndarray:
     return dt[: count * k].reshape(count, k, n).sum(axis=1) / k
 
 
-def _max_violation(windows: np.ndarray, omega: np.ndarray, upper: float, lower: float) -> float:
-    z = windows @ omega
-    return float(max(0.0, np.max(np.maximum(z - upper, lower - z))))
+def _lp_on_simplex(cost: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Minimize cost @ x subject to g @ x <= h, x >= 0 and sum(x[:n]) == 1.
 
-
-def _phase1_min_slack(windows, upper, lower, n):
-    """Projected subgradient on the worst-window violation; returns an
-    achievable slack (an upper bound on the minimum) and the point attaining it."""
-    omega = np.full(n, 1.0 / n)
-    best_v = _max_violation(windows, omega, upper, lower)
-    best_omega = omega
-    scale = float(np.abs(windows).max()) or 1.0
-    for i in range(1, _PHASE1_ITERS + 1):
-        z = windows @ omega
-        over = z - upper
-        under = lower - z
-        k_over = int(np.argmax(over))
-        k_under = int(np.argmax(under))
-        if over[k_over] <= 0 and under[k_under] <= 0:
-            return 0.0, omega
-        grad = windows[k_over] if over[k_over] >= under[k_under] else -windows[k_under]
-        omega = project_simplex(omega - grad / (scale * math.sqrt(i)))
-        v = _max_violation(windows, omega, upper, lower)
-        if v < best_v:
-            best_v, best_omega = v, omega
-    return best_v, best_omega
-
-
-def _phase2_penalty(windows, upper, lower, rates, start, slack):
-    """Projected subgradient on an exact-penalty objective.
-
-    Rows are normalized so the penalty weight has a uniform meaning; the
-    weight escalates until the incumbent satisfies every window within the
-    slack.  Stops once the best objective stalls below 1e-6 improvement.
+    Revised primal simplex on the dual LP, whose len(cost) rows keep the basis
+    small however many rows ``g`` has; x is read off the simplex multipliers.
+    The sum's dual variable is free, so it stays first in the basis; with
+    cost[n:] >= 0 it and the dual slacks form a feasible start.  Pricing takes
+    the most negative reduced cost; ratio-test ties go to the lexicographically
+    smallest row of the basis inverse, against cycling on degenerate pivots.
     """
-    norms = np.linalg.norm(windows, axis=1)
-    norms[norms == 0] = 1.0
-    rows = windows / norms[:, None]
-    hi = (upper + slack) / norms
-    lo = (lower - slack) / norms
-    obj_grad = rates / rates[-1]
-
-    best_omega = None
-    best_obj = -math.inf
-    mu = 10.0
-    for _ in range(5):
-        omega = start.copy()
-        stall = 0
-        for i in range(1, _PHASE2_ITERS + 1):
-            z = rows @ omega
-            over = z > hi
-            under = z < lo
-            grad = -obj_grad + mu * (rows[over].sum(axis=0) - rows[under].sum(axis=0))
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-15:
-                break
-            omega = project_simplex(omega - grad / (gnorm * math.sqrt(i)))
-            if _max_violation(windows, omega, upper + slack, lower - slack) <= _FEAS_TOL:
-                obj = float(rates @ omega)
-                if obj > best_obj + 1e-6:
-                    best_obj, best_omega = obj, omega
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= _STALL_LIMIT:
-                        break
-        if best_omega is not None:
-            return best_omega
-        mu *= 10.0
-    return start
-
-
-def _polish_candidates(windows, upper, lower, rates, incumbent, slack):
-    """Exact refinement: the optimum of a linear objective sits on a vertex of
-    the feasible polytope, so enumerate vertex candidates and keep the best
-    feasible one.
-
-    Candidates: the incumbent, every one-hot vector, every point where a
-    single window boundary crosses a two-level support segment, and (for
-    three or more levels) intersections of pairs of near-active window
-    boundaries with three-level supports.
-    """
-    n = rates.size
-    hi = upper + slack + _FEAS_TOL
-    lo = lower - slack - _FEAS_TOL
-    cands = [np.asarray(incumbent, dtype=float)]
-    cands.extend(np.eye(n))
-
-    for i, j in combinations(range(n), 2):
-        denom = windows[:, j] - windows[:, i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for bound in (upper + slack, lower - slack):
-                w = (bound - windows[:, i]) / denom
-                w = w[np.isfinite(w) & (w > 0.0) & (w < 1.0)]
-                for wv in np.unique(w):
-                    vec = np.zeros(n)
-                    vec[i] = 1.0 - wv
-                    vec[j] = wv
-                    cands.append(vec)
-
-    if n >= 3:
-        cands.extend(_three_support_candidates(windows, upper + slack, lower - slack, incumbent, n))
-
-    cand_arr = np.array(cands)
-    best_obj = -math.inf
-    best = None
-    for chunk in np.array_split(cand_arr, max(1, len(cand_arr) // 2048)):
-        z = chunk @ windows.T
-        worst = np.max(np.maximum(z - hi, lo - z), axis=1)
-        feasible = worst <= 0.0
-        if not feasible.any():
-            continue
-        objs = chunk[feasible] @ rates
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:
-            best_obj = float(objs[k])
-            best = chunk[feasible][k]
-    return best
-
-
-def _three_support_candidates(windows, hi, lo, incumbent, n, per_side=12):
-    """Vertices pinned by two window boundaries and a three-level support."""
-    z = windows @ incumbent
-    idx_hi = np.argsort(np.abs(hi - z))[:per_side]
-    idx_lo = np.argsort(np.abs(z - lo))[:per_side]
-    actives = [(int(k), hi) for k in idx_hi] + [(int(k), lo) for k in idx_lo]
-    out = []
-    for (k1, b1), (k2, b2) in combinations(actives, 2):
-        if k1 == k2 and b1 == b2:
-            continue
-        for support in combinations(range(n), 3):
-            cols = list(support)
-            mat = np.array([[1.0, 1.0, 1.0], windows[k1, cols], windows[k2, cols]])
-            rhs = np.array([1.0, b1, b2])
-            det = np.linalg.det(mat)
-            if abs(det) < 1e-12:
-                continue
-            sol = np.linalg.solve(mat, rhs)
-            if np.all(sol >= -1e-12):
-                vec = np.zeros(n)
-                vec[cols] = np.maximum(sol, 0.0)
-                total = vec.sum()
-                if total > 0:
-                    out.append(vec / total)
-    return out
+    p, rows = cost.size, len(h)
+    a = (np.arange(p) < n).astype(float)
+    # dual columns: one per row of g, the sum's free variable, then the slacks
+    mat = np.hstack([-g.T, a[:, None], np.eye(p)])
+    d = np.concatenate([h, [-1.0], np.zeros(p)])
+    first = int(np.argmin(cost[:n]))
+    basis = [rows] + [rows + 1 + i for i in range(p) if i != first]
+    for _ in range(_MAX_PIVOTS):
+        # a solve, unlike the inverse, leaves binding rows rounding-size residuals
+        x = -np.linalg.solve(mat[:, basis].T, d[basis])
+        binv = np.linalg.inv(mat[:, basis])
+        reduced = d + x @ mat  # g's row slacks, sum(x[:n]) - 1, then x itself
+        reduced[basis] = 0.0  # zero but for rounding
+        j = int(np.argmin(reduced))
+        if reduced[j] >= -_COST_TOL:
+            omega = np.maximum(x[:n], 0.0)
+            x[:n] = omega / omega.sum()
+            return x
+        col = binv @ mat[:, j]
+        pos = np.flatnonzero(col[1:] > _PIVOT_TOL) + 1
+        if pos.size == 0:
+            raise RuntimeError("benchmark LP is infeasible (its dual is unbounded)")
+        ratios = np.maximum(binv[pos] @ cost, 0.0) / col[pos]
+        ties = pos[ratios <= ratios.min() + _TIE_TOL]
+        basis[ties[np.lexsort((binv[ties] / col[ties, None]).T[::-1])[0]]] = j
+    raise RuntimeError(f"benchmark LP not solved in {_MAX_PIVOTS} pivots")
 
 
 def solve_benchmark(
@@ -304,10 +202,10 @@ def solve_benchmark(
 
     Maximizes the expected bitrate subject to every length-``k`` window of the
     realized channel keeping the average download time between the overflow
-    allowance (V - b_max/T) and the segment duration V.  Solved by projected
-    subgradient on an exact-penalty objective, then polished exactly over
-    vertex candidates.  When no distribution satisfies the constraints, the
-    smallest achievable uniform slack is found first and reported.
+    allowance (V - b_max/T) and the segment duration V.  Two exact linear
+    programs are solved: the smallest uniform slack s* that makes the window
+    bounds feasible (reported; 0 when the instance is feasible as stated),
+    then the best bitrate with every bound widened by s* + 1e-10.
     """
     rates_c = np.asarray(realized_rate_kbps, dtype=float)
     t_total = rates_c.size
@@ -315,32 +213,34 @@ def solve_benchmark(
         raise ValueError(f"window k={k} outside 1..{t_total}")
     if t_total > manifest.num_segments:
         raise ValueError("more realized rates than manifest segments")
+    bad = np.flatnonzero(~np.isfinite(rates_c))
+    if bad.size:
+        raise ValueError(f"realized rate at epoch {bad[0] + 1} is not finite: {rates_c[bad[0]]}")
     if np.any(rates_c <= 0):
         raise ValueError("realized rates must be positive")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
     ladder = np.asarray(manifest.bitrates_kbps, dtype=float)
-    dt = sizes / rates_c[:, None]
-    windows = _window_means(dt, k, sliding)
+    windows = _window_means(sizes / rates_c[:, None], k, sliding)
     upper = float(segment_duration_s)
     lower = float(segment_duration_s) - float(b_max_s) / t_total
 
     n = ladder.size
-    slack, feas_point = _phase1_min_slack(windows, upper, lower, n)
-    if slack <= _FEAS_TOL:
-        slack = 0.0
+    g = np.vstack([windows, -windows])
+    h = np.repeat([upper, -lower], len(windows))
+    # min s  s.t.  lower - s <= W omega <= upper + s
+    x = _lp_on_simplex(np.append(np.zeros(n), 1.0), np.hstack([g, -np.ones((len(g), 1))]), h, n)
+    min_slack = max(0.0, float(np.max(g @ x[:n] - h)))
+    slack = 0.0 if min_slack <= _FEAS_TOL else min_slack
+    omega = _lp_on_simplex(-ladder / ladder[-1], g, h + min_slack + _SLACK_MARGIN, n)
 
-    incumbent = _phase2_penalty(windows, upper, lower, ladder, feas_point, slack)
-    polished = _polish_candidates(windows, upper, lower, ladder, incumbent, slack)
-    omega = polished if polished is not None else feas_point
-    omega = np.maximum(omega, 0.0)
-    omega = omega / omega.sum()
-
+    excess = g @ omega - h  # by how much omega exceeds each of the 2W window bounds
     return BenchmarkSolution(
         omega_star=tuple(float(w) for w in omega),
         objective=float(ladder @ omega),
-        max_window_violation=_max_violation(windows, omega, upper, lower),
+        max_window_violation=max(0.0, float(excess.max())),
         slack_used=float(slack),
+        binding_windows=int(np.count_nonzero(np.abs(excess - slack) <= _FEAS_TOL)),
     )
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import abrsim
 
 from abrsim import (
     BenchmarkSolution,
@@ -13,6 +20,7 @@ from abrsim import (
 )
 
 from fixture_log import DURATION, EXPECTED, TAU, fixture_history, fixture_manifest
+from simplex_grid import simplex_grid
 
 
 def simple_records(xs, bitrates, sizes, rates, buffers_before, downloads, omegas=None):
@@ -167,6 +175,8 @@ def test_benchmark_single_binding_constraint_hand_case():
     assert sol.omega_star[1] == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert sol.objective == pytest.approx(2000.0, abs=1e-5)
     assert sol.max_window_violation <= 1e-6
+    # all six sliding windows sit on the upper bound; the lower one (-10 s) is slack
+    assert sol.binding_windows == 6
 
 
 def test_benchmark_unconstrained_fast_channel():
@@ -205,23 +215,31 @@ def test_benchmark_validation():
         solve_benchmark(man, [2000.0] * 9 + [0.0], 5, 2.0, 120.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_benchmark_rejects_non_finite_rates(bad):
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
+    realized = [2000.0] * 10
+    realized[3] = bad
+    realized[7] = bad
+    with pytest.raises(ValueError, match="epoch 4 "):
+        solve_benchmark(man, realized, 5, 2.0, 120.0)
+
+
+def _windows(manifest, realized, k, sliding=True):
+    """Mean per-epoch download time of every length-k window, one row each."""
+    dt = manifest.segment_sizes_kbit[: len(realized)] / np.asarray(realized)[:, None]
+    if not sliding:
+        count = len(realized) // k
+        return dt[: count * k].reshape(count, k, -1).mean(axis=1)
+    cum = np.vstack([np.zeros((1, dt.shape[1])), np.cumsum(dt, axis=0)])
+    return (cum[k:] - cum[:-k]) / k
+
+
 def _grid_best_feasible(manifest, realized, k, v, b_max, slack, resolution=1e-3):
     rates = np.asarray(manifest.bitrates_kbps)
-    n = rates.size
-    dt = manifest.segment_sizes_kbit[: len(realized)] / np.asarray(realized)[:, None]
-    cum = np.vstack([np.zeros((1, n)), np.cumsum(dt, axis=0)])
-    windows = (cum[k:] - cum[:-k]) / k
+    windows = _windows(manifest, realized, k)
     upper, lower = v + slack, v - b_max / len(realized) - slack
-    steps = int(round(1.0 / resolution))
-    if n == 2:
-        w = np.arange(steps + 1) / steps
-        grid = np.stack([1.0 - w, w], axis=1)
-    else:
-        pts = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                pts.append((i / steps, j / steps, (steps - i - j) / steps))
-        grid = np.array(pts)
+    grid = simplex_grid(rates.size, resolution)
     best = -np.inf
     for chunk in np.array_split(grid, max(1, len(grid) // 50000)):
         z = chunk @ windows.T
@@ -243,6 +261,94 @@ def test_benchmark_dominates_grid_oracle(n):
         grid_best = _grid_best_feasible(man, realized, k, 2.0, 120.0, sol.slack_used)
         assert sol.objective >= grid_best - 1e-9
         assert sol.max_window_violation <= sol.slack_used + 1e-6
+
+
+def _worst_violation(windows, w, upper, lower):
+    """Largest window-bound violation at omega = (1 - w, w), for each w."""
+    z = np.outer(1.0 - w, windows[:, 0]) + np.outer(w, windows[:, 1])
+    return np.maximum(np.maximum(z - upper, lower - z).max(axis=1), 0.0)
+
+
+def test_benchmark_min_slack_matches_grid_oracle():
+    # two levels: the worst-window violation is convex and piecewise linear in
+    # omega_2, so its minimizer lies within one step of the 1e-3 grid's; a 1e-7
+    # grid over those two steps pins the minimum to within its Lipschitz
+    # constant times half a fine step
+    rng = np.random.default_rng(21)
+    coarse = simplex_grid(2)[:, 1]
+    with_slack = 0
+    for _ in range(6):
+        t_total, k, b_max = 60, int(rng.integers(1, 21)), 20.0
+        man = synthesize_manifest(t_total, (1000.0, 3000.0), 2.0, vbr_jitter=0.1,
+                                  seed=int(rng.integers(1e6)))
+        realized = rng.uniform(600.0, 6000.0, t_total)
+        sol = solve_benchmark(man, realized, k, 2.0, b_max)
+        windows = _windows(man, realized, k)
+        upper, lower = 2.0, 2.0 - b_max / t_total
+        w0 = coarse[int(np.argmin(_worst_violation(windows, coarse, upper, lower)))]
+        fine = np.linspace(max(w0 - 1e-3, 0.0), min(w0 + 1e-3, 1.0), 20001)
+        grid_min = float(_worst_violation(windows, fine, upper, lower).min())
+        lipschitz = float(np.abs(windows[:, 1] - windows[:, 0]).max())
+        assert grid_min - lipschitz * 0.5e-7 - 1e-9 <= sol.slack_used <= grid_min + 1e-9
+        with_slack += sol.slack_used > 0
+    assert with_slack >= 4
+
+
+def _highs_benchmark(linprog, manifest, realized, k, v, b_max, sliding):
+    """Minimum slack, then the best bitrate 1e-10 above it, both by HiGHS.
+
+    HiGHS's default 1e-7 feasibility tolerance is too loose for a reference:
+    where the polytope at the minimum slack is a sliver, the best bitrate
+    moves by kbps per 1e-8 s of slack.
+    """
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    windows = _windows(manifest, realized, k, sliding)
+    m, n = windows.shape
+    upper, lower = v, v - b_max / len(realized)
+    rows = np.vstack([windows, -windows])
+    bounds = np.r_[np.full(m, upper), np.full(m, -lower)]
+    res = linprog(
+        np.r_[np.zeros(n), 1.0], A_ub=np.hstack([rows, -np.ones((2 * m, 1))]), b_ub=bounds,
+        A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0], bounds=(0, None), method="highs",
+        options=tight,
+    )
+    assert res.status == 0, res.message
+    slack = float(res.x[-1])
+    ladder = np.asarray(manifest.bitrates_kbps)
+    res = linprog(
+        -ladder, A_ub=rows, b_ub=bounds + slack + 1e-10,
+        A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs", options=tight,
+    )
+    assert res.status == 0, res.message
+    return slack, float(-res.fun)
+
+
+@pytest.mark.parametrize("b_max,sliding", [(120.0, True), (20.0, True), (120.0, False), (20.0, False)])
+def test_benchmark_matches_highs_on_eight_levels(b_max, sliding):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ladder = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
+    rng = np.random.default_rng(31 + int(b_max) + sliding)
+    for t_total, k in ((200, 119), (200, 10), (300, 1)):
+        man = synthesize_manifest(t_total, ladder, 2.0, vbr_jitter=0.1, seed=int(rng.integers(1e6)))
+        realized = rng.choice((750.0, 23000.0), t_total) * rng.uniform(0.3, 1.2)
+        sol = solve_benchmark(man, realized, k, 2.0, b_max, sliding=sliding)
+        slack, objective = _highs_benchmark(linprog, man, realized, k, 2.0, b_max, sliding)
+        assert abs(sol.slack_used - slack) <= 1e-9
+        assert sol.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_benchmark_leaves_scipy_unimported():
+    code = (
+        "import sys\n"
+        "import abrsim\n"
+        "man = abrsim.synthesize_manifest(40, (1000.0, 3000.0), 2.0, seed=1)\n"
+        "abrsim.solve_benchmark(man, [900.0] * 40, 10, 2.0, 20.0)\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = str(Path(abrsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

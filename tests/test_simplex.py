@@ -5,23 +5,13 @@ from hypothesis import strategies as st
 
 from abrsim import project_simplex
 
+from simplex_grid import simplex_grid
+
 
 def grid_project(v, resolution=1e-3):
     """Brute-force projection oracle: nearest point on a dense simplex grid."""
     v = np.asarray(v, dtype=float)
-    n = v.size
-    steps = int(round(1.0 / resolution))
-    if n == 2:
-        w = np.arange(steps + 1) / steps
-        grid = np.stack([1.0 - w, w], axis=1)
-    elif n == 3:
-        pts = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                pts.append((i / steps, j / steps, (steps - i - j) / steps))
-        grid = np.array(pts)
-    else:
-        raise NotImplementedError
+    grid = simplex_grid(v.size, resolution)
     d2 = np.square(grid - v).sum(axis=1)
     return grid[int(np.argmin(d2))]
 
