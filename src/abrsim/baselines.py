@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .media import Manifest
-from .session import EpochFeedback
+from .session import EpochFeedback, require_finite
 
 __all__ = [
     "BBPolicy",
@@ -45,6 +45,7 @@ class RBParams:
     ewma_weight: float = 0.2
 
     def __post_init__(self) -> None:
+        require_finite(self, "kappa", "probe_increment_kbps", "deadzone", "ewma_weight")
         if self.kappa <= 0 or self.probe_increment_kbps <= 0:
             raise ValueError("kappa and probe_increment_kbps must be positive")
         if not 0 <= self.deadzone:
@@ -113,28 +114,11 @@ def rb_decide(
 class RBPolicy:
     """Session adapter for the throughput-probe policy.
 
-    ``segment_duration_s`` is not read: requests go back to back and the
-    session's overflow delay paces them.  It keeps the (ladder, V, ...)
-    signature that ``L2APolicy`` shares.
+    Keyword arguments are the ``RBParams`` fields.
     """
 
-    name = "rb"
-
-    def __init__(
-        self,
-        bitrates_kbps,
-        segment_duration_s: float,
-        kappa: float = 0.14,
-        probe_increment_kbps: float = 300.0,
-        deadzone: float = 0.15,
-        ewma_weight: float = 0.2,
-    ):
-        self.params = RBParams(
-            kappa=kappa,
-            probe_increment_kbps=probe_increment_kbps,
-            deadzone=deadzone,
-            ewma_weight=ewma_weight,
-        )
+    def __init__(self, bitrates_kbps, **params):
+        self.params = RBParams(**params)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.state = RBState()
 
@@ -154,6 +138,7 @@ class BBState:
     last_index: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self, "v_b", "gamma_p")
         if self.v_b <= 0 or self.gamma_p <= 0:
             raise ValueError("v_b and gamma_p must be positive")
 
@@ -231,8 +216,6 @@ class BBPolicy:
     sizes, which the client knows ahead of time.
     """
 
-    name = "bb"
-
     def __init__(
         self,
         manifest: Manifest,
@@ -244,8 +227,8 @@ class BBPolicy:
             manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s
         )
         self.state = BBState(
-            v_b=default_vb if v_b is None else float(v_b),
-            gamma_p=default_gp if gamma_p is None else float(gamma_p),
+            v_b=default_vb if v_b is None else v_b,
+            gamma_p=default_gp if gamma_p is None else gamma_p,
         )
         self._manifest = manifest
         self._t = 0

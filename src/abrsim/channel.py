@@ -77,11 +77,6 @@ class ChannelTrace:
         return int(self.timestamps_s.size)
 
     @property
-    def samples(self) -> list[tuple[float, float]]:
-        """(timestamp_s, throughput_kbps) pairs."""
-        return list(zip(self.timestamps_s.tolist(), self.throughputs_kbps.tolist()))
-
-    @property
     def duration_s(self) -> float:
         return float(self.timestamps_s[-1])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, media, metrics, session
 from .baselines import BBPolicy, RBPolicy
-from .l2a import L2APolicy
+from .l2a import L2AParams, L2APolicy
 
 SCENARIO_BMAX = {"vod": 120.0, "live": 20.0}
 DEFAULT_TAU = 2
@@ -36,6 +36,16 @@ COMPARISON_COLUMNS = (
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
 SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
+# method-spec key -> parameter name, per policy; unset keys take the defaults of
+# L2AParams, RBParams and derive_bb_parameters.  `run`'s policy flags have these
+# keys as their dests and default to None (unset).
+POLICY_PARAMS = {
+    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha", "utility_rate_scale",
+                                 "average_blocked_grads")},
+    "rb": {"kappa": "kappa", "w": "probe_increment_kbps", "deadzone": "deadzone",
+           "ewma": "ewma_weight"},
+    "bb": {"v_b": "v_b", "gamma_p": "gamma_p"},
+}
 
 
 class CliError(Exception):
@@ -56,46 +66,27 @@ def method_name(spec: dict) -> str:
         return str(spec["name"])
     kind = spec.get("abr", "?")
     if kind == "l2a":
-        return f"l2a-beta{spec.get('beta', 1.0):g}"
+        return f"l2a-beta{spec.get('beta', L2AParams.beta):g}"
     return str(kind)
 
 
 def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t: int):
-    """Instantiate a policy from a method spec dict (the config/CLI surface)."""
+    """Instantiate a policy from a method spec: ``abr``, ``name`` and that policy's keys."""
     kind = spec.get("abr")
+    if kind not in POLICY_PARAMS:
+        raise CliError(f"unknown abr method {kind!r} (expected l2a, rb, or bb)")
+    names = POLICY_PARAMS[kind]
+    for key in spec:
+        if key not in names and key not in ("abr", "name"):
+            raise CliError(f"unknown key {key!r} for abr method {kind!r} (expected {', '.join(names)})")
+    params = {names[key]: value for key, value in spec.items() if key in names}
     if kind == "l2a":
-        v_l = spec.get("v_l")
-        if v_l is None and spec.get("vl_exponent") is not None:
-            v_l = float(horizon_t) ** float(spec["vl_exponent"])
         return L2APolicy(
-            manifest.bitrates_kbps,
-            manifest.segment_duration_s,
-            b_max_s,
-            horizon_t,
-            beta=float(spec.get("beta", 1.0)),
-            epsilon=float(spec.get("epsilon", 0.2)),
-            v_l=v_l,
-            alpha=spec.get("alpha"),
-            utility_rate_scale=float(spec.get("utility_rate_scale", 1.5e-5)),
-            average_blocked_grads=bool(spec.get("average_blocked_grads", False)),
+            manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t, **params
         )
     if kind == "rb":
-        return RBPolicy(
-            manifest.bitrates_kbps,
-            manifest.segment_duration_s,
-            kappa=float(spec.get("kappa", 0.14)),
-            probe_increment_kbps=float(spec.get("w", 300.0)),
-            deadzone=float(spec.get("deadzone", 0.15)),
-            ewma_weight=float(spec.get("ewma", 0.2)),
-        )
-    if kind == "bb":
-        return BBPolicy(
-            manifest,
-            b_max_s,
-            v_b=spec.get("v_b"),
-            gamma_p=spec.get("gamma_p"),
-        )
-    raise CliError(f"unknown abr method {kind!r} (expected l2a, rb, or bb)")
+        return RBPolicy(manifest.bitrates_kbps, **params)
+    return BBPolicy(manifest, b_max_s, **params)
 
 
 def _resolve_manifest(spec, seed: int) -> media.Manifest:
@@ -315,20 +306,7 @@ def _cmd_run(args) -> int:
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
     cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
     horizon = manifest.num_segments
-    spec = {
-        "abr": args.abr,
-        "beta": args.beta,
-        "epsilon": args.epsilon,
-        "vl_exponent": args.vl_exponent,
-        "alpha": args.alpha,
-        "kappa": args.rb_kappa,
-        "w": args.rb_w,
-        "deadzone": args.rb_deadzone,
-        "ewma": args.rb_ewma,
-        "v_b": args.bb_vb,
-        "gamma_p": args.bb_gamma_p,
-    }
-    spec = {k: v for k, v in spec.items() if v is not None}
+    spec = {k: v for k, v in vars(args).items() if k in POLICY_PARAMS[args.abr] and v is not None}
     spec["abr"] = args.abr
     policy = build_policy(spec, manifest, b_max, horizon)
     name = method_name(spec)
@@ -424,18 +402,17 @@ def _parse_bitrates(text: str) -> list[float]:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abr", choices=("l2a", "rb", "bb"), default="l2a")
-    p.add_argument("--beta", type=float, default=1.0, help="switch-rate budget in (0, 1]")
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--vl-exponent", dest="vl_exponent", type=float, default=0.9,
-                   help="cautiousness = T^exponent; step size derived unless --alpha")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--rb.kappa", dest="rb_kappa", type=float, default=None)
-    p.add_argument("--rb.w", dest="rb_w", type=float, default=None)
-    p.add_argument("--rb.deadzone", dest="rb_deadzone", type=float, default=None)
-    p.add_argument("--rb.ewma", dest="rb_ewma", type=float, default=None)
-    p.add_argument("--bb.vb", dest="bb_vb", type=float, default=None)
-    p.add_argument("--bb.gamma-p", dest="bb_gamma_p", type=float, default=None)
+    p.add_argument("--abr", choices=tuple(POLICY_PARAMS), default="l2a")
+    p.add_argument("--beta", type=float, help="switch-rate budget in (0, 1]")
+    p.add_argument("--epsilon", type=float,
+                   help="cautiousness v_l = T^(1 - epsilon/2); step size derived unless --alpha")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--rb.kappa", dest="kappa", type=float)
+    p.add_argument("--rb.w", dest="w", type=float)
+    p.add_argument("--rb.deadzone", dest="deadzone", type=float)
+    p.add_argument("--rb.ewma", dest="ewma", type=float)
+    p.add_argument("--bb.vb", dest="v_b", type=float)
+    p.add_argument("--bb.gamma-p", dest="gamma_p", type=float)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .session import EpochFeedback
+from .session import EpochFeedback, require_finite
 from .simplex import project_simplex
 
 __all__ = [
@@ -107,6 +107,7 @@ class L2AParams:
     average_blocked_grads: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(self, "beta", "epsilon", "utility_rate_scale")
         if self.horizon_t < 1:
             raise ValueError("horizon_t must be at least 1")
         if not 0.0 < self.beta <= 1.0:
@@ -115,8 +116,10 @@ class L2AParams:
             raise ValueError("epsilon must be positive")
         if self.v_l is None:
             self.v_l = float(self.horizon_t) ** (1.0 - self.epsilon / 2.0)
+        require_finite(self, "v_l")
         if self.alpha is None:
             self.alpha = self.v_l * math.sqrt(self.horizon_t)
+        require_finite(self, "alpha")
         if self.v_l <= 0 or self.alpha <= 0:
             raise ValueError("v_l and alpha must be positive")
         if self.utility_rate_scale <= 0:
@@ -208,7 +211,6 @@ class L2APolicy:
         self.segment_duration_s = float(segment_duration_s)
         self.b_max_s = float(b_max_s)
         self.state = L2AState.initial(len(self.bitrates_kbps))
-        self.name = f"l2a-beta{self.params.beta:g}"
 
     @property
     def omega(self) -> np.ndarray:

@@ -12,6 +12,8 @@ indicator epochs are still recorded whenever buffer < d.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -69,7 +71,6 @@ class EpochFeedback:
     """What the client learns once an epoch completes."""
 
     realized_rate_kbps: float
-    chosen_size_kbit: float
     row_sizes_kbit: np.ndarray  # the manifest's read-only sizes row
     buffer_s: float
 
@@ -107,21 +108,25 @@ class SessionState:
 class Policy(Protocol):
     """Anything that can pick a quality index from per-epoch feedback."""
 
-    name: str
-
     def decide(self, feedback: EpochFeedback | None) -> int: ...
 
 
 class ScriptedPolicy:
     """Replays a fixed quality-index sequence (tests, log replay)."""
 
-    name = "scripted"
-
     def __init__(self, indices: Iterable[int]):
         self._it = iter(indices)
 
     def decide(self, feedback: EpochFeedback | None) -> int:
         return next(self._it)
+
+
+def require_finite(owner, *names: str) -> None:
+    """Raise a ValueError naming the first of ``owner``'s fields that is not a finite number."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{type(owner).__name__}.{name} must be a finite number, got {value!r}")
 
 
 def step(
@@ -196,7 +201,6 @@ def step(
     state.history.append(record)
     feedback = EpochFeedback(
         realized_rate_kbps=result.effective_rate_kbps,
-        chosen_size_kbit=size,
         row_sizes_kbit=row,
         buffer_s=b1,
     )

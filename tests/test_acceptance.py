@@ -58,7 +58,7 @@ def _policy(kind, manifest, b_max, horizon):
     if kind == "l2a-b03":
         return L2APolicy(LADDER, V, b_max, horizon, beta=0.3)
     if kind == "rb":
-        return RBPolicy(LADDER, V)
+        return RBPolicy(LADDER)
     if kind == "bb":
         return BBPolicy(manifest, b_max)
     raise ValueError(kind)
@@ -267,7 +267,7 @@ def test_criterion_6_regret_across_horizons():
             # one comparator per (trace, horizon): the hindsight distribution
             # for the reference baseline's realized channel, shared by both
             # methods so their regrets are measured against the same yardstick
-            st_rb = run_session(RBPolicy(LADDER, V), cfg, man, trace)
+            st_rb = run_session(RBPolicy(LADDER), cfg, man, trace)
             bench = solve_benchmark(man, [r.rate_kbps for r in st_rb.history], k, V, 120.0)
             policy = L2APolicy(LADDER, V, 120.0, horizon, beta=1.0)
             st_l2a = run_session(policy, cfg, man, trace)

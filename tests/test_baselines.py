@@ -18,10 +18,9 @@ LADDER3 = (1000.0, 2000.0, 4000.0)
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
 
-def fb(rate, buffer_s=10.0, sizes=(2000.0, 4000.0, 8000.0), chosen=2000.0):
+def fb(rate, buffer_s=10.0, sizes=(2000.0, 4000.0, 8000.0)):
     return EpochFeedback(
         realized_rate_kbps=float(rate),
-        chosen_size_kbit=float(chosen),
         row_sizes_kbit=tuple(float(s) for s in sizes),
         buffer_s=float(buffer_s),
     )
@@ -32,7 +31,7 @@ def fb(rate, buffer_s=10.0, sizes=(2000.0, 4000.0, 8000.0), chosen=2000.0):
 
 
 def test_rb_cold_start_is_lowest():
-    policy = RBPolicy(LADDER3, 2.0)
+    policy = RBPolicy(LADDER3)
     assert policy.decide(None) == 1
 
 
@@ -40,7 +39,7 @@ def test_rb_converges_at_hysteresis_fixed_point():
     # constant channel just above the up-switch threshold of level 2:
     # the probe's fixed point is the observed rate, so the index locks at 2
     rate = 2000.0 * 1.15 + 1.0
-    policy = RBPolicy(LADDER3, 2.0)
+    policy = RBPolicy(LADDER3)
     policy.decide(None)
     picks = [policy.decide(fb(rate)) for _ in range(60)]
     assert picks[-1] == 2
@@ -50,7 +49,7 @@ def test_rb_converges_at_hysteresis_fixed_point():
 
 
 def test_rb_floor_on_slow_channel():
-    policy = RBPolicy(LADDER3, 2.0)
+    policy = RBPolicy(LADDER3)
     policy.decide(None)
     for _ in range(5):
         pick = policy.decide(fb(800.0))
@@ -62,7 +61,7 @@ def test_rb_step_drop_response_matches_filter_recurrences():
     # replay the probe/EWMA recurrences independently and require the first
     # down-switch within ceil(1/ewma_weight) = 5 epochs of the drop
     params = RBParams()
-    policy = RBPolicy(PAPER_LADDER, 2.0)
+    policy = RBPolicy(PAPER_LADDER)
     policy.decide(None)
     policy.decide(fb(23000.0))  # initializes probe = smooth = 23000
     assert policy.state.last_index == 8
@@ -86,12 +85,12 @@ def test_rb_depends_only_on_throughput_sequence():
     rng = np.random.default_rng(0)
     rates = rng.uniform(500, 23000, 40)
     picks_a, picks_b = [], []
-    pol_a, pol_b = RBPolicy(LADDER3, 2.0), RBPolicy(LADDER3, 2.0)
+    pol_a, pol_b = RBPolicy(LADDER3), RBPolicy(LADDER3)
     pol_a.decide(None)
     pol_b.decide(None)
     for i, rate in enumerate(rates):
         picks_a.append(pol_a.decide(fb(rate, buffer_s=5.0, sizes=(1.0, 2.0, 3.0))))
-        picks_b.append(pol_b.decide(fb(rate, buffer_s=90.0, sizes=(7.0, 8.0, 9.0), chosen=99.0)))
+        picks_b.append(pol_b.decide(fb(rate, buffer_s=90.0, sizes=(7.0, 8.0, 9.0))))
     assert picks_a == picks_b
 
 
@@ -100,7 +99,7 @@ def test_rb_decisions_in_range_and_deterministic():
     rates = rng.uniform(100, 30000, 100)
     results = []
     for _ in range(2):
-        policy = RBPolicy(LADDER3, 2.0)
+        policy = RBPolicy(LADDER3)
         picks = [policy.decide(None)]
         picks += [policy.decide(fb(rate)) for rate in rates]
         results.append(picks)
@@ -113,6 +112,12 @@ def test_rb_params_validation():
         RBParams(kappa=0.0)
     with pytest.raises(ValueError):
         RBParams(ewma_weight=0.0)
+    bad = [("kappa", math.nan), ("kappa", math.inf), ("kappa", "0.3"),
+           ("probe_increment_kbps", math.nan), ("probe_increment_kbps", math.inf),
+           ("deadzone", math.inf)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            RBParams(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +186,8 @@ def test_bb_depends_only_on_buffer_and_last_rate():
     for _ in range(30):
         rate = float(rng.uniform(500, 25000))
         buf = float(rng.uniform(0, 120))
-        a = pol_a.decide(fb(rate, buffer_s=buf, chosen=1.0))
-        b = pol_b.decide(fb(rate, buffer_s=buf, chosen=12345.0, sizes=(9.0, 10.0, 11.0)))
+        a = pol_a.decide(fb(rate, buffer_s=buf))
+        b = pol_b.decide(fb(rate, buffer_s=buf, sizes=(9.0, 10.0, 11.0)))
         assert a == b
 
 
@@ -214,3 +219,8 @@ def test_bb_state_validation():
         BBState(v_b=0.0, gamma_p=1.0)
     with pytest.raises(ValueError):
         BBState(v_b=1.0, gamma_p=-1.0)
+    for value in (math.nan, math.inf, "0.3"):
+        with pytest.raises(ValueError, match="v_b"):
+            BBState(v_b=value, gamma_p=1.0)
+        with pytest.raises(ValueError, match="gamma_p"):
+            BBState(v_b=1.0, gamma_p=value)

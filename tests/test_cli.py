@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from abrsim import load_manifest, load_trace
-from abrsim.cli import main
+from abrsim import BBState, L2AParams, RBParams, load_manifest, load_trace
+from abrsim.cli import POLICY_PARAMS, build_parser, main
 from abrsim.session import LOG_COLUMNS
 
 
@@ -100,6 +101,32 @@ def test_run_live_scenario_bmax(assets, tmp_path):
     rows = json.loads((out / "session_bb.json").read_text())
     assert all(sorted(row) == sorted(LOG_COLUMNS) for row in rows)
     assert all(row["buffer_s"] <= 20.0 for row in rows)
+
+
+def test_run_epsilon_sets_cautiousness(assets, tmp_path):
+    manifest, trace = assets
+    logs = {}
+    for epsilon in (None, "0.8"):
+        out = tmp_path / f"eps-{epsilon}"
+        flags = () if epsilon is None else ("--epsilon", epsilon)
+        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--out", out, *flags) == 0
+        logs[epsilon] = (out / "session_l2a-beta1.csv").read_bytes()
+    assert logs[None] != logs["0.8"]
+    with pytest.raises(SystemExit):
+        run_cli("run", "--manifest", manifest, "--trace", trace, "--vl-exponent", "0.6")
+
+
+def test_policy_keys_are_the_parameter_fields():
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(POLICY_PARAMS["l2a"].values()) == fields(L2AParams) - {"horizon_t"}
+    assert set(POLICY_PARAMS["rb"].values()) == fields(RBParams)
+    assert set(POLICY_PARAMS["bb"].values()) == fields(BBState) - {"last_index"}
+    args = vars(build_parser().parse_args(["run", "--manifest", "m.json", "--trace", "t.csv"]))
+    flags = {key: args[key] for keys in POLICY_PARAMS.values() for key in keys if key in args}
+    assert set(flags) == {"beta", "epsilon", "alpha", "kappa", "w", "deadzone", "ewma", "v_b", "gamma_p"}
+    assert all(value is None for value in flags.values())
 
 
 def test_concat_traces(tmp_path):
@@ -229,6 +256,17 @@ def test_compare_unknown_method_fails_with_name(tmp_path, capsys):
     assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
     err = capsys.readouterr().err
     assert "mystery" in err and "markovian-0000" in err
+
+
+def test_compare_rejects_unknown_method_key(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    for key in ("betta", "vl_exponent"):
+        cfg["methods"] = [{"abr": "l2a", key: 0.3}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / key) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "l2a-beta1" in err
 
 
 def test_compare_scenario_override(tmp_path):

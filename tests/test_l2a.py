@@ -23,11 +23,10 @@ from conftest import constant_trace
 LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
 
-def make_feedback(sizes, rate, buffer_s=10.0, chosen=None):
+def make_feedback(sizes, rate, buffer_s=10.0):
     sizes = tuple(float(s) for s in sizes)
     return EpochFeedback(
         realized_rate_kbps=float(rate),
-        chosen_size_kbit=float(chosen if chosen is not None else sizes[0]),
         row_sizes_kbit=sizes,
         buffer_s=float(buffer_s),
     )
@@ -95,6 +94,12 @@ def test_params_defaults_follow_schedule():
         L2AParams(horizon_t=600, beta=1.5)
     with pytest.raises(ValueError):
         L2AParams(horizon_t=0)
+    bad = [("v_l", math.nan), ("v_l", math.inf), ("alpha", math.nan), ("alpha", math.inf),
+           ("utility_rate_scale", math.nan), ("utility_rate_scale", math.inf),
+           ("epsilon", math.nan), ("beta", "0.3"), ("v_l", "5")]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            L2AParams(horizon_t=600, **{name: value})
 
 
 # ---------------------------------------------------------------------------
