@@ -46,6 +46,13 @@ POLICY_PARAMS = {
            "ewma": "ewma_weight"},
     "bb": {"v_b": "v_b", "gamma_p": "gamma_p"},
 }
+# `run`'s policy flags, per policy: option string -> method-spec key (its dest)
+RUN_POLICY_FLAGS = {
+    "l2a": {"--beta": "beta", "--epsilon": "epsilon", "--alpha": "alpha"},
+    "rb": {"--rb.kappa": "kappa", "--rb.w": "w", "--rb.deadzone": "deadzone", "--rb.ewma": "ewma"},
+    "bb": {"--bb.vb": "v_b", "--bb.gamma-p": "gamma_p"},
+}
+CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "floor_kbps", "manifest", "traces", "methods")
 
 
 class CliError(Exception):
@@ -56,9 +63,9 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _default_k(horizon: int, k_exponent: float) -> int:
-    """Benchmark window ceil(T^k_exponent), clipped to 1..T."""
-    return max(1, min(horizon, math.ceil(horizon**k_exponent)))
+def _default_k(horizon: int) -> int:
+    """Benchmark window ceil(T^0.9), clipped to 1..T."""
+    return max(1, min(horizon, math.ceil(horizon**DEFAULT_K_EXPONENT)))
 
 
 def method_name(spec: dict) -> str:
@@ -66,7 +73,8 @@ def method_name(spec: dict) -> str:
         return str(spec["name"])
     kind = spec.get("abr", "?")
     if kind == "l2a":
-        return f"l2a-beta{spec.get('beta', L2AParams.beta):g}"
+        # built first, so a bad beta gets the parameter error rather than a format error
+        return f"l2a-beta{L2AParams(1, beta=spec.get('beta', L2AParams.beta)).beta:g}"
     return str(kind)
 
 
@@ -194,6 +202,10 @@ def _print_metrics(name: str, report: metrics.SessionReport) -> None:
 
 def run_compare(config: dict, out_dir: Path) -> None:
     """Run every (method x trace) session, aggregate, and write artifacts."""
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise CliError(f"unknown config keys {', '.join(map(repr, unknown))}"
+                       f" (expected {', '.join(CONFIG_KEYS)})")
     scenario = config.get("scenario", "vod")
     if scenario not in SCENARIO_BMAX:
         raise CliError(f"unknown scenario {scenario!r}")
@@ -201,9 +213,6 @@ def run_compare(config: dict, out_dir: Path) -> None:
     tau = int(config.get("tau", DEFAULT_TAU))
     seed = int(config.get("seed", 0))
     floor = float(config.get("floor_kbps", channel.DEFAULT_FLOOR_KBPS))
-    k_exponent = float(config.get("benchmark_k_exponent", DEFAULT_K_EXPONENT))
-    sliding = bool(config.get("sliding_windows", True))
-    normalize_after_average = bool(config.get("normalize_after_average", False))
     methods = config.get("methods") or []
     if not methods:
         raise CliError("config needs at least one method")
@@ -214,7 +223,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError("config needs at least one trace")
     traces.sort(key=lambda item: item[0])
 
-    k = _default_k(manifest.num_segments, k_exponent)
+    k = _default_k(manifest.num_segments)
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,38 +243,22 @@ def run_compare(config: dict, out_dir: Path) -> None:
             try:
                 policy = build_policy(mspec, manifest, b_max, manifest.num_segments)
                 state = session.run_session(policy, sess_cfg, manifest, trace)
-                report, bench = metrics.evaluate_session(
-                    state.history, manifest, b_max, tau, k, sliding=sliding
-                )
+                report, bench = metrics.evaluate_session(state.history, manifest, b_max, tau, k)
             except Exception as exc:
                 raise CliError(
                     f"session failed for method {name!r} on trace {trace_name!r}: {exc}"
                 ) from exc
             by_method[name].append((trace_name, report, bench))
 
-    # normalization: per trace across methods (default), or on the averages
-    if not normalize_after_average:
-        for t_idx in range(len(traces)):
-            metrics.normalize_avg_bitrate([by_method[n][t_idx][1] for n in names])
+    # bitrates are normalized per trace across methods, then averaged
+    for t_idx in range(len(traces)):
+        metrics.normalize_avg_bitrate([by_method[n][t_idx][1] for n in names])
 
     rows = []
     for name in names:
-        reports = [entry[1] for entry in by_method[name]]
-        row = {
-            "method": name,
-            "avg_bitrate_kbps": float(np.mean([r.avg_bitrate_kbps for r in reports])),
-            "stability": float(np.mean([r.stability for r in reports])),
-            "smoothness": float(np.mean([r.smoothness for r in reports])),
-            "consistency": float(np.mean([r.consistency for r in reports])),
-            "continuity": float(np.mean([r.continuity for r in reports])),
-        }
-        if not normalize_after_average:
-            row["normalized_avg_bitrate"] = float(np.mean([r.normalized_avg_bitrate for r in reports]))
-        rows.append(row)
-    if normalize_after_average:
-        best = max(row["avg_bitrate_kbps"] for row in rows)
-        for row in rows:
-            row["normalized_avg_bitrate"] = 1.0 if best == 0 else row["avg_bitrate_kbps"] / best
+        reports = [report for _, report, _ in by_method[name]]
+        means = {c: float(np.mean([getattr(r, c) for r in reports])) for c in COMPARISON_COLUMNS[1:]}
+        rows.append({"method": name, **means})
 
     _write_csv_rows(
         out_dir / "comparison.csv",
@@ -301,6 +294,10 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
+    foreign = [flag for kind, flags in RUN_POLICY_FLAGS.items() if kind != args.abr
+               for flag, key in flags.items() if getattr(args, key) is not None]
+    if foreign:
+        raise CliError(f"{', '.join(foreign)} not used by --abr {args.abr}")
     manifest = media.load_manifest(args.manifest)
     trace = channel.load_trace(args.trace, floor_kbps=args.floor)
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
@@ -311,7 +308,7 @@ def _cmd_run(args) -> int:
     policy = build_policy(spec, manifest, b_max, horizon)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-    k = args.k or _default_k(horizon, args.k_exponent)
+    k = args.k if args.k is not None else _default_k(horizon)
     report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau, k)
     metrics.normalize_avg_bitrate([report])
 
@@ -372,10 +369,8 @@ def _cmd_benchmark(args) -> int:
     if not history:
         raise CliError(f"{args.log}: empty session log")
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
-    k = args.k or _default_k(len(history), args.k_exponent)
-    report, bench = metrics.evaluate_session(
-        history, manifest, b_max, DEFAULT_TAU, k, sliding=not args.disjoint_windows
-    )
+    k = args.k if args.k is not None else _default_k(len(history))
+    report, bench = metrics.evaluate_session(history, manifest, b_max, DEFAULT_TAU, k)
     if "one-hot-omega" in report.flags:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
     if args.out:
@@ -403,16 +398,13 @@ def _parse_bitrates(text: str) -> list[float]:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abr", choices=tuple(POLICY_PARAMS), default="l2a")
-    p.add_argument("--beta", type=float, help="switch-rate budget in (0, 1]")
-    p.add_argument("--epsilon", type=float,
-                   help="cautiousness v_l = T^(1 - epsilon/2); step size derived unless --alpha")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--rb.kappa", dest="kappa", type=float)
-    p.add_argument("--rb.w", dest="w", type=float)
-    p.add_argument("--rb.deadzone", dest="deadzone", type=float)
-    p.add_argument("--rb.ewma", dest="ewma", type=float)
-    p.add_argument("--bb.vb", dest="v_b", type=float)
-    p.add_argument("--bb.gamma-p", dest="gamma_p", type=float)
+    helps = {
+        "--beta": "switch-rate budget in (0, 1]",
+        "--epsilon": "cautiousness v_l = T^(1 - epsilon/2); step size derived unless --alpha",
+    }
+    for flags in RUN_POLICY_FLAGS.values():
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=key, type=float, help=helps.get(flag))
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -432,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p_run)
     _add_policy_flags(p_run)
     p_run.add_argument("--k", type=int, default=None, help="benchmark window (default ceil(T^0.9))")
-    p_run.add_argument("--k-exponent", dest="k_exponent", type=float, default=DEFAULT_K_EXPONENT)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(fn=_cmd_run)
@@ -477,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--log", required=True)
     p_bench.add_argument("--scenario", choices=("vod", "live"), default="vod")
     p_bench.add_argument("--bmax", type=float, default=None)
-    p_bench.add_argument("--k", type=int, default=None)
-    p_bench.add_argument("--k-exponent", dest="k_exponent", type=float, default=DEFAULT_K_EXPONENT)
-    p_bench.add_argument("--disjoint-windows", action="store_true")
+    p_bench.add_argument("--k", type=int, default=None, help="benchmark window (default ceil(T^0.9))")
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--series", default=None, help="write the convergence CSV here")
     p_bench.set_defaults(fn=_cmd_benchmark)

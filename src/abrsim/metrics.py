@@ -316,7 +316,6 @@ def evaluate_session(
     b_max_s: float,
     tau: int,
     k: int,
-    sliding: bool = True,
 ) -> tuple[SessionReport, BenchmarkSolution]:
     """Score one session log against its hindsight benchmark.
 
@@ -328,9 +327,7 @@ def evaluate_session(
     ``one-hot-omega``.
     """
     v = manifest.segment_duration_s
-    bench = solve_benchmark(
-        manifest, [rec.rate_kbps for rec in history], k, v, b_max_s, sliding=sliding
-    )
+    bench = solve_benchmark(manifest, [rec.rate_kbps for rec in history], k, v, b_max_s)
     series = regret_and_residuals(history, manifest, bench, v, b_max_s)
     report = qoe_metrics(history, manifest, tau, manifest.duration_s)
     report.regret_rate = list(series.regret_rate)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -135,8 +135,13 @@ def step(
     manifest: Manifest,
     trace: ChannelTrace,
     x_t: int,
+    *,
+    omega: tuple[float, ...] | None = None,
 ) -> tuple[SessionState, EpochFeedback]:
     """Advance one epoch with quality choice ``x_t`` (1-based).
+
+    ``omega``, the policy's decision distribution for this epoch, if it has
+    one, is stored in the epoch record.
 
     Mutates ``state`` in place and returns ``(state, feedback)``.  The buffer
     stays in [0, b_max_s] at every epoch boundary by construction: the
@@ -197,6 +202,7 @@ def step(
         buffer_after_s=b1,
         stall=bool(underflow),
         stall_s=stall_time,
+        omega=omega,
     )
     state.history.append(record)
     feedback = EpochFeedback(
@@ -224,12 +230,11 @@ def run_session(
     feedback: EpochFeedback | None = None
     for _ in range(manifest.num_segments):
         x = policy.decide(feedback)
-        state, feedback = step(state, config, manifest, trace, x)
         omega = getattr(policy, "omega", None)
-        if omega is not None:
-            state.history[-1] = replace(
-                state.history[-1], omega=tuple(float(w) for w in omega)
-            )
+        state, feedback = step(
+            state, config, manifest, trace, x,
+            omega=None if omega is None else tuple(float(w) for w in omega),
+        )
     return state
 
 

@@ -116,6 +116,33 @@ def test_run_epsilon_sets_cautiousness(assets, tmp_path):
         run_cli("run", "--manifest", manifest, "--trace", trace, "--vl-exponent", "0.6")
 
 
+def test_run_rejects_another_policys_flags(assets, tmp_path, capsys):
+    manifest, trace = assets
+    for abr, flags in (("rb", ("--beta", "0.3")), ("l2a", ("--rb.kappa", "0.2"))):
+        out = tmp_path / abr
+        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", abr, "--out", out, *flags) == 1
+        assert f"{flags[0]} not used by --abr {abr}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_k_zero_is_an_error(assets, tmp_path, capsys):
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out, "--k", 0) == 1
+    assert "window k=0 outside 1..60" in capsys.readouterr().err
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    assert run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv", "--k", 0) == 1
+    assert "window k=0 outside 1..60" in capsys.readouterr().err
+
+
+def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
+    manifest, trace = assets
+    with pytest.raises(SystemExit):
+        run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, "--k-exponent", "0.5")
+    with pytest.raises(SystemExit):
+        run_cli("benchmark", "--manifest", manifest, "--log", "session.csv", "--disjoint-windows")
+
+
 def test_policy_keys_are_the_parameter_fields():
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -267,6 +294,27 @@ def test_compare_rejects_unknown_method_key(tmp_path, capsys):
         assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / key) == 1
         err = capsys.readouterr().err
         assert repr(key) in err and "l2a-beta1" in err
+
+
+def test_compare_rejects_unknown_config_key(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    for key, value in (("normalize_after_average", True), ("b_max", 20)):
+        cfg_path.write_text(json.dumps({**cfg, key: value}))
+        out = tmp_path / key
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "b_max_s" in err
+        assert not out.exists()
+
+
+def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["methods"] = [{"abr": "l2a", "beta": "0.3"}]
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
+    assert "L2AParams.beta must be a finite number, got '0.3'" in capsys.readouterr().err
 
 
 def test_compare_scenario_override(tmp_path):
