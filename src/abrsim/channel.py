@@ -8,6 +8,7 @@ well-defined (size / duration) even when a download spans several samples.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -48,13 +49,22 @@ class ChannelTrace:
 
     timestamps_s: np.ndarray
     throughputs_kbps: np.ndarray
-    _cum_kbit: np.ndarray = field(init=False, repr=False)
+    # memoryviews of the timestamps, the throughputs and the kbit delivered
+    # from t=0 up to each timestamp: indexing them gives Python floats
+    # without copying the trace
+    _views: tuple[memoryview, memoryview, memoryview] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps_s, dtype=float)
         tp = np.asarray(self.throughputs_kbps, dtype=float)
         if ts.ndim != 1 or ts.shape != tp.shape or ts.size == 0:
             raise TraceError("trace needs matching non-empty timestamp/throughput arrays")
+        for name, values in (("timestamps_s", ts), ("throughputs_kbps", tp)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise TraceError(f"trace {name}[{bad[0]}] is {float(values[bad[0]])!r}; samples must be finite")
         if ts[0] != 0.0:
             raise TraceError("trace timestamps must start at 0")
         if np.any(np.diff(ts) <= 0):
@@ -63,14 +73,12 @@ class ChannelTrace:
             raise TraceError("trace throughputs must be positive")
         ts = ts.copy()
         tp = tp.copy()
-        ts.setflags(write=False)
-        tp.setflags(write=False)
+        cum = np.concatenate(([0.0], np.cumsum(tp[:-1] * np.diff(ts))))
+        for arr in (ts, tp, cum):
+            arr.setflags(write=False)
         self.timestamps_s = ts
         self.throughputs_kbps = tp
-        # kbit delivered from t=0 up to each sample timestamp
-        cum = np.concatenate(([0.0], np.cumsum(tp[:-1] * np.diff(ts))))
-        cum.setflags(write=False)
-        self._cum_kbit = cum
+        self._views = (memoryview(ts), memoryview(tp), memoryview(cum))
 
     @property
     def num_samples(self) -> int:
@@ -122,11 +130,22 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
         raise TraceError(f"{path}: need at least 2 samples, got {len(rows)}")
     ts = np.array([r[0] for r in rows])
     tp = np.array([r[1] for r in rows])
+    bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(tp)))
+    if bad.size:
+        lineno = _line_of_sample(path, int(bad[0]))
+        raise TraceError(f"{path}: line {lineno}: non-finite sample {rows[bad[0]]!r}")
     steps = np.diff(ts)
     if np.any(steps <= 0):
         bad = int(np.argmax(steps <= 0))
         raise TraceError(f"{path}: timestamps not increasing at sample {bad + 2}")
     return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
+
+
+def _line_of_sample(path: str | Path, index: int) -> int:
+    """Line number of the ``index``-th (0-based) data row of a trace CSV."""
+    with open(path, newline="") as fh:
+        numbered = [lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    return numbered[index + 1]  # the header is line 1
 
 
 def generate_markovian(
@@ -162,24 +181,23 @@ def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> Down
     Exact under the fluid model: bits accumulate at the piecewise-constant
     rate, with the final sample's rate extending forever.
     """
-    if start_time_s < 0:
-        raise ValueError("start_time_s must be >= 0")
-    if size_kbit <= 0:
-        raise ValueError("size_kbit must be positive")
-    ts = trace.timestamps_s
-    tp = trace.throughputs_kbps
-    cum = trace._cum_kbit
-    last = ts.size - 1
-    i = min(int(np.searchsorted(ts, start_time_s, side="right")) - 1, last)
+    # chained comparisons, so that NaN fails them too
+    if not 0.0 <= start_time_s < math.inf:
+        raise ValueError(f"start_time_s must be finite and >= 0, got {start_time_s!r}")
+    if not 0.0 < size_kbit < math.inf:
+        raise ValueError(f"size_kbit must be finite and positive, got {size_kbit!r}")
+    ts, tp, cum = trace._views
+    last = len(ts) - 1
+    i = bisect.bisect_right(ts, start_time_s) - 1
     # fast path: the download completes inside the start interval (always the
     # case past the final sample); exact division avoids cancellation on tiny
     # durations late in long traces
     if i == last or size_kbit <= tp[i] * (ts[i + 1] - start_time_s):
-        duration = float(size_kbit) / float(tp[i])
+        duration = float(size_kbit) / tp[i]
     else:
         start_kbit = cum[i] + tp[i] * (start_time_s - ts[i])
         target = start_kbit + size_kbit
-        j = int(np.searchsorted(cum, target, side="left"))
+        j = bisect.bisect_left(cum, target)
         if j > last:
             end = ts[last] + (target - cum[last]) / tp[last]
         else:

@@ -226,23 +226,35 @@ def run_compare(config: dict, out_dir: Path) -> None:
     k = _default_k(manifest.num_segments)
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sessions_dir = out_dir / "sessions"
-    sessions_dir.mkdir(exist_ok=True)
-
     names = sorted(method_name(m) for m in methods)
     if len(set(names)) != len(names):
         raise CliError(f"duplicate method names in config: {names}")
     specs = {method_name(m): m for m in methods}
+    # one fresh policy per session, all built before the first session runs,
+    # so a bad method spec fails before any session or solve
+    policies = {}
+    for name in names:
+        for trace_name, _ in traces:
+            try:
+                policies[name, trace_name] = build_policy(
+                    specs[name], manifest, b_max, manifest.num_segments
+                )
+            except Exception as exc:
+                raise CliError(
+                    f"cannot build method {name!r} for trace {trace_name!r}: {exc}"
+                ) from exc
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sessions_dir = out_dir / "sessions"
+    sessions_dir.mkdir(exist_ok=True)
+
     # by_method[name] = list of (trace_name, report, benchmark), in trace order
     by_method: dict[str, list] = {n: [] for n in names}
 
     for name in names:
-        mspec = specs[name]
         for trace_name, trace in traces:
             try:
-                policy = build_policy(mspec, manifest, b_max, manifest.num_segments)
-                state = session.run_session(policy, sess_cfg, manifest, trace)
+                state = session.run_session(policies.pop((name, trace_name)), sess_cfg, manifest, trace)
                 report, bench = metrics.evaluate_session(state.history, manifest, b_max, tau, k)
             except Exception as exc:
                 raise CliError(
@@ -299,16 +311,19 @@ def _cmd_run(args) -> int:
     if foreign:
         raise CliError(f"{', '.join(foreign)} not used by --abr {args.abr}")
     manifest = media.load_manifest(args.manifest)
+    horizon = manifest.num_segments
+    k = args.k if args.k is not None else _default_k(horizon)
+    if not 1 <= k <= horizon:  # solve_benchmark's check and message, before the session runs
+        raise CliError(f"window k={k} outside 1..{horizon}")
     trace = channel.load_trace(args.trace, floor_kbps=args.floor)
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
     cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
-    horizon = manifest.num_segments
-    spec = {k: v for k, v in vars(args).items() if k in POLICY_PARAMS[args.abr] and v is not None}
+    spec = {key: value for key, value in vars(args).items()
+            if key in POLICY_PARAMS[args.abr] and value is not None}
     spec["abr"] = args.abr
     policy = build_policy(spec, manifest, b_max, horizon)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-    k = args.k if args.k is not None else _default_k(horizon)
     report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau, k)
     metrics.normalize_avg_bitrate([report])
 

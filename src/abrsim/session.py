@@ -223,8 +223,8 @@ def run_session(
     """Run the decide/download/update loop over the whole manifest horizon.
 
     Fully deterministic given (policy state, manifest, trace).  If the policy
-    exposes an ``omega`` attribute (its current decision distribution), it is
-    copied into each epoch record for later regret analysis.
+    exposes an ``omega`` attribute (its current decision distribution, a
+    numpy array), it is copied into each epoch record for later regret analysis.
     """
     state = SessionState()
     feedback: EpochFeedback | None = None
@@ -233,7 +233,7 @@ def run_session(
         omega = getattr(policy, "omega", None)
         state, feedback = step(
             state, config, manifest, trace, x,
-            omega=None if omega is None else tuple(float(w) for w in omega),
+            omega=None if omega is None else tuple(omega.tolist()),
         )
     return state
 

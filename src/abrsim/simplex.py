@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["project_simplex"]
@@ -12,16 +14,24 @@ def project_simplex(v) -> np.ndarray:
 
     Sort-based exact algorithm: find the largest prefix of the descending
     sort whose running mean excess stays below its entries, derive the
-    shift theta from it, and clip.  O(N log N), no iteration.
+    shift theta from it, and clip.  O(N log N), no iteration.  Runs on
+    Python floats: on the short vectors L2A projects, numpy's per-call
+    overhead costs more than the arithmetic.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    values = v.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("entries must be finite")
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - excess / ranks > 0)[0][-1]
-    theta = excess[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    theta = None
+    total = 0.0
+    for rank, u in enumerate(sorted(values, reverse=True), start=1):
+        total += u
+        excess = total - 1.0
+        if u - excess / rank > 0:
+            theta = excess / rank
+    if theta is None:
+        # only when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
+        raise ValueError("entries too large to project")
+    return np.array([x - theta if x > theta else 0.0 for x in values])

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,23 @@ def test_load_rejects_bad_header(tmp_path):
 def test_load_rejects_garbage_row(tmp_path):
     with pytest.raises(TraceError, match="line 3"):
         load_trace(_write(tmp_path, ["0,5000", "1,abc"]))
+
+
+@pytest.mark.parametrize("row", ["1,nan", "nan,8000", "1,inf", "inf,8000", "1,-inf"])
+def test_load_rejects_non_finite_row(tmp_path, row):
+    # the blank line is skipped, so the bad row is on line 5
+    path = _write(tmp_path, ["0,5000", "", "0.5,6000", row, "2,9000"])
+    with pytest.raises(TraceError, match=f"{path}: line 5: non-finite"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("field", ["timestamps_s", "throughputs_kbps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_samples(field, value):
+    arrays = {"timestamps_s": np.array([0.0, 1.0, 2.0]), "throughputs_kbps": np.array([5.0, 6.0, 7.0])}
+    arrays[field][2] = value
+    with pytest.raises(TraceError, match=rf"{field}\[2\] is {value!r}"):
+        ChannelTrace(**arrays)
 
 
 def test_trace_invariants():
@@ -143,6 +162,80 @@ def test_download_validation():
         download(tr, -1.0, 100.0)
     with pytest.raises(ValueError):
         download(tr, 0.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="size_kbit"):
+            download(tr, 0.0, bad)
+        with pytest.raises(ValueError, match="start_time_s"):
+            download(tr, bad, 100.0)
+
+
+def reference_cum_kbit(trace):
+    """kbit delivered from t=0 up to each sample timestamp."""
+    tp = trace.throughputs_kbps
+    return np.concatenate(([0.0], np.cumsum(tp[:-1] * np.diff(trace.timestamps_s))))
+
+
+def reference_download(trace, start_time_s, size_kbit):
+    """The numpy formulas ``download`` ran before its scalar rewrite, as a
+    bitwise oracle: (duration_s, effective_rate_kbps)."""
+    ts = trace.timestamps_s
+    tp = trace.throughputs_kbps
+    cum = reference_cum_kbit(trace)
+    last = ts.size - 1
+    i = min(int(np.searchsorted(ts, start_time_s, side="right")) - 1, last)
+    if i == last or size_kbit <= tp[i] * (ts[i + 1] - start_time_s):
+        duration = float(size_kbit) / float(tp[i])
+    else:
+        start_kbit = cum[i] + tp[i] * (start_time_s - ts[i])
+        target = start_kbit + size_kbit
+        j = int(np.searchsorted(cum, target, side="left"))
+        if j > last:
+            end = ts[last] + (target - cum[last]) / tp[last]
+        else:
+            end = ts[j - 1] + (target - cum[j - 1]) / tp[j - 1]
+        duration = float(end - start_time_s)
+    return duration, float(size_kbit) / duration
+
+
+ORACLE_TRACES = [
+    generate_markovian(60, 750, 23000, 0.3, step, seed=seed)
+    for step in (1.0, 0.1)
+    for seed in range(3)
+]
+
+
+@st.composite
+def download_cases(draw):
+    """A trace, a start (inside it, exactly on a sample, or past its end) and
+    a size (arbitrary, or ending exactly on a later sample's cumulative kbit)."""
+    trace = draw(st.sampled_from(ORACLE_TRACES))
+    ts = trace.timestamps_s
+    tp = trace.throughputs_kbps
+    last = ts.size - 1
+    start = draw(
+        st.one_of(
+            st.floats(0.0, float(ts[-1])),
+            st.integers(0, last).map(lambda i: float(ts[i])),
+            st.floats(0.0, 100.0).map(lambda extra: float(ts[-1]) + extra),
+        )
+    )
+    i = bisect.bisect_right(ts.tolist(), start) - 1
+    if i < last and draw(st.booleans()):
+        cum = reference_cum_kbit(trace)
+        j = draw(st.integers(i + 1, last))
+        size = float(cum[j] - (cum[i] + tp[i] * (start - ts[i])))
+        if size > 0:
+            return trace, start, size
+    return trace, start, draw(st.floats(1e-3, 2e6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(download_cases())
+def test_download_matches_numpy_reference_bitwise(case):
+    trace, start, size = case
+    res = download(trace, start, size)
+    got = (res.duration_s, res.effective_rate_kbps)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_download(trace, start, size)]
 
 
 @settings(max_examples=60, deadline=None)

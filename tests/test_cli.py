@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from abrsim import BBState, L2AParams, RBParams, load_manifest, load_trace
+from abrsim import BBState, L2AParams, RBParams, load_manifest, load_trace, session
 from abrsim.cli import POLICY_PARAMS, build_parser, main
 from abrsim.session import LOG_COLUMNS
 
@@ -133,6 +133,31 @@ def test_k_zero_is_an_error(assets, tmp_path, capsys):
     assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
     assert run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv", "--k", 0) == 1
     assert "window k=0 outside 1..60" in capsys.readouterr().err
+
+
+def _count_sessions(monkeypatch):
+    """Wrap ``session.run_session`` (which the CLI looks up at call time) to
+    record each call."""
+    calls = []
+    real = session.run_session
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(session, "run_session", counting)
+    return calls
+
+
+def test_run_checks_k_before_the_session(tmp_path, capsys, monkeypatch):
+    trace, manifest = tmp_path / "trace.csv", tmp_path / "manifest.json"
+    assert run_cli("gen", "trace", "--duration", 900, "--out", trace) == 0
+    assert run_cli("gen", "manifest", "--segments", 200, "--out", manifest) == 0
+    calls = _count_sessions(monkeypatch)
+    code = run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path / "out", "--k", 500)
+    assert code == 1
+    assert "window k=500 outside 1..200" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
@@ -294,6 +319,20 @@ def test_compare_rejects_unknown_method_key(tmp_path, capsys):
         assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / key) == 1
         err = capsys.readouterr().err
         assert repr(key) in err and "l2a-beta1" in err
+
+
+def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
+    cfg_path = _compare_config(tmp_path, segments=10, count=2)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["methods"].append({"abr": "rb", "name": "zz-last", "kapa": 0.3})
+    cfg_path.write_text(json.dumps(cfg))
+    calls = _count_sessions(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "'kapa'" in err and "zz-last" in err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_compare_rejects_unknown_config_key(tmp_path, capsys):

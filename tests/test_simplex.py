@@ -66,3 +66,41 @@ def test_matches_grid_oracle(n):
         exact = project_simplex(v)
         approx = grid_project(v)
         assert np.max(np.abs(exact - approx)) <= 1e-3
+
+
+def reference_project(v):
+    """The numpy formulas ``project_simplex`` ran before its scalar rewrite,
+    as a bitwise oracle."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    ranks = np.arange(1, v.size + 1)
+    rho = np.nonzero(u - excess / ranks > 0)[0][-1]
+    theta = excess[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+oracle_vectors = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
+    # ties: entries drawn from a pool of a few values
+    st.lists(st.floats(-3, 3), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=50)
+    ),
+    # all entries equal
+    st.tuples(st.floats(-1e3, 1e3), st.integers(1, 50)).map(lambda p: [p[0]] * p[1]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_vectors)
+def test_matches_numpy_reference_bitwise(vals):
+    got = project_simplex(vals)
+    want = reference_project(vals)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_entries_too_large_to_project():
+    # 2**60 - 1.0 rounds back to 2**60, so no rank has a positive margin
+    with pytest.raises(ValueError, match="too large"):
+        project_simplex([2.0**60, 0.0])
