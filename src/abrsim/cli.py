@@ -40,8 +40,7 @@ SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
 # L2AParams, RBParams and derive_bb_parameters.  `run`'s policy flags have these
 # keys as their dests and default to None (unset).
 POLICY_PARAMS = {
-    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha", "utility_rate_scale",
-                                 "average_blocked_grads")},
+    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha", "average_blocked_grads")},
     "rb": {"kappa": "kappa", "w": "probe_increment_kbps", "deadzone": "deadzone",
            "ewma": "ewma_weight"},
     "bb": {"v_b": "v_b", "gamma_p": "gamma_p"},

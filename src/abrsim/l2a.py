@@ -14,10 +14,11 @@ and overflow pressure.  Each epoch it
 4. maps the distribution to the quality whose ladder bitrate is nearest the
    expected bitrate.
 
-The loss is the negated expected bitrate and the constraints are the expected
-download time against the segment duration (underflow side) and against an
-overflow allowance of b_max / T per epoch.  All three are linear in omega, so
-their gradients do not depend on omega, and a first-order prediction of the
+The loss is the negated expected bitrate over the ladder top r_N, weighted by
+``UTILITY_WEIGHT``, and the constraints are the expected download time
+against the segment duration (underflow side) and against an overflow
+allowance of b_max / T per epoch.  All three are linear in omega, so their
+gradients do not depend on omega, and a first-order prediction of the
 constraints at the new point equals their value there.
 """
 
@@ -40,6 +41,10 @@ __all__ = [
     "loss_and_constraints",
     "map_to_quality",
 ]
+
+# weight of the bitrate utility r / r_N (r_N the ladder top) against the
+# constraint signals, which are seconds of buffer displacement
+UTILITY_WEIGHT = 0.3
 
 
 def loss_and_constraints(
@@ -87,15 +92,11 @@ class L2AParams:
     """Controller schedule.
 
     ``v_l`` (cautiousness) defaults to T^(1 - epsilon/2) and ``alpha``
-    (step size) to v_l * sqrt(T).  ``utility_rate_scale`` converts ladder
-    bitrates to the internal unit of the utility gradient; the constraint
-    signals are seconds of buffer displacement, so this ratio decides how
-    hard the bitrate reward pulls against queue pressure under the default
-    schedule.  The default keeps the long-run underflow residual near zero
-    on two-state stress channels while still out-earning throughput- and
-    buffer-rule baselines.  ``average_blocked_grads`` divides the
-    accumulated gradient by the number of epochs it covers instead of using
-    the literal sum.
+    (step size) to v_l * sqrt(T).  There is no rate-unit knob: the utility
+    gradient is ``UTILITY_WEIGHT * r / r_N`` (ladder top r_N), so rescaling
+    the ladder, the sizes and the channel together leaves every decision
+    unchanged.  ``average_blocked_grads`` divides the accumulated gradient
+    by the number of epochs it covers instead of using the literal sum.
     """
 
     horizon_t: int
@@ -103,11 +104,10 @@ class L2AParams:
     epsilon: float = 0.2
     v_l: float | None = None
     alpha: float | None = None
-    utility_rate_scale: float = 1.5e-5
     average_blocked_grads: bool = False
 
     def __post_init__(self) -> None:
-        require_finite(self, "beta", "epsilon", "utility_rate_scale")
+        require_finite(self, "beta", "epsilon")
         if self.horizon_t < 1:
             raise ValueError("horizon_t must be at least 1")
         if not 0.0 < self.beta <= 1.0:
@@ -122,8 +122,6 @@ class L2AParams:
         require_finite(self, "alpha")
         if self.v_l <= 0 or self.alpha <= 0:
             raise ValueError("v_l and alpha must be positive")
-        if self.utility_rate_scale <= 0:
-            raise ValueError("utility_rate_scale must be positive")
 
 
 @dataclass
@@ -169,7 +167,7 @@ def l2a_decide(
     sizes_prev = np.asarray(feedback.row_sizes_kbit, dtype=float)
     omega_prev = state.omega
     grad_f, grad_g1, grad_g2 = gradients(
-        sizes_prev, c_prev, rates * params.utility_rate_scale
+        sizes_prev, c_prev, rates * (UTILITY_WEIGHT / rates[-1])
     )
     state.grad_accum = (
         state.grad_accum + params.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from abrsim import (
+    ChannelTrace,
     EpochFeedback,
     L2AParams,
     L2APolicy,
     L2AState,
+    Manifest,
     SessionConfig,
     generate_markovian,
     gradients,
@@ -95,11 +97,14 @@ def test_params_defaults_follow_schedule():
     with pytest.raises(ValueError):
         L2AParams(horizon_t=0)
     bad = [("v_l", math.nan), ("v_l", math.inf), ("alpha", math.nan), ("alpha", math.inf),
-           ("utility_rate_scale", math.nan), ("utility_rate_scale", math.inf),
            ("epsilon", math.nan), ("beta", "0.3"), ("v_l", "5")]
     for name, value in bad:
         with pytest.raises(ValueError, match=name):
             L2AParams(horizon_t=600, **{name: value})
+    # the utility is weighed against the ladder top; there is no rate-unit knob
+    for value in (math.nan, math.inf):
+        with pytest.raises(TypeError, match="utility_rate_scale"):
+            L2AParams(horizon_t=600, utility_rate_scale=value)
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +278,26 @@ def test_average_blocked_grads_flag_changes_blocked_steps():
             w = np.asarray(om)
             assert abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= 0)
     assert runs[False] != runs[True]
+
+
+def test_decisions_do_not_depend_on_rate_units():
+    # the same content written in other rate units: ladder, sizes and channel
+    # scaled together by a power of two, which is exact in floating point
+    horizon = 150
+    man = synthesize_manifest(horizon, LADDER, 2.0, vbr_jitter=0.1, seed=8)
+    cfg = SessionConfig(b_max_s=120.0, tau_resume=2)
+    for seed in (2, 3):
+        trace = generate_markovian(1500, 750, 23000, 0.05, 1.0, seed=seed)
+        for beta in (1.0, 0.3):
+            runs = []
+            for scale in (1.0, 2.0 ** -10, 2.0 ** 3):
+                ladder = tuple(r * scale for r in LADDER)
+                scaled_man = Manifest(2.0, ladder, man.segment_sizes_kbit * scale)
+                scaled_trace = ChannelTrace(trace.timestamps_s, trace.throughputs_kbps * scale)
+                policy = L2APolicy(ladder, 2.0, 120.0, horizon, beta=beta)
+                runs.append(run_session(policy, cfg, scaled_man, scaled_trace).history)
+            base, *scaled = runs
+            for history in scaled:
+                assert [r.x for r in history] == [r.x for r in base]
+                assert (np.array([r.omega for r in history]).tobytes()
+                        == np.array([r.omega for r in base]).tobytes())
