@@ -96,13 +96,36 @@ def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t
     return BBPolicy(manifest, b_max_s, **params)
 
 
+# `generate` block keys: (required, optional), for the manifest and the traces
+GENERATE_KEYS = {
+    "manifest": (("num_segments", "bitrates_kbps", "segment_duration_s"), ("vbr_jitter", "seed")),
+    "traces": (("duration_s", "low_kbps", "high_kbps", "p_transition"), ("kind", "count", "step_s")),
+}
+
+
+def _generate_block(spec: dict, what: str) -> dict:
+    """``spec["generate"]`` once every required key is present and no unknown key is."""
+    block = spec["generate"]
+    required, optional = GENERATE_KEYS[what]
+    if not isinstance(block, dict):
+        raise CliError(f"{what} 'generate' must be an object with keys {', '.join(required)}")
+    for key in block:
+        if key not in required and key not in optional:
+            raise CliError(f"unknown key {key!r} in the {what} 'generate' block"
+                           f" (expected {', '.join(required + optional)})")
+    for key in required:
+        if key not in block:
+            raise CliError(f"missing key {key!r} in the {what} 'generate' block")
+    return block
+
+
 def _resolve_manifest(spec, seed: int) -> media.Manifest:
     if isinstance(spec, str):
         return media.load_manifest(spec)
-    if "path" in spec:
+    if isinstance(spec, dict) and "path" in spec:
         return media.load_manifest(spec["path"])
-    if "generate" in spec:
-        g = spec["generate"]
+    if isinstance(spec, dict) and "generate" in spec:
+        g = _generate_block(spec, "manifest")
         return media.synthesize_manifest(
             int(g["num_segments"]),
             g["bitrates_kbps"],
@@ -116,7 +139,9 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
 def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, channel.ChannelTrace]]:
     out: list[tuple[str, channel.ChannelTrace]] = []
     if isinstance(spec, dict) and "generate" in spec:
-        g = spec["generate"]
+        g = _generate_block(spec, "traces")
+        if g.get("kind", "markovian") != "markovian":
+            raise CliError(f"unknown trace kind {g['kind']!r} (expected 'markovian')")
         count = int(g.get("count", 1))
         for i in range(count):
             tr = channel.generate_markovian(
@@ -131,6 +156,8 @@ def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, chann
         return out
     if isinstance(spec, list):
         for entry in spec:
+            if isinstance(entry, dict) and "path" not in entry:
+                raise CliError(f"trace entry {entry!r} needs a 'path'")
             path = entry["path"] if isinstance(entry, dict) else str(entry)
             out.append((Path(path).stem, channel.load_trace(path, floor_kbps)))
         return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,13 +39,19 @@ class Manifest:
     segment_sizes_kbit: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.segment_duration_s <= 0:
-            raise ManifestError("segment_duration_s must be positive")
+        if not 0 < self.segment_duration_s < math.inf:
+            raise ManifestError(
+                f"segment_duration_s is {self.segment_duration_s!r}; it must be positive and finite"
+            )
         rates = tuple(float(r) for r in self.bitrates_kbps)
         if len(rates) < 2:
             raise ManifestError("need at least two quality levels")
-        for n in range(1, len(rates)):
-            if rates[n] <= rates[n - 1]:
+        for n, rate in enumerate(rates):
+            if not 0 < rate < math.inf:
+                raise ManifestError(
+                    f"bitrates_kbps: level {n + 1} is {rate!r}; rates must be positive and finite"
+                )
+            if n and rate <= rates[n - 1]:
                 raise ManifestError(
                     f"bitrate ladder not strictly increasing at level {n + 1} "
                     f"({rates[n]:g} kbps after {rates[n - 1]:g} kbps)"
@@ -58,11 +65,12 @@ class Manifest:
             raise ManifestError(
                 f"segment size matrix must have {len(rates)} columns, got shape {sizes.shape}"
             )
-        bad = np.argwhere(~(sizes > 0))
+        bad = np.argwhere(~((sizes > 0) & np.isfinite(sizes)))
         if bad.size:
             t, n = bad[0]
             raise ManifestError(
-                f"segment {t + 1}, level {n + 1}: sizes must be positive"
+                f"segment_sizes_kbit: segment {t + 1}, level {n + 1} is {float(sizes[t, n])!r};"
+                " sizes must be positive and finite"
             )
         dec = np.argwhere(np.diff(sizes, axis=1) < 0)
         if dec.size:
@@ -108,6 +116,8 @@ def load_manifest(path: str | Path) -> Manifest:
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest {path}: missing or malformed field: {exc}") from exc
+    except ManifestError as exc:
+        raise ManifestError(f"manifest {path}: {exc}") from exc
 
 
 def synthesize_manifest(

@@ -60,6 +60,7 @@ class SessionConfig:
     tau_resume: int = 2
 
     def __post_init__(self) -> None:
+        require_finite(self, "b_max_s")
         if self.b_max_s <= 0:
             raise ValueError("b_max_s must be positive")
         if self.tau_resume < 1:

@@ -347,6 +347,48 @@ def test_compare_rejects_unknown_config_key(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    misspelt = json.loads(json.dumps(cfg))
+    misspelt["manifest"]["generate"]["vbr_jiter"] = 0.3
+    missing = json.loads(json.dumps(cfg))
+    del missing["traces"]["generate"]["low_kbps"]
+    other_kind = json.loads(json.dumps(cfg))
+    other_kind["traces"]["generate"]["kind"] = "gilbert"
+    for name, bad, expected in (("misspelt", misspelt, "unknown key 'vbr_jiter'"),
+                                ("missing", missing, "missing key 'low_kbps'"),
+                                ("kind", other_kind, "unknown trace kind 'gilbert'")):
+        cfg_path.write_text(json.dumps(bad))
+        out = tmp_path / name
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    no_manifest = {key: value for key, value in cfg.items() if key != "manifest"}
+    no_path = {**cfg, "traces": [{"file": "trace.csv"}]}
+    for name, bad, expected in (("manifest", no_manifest, "manifest spec needs"),
+                                ("path", no_path, "needs a 'path'")):
+        cfg_path.write_text(json.dumps(bad))
+        out = tmp_path / name
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_compare_rejects_removed_utility_rate_scale(tmp_path, capsys):
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["methods"] = [{"abr": "l2a", "utility_rate_scale": 1.5e-5}]
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
+    assert "'utility_rate_scale'" in capsys.readouterr().err
+
+
 def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())

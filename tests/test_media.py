@@ -41,6 +41,19 @@ def test_ragged_matrix_rejected():
 def test_non_positive_size_names_position():
     with pytest.raises(ManifestError, match="segment 2, level 1"):
         Manifest(2.0, (1000, 3000), [[800, 3000], [0, 3000]])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ManifestError, match="segment_sizes_kbit: segment 1, level 2"):
+            Manifest(2.0, (1000, 3000), [[800, bad], [800, 3000]])
+
+
+def test_non_finite_ladder_and_duration_name_the_field():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ManifestError, match="bitrates_kbps: level 2"):
+            Manifest(2.0, (1000, bad, 5000), [[800, 3000, 9000]])
+        with pytest.raises(ManifestError, match="segment_duration_s"):
+            Manifest(bad, (1000, 3000), [[800, 3000]])
+    with pytest.raises(ManifestError, match="bitrates_kbps: level 1"):
+        Manifest(2.0, (0, 3000), [[800, 3000]])
 
 
 def test_decreasing_row_names_position():
@@ -114,6 +127,21 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ManifestError):
         load_manifest(path)
+
+
+def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
+    # json reads NaN and Infinity tokens, so a manifest file can carry them
+    good = {"segment_duration_s": 2.0, "bitrates_kbps": [1000, 3000],
+            "segment_sizes_kbit": [[2000, 6000]]}
+    cases = (("bitrates_kbps", [1000, float("nan")], "bitrates_kbps: level 2"),
+             ("segment_duration_s", float("inf"), "segment_duration_s"),
+             ("segment_sizes_kbit", [[2000, float("inf")]], "segment_sizes_kbit: segment 1, level 2"))
+    for field, value, message in cases:
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ManifestError, match=message) as err:
+            load_manifest(path)
+        assert str(path) in str(err.value)
 
 
 def test_load_rejects_missing_field(tmp_path):

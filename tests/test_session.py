@@ -1,8 +1,14 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from abrsim import (
+    ChannelTrace,
     L2APolicy,
     Manifest,
     ScriptedPolicy,
@@ -110,6 +116,9 @@ def test_config_validation():
         SessionConfig(b_max_s=0.0)
     with pytest.raises(ValueError):
         SessionConfig(b_max_s=10.0, tau_resume=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="SessionConfig.b_max_s must be a finite number"):
+            SessionConfig(b_max_s=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +195,53 @@ def test_log_csv_roundtrip(tmp_path):
     assert len(back) == 30
     for a, b in zip(state.history, back):
         assert dataclasses.replace(a, omega=None) == b
+
+
+# ---------------------------------------------------------------------------
+# properties on random traces and manifests
+
+
+@st.composite
+def session_cases(draw):
+    """A random manifest, trace and config, and the quality choices of either
+    L2A or a random script."""
+    n_levels = draw(st.integers(2, 5))
+    n_segments = draw(st.integers(1, 40))
+    v = draw(st.floats(0.25, 8.0))
+    steps = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=20))
+    throughputs = draw(st.lists(st.floats(10.0, 5e4), min_size=len(steps), max_size=len(steps)))
+    trace = ChannelTrace(np.concatenate(([0.0], np.cumsum(steps[:-1]))), np.array(throughputs))
+    first_rate = draw(st.floats(50.0, 5000.0))
+    ratios = draw(st.lists(st.floats(1.01, 4.0), min_size=n_levels - 1, max_size=n_levels - 1))
+    rates = tuple(np.cumprod([first_rate, *ratios]).tolist())
+    sizes = draw(arrays(float, (n_segments, n_levels), elements=st.floats(1.0, 1e5)))
+    man = Manifest(v, rates, np.sort(sizes, axis=1))
+    cfg = SessionConfig(b_max_s=draw(st.floats(v, 8.0 * v)), tau_resume=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        policy = L2APolicy(rates, v, cfg.b_max_s, n_segments, beta=draw(st.sampled_from([1.0, 0.3])))
+    else:
+        policy = ScriptedPolicy(draw(st.lists(
+            st.integers(1, n_levels), min_size=n_segments, max_size=n_segments)))
+    return man, trace, cfg, policy
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_cases())
+def test_session_properties_on_random_inputs(tmp_path_factory, case):
+    man, trace, cfg, policy = case
+    state = run_session(policy, cfg, man, trace)
+    history = state.history
+    assert len(history) == man.num_segments
+    # the buffer stays in [0, b_max] at every boundary, and the delay law holds
+    assert_buffer_law(history, cfg.b_max_s)
+    assert state.wall_clock_s == sum(r.download_s + r.delta_s for r in history)
+    for rec in history:
+        assert rec.stall == (rec.buffer_before_s < rec.download_s)
+    # replaying the logged choices reproduces every record but the distribution
+    replay = run_session(ScriptedPolicy([r.x for r in history]), cfg, man, trace)
+    assert replay.history == [dataclasses.replace(r, omega=None) for r in history]
+    assert replay.wall_clock_s == state.wall_clock_s
+    # the CSV log reads back every field it carries exactly
+    path = tmp_path_factory.getbasetemp() / "property_log.csv"
+    export_log_csv(history, path)
+    assert read_log_csv(path) == replay.history
