@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from .session import EpochFeedback, require_finite
 from .simplex import project_simplex
@@ -63,28 +62,27 @@ def loss_and_constraints(
     (positive means underflow pressure), and the slack side with its
     b_max / T overflow allowance.
     """
-    omega = np.asarray(omega, dtype=float)
-    expected_dl = float(np.asarray(sizes_row_kbit, dtype=float) @ omega) / rate_kbps
-    f = -float(np.asarray(bitrates, dtype=float) @ omega)
+    expected_dl = sum(map(mul, sizes_row_kbit, omega)) / rate_kbps
+    f = -sum(map(mul, bitrates, omega))
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / horizon_t
     return f, g1, g2
 
 
 def gradients(sizes_row_kbit, rate_kbps: float, bitrates):
-    """Gradients of (f, g1, g2) w.r.t. omega.
+    """Gradients of (f, g1, g2) w.r.t. omega, as lists of floats.
 
     Constant vectors, because all three functions are linear in omega.
     """
-    dl = np.asarray(sizes_row_kbit, dtype=float) / rate_kbps
-    return -np.asarray(bitrates, dtype=float), dl, -dl
+    dl = [s / rate_kbps for s in sizes_row_kbit]
+    return [-r for r in bitrates], dl, [-d for d in dl]
 
 
 def map_to_quality(omega, bitrates_kbps) -> int:
     """Quality index (1-based) nearest the expected bitrate; ties go low."""
-    rates = np.asarray(bitrates_kbps, dtype=float)
-    expected = float(rates @ np.asarray(omega, dtype=float))
-    return int(np.argmin(np.abs(rates - expected))) + 1
+    expected = sum(map(mul, bitrates_kbps, omega))
+    gaps = [abs(r - expected) for r in bitrates_kbps]
+    return gaps.index(min(gaps)) + 1
 
 
 @dataclass
@@ -126,22 +124,26 @@ class L2AParams:
 
 @dataclass
 class L2AState:
-    """Per-session controller state."""
+    """Per-session controller state, in Python floats.
 
-    omega: np.ndarray
+    ``omega`` is the decision distribution, a tuple replaced (never mutated)
+    at each gradient step, so a reference to it stays a record of that epoch.
+    ``grad_accum`` is the queue-weighted gradient sum since the last step.
+    """
+
+    omega: tuple[float, ...]
     q1: float = 0.0
     q2: float = 0.0
     gamma: int = 0  # switch counter
     t: int = 0  # epochs decided so far
-    grad_accum: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad_accum: list[float] = field(default_factory=list)
     accum_epochs: int = 0
 
     @classmethod
     def initial(cls, n_levels: int) -> "L2AState":
         """Conservative start: all mass on the lowest quality."""
-        omega = np.zeros(n_levels)
-        omega[0] = 1.0
-        return cls(omega=omega, grad_accum=np.zeros(n_levels))
+        omega = (1.0,) + (0.0,) * (n_levels - 1)
+        return cls(omega=omega, grad_accum=[0.0] * n_levels)
 
 
 def l2a_decide(
@@ -159,41 +161,42 @@ def l2a_decide(
     """
     state.t += 1
     t = state.t
-    rates = np.asarray(bitrates_kbps, dtype=float)
     if feedback is None:
-        return map_to_quality(state.omega, rates), state
+        return map_to_quality(state.omega, bitrates_kbps), state
 
-    c_prev = float(feedback.realized_rate_kbps)
-    sizes_prev = np.asarray(feedback.row_sizes_kbit, dtype=float)
-    omega_prev = state.omega
+    c_prev = feedback.realized_rate_kbps
+    sizes_prev = feedback.row_sizes_kbit
+    utility_scale = UTILITY_WEIGHT / bitrates_kbps[-1]
     grad_f, grad_g1, grad_g2 = gradients(
-        sizes_prev, c_prev, rates * (UTILITY_WEIGHT / rates[-1])
+        sizes_prev, c_prev, [r * utility_scale for r in bitrates_kbps]
     )
-    state.grad_accum = (
-        state.grad_accum + params.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
-    )
+    v_l, q1, q2 = params.v_l, state.q1, state.q2
+    state.grad_accum = [
+        a + v_l * f + q1 * g1 + q2 * g2
+        for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
+    ]
     state.accum_epochs += 1
 
     if state.gamma / t <= params.beta:
-        step_vec = state.grad_accum / (2.0 * params.alpha)
+        denom = 2.0 * params.alpha
         if params.average_blocked_grads and state.accum_epochs > 1:
-            step_vec = step_vec / state.accum_epochs
-        omega_new = project_simplex(omega_prev - step_vec)
+            n = state.accum_epochs
+            shifted = [w - a / denom / n for w, a in zip(state.omega, state.grad_accum)]
+        else:
+            shifted = [w - a / denom for w, a in zip(state.omega, state.grad_accum)]
+        state.omega = project_simplex(shifted)
         state.gamma += 1
-        state.grad_accum = np.zeros_like(state.grad_accum)
+        state.grad_accum = [0.0] * len(shifted)
         state.accum_epochs = 0
-    else:
-        omega_new = omega_prev
 
     # dual ascent on the queues, evaluated at the post-step distribution
     _, g1, g2 = loss_and_constraints(
-        omega_new, sizes_prev, rates, c_prev, segment_duration_s, b_max_s, params.horizon_t
+        state.omega, sizes_prev, bitrates_kbps, c_prev, segment_duration_s, b_max_s,
+        params.horizon_t,
     )
-    state.q1 = max(state.q1 + g1, 0.0)
-    state.q2 = max(state.q2 + g2, 0.0)
-
-    state.omega = omega_new
-    return map_to_quality(omega_new, rates), state
+    state.q1 = max(q1 + g1, 0.0)
+    state.q2 = max(q2 + g2, 0.0)
+    return map_to_quality(state.omega, bitrates_kbps), state
 
 
 class L2APolicy:
@@ -211,7 +214,7 @@ class L2APolicy:
         self.state = L2AState.initial(len(self.bitrates_kbps))
 
     @property
-    def omega(self) -> np.ndarray:
+    def omega(self) -> tuple[float, ...]:
         return self.state.omega
 
     def decide(self, feedback: EpochFeedback | None) -> int:

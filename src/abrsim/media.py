@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,9 @@ class Manifest:
     segment_duration_s: float
     bitrates_kbps: tuple[float, ...]
     segment_sizes_kbit: np.ndarray
+    # one flat memoryview of the size matrix, row after row: a row slice of
+    # it indexes to Python floats without copying the matrix
+    _sizes_view: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.segment_duration_s < math.inf:
@@ -80,10 +83,11 @@ class Manifest:
             )
         sizes.setflags(write=False)
         self.segment_sizes_kbit = sizes
+        self._sizes_view = memoryview(sizes.reshape(-1))
 
     @property
     def num_segments(self) -> int:
-        return int(self.segment_sizes_kbit.shape[0])
+        return len(self.segment_sizes_kbit)
 
     @property
     def num_levels(self) -> int:
@@ -94,11 +98,16 @@ class Manifest:
         """Total playback duration of the content."""
         return self.num_segments * self.segment_duration_s
 
-    def sizes_row(self, t: int) -> np.ndarray:
-        """Sizes of segment ``t`` (1-based) across all quality levels."""
+    def sizes_row(self, t: int) -> memoryview:
+        """Sizes of segment ``t`` (1-based) across all quality levels.
+
+        A read-only memoryview of the size matrix's row: indexing it gives
+        Python floats, and ``np.asarray`` on it gives the row without a copy.
+        """
         if not 1 <= t <= self.num_segments:
             raise IndexError(f"segment {t} outside 1..{self.num_segments}")
-        return self.segment_sizes_kbit[t - 1]
+        n = len(self.bitrates_kbps)
+        return self._sizes_view[(t - 1) * n : t * n]
 
 
 def load_manifest(path: str | Path) -> Manifest:

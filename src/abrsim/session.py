@@ -16,9 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
-
-import numpy as np
+from typing import Iterable, Protocol, Sequence
 
 from .channel import ChannelTrace, download
 from .media import Manifest
@@ -72,7 +70,7 @@ class EpochFeedback:
     """What the client learns once an epoch completes."""
 
     realized_rate_kbps: float
-    row_sizes_kbit: np.ndarray  # the manifest's read-only sizes row
+    row_sizes_kbit: Sequence[float]  # the manifest's read-only row view, ``Manifest.sizes_row``
     buffer_s: float
 
 
@@ -160,7 +158,7 @@ def step(
         raise ValueError("b_max_s smaller than the segment duration")
 
     row = manifest.sizes_row(state.epoch_t)
-    size = float(row[x_t - 1])
+    size = row[x_t - 1]
     result = download(trace, state.wall_clock_s, size)
     d = result.duration_s
     b0 = state.buffer_s
@@ -225,16 +223,15 @@ def run_session(
 
     Fully deterministic given (policy state, manifest, trace).  If the policy
     exposes an ``omega`` attribute (its current decision distribution, a
-    numpy array), it is copied into each epoch record for later regret analysis.
+    tuple of floats the policy replaces rather than mutates), it is stored
+    as is in each epoch record for later regret analysis.
     """
     state = SessionState()
     feedback: EpochFeedback | None = None
     for _ in range(manifest.num_segments):
         x = policy.decide(feedback)
-        omega = getattr(policy, "omega", None)
         state, feedback = step(
-            state, config, manifest, trace, x,
-            omega=None if omega is None else tuple(omega.tolist()),
+            state, config, manifest, trace, x, omega=getattr(policy, "omega", None)
         )
     return state
 
@@ -263,12 +260,38 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
         writer.writerows(log_row(r) for r in history)
 
 
+# the type each LOG_COLUMNS field is read back as, for naming a bad column
+_LOG_TYPES = (int, int, float, float, float, float, float, float, int, float)
+
+
+def _log_row_error(path, lineno: int, row: list[str]) -> ValueError:
+    """The error for a log row that failed to parse: names the first bad column."""
+    where = f"{path}: line {lineno}"
+    if len(row) < len(LOG_COLUMNS):
+        return ValueError(f"{where}: column {LOG_COLUMNS[len(row)]} missing; "
+                          f"expected {len(LOG_COLUMNS)} fields, got {len(row)}")
+    if len(row) > len(LOG_COLUMNS):
+        return ValueError(f"{where}: fields after column {LOG_COLUMNS[-1]}; "
+                          f"expected {len(LOG_COLUMNS)} fields, got {len(row)}")
+    for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
+        try:
+            value = parse(text)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            return ValueError(f"{where}: column {name}: {text!r} is not {kind}")
+        if not math.isfinite(value):
+            return ValueError(f"{where}: column {name} is {text!r}; values must be finite")
+    raise AssertionError("row parses")
+
+
 def read_log_csv(path: str | Path) -> list[EpochRecord]:
     """Read a log written by ``export_log_csv``.
 
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
-    schema preserves full float precision.
+    schema preserves full float precision.  A row with the wrong number of
+    fields, a non-integer ``t``, ``x_t`` or ``stall``, or a NaN or inf value
+    is a ValueError naming the file, the line and the column.
     """
     records: list[EpochRecord] = []
     with open(path, newline="") as fh:
@@ -280,19 +303,29 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
         for row in reader:
             if not row:
                 continue
-            rec = EpochRecord(
-                t=int(row[0]),
-                x=int(row[1]),
-                bitrate_kbps=float(row[2]),
-                size_kbit=float(row[3]),
-                rate_kbps=float(row[4]),
-                download_s=float(row[5]),
-                delta_s=float(row[6]),
+            try:
+                t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = row
+                values = (
+                    int(t), int(x), float(bitrate), float(size), float(rate), float(download),
+                    float(delta), float(buffer_after), int(stall), float(stall_s),
+                )
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
+            except ValueError:
+                raise _log_row_error(path, reader.line_num, row) from None
+            t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
+            records.append(EpochRecord(
+                t=t,
+                x=x,
+                bitrate_kbps=bitrate,
+                size_kbit=size,
+                rate_kbps=rate,
+                download_s=download,
+                delta_s=delta,
                 buffer_before_s=buffer_before,
-                buffer_after_s=float(row[7]),
-                stall=bool(int(row[8])),
-                stall_s=float(row[9]),
-            )
-            records.append(rec)
-            buffer_before = rec.buffer_after_s
+                buffer_after_s=buffer_after,
+                stall=bool(stall),
+                stall_s=stall_s,
+            ))
+            buffer_before = buffer_after
     return records

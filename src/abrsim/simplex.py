@@ -4,24 +4,25 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = ["project_simplex"]
 
 
-def project_simplex(v) -> np.ndarray:
+def project_simplex(v) -> tuple[float, ...]:
     """Closest point (in l2) to ``v`` on the probability simplex.
 
     Sort-based exact algorithm: find the largest prefix of the descending
     sort whose running mean excess stays below its entries, derive the
-    shift theta from it, and clip.  O(N log N), no iteration.  Runs on
-    Python floats: on the short vectors L2A projects, numpy's per-call
-    overhead costs more than the arithmetic.
+    shift theta from it, and clip.  O(N log N), no iteration.  Takes any
+    sequence of numbers and returns a tuple of Python floats: on the short
+    vectors L2A projects, numpy's per-call overhead costs more than the
+    arithmetic.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+    try:
+        values = [float(x) for x in v]
+    except TypeError:
+        raise ValueError("expected a non-empty 1-d vector") from None
+    if not values:
         raise ValueError("expected a non-empty 1-d vector")
-    values = v.tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("entries must be finite")
     theta = None
@@ -34,4 +35,4 @@ def project_simplex(v) -> np.ndarray:
     if theta is None:
         # only when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")
-    return np.array([x - theta if x > theta else 0.0 for x in values])
+    return tuple([x - theta if x > theta else 0.0 for x in values])

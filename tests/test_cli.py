@@ -213,6 +213,20 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     assert "one-hot" in captured.err
 
 
+def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    lines = (out / "session_rb.csv").read_text().splitlines()
+    log = tmp_path / "truncated.csv"
+    # the file ends inside the 30th row, after its C_kbps field
+    log.write_text("\n".join(lines[:30]) + "\n" + ",".join(lines[30].split(",")[:5]))
+    assert run_cli("benchmark", "--manifest", manifest, "--log", log) == 1
+    assert capsys.readouterr().err == (
+        f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
+    )
+
+
 def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
     manifest, trace = assets
     out = tmp_path / "out"

@@ -197,6 +197,33 @@ def test_log_csv_roundtrip(tmp_path):
         assert dataclasses.replace(a, omega=None) == b
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: f[:7], "column buffer_s missing; expected 10 fields, got 7"),
+        (lambda f: f + ["0.0"], "fields after column stall_s; expected 10 fields, got 11"),
+        (lambda f: f[:5] + ["nan"] + f[6:], "column download_s is 'nan'; values must be finite"),
+        (lambda f: f[:4] + ["-inf"] + f[5:], "column C_kbps is '-inf'; values must be finite"),
+        (lambda f: ["2.5"] + f[1:], "column t: '2.5' is not an integer"),
+        (lambda f: f[:8] + ["true"] + f[9:], "column stall: 'true' is not an integer"),
+    ],
+    ids=["short", "long", "nan", "inf", "float-t", "word-stall"],
+)
+def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
+    man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
+    state = run_session(ScriptedPolicy([1, 2, 1]), SessionConfig(b_max_s=120.0), man,
+                        constant_trace(1000.0))
+    path = tmp_path / "log.csv"
+    export_log_csv(state.history, path)
+    header, first, second, third = path.read_text().splitlines()
+    # a blank line before the bad row: the line number counts it
+    bad = ",".join(edit(second.split(",")))
+    path.write_text("\n".join([header, first, "", bad, third]) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value) == f"{path}: line 4: {message}"
+
+
 # ---------------------------------------------------------------------------
 # properties on random traces and manifests
 
