@@ -14,6 +14,7 @@ Both share the conservative lowest-quality cold start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,19 +183,21 @@ def bb_decide(
     """Buffer-utility decision; mutates and returns state.
 
     Maximizes (v_b * (ln(S_n/S_1) + gamma_p) - buffer_segments) / S_n over the
-    ladder.  When the maximizer would switch up past the level sustainable at
-    the last observed throughput, it is capped at that level (but never forced
-    below the current one).
+    ladder, on Python floats; ``sizes_row_kbit`` is any sequence of the
+    sizes, such as ``Manifest.sizes_row``, and ties go to the lowest level.
+    When the maximizer would switch up past the level sustainable at the last
+    observed throughput, it is capped at that level (but never forced below
+    the current one).
     """
     if feedback is None:
         state.last_index = 1
         return 1, state
 
-    sizes = np.asarray(sizes_row_kbit, dtype=float)
     buffer_segments = float(feedback.buffer_s) / segment_duration_s
-    util = np.log(sizes / sizes[0])
-    score = (state.v_b * (util + state.gamma_p) - buffer_segments) / sizes
-    m = int(np.argmax(score)) + 1
+    v_b, gamma_p = state.v_b, state.gamma_p
+    s1 = sizes_row_kbit[0]
+    score = [(v_b * (math.log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
+    m = score.index(max(score)) + 1
 
     if m > state.last_index:
         observed = float(feedback.realized_rate_kbps)

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,9 +98,11 @@ class ChannelTrace:
         return float(self.throughputs_kbps.max())
 
 
-@dataclass(frozen=True)
-class DownloadResult:
-    """Wall-clock duration of one segment download and its realized rate."""
+class DownloadResult(NamedTuple):
+    """Wall-clock duration of one segment download and its realized rate.
+
+    An immutable ``NamedTuple``: ``download`` builds one per call, positionally.
+    """
 
     duration_s: float
     effective_rate_kbps: float
@@ -203,7 +206,7 @@ def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> Down
         else:
             end = ts[j - 1] + (target - cum[j - 1]) / tp[j - 1]
         duration = float(end - start_time_s)
-    return DownloadResult(duration_s=duration, effective_rate_kbps=float(size_kbit) / duration)
+    return DownloadResult(duration, float(size_kbit) / duration)
 
 
 def concat_traces(traces) -> ChannelTrace:

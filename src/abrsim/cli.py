@@ -193,7 +193,8 @@ def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
 
 def _write_json(doc, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        # json.dumps uses the C encoder; json.dump always runs the pure-Python one
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -271,6 +271,7 @@ def regret_and_residuals(
     policies fall back to the one-hot distribution of the chosen quality
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution; pass None to get residuals only.
+    A quality index outside 1..N is a ValueError naming the epoch.
     """
     t_total = len(history)
     ladder = np.asarray(manifest.bitrates_kbps, dtype=float)
@@ -282,6 +283,8 @@ def regret_and_residuals(
     omegas = np.zeros((t_total, n))
     fallback = False
     for idx, rec in enumerate(history):
+        if not 1 <= rec.x <= n:
+            raise ValueError(f"epoch {rec.t}: quality index {rec.x} outside 1..{n}")
         if rec.omega is None:
             omegas[idx, rec.x - 1] = 1.0
             fallback = True

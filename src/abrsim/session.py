@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .channel import ChannelTrace, download
 from .media import Manifest
@@ -65,18 +65,23 @@ class SessionConfig:
             raise ValueError("tau_resume must be at least 1")
 
 
-@dataclass(frozen=True)
-class EpochFeedback:
-    """What the client learns once an epoch completes."""
+class EpochFeedback(NamedTuple):
+    """What the client learns once an epoch completes.
+
+    An immutable ``NamedTuple``: ``step`` builds one per epoch, positionally.
+    """
 
     realized_rate_kbps: float
     row_sizes_kbit: Sequence[float]  # the manifest's read-only row view, ``Manifest.sizes_row``
     buffer_s: float
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One line of the per-epoch session log (t and x are 1-based)."""
+class EpochRecord(NamedTuple):
+    """One line of the per-epoch session log (t and x are 1-based).
+
+    An immutable ``NamedTuple``: ``step`` builds one per epoch, positionally,
+    and ``rec._replace(omega=None)`` is a copy without the distribution.
+    """
 
     t: int
     x: int
@@ -189,26 +194,12 @@ def step(
             state.stalled = False
             state.segments_since_stall = 0
 
-    record = EpochRecord(
-        t=state.epoch_t,
-        x=x_t,
-        bitrate_kbps=manifest.bitrates_kbps[x_t - 1],
-        size_kbit=size,
-        rate_kbps=result.effective_rate_kbps,
-        download_s=d,
-        delta_s=delta,
-        buffer_before_s=b0,
-        buffer_after_s=b1,
-        stall=bool(underflow),
-        stall_s=stall_time,
-        omega=omega,
-    )
-    state.history.append(record)
-    feedback = EpochFeedback(
-        realized_rate_kbps=result.effective_rate_kbps,
-        row_sizes_kbit=row,
-        buffer_s=b1,
-    )
+    rate = result.effective_rate_kbps
+    state.history.append(EpochRecord(
+        state.epoch_t, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
+        b0, b1, bool(underflow), stall_time, omega,
+    ))
+    feedback = EpochFeedback(rate, row, b1)
     state.epoch_t += 1
     return state, feedback
 
@@ -238,17 +229,11 @@ def run_session(
 
 def log_row(r: EpochRecord) -> tuple:
     """One record's values in ``LOG_COLUMNS`` order, as the log stores them."""
+    # unpacking the tuple costs less than ten attribute reads
+    t, x, bitrate, size, rate, download, delta, _, buffer_after, stall, stall_s, _ = r
     return (
-        r.t,
-        r.x,
-        float(r.bitrate_kbps),
-        float(r.size_kbit),
-        float(r.rate_kbps),
-        float(r.download_s),
-        float(r.delta_s),
-        float(r.buffer_after_s),
-        int(r.stall),
-        float(r.stall_s),
+        t, x, float(bitrate), float(size), float(rate), float(download), float(delta),
+        float(buffer_after), int(stall), float(stall_s),
     )
 
 
@@ -264,7 +249,7 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
 _LOG_TYPES = (int, int, float, float, float, float, float, float, int, float)
 
 
-def _log_row_error(path, lineno: int, row: list[str]) -> ValueError:
+def _log_row_error(path, lineno: int, row: list[str], expected_t: int) -> ValueError:
     """The error for a log row that failed to parse: names the first bad column."""
     where = f"{path}: line {lineno}"
     if len(row) < len(LOG_COLUMNS):
@@ -281,6 +266,10 @@ def _log_row_error(path, lineno: int, row: list[str]) -> ValueError:
             return ValueError(f"{where}: column {name}: {text!r} is not {kind}")
         if not math.isfinite(value):
             return ValueError(f"{where}: column {name} is {text!r}; values must be finite")
+        if name == "t" and value != expected_t:
+            return ValueError(f"{where}: column t is {text!r}; expected epoch {expected_t}")
+        if name == "stall" and value not in (0, 1):
+            return ValueError(f"{where}: column stall is {text!r}; expected 0 or 1")
     raise AssertionError("row parses")
 
 
@@ -290,7 +279,8 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
     schema preserves full float precision.  A row with the wrong number of
-    fields, a non-integer ``t``, ``x_t`` or ``stall``, or a NaN or inf value
+    fields, a non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a
+    ``stall`` other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ...
     is a ValueError naming the file, the line and the column.
     """
     records: list[EpochRecord] = []
@@ -303,29 +293,23 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
         for row in reader:
             if not row:
                 continue
+            expected_t = len(records) + 1
             try:
                 t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = row
                 values = (
                     int(t), int(x), float(bitrate), float(size), float(rate), float(download),
                     float(delta), float(buffer_after), int(stall), float(stall_s),
                 )
-                if not all(map(math.isfinite, values)):
+                # every value finite, t continues the epochs, stall is a 0/1 flag
+                if (not all(map(math.isfinite, values)) or values[0] != expected_t
+                        or values[8] not in (0, 1)):
                     raise ValueError
             except ValueError:
-                raise _log_row_error(path, reader.line_num, row) from None
+                raise _log_row_error(path, reader.line_num, row, expected_t) from None
             t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
             records.append(EpochRecord(
-                t=t,
-                x=x,
-                bitrate_kbps=bitrate,
-                size_kbit=size,
-                rate_kbps=rate,
-                download_s=download,
-                delta_s=delta,
-                buffer_before_s=buffer_before,
-                buffer_after_s=buffer_after,
-                stall=bool(stall),
-                stall_s=stall_s,
+                t, x, bitrate, size, rate, download, delta,
+                buffer_before, buffer_after, bool(stall), stall_s,
             ))
             buffer_before = buffer_after
     return records

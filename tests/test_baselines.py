@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrsim import (
     BBPolicy,
     BBState,
     EpochFeedback,
+    Manifest,
     RBParams,
     RBPolicy,
     bb_decide,
@@ -214,6 +217,15 @@ def test_bb_two_level_fallback():
     assert high == 2
 
 
+def test_bb_equal_sizes_tie_goes_to_the_lowest_level():
+    # equal sizes score equally at every buffer level
+    v_b, gamma_p = derive_bb_parameters(LADDER3, 2.0, 120.0)
+    for buffer_s in (0.0, 60.0, 120.0):
+        state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=3)
+        pick, _ = bb_decide(state, fb(25000.0, buffer_s), LADDER3, (4000.0,) * 3, 2.0)
+        assert pick == 1
+
+
 def test_bb_state_validation():
     with pytest.raises(ValueError):
         BBState(v_b=0.0, gamma_p=1.0)
@@ -224,3 +236,62 @@ def test_bb_state_validation():
             BBState(v_b=value, gamma_p=1.0)
         with pytest.raises(ValueError, match="gamma_p"):
             BBState(v_b=1.0, gamma_p=value)
+
+
+# ---------------------------------------------------------------------------
+# the numpy formula as an oracle
+
+
+def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_duration_s):
+    """``bb_decide`` as it ran on numpy before its scalar rewrite.  Also
+    returns the score vector, so that a test can tell a near tie: ``np.log``
+    and ``math.log`` differ in the last bit on a few inputs."""
+    if feedback is None:
+        state.last_index = 1
+        return 1, state, None
+
+    sizes = np.asarray(sizes_row_kbit, dtype=float)
+    buffer_segments = float(feedback.buffer_s) / segment_duration_s
+    util = np.log(sizes / sizes[0])
+    score = (state.v_b * (util + state.gamma_p) - buffer_segments) / sizes
+    m = int(np.argmax(score)) + 1
+
+    if m > state.last_index:
+        observed = float(feedback.realized_rate_kbps)
+        sustainable = 1
+        for n, r in enumerate(bitrates_kbps, start=1):
+            if float(r) <= observed:
+                sustainable = n
+        if m > sustainable:
+            m = max(sustainable, state.last_index)
+
+    state.last_index = m
+    return m, state, score
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), decisions=st.integers(1, 40))
+def test_bb_decide_matches_numpy_reference(seed, decisions):
+    rng = np.random.default_rng(seed)
+    n_levels = int(rng.integers(2, 10))
+    ladder = tuple(np.cumsum(rng.uniform(50.0, 5000.0, size=n_levels)).tolist())
+    v = float(rng.uniform(0.5, 8.0))
+    b_max = float(rng.uniform(v, 60.0 * v))
+    v_b, gamma_p = derive_bb_parameters(ladder, v, b_max)
+    sizes = np.asarray(ladder) * v * rng.uniform(0.5, 1.5, size=(decisions, n_levels))
+    man = Manifest(v, ladder, np.sort(sizes, axis=1))
+    for t in range(1, decisions + 1):
+        last = int(rng.integers(1, n_levels + 1))
+        rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
+        buffer_s = float(rng.uniform(0.0, b_max))
+        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.sizes_row(t), buffer_s)
+        x, state = bb_decide(BBState(v_b, gamma_p, last), feedback, ladder, man.sizes_row(t), v)
+        x_ref, ref, score = reference_bb_decide(
+            BBState(v_b, gamma_p, last), feedback, ladder, man.segment_sizes_kbit[t - 1], v
+        )
+        if score is not None:
+            first, second = np.sort(score)[::-1][:2]
+            if abs(first - second) <= 1e-12 * abs(first):
+                continue
+        assert x == x_ref
+        assert state.last_index == ref.last_index == x

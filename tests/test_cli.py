@@ -227,6 +227,25 @@ def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("which", ["zero", "above-top"])
+def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, capsys, which):
+    manifest, trace = assets
+    n = len(load_manifest(manifest).bitrates_kbps)
+    bad_x = 0 if which == "zero" else n + 1
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    lines = (out / "session_rb.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    assert fields[0] == "5"
+    lines[5] = ",".join([fields[0], str(bad_x), *fields[2:]])
+    log = tmp_path / "bad_x.csv"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    # x_t=0 once scored as the top quality and x_t=N+1 raised an IndexError traceback
+    assert run_cli("benchmark", "--manifest", manifest, "--log", log) == 1
+    assert capsys.readouterr().err == f"abrsim: error: epoch 5: quality index {bad_x} outside 1..{n}\n"
+
+
 def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
     manifest, trace = assets
     out = tmp_path / "out"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from abrsim import (
     ChannelTrace,
+    DownloadResult,
+    EpochFeedback,
+    EpochRecord,
     L2APolicy,
     Manifest,
     ScriptedPolicy,
@@ -173,6 +175,21 @@ def test_wall_clock_identity_on_markovian():
     assert_buffer_law(state.history, cfg.b_max_s)
 
 
+def test_records_are_immutable():
+    record = EpochRecord(1, 2, 750.0, 1500.0, 3000.0, 0.5, 0.0, 0.0, 2.0, True, 0.5)
+    assert record.omega is None
+    assert record == EpochRecord(
+        t=1, x=2, bitrate_kbps=750.0, size_kbit=1500.0, rate_kbps=3000.0, download_s=0.5,
+        delta_s=0.0, buffer_before_s=0.0, buffer_after_s=2.0, stall=True, stall_s=0.5,
+    )
+    feedback = EpochFeedback(3000.0, (1000.0, 1500.0), 2.0)
+    result = DownloadResult(0.5, 3000.0)
+    for rec in (record, feedback, result):
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+
+
 def test_replay_reproduces_log():
     man = synthesize_manifest(60, (370, 750, 1500, 3000), 2.0, vbr_jitter=0.1, seed=2)
     trace = generate_markovian(1500, 750, 23000, 0.05, 1.0, seed=6)
@@ -180,7 +197,7 @@ def test_replay_reproduces_log():
     first = run_session(L2APolicy(man.bitrates_kbps, 2.0, 120.0, 60), cfg, man, trace)
     replay = run_session(ScriptedPolicy([r.x for r in first.history]), cfg, man, trace)
     for a, b in zip(first.history, replay.history):
-        assert dataclasses.replace(a, omega=None) == dataclasses.replace(b, omega=None)
+        assert a._replace(omega=None) == b._replace(omega=None)
     assert replay.wall_clock_s == first.wall_clock_s
 
 
@@ -194,7 +211,7 @@ def test_log_csv_roundtrip(tmp_path):
     back = read_log_csv(path)
     assert len(back) == 30
     for a, b in zip(state.history, back):
-        assert dataclasses.replace(a, omega=None) == b
+        assert a._replace(omega=None) == b
 
 
 @pytest.mark.parametrize(
@@ -206,8 +223,10 @@ def test_log_csv_roundtrip(tmp_path):
         (lambda f: f[:4] + ["-inf"] + f[5:], "column C_kbps is '-inf'; values must be finite"),
         (lambda f: ["2.5"] + f[1:], "column t: '2.5' is not an integer"),
         (lambda f: f[:8] + ["true"] + f[9:], "column stall: 'true' is not an integer"),
+        (lambda f: f[:8] + ["2"] + f[9:], "column stall is '2'; expected 0 or 1"),
+        (lambda f: ["3"] + f[1:], "column t is '3'; expected epoch 2"),
     ],
-    ids=["short", "long", "nan", "inf", "float-t", "word-stall"],
+    ids=["short", "long", "nan", "inf", "float-t", "word-stall", "stall-2", "skipped-t"],
 )
 def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
@@ -266,7 +285,7 @@ def test_session_properties_on_random_inputs(tmp_path_factory, case):
         assert rec.stall == (rec.buffer_before_s < rec.download_s)
     # replaying the logged choices reproduces every record but the distribution
     replay = run_session(ScriptedPolicy([r.x for r in history]), cfg, man, trace)
-    assert replay.history == [dataclasses.replace(r, omega=None) for r in history]
+    assert replay.history == [r._replace(omega=None) for r in history]
     assert replay.wall_clock_s == state.wall_clock_s
     # the CSV log reads back every field it carries exactly
     path = tmp_path_factory.getbasetemp() / "property_log.csv"
