@@ -112,43 +112,38 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.
 
     Samples below ``floor_kbps`` (outages are often logged as zero) are
-    replaced by the floor so every download makes progress.
+    replaced by the floor so every download makes progress.  Each row is
+    checked as it is parsed: the first unparseable, non-finite or
+    non-increasing row in file order is a TraceError naming its line.
     """
-    if floor_kbps <= 0:
-        raise ValueError("floor_kbps must be positive")
-    rows: list[tuple[float, float]] = []
+    if not 0 < floor_kbps < math.inf:
+        raise ValueError(f"floor_kbps must be positive and finite, got {floor_kbps!r}")
+    ts: list[float] = []
+    tp: list[float] = []
+    prev = -math.inf
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != list(TRACE_HEADER):
             raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
+                t, c = float(row[0]), float(row[1])
             except (ValueError, IndexError) as exc:
-                raise TraceError(f"{path}: line {lineno}: cannot parse row {row!r}") from exc
-    if len(rows) < 2:
-        raise TraceError(f"{path}: need at least 2 samples, got {len(rows)}")
-    ts = np.array([r[0] for r in rows])
-    tp = np.array([r[1] for r in rows])
-    bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(tp)))
-    if bad.size:
-        lineno = _line_of_sample(path, int(bad[0]))
-        raise TraceError(f"{path}: line {lineno}: non-finite sample {rows[bad[0]]!r}")
-    steps = np.diff(ts)
-    if np.any(steps <= 0):
-        bad = int(np.argmax(steps <= 0))
-        raise TraceError(f"{path}: timestamps not increasing at sample {bad + 2}")
-    return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
-
-
-def _line_of_sample(path: str | Path, index: int) -> int:
-    """Line number of the ``index``-th (0-based) data row of a trace CSV."""
-    with open(path, newline="") as fh:
-        numbered = [lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    return numbered[index + 1]  # the header is line 1
+                raise TraceError(f"{path}: line {reader.line_num}: cannot parse row {row!r}") from exc
+            if not (math.isfinite(t) and math.isfinite(c)):
+                raise TraceError(f"{path}: line {reader.line_num}: non-finite sample {(t, c)!r}")
+            if t <= prev:
+                raise TraceError(f"{path}: line {reader.line_num}: "
+                                 f"timestamps not increasing at sample {len(ts) + 1}")
+            ts.append(t)
+            tp.append(c)
+            prev = t
+    if len(ts) < 2:
+        raise TraceError(f"{path}: need at least 2 samples, got {len(ts)}")
+    return ChannelTrace(np.subtract(ts, ts[0]), np.maximum(tp, floor_kbps))
 
 
 def generate_markovian(
@@ -166,10 +161,11 @@ def generate_markovian(
     """
     if not 0.0 < p_transition < 1.0:
         raise ValueError(f"p_transition must be in (0, 1), got {p_transition}")
-    if not 0.0 < low_kbps < high_kbps:
-        raise ValueError("need 0 < low_kbps < high_kbps")
-    if step_s <= 0 or duration_s <= 0:
-        raise ValueError("duration_s and step_s must be positive")
+    if not 0.0 < low_kbps < high_kbps < math.inf:
+        raise ValueError("need 0 < low_kbps < high_kbps < inf")
+    for name, value in (("duration_s", duration_s), ("step_s", step_s)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     n = max(1, math.ceil(duration_s / step_s))
     rng = np.random.default_rng(seed)
     flips = rng.random(n - 1) < p_transition

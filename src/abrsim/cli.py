@@ -186,7 +186,7 @@ def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
         "consistency": float(report.consistency),
         "continuity": float(report.continuity),
         "flags": list(report.flags),
-        "series": {key: [float(v) for v in getattr(report, key)] for key in SERIES_KEYS},
+        "series": {key: getattr(report, key) for key in SERIES_KEYS},
         "benchmark": _benchmark_dict(bench),
     }
 

@@ -42,11 +42,14 @@ class Manifest:
     _sizes_view: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.segment_duration_s < math.inf:
+        duration = _convert("segment_duration_s", "a number", float, self.segment_duration_s)
+        if not 0 < duration < math.inf:
             raise ManifestError(
-                f"segment_duration_s is {self.segment_duration_s!r}; it must be positive and finite"
+                f"segment_duration_s is {duration!r}; it must be positive and finite"
             )
-        rates = tuple(float(r) for r in self.bitrates_kbps)
+        self.segment_duration_s = duration
+        rates = _convert("bitrates_kbps", "a list of numbers",
+                         lambda rs: tuple(float(r) for r in rs), self.bitrates_kbps)
         if len(rates) < 2:
             raise ManifestError("need at least two quality levels")
         for n, rate in enumerate(rates):
@@ -61,7 +64,8 @@ class Manifest:
                 )
         self.bitrates_kbps = rates
 
-        sizes = np.array(self.segment_sizes_kbit, dtype=float)
+        sizes = _convert("segment_sizes_kbit", "a matrix of numbers",
+                         lambda rows: np.array(rows, dtype=float), self.segment_sizes_kbit)
         if sizes.size == 0:
             sizes = sizes.reshape(0, len(rates))
         if sizes.ndim != 2 or sizes.shape[1] != len(rates):
@@ -110,8 +114,19 @@ class Manifest:
         return self._sizes_view[(t - 1) * n : t * n]
 
 
+def _convert(name: str, kind: str, convert, value):
+    """``convert(value)``, or a ManifestError naming the field ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{name} must be {kind}: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> Manifest:
-    """Load a manifest JSON file and validate every ladder invariant."""
+    """Load a manifest JSON file and validate every ladder invariant.
+
+    Every error is a ManifestError naming the file and the field.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -119,8 +134,8 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     try:
         return Manifest(
-            segment_duration_s=float(doc["segment_duration_s"]),
-            bitrates_kbps=tuple(float(r) for r in doc["bitrates_kbps"]),
+            segment_duration_s=doc["segment_duration_s"],
+            bitrates_kbps=doc["bitrates_kbps"],
             segment_sizes_kbit=doc["segment_sizes_kbit"],
         )
     except (KeyError, TypeError) as exc:

@@ -76,7 +76,8 @@ def qoe_metrics(
     if t_total == 0:
         return SessionReport(0.0, 1.0, 1.0, 1.0, 1.0, flags=["empty-log"])
 
-    rates = np.array([rec.bitrate_kbps for rec in history])
+    _, _, rates, _, _, downloads, _, before, *_ = zip(*history)
+    rates = np.array(rates)
     avg = float(rates.mean())
     r_lo = manifest.bitrates_kbps[0]
     r_hi = manifest.bitrates_kbps[-1]
@@ -89,8 +90,8 @@ def qoe_metrics(
         stability = 1.0 - float(np.count_nonzero(jumps)) / (t_total - 1)
         smoothness = 1.0 - float(jumps.sum()) / ((r_hi - r_lo) * (t_total - 1))
 
-    downloads = np.array([rec.download_s for rec in history])
-    before = np.array([rec.buffer_before_s for rec in history])
+    downloads = np.array(downloads)
+    before = np.array(before)
     stalled = before < downloads
     penalty = 0.0
     for t in np.nonzero(stalled)[0]:
@@ -271,7 +272,8 @@ def regret_and_residuals(
     policies fall back to the one-hot distribution of the chosen quality
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution; pass None to get residuals only.
-    A quality index outside 1..N is a ValueError naming the epoch.
+    A quality index outside 1..N, or a bitrate or segment size other than
+    the manifest's at (t, x_t), is a ValueError naming the epoch.
     """
     t_total = len(history)
     ladder = np.asarray(manifest.bitrates_kbps, dtype=float)
@@ -279,20 +281,34 @@ def regret_and_residuals(
     if t_total == 0:
         empty = np.zeros(0)
         return ConvergenceSeries(empty if benchmark else None, empty, empty, False)
+    if t_total > manifest.num_segments:
+        raise ValueError("more epochs than manifest segments")
 
+    levels = manifest.bitrates_kbps
+    sizes = manifest.segment_sizes_kbit[:t_total]
+    # indexing a flat memoryview of the sizes gives Python floats
+    flat_sizes = memoryview(sizes.reshape(-1))
     omegas = np.zeros((t_total, n))
+    rates_c = []
     fallback = False
-    for idx, rec in enumerate(history):
-        if not 1 <= rec.x <= n:
-            raise ValueError(f"epoch {rec.t}: quality index {rec.x} outside 1..{n}")
-        if rec.omega is None:
-            omegas[idx, rec.x - 1] = 1.0
+    # unpacking each record costs less than reading its fields one by one
+    for idx, (t, x, bitrate, size, rate, _, _, _, _, _, _, omega) in enumerate(history):
+        if not 1 <= x <= n:
+            raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
+        if bitrate != levels[x - 1]:
+            raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
+                             f" at x_t={x} is {levels[x - 1]!r}")
+        if size != flat_sizes[idx * n + x - 1]:
+            raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
+                             f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+        if omega is None:
+            omegas[idx, x - 1] = 1.0
             fallback = True
         else:
-            omegas[idx] = rec.omega
+            omegas[idx] = omega
+        rates_c.append(rate)
 
-    sizes = manifest.segment_sizes_kbit[:t_total]
-    rates_c = np.array([rec.rate_kbps for rec in history])
+    rates_c = np.array(rates_c)
     expected_dl = np.einsum("tn,tn->t", sizes, omegas) / rates_c
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
@@ -333,9 +349,9 @@ def evaluate_session(
     bench = solve_benchmark(manifest, [rec.rate_kbps for rec in history], k, v, b_max_s)
     series = regret_and_residuals(history, manifest, bench, v, b_max_s)
     report = qoe_metrics(history, manifest, tau, manifest.duration_s)
-    report.regret_rate = list(series.regret_rate)
-    report.residual1_rate = list(series.residual1_rate)
-    report.residual2_rate = list(series.residual2_rate)
+    report.regret_rate = series.regret_rate.tolist()
+    report.residual1_rate = series.residual1_rate.tolist()
+    report.residual2_rate = series.residual2_rate.tolist()
     if series.one_hot_fallback:
         report.flags.append("one-hot-omega")
     return report, bench

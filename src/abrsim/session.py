@@ -245,32 +245,8 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
         writer.writerows(log_row(r) for r in history)
 
 
-# the type each LOG_COLUMNS field is read back as, for naming a bad column
+# the type each LOG_COLUMNS field is read back as
 _LOG_TYPES = (int, int, float, float, float, float, float, float, int, float)
-
-
-def _log_row_error(path, lineno: int, row: list[str], expected_t: int) -> ValueError:
-    """The error for a log row that failed to parse: names the first bad column."""
-    where = f"{path}: line {lineno}"
-    if len(row) < len(LOG_COLUMNS):
-        return ValueError(f"{where}: column {LOG_COLUMNS[len(row)]} missing; "
-                          f"expected {len(LOG_COLUMNS)} fields, got {len(row)}")
-    if len(row) > len(LOG_COLUMNS):
-        return ValueError(f"{where}: fields after column {LOG_COLUMNS[-1]}; "
-                          f"expected {len(LOG_COLUMNS)} fields, got {len(row)}")
-    for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
-        try:
-            value = parse(text)
-        except ValueError:
-            kind = "an integer" if parse is int else "a number"
-            return ValueError(f"{where}: column {name}: {text!r} is not {kind}")
-        if not math.isfinite(value):
-            return ValueError(f"{where}: column {name} is {text!r}; values must be finite")
-        if name == "t" and value != expected_t:
-            return ValueError(f"{where}: column t is {text!r}; expected epoch {expected_t}")
-        if name == "stall" and value not in (0, 1):
-            return ValueError(f"{where}: column stall is {text!r}; expected 0 or 1")
-    raise AssertionError("row parses")
 
 
 def read_log_csv(path: str | Path) -> list[EpochRecord]:
@@ -281,7 +257,7 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     schema preserves full float precision.  A row with the wrong number of
     fields, a non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a
     ``stall`` other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ...
-    is a ValueError naming the file, the line and the column.
+    is a ValueError naming the file, the line and the first bad column.
     """
     records: list[EpochRecord] = []
     with open(path, newline="") as fh:
@@ -289,23 +265,33 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
         header = next(reader, None)
         if header is None or tuple(header) != LOG_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
+
+        def bad_row(message: str) -> ValueError:
+            return ValueError(f"{path}: line {reader.line_num}: {message}")
+
         buffer_before = 0.0
         for row in reader:
             if not row:
                 continue
-            expected_t = len(records) + 1
-            try:
-                t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = row
-                values = (
-                    int(t), int(x), float(bitrate), float(size), float(rate), float(download),
-                    float(delta), float(buffer_after), int(stall), float(stall_s),
-                )
-                # every value finite, t continues the epochs, stall is a 0/1 flag
-                if (not all(map(math.isfinite, values)) or values[0] != expected_t
-                        or values[8] not in (0, 1)):
-                    raise ValueError
-            except ValueError:
-                raise _log_row_error(path, reader.line_num, row, expected_t) from None
+            if len(row) != len(LOG_COLUMNS):
+                got = f"expected {len(LOG_COLUMNS)} fields, got {len(row)}"
+                if len(row) < len(LOG_COLUMNS):
+                    raise bad_row(f"column {LOG_COLUMNS[len(row)]} missing; {got}")
+                raise bad_row(f"fields after column {LOG_COLUMNS[-1]}; {got}")
+            values = []
+            for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
+                try:
+                    value = parse(text)
+                except ValueError:
+                    kind = "an integer" if parse is int else "a number"
+                    raise bad_row(f"column {name}: {text!r} is not {kind}") from None
+                if not math.isfinite(value):
+                    raise bad_row(f"column {name} is {text!r}; values must be finite")
+                if name == "t" and value != len(records) + 1:
+                    raise bad_row(f"column t is {text!r}; expected epoch {len(records) + 1}")
+                if name == "stall" and value not in (0, 1):
+                    raise bad_row(f"column stall is {text!r}; expected 0 or 1")
+                values.append(value)
             t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
             records.append(EpochRecord(
                 t, x, bitrate, size, rate, download, delta,

@@ -47,6 +47,8 @@ def test_load_rebases_clock(tmp_path):
 def test_load_rejects_non_monotone(tmp_path):
     with pytest.raises(TraceError, match="sample 3"):
         load_trace(_write(tmp_path, ["0,5000", "2,8000", "1,9000"]))
+    with pytest.raises(TraceError, match="line 4: timestamps not increasing at sample 3"):
+        load_trace(_write(tmp_path, ["0,5000", "2,8000", "1,9000"]))
 
 
 def test_load_rejects_short(tmp_path):
@@ -70,6 +72,28 @@ def test_load_rejects_non_finite_row(tmp_path, row):
     path = _write(tmp_path, ["0,5000", "", "0.5,6000", row, "2,9000"])
     with pytest.raises(TraceError, match=f"{path}: line 5: non-finite"):
         load_trace(path)
+
+
+def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
+    # a non-finite row before an unparseable one: rows are checked as they are read
+    path = _write(tmp_path, ["0,5000", "1,inf", "2,abc"])
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    with pytest.raises(TraceError, match=f"{path}: line 3: non-finite sample"):
+        load_trace(path)
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
+def test_load_rejects_bad_floor(tmp_path, floor):
+    with pytest.raises(ValueError, match=rf"floor_kbps must be positive and finite, got {floor!r}"):
+        load_trace(_write(tmp_path, ["0,5000", "1,8000"]), floor_kbps=floor)
 
 
 @pytest.mark.parametrize("field", ["timestamps_s", "throughputs_kbps"])
@@ -123,6 +147,13 @@ def test_markovian_validation():
         generate_markovian(100, 23000, 750, 0.05)
     with pytest.raises(ValueError):
         generate_markovian(100, 750, 23000, 0.05, step_s=0.0)
+    with pytest.raises(ValueError, match="high_kbps < inf"):
+        generate_markovian(100, 750, np.inf, 0.05)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"duration_s must be positive and finite, got {bad!r}"):
+            generate_markovian(bad, 750, 23000, 0.05)
+        with pytest.raises(ValueError, match=rf"step_s must be positive and finite, got {bad!r}"):
+            generate_markovian(100, 750, 23000, 0.05, step_s=bad)
 
 
 # ---------------------------------------------------------------------------

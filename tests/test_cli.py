@@ -246,6 +246,49 @@ def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, caps
     assert capsys.readouterr().err == f"abrsim: error: epoch 5: quality index {bad_x} outside 1..{n}\n"
 
 
+@pytest.mark.parametrize("column", ["x_t", "size_kbit"])
+def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_path, capsys, column):
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--out", out) == 0
+    log = next(out.glob("session_*.csv"))
+    lines = log.read_text().splitlines()
+    fields = lines[5].split(",")
+    assert fields[0] == "5"
+    if column == "x_t":
+        # another level on the ladder, with r_kbps and size_kbit left as they are
+        fields[1] = "7" if fields[1] != "7" else "3"
+        expected = f"epoch 5: r_kbps is {float(fields[2])!r}; the manifest's bitrate at x_t="
+    else:
+        fields[3] = repr(float(fields[3]) + 1.0)
+        expected = f"epoch 5: size_kbit is {fields[3]}; the manifest's size at x_t={fields[1]}"
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "mismatch.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    # such a row was once scored without a word, its regret read from x_t
+    assert run_cli("benchmark", "--manifest", manifest, "--log", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"abrsim: error: {expected}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "trace", "--duration", "inf"], "duration_s must be positive and finite, got inf"),
+        (["gen", "trace", "--duration", "60", "--step", "nan"], "step_s must be positive and finite, got nan"),
+        (["gen", "trace", "--duration", "60", "--step", "inf"], "step_s must be positive and finite, got inf"),
+        # the floor is checked before the trace file is opened
+        (["concat-traces", "no.csv", "--floor", "nan"], "floor_kbps must be positive and finite, got nan"),
+    ],
+    ids=["duration-inf", "step-nan", "step-inf", "floor-nan"],
+)
+def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", tmp_path / "trace.csv") == 1
+    assert capsys.readouterr().err == f"abrsim: error: {message}\n"
+
+
 def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
     manifest, trace = assets
     out = tmp_path / "out"
@@ -389,9 +432,12 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
     del missing["traces"]["generate"]["low_kbps"]
     other_kind = json.loads(json.dumps(cfg))
     other_kind["traces"]["generate"]["kind"] = "gilbert"
+    endless = json.loads(json.dumps(cfg))
+    endless["traces"]["generate"]["duration_s"] = float("inf")  # the JSON token Infinity
     for name, bad, expected in (("misspelt", misspelt, "unknown key 'vbr_jiter'"),
                                 ("missing", missing, "missing key 'low_kbps'"),
-                                ("kind", other_kind, "unknown trace kind 'gilbert'")):
+                                ("kind", other_kind, "unknown trace kind 'gilbert'"),
+                                ("inf", endless, "duration_s must be positive and finite, got inf")):
         cfg_path.write_text(json.dumps(bad))
         out = tmp_path / name
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1

@@ -135,7 +135,12 @@ def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
             "segment_sizes_kbit": [[2000, 6000]]}
     cases = (("bitrates_kbps", [1000, float("nan")], "bitrates_kbps: level 2"),
              ("segment_duration_s", float("inf"), "segment_duration_s"),
-             ("segment_sizes_kbit", [[2000, float("inf")]], "segment_sizes_kbit: segment 1, level 2"))
+             ("segment_sizes_kbit", [[2000, float("inf")]], "segment_sizes_kbit: segment 1, level 2"),
+             # values of the wrong shape or type are named by field too
+             ("segment_sizes_kbit", [[2000, 6000], [2000]], "segment_sizes_kbit must be a matrix of numbers"),
+             ("segment_sizes_kbit", [[2000, "abc"]], "segment_sizes_kbit must be a matrix of numbers"),
+             ("segment_duration_s", "abc", "segment_duration_s must be a number"),
+             ("bitrates_kbps", [1000, "abc"], "bitrates_kbps must be a list of numbers"))
     for field, value, message in cases:
         path = tmp_path / f"{field}.json"
         path.write_text(json.dumps({**good, field: value}))

@@ -225,8 +225,13 @@ def test_log_csv_roundtrip(tmp_path):
         (lambda f: f[:8] + ["true"] + f[9:], "column stall: 'true' is not an integer"),
         (lambda f: f[:8] + ["2"] + f[9:], "column stall is '2'; expected 0 or 1"),
         (lambda f: ["3"] + f[1:], "column t is '3'; expected epoch 2"),
+        # several faults in one row: the first column in column order is named
+        (lambda f: ["3"] + f[1:5] + ["nan"] + f[6:], "column t is '3'; expected epoch 2"),
+        (lambda f: f[:4] + ["x"] + f[5:8] + ["2", "inf"], "column C_kbps: 'x' is not a number"),
+        (lambda f: f[:8] + ["2", "inf"], "column stall is '2'; expected 0 or 1"),
     ],
-    ids=["short", "long", "nan", "inf", "float-t", "word-stall", "stall-2", "skipped-t"],
+    ids=["short", "long", "nan", "inf", "float-t", "word-stall", "stall-2", "skipped-t",
+         "skipped-t-and-nan", "word-rate-and-stall-2", "stall-2-and-inf"],
 )
 def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
