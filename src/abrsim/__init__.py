@@ -28,9 +28,7 @@ from .l2a import (
     L2AParams,
     L2APolicy,
     L2AState,
-    gradients,
     l2a_decide,
-    loss_and_constraints,
     map_to_quality,
 )
 from .media import Manifest, ManifestError, load_manifest, synthesize_manifest, write_manifest
@@ -88,11 +86,9 @@ __all__ = [
     "evaluate_session",
     "export_log_csv",
     "generate_markovian",
-    "gradients",
     "l2a_decide",
     "load_manifest",
     "load_trace",
-    "loss_and_constraints",
     "map_to_quality",
     "normalize_avg_bitrate",
     "project_simplex",

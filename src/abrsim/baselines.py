@@ -92,18 +92,17 @@ def rb_decide(
         state.bw_probe_kbps = max(state.bw_probe_kbps + params.kappa * (w - overshoot), 0.0)
         state.bw_smooth_kbps += params.ewma_weight * (state.bw_probe_kbps - state.bw_smooth_kbps)
 
-    rates = [float(r) for r in bitrates_kbps]
     smooth = state.bw_smooth_kbps
     up = 0
-    for n, r in enumerate(rates, start=1):
+    for n, r in enumerate(bitrates_kbps, start=1):
         if (1.0 + params.deadzone) * r <= smooth:
             up = n
     cur = state.last_index
     if up > cur:
         new = up
-    elif rates[cur - 1] > smooth:
+    elif bitrates_kbps[cur - 1] > smooth:
         new = 1
-        for n, r in enumerate(rates, start=1):
+        for n, r in enumerate(bitrates_kbps, start=1):
             if r <= smooth:
                 new = n
     else:

@@ -51,9 +51,9 @@ class ChannelTrace:
     timestamps_s: np.ndarray
     throughputs_kbps: np.ndarray
     # memoryviews of the timestamps, the throughputs and the kbit delivered
-    # from t=0 up to each timestamp: indexing them gives Python floats
-    # without copying the trace
-    _views: tuple[memoryview, memoryview, memoryview] = field(
+    # from t=0 up to each timestamp (indexing them gives Python floats
+    # without copying the trace), and the index of the last sample
+    _views: tuple[memoryview, memoryview, memoryview, int] = field(
         init=False, repr=False, compare=False
     )
 
@@ -79,7 +79,7 @@ class ChannelTrace:
             arr.setflags(write=False)
         self.timestamps_s = ts
         self.throughputs_kbps = tp
-        self._views = (memoryview(ts), memoryview(tp), memoryview(cum))
+        self._views = (memoryview(ts), memoryview(tp), memoryview(cum), ts.size - 1)
 
     @property
     def num_samples(self) -> int:
@@ -185,8 +185,7 @@ def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> Down
         raise ValueError(f"start_time_s must be finite and >= 0, got {start_time_s!r}")
     if not 0.0 < size_kbit < math.inf:
         raise ValueError(f"size_kbit must be finite and positive, got {size_kbit!r}")
-    ts, tp, cum = trace._views
-    last = len(ts) - 1
+    ts, tp, cum, last = trace._views
     i = bisect.bisect_right(ts, start_time_s) - 1
     # fast path: the download completes inside the start interval (always the
     # case past the final sample); exact division avoids cancellation on tiny

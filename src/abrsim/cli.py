@@ -40,7 +40,7 @@ SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
 # L2AParams, RBParams and derive_bb_parameters.  `run`'s policy flags have these
 # keys as their dests and default to None (unset).
 POLICY_PARAMS = {
-    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha", "average_blocked_grads")},
+    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha")},
     "rb": {"kappa": "kappa", "w": "probe_increment_kbps", "deadzone": "deadzone",
            "ewma": "ewma_weight"},
     "bb": {"v_b": "v_b", "gamma_p": "gamma_p"},
@@ -356,13 +356,7 @@ def _cmd_run(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        session.export_log_csv(state.history, out / f"session_{name}.csv")
-    else:
-        _write_json(
-            [dict(zip(session.LOG_COLUMNS, session.log_row(r))) for r in state.history],
-            out / f"session_{name}.json",
-        )
+    session.export_log_csv(state.history, out / f"session_{name}.csv")
     _write_json(_report_dict(name, Path(args.trace).stem, report, bench), out / f"report_{name}.json")
     _print_metrics(name, report)
     return 0
@@ -467,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p_run)
     p_run.add_argument("--k", type=int, default=None, help="benchmark window (default ceil(T^0.9))")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(fn=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run a method x trace grid from a JSON config")

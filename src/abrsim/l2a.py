@@ -20,13 +20,19 @@ against the segment duration (underflow side) and against an overflow
 allowance of b_max / T per epoch.  All three are linear in omega, so their
 gradients do not depend on omega, and a first-order prediction of the
 constraints at the new point equals their value there.
+
+Each dot product is one left fold, ``reduce(add, map(mul, a, b), 0.0)``, not
+``sum``: CPython 3.12 made float ``sum`` compensated, so with ``sum`` the bits
+of omega, and at times a decision, would depend on the Python version.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from .session import EpochFeedback, require_finite
 from .simplex import project_simplex
@@ -35,9 +41,7 @@ __all__ = [
     "L2AParams",
     "L2APolicy",
     "L2AState",
-    "gradients",
     "l2a_decide",
-    "loss_and_constraints",
     "map_to_quality",
 ]
 
@@ -46,43 +50,24 @@ __all__ = [
 UTILITY_WEIGHT = 0.3
 
 
-def loss_and_constraints(
-    omega,
-    sizes_row_kbit,
-    bitrates,
-    rate_kbps: float,
-    segment_duration_s: float,
-    b_max_s: float,
-    horizon_t: int,
-) -> tuple[float, float, float]:
-    """Expected loss and buffer-displacement constraint values at ``omega``.
-
-    Returns ``(f, g1, g2)``: the negated expected bitrate (in whatever units
-    ``bitrates`` uses), the expected download time minus the segment duration
-    (positive means underflow pressure), and the slack side with its
-    b_max / T overflow allowance.
-    """
-    expected_dl = sum(map(mul, sizes_row_kbit, omega)) / rate_kbps
-    f = -sum(map(mul, bitrates, omega))
-    g1 = expected_dl - segment_duration_s
-    g2 = segment_duration_s - expected_dl - b_max_s / horizon_t
-    return f, g1, g2
-
-
-def gradients(sizes_row_kbit, rate_kbps: float, bitrates):
-    """Gradients of (f, g1, g2) w.r.t. omega, as lists of floats.
-
-    Constant vectors, because all three functions are linear in omega.
-    """
-    dl = [s / rate_kbps for s in sizes_row_kbit]
-    return [-r for r in bitrates], dl, [-d for d in dl]
-
-
 def map_to_quality(omega, bitrates_kbps) -> int:
-    """Quality index (1-based) nearest the expected bitrate; ties go low."""
-    expected = sum(map(mul, bitrates_kbps, omega))
-    gaps = [abs(r - expected) for r in bitrates_kbps]
-    return gaps.index(min(gaps)) + 1
+    """Quality index (1-based) nearest the expected bitrate; ties go low.
+
+    The first rung at or above the expected bitrate, or the one below it
+    while that one's gap is not larger: the same index as the first minimum
+    of ``abs(r - expected)`` over a strictly increasing ladder, because each
+    gap, rounding included, only grows away from the expected bitrate.
+    """
+    expected = reduce(add, map(mul, bitrates_kbps, omega), 0.0)
+    n = min(bisect.bisect_left(bitrates_kbps, expected), len(bitrates_kbps) - 1)
+    gap = abs(bitrates_kbps[n] - expected)
+    while n:
+        lower = expected - bitrates_kbps[n - 1]
+        if lower > gap:
+            break
+        n -= 1
+        gap = lower
+    return n + 1
 
 
 @dataclass
@@ -93,8 +78,7 @@ class L2AParams:
     (step size) to v_l * sqrt(T).  There is no rate-unit knob: the utility
     gradient is ``UTILITY_WEIGHT * r / r_N`` (ladder top r_N), so rescaling
     the ladder, the sizes and the channel together leaves every decision
-    unchanged.  ``average_blocked_grads`` divides the accumulated gradient
-    by the number of epochs it covers instead of using the literal sum.
+    unchanged.
     """
 
     horizon_t: int
@@ -102,7 +86,6 @@ class L2AParams:
     epsilon: float = 0.2
     v_l: float | None = None
     alpha: float | None = None
-    average_blocked_grads: bool = False
 
     def __post_init__(self) -> None:
         require_finite(self, "beta", "epsilon")
@@ -166,36 +149,28 @@ def l2a_decide(
 
     c_prev = feedback.realized_rate_kbps
     sizes_prev = feedback.row_sizes_kbit
-    utility_scale = UTILITY_WEIGHT / bitrates_kbps[-1]
-    grad_f, grad_g1, grad_g2 = gradients(
-        sizes_prev, c_prev, [r * utility_scale for r in bitrates_kbps]
-    )
+    # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
+    # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
+    # that order, with the same bits
+    w = UTILITY_WEIGHT / bitrates_kbps[-1]
     v_l, q1, q2 = params.v_l, state.q1, state.q2
     state.grad_accum = [
-        a + v_l * f + q1 * g1 + q2 * g2
-        for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
+        a + v_l * -(r * w) + q1 * (d := s / c_prev) - q2 * d
+        for a, r, s in zip(state.grad_accum, bitrates_kbps, sizes_prev)
     ]
     state.accum_epochs += 1
 
     if state.gamma / t <= params.beta:
         denom = 2.0 * params.alpha
-        if params.average_blocked_grads and state.accum_epochs > 1:
-            n = state.accum_epochs
-            shifted = [w - a / denom / n for w, a in zip(state.omega, state.grad_accum)]
-        else:
-            shifted = [w - a / denom for w, a in zip(state.omega, state.grad_accum)]
-        state.omega = project_simplex(shifted)
+        state.omega = project_simplex([o - a / denom for o, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
-        state.grad_accum = [0.0] * len(shifted)
+        state.grad_accum = [0.0] * len(state.omega)
         state.accum_epochs = 0
 
-    # dual ascent on the queues, evaluated at the post-step distribution
-    _, g1, g2 = loss_and_constraints(
-        state.omega, sizes_prev, bitrates_kbps, c_prev, segment_duration_s, b_max_s,
-        params.horizon_t,
-    )
-    state.q1 = max(q1 + g1, 0.0)
-    state.q2 = max(q2 + g2, 0.0)
+    # dual ascent on the queues, with the constraints at the post-step omega
+    expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
+    state.q1 = max(q1 + (expected_dl - segment_duration_s), 0.0)
+    state.q2 = max(q2 + (segment_duration_s - expected_dl - b_max_s / params.horizon_t), 0.0)
     return map_to_quality(state.omega, bitrates_kbps), state
 
 

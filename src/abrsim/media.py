@@ -37,6 +37,9 @@ class Manifest:
     segment_duration_s: float
     bitrates_kbps: tuple[float, ...]
     segment_sizes_kbit: np.ndarray
+    # read on every epoch, so set once here rather than computed per read
+    num_segments: int = field(init=False, repr=False, compare=False)
+    num_levels: int = field(init=False, repr=False, compare=False)
     # one flat memoryview of the size matrix, row after row: a row slice of
     # it indexes to Python floats without copying the matrix
     _sizes_view: memoryview = field(init=False, repr=False, compare=False)
@@ -87,15 +90,8 @@ class Manifest:
             )
         sizes.setflags(write=False)
         self.segment_sizes_kbit = sizes
+        self.num_segments, self.num_levels = sizes.shape
         self._sizes_view = memoryview(sizes.reshape(-1))
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.segment_sizes_kbit)
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.bitrates_kbps)
 
     @property
     def duration_s(self) -> float:
@@ -110,7 +106,7 @@ class Manifest:
         """
         if not 1 <= t <= self.num_segments:
             raise IndexError(f"segment {t} outside 1..{self.num_segments}")
-        n = len(self.bitrates_kbps)
+        n = self.num_levels
         return self._sizes_view[(t - 1) * n : t * n]
 
 

@@ -18,7 +18,7 @@ def project_simplex(v) -> tuple[float, ...]:
     arithmetic.
     """
     try:
-        values = [float(x) for x in v]
+        values = list(map(float, v))
     except TypeError:
         raise ValueError("expected a non-empty 1-d vector") from None
     if not values:

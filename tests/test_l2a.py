@@ -1,4 +1,8 @@
+import hashlib
 import math
+from array import array
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -14,15 +18,14 @@ from abrsim import (
     Manifest,
     SessionConfig,
     generate_markovian,
-    gradients,
     l2a_decide,
-    loss_and_constraints,
     map_to_quality,
     project_simplex,
     run_session,
     synthesize_manifest,
 )
 
+import abrsim.l2a
 from abrsim.l2a import UTILITY_WEIGHT
 
 from conftest import constant_trace
@@ -37,6 +40,79 @@ def make_feedback(sizes, rate, buffer_s=10.0):
         row_sizes_kbit=sizes,
         buffer_s=float(buffer_s),
     )
+
+
+def fold_dot(a, b):
+    """Dot product summed strictly left to right, as ``l2a_decide`` sums it."""
+    return reduce(add, map(mul, a, b), 0.0)
+
+
+def loss_and_constraints(
+    omega, sizes_row_kbit, bitrates, rate_kbps, segment_duration_s, b_max_s, horizon_t
+):
+    """Expected loss and buffer-displacement constraint values at ``omega``.
+
+    Returns ``(f, g1, g2)``: the negated expected bitrate (in whatever units
+    ``bitrates`` uses), the expected download time minus the segment duration
+    (positive means underflow pressure), and the slack side with its
+    b_max / T overflow allowance.
+    """
+    expected_dl = fold_dot(sizes_row_kbit, omega) / rate_kbps
+    f = -fold_dot(bitrates, omega)
+    g1 = expected_dl - segment_duration_s
+    g2 = segment_duration_s - expected_dl - b_max_s / horizon_t
+    return f, g1, g2
+
+
+def gradients(sizes_row_kbit, rate_kbps, bitrates):
+    """Gradients of (f, g1, g2) w.r.t. omega, as lists of floats.
+
+    Constant vectors, because all three functions are linear in omega.
+    """
+    dl = [s / rate_kbps for s in sizes_row_kbit]
+    return [-r for r in bitrates], dl, [-d for d in dl]
+
+
+def first_min_gap(omega, bitrates_kbps):
+    """The quality whose gap to the expected bitrate is the first minimum."""
+    expected = fold_dot(bitrates_kbps, omega)
+    gaps = [abs(r - expected) for r in bitrates_kbps]
+    return gaps.index(min(gaps)) + 1
+
+
+def scalar_decide(state, params, feedback, bitrates_kbps, segment_duration_s, b_max_s):
+    """``l2a_decide`` step by step: the three gradient vectors and the
+    constraint values at the new point from the functions above."""
+    state.t += 1
+    if feedback is None:
+        return first_min_gap(state.omega, bitrates_kbps), state
+    c_prev = feedback.realized_rate_kbps
+    sizes_prev = feedback.row_sizes_kbit
+    scale = UTILITY_WEIGHT / bitrates_kbps[-1]
+    grad_f, grad_g1, grad_g2 = gradients(sizes_prev, c_prev, [r * scale for r in bitrates_kbps])
+    v_l, q1, q2 = params.v_l, state.q1, state.q2
+    state.grad_accum = [
+        a + v_l * f + q1 * g1 + q2 * g2
+        for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
+    ]
+    state.accum_epochs += 1
+    if state.gamma / state.t <= params.beta:
+        denom = 2.0 * params.alpha
+        state.omega = project_simplex([w - a / denom for w, a in zip(state.omega, state.grad_accum)])
+        state.gamma += 1
+        state.grad_accum = [0.0] * len(state.omega)
+        state.accum_epochs = 0
+    _, g1, g2 = loss_and_constraints(
+        state.omega, sizes_prev, bitrates_kbps, c_prev, segment_duration_s, b_max_s,
+        params.horizon_t,
+    )
+    state.q1 = max(q1 + g1, 0.0)
+    state.q2 = max(q2 + g2, 0.0)
+    return first_min_gap(state.omega, bitrates_kbps), state
+
+
+def float_bytes(values):
+    return array("d", values).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +165,36 @@ def test_constraint_gradients_mirror():
 def test_map_to_quality_tie_breaks_low():
     assert map_to_quality((0.5, 0.5), (1000.0, 3000.0)) == 1
     assert map_to_quality((0.0, 1.0), (1000.0, 3000.0)) == 2
+
+
+def test_map_to_quality_is_the_first_minimal_gap():
+    rng = np.random.default_rng(11)
+    n = len(LADDER)
+    cases = [(omega, LADDER) for omega in rng.dirichlet(np.ones(n), 4000).tolist()]
+    # sparse distributions put the expected bitrate near a rung or a midpoint
+    for _ in range(4000):
+        omega = [0.0] * n
+        for i, w in zip(rng.integers(0, n, 2).tolist(), rng.dirichlet((0.3, 0.3)).tolist()):
+            omega[i] += w
+        cases.append((omega, LADDER))
+    # exact midpoint ties between adjacent rungs, and each rung itself
+    for i in range(n - 1):
+        omega = [0.0] * n
+        omega[i] = omega[i + 1] = 0.5
+        cases.append((omega, LADDER))
+        assert first_min_gap(omega, LADDER) == i + 1
+    cases += [(np.eye(n)[i].tolist(), LADDER) for i in range(n)]
+    # expected bitrates at and beyond either end of the ladder
+    for scale in (0.0, 1e-300, 1.0 - 1e-16, 1.0 + 1e-12, 2.0, 1e300):
+        cases += [([scale] + [0.0] * (n - 1), LADDER), ([0.0] * (n - 1) + [scale], LADDER)]
+    # a ladder where the gaps to 1 and to 1e17 round to the same value around 5e16
+    wide = (1.0, 1e17, 2e17)
+    cases += [(omega, wide) for omega in rng.dirichlet(np.ones(3), 2000).tolist()]
+    cases += [((1.0 - w, w, 0.0), wide) for w in np.linspace(0.4999, 0.5001, 2001).tolist()]
+    cases += [((0.0, 1.0 - w, w), wide) for w in np.linspace(0.4999, 0.5001, 2001).tolist()]
+    assert first_min_gap((0.5, 0.5, 0.0), wide) == 1
+    for omega, ladder in cases:
+        assert map_to_quality(omega, ladder) == first_min_gap(omega, ladder), (omega, ladder)
 
 
 def test_params_defaults_follow_schedule():
@@ -269,22 +375,6 @@ def test_constant_feedback_converges():
     assert list(state.omega) == [0.0, 0.0, 0.0, 1.0]
 
 
-def test_average_blocked_grads_flag_changes_blocked_steps():
-    horizon = 120
-    man = synthesize_manifest(horizon, LADDER, 2.0, vbr_jitter=0.1, seed=6)
-    trace = generate_markovian(2500, 750, 23000, 0.05, 1.0, seed=6)
-    cfg = SessionConfig(b_max_s=120.0, tau_resume=2)
-    runs = {}
-    for avg in (False, True):
-        policy = L2APolicy(LADDER, 2.0, 120.0, horizon, beta=0.2, average_blocked_grads=avg)
-        state = run_session(policy, cfg, man, trace)
-        runs[avg] = [r.omega for r in state.history]
-        for om in runs[avg]:
-            w = np.asarray(om)
-            assert abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= 0)
-    assert runs[False] != runs[True]
-
-
 def test_decisions_do_not_depend_on_rate_units():
     # the same content written in other rate units: ladder, sizes and channel
     # scaled together by a power of two, which is exact in floating point
@@ -335,8 +425,6 @@ def reference_decide(state, params, feedback, bitrates_kbps, segment_duration_s,
     omega_new = state.omega
     if state.gamma / state.t <= params.beta:
         step_vec = state.grad_accum / (2.0 * params.alpha)
-        if params.average_blocked_grads and state.accum_epochs > 1:
-            step_vec = step_vec / state.accum_epochs
         omega_new = np.array(project_simplex(state.omega - step_vec))
         state.gamma += 1
         state.grad_accum = np.zeros_like(state.grad_accum)
@@ -353,17 +441,16 @@ def reference_decide(state, params, feedback, bitrates_kbps, segment_duration_s,
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    schedule=st.sampled_from([(1.0, False), (0.3, False), (0.2, True)]),
+    beta=st.sampled_from([1.0, 0.3, 0.2]),
     epochs=st.integers(1, 120),
     extra_horizon=st.integers(0, 3000),
 )
-def test_decide_matches_numpy_reference(seed, schedule, epochs, extra_horizon):
-    beta, average = schedule
+def test_decide_matches_numpy_reference(seed, beta, epochs, extra_horizon):
     rng = np.random.default_rng(seed)
     ladder = tuple(np.cumsum(rng.uniform(100.0, 4000.0, size=int(rng.integers(2, 10)))).tolist())
     man = synthesize_manifest(epochs, ladder, 2.0, vbr_jitter=0.2, seed=seed)
     b_max = float(rng.uniform(2.0, 120.0))
-    params = L2AParams(horizon_t=epochs + extra_horizon, beta=beta, average_blocked_grads=average)
+    params = L2AParams(horizon_t=epochs + extra_horizon, beta=beta)
     state = L2AState.initial(len(ladder))
     ref = L2AState(omega=np.array(state.omega), grad_accum=np.zeros(len(ladder)))
     midpoints = [(lo + hi) / 2.0 for lo, hi in zip(ladder, ladder[1:])]
@@ -390,3 +477,90 @@ def test_decide_matches_numpy_reference(seed, schedule, epochs, extra_horizon):
     for t in (0, epochs + 1):
         with pytest.raises(IndexError, match="outside"):
             man.sizes_row(t)
+
+
+# ---------------------------------------------------------------------------
+# the scalar oracle, bit for bit, and bytes that do not depend on the Python version
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([1.0, 0.5, 0.2]),
+    epochs=st.integers(1, 150),
+)
+def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
+    rng = np.random.default_rng(seed)
+    ladder = tuple(np.cumsum(rng.uniform(100.0, 4000.0, size=int(rng.integers(2, 10)))).tolist())
+    v = float(rng.uniform(0.5, 4.0))
+    man = synthesize_manifest(epochs, ladder, v, vbr_jitter=0.2, seed=seed)
+    b_max = float(rng.uniform(v, 120.0))
+    params = L2AParams(horizon_t=epochs + int(rng.integers(0, 3000)), beta=beta)
+    state, oracle = L2AState.initial(len(ladder)), L2AState.initial(len(ladder))
+    feedback = None
+    for t in range(1, epochs + 1):
+        x, state = l2a_decide(state, params, feedback, ladder, v, b_max)
+        x_oracle, oracle = scalar_decide(oracle, params, feedback, ladder, v, b_max)
+        assert x == x_oracle
+        assert float_bytes(state.omega) == float_bytes(oracle.omega)
+        assert float_bytes(state.grad_accum) == float_bytes(oracle.grad_accum)
+        assert float_bytes((state.q1, state.q2)) == float_bytes((oracle.q1, oracle.q2))
+        assert (state.gamma, state.accum_epochs) == (oracle.gamma, oracle.accum_epochs)
+        # any channel, from far below the bottom rung to above the top one
+        rate = float(np.exp(rng.uniform(np.log(ladder[0] / 20.0), np.log(ladder[-1] * 2.0))))
+        feedback = EpochFeedback(rate, man.sizes_row(t), float(rng.uniform(0.0, b_max)))
+
+
+def compensated_sum(values, start=0):
+    """Float ``sum`` the way CPython 3.12 computes it: Neumaier summation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def l2a_bytes(history):
+    """The decisions and distributions of a session, in a fixed byte order."""
+    return (np.array([r.x for r in history], dtype="<i8").tobytes()
+            + np.array([r.omega for r in history], dtype="<f8").tobytes())
+
+
+def test_bytes_do_not_depend_on_the_float_sum(monkeypatch):
+    # the shadow sum rounds differently from a left fold, as 3.12's sum does
+    assert compensated_sum([0.1] * 10) == 1.0 != reduce(add, [0.1] * 10, 0.0)
+    horizon = 300
+    man = synthesize_manifest(horizon, LADDER, 2.0, vbr_jitter=0.1, seed=5)
+    trace = generate_markovian(3000, 750, 23000, 0.05, 1.0, seed=5)
+    cfg = SessionConfig(b_max_s=20.0, tau_resume=2)
+
+    def sessions():
+        return [
+            l2a_bytes(run_session(L2APolicy(LADDER, 2.0, 20.0, horizon, beta=beta), cfg, man, trace).history)
+            for beta in (1.0, 0.3)
+        ]
+
+    plain = sessions()
+    monkeypatch.setattr(abrsim.l2a, "sum", compensated_sum, raising=False)
+    assert sessions() == plain
+
+
+def test_a_closed_form_session_has_pinned_bytes():
+    # inputs from exact arithmetic on small integers, with no RNG and no libm,
+    # so every platform and Python version builds the same bits
+    horizon, v, b_max = 240, 2.0, 20.0
+    sizes = [[r * v * (1.0 + ((7 * t + 3 * n) % 11 - 5) / 100.0) for n, r in enumerate(LADDER)]
+             for t in range(horizon)]
+    rates = [(900.0 if (i // 40) % 3 == 0 else 23000.0) + 100.0 * (i % 7) for i in range(2000)]
+    policy = L2APolicy(LADDER, v, b_max, horizon, beta=0.5)
+    history = run_session(policy, SessionConfig(b_max_s=b_max, tau_resume=2),
+                          Manifest(v, LADDER, sizes), ChannelTrace(np.arange(2000.0), rates)).history
+    # every rung is chosen, the buffer underflows and the budget blocks steps
+    assert {r.x for r in history} == set(range(1, len(LADDER) + 1))
+    assert any(r.stall for r in history) and policy.state.gamma < horizon
+    assert (hashlib.sha256(l2a_bytes(history)).hexdigest()
+            == "08c41324f3f63830c8367e7cffb69d0bac71640b4dcb4c64308cea27d7443f68")
