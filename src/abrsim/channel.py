@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -112,38 +113,106 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.
 
     Samples below ``floor_kbps`` (outages are often logged as zero) are
-    replaced by the floor so every download makes progress.  Each row is
-    checked as it is parsed: the first unparseable, non-finite or
-    non-increasing row in file order is a TraceError naming its line.
+    replaced by the floor so every download makes progress.  The rows after
+    the header are parsed in one ``np.loadtxt`` call: blank lines are skipped
+    (but counted), columns after the second are ignored, values may be
+    quoted, and numbers follow numpy's grammar (no ``1_000``, ASCII digits
+    only).  The samples are then checked as a whole; only when a row cannot
+    be parsed, holds a NaN or inf, or does not increase the timestamp is the
+    file read again, from the handle already open, to name the first such
+    row in file order and its line.  A byte the file's encoding cannot decode
+    is a TraceError naming its line.
     """
     if not 0 < floor_kbps < math.inf:
         raise ValueError(f"floor_kbps must be positive and finite, got {floor_kbps!r}")
-    ts: list[float] = []
-    tp: list[float] = []
-    prev = -math.inf
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(TRACE_HEADER):
-            raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
+        try:
+            header = next(csv.reader([fh.readline()]))
+            if [h.strip() for h in header] != list(TRACE_HEADER):
+                raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
             try:
-                t, c = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise TraceError(f"{path}: line {reader.line_num}: cannot parse row {row!r}") from exc
-            if not (math.isfinite(t) and math.isfinite(c)):
-                raise TraceError(f"{path}: line {reader.line_num}: non-finite sample {(t, c)!r}")
-            if t <= prev:
-                raise TraceError(f"{path}: line {reader.line_num}: "
-                                 f"timestamps not increasing at sample {len(ts) + 1}")
-            ts.append(t)
-            tp.append(c)
-            prev = t
-    if len(ts) < 2:
-        raise TraceError(f"{path}: need at least 2 samples, got {len(ts)}")
-    return ChannelTrace(np.subtract(ts, ts[0]), np.maximum(tp, floor_kbps))
+                samples = _parse_samples(fh)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                samples = None
+            if samples is None or _sample_fault(samples) is not None:
+                raise TraceError(f"{path}: {_first_bad_row(fh, samples)}")
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: {undecodable(fh, exc)}") from None
+    if len(samples) < 2:
+        raise TraceError(f"{path}: need at least 2 samples, got {len(samples)}")
+    ts, tp = samples.T
+    return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
+
+
+def _parse_samples(lines, max_rows: int | None = None) -> np.ndarray:
+    """The (timestamp, throughput) columns of the trace rows in ``lines`` (an
+    open file after its header, or a list of lines), as an (n, 2) array: the
+    one number grammar of trace files."""
+    with warnings.catch_warnings():
+        # loadtxt warns when there are no rows, and when max_rows skips a blank line
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          usecols=(0, 1), ndmin=2, max_rows=max_rows)
+
+
+def _sample_fault(samples: np.ndarray) -> tuple[int, str] | None:
+    """The index of the first sample that is non-finite or does not increase
+    the timestamp, and what is wrong with it; None when every sample is good."""
+    finite = np.isfinite(samples).all(axis=1)
+    good = finite.copy()
+    good[1:] &= samples[1:, 0] > samples[:-1, 0]
+    bad = np.flatnonzero(~good)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if finite[i]:
+        return i, f"timestamps not increasing at sample {i + 1}"
+    return i, f"non-finite sample {tuple(samples[i].tolist())!r}"
+
+
+def _first_bad_row(fh, samples: np.ndarray | None) -> str:
+    """Rewind ``fh`` and describe the first bad row in file order, with its line.
+
+    ``samples`` holds every row, or is None when some row cannot be parsed:
+    then a bisection over row prefixes, with the same parser, finds the first
+    such row, and the rows before it are checked first.
+    """
+    fh.seek(0)
+    lines = fh.readlines()
+    # the line index of each row; line 1 is the header, and loadtxt skips blank lines
+    rows = [i for i, line in enumerate(lines) if i and line.strip("\r\n")]
+    if samples is None:
+        def unparseable(k: int) -> bool:
+            try:
+                _parse_samples(lines[1:], max_rows=k + 1)
+            except ValueError:
+                return True
+            return False
+
+        unparsed = bisect.bisect_left(range(len(rows)), True, key=unparseable)
+        samples = _parse_samples(lines[1:], max_rows=unparsed)
+    fault = _sample_fault(samples)
+    if fault is not None:
+        i, message = fault
+        return f"line {rows[i] + 1}: {message}"
+    # every row before the unparseable one is good, so it is the first bad row
+    row = next(csv.reader([lines[rows[unparsed]]]))
+    return f"line {rows[unparsed] + 1}: cannot parse row {row!r}"
+
+
+def undecodable(fh, exc: UnicodeDecodeError) -> str:
+    """Describe the first byte that the encoding of the text file ``fh``
+    cannot decode, with its line, by rewinding ``fh`` and decoding it whole
+    (``exc``, raised while reading it in chunks, knows no line)."""
+    fh.seek(0)
+    data = fh.buffer.read()
+    try:
+        data.decode(fh.encoding)
+    except UnicodeDecodeError as whole:
+        return f"line {len((data[:whole.start] + b'.').splitlines())}: {whole}"
+    return str(exc)
 
 
 def generate_markovian(

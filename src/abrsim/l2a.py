@@ -120,7 +120,6 @@ class L2AState:
     gamma: int = 0  # switch counter
     t: int = 0  # epochs decided so far
     grad_accum: list[float] = field(default_factory=list)
-    accum_epochs: int = 0
 
     @classmethod
     def initial(cls, n_levels: int) -> "L2AState":
@@ -158,14 +157,12 @@ def l2a_decide(
         a + v_l * -(r * w) + q1 * (d := s / c_prev) - q2 * d
         for a, r, s in zip(state.grad_accum, bitrates_kbps, sizes_prev)
     ]
-    state.accum_epochs += 1
 
     if state.gamma / t <= params.beta:
         denom = 2.0 * params.alpha
         state.omega = project_simplex([o - a / denom for o, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
         state.grad_accum = [0.0] * len(state.omega)
-        state.accum_epochs = 0
 
     # dual ascent on the queues, with the constraints at the post-step omega
     expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev

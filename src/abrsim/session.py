@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
-from .channel import ChannelTrace, download
+from .channel import ChannelTrace, download, undecodable
 from .media import Manifest
 
 __all__ = [
@@ -257,45 +257,49 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     schema preserves full float precision.  A row with the wrong number of
     fields, a non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a
     ``stall`` other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ...
-    is a ValueError naming the file, the line and the first bad column.
+    is a ValueError naming the file, the line and the first bad column.  So
+    is a byte the file's encoding cannot decode, with its line.
     """
     records: list[EpochRecord] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != LOG_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != LOG_COLUMNS:
+                raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
 
-        def bad_row(message: str) -> ValueError:
-            return ValueError(f"{path}: line {reader.line_num}: {message}")
+            def bad_row(message: str) -> ValueError:
+                return ValueError(f"{path}: line {reader.line_num}: {message}")
 
-        buffer_before = 0.0
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(LOG_COLUMNS):
-                got = f"expected {len(LOG_COLUMNS)} fields, got {len(row)}"
-                if len(row) < len(LOG_COLUMNS):
-                    raise bad_row(f"column {LOG_COLUMNS[len(row)]} missing; {got}")
-                raise bad_row(f"fields after column {LOG_COLUMNS[-1]}; {got}")
-            values = []
-            for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
-                try:
-                    value = parse(text)
-                except ValueError:
-                    kind = "an integer" if parse is int else "a number"
-                    raise bad_row(f"column {name}: {text!r} is not {kind}") from None
-                if not math.isfinite(value):
-                    raise bad_row(f"column {name} is {text!r}; values must be finite")
-                if name == "t" and value != len(records) + 1:
-                    raise bad_row(f"column t is {text!r}; expected epoch {len(records) + 1}")
-                if name == "stall" and value not in (0, 1):
-                    raise bad_row(f"column stall is {text!r}; expected 0 or 1")
-                values.append(value)
-            t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
-            records.append(EpochRecord(
-                t, x, bitrate, size, rate, download, delta,
-                buffer_before, buffer_after, bool(stall), stall_s,
-            ))
-            buffer_before = buffer_after
+            buffer_before = 0.0
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(LOG_COLUMNS):
+                    got = f"expected {len(LOG_COLUMNS)} fields, got {len(row)}"
+                    if len(row) < len(LOG_COLUMNS):
+                        raise bad_row(f"column {LOG_COLUMNS[len(row)]} missing; {got}")
+                    raise bad_row(f"fields after column {LOG_COLUMNS[-1]}; {got}")
+                values = []
+                for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
+                    try:
+                        value = parse(text)
+                    except ValueError:
+                        kind = "an integer" if parse is int else "a number"
+                        raise bad_row(f"column {name}: {text!r} is not {kind}") from None
+                    if not math.isfinite(value):
+                        raise bad_row(f"column {name} is {text!r}; values must be finite")
+                    if name == "t" and value != len(records) + 1:
+                        raise bad_row(f"column t is {text!r}; expected epoch {len(records) + 1}")
+                    if name == "stall" and value not in (0, 1):
+                        raise bad_row(f"column stall is {text!r}; expected 0 or 1")
+                    values.append(value)
+                t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
+                records.append(EpochRecord(
+                    t, x, bitrate, size, rate, download, delta,
+                    buffer_before, buffer_after, bool(stall), stall_s,
+                ))
+                buffer_before = buffer_after
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {undecodable(fh, exc)}") from None
     return records

@@ -1,4 +1,7 @@
 import bisect
+import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,9 +64,45 @@ def test_load_rejects_bad_header(tmp_path):
         load_trace(_write(tmp_path, ["0,5000", "1,8000"], header="time,rate"))
 
 
-def test_load_rejects_garbage_row(tmp_path):
-    with pytest.raises(TraceError, match="line 3"):
-        load_trace(_write(tmp_path, ["0,5000", "1,abc"]))
+@pytest.mark.parametrize(
+    "row, fields",
+    [
+        ("1,abc", ["1", "abc"]),
+        ("1", ["1"]),
+        # numbers follow numpy's grammar, narrower than float(): no digit
+        # separators and no non-ASCII digits
+        ("1,1_000", ["1", "1_000"]),
+        ("\u0661,8000", ["\u0661", "8000"]),
+    ],
+    ids=["word", "short", "underscore", "arabic-indic-digit"],
+)
+def test_load_rejects_garbage_row(tmp_path, row, fields):
+    path = _write(tmp_path, ["0,5000", row])
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: line 3: cannot parse row {fields!r}"
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["", "", ""]], ids=["header-only", "blank", "blanks"])
+def test_load_without_rows_needs_two_samples_and_warns_nothing(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(["timestamp_s,throughput_kbps", *rows]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+    assert str(info.value) == f"{path}: need at least 2 samples, got 0"
+
+
+def test_load_names_the_line_of_an_undecodable_byte(tmp_path):
+    # far enough into the file that it is not in the first chunk read
+    rows = [f"{i},5000" for i in range(2000)]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("timestamp_s,throughput_kbps\n" + "\n".join(rows) + "\n").encode()
+                     + b"2000,\xff\n2001,5000\n")
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value).startswith(f"{path}: line 2002: 'utf-8' codec can't decode byte 0xff ")
 
 
 @pytest.mark.parametrize("row", ["1,nan", "nan,8000", "1,inf", "inf,8000", "1,-inf"])
@@ -88,6 +127,98 @@ def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkey
     with pytest.raises(TraceError, match=f"{path}: line 3: non-finite sample"):
         load_trace(path)
     assert opened == [path]
+
+
+def reference_load_trace(path, floor_kbps=10.0):
+    """The row loop ``load_trace`` ran before it parsed with ``np.loadtxt``:
+    ``csv.reader`` and ``float()``, each row checked as it is read."""
+    ts, tp = [], []
+    prev = -math.inf
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["timestamp_s", "throughput_kbps"]:
+            raise TraceError(f"{path}: expected header timestamp_s,throughput_kbps")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                t, c = float(row[0]), float(row[1])
+            except (ValueError, IndexError) as exc:
+                raise TraceError(f"{path}: line {reader.line_num}: cannot parse row {row!r}") from exc
+            if not (math.isfinite(t) and math.isfinite(c)):
+                raise TraceError(f"{path}: line {reader.line_num}: non-finite sample {(t, c)!r}")
+            if t <= prev:
+                raise TraceError(f"{path}: line {reader.line_num}: "
+                                 f"timestamps not increasing at sample {len(ts) + 1}")
+            ts.append(t)
+            tp.append(c)
+            prev = t
+    if len(ts) < 2:
+        raise TraceError(f"{path}: need at least 2 samples, got {len(ts)}")
+    return ChannelTrace(np.subtract(ts, ts[0]), np.maximum(tp, floor_kbps))
+
+
+FAULTS = {
+    "unparseable": lambda t, c: [t, "abc"],
+    "empty": lambda t, c: ["", c],
+    "short": lambda t, c: [t],
+    "nan": lambda t, c: [t, "nan"],
+    "inf": lambda t, c: ["inf", c],
+    "-inf": lambda t, c: [t, "-inf"],
+}
+
+
+@st.composite
+def trace_files(draw):
+    """The text of a trace file: LF or CRLF endings, blank lines, a third
+    column, quoted values, numbers written several ways, and at most two
+    faults (a bad field, a short row, a NaN or inf, a timestamp that does not
+    increase), so that the first one in file order must be the one named."""
+    n = draw(st.integers(0, 12))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    rates = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
+    start = draw(st.floats(0.0, 1e6))
+    times = np.cumsum([start, *steps])[1:].tolist() if n else []
+    spell = st.sampled_from([repr, lambda x: f"{x:.6g}", lambda x: f"{x:.3e}",
+                             lambda x: f"{x:.1f}", lambda x: f" {x!r} "])
+    spelt = [(draw(spell)(t), draw(spell)(c)) for t, c in zip(times, rates)]
+    rows = [list(fields) for fields in spelt]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from([*FAULTS, "not-increasing"]))
+        if kind == "not-increasing":
+            if i > 0:
+                rows[i][0] = draw(spell)(times[i - 1] - draw(st.sampled_from([0.0, 0.5])))
+        else:
+            rows[i] = FAULTS[kind](*spelt[i])
+    lines = ["timestamp_s,throughput_kbps"]
+    for fields in rows:
+        if draw(st.booleans()) and all(f.strip() == f for f in fields):
+            fields = [f'"{f}"' for f in fields]
+        if len(fields) == 2 and draw(st.booleans()):
+            fields = [*fields, draw(st.sampled_from(["x", "", "1e5", "a b"]))]
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def load_outcome(load, path):
+    """The trace's bytes, or the message of the TraceError raised."""
+    try:
+        trace = load(path)
+    except TraceError as exc:
+        return str(exc)
+    return trace.timestamps_s.tobytes(), trace.throughputs_kbps.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_files())
+def test_load_matches_the_row_loop_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
+    path.write_bytes(text.encode())
+    assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
 
 
 @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])

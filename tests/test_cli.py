@@ -488,6 +488,16 @@ def test_compare_scenario_override(tmp_path):
     assert doc["method"] == "rb"
 
 
+def test_undecodable_trace_is_an_input_error(assets, tmp_path, capsys):
+    manifest, trace = assets
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(trace.read_bytes().replace(b"\n", b"\n\xff", 1))
+    assert run_cli("run", "--manifest", manifest, "--trace", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"abrsim: error: {bad}: line 2: 'utf-8' codec can't decode byte 0xff ")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_error(tmp_path, capsys):
     assert run_cli("run", "--manifest", tmp_path / "no.json", "--trace", tmp_path / "no.csv") == 1
     assert "error" in capsys.readouterr().err

@@ -95,13 +95,11 @@ def scalar_decide(state, params, feedback, bitrates_kbps, segment_duration_s, b_
         a + v_l * f + q1 * g1 + q2 * g2
         for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
     ]
-    state.accum_epochs += 1
     if state.gamma / state.t <= params.beta:
         denom = 2.0 * params.alpha
         state.omega = project_simplex([w - a / denom for w, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
         state.grad_accum = [0.0] * len(state.omega)
-        state.accum_epochs = 0
     _, g1, g2 = loss_and_constraints(
         state.omega, sizes_prev, bitrates_kbps, c_prev, segment_duration_s, b_max_s,
         params.horizon_t,
@@ -421,14 +419,12 @@ def reference_decide(state, params, feedback, bitrates_kbps, segment_duration_s,
     state.grad_accum = (
         state.grad_accum + params.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
     )
-    state.accum_epochs += 1
     omega_new = state.omega
     if state.gamma / state.t <= params.beta:
         step_vec = state.grad_accum / (2.0 * params.alpha)
         omega_new = np.array(project_simplex(state.omega - step_vec))
         state.gamma += 1
         state.grad_accum = np.zeros_like(state.grad_accum)
-        state.accum_epochs = 0
     expected_dl = float(sizes @ omega_new) / c_prev
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / params.horizon_t
@@ -505,7 +501,7 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
         assert float_bytes(state.omega) == float_bytes(oracle.omega)
         assert float_bytes(state.grad_accum) == float_bytes(oracle.grad_accum)
         assert float_bytes((state.q1, state.q2)) == float_bytes((oracle.q1, oracle.q2))
-        assert (state.gamma, state.accum_epochs) == (oracle.gamma, oracle.accum_epochs)
+        assert state.gamma == oracle.gamma
         # any channel, from far below the bottom rung to above the top one
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 20.0), np.log(ladder[-1] * 2.0))))
         feedback = EpochFeedback(rate, man.sizes_row(t), float(rng.uniform(0.0, b_max)))

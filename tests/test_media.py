@@ -127,6 +127,10 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ManifestError):
         load_manifest(path)
+    path.write_bytes(b'{"segment_duration_s": 2.0, "bitrates_kbps": [1000, \xff]}')
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"cannot read manifest {path}: 'utf-8' codec can't decode byte 0xff ")
 
 
 def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):

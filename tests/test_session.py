@@ -248,6 +248,20 @@ def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     assert str(info.value) == f"{path}: line 4: {message}"
 
 
+def test_log_csv_names_the_line_of_an_undecodable_byte(tmp_path):
+    man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
+    state = run_session(ScriptedPolicy([1, 2, 1]), SessionConfig(b_max_s=120.0), man,
+                        constant_trace(1000.0))
+    path = tmp_path / "log.csv"
+    export_log_csv(state.history, path)
+    data = path.read_bytes()
+    third = data.index(b"\n3,")
+    path.write_bytes(data[:third] + b"\n3,\xff" + data[third + 3:])
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value).startswith(f"{path}: line 4: 'utf-8' codec can't decode byte 0xff ")
+
+
 # ---------------------------------------------------------------------------
 # properties on random traces and manifests
 
