@@ -7,9 +7,10 @@ policy: it maximizes a joint utility of log-bitrate value and buffer
 occupancy per size unit, with an oscillation cap that limits up-switches to
 the level sustainable at the recently observed throughput.
 
-Both are reconstructions of well-known design principles; exact parameters
-are documented defaults, not ground truth, and everything is overridable.
-Both share the conservative lowest-quality cold start.
+Both are reconstructions of well-known design principles; RB's parameters
+are documented defaults, not ground truth, and BB derives its two from the
+ladder and the buffer bound.  Neither takes a tuning argument.  Both share
+the conservative lowest-quality cold start.
 """
 
 from __future__ import annotations
@@ -112,13 +113,10 @@ def rb_decide(
 
 
 class RBPolicy:
-    """Session adapter for the throughput-probe policy.
+    """Session adapter for the throughput-probe policy, at the ``RBParams`` defaults."""
 
-    Keyword arguments are the ``RBParams`` fields.
-    """
-
-    def __init__(self, bitrates_kbps, **params):
-        self.params = RBParams(**params)
+    def __init__(self, bitrates_kbps):
+        self.params = RBParams()
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.state = RBState()
 
@@ -215,23 +213,14 @@ class BBPolicy:
     """Session adapter for the buffer-utility policy.
 
     Needs the manifest because the utility uses the upcoming segment's actual
-    sizes, which the client knows ahead of time.
+    sizes, which the client knows ahead of time; ``v_b`` and ``gamma_p`` come
+    from ``derive_bb_parameters``.
     """
 
-    def __init__(
-        self,
-        manifest: Manifest,
-        b_max_s: float,
-        v_b: float | None = None,
-        gamma_p: float | None = None,
-    ):
-        default_vb, default_gp = derive_bb_parameters(
+    def __init__(self, manifest: Manifest, b_max_s: float):
+        self.state = BBState(*derive_bb_parameters(
             manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s
-        )
-        self.state = BBState(
-            v_b=default_vb if v_b is None else v_b,
-            gamma_p=default_gp if gamma_p is None else gamma_p,
-        )
+        ))
         self._manifest = manifest
         self._t = 0
 

@@ -36,21 +36,10 @@ COMPARISON_COLUMNS = (
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
 SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
-# method-spec key -> parameter name, per policy; unset keys take the defaults of
-# L2AParams, RBParams and derive_bb_parameters.  `run`'s policy flags have these
-# keys as their dests and default to None (unset).
-POLICY_PARAMS = {
-    "l2a": {key: key for key in ("beta", "epsilon", "v_l", "alpha")},
-    "rb": {"kappa": "kappa", "w": "probe_increment_kbps", "deadzone": "deadzone",
-           "ewma": "ewma_weight"},
-    "bb": {"v_b": "v_b", "gamma_p": "gamma_p"},
-}
-# `run`'s policy flags, per policy: option string -> method-spec key (its dest)
-RUN_POLICY_FLAGS = {
-    "l2a": {"--beta": "beta", "--epsilon": "epsilon", "--alpha": "alpha"},
-    "rb": {"--rb.kappa": "kappa", "--rb.w": "w", "--rb.deadzone": "deadzone", "--rb.ewma": "ewma"},
-    "bb": {"--bb.vb": "v_b", "--bb.gamma-p": "gamma_p"},
-}
+# β is the one policy setting; every other parameter is derived (L2A's v_l and
+# alpha from T, bb's v_b and gamma_p from the ladder and the buffer) or fixed
+# at the defaults of L2AParams and RBParams
+POLICIES = ("l2a", "rb", "bb")
 CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "floor_kbps", "manifest", "traces", "methods")
 
 
@@ -78,22 +67,20 @@ def method_name(spec: dict) -> str:
 
 
 def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t: int):
-    """Instantiate a policy from a method spec: ``abr``, ``name`` and that policy's keys."""
+    """Instantiate a policy from a method spec: ``abr``, ``name`` and, for ``l2a``, ``beta``."""
     kind = spec.get("abr")
-    if kind not in POLICY_PARAMS:
+    if kind not in POLICIES:
         raise CliError(f"unknown abr method {kind!r} (expected l2a, rb, or bb)")
-    names = POLICY_PARAMS[kind]
+    keys = ("abr", "name", "beta") if kind == "l2a" else ("abr", "name")
     for key in spec:
-        if key not in names and key not in ("abr", "name"):
-            raise CliError(f"unknown key {key!r} for abr method {kind!r} (expected {', '.join(names)})")
-    params = {names[key]: value for key, value in spec.items() if key in names}
+        if key not in keys:
+            raise CliError(f"unknown key {key!r} for abr method {kind!r} (expected {', '.join(keys)})")
     if kind == "l2a":
-        return L2APolicy(
-            manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t, **params
-        )
+        return L2APolicy(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t,
+                         beta=spec.get("beta", L2AParams.beta))
     if kind == "rb":
-        return RBPolicy(manifest.bitrates_kbps, **params)
-    return BBPolicy(manifest, b_max_s, **params)
+        return RBPolicy(manifest.bitrates_kbps)
+    return BBPolicy(manifest, b_max_s)
 
 
 # `generate` block keys: (required, optional), for the manifest and the traces
@@ -119,6 +106,26 @@ def _generate_block(spec: dict, what: str) -> dict:
     return block
 
 
+def _number(block: dict, key: str, default=None, *, integral: bool = False,
+            where: str = "the config"):
+    """``block[key]`` (or ``default``) as a float, or as an int if ``integral``.
+
+    A bool, a non-number or, for an integer field, a value that is not
+    integral is a CliError naming the key.
+    """
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"key {key!r} in {where} must be a number, got {value!r}")
+    if not integral:
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            raise CliError(f"key {key!r} in {where} is out of the float range") from None
+    if isinstance(value, float) and not value.is_integer():
+        raise CliError(f"key {key!r} in {where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_manifest(spec, seed: int) -> media.Manifest:
     if isinstance(spec, str):
         return media.load_manifest(spec)
@@ -126,12 +133,13 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
         return media.load_manifest(spec["path"])
     if isinstance(spec, dict) and "generate" in spec:
         g = _generate_block(spec, "manifest")
+        where = "the manifest 'generate' block"
         return media.synthesize_manifest(
-            int(g["num_segments"]),
+            _number(g, "num_segments", integral=True, where=where),
             g["bitrates_kbps"],
-            float(g["segment_duration_s"]),
-            vbr_jitter=float(g.get("vbr_jitter", 0.0)),
-            seed=int(g.get("seed", seed)),
+            _number(g, "segment_duration_s", where=where),
+            vbr_jitter=_number(g, "vbr_jitter", 0.0, where=where),
+            seed=_number(g, "seed", seed, integral=True, where=where),
         )
     raise CliError("manifest spec needs 'path' or 'generate'")
 
@@ -142,16 +150,13 @@ def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, chann
         g = _generate_block(spec, "traces")
         if g.get("kind", "markovian") != "markovian":
             raise CliError(f"unknown trace kind {g['kind']!r} (expected 'markovian')")
-        count = int(g.get("count", 1))
+        where = "the traces 'generate' block"
+        count = _number(g, "count", 1, integral=True, where=where)
+        args = [_number(g, key, where=where)
+                for key in ("duration_s", "low_kbps", "high_kbps", "p_transition")]
+        step_s = _number(g, "step_s", 1.0, where=where)
         for i in range(count):
-            tr = channel.generate_markovian(
-                float(g["duration_s"]),
-                float(g["low_kbps"]),
-                float(g["high_kbps"]),
-                float(g["p_transition"]),
-                step_s=float(g.get("step_s", 1.0)),
-                seed=seed + i,
-            )
+            tr = channel.generate_markovian(*args, step_s=step_s, seed=seed + i)
             out.append((f"markovian-{seed + i:04d}", tr))
         return out
     if isinstance(spec, list):
@@ -236,10 +241,10 @@ def run_compare(config: dict, out_dir: Path) -> None:
     scenario = config.get("scenario", "vod")
     if scenario not in SCENARIO_BMAX:
         raise CliError(f"unknown scenario {scenario!r}")
-    b_max = float(config.get("b_max_s", SCENARIO_BMAX[scenario]))
-    tau = int(config.get("tau", DEFAULT_TAU))
-    seed = int(config.get("seed", 0))
-    floor = float(config.get("floor_kbps", channel.DEFAULT_FLOOR_KBPS))
+    b_max = _number(config, "b_max_s", SCENARIO_BMAX[scenario])
+    tau = _number(config, "tau", DEFAULT_TAU, integral=True)
+    seed = _number(config, "seed", 0, integral=True)
+    floor = _number(config, "floor_kbps", channel.DEFAULT_FLOOR_KBPS)
     methods = config.get("methods") or []
     if not methods:
         raise CliError("config needs at least one method")
@@ -333,10 +338,8 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    foreign = [flag for kind, flags in RUN_POLICY_FLAGS.items() if kind != args.abr
-               for flag, key in flags.items() if getattr(args, key) is not None]
-    if foreign:
-        raise CliError(f"{', '.join(foreign)} not used by --abr {args.abr}")
+    if args.beta is not None and args.abr != "l2a":
+        raise CliError(f"--beta not used by --abr {args.abr}")
     manifest = media.load_manifest(args.manifest)
     horizon = manifest.num_segments
     k = args.k if args.k is not None else _default_k(horizon)
@@ -345,9 +348,7 @@ def _cmd_run(args) -> int:
     trace = channel.load_trace(args.trace, floor_kbps=args.floor)
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
     cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
-    spec = {key: value for key, value in vars(args).items()
-            if key in POLICY_PARAMS[args.abr] and value is not None}
-    spec["abr"] = args.abr
+    spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
     policy = build_policy(spec, manifest, b_max, horizon)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
@@ -433,14 +434,8 @@ def _parse_bitrates(text: str) -> list[float]:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abr", choices=tuple(POLICY_PARAMS), default="l2a")
-    helps = {
-        "--beta": "switch-rate budget in (0, 1]",
-        "--epsilon": "cautiousness v_l = T^(1 - epsilon/2); step size derived unless --alpha",
-    }
-    for flags in RUN_POLICY_FLAGS.values():
-        for flag, key in flags.items():
-            p.add_argument(flag, dest=key, type=float, help=helps.get(flag))
+    p.add_argument("--abr", choices=POLICIES, default="l2a")
+    p.add_argument("--beta", type=float, help="l2a switch-rate budget in (0, 1]")
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:

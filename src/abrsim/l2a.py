@@ -174,12 +174,13 @@ def l2a_decide(
 class L2APolicy:
     """Session adapter that owns one controller state per stream.
 
-    Keyword arguments are the ``L2AParams`` schedule fields.
+    ``beta`` is the switch-rate budget, the one setting; v_l and alpha take
+    the ``L2AParams`` schedule derived from ``horizon_t``.
     """
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
-                 horizon_t: int, **params):
-        self.params = L2AParams(horizon_t, **params)
+                 horizon_t: int, beta: float = 1.0):
+        self.params = L2AParams(horizon_t, beta=beta)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.segment_duration_s = float(segment_duration_s)
         self.b_max_s = float(b_max_s)

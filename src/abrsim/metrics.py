@@ -212,6 +212,8 @@ def solve_benchmark(
     t_total = rates_c.size
     if not 1 <= k <= t_total:
         raise ValueError(f"window k={k} outside 1..{t_total}")
+    if not 0.0 < b_max_s < math.inf:
+        raise ValueError(f"b_max_s must be positive and finite, got {b_max_s!r}")
     if t_total > manifest.num_segments:
         raise ValueError("more realized rates than manifest segments")
     bad = np.flatnonzero(~np.isfinite(rates_c))

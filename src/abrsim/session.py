@@ -30,7 +30,6 @@ __all__ = [
     "SessionConfig",
     "SessionState",
     "export_log_csv",
-    "log_row",
     "read_log_csv",
     "run_session",
     "step",
@@ -227,22 +226,18 @@ def run_session(
     return state
 
 
-def log_row(r: EpochRecord) -> tuple:
-    """One record's values in ``LOG_COLUMNS`` order, as the log stores them."""
-    # unpacking the tuple costs less than ten attribute reads
-    t, x, bitrate, size, rate, download, delta, _, buffer_after, stall, stall_s, _ = r
-    return (
-        t, x, float(bitrate), float(size), float(rate), float(download), float(delta),
-        float(buffer_after), int(stall), float(stall_s),
-    )
-
-
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
-        writer.writerows(log_row(r) for r in history)
+        # each record's values in LOG_COLUMNS order; unpacking the tuple costs
+        # less than ten attribute reads
+        writer.writerows(
+            (t, x, float(bitrate), float(size), float(rate), float(download), float(delta),
+             float(buffer_after), int(stall), float(stall_s))
+            for t, x, bitrate, size, rate, download, delta, _, buffer_after, stall, stall_s, _ in history
+        )
 
 
 # the type each LOG_COLUMNS field is read back as

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from abrsim import BBState, L2AParams, RBParams, load_manifest, load_trace, session
-from abrsim.cli import POLICY_PARAMS, build_parser, main
+from abrsim import load_manifest, load_trace, session
+from abrsim.cli import main
 
 
 def run_cli(*argv):
@@ -102,22 +101,9 @@ def test_run_live_scenario_bmax(assets, tmp_path):
     assert all(rec.buffer_after_s <= 20.0 for rec in records)
 
 
-def test_run_epsilon_sets_cautiousness(assets, tmp_path):
-    manifest, trace = assets
-    logs = {}
-    for epsilon in (None, "0.8"):
-        out = tmp_path / f"eps-{epsilon}"
-        flags = () if epsilon is None else ("--epsilon", epsilon)
-        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--out", out, *flags) == 0
-        logs[epsilon] = (out / "session_l2a-beta1.csv").read_bytes()
-    assert logs[None] != logs["0.8"]
-    with pytest.raises(SystemExit):
-        run_cli("run", "--manifest", manifest, "--trace", trace, "--vl-exponent", "0.6")
-
-
 def test_run_rejects_another_policys_flags(assets, tmp_path, capsys):
     manifest, trace = assets
-    for abr, flags in (("rb", ("--beta", "0.3")), ("l2a", ("--rb.kappa", "0.2"))):
+    for abr, flags in (("rb", ("--beta", "0.3")), ("bb", ("--beta", "0.3"))):
         out = tmp_path / abr
         assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", abr, "--out", out, *flags) == 1
         assert f"{flags[0]} not used by --abr {abr}" in capsys.readouterr().err
@@ -168,19 +154,10 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
     # the session log has one format, the CSV that `benchmark` reads
     with pytest.raises(SystemExit):
         run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, "--format", "json")
-
-
-def test_policy_keys_are_the_parameter_fields():
-    def fields(cls):
-        return {f.name for f in dataclasses.fields(cls)}
-
-    assert set(POLICY_PARAMS["l2a"].values()) == fields(L2AParams) - {"horizon_t"}
-    assert set(POLICY_PARAMS["rb"].values()) == fields(RBParams)
-    assert set(POLICY_PARAMS["bb"].values()) == fields(BBState) - {"last_index"}
-    args = vars(build_parser().parse_args(["run", "--manifest", "m.json", "--trace", "t.csv"]))
-    flags = {key: args[key] for keys in POLICY_PARAMS.values() for key in keys if key in args}
-    assert set(flags) == {"beta", "epsilon", "alpha", "kappa", "w", "deadzone", "ewma", "v_b", "gamma_p"}
-    assert all(value is None for value in flags.values())
+    # beta is the one policy setting; the tuning overrides are gone
+    for flag in ("--epsilon", "--alpha", "--rb.kappa", "--bb.vb", "--vl-exponent"):
+        with pytest.raises(SystemExit):
+            run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, flag, "0.5")
 
 
 def test_concat_traces(tmp_path):
@@ -227,6 +204,19 @@ def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
     )
+
+
+def test_benchmark_rejects_a_bad_bmax(assets, tmp_path, capsys):
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    capsys.readouterr()
+    # nan once pivoted to a RuntimeError traceback; inf, 0 and -5 were scored
+    for bmax in ("nan", "inf", "0", "-5"):
+        assert run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv", "--bmax", bmax) == 1
+        err = capsys.readouterr().err
+        assert err == f"abrsim: error: b_max_s must be positive and finite, got {float(bmax)!r}\n"
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("which", ["zero", "above-top"])
@@ -388,16 +378,29 @@ def test_compare_unknown_method_fails_with_name(tmp_path, capsys):
     assert "mystery" in err and "markovian-0000" in err
 
 
-def test_compare_rejects_unknown_method_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "abr, name, keys",
+    [
+        # average_blocked_grads is a removed ablation switch; epsilon, v_l and
+        # alpha are removed tuning overrides, as are kappa and v_b
+        ("l2a", "l2a-beta1", ("betta", "vl_exponent", "average_blocked_grads", "epsilon", "v_l", "alpha")),
+        ("rb", "rb", ("kappa",)),
+        ("bb", "bb", ("v_b",)),
+    ],
+    ids=["l2a", "rb", "bb"],
+)
+def test_compare_rejects_unknown_method_key(tmp_path, capsys, abr, name, keys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
-    # average_blocked_grads is a removed ablation switch
-    for key in ("betta", "vl_exponent", "average_blocked_grads"):
-        cfg["methods"] = [{"abr": "l2a", key: 0.3}]
+    for key in keys:
+        cfg["methods"] = [{"abr": abr, key: 0.3}]
         cfg_path.write_text(json.dumps(cfg))
-        assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / key) == 1
+        out = tmp_path / key
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert repr(key) in err and "l2a-beta1" in err
+        assert f"cannot build method {name!r}" in err
+        assert f"unknown key {key!r} for abr method {abr!r} (expected abr, name" in err
+        assert not out.exists()
 
 
 def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
@@ -446,6 +449,40 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value, expected",
+    [
+        (None, "tau", 2.7, "key 'tau' in the config must be an integer, got 2.7"),
+        (None, "tau", True, "key 'tau' in the config must be a number, got True"),
+        (None, "seed", 1.9, "key 'seed' in the config must be an integer, got 1.9"),
+        (None, "seed", "x", "key 'seed' in the config must be a number, got 'x'"),
+        (None, "b_max_s", None, "key 'b_max_s' in the config must be a number, got None"),
+        ("manifest", "num_segments", 20.7,
+         "key 'num_segments' in the manifest 'generate' block must be an integer, got 20.7"),
+        ("manifest", "vbr_jitter", False,
+         "key 'vbr_jitter' in the manifest 'generate' block must be a number, got False"),
+        ("traces", "duration_s", "abc",
+         "key 'duration_s' in the traces 'generate' block must be a number, got 'abc'"),
+        ("traces", "duration_s", 10**400,
+         "key 'duration_s' in the traces 'generate' block is out of the float range"),
+        ("traces", "count", float("inf"),
+         "key 'count' in the traces 'generate' block must be an integer, got inf"),
+    ],
+    ids=["tau-fraction", "tau-bool", "seed-fraction", "seed-string", "bmax-null",
+         "segments-fraction", "jitter-bool", "duration-string", "duration-huge", "count-inf"],
+)
+def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value, expected):
+    # each was once truncated, read as 1 or 0, or failed with a message that named no field
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    (cfg if block is None else cfg[block]["generate"])[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == f"abrsim: error: {expected}\n"
+    assert not out.exists()
 
 
 def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):

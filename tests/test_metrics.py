@@ -213,6 +213,9 @@ def test_benchmark_validation():
         solve_benchmark(man, [2000.0] * 11, 5, 2.0, 120.0)
     with pytest.raises(ValueError):
         solve_benchmark(man, [2000.0] * 9 + [0.0], 5, 2.0, 120.0)
+    for b_max in (float("nan"), float("inf"), 0.0, -5.0):
+        with pytest.raises(ValueError, match=f"b_max_s must be positive and finite, got {b_max!r}"):
+            solve_benchmark(man, [2000.0] * 10, 5, 2.0, b_max)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
