@@ -7,7 +7,6 @@ underlying numpy matrices are plain 0-based arrays.
 from .baselines import (
     BBPolicy,
     BBState,
-    RBParams,
     RBPolicy,
     RBState,
     bb_decide,
@@ -25,7 +24,6 @@ from .channel import (
     write_trace,
 )
 from .l2a import (
-    L2AParams,
     L2APolicy,
     L2AState,
     l2a_decide,
@@ -66,12 +64,10 @@ __all__ = [
     "DownloadResult",
     "EpochFeedback",
     "EpochRecord",
-    "L2AParams",
     "L2APolicy",
     "L2AState",
     "Manifest",
     "ManifestError",
-    "RBParams",
     "RBPolicy",
     "RBState",
     "ScriptedPolicy",

@@ -7,10 +7,11 @@ policy: it maximizes a joint utility of log-bitrate value and buffer
 occupancy per size unit, with an oscillation cap that limits up-switches to
 the level sustainable at the recently observed throughput.
 
-Both are reconstructions of well-known design principles; RB's parameters
-are documented defaults, not ground truth, and BB derives its two from the
-ladder and the buffer bound.  Neither takes a tuning argument.  Both share
-the conservative lowest-quality cold start.
+Both are reconstructions of well-known design principles.  RB's four
+parameters are module constants, documented defaults rather than ground
+truth, and BB derives its two from the ladder and the buffer bound when the
+policy is built.  Neither takes a tuning argument.  Both share the
+conservative lowest-quality cold start.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .media import Manifest
-from .session import EpochFeedback, require_finite
+from .session import EpochFeedback
 
 __all__ = [
     "BBPolicy",
     "BBState",
-    "RBParams",
     "RBPolicy",
     "RBState",
     "bb_decide",
@@ -39,21 +39,10 @@ __all__ = [
 # RB: throughput probe + smoothing + dead-zone quantizer
 
 
-@dataclass
-class RBParams:
-    kappa: float = 0.14  # probe gain per epoch
-    probe_increment_kbps: float = 300.0  # additive probing margin w
-    deadzone: float = 0.15  # up-switch only if smoothed >= (1 + deadzone) * rate
-    ewma_weight: float = 0.2
-
-    def __post_init__(self) -> None:
-        require_finite(self, "kappa", "probe_increment_kbps", "deadzone", "ewma_weight")
-        if self.kappa <= 0 or self.probe_increment_kbps <= 0:
-            raise ValueError("kappa and probe_increment_kbps must be positive")
-        if not 0 <= self.deadzone:
-            raise ValueError("deadzone must be non-negative")
-        if not 0 < self.ewma_weight <= 1:
-            raise ValueError("ewma_weight must be in (0, 1]")
+RB_KAPPA = 0.14  # probe gain per epoch
+RB_PROBE_KBPS = 300.0  # additive probing margin w
+RB_DEADZONE = 0.15  # up-switch only if smoothed >= (1 + deadzone) * rate
+RB_EWMA_WEIGHT = 0.2
 
 
 @dataclass
@@ -64,13 +53,8 @@ class RBState:
     initialized: bool = False
 
 
-def rb_decide(
-    state: RBState,
-    params: RBParams,
-    feedback: EpochFeedback | None,
-    bitrates_kbps,
-) -> tuple[int, RBState]:
-    """Throughput-probe decision; mutates and returns state.
+def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> int:
+    """Throughput-probe decision; mutates ``state``.
 
     The probe rises additively by kappa*w per epoch while below the observed
     rate and is pulled down proportionally to its overshoot, so a constant
@@ -80,7 +64,7 @@ def rb_decide(
     """
     if feedback is None:
         state.last_index = 1
-        return 1, state
+        return 1
 
     observed = float(feedback.realized_rate_kbps)
     if not state.initialized:
@@ -88,15 +72,14 @@ def rb_decide(
         state.bw_smooth_kbps = observed
         state.initialized = True
     else:
-        w = params.probe_increment_kbps
-        overshoot = max(state.bw_probe_kbps - observed + w, 0.0)
-        state.bw_probe_kbps = max(state.bw_probe_kbps + params.kappa * (w - overshoot), 0.0)
-        state.bw_smooth_kbps += params.ewma_weight * (state.bw_probe_kbps - state.bw_smooth_kbps)
+        overshoot = max(state.bw_probe_kbps - observed + RB_PROBE_KBPS, 0.0)
+        state.bw_probe_kbps = max(state.bw_probe_kbps + RB_KAPPA * (RB_PROBE_KBPS - overshoot), 0.0)
+        state.bw_smooth_kbps += RB_EWMA_WEIGHT * (state.bw_probe_kbps - state.bw_smooth_kbps)
 
     smooth = state.bw_smooth_kbps
     up = 0
     for n, r in enumerate(bitrates_kbps, start=1):
-        if (1.0 + params.deadzone) * r <= smooth:
+        if (1.0 + RB_DEADZONE) * r <= smooth:
             up = n
     cur = state.last_index
     if up > cur:
@@ -109,20 +92,18 @@ def rb_decide(
     else:
         new = cur
     state.last_index = new
-    return new, state
+    return new
 
 
 class RBPolicy:
-    """Session adapter for the throughput-probe policy, at the ``RBParams`` defaults."""
+    """Session adapter for the throughput-probe policy."""
 
     def __init__(self, bitrates_kbps):
-        self.params = RBParams()
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.state = RBState()
 
     def decide(self, feedback: EpochFeedback | None) -> int:
-        x, self.state = rb_decide(self.state, self.params, feedback, self.bitrates_kbps)
-        return x
+        return rb_decide(self.state, feedback, self.bitrates_kbps)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +115,6 @@ class BBState:
     v_b: float
     gamma_p: float
     last_index: int = 1
-
-    def __post_init__(self) -> None:
-        require_finite(self, "v_b", "gamma_p")
-        if self.v_b <= 0 or self.gamma_p <= 0:
-            raise ValueError("v_b and gamma_p must be positive")
 
 
 def derive_bb_parameters(
@@ -176,8 +152,8 @@ def bb_decide(
     bitrates_kbps,
     sizes_row_kbit,
     segment_duration_s: float,
-) -> tuple[int, BBState]:
-    """Buffer-utility decision; mutates and returns state.
+) -> int:
+    """Buffer-utility decision; mutates ``state``.
 
     Maximizes (v_b * (ln(S_n/S_1) + gamma_p) - buffer_segments) / S_n over the
     ladder, on Python floats; ``sizes_row_kbit`` is any sequence of the
@@ -188,7 +164,7 @@ def bb_decide(
     """
     if feedback is None:
         state.last_index = 1
-        return 1, state
+        return 1
 
     buffer_segments = float(feedback.buffer_s) / segment_duration_s
     v_b, gamma_p = state.v_b, state.gamma_p
@@ -206,7 +182,7 @@ def bb_decide(
             m = max(sustainable, state.last_index)
 
     state.last_index = m
-    return m, state
+    return m
 
 
 class BBPolicy:
@@ -226,12 +202,10 @@ class BBPolicy:
 
     def decide(self, feedback: EpochFeedback | None) -> int:
         self._t += 1
-        row = self._manifest.sizes_row(self._t)
-        x, self.state = bb_decide(
+        return bb_decide(
             self.state,
             feedback,
             self._manifest.bitrates_kbps,
-            row,
+            self._manifest.sizes_row(self._t),
             self._manifest.segment_duration_s,
         )
-        return x

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, media, metrics, session
 from .baselines import BBPolicy, RBPolicy
-from .l2a import L2AParams, L2APolicy
+from .l2a import L2APolicy, check_beta
 
 SCENARIO_BMAX = {"vod": 120.0, "live": 20.0}
 DEFAULT_TAU = 2
@@ -36,9 +36,9 @@ COMPARISON_COLUMNS = (
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
 SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
-# β is the one policy setting; every other parameter is derived (L2A's v_l and
-# alpha from T, bb's v_b and gamma_p from the ladder and the buffer) or fixed
-# at the defaults of L2AParams and RBParams
+# β is the one policy setting; every other parameter is derived when the policy
+# is built (L2A's v_l and alpha from T, bb's v_b and gamma_p from the ladder and
+# the buffer) or a module constant (L2A's EPSILON, rb's RB_* constants)
 POLICIES = ("l2a", "rb", "bb")
 CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "floor_kbps", "manifest", "traces", "methods")
 
@@ -57,12 +57,21 @@ def _default_k(horizon: int) -> int:
 
 
 def method_name(spec: dict) -> str:
-    if spec.get("name"):
-        return str(spec["name"])
+    """The method's ``name``, or one made from ``abr`` and, for ``l2a``, ``beta``.
+
+    A name is part of the artifact file names, so one that is not a string,
+    is empty, or holds a path separator or a NUL is a CliError.
+    """
+    if "name" in spec:
+        name = spec["name"]
+        if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+            raise CliError(f"method name {name!r} must be a non-empty string"
+                           " with no path separator or NUL")
+        return name
     kind = spec.get("abr", "?")
     if kind == "l2a":
-        # built first, so a bad beta gets the parameter error rather than a format error
-        return f"l2a-beta{L2AParams(1, beta=spec.get('beta', L2AParams.beta)).beta:g}"
+        # checked first, so a bad beta gets the parameter error rather than a format error
+        return f"l2a-beta{check_beta(spec.get('beta', 1.0)):g}"
     return str(kind)
 
 
@@ -77,7 +86,7 @@ def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t
             raise CliError(f"unknown key {key!r} for abr method {kind!r} (expected {', '.join(keys)})")
     if kind == "l2a":
         return L2APolicy(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t,
-                         beta=spec.get("beta", L2AParams.beta))
+                         beta=spec.get("beta", 1.0))
     if kind == "rb":
         return RBPolicy(manifest.bitrates_kbps)
     return BBPolicy(manifest, b_max_s)
@@ -130,13 +139,23 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
     if isinstance(spec, str):
         return media.load_manifest(spec)
     if isinstance(spec, dict) and "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise CliError(f"manifest 'path' must be a string, got {spec['path']!r}")
         return media.load_manifest(spec["path"])
     if isinstance(spec, dict) and "generate" in spec:
         g = _generate_block(spec, "manifest")
         where = "the manifest 'generate' block"
+        rates = g["bitrates_kbps"]
+        if not (isinstance(rates, list)
+                and all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in rates)):
+            raise CliError(f"key 'bitrates_kbps' in {where} must be a list of numbers, got {rates!r}")
+        try:
+            rates = [float(r) for r in rates]
+        except OverflowError:  # an int past the float range
+            raise CliError(f"key 'bitrates_kbps' in {where} is out of the float range") from None
         return media.synthesize_manifest(
             _number(g, "num_segments", integral=True, where=where),
-            g["bitrates_kbps"],
+            rates,
             _number(g, "segment_duration_s", where=where),
             vbr_jitter=_number(g, "vbr_jitter", 0.0, where=where),
             seed=_number(g, "seed", seed, integral=True, where=where),
@@ -163,7 +182,9 @@ def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, chann
         for entry in spec:
             if isinstance(entry, dict) and "path" not in entry:
                 raise CliError(f"trace entry {entry!r} needs a 'path'")
-            path = entry["path"] if isinstance(entry, dict) else str(entry)
+            path = entry["path"] if isinstance(entry, dict) else entry
+            if not isinstance(path, str):
+                raise CliError(f"trace entry {entry!r}: the path must be a string")
             out.append((Path(path).stem, channel.load_trace(path, floor_kbps)))
         return out
     raise CliError("traces spec needs a list of paths or a 'generate' block")
@@ -246,6 +267,11 @@ def run_compare(config: dict, out_dir: Path) -> None:
     seed = _number(config, "seed", 0, integral=True)
     floor = _number(config, "floor_kbps", channel.DEFAULT_FLOOR_KBPS)
     methods = config.get("methods") or []
+    if not isinstance(methods, list):
+        raise CliError(f"key 'methods' in the config must be a list of method objects, got {methods!r}")
+    for spec in methods:
+        if not isinstance(spec, dict):
+            raise CliError(f"method entry {spec!r} must be an object with an 'abr' key")
     if not methods:
         raise CliError("config needs at least one method")
 
@@ -513,6 +539,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CliError, media.ManifestError, channel.TraceError, OSError, ValueError) as exc:
         print(f"abrsim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input that asks for more than the host has
+        print(f"abrsim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -21,6 +21,10 @@ allowance of b_max / T per epoch.  All three are linear in omega, so their
 gradients do not depend on omega, and a first-order prediction of the
 constraints at the new point equals their value there.
 
+The switch-rate budget ``beta`` is the one setting.  ``UTILITY_WEIGHT`` and
+``EPSILON`` are constants, and ``L2APolicy`` derives the cautiousness v_l and
+the step size alpha from the horizon T when it is built.
+
 Each dot product is one left fold, ``reduce(add, map(mul, a, b), 0.0)``, not
 ``sum``: CPython 3.12 made float ``sum`` compensated, so with ``sum`` the bits
 of omega, and at times a decision, would depend on the Python version.
@@ -30,17 +34,18 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 
-from .session import EpochFeedback, require_finite
+from .session import EpochFeedback
 from .simplex import project_simplex
 
 __all__ = [
-    "L2AParams",
     "L2APolicy",
     "L2AState",
+    "check_beta",
     "l2a_decide",
     "map_to_quality",
 ]
@@ -48,6 +53,15 @@ __all__ = [
 # weight of the bitrate utility r / r_N (r_N the ladder top) against the
 # constraint signals, which are seconds of buffer displacement
 UTILITY_WEIGHT = 0.3
+# the schedule's exponent: cautiousness v_l = T^(1 - EPSILON/2)
+EPSILON = 0.2
+
+
+def check_beta(beta):
+    """``beta`` if it is a switch-rate budget in (0, 1], else a ValueError naming it."""
+    if not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):
+        raise ValueError(f"beta must be a number in (0, 1], got {beta!r}")
+    return beta
 
 
 def map_to_quality(omega, bitrates_kbps) -> int:
@@ -68,41 +82,6 @@ def map_to_quality(omega, bitrates_kbps) -> int:
         n -= 1
         gap = lower
     return n + 1
-
-
-@dataclass
-class L2AParams:
-    """Controller schedule.
-
-    ``v_l`` (cautiousness) defaults to T^(1 - epsilon/2) and ``alpha``
-    (step size) to v_l * sqrt(T).  There is no rate-unit knob: the utility
-    gradient is ``UTILITY_WEIGHT * r / r_N`` (ladder top r_N), so rescaling
-    the ladder, the sizes and the channel together leaves every decision
-    unchanged.
-    """
-
-    horizon_t: int
-    beta: float = 1.0
-    epsilon: float = 0.2
-    v_l: float | None = None
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        require_finite(self, "beta", "epsilon")
-        if self.horizon_t < 1:
-            raise ValueError("horizon_t must be at least 1")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.v_l is None:
-            self.v_l = float(self.horizon_t) ** (1.0 - self.epsilon / 2.0)
-        require_finite(self, "v_l")
-        if self.alpha is None:
-            self.alpha = self.v_l * math.sqrt(self.horizon_t)
-        require_finite(self, "alpha")
-        if self.v_l <= 0 or self.alpha <= 0:
-            raise ValueError("v_l and alpha must be positive")
 
 
 @dataclass
@@ -128,23 +107,20 @@ class L2AState:
         return cls(omega=omega, grad_accum=[0.0] * n_levels)
 
 
-def l2a_decide(
-    state: L2AState,
-    params: L2AParams,
-    feedback: EpochFeedback | None,
-    bitrates_kbps,
-    segment_duration_s: float,
-    b_max_s: float,
-) -> tuple[int, L2AState]:
-    """Pick the quality index for the next epoch; mutates and returns state.
+def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
+    """Pick the quality index for the next epoch; mutates ``policy.state``.
 
-    With no feedback yet (first epoch) the distribution stays at its
-    initialization and the startup quality is returned.
+    ``policy`` supplies the ladder, the segment duration, the buffer bound,
+    ``beta`` and the schedule.  With no feedback yet (first epoch) the
+    distribution stays at its initialization and the startup quality is
+    returned.
     """
+    state = policy.state
+    bitrates_kbps = policy.bitrates_kbps
     state.t += 1
     t = state.t
     if feedback is None:
-        return map_to_quality(state.omega, bitrates_kbps), state
+        return map_to_quality(state.omega, bitrates_kbps)
 
     c_prev = feedback.realized_rate_kbps
     sizes_prev = feedback.row_sizes_kbit
@@ -152,35 +128,45 @@ def l2a_decide(
     # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
     # that order, with the same bits
     w = UTILITY_WEIGHT / bitrates_kbps[-1]
-    v_l, q1, q2 = params.v_l, state.q1, state.q2
+    v_l, q1, q2 = policy.v_l, state.q1, state.q2
     state.grad_accum = [
         a + v_l * -(r * w) + q1 * (d := s / c_prev) - q2 * d
         for a, r, s in zip(state.grad_accum, bitrates_kbps, sizes_prev)
     ]
 
-    if state.gamma / t <= params.beta:
-        denom = 2.0 * params.alpha
+    if state.gamma / t <= policy.beta:
+        denom = 2.0 * policy.alpha
         state.omega = project_simplex([o - a / denom for o, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
         state.grad_accum = [0.0] * len(state.omega)
 
     # dual ascent on the queues, with the constraints at the post-step omega
+    v = policy.segment_duration_s
     expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
-    state.q1 = max(q1 + (expected_dl - segment_duration_s), 0.0)
-    state.q2 = max(q2 + (segment_duration_s - expected_dl - b_max_s / params.horizon_t), 0.0)
-    return map_to_quality(state.omega, bitrates_kbps), state
+    state.q1 = max(q1 + (expected_dl - v), 0.0)
+    state.q2 = max(q2 + (v - expected_dl - policy.b_max_s / policy.horizon_t), 0.0)
+    return map_to_quality(state.omega, bitrates_kbps)
 
 
 class L2APolicy:
     """Session adapter that owns one controller state per stream.
 
-    ``beta`` is the switch-rate budget, the one setting; v_l and alpha take
-    the ``L2AParams`` schedule derived from ``horizon_t``.
+    ``beta`` is the switch-rate budget, the one setting.  The schedule is
+    derived from ``horizon_t`` here, once: cautiousness ``v_l`` =
+    T^(1 - EPSILON/2) and step size ``alpha`` = v_l * sqrt(T).  There is no
+    rate-unit knob: the utility gradient is ``UTILITY_WEIGHT * r / r_N``
+    (ladder top r_N), so rescaling the ladder, the sizes and the channel
+    together leaves every decision unchanged.
     """
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
                  horizon_t: int, beta: float = 1.0):
-        self.params = L2AParams(horizon_t, beta=beta)
+        self.beta = check_beta(beta)
+        if horizon_t < 1:
+            raise ValueError("horizon_t must be at least 1")
+        self.horizon_t = horizon_t
+        self.v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
+        self.alpha = self.v_l * math.sqrt(horizon_t)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
         self.segment_duration_s = float(segment_duration_s)
         self.b_max_s = float(b_max_s)
@@ -191,12 +177,4 @@ class L2APolicy:
         return self.state.omega
 
     def decide(self, feedback: EpochFeedback | None) -> int:
-        x, self.state = l2a_decide(
-            self.state,
-            self.params,
-            feedback,
-            self.bitrates_kbps,
-            self.segment_duration_s,
-            self.b_max_s,
-        )
-        return x
+        return l2a_decide(self, feedback)

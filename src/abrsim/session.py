@@ -140,13 +140,13 @@ def step(
     x_t: int,
     *,
     omega: tuple[float, ...] | None = None,
-) -> tuple[SessionState, EpochFeedback]:
+) -> EpochFeedback:
     """Advance one epoch with quality choice ``x_t`` (1-based).
 
     ``omega``, the policy's decision distribution for this epoch, if it has
     one, is stored in the epoch record.
 
-    Mutates ``state`` in place and returns ``(state, feedback)``.  The buffer
+    Mutates ``state`` in place and returns the epoch's feedback.  The buffer
     stays in [0, b_max_s] at every epoch boundary by construction: the
     overflow delay is exactly the excess of the pre-append level plus V over
     b_max_s, and deficits are converted to recorded stall time instead of
@@ -198,9 +198,8 @@ def step(
         state.epoch_t, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
         b0, b1, bool(underflow), stall_time, omega,
     ))
-    feedback = EpochFeedback(rate, row, b1)
     state.epoch_t += 1
-    return state, feedback
+    return EpochFeedback(rate, row, b1)
 
 
 def run_session(
@@ -220,9 +219,7 @@ def run_session(
     feedback: EpochFeedback | None = None
     for _ in range(manifest.num_segments):
         x = policy.decide(feedback)
-        state, feedback = step(
-            state, config, manifest, trace, x, omega=getattr(policy, "omega", None)
-        )
+        feedback = step(state, config, manifest, trace, x, omega=getattr(policy, "omega", None))
     return state
 
 

@@ -10,12 +10,12 @@ from abrsim import (
     BBState,
     EpochFeedback,
     Manifest,
-    RBParams,
     RBPolicy,
     bb_decide,
     derive_bb_parameters,
     synthesize_manifest,
 )
+from abrsim.baselines import RB_EWMA_WEIGHT, RB_KAPPA, RB_PROBE_KBPS
 
 LADDER3 = (1000.0, 2000.0, 4000.0)
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
@@ -63,7 +63,6 @@ def test_rb_step_drop_response_matches_filter_recurrences():
     # start settled at 23000 on the big ladder, then the channel drops to 750;
     # replay the probe/EWMA recurrences independently and require the first
     # down-switch within ceil(1/ewma_weight) = 5 epochs of the drop
-    params = RBParams()
     policy = RBPolicy(PAPER_LADDER)
     policy.decide(None)
     policy.decide(fb(23000.0))  # initializes probe = smooth = 23000
@@ -73,15 +72,15 @@ def test_rb_step_drop_response_matches_filter_recurrences():
     drop_epoch = None
     for epoch in range(1, 11):
         pick = policy.decide(fb(750.0))
-        overshoot = max(probe - 750.0 + params.probe_increment_kbps, 0.0)
-        probe = probe + params.kappa * (params.probe_increment_kbps - overshoot)
-        smooth = smooth + params.ewma_weight * (probe - smooth)
+        overshoot = max(probe - 750.0 + RB_PROBE_KBPS, 0.0)
+        probe = probe + RB_KAPPA * (RB_PROBE_KBPS - overshoot)
+        smooth = smooth + RB_EWMA_WEIGHT * (probe - smooth)
         assert policy.state.bw_probe_kbps == pytest.approx(probe, abs=1e-9)
         assert policy.state.bw_smooth_kbps == pytest.approx(smooth, abs=1e-9)
         if drop_epoch is None and pick < 8:
             drop_epoch = epoch
     assert drop_epoch is not None
-    assert drop_epoch <= math.ceil(1.0 / params.ewma_weight)
+    assert drop_epoch <= math.ceil(1.0 / RB_EWMA_WEIGHT)
 
 
 def test_rb_depends_only_on_throughput_sequence():
@@ -108,19 +107,6 @@ def test_rb_decisions_in_range_and_deterministic():
         results.append(picks)
         assert all(1 <= p <= 3 for p in picks)
     assert results[0] == results[1]
-
-
-def test_rb_params_validation():
-    with pytest.raises(ValueError):
-        RBParams(kappa=0.0)
-    with pytest.raises(ValueError):
-        RBParams(ewma_weight=0.0)
-    bad = [("kappa", math.nan), ("kappa", math.inf), ("kappa", "0.3"),
-           ("probe_increment_kbps", math.nan), ("probe_increment_kbps", math.inf),
-           ("deadzone", math.inf)]
-    for name, value in bad:
-        with pytest.raises(ValueError, match=name):
-            RBParams(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +143,7 @@ def test_bb_monotone_in_buffer_level():
     last = 0
     for buffer_s in np.arange(0.0, 120.5, 0.5):
         state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=len(PAPER_LADDER))
-        pick, _ = bb_decide(
+        pick = bb_decide(
             state, fb(25000.0, buffer_s=float(buffer_s)), PAPER_LADDER,
             man.sizes_row(1), 2.0,
         )
@@ -210,10 +196,10 @@ def test_bb_two_level_fallback():
     v_b, gamma_p = derive_bb_parameters((1000.0, 3000.0), 2.0, 120.0)
     assert v_b > 0 and gamma_p > 0
     state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=2)
-    low, _ = bb_decide(state, fb(25000.0, buffer_s=0.0), (1000.0, 3000.0), (2000.0, 6000.0), 2.0)
+    low = bb_decide(state, fb(25000.0, buffer_s=0.0), (1000.0, 3000.0), (2000.0, 6000.0), 2.0)
     assert low == 1
     state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=2)
-    high, _ = bb_decide(state, fb(25000.0, buffer_s=120.0), (1000.0, 3000.0), (2000.0, 6000.0), 2.0)
+    high = bb_decide(state, fb(25000.0, buffer_s=120.0), (1000.0, 3000.0), (2000.0, 6000.0), 2.0)
     assert high == 2
 
 
@@ -222,20 +208,8 @@ def test_bb_equal_sizes_tie_goes_to_the_lowest_level():
     v_b, gamma_p = derive_bb_parameters(LADDER3, 2.0, 120.0)
     for buffer_s in (0.0, 60.0, 120.0):
         state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=3)
-        pick, _ = bb_decide(state, fb(25000.0, buffer_s), LADDER3, (4000.0,) * 3, 2.0)
+        pick = bb_decide(state, fb(25000.0, buffer_s), LADDER3, (4000.0,) * 3, 2.0)
         assert pick == 1
-
-
-def test_bb_state_validation():
-    with pytest.raises(ValueError):
-        BBState(v_b=0.0, gamma_p=1.0)
-    with pytest.raises(ValueError):
-        BBState(v_b=1.0, gamma_p=-1.0)
-    for value in (math.nan, math.inf, "0.3"):
-        with pytest.raises(ValueError, match="v_b"):
-            BBState(v_b=value, gamma_p=1.0)
-        with pytest.raises(ValueError, match="gamma_p"):
-            BBState(v_b=1.0, gamma_p=value)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +222,7 @@ def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_
     and ``math.log`` differ in the last bit on a few inputs."""
     if feedback is None:
         state.last_index = 1
-        return 1, state, None
+        return 1, None
 
     sizes = np.asarray(sizes_row_kbit, dtype=float)
     buffer_segments = float(feedback.buffer_s) / segment_duration_s
@@ -266,7 +240,7 @@ def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_
             m = max(sustainable, state.last_index)
 
     state.last_index = m
-    return m, state, score
+    return m, score
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,10 +259,9 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
         buffer_s = float(rng.uniform(0.0, b_max))
         feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.sizes_row(t), buffer_s)
-        x, state = bb_decide(BBState(v_b, gamma_p, last), feedback, ladder, man.sizes_row(t), v)
-        x_ref, ref, score = reference_bb_decide(
-            BBState(v_b, gamma_p, last), feedback, ladder, man.segment_sizes_kbit[t - 1], v
-        )
+        state, ref = BBState(v_b, gamma_p, last), BBState(v_b, gamma_p, last)
+        x = bb_decide(state, feedback, ladder, man.sizes_row(t), v)
+        x_ref, score = reference_bb_decide(ref, feedback, ladder, man.segment_sizes_kbit[t - 1], v)
         if score is not None:
             first, second = np.sort(score)[::-1][:2]
             if abs(first - second) <= 1e-12 * abs(first):

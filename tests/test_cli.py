@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from abrsim import load_manifest, load_trace, session
+from abrsim import load_manifest, load_trace, media, session
 from abrsim.cli import main
 
 
@@ -511,10 +511,85 @@ def test_compare_rejects_removed_utility_rate_scale(tmp_path, capsys):
 def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
-    cfg["methods"] = [{"abr": "l2a", "beta": "0.3"}]
+    for beta in ("0.3", float("nan"), float("inf"), 0, 1.5):
+        cfg["methods"] = [{"abr": "l2a", "beta": beta}]
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x"
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"abrsim: error: beta must be a number in (0, 1], got {beta!r}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("methods", ["l2a"], "method entry 'l2a' must be an object with an 'abr' key"),
+        ("methods", {"abr": "rb"},
+         "key 'methods' in the config must be a list of method objects, got {'abr': 'rb'}"),
+        ("traces", [{"path": 5}], "trace entry {'path': 5}: the path must be a string"),
+        ("manifest", {"path": 0}, "manifest 'path' must be a string, got 0"),
+        ("bitrates_kbps", "12",
+         "key 'bitrates_kbps' in the manifest 'generate' block must be a list of numbers, got '12'"),
+        ("bitrates_kbps", [370, 10**400],
+         "key 'bitrates_kbps' in the manifest 'generate' block is out of the float range"),
+    ],
+    ids=["method-string", "methods-object", "trace-path-number", "manifest-path-number",
+         "bitrates-string", "bitrates-huge"],
+)
+def test_compare_rejects_config_entries_of_the_wrong_shape(tmp_path, capsys, key, value, expected):
+    # each once ended in a traceback, or (manifest path 0) read the manifest from stdin
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    if key == "bitrates_kbps":
+        cfg["manifest"]["generate"][key] = value
+    else:
+        cfg[key] = value
     cfg_path.write_text(json.dumps(cfg))
-    assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
-    assert "L2AParams.beta must be a finite number, got '0.3'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"abrsim: error: {expected}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../esc", "a/b", "a\\b", "", 5])
+def test_compare_rejects_a_method_name_that_is_not_a_file_name(tmp_path, capsys, name):
+    # "../esc" once wrote OUT/esc__<trace>.json outside sessions/ and a partial
+    # comparison.csv, then failed on convergence_../esc.csv
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["methods"] = [{"abr": "rb", "name": name}]
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out" / "cmp"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == (f"abrsim: error: method name {name!r} must be a non-empty string"
+                   " with no path separator or NUL\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "message, expected",
+    [("Unable to allocate 58.2 TiB for an array", "Unable to allocate 58.2 TiB for an array"),
+     ("", "out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch, message, expected):
+    # a huge "num_segments" once ended in numpy's _ArrayMemoryError traceback;
+    # the allocation is simulated, never attempted
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(media, "synthesize_manifest", no_memory)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", _compare_config(tmp_path), "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"abrsim: error: {expected}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_scenario_override(tmp_path):

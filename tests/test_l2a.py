@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from array import array
 from functools import reduce
 from operator import add, mul
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from abrsim import (
     ChannelTrace,
     EpochFeedback,
-    L2AParams,
     L2APolicy,
     L2AState,
     Manifest,
@@ -80,33 +80,34 @@ def first_min_gap(omega, bitrates_kbps):
     return gaps.index(min(gaps)) + 1
 
 
-def scalar_decide(state, params, feedback, bitrates_kbps, segment_duration_s, b_max_s):
+def scalar_decide(policy, feedback):
     """``l2a_decide`` step by step: the three gradient vectors and the
     constraint values at the new point from the functions above."""
+    state, bitrates_kbps = policy.state, policy.bitrates_kbps
     state.t += 1
     if feedback is None:
-        return first_min_gap(state.omega, bitrates_kbps), state
+        return first_min_gap(state.omega, bitrates_kbps)
     c_prev = feedback.realized_rate_kbps
     sizes_prev = feedback.row_sizes_kbit
     scale = UTILITY_WEIGHT / bitrates_kbps[-1]
     grad_f, grad_g1, grad_g2 = gradients(sizes_prev, c_prev, [r * scale for r in bitrates_kbps])
-    v_l, q1, q2 = params.v_l, state.q1, state.q2
+    v_l, q1, q2 = policy.v_l, state.q1, state.q2
     state.grad_accum = [
         a + v_l * f + q1 * g1 + q2 * g2
         for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
     ]
-    if state.gamma / state.t <= params.beta:
-        denom = 2.0 * params.alpha
+    if state.gamma / state.t <= policy.beta:
+        denom = 2.0 * policy.alpha
         state.omega = project_simplex([w - a / denom for w, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
         state.grad_accum = [0.0] * len(state.omega)
     _, g1, g2 = loss_and_constraints(
-        state.omega, sizes_prev, bitrates_kbps, c_prev, segment_duration_s, b_max_s,
-        params.horizon_t,
+        state.omega, sizes_prev, bitrates_kbps, c_prev, policy.segment_duration_s, policy.b_max_s,
+        policy.horizon_t,
     )
     state.q1 = max(q1 + g1, 0.0)
     state.q2 = max(q2 + g2, 0.0)
-    return first_min_gap(state.omega, bitrates_kbps), state
+    return first_min_gap(state.omega, bitrates_kbps)
 
 
 def float_bytes(values):
@@ -195,25 +196,21 @@ def test_map_to_quality_is_the_first_minimal_gap():
         assert map_to_quality(omega, ladder) == first_min_gap(omega, ladder), (omega, ladder)
 
 
-def test_params_defaults_follow_schedule():
-    p = L2AParams(horizon_t=600)
+def test_schedule_is_derived_and_beta_is_the_one_setting():
+    p = L2APolicy(LADDER, 2.0, 120.0, 600)
+    assert p.beta == 1.0
     assert p.v_l == pytest.approx(600.0 ** 0.9)
     assert p.alpha == pytest.approx(p.v_l * math.sqrt(600.0))
-    with pytest.raises(ValueError):
-        L2AParams(horizon_t=600, beta=0.0)
-    with pytest.raises(ValueError):
-        L2AParams(horizon_t=600, beta=1.5)
-    with pytest.raises(ValueError):
-        L2AParams(horizon_t=0)
-    bad = [("v_l", math.nan), ("v_l", math.inf), ("alpha", math.nan), ("alpha", math.inf),
-           ("epsilon", math.nan), ("beta", "0.3"), ("v_l", "5")]
-    for name, value in bad:
-        with pytest.raises(ValueError, match=name):
-            L2AParams(horizon_t=600, **{name: value})
-    # the utility is weighed against the ladder top; there is no rate-unit knob
-    for value in (math.nan, math.inf):
-        with pytest.raises(TypeError, match="utility_rate_scale"):
-            L2AParams(horizon_t=600, utility_rate_scale=value)
+    for beta in (0.0, 1.5, math.nan, math.inf, "0.3"):
+        with pytest.raises(ValueError, match=re.escape(f"beta must be a number in (0, 1], got {beta!r}")):
+            L2APolicy(LADDER, 2.0, 120.0, 600, beta=beta)
+    with pytest.raises(ValueError, match="horizon_t"):
+        L2APolicy(LADDER, 2.0, 120.0, 0)
+    # the schedule is not settable, and the utility is weighed against the
+    # ladder top, so there is no rate-unit knob either
+    for name in ("epsilon", "v_l", "alpha", "utility_rate_scale"):
+        with pytest.raises(TypeError, match=name):
+            L2APolicy(LADDER, 2.0, 120.0, 600, **{name: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +218,9 @@ def test_params_defaults_follow_schedule():
 
 
 def test_first_epoch_starts_lowest():
-    params = L2AParams(horizon_t=10)
-    state = L2AState.initial(3)
-    x, state = l2a_decide(state, params, None, (1000.0, 2000.0, 4000.0), 2.0, 120.0)
-    assert x == 1
+    policy = L2APolicy((1000.0, 2000.0, 4000.0), 2.0, 120.0, 10)
+    state = policy.state
+    assert l2a_decide(policy, None) == 1
     assert list(state.omega) == [1.0, 0.0, 0.0]
     assert state.gamma == 0
 
@@ -235,14 +231,14 @@ def test_predict_constraint_cases():
     # when the gradient step is taken (gamma = 0) and when the switching
     # budget blocks it (gamma/t = 5/6 > beta, so omega_new = omega_prev)
     sizes, rates, rate_c = (1800.0, 4200.0), (1000.0, 2000.0), 1300.0
-    params = L2AParams(horizon_t=60, beta=0.5)
     for gamma, taken in ((0, True), (5, False)):
-        state = L2AState.initial(2)
+        policy = L2APolicy(rates, 2.0, 120.0, 60, beta=0.5)
+        state = policy.state
         state.omega = (0.7, 0.3)
         state.gamma, state.t = gamma, 5
         state.q1, state.q2 = 0.4, 30.0
         q1_before, q2_before = state.q1, state.q2
-        _, state = l2a_decide(state, params, make_feedback(sizes, rate_c), rates, 2.0, 120.0)
+        l2a_decide(policy, make_feedback(sizes, rate_c))
         assert (state.gamma == gamma + 1) is taken
         assert (list(state.omega) != [0.7, 0.3]) is taken
         _, g1, g2 = loss_and_constraints(state.omega, sizes, rates, rate_c, 2.0, 120.0, 60)
@@ -269,26 +265,26 @@ def test_prediction_exact_for_linear_constraints():
 def test_queue_floor_at_zero():
     # blocked update (gamma/t > beta) keeps omega, so the queue adds the raw
     # previous-epoch constraint value: q1 = [0.5 + (-1)]^+ = 0
-    params = L2AParams(horizon_t=60, beta=0.5)
-    state = L2AState.initial(2)
+    policy = L2APolicy((500.0, 1000.0), 2.0, 120.0, 60, beta=0.5)
+    state = policy.state
     state.gamma = 5
     state.t = 5
     state.q1 = 0.5
     state.q2 = 0.25
     fb = make_feedback((1000.0, 2000.0), 1000.0)  # g1 = 1 - 2 = -1, g2 = 2 - 1 - 2 = -1
-    _, state = l2a_decide(state, params, fb, (500.0, 1000.0), 2.0, 120.0)
+    l2a_decide(policy, fb)
     assert list(state.omega) == [1.0, 0.0]  # gate blocked the step
     assert state.q1 == 0.0
     assert state.q2 == 0.0
 
 
 def test_queue_accumulates_violation():
-    params = L2AParams(horizon_t=60, beta=0.5)
-    state = L2AState.initial(2)
+    policy = L2APolicy((500.0, 1000.0), 2.0, 120.0, 60, beta=0.5)
+    state = policy.state
     state.gamma = 5
     state.t = 5
     fb = make_feedback((5000.0, 9000.0), 1000.0)  # g1 at e_1: 5 - 2 = +3
-    _, state = l2a_decide(state, params, fb, (500.0, 1000.0), 2.0, 120.0)
+    l2a_decide(policy, fb)
     assert state.q1 == pytest.approx(3.0)
 
 
@@ -309,13 +305,13 @@ def test_switch_budget_bound_is_hard():
 
 
 def test_gamma_within_budget_at_every_epoch():
-    params = L2AParams(horizon_t=50, beta=0.25)
-    state = L2AState.initial(len(LADDER))
+    policy = L2APolicy(LADDER, 2.0, 120.0, 50, beta=0.25)
+    state = policy.state
     rng = np.random.default_rng(3)
     feedback = None
     for _ in range(50):
-        _, state = l2a_decide(state, params, feedback, LADDER, 2.0, 120.0)
-        assert state.gamma <= params.beta * state.t + 1
+        l2a_decide(policy, feedback)
+        assert state.gamma <= policy.beta * state.t + 1
         sizes = np.asarray(LADDER) * 2.0 * rng.uniform(0.9, 1.1, len(LADDER))
         feedback = make_feedback(np.sort(sizes), rng.uniform(800, 23000))
 
@@ -359,14 +355,14 @@ def test_constant_feedback_converges():
     # satisfied band [V - b_max/T, V] = [1.8, 2], so both queues decay to zero
     # and the update becomes a plain projected gradient step on a fixed
     # linear function, which parks at the top vertex
-    params = L2AParams(horizon_t=600, beta=1.0)
-    state = L2AState.initial(4)
     rates = (1000.0, 2000.0, 4000.0, 8000.0)
+    policy = L2APolicy(rates, 2.0, 120.0, 600, beta=1.0)
+    state = policy.state
     fb = make_feedback((2000.0, 4000.0, 8000.0, 16000.0), 8200.0)
     prev = np.asarray(state.omega)
     drift = None
     for _ in range(600):
-        _, state = l2a_decide(state, params, fb, rates, 2.0, 120.0)
+        l2a_decide(policy, fb)
         drift = float(np.linalg.norm(np.asarray(state.omega) - prev))
         prev = np.asarray(state.omega)
     assert drift <= 1e-12
@@ -400,38 +396,40 @@ def test_decisions_do_not_depend_on_rate_units():
 # the numpy formulas as an oracle
 
 
-def reference_decide(state, params, feedback, bitrates_kbps, segment_duration_s, b_max_s):
+def reference_decide(policy, feedback):
     """The numpy formulas ``l2a_decide`` and its helpers ran before their
     scalar rewrite, on a state holding numpy arrays.  The dot products sum in
     numpy's order, which no Python summation order matches bit for bit."""
+    state = policy.state
     state.t += 1
-    rates = np.asarray(bitrates_kbps, dtype=float)
+    rates = np.asarray(policy.bitrates_kbps, dtype=float)
 
     def to_quality(omega):
         return int(np.argmin(np.abs(rates - float(rates @ omega)))) + 1
 
     if feedback is None:
-        return to_quality(state.omega), state
+        return to_quality(state.omega)
     c_prev = float(feedback.realized_rate_kbps)
     sizes = np.asarray(feedback.row_sizes_kbit, dtype=float)
     dl = sizes / c_prev
     grad_f, grad_g1, grad_g2 = -(rates * (UTILITY_WEIGHT / rates[-1])), dl, -dl
     state.grad_accum = (
-        state.grad_accum + params.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
+        state.grad_accum + policy.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
     )
     omega_new = state.omega
-    if state.gamma / state.t <= params.beta:
-        step_vec = state.grad_accum / (2.0 * params.alpha)
+    if state.gamma / state.t <= policy.beta:
+        step_vec = state.grad_accum / (2.0 * policy.alpha)
         omega_new = np.array(project_simplex(state.omega - step_vec))
         state.gamma += 1
         state.grad_accum = np.zeros_like(state.grad_accum)
     expected_dl = float(sizes @ omega_new) / c_prev
-    g1 = expected_dl - segment_duration_s
-    g2 = segment_duration_s - expected_dl - b_max_s / params.horizon_t
+    v = policy.segment_duration_s
+    g1 = expected_dl - v
+    g2 = v - expected_dl - policy.b_max_s / policy.horizon_t
     state.q1 = max(state.q1 + g1, 0.0)
     state.q2 = max(state.q2 + g2, 0.0)
     state.omega = omega_new
-    return to_quality(omega_new), state
+    return to_quality(omega_new)
 
 
 @settings(max_examples=150, deadline=None)
@@ -446,14 +444,15 @@ def test_decide_matches_numpy_reference(seed, beta, epochs, extra_horizon):
     ladder = tuple(np.cumsum(rng.uniform(100.0, 4000.0, size=int(rng.integers(2, 10)))).tolist())
     man = synthesize_manifest(epochs, ladder, 2.0, vbr_jitter=0.2, seed=seed)
     b_max = float(rng.uniform(2.0, 120.0))
-    params = L2AParams(horizon_t=epochs + extra_horizon, beta=beta)
-    state = L2AState.initial(len(ladder))
-    ref = L2AState(omega=np.array(state.omega), grad_accum=np.zeros(len(ladder)))
+    policy, reference = (L2APolicy(ladder, 2.0, b_max, epochs + extra_horizon, beta=beta)
+                         for _ in range(2))
+    state = policy.state
+    ref = reference.state = L2AState(omega=np.array(state.omega), grad_accum=np.zeros(len(ladder)))
     midpoints = [(lo + hi) / 2.0 for lo, hi in zip(ladder, ladder[1:])]
     feedback = ref_feedback = None
     for t in range(1, epochs + 1):
-        x, state = l2a_decide(state, params, feedback, ladder, 2.0, b_max)
-        x_ref, ref = reference_decide(ref, params, ref_feedback, ladder, 2.0, b_max)
+        x = l2a_decide(policy, feedback)
+        x_ref = reference_decide(reference, ref_feedback)
         assert (state.q1 > 0.0, state.q2 > 0.0) == (ref.q1 > 0.0, ref.q2 > 0.0)
         assert state.gamma == ref.gamma
         assert max(abs(a - b) for a, b in zip(state.omega, ref.omega)) <= 1e-12
@@ -491,12 +490,13 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
     v = float(rng.uniform(0.5, 4.0))
     man = synthesize_manifest(epochs, ladder, v, vbr_jitter=0.2, seed=seed)
     b_max = float(rng.uniform(v, 120.0))
-    params = L2AParams(horizon_t=epochs + int(rng.integers(0, 3000)), beta=beta)
-    state, oracle = L2AState.initial(len(ladder)), L2AState.initial(len(ladder))
+    horizon = epochs + int(rng.integers(0, 3000))
+    policy, oracle_policy = (L2APolicy(ladder, v, b_max, horizon, beta=beta) for _ in range(2))
+    state, oracle = policy.state, oracle_policy.state
     feedback = None
     for t in range(1, epochs + 1):
-        x, state = l2a_decide(state, params, feedback, ladder, v, b_max)
-        x_oracle, oracle = scalar_decide(oracle, params, feedback, ladder, v, b_max)
+        x = l2a_decide(policy, feedback)
+        x_oracle = scalar_decide(oracle_policy, feedback)
         assert x == x_oracle
         assert float_bytes(state.omega) == float_bytes(oracle.omega)
         assert float_bytes(state.grad_accum) == float_bytes(oracle.grad_accum)

@@ -39,7 +39,7 @@ def test_step_plain_drain():
     # buffer 10, download 3 s, V = 2: no delay, new buffer 9
     man = Manifest(2.0, (1500.0, 3000.0), [[3000.0, 6000.0]])
     state = SessionState(buffer_s=10.0)
-    state, fb = step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
+    fb = step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
     rec = state.history[0]
     assert rec.download_s == pytest.approx(3.0, abs=1e-12)
     assert rec.delta_s == 0.0
@@ -53,7 +53,7 @@ def test_step_overflow_delay():
     # buffer 119, download 0.5 s, V = 2, cap 120: delay 0.5, buffer exactly 120
     man = Manifest(2.0, (250.0, 500.0), [[500.0, 1000.0]])
     state = SessionState(buffer_s=119.0)
-    state, _ = step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
+    step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
     rec = state.history[0]
     assert rec.delta_s == pytest.approx(0.5, abs=1e-12)
     assert rec.buffer_after_s == 120.0
@@ -69,20 +69,20 @@ def test_stall_and_resume_walkthrough():
     tr = constant_trace(1000.0)
     state = SessionState()
 
-    state, _ = step(state, cfg, man, tr, 1)  # d = 3 > buffer 0: stall begins
+    step(state, cfg, man, tr, 1)  # d = 3 > buffer 0: stall begins
     rec = state.history[-1]
     assert rec.stall and rec.stall_s == pytest.approx(3.0)
     assert rec.buffer_after_s == pytest.approx(2.0)
     assert state.stalled and state.segments_since_stall == 1
 
-    state, _ = step(state, cfg, man, tr, 1)  # paused; second append resumes
+    step(state, cfg, man, tr, 1)  # paused; second append resumes
     rec = state.history[-1]
     assert not rec.stall  # indicator is about underflow, not the pause
     assert rec.stall_s == pytest.approx(1.0)  # whole download spent paused
     assert rec.buffer_after_s == pytest.approx(4.0)  # no drain while paused
     assert not state.stalled
 
-    state, _ = step(state, cfg, man, tr, 1)  # playing again: drains normally
+    step(state, cfg, man, tr, 1)  # playing again: drains normally
     rec = state.history[-1]
     assert rec.stall_s == 0.0
     assert rec.buffer_after_s == pytest.approx(5.0)
@@ -92,9 +92,9 @@ def test_tau_one_resumes_immediately():
     man = Manifest(2.0, (500.0, 3000.0), [[3000.0, 6000.0], [1000.0, 6000.0]])
     cfg = SessionConfig(b_max_s=120.0, tau_resume=1)
     state = SessionState()
-    state, _ = step(state, cfg, man, constant_trace(1000.0), 1)
+    step(state, cfg, man, constant_trace(1000.0), 1)
     assert not state.stalled
-    state, _ = step(state, cfg, man, constant_trace(1000.0), 1)
+    step(state, cfg, man, constant_trace(1000.0), 1)
     assert state.history[-1].stall_s == 0.0
 
 
@@ -135,7 +135,7 @@ def test_sawtooth_under_constant_channel():
     cfg = SessionConfig(b_max_s=6.0)
     state = SessionState(buffer_s=2.0)
     for _ in range(12):
-        state, _ = step(state, cfg, man, constant_trace(1000.0), 1)
+        step(state, cfg, man, constant_trace(1000.0), 1)
     buffers = [r.buffer_after_s for r in state.history]
     assert buffers[:6] == pytest.approx([3.0, 4.0, 5.0, 6.0, 6.0, 6.0])
     deltas = [r.delta_s for r in state.history]
