@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .media import Manifest
-from .session import EpochFeedback
+from .session import EpochFeedback, require_positive
 
 __all__ = [
     "BBPolicy",
@@ -195,7 +195,7 @@ class BBPolicy:
 
     def __init__(self, manifest: Manifest, b_max_s: float):
         self.state = BBState(*derive_bb_parameters(
-            manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s
+            manifest.bitrates_kbps, manifest.segment_duration_s, require_positive("b_max_s", b_max_s)
         ))
         self._manifest = manifest
         self._t = 0

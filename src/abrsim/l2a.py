@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 
-from .session import EpochFeedback
+from .session import EpochFeedback, require_positive
 from .simplex import project_simplex
 
 __all__ = [
@@ -168,8 +168,8 @@ class L2APolicy:
         self.v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
         self.alpha = self.v_l * math.sqrt(horizon_t)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
-        self.segment_duration_s = float(segment_duration_s)
-        self.b_max_s = float(b_max_s)
+        self.segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
+        self.b_max_s = float(require_positive("b_max_s", b_max_s))
         self.state = L2AState.initial(len(self.bitrates_kbps))
 
     @property

@@ -132,6 +132,13 @@ def require_finite(owner, *names: str) -> None:
             raise ValueError(f"{type(owner).__name__}.{name} must be a finite number, got {value!r}")
 
 
+def require_positive(name: str, value):
+    """``value`` if it is a positive finite real number, else a ValueError naming ``name``."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def step(
     state: SessionState,
     config: SessionConfig,

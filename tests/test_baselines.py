@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ def test_bb_threshold_design_spans_buffer_range():
         thresholds = v_b * (gamma_p + a)
         assert thresholds[0] == pytest.approx(1.0, abs=1e-9)
         assert thresholds[-1] == pytest.approx(max(b_max / 2.0 - 1.0, 2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0, "20"])
+def test_bb_rejects_a_buffer_bound_that_is_not_positive_and_finite(bad):
+    man = synthesize_manifest(3, PAPER_LADDER, 2.0, vbr_jitter=0.0, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"b_max_s must be positive and finite, got {bad!r}")):
+        BBPolicy(man, bad)
 
 
 def test_bb_two_level_fallback():

@@ -1,5 +1,6 @@
 import bisect
 import csv
+import hashlib
 import math
 import warnings
 
@@ -449,3 +450,14 @@ def test_trace_roundtrip(tmp_path):
     back = load_trace(path, floor_kbps=1.0)
     assert np.array_equal(back.timestamps_s, tr.timestamps_s)
     assert np.array_equal(back.throughputs_kbps, tr.throughputs_kbps)
+
+
+def test_written_trace_has_pinned_bytes(tmp_path):
+    # 0.1 s steps, so that many timestamps need all 17 digits
+    path = tmp_path / "t.csv"
+    write_trace(generate_markovian(300, 750.5, 23000.25, 0.3, 0.1, seed=3), path)
+    assert path.read_bytes().startswith(
+        b"timestamp_s,throughput_kbps\r\n0.0,23000.25\r\n0.1,750.5\r\n0.2,23000.25\r\n"
+        b"0.30000000000000004,23000.25\r\n")
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "b1cda5fcc25c50c51c39873af9045cd3e9585c18825ef66b6e5ea7a9d5166c93")

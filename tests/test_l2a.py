@@ -196,6 +196,14 @@ def test_map_to_quality_is_the_first_minimal_gap():
         assert map_to_quality(omega, ladder) == first_min_gap(omega, ladder), (omega, ladder)
 
 
+@pytest.mark.parametrize("name", ["segment_duration_s", "b_max_s"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0, "2"])
+def test_policy_rejects_a_time_that_is_not_positive_and_finite(name, bad):
+    times = {"segment_duration_s": 2.0, "b_max_s": 120.0, name: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got {bad!r}")):
+        L2APolicy(LADDER, horizon_t=600, **times)
+
+
 def test_schedule_is_derived_and_beta_is_the_one_setting():
     p = L2APolicy(LADDER, 2.0, 120.0, 600)
     assert p.beta == 1.0

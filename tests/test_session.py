@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from abrsim import (
     EpochRecord,
     L2APolicy,
     Manifest,
+    RBPolicy,
     ScriptedPolicy,
     SessionConfig,
     SessionState,
@@ -212,6 +214,50 @@ def test_log_csv_roundtrip(tmp_path):
     assert len(back) == 30
     for a, b in zip(state.history, back):
         assert a._replace(omega=None) == b
+
+
+def closed_form_history(abr):
+    """A session on inputs from exact arithmetic on small integers (no RNG, no
+    libm), so every platform and Python version builds the same records;
+    both policies switch and stall in it."""
+    ladder, horizon, v, b_max = (370.0, 750.0, 1500.0, 3000.0, 5800.0), 240, 2.0, 20.0
+    sizes = [[r * v * (1.0 + ((7 * t + 3 * n) % 11 - 5) / 100.0) for n, r in enumerate(ladder)]
+             for t in range(horizon)]
+    rates = [(900.0 if (i // 40) % 3 == 0 else 23000.0) + 100.0 * (i % 7) for i in range(2000)]
+    policy = RBPolicy(ladder) if abr == "rb" else L2APolicy(ladder, v, b_max, horizon, beta=0.5)
+    return run_session(policy, SessionConfig(b_max_s=b_max, tau_resume=2), Manifest(v, ladder, sizes),
+                       ChannelTrace(np.arange(2000.0), rates)).history
+
+
+@pytest.mark.parametrize("abr, digest", [
+    ("rb", "d2b61450a1554e1f8534518bff13f0a5cb1a6fb48c2be9d4029bb9b2cfb468de"),
+    ("l2a", "a41f1e6825ac38d4ba37a967bb6b29c929dfa74d23eff88a17e2890eeedb34bc"),
+])
+def test_exported_log_has_pinned_bytes(tmp_path, abr, digest):
+    history = closed_form_history(abr)
+    assert len({r.x for r in history}) > 1 and any(r.stall for r in history)
+    path = tmp_path / "log.csv"
+    export_log_csv(history, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
+    plain = EpochRecord(1, 3, 1e16, 0.30000000000000004, 5e-324, 1e-05, 0.0, 0.0, 123456789.125, True, 2.5)
+    second = plain._replace(t=2, stall=False, delta_s=1.7976931348623157e308)
+    expected = (b"t,x_t,r_kbps,size_kbit,C_kbps,download_s,delta_s,buffer_s,stall,stall_s\r\n"
+                b"1,3,1e+16,0.30000000000000004,5e-324,1e-05,0.0,123456789.125,1,2.5\r\n"
+                b"2,3,1e+16,0.30000000000000004,5e-324,1e-05,1.7976931348623157e+308,123456789.125,0,2.5\r\n")
+
+    def numpy_scalars(rec):
+        return EpochRecord(*(np.bool_(v) if isinstance(v, bool) else np.int64(v) if isinstance(v, int)
+                             else np.float64(v) for v in rec[:-1]))
+
+    assert [type(v) for v in numpy_scalars(plain)[:3]] == [np.int64, np.int64, np.float64]
+    assert type(numpy_scalars(plain).stall) is np.bool_
+    path = tmp_path / "log.csv"
+    for history in ([plain, second], [numpy_scalars(plain), numpy_scalars(second)]):
+        export_log_csv(history, path)
+        assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(
