@@ -146,15 +146,49 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
     return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
 
 
-def _parse_samples(lines, max_rows: int | None = None) -> np.ndarray:
-    """The (timestamp, throughput) columns of the trace rows in ``lines`` (an
-    open file after its header, or a list of lines), as an (n, 2) array: the
-    one number grammar of trace files."""
+def parse_csv_rows(lines, max_rows: int | None = None, **options) -> np.ndarray:
+    """``np.loadtxt`` of the comma-separated rows in ``lines`` (an open file
+    after its header, or a list of lines), with ``options`` such as ``dtype``
+    or ``usecols``: the one number grammar of trace and log files.  Fields may
+    be quoted, there are no comments, and blank lines are skipped."""
     with warnings.catch_warnings():
         # loadtxt warns when there are no rows, and when max_rows skips a blank line
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
-                          usecols=(0, 1), ndmin=2, max_rows=max_rows)
+                          max_rows=max_rows, **options)
+
+
+def reread_rows(fh, parse, parsed: np.ndarray | None):
+    """Rewind ``fh``, whose rows after the header ``parse`` read as ``parsed``
+    or (``parsed`` None) failed to read, to locate its rows.
+
+    Returns the file's lines, the line index of each row (line 0 is the
+    header, and blank lines are no rows), the rows ``parse`` reads before the
+    first one it cannot, and that row's index (None when ``parsed`` is given).
+    The row is found by bisecting over row prefixes with ``parse`` itself, so
+    it is the one that made the whole read fail.
+    """
+    fh.seek(0)
+    lines = fh.readlines()
+    rows = [i for i, line in enumerate(lines) if i and line.strip("\r\n")]
+    if parsed is not None:
+        return lines, rows, parsed, None
+
+    def unparseable(k: int) -> bool:
+        try:
+            parse(lines[1:], max_rows=k + 1)
+        except ValueError:
+            return True
+        return False
+
+    unparsed = bisect.bisect_left(range(len(rows)), True, key=unparseable)
+    return lines, rows, parse(lines[1:], max_rows=unparsed), unparsed
+
+
+def _parse_samples(lines, max_rows: int | None = None) -> np.ndarray:
+    """The (timestamp, throughput) columns of the trace rows in ``lines``, as
+    an (n, 2) array."""
+    return parse_csv_rows(lines, max_rows, usecols=(0, 1), ndmin=2)
 
 
 def _sample_fault(samples: np.ndarray) -> tuple[int, str] | None:
@@ -173,26 +207,10 @@ def _sample_fault(samples: np.ndarray) -> tuple[int, str] | None:
 
 
 def _first_bad_row(fh, samples: np.ndarray | None) -> str:
-    """Rewind ``fh`` and describe the first bad row in file order, with its line.
-
-    ``samples`` holds every row, or is None when some row cannot be parsed:
-    then a bisection over row prefixes, with the same parser, finds the first
-    such row, and the rows before it are checked first.
-    """
-    fh.seek(0)
-    lines = fh.readlines()
-    # the line index of each row; line 1 is the header, and loadtxt skips blank lines
-    rows = [i for i, line in enumerate(lines) if i and line.strip("\r\n")]
-    if samples is None:
-        def unparseable(k: int) -> bool:
-            try:
-                _parse_samples(lines[1:], max_rows=k + 1)
-            except ValueError:
-                return True
-            return False
-
-        unparsed = bisect.bisect_left(range(len(rows)), True, key=unparseable)
-        samples = _parse_samples(lines[1:], max_rows=unparsed)
+    """Describe the first bad row of the trace file ``fh`` in file order, with
+    its line; ``samples`` holds every row, or is None when some row cannot be
+    parsed.  The rows before an unparseable one are checked first."""
+    lines, rows, samples, unparsed = reread_rows(fh, _parse_samples, samples)
     fault = _sample_fault(samples)
     if fault is not None:
         i, message = fault
@@ -297,9 +315,10 @@ def concat_traces(traces) -> ChannelTrace:
 
 
 def write_trace(trace: ChannelTrace, path: str | Path) -> None:
-    """Serialize a trace to its CSV file format (full float fidelity)."""
+    """Serialize a trace to its CSV file format: the header, then one
+    ``timestamp_s,throughput_kbps`` row per sample, each number written as
+    its ``repr`` (full float fidelity) and each line ended with ``\\r\\n``,
+    as ``csv.writer`` ends them.  The file is written in one call."""
+    rows = zip(trace.timestamps_s.tolist(), trace.throughputs_kbps.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for t, c in zip(trace.timestamps_s, trace.throughputs_kbps):
-            writer.writerow([repr(float(t)), repr(float(c))])
+        fh.write(",".join(TRACE_HEADER) + "\r\n" + "".join(map("%r,%r\r\n".__mod__, rows)))

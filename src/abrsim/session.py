@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
-from .channel import ChannelTrace, download, undecodable
+import numpy as np
+
+from .channel import ChannelTrace, download, parse_csv_rows, reread_rows, undecodable
 from .media import Manifest
 
 __all__ = [
@@ -35,18 +37,25 @@ __all__ = [
     "step",
 ]
 
-LOG_COLUMNS = (
-    "t",
-    "x_t",
-    "r_kbps",
-    "size_kbit",
-    "C_kbps",
-    "download_s",
-    "delta_s",
-    "buffer_s",
-    "stall",
-    "stall_s",
+# The log's columns: each one's name, the EpochRecord field it carries and
+# the type it is read back as.  A column is one entry here: the writer's row
+# template and the reader's dtype are built from this table.
+_LOG_TABLE = (
+    ("t", "t", int),
+    ("x_t", "x", int),
+    ("r_kbps", "bitrate_kbps", float),
+    ("size_kbit", "size_kbit", float),
+    ("C_kbps", "rate_kbps", float),
+    ("download_s", "download_s", float),
+    ("delta_s", "delta_s", float),
+    ("buffer_s", "buffer_after_s", float),
+    ("stall", "stall", int),
+    ("stall_s", "stall_s", float),
 )
+LOG_COLUMNS = tuple(name for name, _, _ in _LOG_TABLE)
+# one row of the log: integers in decimal, floats as their repr
+_LOG_ROW = ",".join("%d" if typ is int else "%r" for _, _, typ in _LOG_TABLE) + "\r\n"
+_LOG_DTYPE = np.dtype([(name, np.int64 if typ is int else np.float64) for name, _, typ in _LOG_TABLE])
 
 
 @dataclass
@@ -231,21 +240,74 @@ def run_session(
 
 
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
-    """Write the per-epoch log in its CSV schema (full float fidelity)."""
+    """Write the per-epoch log in its CSV schema (full float fidelity).
+
+    The header, then one row per record, each line ended with ``\\r\\n`` as
+    ``csv.writer`` ends them: ``t``, ``x_t`` and ``stall`` as integers, every
+    other column as the ``repr`` of its value as a Python float, so numpy
+    scalars write the same text as the Python numbers they equal.  The rows
+    are formatted from the record fields column by column and written in one
+    call.
+    """
+    columns = dict(zip(EpochRecord._fields, zip(*history)))
+    values = [map(typ, columns.get(name, ())) for _, name, typ in _LOG_TABLE]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        # each record's values in LOG_COLUMNS order; unpacking the tuple costs
-        # less than ten attribute reads
-        writer.writerows(
-            (t, x, float(bitrate), float(size), float(rate), float(download), float(delta),
-             float(buffer_after), int(stall), float(stall_s))
-            for t, x, bitrate, size, rate, download, delta, _, buffer_after, stall, stall_s, _ in history
-        )
+        fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 
 
-# the type each LOG_COLUMNS field is read back as
-_LOG_TYPES = (int, int, float, float, float, float, float, float, int, float)
+def _parse_log_rows(lines, max_rows: int | None = None) -> np.ndarray:
+    """The log rows in ``lines`` as a structured array with one field per column."""
+    return parse_csv_rows(lines, max_rows, dtype=_LOG_DTYPE, ndmin=1)
+
+
+def _broken_rule(name: str, values: np.ndarray, first_epoch: int = 1) -> tuple[np.ndarray, str]:
+    """Which of the ``values`` of log column ``name`` break its rule, the
+    first of them read as epoch ``first_epoch``, and the rule: ``t`` counts
+    the epochs, ``stall`` is 0 or 1, and every other value is finite."""
+    if name == "t":
+        return values != np.arange(first_epoch, first_epoch + len(values)), "expected epoch {epoch}"
+    if name == "stall":
+        return (values != 0) & (values != 1), "expected 0 or 1"
+    return ~np.isfinite(values), "values must be finite"
+
+
+def _row_fault(line: str, epoch: int) -> str:
+    """What is wrong with ``line``, the row of epoch ``epoch``: its first bad
+    column in column order, each field parsed alone by the reader's grammar."""
+    fields = next(csv.reader([line]))
+    if len(fields) != len(LOG_COLUMNS):
+        got = f"expected {len(LOG_COLUMNS)} fields, got {len(fields)}"
+        if len(fields) < len(LOG_COLUMNS):
+            return f"column {LOG_COLUMNS[len(fields)]} missing; {got}"
+        return f"fields after column {LOG_COLUMNS[-1]}; {got}"
+    for j, ((name, _, typ), text) in enumerate(zip(_LOG_TABLE, fields)):
+        try:
+            value = parse_csv_rows([line], dtype=_LOG_DTYPE[j], usecols=(j,), ndmin=1)
+        except ValueError:
+            kind = "an integer" if typ is int else "a number"
+            return f"column {name}: {text!r} is not {kind}"
+        broken, rule = _broken_rule(name, value, epoch)
+        if broken[0]:
+            return f"column {name} is {text!r}; {rule.format(epoch=epoch)}"
+    return f"cannot parse row {fields!r}"
+
+
+def _log_faults(table: np.ndarray) -> np.ndarray:
+    """Whether each row of ``table`` breaks a column's rule."""
+    faults = np.zeros(len(table), dtype=bool)
+    for name in LOG_COLUMNS:
+        faults |= _broken_rule(name, table[name])[0]
+    return faults
+
+
+def _first_bad_log_row(fh, table: np.ndarray | None) -> str:
+    """Describe the first bad row of the log file ``fh`` in file order, with
+    its line; ``table`` holds every row, or is None when some row cannot be
+    parsed.  The rows before an unparseable one are checked first."""
+    lines, rows, table, unparsed = reread_rows(fh, _parse_log_rows, table)
+    bad = np.flatnonzero(_log_faults(table))
+    i = int(bad[0]) if bad.size else unparsed
+    return f"line {rows[i] + 1}: {_row_fault(lines[rows[i]], i + 1)}"
 
 
 def read_log_csv(path: str | Path) -> list[EpochRecord]:
@@ -253,52 +315,35 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
 
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
-    schema preserves full float precision.  A row with the wrong number of
-    fields, a non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a
-    ``stall`` other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ...
-    is a ValueError naming the file, the line and the first bad column.  So
-    is a byte the file's encoding cannot decode, with its line.
+    schema preserves full float precision.  The rows after the header are
+    parsed in one ``np.loadtxt`` call, so numbers follow numpy's grammar, as
+    in trace files: blank lines are skipped (but counted), values may be
+    quoted, and a digit separator (``1_000``), a non-ASCII digit or an
+    integer beyond int64 is a value that cannot be parsed.  The columns are
+    then checked as a whole.  A row with the wrong number of fields, a
+    non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a ``stall``
+    other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ... is a
+    ValueError naming the file, the line and the first bad column; only then
+    is the file read again, from the handle already open, to find the first
+    such row in file order.  A byte the file's encoding cannot decode is a
+    ValueError naming its line.
     """
-    records: list[EpochRecord] = []
     with open(path, newline="") as fh:
         try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != LOG_COLUMNS:
+            if tuple(next(csv.reader([fh.readline()]))) != LOG_COLUMNS:
                 raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
-
-            def bad_row(message: str) -> ValueError:
-                return ValueError(f"{path}: line {reader.line_num}: {message}")
-
-            buffer_before = 0.0
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(LOG_COLUMNS):
-                    got = f"expected {len(LOG_COLUMNS)} fields, got {len(row)}"
-                    if len(row) < len(LOG_COLUMNS):
-                        raise bad_row(f"column {LOG_COLUMNS[len(row)]} missing; {got}")
-                    raise bad_row(f"fields after column {LOG_COLUMNS[-1]}; {got}")
-                values = []
-                for name, parse, text in zip(LOG_COLUMNS, _LOG_TYPES, row):
-                    try:
-                        value = parse(text)
-                    except ValueError:
-                        kind = "an integer" if parse is int else "a number"
-                        raise bad_row(f"column {name}: {text!r} is not {kind}") from None
-                    if not math.isfinite(value):
-                        raise bad_row(f"column {name} is {text!r}; values must be finite")
-                    if name == "t" and value != len(records) + 1:
-                        raise bad_row(f"column t is {text!r}; expected epoch {len(records) + 1}")
-                    if name == "stall" and value not in (0, 1):
-                        raise bad_row(f"column stall is {text!r}; expected 0 or 1")
-                    values.append(value)
-                t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
-                records.append(EpochRecord(
-                    t, x, bitrate, size, rate, download, delta,
-                    buffer_before, buffer_after, bool(stall), stall_s,
-                ))
-                buffer_before = buffer_after
+            try:
+                table = _parse_log_rows(fh)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                table = None
+            if table is None or _log_faults(table).any():
+                raise ValueError(f"{path}: {_first_bad_log_row(fh, table)}")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {undecodable(fh, exc)}") from None
-    return records
+    columns = {name: table[column].tolist() for column, name, _ in _LOG_TABLE}
+    columns["stall"] = (table["stall"] == 1).tolist()
+    after = columns["buffer_after_s"]
+    columns["buffer_before_s"] = [0.0, *after[:-1]]
+    return list(map(EpochRecord, *(columns[name] for name in EpochRecord._fields[:-1])))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -25,6 +26,8 @@ from abrsim import (
     step,
     synthesize_manifest,
 )
+
+from abrsim.session import LOG_COLUMNS
 
 from conftest import assert_buffer_law, constant_trace
 
@@ -294,6 +297,29 @@ def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     assert str(info.value) == f"{path}: line 4: {message}"
 
 
+def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
+    # a row that breaks a rule before one that cannot be parsed: the rows
+    # before the unparseable one are checked first, from the open handle
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:6], path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3][:lines[3].rindex(",")] + ",inf"
+    lines[5] = lines[5].replace(",", ",abc,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value) == f"{path}: line 4: column stall_s is 'inf'; values must be finite"
+    assert opened == [path]
+
+
 def test_log_csv_names_the_line_of_an_undecodable_byte(tmp_path):
     man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
     state = run_session(ScriptedPolicy([1, 2, 1]), SessionConfig(b_max_s=120.0), man,
@@ -306,6 +332,146 @@ def test_log_csv_names_the_line_of_an_undecodable_byte(tmp_path):
     with pytest.raises(ValueError) as info:
         read_log_csv(path)
     assert str(info.value).startswith(f"{path}: line 4: 'utf-8' codec can't decode byte 0xff ")
+
+
+def reference_read_log_csv(path):
+    """The row loop ``read_log_csv`` ran before it parsed with ``np.loadtxt``:
+    ``csv.reader``, then ``int()`` or ``float()`` per field in column order,
+    each field checked as it is parsed."""
+    types = (int, int, float, float, float, float, float, float, int, float)
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != LOG_COLUMNS:
+            raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
+
+        def bad_row(message):
+            return ValueError(f"{path}: line {reader.line_num}: {message}")
+
+        buffer_before = 0.0
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(LOG_COLUMNS):
+                got = f"expected {len(LOG_COLUMNS)} fields, got {len(row)}"
+                if len(row) < len(LOG_COLUMNS):
+                    raise bad_row(f"column {LOG_COLUMNS[len(row)]} missing; {got}")
+                raise bad_row(f"fields after column {LOG_COLUMNS[-1]}; {got}")
+            values = []
+            for name, parse, text in zip(LOG_COLUMNS, types, row):
+                try:
+                    value = parse(text)
+                except ValueError:
+                    kind = "an integer" if parse is int else "a number"
+                    raise bad_row(f"column {name}: {text!r} is not {kind}") from None
+                if not math.isfinite(value):
+                    raise bad_row(f"column {name} is {text!r}; values must be finite")
+                if name == "t" and value != len(records) + 1:
+                    raise bad_row(f"column t is {text!r}; expected epoch {len(records) + 1}")
+                if name == "stall" and value not in (0, 1):
+                    raise bad_row(f"column stall is {text!r}; expected 0 or 1")
+                values.append(value)
+            t, x, bitrate, size, rate, download, delta, buffer_after, stall, stall_s = values
+            records.append(EpochRecord(t, x, bitrate, size, rate, download, delta,
+                                       buffer_before, buffer_after, bool(stall), stall_s))
+            buffer_before = buffer_after
+    return records
+
+
+INT_COLUMNS = (0, 1, 8)  # t, x_t, stall
+# faults that both readers name alike: each takes the row's fields, its
+# epoch and a column index drawn at random, and returns the bad row
+LOG_FAULTS = {
+    "short": lambda f, t, j: f[:j],
+    "long": lambda f, t, j: [*f, f[j]],
+    "nan": lambda f, t, j: _put(f, 2 + j % 8, "nan") if 2 + j % 8 not in INT_COLUMNS else _put(f, 9, "nan"),
+    "inf": lambda f, t, j: _put(f, 2 + j % 6, "-inf" if j % 2 else "Infinity"),
+    "float-in-int": lambda f, t, j: _put(f, INT_COLUMNS[j % 3], "1.0" if j % 2 else "2.5"),
+    "word": lambda f, t, j: _put(f, j, ["abc", "true", "", "1e"][j % 4]),
+    "skipped-t": lambda f, t, j: _put(f, 0, str(t + 1)),
+    "stall-2": lambda f, t, j: _put(f, 8, "2" if j % 2 else "-1"),
+}
+# faults only numpy's grammar rejects (int() and float() accept them): a
+# digit separator, a non-ASCII digit, an integer beyond int64.  The reader
+# names the field as one it cannot parse; the oracle reads the file.
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+GRAMMAR_FAULTS = {
+    "underscore": lambda f, t, j: (2 + j % 6, "1_" + f[2 + j % 6].strip(' "')),
+    "arabic-indic-t": lambda f, t, j: (0, str(t).translate(ARABIC_INDIC)),
+    "int64-overflow-x": lambda f, t, j: (1, "1" + "0" * 20),
+}
+
+
+def _put(fields, j, text):
+    return [*fields[:j], text, *fields[j + 1:]]
+
+
+@st.composite
+def log_files(draw):
+    """The text of a session log: LF or CRLF endings, blank lines, quoted
+    values and numbers written several ways, and either up to two faults
+    that both readers report alike (so that the first one in file order must
+    be the one named) or one fault only numpy's grammar rejects.  Returns the
+    text and, for a grammar fault, its line and message."""
+    n = draw(st.integers(0, 10))
+    number = st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-05, 1e16, 5e-324, 0.30000000000000004])
+    spell = st.sampled_from([repr, lambda v: f"{v:.6g}", lambda v: f"{v:.3e}", lambda v: f" {v!r} "])
+    int_spell = st.sampled_from([str, lambda v: f" {v} ", lambda v: f"+{v}", lambda v: f"0{v}"])
+    rows = []
+    for t in range(1, n + 1):
+        values = [t, draw(st.integers(1, 8)), *draw(st.lists(number, min_size=6, max_size=6)),
+                  draw(st.integers(0, 1)), draw(number)]
+        rows.append([draw(int_spell)(v) if j in INT_COLUMNS else draw(spell)(v)
+                     for j, v in enumerate(values)])
+    grammar = None
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(sorted(GRAMMAR_FAULTS)))
+        j, text = GRAMMAR_FAULTS[kind](rows[i], i + 1, draw(st.integers(0, 9)))
+        rows[i] = _put(rows[i], j, text)
+        grammar = (i, f"column {LOG_COLUMNS[j]}: {text!r} is not "
+                      f"{'an integer' if j in INT_COLUMNS else 'a number'}")
+    elif n:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(sorted(LOG_FAULTS)))
+            rows[i] = LOG_FAULTS[kind](rows[i], i + 1, draw(st.integers(0, 9)))
+    lines = [",".join(LOG_COLUMNS)]
+    line_of = []
+    for fields in rows:
+        if draw(st.booleans()):
+            fields = [f'"{f}"' for f in fields]
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(fields))
+        line_of.append(len(lines))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, grammar and (line_of[grammar[0]], grammar[1])
+
+
+def read_outcome(read, path):
+    """The repr of every field read, or the message of the ValueError raised."""
+    try:
+        records = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [tuple(map(repr, rec)) for rec in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=log_files())
+def test_read_log_matches_the_row_loop_oracle(tmp_path_factory, case):
+    text, grammar = case
+    path = tmp_path_factory.getbasetemp() / "oracle_log.csv"
+    path.write_bytes(text.encode())
+    expected = read_outcome(reference_read_log_csv, path)
+    if grammar is None:
+        assert read_outcome(read_log_csv, path) == expected
+    else:
+        line, message = grammar
+        assert isinstance(expected, list)
+        assert read_outcome(read_log_csv, path) == f"{path}: line {line}: {message}"
 
 
 # ---------------------------------------------------------------------------
