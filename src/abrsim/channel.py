@@ -36,6 +36,9 @@ TRACE_HEADER = ("timestamp_s", "throughput_kbps")
 # Outage samples are floored so size/rate stays finite.
 DEFAULT_FLOOR_KBPS = 10.0
 
+# rows per write in write_trace: a 30,000-sample trace is one write
+_WRITE_ROWS = 65536
+
 
 class TraceError(ValueError):
     """Malformed trace file."""
@@ -318,7 +321,12 @@ def write_trace(trace: ChannelTrace, path: str | Path) -> None:
     """Serialize a trace to its CSV file format: the header, then one
     ``timestamp_s,throughput_kbps`` row per sample, each number written as
     its ``repr`` (full float fidelity) and each line ended with ``\\r\\n``,
-    as ``csv.writer`` ends them.  The file is written in one call."""
-    rows = zip(trace.timestamps_s.tolist(), trace.throughputs_kbps.tolist())
+    as ``csv.writer`` ends them.  Rows are formatted and written
+    ``_WRITE_ROWS`` at a time, so the text in memory stays small however
+    long the trace is."""
+    ts, tp = trace.timestamps_s, trace.throughputs_kbps
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n" + "".join(map("%r,%r\r\n".__mod__, rows)))
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for i in range(0, ts.size, _WRITE_ROWS):
+            rows = zip(ts[i:i + _WRITE_ROWS].tolist(), tp[i:i + _WRITE_ROWS].tolist())
+            fh.write("".join(map("%r,%r\r\n".__mod__, rows)))

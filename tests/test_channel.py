@@ -452,8 +452,12 @@ def test_trace_roundtrip(tmp_path):
     assert np.array_equal(back.throughputs_kbps, tr.throughputs_kbps)
 
 
-def test_written_trace_has_pinned_bytes(tmp_path):
-    # 0.1 s steps, so that many timestamps need all 17 digits
+@pytest.mark.parametrize("rows_per_write", [65536, 3000, 7])
+def test_written_trace_has_pinned_bytes(tmp_path, monkeypatch, rows_per_write):
+    # 0.1 s steps, so that many timestamps need all 17 digits; the trace has
+    # 3000 samples, so it is written in one piece, in one full piece, or in
+    # pieces with a short last one
+    monkeypatch.setattr("abrsim.channel._WRITE_ROWS", rows_per_write)
     path = tmp_path / "t.csv"
     write_trace(generate_markovian(300, 750.5, 23000.25, 0.3, 0.1, seed=3), path)
     assert path.read_bytes().startswith(

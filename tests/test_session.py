@@ -380,13 +380,14 @@ def reference_read_log_csv(path):
 
 
 INT_COLUMNS = (0, 1, 8)  # t, x_t, stall
+FLOAT_COLUMNS = (2, 3, 4, 5, 6, 7, 9)
 # faults that both readers name alike: each takes the row's fields, its
 # epoch and a column index drawn at random, and returns the bad row
 LOG_FAULTS = {
     "short": lambda f, t, j: f[:j],
     "long": lambda f, t, j: [*f, f[j]],
-    "nan": lambda f, t, j: _put(f, 2 + j % 8, "nan") if 2 + j % 8 not in INT_COLUMNS else _put(f, 9, "nan"),
-    "inf": lambda f, t, j: _put(f, 2 + j % 6, "-inf" if j % 2 else "Infinity"),
+    "nan": lambda f, t, j: _put(f, FLOAT_COLUMNS[j % 7], "nan"),
+    "inf": lambda f, t, j: _put(f, FLOAT_COLUMNS[j % 7], "-inf" if j % 2 else "Infinity"),
     "float-in-int": lambda f, t, j: _put(f, INT_COLUMNS[j % 3], "1.0" if j % 2 else "2.5"),
     "word": lambda f, t, j: _put(f, j, ["abc", "true", "", "1e"][j % 4]),
     "skipped-t": lambda f, t, j: _put(f, 0, str(t + 1)),
@@ -397,7 +398,7 @@ LOG_FAULTS = {
 # names the field as one it cannot parse; the oracle reads the file.
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 GRAMMAR_FAULTS = {
-    "underscore": lambda f, t, j: (2 + j % 6, "1_" + f[2 + j % 6].strip(' "')),
+    "underscore": lambda f, t, j: (FLOAT_COLUMNS[j % 7], "1_" + f[FLOAT_COLUMNS[j % 7]].strip()),
     "arabic-indic-t": lambda f, t, j: (0, str(t).translate(ARABIC_INDIC)),
     "int64-overflow-x": lambda f, t, j: (1, "1" + "0" * 20),
 }
