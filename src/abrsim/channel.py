@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -124,29 +125,38 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
     be parsed, holds a NaN or inf, or does not increase the timestamp is the
     file read again, from the handle already open, to name the first such
     row in file order and its line.  A byte the file's encoding cannot decode
-    is a TraceError naming its line.
+    is a TraceError naming its line, unless a row before that line is bad:
+    faults are reported in file order.
     """
     if not 0 < floor_kbps < math.inf:
         raise ValueError(f"floor_kbps must be positive and finite, got {floor_kbps!r}")
     with open(path, newline="") as fh:
         try:
-            header = next(csv.reader([fh.readline()]))
-            if [h.strip() for h in header] != list(TRACE_HEADER):
-                raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-            try:
-                samples = _parse_samples(fh)
-            except UnicodeDecodeError:
-                raise
-            except ValueError:
-                samples = None
-            if samples is None or _sample_fault(samples) is not None:
-                raise TraceError(f"{path}: {_first_bad_row(fh, samples)}")
+            samples = _read_samples(fh, path)
         except UnicodeDecodeError as exc:
-            raise TraceError(f"{path}: {undecodable(fh, exc)}") from None
+            message = undecodable(fh, exc, lambda head: _read_samples(head, path))
+            raise TraceError(f"{path}: {message}") from None
     if len(samples) < 2:
         raise TraceError(f"{path}: need at least 2 samples, got {len(samples)}")
     ts, tp = samples.T
     return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
+
+
+def _read_samples(fh, path: str | Path) -> np.ndarray:
+    """The samples of the trace file ``fh``, checked; a TraceError names the
+    first bad row of the file and its line."""
+    header = next(csv.reader([fh.readline()]))
+    if [h.strip() for h in header] != list(TRACE_HEADER):
+        raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
+    try:
+        samples = _parse_samples(fh)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        samples = None
+    if samples is None or _sample_fault(samples) is not None:
+        raise TraceError(f"{path}: {_first_bad_row(fh, samples)}")
+    return samples
 
 
 def parse_csv_rows(lines, max_rows: int | None = None, **options) -> np.ndarray:
@@ -157,6 +167,10 @@ def parse_csv_rows(lines, max_rows: int | None = None, **options) -> np.ndarray:
     with warnings.catch_warnings():
         # loadtxt warns when there are no rows, and when max_rows skips a blank line
         warnings.simplefilter("ignore", UserWarning)
+        # from numpy 1.23 until the deprecation expires, an integer field such
+        # as '2.5' is read through a float and truncated with only this
+        # warning; as an error it fails the conversion with a ValueError
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
                           max_rows=max_rows, **options)
 
@@ -223,17 +237,24 @@ def _first_bad_row(fh, samples: np.ndarray | None) -> str:
     return f"line {rows[unparsed] + 1}: cannot parse row {row!r}"
 
 
-def undecodable(fh, exc: UnicodeDecodeError) -> str:
+def undecodable(fh, exc: UnicodeDecodeError, read) -> str:
     """Describe the first byte that the encoding of the text file ``fh``
     cannot decode, with its line, by rewinding ``fh`` and decoding it whole
-    (``exc``, raised while reading it in chunks, knows no line)."""
+    (``exc``, raised while reading it in chunks, knows no line).  The lines
+    before the byte's line are first given to ``read`` as a text file, which
+    raises at a bad row among them, so that the first fault in file order is
+    the one reported."""
     fh.seek(0)
     data = fh.buffer.read()
     try:
         data.decode(fh.encoding)
+        return str(exc)
     except UnicodeDecodeError as whole:
-        return f"line {len((data[:whole.start] + b'.').splitlines())}: {whole}"
-    return str(exc)
+        exc = whole
+    lines = (data[:exc.start] + b".").splitlines(keepends=True)
+    if len(lines) > 1:
+        read(io.StringIO(b"".join(lines[:-1]).decode(fh.encoding), newline=""))
+    return f"line {len(lines)}: {exc}"
 
 
 def generate_markovian(

@@ -326,24 +326,33 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     ValueError naming the file, the line and the first bad column; only then
     is the file read again, from the handle already open, to find the first
     such row in file order.  A byte the file's encoding cannot decode is a
-    ValueError naming its line.
+    ValueError naming its line, unless a row before that line is bad: faults
+    are reported in file order.
     """
     with open(path, newline="") as fh:
         try:
-            if tuple(next(csv.reader([fh.readline()]))) != LOG_COLUMNS:
-                raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
-            try:
-                table = _parse_log_rows(fh)
-            except UnicodeDecodeError:
-                raise
-            except ValueError:
-                table = None
-            if table is None or _log_faults(table).any():
-                raise ValueError(f"{path}: {_first_bad_log_row(fh, table)}")
+            table = _read_log_table(fh, path)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {undecodable(fh, exc)}") from None
+            message = undecodable(fh, exc, lambda head: _read_log_table(head, path))
+            raise ValueError(f"{path}: {message}") from None
     columns = {name: table[column].tolist() for column, name, _ in _LOG_TABLE}
     columns["stall"] = (table["stall"] == 1).tolist()
     after = columns["buffer_after_s"]
     columns["buffer_before_s"] = [0.0, *after[:-1]]
     return list(map(EpochRecord, *(columns[name] for name in EpochRecord._fields[:-1])))
+
+
+def _read_log_table(fh, path: str | Path) -> np.ndarray:
+    """The rows of the log file ``fh`` as a structured array, checked; a
+    ValueError names the first bad row of the file, its line and column."""
+    if tuple(next(csv.reader([fh.readline()]))) != LOG_COLUMNS:
+        raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
+    try:
+        table = _parse_log_rows(fh)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        table = None
+    if table is None or _log_faults(table).any():
+        raise ValueError(f"{path}: {_first_bad_log_row(fh, table)}")
+    return table

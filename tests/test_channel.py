@@ -106,6 +106,27 @@ def test_load_names_the_line_of_an_undecodable_byte(tmp_path):
     assert str(info.value).startswith(f"{path}: line 2002: 'utf-8' codec can't decode byte 0xff ")
 
 
+@pytest.mark.parametrize(
+    "bad, byte, expected",
+    [
+        (4, 2002, "line 4: non-finite sample (2.0, nan)"),
+        (2003, 2002, "line 2002: 'utf-8' codec can't decode byte 0xff "),
+        (None, 1, "line 1: 'utf-8' codec can't decode byte 0xff "),
+    ],
+    ids=["row-before-a-later-byte", "row-after-the-byte", "byte-in-the-header"],
+)
+def test_load_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path, bad, byte, expected):
+    lines = [b"timestamp_s,throughput_kbps"] + [f"{i},5000".encode() for i in range(3000)]
+    if bad is not None:
+        lines[bad - 1] = lines[bad - 1].replace(b"5000", b"nan")
+    lines[byte - 1] = lines[byte - 1].replace(b",", b",\xff", 1)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value).startswith(f"{path}: {expected}")
+
+
 @pytest.mark.parametrize("row", ["1,nan", "nan,8000", "1,inf", "inf,8000", "1,-inf"])
 def test_load_rejects_non_finite_row(tmp_path, row):
     # the blank line is skipped, so the bad row is on line 5

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,45 @@ def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     assert str(info.value) == f"{path}: line 4: {message}"
 
 
+@pytest.mark.parametrize(
+    "column, text",
+    [(0, "2.5"), (1, "1e20"), (8, "1.9")],
+    ids=["t", "x_t", "stall"],
+)
+def test_log_csv_rejects_an_integer_read_through_a_float(tmp_path, monkeypatch, column, text):
+    # from numpy 1.23 until the deprecation expires, loadtxt reads an integer
+    # field such as '2.5' through a float, truncates it and only warns; when
+    # that warning is an error, the conversion fails with a ValueError.  This
+    # loadtxt does the same on a numpy whose deprecation has expired.
+    loadtxt = np.loadtxt
+
+    def loadtxt_via_float(lines, dtype=float, **options):
+        lines = list(lines)
+        try:
+            return loadtxt(lines, dtype=dtype, **options)
+        except ValueError as exc:
+            as_float = [(name, np.float64) for name in dtype.names] if dtype.names else np.float64
+            try:
+                table = loadtxt(lines, dtype=as_float, **options)
+            except ValueError:
+                raise exc from None
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as warning:
+            raise ValueError("could not convert string to int64") from warning
+        return table.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:3], path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(_put(lines[2].split(","), column, text))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value) == f"{path}: line 3: column {LOG_COLUMNS[column]}: {text!r} is not an integer"
+
+
 def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
     # a row that breaks a rule before one that cannot be parsed: the rows
     # before the unparseable one are checked first, from the open handle
@@ -332,6 +372,29 @@ def test_log_csv_names_the_line_of_an_undecodable_byte(tmp_path):
     with pytest.raises(ValueError) as info:
         read_log_csv(path)
     assert str(info.value).startswith(f"{path}: line 4: 'utf-8' codec can't decode byte 0xff ")
+
+
+@pytest.mark.parametrize(
+    "bad, byte, expected",
+    [
+        (4, 2501, "line 4: column stall is '2'; expected 0 or 1"),
+        (2502, 2501, "line 2501: 'utf-8' codec can't decode byte 0xff "),
+        (3, 5, "line 3: column stall is '2'; expected 0 or 1"),
+        (None, 1, "line 1: 'utf-8' codec can't decode byte 0xff "),
+    ],
+    ids=["row-before-a-later-byte", "row-after-the-byte", "both-in-the-first-chunk", "byte-in-the-header"],
+)
+def test_log_csv_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path, bad, byte, expected):
+    lines = [",".join(LOG_COLUMNS).encode()]
+    lines += [f"{t},1,1000.0,2000.0,1000.0,2.0,0.0,2.0,0,0.0".encode() for t in range(1, 3001)]
+    if bad is not None:
+        lines[bad - 1] = lines[bad - 1][:-5] + b"2,0.0"
+    lines[byte - 1] = lines[byte - 1].replace(b",", b",\xff", 1)
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value).startswith(f"{path}: {expected}")
 
 
 def reference_read_log_csv(path):
