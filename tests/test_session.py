@@ -1,3 +1,4 @@
+import bisect
 import csv
 import hashlib
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from abrsim import (
+    BBPolicy,
     ChannelTrace,
     DownloadResult,
     EpochFeedback,
@@ -31,6 +33,9 @@ from abrsim import (
 from abrsim.session import LOG_COLUMNS
 
 from conftest import assert_buffer_law, constant_trace
+
+
+PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
 
 def cbr_manifest(num_segments, bitrates=(1000.0, 2000.0), v=2.0):
@@ -243,6 +248,50 @@ def test_exported_log_has_pinned_bytes(tmp_path, abr, digest):
     path = tmp_path / "log.csv"
     export_log_csv(history, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def live_session(abr):
+    """A seeded live session (b_max 20 s) on a 0.1 s trace that ends before
+    the session does."""
+    man = synthesize_manifest(300, PAPER_LADDER, 2.0, vbr_jitter=0.1, seed=16)
+    trace = generate_markovian(450, 750, 23000, 0.01, 0.1, seed=16)
+    policy = RBPolicy(man.bitrates_kbps) if abr == "rb" else BBPolicy(man, 20.0)
+    return run_session(policy, SessionConfig(b_max_s=20.0, tau_resume=2), man, trace), trace
+
+
+def download_kinds(history, trace):
+    """How many downloads end inside their start sample, cross into a later
+    sample, and start past the last sample."""
+    ts = trace.timestamps_s.tolist()
+    kinds = {"inside": 0, "cross": 0, "past": 0}
+    clock = 0.0
+    for rec in history:
+        i = bisect.bisect_right(ts, clock) - 1
+        kind = "past" if i == len(ts) - 1 else "cross" if clock + rec.download_s > ts[i + 1] else "inside"
+        kinds[kind] += 1
+        clock += rec.download_s + rec.delta_s
+    return kinds
+
+
+def state_bytes(state):
+    """Every field of every record but ω, then the final state, as <f8."""
+    final = (state.epoch_t, state.buffer_s, state.wall_clock_s, state.stalled, state.segments_since_stall)
+    return (np.array([rec[:-1] for rec in state.history], dtype="<f8").tobytes()
+            + np.array(final, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("abr, digest", [
+    ("rb", "ab95b2812de08132eabc828439de072a09057401a203f84ac0216b968648e8f4"),
+    ("bb", "97414e049f04ae239ebb10e46600a5f9574c83c13f53454eae38a17c3115c1c6"),
+])
+def test_live_session_has_pinned_bytes(abr, digest):
+    # numpy's Generator streams and the elementwise arithmetic of the
+    # generators are the same on every platform, so the inputs are too
+    state, trace = live_session(abr)
+    kinds = download_kinds(state.history, trace)
+    assert any(r.stall for r in state.history)
+    assert min(kinds.values()) > 0, kinds
+    assert hashlib.sha256(state_bytes(state)).hexdigest() == digest
 
 
 def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
