@@ -15,10 +15,8 @@ from .baselines import (
 )
 from .channel import (
     ChannelTrace,
-    DownloadResult,
     TraceError,
     concat_traces,
-    download,
     generate_markovian,
     load_trace,
     write_trace,
@@ -49,7 +47,6 @@ from .session import (
     export_log_csv,
     read_log_csv,
     run_session,
-    step,
 )
 from .simplex import project_simplex
 
@@ -61,7 +58,6 @@ __all__ = [
     "BenchmarkSolution",
     "ChannelTrace",
     "ConvergenceSeries",
-    "DownloadResult",
     "EpochFeedback",
     "EpochRecord",
     "L2APolicy",
@@ -78,7 +74,6 @@ __all__ = [
     "bb_decide",
     "concat_traces",
     "derive_bb_parameters",
-    "download",
     "evaluate_session",
     "export_log_csv",
     "generate_markovian",
@@ -94,7 +89,6 @@ __all__ = [
     "regret_and_residuals",
     "run_session",
     "solve_benchmark",
-    "step",
     "synthesize_manifest",
     "write_manifest",
     "write_trace",

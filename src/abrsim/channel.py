@@ -1,9 +1,10 @@
 """Channel rate process: trace files, a two-state synthetic generator, and
-fluid-model segment downloads.
+trace concatenation.
 
-A trace is a piecewise-constant bandwidth profile; a download drains the
-segment's bits through that profile, so the realized per-segment rate is
-well-defined (size / duration) even when a download spans several samples.
+A trace is a piecewise-constant bandwidth profile; ``session.run_session``
+drains each segment's bits through it (the fluid model), so the realized
+per-segment rate is well-defined (size / duration) even when a download
+spans several samples.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "ChannelTrace",
-    "DownloadResult",
     "TraceError",
     "DEFAULT_FLOOR_KBPS",
     "TRACE_HEADER",
     "concat_traces",
-    "download",
     "generate_markovian",
     "load_trace",
     "write_trace",
@@ -57,7 +54,8 @@ class ChannelTrace:
     throughputs_kbps: np.ndarray
     # memoryviews of the timestamps, the throughputs and the kbit delivered
     # from t=0 up to each timestamp (indexing them gives Python floats
-    # without copying the trace), and the index of the last sample
+    # without copying the trace), and the index of the last sample; the
+    # download in session.run_session reads them
     _views: tuple[memoryview, memoryview, memoryview, int] = field(
         init=False, repr=False, compare=False
     )
@@ -101,16 +99,6 @@ class ChannelTrace:
     @property
     def max_throughput_kbps(self) -> float:
         return float(self.throughputs_kbps.max())
-
-
-class DownloadResult(NamedTuple):
-    """Wall-clock duration of one segment download and its realized rate.
-
-    An immutable ``NamedTuple``: ``download`` builds one per call, positionally.
-    """
-
-    duration_s: float
-    effective_rate_kbps: float
 
 
 def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> ChannelTrace:
@@ -179,27 +167,36 @@ def reread_rows(fh, parse, parsed: np.ndarray | None):
     """Rewind ``fh``, whose rows after the header ``parse`` read as ``parsed``
     or (``parsed`` None) failed to read, to locate its rows.
 
-    Returns the file's lines, the line index of each row (line 0 is the
-    header, and blank lines are no rows), the rows ``parse`` reads before the
-    first one it cannot, and that row's index (None when ``parsed`` is given).
-    The row is found by bisecting over row prefixes with ``parse`` itself, so
-    it is the one that made the whole read fail.
+    Returns each row after the header as its line and its text, the rows
+    ``parse`` reads before the first one it cannot, and that row's index
+    (None when ``parsed`` is given).  Rows are counted as ``csv.reader``
+    counts them, as ``parse`` does: blank lines are no rows, and a quoted
+    field that spans a newline keeps its row whole, on the line where the
+    row ends (``csv.reader.line_num``, the header being line 1).  The row is
+    found by bisecting over row prefixes with ``parse`` itself, so it is the
+    one that made the whole read fail.
     """
     fh.seek(0)
-    lines = fh.readlines()
-    rows = [i for i, line in enumerate(lines) if i and line.strip("\r\n")]
+    body = fh.readlines()[1:]
+    reader = csv.reader(body)
+    rows = []
+    start = 0
+    for fields in reader:
+        if fields:
+            rows.append((reader.line_num + 1, "".join(body[start:reader.line_num])))
+        start = reader.line_num
     if parsed is not None:
-        return lines, rows, parsed, None
+        return rows, parsed, None
 
     def unparseable(k: int) -> bool:
         try:
-            parse(lines[1:], max_rows=k + 1)
+            parse(body, max_rows=k + 1)
         except ValueError:
             return True
         return False
 
     unparsed = bisect.bisect_left(range(len(rows)), True, key=unparseable)
-    return lines, rows, parse(lines[1:], max_rows=unparsed), unparsed
+    return rows, parse(body, max_rows=unparsed), unparsed
 
 
 def _parse_samples(lines, max_rows: int | None = None) -> np.ndarray:
@@ -227,14 +224,14 @@ def _first_bad_row(fh, samples: np.ndarray | None) -> str:
     """Describe the first bad row of the trace file ``fh`` in file order, with
     its line; ``samples`` holds every row, or is None when some row cannot be
     parsed.  The rows before an unparseable one are checked first."""
-    lines, rows, samples, unparsed = reread_rows(fh, _parse_samples, samples)
+    rows, samples, unparsed = reread_rows(fh, _parse_samples, samples)
     fault = _sample_fault(samples)
     if fault is not None:
         i, message = fault
-        return f"line {rows[i] + 1}: {message}"
+        return f"line {rows[i][0]}: {message}"
     # every row before the unparseable one is good, so it is the first bad row
-    row = next(csv.reader([lines[rows[unparsed]]]))
-    return f"line {rows[unparsed] + 1}: cannot parse row {row!r}"
+    line, text = rows[unparsed]
+    return f"line {line}: cannot parse row {next(csv.reader([text]))!r}"
 
 
 def undecodable(fh, exc: UnicodeDecodeError, read) -> str:
@@ -283,36 +280,6 @@ def generate_markovian(
     in_low = np.concatenate(([False], np.cumsum(flips) % 2 == 1))
     values = np.where(in_low, float(low_kbps), float(high_kbps))
     return ChannelTrace(np.arange(n) * float(step_s), values)
-
-
-def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> DownloadResult:
-    """Drain ``size_kbit`` through the bandwidth profile from ``start_time_s``.
-
-    Exact under the fluid model: bits accumulate at the piecewise-constant
-    rate, with the final sample's rate extending forever.
-    """
-    # chained comparisons, so that NaN fails them too
-    if not 0.0 <= start_time_s < math.inf:
-        raise ValueError(f"start_time_s must be finite and >= 0, got {start_time_s!r}")
-    if not 0.0 < size_kbit < math.inf:
-        raise ValueError(f"size_kbit must be finite and positive, got {size_kbit!r}")
-    ts, tp, cum, last = trace._views
-    i = bisect.bisect_right(ts, start_time_s) - 1
-    # fast path: the download completes inside the start interval (always the
-    # case past the final sample); exact division avoids cancellation on tiny
-    # durations late in long traces
-    if i == last or size_kbit <= tp[i] * (ts[i + 1] - start_time_s):
-        duration = float(size_kbit) / tp[i]
-    else:
-        start_kbit = cum[i] + tp[i] * (start_time_s - ts[i])
-        target = start_kbit + size_kbit
-        j = bisect.bisect_left(cum, target)
-        if j > last:
-            end = ts[last] + (target - cum[last]) / tp[last]
-        else:
-            end = ts[j - 1] + (target - cum[j - 1]) / tp[j - 1]
-        duration = float(end - start_time_s)
-    return DownloadResult(duration, float(size_kbit) / duration)
 
 
 def concat_traces(traces) -> ChannelTrace:

@@ -1,16 +1,22 @@
 """Per-epoch client loop: request, download, buffer update, feedback.
 
-Each epoch the player downloads one segment (wall-clock duration d), drains d
+``run_session`` is the loop, and the only place the download and the buffer
+law below are computed.  Each epoch the player downloads one segment (wall-clock duration d), drains d
 seconds of buffer while playing, gains one segment duration V on completion,
 and delays the next request by Delta = [pre_append_buffer + V - B_max]^+ so
 the buffer never exceeds B_max at an epoch boundary.  An underflow
 (buffer < d) pauses playback until ``tau_resume`` segments have been appended
 since the pause began; while paused the buffer does not drain, but new stall
 indicator epochs are still recorded whenever buffer < d.
+
+A download drains the segment's bits through the trace's piecewise-constant
+rate (the fluid model), so its duration is exact even when it spans several
+samples, and the last sample's rate lasts forever.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import numbers
@@ -20,7 +26,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .channel import ChannelTrace, download, parse_csv_rows, reread_rows, undecodable
+from .channel import ChannelTrace, parse_csv_rows, reread_rows, undecodable
 from .media import Manifest
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "export_log_csv",
     "read_log_csv",
     "run_session",
-    "step",
 ]
 
 # The log's columns: each one's name, the EpochRecord field it carries and
@@ -76,7 +81,8 @@ class SessionConfig:
 class EpochFeedback(NamedTuple):
     """What the client learns once an epoch completes.
 
-    An immutable ``NamedTuple``: ``step`` builds one per epoch, positionally.
+    An immutable ``NamedTuple``: ``run_session`` builds one per epoch,
+    positionally, and gives it to the policy's next ``decide``.
     """
 
     realized_rate_kbps: float
@@ -87,8 +93,9 @@ class EpochFeedback(NamedTuple):
 class EpochRecord(NamedTuple):
     """One line of the per-epoch session log (t and x are 1-based).
 
-    An immutable ``NamedTuple``: ``step`` builds one per epoch, positionally,
-    and ``rec._replace(omega=None)`` is a copy without the distribution.
+    An immutable ``NamedTuple``: ``run_session`` builds one per epoch,
+    positionally, and ``rec._replace(omega=None)`` is a copy without the
+    distribution.
     """
 
     t: int
@@ -148,76 +155,6 @@ def require_positive(name: str, value):
     return value
 
 
-def step(
-    state: SessionState,
-    config: SessionConfig,
-    manifest: Manifest,
-    trace: ChannelTrace,
-    x_t: int,
-    *,
-    omega: tuple[float, ...] | None = None,
-) -> EpochFeedback:
-    """Advance one epoch with quality choice ``x_t`` (1-based).
-
-    ``omega``, the policy's decision distribution for this epoch, if it has
-    one, is stored in the epoch record.
-
-    Mutates ``state`` in place and returns the epoch's feedback.  The buffer
-    stays in [0, b_max_s] at every epoch boundary by construction: the
-    overflow delay is exactly the excess of the pre-append level plus V over
-    b_max_s, and deficits are converted to recorded stall time instead of
-    negative buffer.
-    """
-    n_levels = manifest.num_levels
-    if not 1 <= x_t <= n_levels:
-        raise ValueError(f"quality index {x_t} outside 1..{n_levels}")
-    if state.epoch_t > manifest.num_segments:
-        raise ValueError(f"epoch {state.epoch_t} beyond horizon {manifest.num_segments}")
-    v = manifest.segment_duration_s
-    if config.b_max_s < v:
-        raise ValueError("b_max_s smaller than the segment duration")
-
-    row = manifest.sizes_row(state.epoch_t)
-    size = row[x_t - 1]
-    result = download(trace, state.wall_clock_s, size)
-    d = result.duration_s
-    b0 = state.buffer_s
-    underflow = b0 < d
-
-    if state.stalled:
-        # playback already paused: nothing drains, the whole epoch stalls
-        drained = b0
-        stall_time = d
-    elif underflow:
-        state.stalled = True
-        state.segments_since_stall = 0
-        drained = 0.0
-        stall_time = d - b0
-    else:
-        drained = b0 - d
-        stall_time = 0.0
-
-    pre_append = drained + v
-    b1 = min(pre_append, config.b_max_s)
-    delta = pre_append - b1
-    state.buffer_s = b1
-    state.wall_clock_s += d + delta
-
-    if state.stalled:
-        state.segments_since_stall += 1
-        if state.segments_since_stall >= config.tau_resume:
-            state.stalled = False
-            state.segments_since_stall = 0
-
-    rate = result.effective_rate_kbps
-    state.history.append(EpochRecord(
-        state.epoch_t, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
-        b0, b1, bool(underflow), stall_time, omega,
-    ))
-    state.epoch_t += 1
-    return EpochFeedback(rate, row, b1)
-
-
 def run_session(
     policy: Policy,
     config: SessionConfig,
@@ -226,16 +163,95 @@ def run_session(
 ) -> SessionState:
     """Run the decide/download/update loop over the whole manifest horizon.
 
-    Fully deterministic given (policy state, manifest, trace).  If the policy
+    Fully deterministic given (policy state, manifest, trace).  Each epoch
+    the policy's quality index (1-based) is checked against the ladder, the
+    segment is drained through the trace under the fluid model, and the
+    buffer law of the module docstring is applied; the buffer stays in
+    [0, b_max_s] at every epoch boundary by construction.  If the policy
     exposes an ``omega`` attribute (its current decision distribution, a
-    tuple of floats the policy replaces rather than mutates), it is stored
-    as is in each epoch record for later regret analysis.
+    tuple of floats the policy replaces rather than mutates), it is read
+    after each ``decide`` and stored as is in that epoch's record for later
+    regret analysis.  A ``b_max_s`` below the segment duration is a
+    ValueError raised before the first ``decide``.
     """
+    v = manifest.segment_duration_s
+    b_max = config.b_max_s
+    if b_max < v:
+        raise ValueError("b_max_s smaller than the segment duration")
+    tau = config.tau_resume
+    n = manifest.num_levels
+    sizes = manifest._sizes_view
+    bitrates = manifest.bitrates_kbps
+    ts, tp, cum, last = trace._views
+    inf = math.inf
     state = SessionState()
+    append = state.history.append
+    decide = policy.decide
+    buffer = clock = 0.0
+    stalled = False
+    since_stall = 0
     feedback: EpochFeedback | None = None
-    for _ in range(manifest.num_segments):
-        x = policy.decide(feedback)
-        feedback = step(state, config, manifest, trace, x, omega=getattr(policy, "omega", None))
+    for t in range(1, manifest.num_segments + 1):
+        x = decide(feedback)
+        omega = getattr(policy, "omega", None)
+        if not 1 <= x <= n:
+            raise ValueError(f"quality index {x} outside 1..{n}")
+        row = sizes[(t - 1) * n : t * n]
+        size = row[x - 1]
+
+        # fluid-model download of ``size`` kbit from ``clock``: the bits
+        # drain at each sample's rate, the last sample's rate lasting forever
+        if not clock < inf:
+            raise ValueError(f"epoch {t}: download start time must be finite, got {clock!r}")
+        i = bisect.bisect_right(ts, clock) - 1
+        # fast path: the download completes inside the start interval (always
+        # the case past the final sample); exact division avoids cancellation
+        # on tiny durations late in long traces
+        if i == last or size <= tp[i] * (ts[i + 1] - clock):
+            d = size / tp[i]
+        else:
+            target = cum[i] + tp[i] * (clock - ts[i]) + size
+            j = bisect.bisect_left(cum, target)
+            if j > last:
+                end = ts[last] + (target - cum[last]) / tp[last]
+            else:
+                end = ts[j - 1] + (target - cum[j - 1]) / tp[j - 1]
+            d = end - clock
+        rate = size / d
+
+        b0 = buffer
+        underflow = b0 < d
+        if stalled:
+            # playback already paused: nothing drains, the whole epoch stalls
+            drained = b0
+            stall_time = d
+        elif underflow:
+            stalled = True
+            since_stall = 0
+            drained = 0.0
+            stall_time = d - b0
+        else:
+            drained = b0 - d
+            stall_time = 0.0
+        pre_append = drained + v
+        buffer = min(pre_append, b_max)
+        delta = pre_append - buffer
+        clock += d + delta
+        if stalled:
+            since_stall += 1
+            if since_stall >= tau:
+                stalled = False
+                since_stall = 0
+
+        append(EpochRecord(
+            t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, bool(underflow), stall_time, omega,
+        ))
+        feedback = EpochFeedback(rate, row, buffer)
+    state.epoch_t = manifest.num_segments + 1
+    state.buffer_s = buffer
+    state.wall_clock_s = clock
+    state.stalled = stalled
+    state.segments_since_stall = since_stall
     return state
 
 
@@ -271,10 +287,11 @@ def _broken_rule(name: str, values: np.ndarray, first_epoch: int = 1) -> tuple[n
     return ~np.isfinite(values), "values must be finite"
 
 
-def _row_fault(line: str, epoch: int) -> str:
-    """What is wrong with ``line``, the row of epoch ``epoch``: its first bad
-    column in column order, each field parsed alone by the reader's grammar."""
-    fields = next(csv.reader([line]))
+def _row_fault(row: str, epoch: int) -> str:
+    """What is wrong with ``row``, the text of epoch ``epoch``'s row: its
+    first bad column in column order, each field parsed alone by the
+    reader's grammar."""
+    fields = next(csv.reader([row]))
     if len(fields) != len(LOG_COLUMNS):
         got = f"expected {len(LOG_COLUMNS)} fields, got {len(fields)}"
         if len(fields) < len(LOG_COLUMNS):
@@ -282,7 +299,7 @@ def _row_fault(line: str, epoch: int) -> str:
         return f"fields after column {LOG_COLUMNS[-1]}; {got}"
     for j, ((name, _, typ), text) in enumerate(zip(_LOG_TABLE, fields)):
         try:
-            value = parse_csv_rows([line], dtype=_LOG_DTYPE[j], usecols=(j,), ndmin=1)
+            value = parse_csv_rows([row], dtype=_LOG_DTYPE[j], usecols=(j,), ndmin=1)
         except ValueError:
             kind = "an integer" if typ is int else "a number"
             return f"column {name}: {text!r} is not {kind}"
@@ -304,10 +321,11 @@ def _first_bad_log_row(fh, table: np.ndarray | None) -> str:
     """Describe the first bad row of the log file ``fh`` in file order, with
     its line; ``table`` holds every row, or is None when some row cannot be
     parsed.  The rows before an unparseable one are checked first."""
-    lines, rows, table, unparsed = reread_rows(fh, _parse_log_rows, table)
+    rows, table, unparsed = reread_rows(fh, _parse_log_rows, table)
     bad = np.flatnonzero(_log_faults(table))
     i = int(bad[0]) if bad.size else unparsed
-    return f"line {rows[i] + 1}: {_row_fault(lines[rows[i]], i + 1)}"
+    line, text = rows[i]
+    return f"line {line}: {_row_fault(text, i + 1)}"
 
 
 def read_log_csv(path: str | Path) -> list[EpochRecord]:

@@ -13,13 +13,13 @@ from abrsim import (
     ChannelTrace,
     TraceError,
     concat_traces,
-    download,
     generate_markovian,
     load_trace,
     write_trace,
 )
 
 from conftest import constant_trace
+from session_oracle import download
 
 
 def _write(tmp_path, rows, header="timestamp_s,throughput_kbps"):
@@ -135,6 +135,24 @@ def test_load_rejects_non_finite_row(tmp_path, row):
         load_trace(path)
 
 
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (["0,5000", '1,"6000', '"', "2,7000", "3,abc"], "line 6: cannot parse row ['3', 'abc']"),
+        (["0,5000", '1,"6000', '"', "2,7000", "3,inf"], "line 6: non-finite sample (3.0, inf)"),
+        (["0,5000", '1,"abc', '"', "2,7000"], "line 4: cannot parse row ['1', 'abc\\n']"),
+    ],
+    ids=["unparseable-after", "non-finite-after", "the-spanning-row"],
+)
+def test_load_counts_a_quoted_line_break_as_csv_does(tmp_path, rows, expected):
+    # a quoted field that spans a line break keeps its row whole; a row is
+    # named by the line it ends on, as csv.reader counts lines
+    path = _write(tmp_path, rows)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: {expected}"
+
+
 def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
     # a non-finite row before an unparseable one: rows are checked as they are read
     path = _write(tmp_path, ["0,5000", "1,inf", "2,abc"])
@@ -194,7 +212,8 @@ FAULTS = {
 @st.composite
 def trace_files(draw):
     """The text of a trace file: LF or CRLF endings, blank lines, a third
-    column, quoted values, numbers written several ways, and at most two
+    column, quoted values (some spanning a line break), numbers written
+    several ways, and at most two
     faults (a bad field, a short row, a NaN or inf, a timestamp that does not
     increase), so that the first one in file order must be the one named."""
     n = draw(st.integers(0, 12))
@@ -214,15 +233,18 @@ def trace_files(draw):
                 rows[i][0] = draw(spell)(times[i - 1] - draw(st.sampled_from([0.0, 0.5])))
         else:
             rows[i] = FAULTS[kind](*spelt[i])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = ["timestamp_s,throughput_kbps"]
     for fields in rows:
         if draw(st.booleans()) and all(f.strip() == f for f in fields):
             fields = [f'"{f}"' for f in fields]
+            if draw(st.booleans()):
+                # a newline inside the quotes: one row on two lines
+                fields[-1] = fields[-1][:-1] + newline + '"'
         if len(fields) == 2 and draw(st.booleans()):
             fields = [*fields, draw(st.sampled_from(["x", "", "1e5", "a b"]))]
         lines.extend([""] * draw(st.integers(0, 2)))
         lines.append(",".join(fields))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
 

@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from abrsim import (
     BBPolicy,
     ChannelTrace,
-    DownloadResult,
     EpochFeedback,
     EpochRecord,
     L2APolicy,
@@ -26,13 +25,13 @@ from abrsim import (
     generate_markovian,
     read_log_csv,
     run_session,
-    step,
     synthesize_manifest,
 )
 
 from abrsim.session import LOG_COLUMNS
 
 from conftest import assert_buffer_law, constant_trace
+from session_oracle import DownloadResult, run_oracle, step
 
 
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
@@ -171,6 +170,20 @@ def test_empty_horizon():
     state = run_session(ScriptedPolicy([]), SessionConfig(b_max_s=120.0), man, constant_trace(1000.0))
     assert state.history == []
     assert state.wall_clock_s == 0.0
+
+
+@pytest.mark.parametrize("segments", [0, 2], ids=["empty-horizon", "two-segments"])
+def test_bmax_below_segment_duration_is_rejected_before_any_decision(segments):
+    decided = []
+
+    class Recording:
+        def decide(self, feedback):
+            decided.append(feedback)
+            return 1
+
+    with pytest.raises(ValueError, match="^b_max_s smaller than the segment duration$"):
+        run_session(Recording(), SessionConfig(b_max_s=1.0), cbr_manifest(segments), constant_trace(1000.0))
+    assert decided == []
 
 
 def test_wall_clock_identity_on_markovian():
@@ -386,6 +399,23 @@ def test_log_csv_rejects_an_integer_read_through_a_float(tmp_path, monkeypatch, 
     assert str(info.value) == f"{path}: line 3: column {LOG_COLUMNS[column]}: {text!r} is not an integer"
 
 
+@pytest.mark.parametrize("spanning, bad, line", [(1, 3, 5), (2, 2, 4)],
+                         ids=["bad-row-after", "the-spanning-row"])
+def test_log_csv_counts_a_quoted_line_break_as_csv_does(tmp_path, spanning, bad, line):
+    # a quoted field that spans a line break keeps its row whole; a row is
+    # named by the line it ends on, as csv.reader counts lines
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:3], path)
+    lines = path.read_text().splitlines()
+    lines[bad] = ",".join(_put(lines[bad].split(","), 8, "2"))
+    stall_s = lines[spanning].rindex(",") + 1
+    lines[spanning] = lines[spanning][:stall_s] + '"' + lines[spanning][stall_s:] + '\n"'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value) == f"{path}: line {line}: column stall is '2'; expected 0 or 1"
+
+
 def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
     # a row that breaks a rule before one that cannot be parsed: the rows
     # before the unparseable one are checked first, from the open handle
@@ -523,9 +553,10 @@ def _put(fields, j, text):
 @st.composite
 def log_files(draw):
     """The text of a session log: LF or CRLF endings, blank lines, quoted
-    values and numbers written several ways, and either up to two faults
-    that both readers report alike (so that the first one in file order must
-    be the one named) or one fault only numpy's grammar rejects.  Returns the
+    values (some spanning a line break) and numbers written several ways,
+    and either up to two faults that both readers report alike (so that the
+    first one in file order must be the one named) or one fault only numpy's
+    grammar rejects.  Returns the
     text and, for a grammar fault, its line and message."""
     n = draw(st.integers(0, 10))
     number = st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-05, 1e16, 5e-324, 0.30000000000000004])
@@ -550,15 +581,21 @@ def log_files(draw):
             i = draw(st.integers(0, n - 1))
             kind = draw(st.sampled_from(sorted(LOG_FAULTS)))
             rows[i] = LOG_FAULTS[kind](rows[i], i + 1, draw(st.integers(0, 9)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(LOG_COLUMNS)]
     line_of = []
-    for fields in rows:
+    physical = 1
+    for i, fields in enumerate(rows):
         if draw(st.booleans()):
             fields = [f'"{f}"' for f in fields]
-        lines.extend([""] * draw(st.integers(0, 2)))
+            if (grammar is None or i != grammar[0]) and draw(st.booleans()):
+                # a newline inside the quotes: one row on two lines
+                fields[-1] = fields[-1][:-1] + newline + '"'
+        blanks = draw(st.integers(0, 2))
+        lines.extend([""] * blanks)
         lines.append(",".join(fields))
-        line_of.append(len(lines))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        physical += blanks + 1 + lines[-1].count(newline)
+        line_of.append(physical)
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
     return text, grammar and (line_of[grammar[0]], grammar[1])
 
@@ -635,3 +672,101 @@ def test_session_properties_on_random_inputs(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "property_log.csv"
     export_log_csv(history, path)
     assert read_log_csv(path) == replay.history
+
+
+# ---------------------------------------------------------------------------
+# run_session against the loop of the oracle's step and download
+
+
+class OmegaRecorder:
+    """Delegates to ``policy`` and keeps the ``omega`` it exposes after each
+    ``decide``, which is what the epoch's record must hold."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.seen = []
+
+    def decide(self, feedback):
+        x = self.policy.decide(feedback)
+        self.seen.append(getattr(self.policy, "omega", None))
+        return x
+
+    @property
+    def omega(self):
+        return getattr(self.policy, "omega", None)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A VBR manifest with 2 to 8 levels, a two-state trace with 1 s or 0.1 s
+    steps that may end before the session does, a b_max from V to 120 s, a
+    tau from 1 to 3, and a way to build a fresh policy of one of the four
+    kinds (so that each loop gets its own)."""
+    n_levels = draw(st.integers(2, 8))
+    horizon = draw(st.integers(0, 60))
+    v = draw(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.5, 6.0))
+    ratios = draw(st.lists(st.floats(1.05, 3.0), min_size=n_levels - 1, max_size=n_levels - 1))
+    rates = tuple(np.cumprod([draw(st.floats(100.0, 2000.0)), *ratios]).tolist())
+    man = synthesize_manifest(horizon, rates, v, vbr_jitter=draw(st.floats(0.0, 0.45)),
+                              seed=draw(st.integers(0, 2**16)))
+    step_s = draw(st.sampled_from([1.0, 0.1]))
+    duration = draw(st.floats(2 * step_s, max(2 * step_s, 2.0 * horizon * v)))
+    low = draw(st.floats(50.0, 3000.0))
+    trace = generate_markovian(duration, low, low * draw(st.floats(1.5, 40.0)),
+                               draw(st.floats(0.01, 0.5)), step_s, seed=draw(st.integers(0, 2**16)))
+    cfg = SessionConfig(b_max_s=draw(st.floats(v, 120.0)), tau_resume=draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["scripted", "rb", "bb", "l2a"]))
+    if kind == "scripted":
+        script = draw(st.lists(st.integers(1, n_levels), min_size=horizon, max_size=horizon))
+        make = lambda: ScriptedPolicy(script)  # noqa: E731
+    elif kind == "rb":
+        make = lambda: RBPolicy(rates)  # noqa: E731
+    elif kind == "bb":
+        make = lambda: BBPolicy(man, cfg.b_max_s)  # noqa: E731
+    else:
+        beta = draw(st.sampled_from([1.0, 0.3]))
+        make = lambda: L2APolicy(rates, v, cfg.b_max_s, max(horizon, 1), beta=beta)  # noqa: E731
+    return man, trace, cfg, make
+
+
+def record_hex(rec):
+    """Every field of a record, floats by ``float.hex``; ω as its float.hex
+    tuple, or None."""
+    t, x, *floats, stall, stall_s, omega = rec
+    return (t, x, *map(float.hex, floats), stall, float.hex(stall_s),
+            None if omega is None else tuple(map(float.hex, omega)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_run_session_matches_the_step_oracle_bit_for_bit(case):
+    man, trace, cfg, make = case
+    policy = OmegaRecorder(make())
+    state = run_session(policy, cfg, man, trace)
+    oracle = run_oracle(make(), cfg, man, trace)
+    assert [record_hex(r) for r in state.history] == [record_hex(r) for r in oracle.history]
+    assert [type(r.stall) for r in state.history] == [bool] * man.num_segments
+    # each record holds the very tuple the policy exposed after that epoch's decide
+    assert len(policy.seen) == man.num_segments
+    assert all(rec.omega is omega for rec, omega in zip(state.history, policy.seen))
+    for name in ("epoch_t", "buffer_s", "wall_clock_s", "stalled", "segments_since_stall"):
+        mine, theirs = getattr(state, name), getattr(oracle, name)
+        assert type(mine) is type(theirs), name
+        assert (mine.hex() if isinstance(mine, float) else mine) == (
+            theirs.hex() if isinstance(theirs, float) else theirs), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_levels=st.integers(2, 8), horizon=st.integers(1, 12), data=st.data())
+def test_run_session_rejects_an_index_off_the_ladder_as_the_oracle_does(n_levels, horizon, data):
+    man = synthesize_manifest(horizon, np.cumprod([300.0] + [2.0] * (n_levels - 1)).tolist(), 2.0,
+                              vbr_jitter=0.1, seed=horizon)
+    trace = generate_markovian(60, 750, 23000, 0.1, 0.1, seed=n_levels)
+    bad_at = data.draw(st.integers(0, horizon - 1))
+    script = [1] * bad_at + [data.draw(st.sampled_from([0, n_levels + 1]))]
+    messages = []
+    for run in (run_session, run_oracle):
+        with pytest.raises(ValueError, match=r"^quality index -?\d+ outside 1\.\.\d+$") as info:
+            run(ScriptedPolicy(script), SessionConfig(b_max_s=20.0), man, trace)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"quality index {script[-1]} outside 1..{n_levels}"
