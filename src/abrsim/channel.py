@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+
 import numpy as np
 
 __all__ = [
@@ -178,7 +179,8 @@ def reread_rows(fh, parse, parsed: np.ndarray | None):
     """
     fh.seek(0)
     body = fh.readlines()[1:]
-    reader = csv.reader(body)
+    # Python 3.10's csv rejects a NUL byte, which ends no field and no row
+    reader = csv.reader(line.replace("\0", " ") for line in body)
     rows = []
     start = 0
     for fields in reader:

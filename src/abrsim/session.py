@@ -1,13 +1,14 @@
 """Per-epoch client loop: request, download, buffer update, feedback.
 
 ``run_session`` is the loop, and the only place the download and the buffer
-law below are computed.  Each epoch the player downloads one segment (wall-clock duration d), drains d
-seconds of buffer while playing, gains one segment duration V on completion,
-and delays the next request by Delta = [pre_append_buffer + V - B_max]^+ so
-the buffer never exceeds B_max at an epoch boundary.  An underflow
-(buffer < d) pauses playback until ``tau_resume`` segments have been appended
-since the pause began; while paused the buffer does not drain, but new stall
-indicator epochs are still recorded whenever buffer < d.
+law below are computed.  Each epoch the player downloads one segment
+(wall-clock duration d), drains d seconds of buffer while playing, gains one
+segment duration V on completion, and delays the next request by
+Delta = [pre_append_buffer + V - B_max]^+ so the buffer never exceeds B_max
+at an epoch boundary.  An underflow (buffer < d) pauses playback until
+``tau_resume`` segments have been appended since the pause began; while
+paused the buffer does not drain, but new stall indicator epochs are still
+recorded whenever buffer < d.
 
 A download drains the segment's bits through the trace's piecewise-constant
 rate (the fluid model), so its duration is exact even when it spans several

@@ -153,6 +153,15 @@ def test_load_counts_a_quoted_line_break_as_csv_does(tmp_path, rows, expected):
     assert str(info.value) == f"{path}: {expected}"
 
 
+def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):
+    # the failure path counts the rows of the whole file with csv, whose
+    # reader rejects a NUL byte on Python 3.10
+    path = _write(tmp_path, ["0,5000", "1,inf", "2,6\x000"])
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: line 3: non-finite sample (1.0, inf)"
+
+
 def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
     # a non-finite row before an unparseable one: rows are checked as they are read
     path = _write(tmp_path, ["0,5000", "1,inf", "2,abc"])
@@ -213,9 +222,9 @@ FAULTS = {
 def trace_files(draw):
     """The text of a trace file: LF or CRLF endings, blank lines, a third
     column, quoted values (some spanning a line break), numbers written
-    several ways, and at most two
-    faults (a bad field, a short row, a NaN or inf, a timestamp that does not
-    increase), so that the first one in file order must be the one named."""
+    several ways, and at most two faults (a bad field, a short row, a NaN or
+    inf, a timestamp that does not increase), so that the first one in file
+    order must be the one named."""
     n = draw(st.integers(0, 12))
     steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     rates = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))

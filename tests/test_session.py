@@ -172,6 +172,14 @@ def test_empty_horizon():
     assert state.wall_clock_s == 0.0
 
 
+def test_a_download_that_never_ends_stops_the_session():
+    # 1e10 kbit at 1e-300 kbps overflows to an infinite download time
+    man = Manifest(2.0, (1000.0, 2000.0), [[1e10, 2e10]] * 3)
+    trace = ChannelTrace(np.array([0.0, 1.0]), np.array([1e-300, 1e-300]))
+    with pytest.raises(ValueError, match=r"^epoch 2: download start time must be finite, got inf$"):
+        run_session(ScriptedPolicy([1, 1, 1]), SessionConfig(b_max_s=20.0), man, trace)
+
+
 @pytest.mark.parametrize("segments", [0, 2], ids=["empty-horizon", "two-segments"])
 def test_bmax_below_segment_duration_is_rejected_before_any_decision(segments):
     decided = []
