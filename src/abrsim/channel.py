@@ -106,46 +106,37 @@ def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> Chan
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.
 
     Samples below ``floor_kbps`` (outages are often logged as zero) are
-    replaced by the floor so every download makes progress.  The rows after
-    the header are parsed in one ``np.loadtxt`` call: blank lines are skipped
-    (but counted), columns after the second are ignored, values may be
-    quoted, and numbers follow numpy's grammar (no ``1_000``, ASCII digits
-    only).  The samples are then checked as a whole; only when a row cannot
-    be parsed, holds a NaN or inf, or does not increase the timestamp is the
-    file read again, from the handle already open, to name the first such
-    row in file order and its line.  A byte the file's encoding cannot decode
-    is a TraceError naming its line, unless a row before that line is bad:
-    faults are reported in file order.
+    replaced by the floor so every download makes progress.  The file is read
+    by ``read_csv_table``: the header's fields may hold surrounding spaces,
+    columns after the second are ignored, and a row that cannot be parsed,
+    holds a NaN or inf, or does not increase the timestamp is a TraceError
+    naming its line.
     """
     if not 0 < floor_kbps < math.inf:
         raise ValueError(f"floor_kbps must be positive and finite, got {floor_kbps!r}")
-    with open(path, newline="") as fh:
-        try:
-            samples = _read_samples(fh, path)
-        except UnicodeDecodeError as exc:
-            message = undecodable(fh, exc, lambda head: _read_samples(head, path))
-            raise TraceError(f"{path}: {message}") from None
+    samples = read_csv_table(path, TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
+                             _sample_faults, _sample_fault, TraceError, strip_header=True)
     if len(samples) < 2:
         raise TraceError(f"{path}: need at least 2 samples, got {len(samples)}")
     ts, tp = samples.T
     return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
 
 
-def _read_samples(fh, path: str | Path) -> np.ndarray:
-    """The samples of the trace file ``fh``, checked; a TraceError names the
-    first bad row of the file and its line."""
-    header = next(csv.reader([fh.readline()]))
-    if [h.strip() for h in header] != list(TRACE_HEADER):
-        raise TraceError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-    try:
-        samples = _parse_samples(fh)
-    except UnicodeDecodeError:
-        raise
-    except ValueError:
-        samples = None
-    if samples is None or _sample_fault(samples) is not None:
-        raise TraceError(f"{path}: {_first_bad_row(fh, samples)}")
-    return samples
+def _sample_faults(samples: np.ndarray) -> np.ndarray:
+    """Whether each sample is non-finite or does not increase the timestamp."""
+    faults = ~np.isfinite(samples).all(axis=1)
+    faults[1:] |= ~(samples[1:, 0] > samples[:-1, 0])
+    return faults
+
+
+def _sample_fault(text: str, fields: list[str], i: int, sample: np.ndarray | None) -> str:
+    """What is wrong with the trace row ``fields``, sample ``i``, read as
+    ``sample`` (None when it cannot be parsed)."""
+    if sample is None:
+        return f"cannot parse row {fields!r}"
+    if np.isfinite(sample).all():
+        return f"timestamps not increasing at sample {i + 1}"
+    return f"non-finite sample {tuple(sample.tolist())!r}"
 
 
 def parse_csv_rows(lines, max_rows: int | None = None, **options) -> np.ndarray:
@@ -164,96 +155,102 @@ def parse_csv_rows(lines, max_rows: int | None = None, **options) -> np.ndarray:
                           max_rows=max_rows, **options)
 
 
-def reread_rows(fh, parse, parsed: np.ndarray | None):
-    """Rewind ``fh``, whose rows after the header ``parse`` read as ``parsed``
-    or (``parsed`` None) failed to read, to locate its rows.
+def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, faults, describe,
+                   error: type[ValueError], strip_header: bool = False) -> np.ndarray:
+    """The rows of the CSV file ``path`` after its header, parsed in one
+    ``parse_csv_rows`` call with the options ``parse`` and checked as a whole:
+    the one reader of trace and log files.
 
-    Returns each row after the header as its line and its text, the rows
-    ``parse`` reads before the first one it cannot, and that row's index
-    (None when ``parsed`` is given).  Rows are counted as ``csv.reader``
-    counts them, as ``parse`` does: blank lines are no rows, and a quoted
-    field that spans a newline keeps its row whole, on the line where the
-    row ends (``csv.reader.line_num``, the header being line 1).  The row is
-    found by bisecting over row prefixes with ``parse`` itself, so it is the
-    one that made the whole read fail.
+    The header's fields must be ``header`` (each stripped of surrounding
+    spaces first if ``strip_header``).  ``faults(table)`` flags the rows that
+    break a rule.  Only when a row cannot be parsed or is flagged is the file
+    read again, from the handle already open, to find the first bad row in
+    file order; ``describe(text, fields, i, row)`` says what is wrong with it,
+    given its text, its fields, its index and its parsed value (None when it
+    cannot be parsed).  Rows are counted as ``csv.reader`` counts them, as
+    the parse does: blank lines are no rows, and a quoted field that spans a
+    newline keeps its row whole, on the line where the row ends (the header
+    being line 1).  A byte the file's encoding cannot decode is reported with
+    its line, unless a row before that line is bad.  Each fault is an
+    ``error`` whose message starts with the file and, for a row or a byte,
+    ``line N:``.
     """
-    fh.seek(0)
-    body = fh.readlines()[1:]
-    # Python 3.10's csv rejects a NUL byte, which ends no field and no row
-    reader = csv.reader(line.replace("\0", " ") for line in body)
-    rows = []
-    start = 0
-    for fields in reader:
-        if fields:
-            rows.append((reader.line_num + 1, "".join(body[start:reader.line_num])))
-        start = reader.line_num
-    if parsed is not None:
-        return rows, parsed, None
 
-    def unparseable(k: int) -> bool:
+    def read(fh) -> np.ndarray:
+        names = _fields(fh.readline())
+        if strip_header:
+            names = [h.strip() for h in names]
+        if tuple(names) != header:
+            raise error(f"{path}: expected header {','.join(header)}")
         try:
-            parse(body, max_rows=k + 1)
+            table = parse_csv_rows(fh, **parse)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            table = None
+        else:
+            flagged = faults(table)
+            if not flagged.any():
+                return table
+        fh.seek(0)
+        body = fh.readlines()[1:]
+        if table is None:
+            # the first row whose prefix fails the parse; the rows before it
+            # are checked first
+            unparsed = bisect.bisect_left(range(len(body)), True, key=lambda k: fails(body, k + 1))
+            table = parse_csv_rows(body, unparsed, **parse)
+            flagged = np.append(faults(table), True)
+        i = int(flagged.argmax())
+        line, text = _row(body, i)
+        row = table[i] if i < len(table) else None
+        raise error(f"{path}: line {line}: {describe(text, _fields(text), i, row)}")
+
+    def fails(body: list[str], rows: int) -> bool:
+        try:
+            parse_csv_rows(body, rows, **parse)
         except ValueError:
             return True
         return False
 
-    unparsed = bisect.bisect_left(range(len(rows)), True, key=unparseable)
-    return rows, parse(body, max_rows=unparsed), unparsed
+    with open(path, newline="") as fh:
+        try:
+            return read(fh)
+        except UnicodeDecodeError as exc:
+            # raised on a chunk of the file, exc knows no line: decode it whole
+            fh.seek(0)
+            data = fh.buffer.read()
+            message = str(exc)
+            try:
+                data.decode(fh.encoding)
+            except UnicodeDecodeError as whole:
+                lines = (data[:whole.start] + b".").splitlines(keepends=True)
+                if len(lines) > 1:
+                    # a bad row before the byte's line is the first fault
+                    read(io.StringIO(b"".join(lines[:-1]).decode(fh.encoding), newline=""))
+                message = f"line {len(lines)}: {whole}"
+            raise error(f"{path}: {message}") from None
 
 
-def _parse_samples(lines, max_rows: int | None = None) -> np.ndarray:
-    """The (timestamp, throughput) columns of the trace rows in ``lines``, as
-    an (n, 2) array."""
-    return parse_csv_rows(lines, max_rows, usecols=(0, 1), ndmin=2)
+def _row(body: list[str], i: int) -> tuple[int, str]:
+    """The line and the text of row ``i`` of ``body``, the lines after the
+    header, as ``csv.reader`` counts rows and lines."""
+    # Python 3.10's csv rejects a NUL byte, which ends no field and no row
+    reader = csv.reader(line.replace("\0", " ") for line in body)
+    start = 0
+    for fields in reader:
+        if fields:
+            if not i:
+                return reader.line_num + 1, "".join(body[start:reader.line_num])
+            i -= 1
+        start = reader.line_num
 
 
-def _sample_fault(samples: np.ndarray) -> tuple[int, str] | None:
-    """The index of the first sample that is non-finite or does not increase
-    the timestamp, and what is wrong with it; None when every sample is good."""
-    finite = np.isfinite(samples).all(axis=1)
-    good = finite.copy()
-    good[1:] &= samples[1:, 0] > samples[:-1, 0]
-    bad = np.flatnonzero(~good)
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    if finite[i]:
-        return i, f"timestamps not increasing at sample {i + 1}"
-    return i, f"non-finite sample {tuple(samples[i].tolist())!r}"
-
-
-def _first_bad_row(fh, samples: np.ndarray | None) -> str:
-    """Describe the first bad row of the trace file ``fh`` in file order, with
-    its line; ``samples`` holds every row, or is None when some row cannot be
-    parsed.  The rows before an unparseable one are checked first."""
-    rows, samples, unparsed = reread_rows(fh, _parse_samples, samples)
-    fault = _sample_fault(samples)
-    if fault is not None:
-        i, message = fault
-        return f"line {rows[i][0]}: {message}"
-    # every row before the unparseable one is good, so it is the first bad row
-    line, text = rows[unparsed]
-    return f"line {line}: cannot parse row {next(csv.reader([text]))!r}"
-
-
-def undecodable(fh, exc: UnicodeDecodeError, read) -> str:
-    """Describe the first byte that the encoding of the text file ``fh``
-    cannot decode, with its line, by rewinding ``fh`` and decoding it whole
-    (``exc``, raised while reading it in chunks, knows no line).  The lines
-    before the byte's line are first given to ``read`` as a text file, which
-    raises at a bad row among them, so that the first fault in file order is
-    the one reported."""
-    fh.seek(0)
-    data = fh.buffer.read()
-    try:
-        data.decode(fh.encoding)
-        return str(exc)
-    except UnicodeDecodeError as whole:
-        exc = whole
-    lines = (data[:exc.start] + b".").splitlines(keepends=True)
-    if len(lines) > 1:
-        read(io.StringIO(b"".join(lines[:-1]).decode(fh.encoding), newline=""))
-    return f"line {len(lines)}: {exc}"
+def _fields(text: str) -> list[str]:
+    """The fields ``csv.reader`` splits the row ``text`` into; as Python
+    3.10's csv rejects a NUL byte, a character the text does not hold stands
+    in for it."""
+    stand_in = next(c for c in map(chr, range(0xE000, 0xE001 + len(text))) if c not in text)
+    return [f.replace(stand_in, "\0") for f in next(csv.reader([text.replace("\0", stand_in)]))]
 
 
 def generate_markovian(

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .media import Manifest
-from .session import EpochRecord
+from .session import EpochRecord, require_count, require_positive
 
 __all__ = [
     "BenchmarkSolution",
@@ -67,8 +67,7 @@ def qoe_metrics(
     exceeds the budget; horizons too short for switch metrics report 1 and
     are flagged.
     """
-    if tau < 1:
-        raise ValueError("tau must be at least 1")
+    require_count("tau", tau)
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     flags: list[str] = []
@@ -212,8 +211,7 @@ def solve_benchmark(
     t_total = rates_c.size
     if not 1 <= k <= t_total:
         raise ValueError(f"window k={k} outside 1..{t_total}")
-    if not 0.0 < b_max_s < math.inf:
-        raise ValueError(f"b_max_s must be positive and finite, got {b_max_s!r}")
+    require_positive("b_max_s", b_max_s)
     if t_total > manifest.num_segments:
         raise ValueError("more realized rates than manifest segments")
     bad = np.flatnonzero(~np.isfinite(rates_c))

@@ -18,7 +18,6 @@ samples, and the last sample's rate lasts forever.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .channel import ChannelTrace, parse_csv_rows, reread_rows, undecodable
+from .channel import ChannelTrace, parse_csv_rows, read_csv_table
 from .media import Manifest
 
 __all__ = [
@@ -72,11 +71,8 @@ class SessionConfig:
     tau_resume: int = 2
 
     def __post_init__(self) -> None:
-        require_finite(self, "b_max_s")
-        if self.b_max_s <= 0:
-            raise ValueError("b_max_s must be positive")
-        if self.tau_resume < 1:
-            raise ValueError("tau_resume must be at least 1")
+        require_positive("b_max_s", self.b_max_s)
+        require_count("tau_resume", self.tau_resume)
 
 
 class EpochFeedback(NamedTuple):
@@ -141,18 +137,17 @@ class ScriptedPolicy:
         return next(self._it)
 
 
-def require_finite(owner, *names: str) -> None:
-    """Raise a ValueError naming the first of ``owner``'s fields that is not a finite number."""
-    for name in names:
-        value = getattr(owner, name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            raise ValueError(f"{type(owner).__name__}.{name} must be a finite number, got {value!r}")
-
-
 def require_positive(name: str, value):
     """``value`` if it is a positive finite real number, else a ValueError naming ``name``."""
     if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def require_count(name: str, value):
+    """``value`` if it is an integer of at least 1, else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -272,11 +267,6 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 
 
-def _parse_log_rows(lines, max_rows: int | None = None) -> np.ndarray:
-    """The log rows in ``lines`` as a structured array with one field per column."""
-    return parse_csv_rows(lines, max_rows, dtype=_LOG_DTYPE, ndmin=1)
-
-
 def _broken_rule(name: str, values: np.ndarray, first_epoch: int = 1) -> tuple[np.ndarray, str]:
     """Which of the ``values`` of log column ``name`` break its rule, the
     first of them read as epoch ``first_epoch``, and the rule: ``t`` counts
@@ -288,11 +278,11 @@ def _broken_rule(name: str, values: np.ndarray, first_epoch: int = 1) -> tuple[n
     return ~np.isfinite(values), "values must be finite"
 
 
-def _row_fault(row: str, epoch: int) -> str:
-    """What is wrong with ``row``, the text of epoch ``epoch``'s row: its
-    first bad column in column order, each field parsed alone by the
-    reader's grammar."""
-    fields = next(csv.reader([row]))
+def _row_fault(row: str, fields: list[str], i: int, _values) -> str:
+    """What is wrong with ``row``, the text of the log's row ``i`` split into
+    ``fields``: its first bad column in column order, each field parsed alone
+    by the reader's grammar."""
+    epoch = i + 1
     if len(fields) != len(LOG_COLUMNS):
         got = f"expected {len(LOG_COLUMNS)} fields, got {len(fields)}"
         if len(fields) < len(LOG_COLUMNS):
@@ -318,60 +308,23 @@ def _log_faults(table: np.ndarray) -> np.ndarray:
     return faults
 
 
-def _first_bad_log_row(fh, table: np.ndarray | None) -> str:
-    """Describe the first bad row of the log file ``fh`` in file order, with
-    its line; ``table`` holds every row, or is None when some row cannot be
-    parsed.  The rows before an unparseable one are checked first."""
-    rows, table, unparsed = reread_rows(fh, _parse_log_rows, table)
-    bad = np.flatnonzero(_log_faults(table))
-    i = int(bad[0]) if bad.size else unparsed
-    line, text = rows[i]
-    return f"line {line}: {_row_fault(text, i + 1)}"
-
-
 def read_log_csv(path: str | Path) -> list[EpochRecord]:
     """Read a log written by ``export_log_csv``.
 
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
-    schema preserves full float precision.  The rows after the header are
-    parsed in one ``np.loadtxt`` call, so numbers follow numpy's grammar, as
-    in trace files: blank lines are skipped (but counted), values may be
-    quoted, and a digit separator (``1_000``), a non-ASCII digit or an
-    integer beyond int64 is a value that cannot be parsed.  The columns are
-    then checked as a whole.  A row with the wrong number of fields, a
-    non-integer ``t``, ``x_t`` or ``stall``, a NaN or inf value, a ``stall``
-    other than 0 or 1, or a ``t`` that does not continue 1, 2, 3, ... is a
-    ValueError naming the file, the line and the first bad column; only then
-    is the file read again, from the handle already open, to find the first
-    such row in file order.  A byte the file's encoding cannot decode is a
-    ValueError naming its line, unless a row before that line is bad: faults
-    are reported in file order.
+    schema preserves full float precision.  The file is read by
+    ``channel.read_csv_table``: the header must match exactly, and a row with
+    the wrong number of fields, a non-integer ``t``, ``x_t`` or ``stall``, a
+    NaN or inf value, a ``stall`` other than 0 or 1, or a ``t`` that does not
+    continue 1, 2, 3, ... is a ValueError naming its line and its first bad
+    column.
     """
-    with open(path, newline="") as fh:
-        try:
-            table = _read_log_table(fh, path)
-        except UnicodeDecodeError as exc:
-            message = undecodable(fh, exc, lambda head: _read_log_table(head, path))
-            raise ValueError(f"{path}: {message}") from None
+    table = read_csv_table(path, LOG_COLUMNS, {"dtype": _LOG_DTYPE, "ndmin": 1}, _log_faults, _row_fault,
+                           ValueError)
     columns = {name: table[column].tolist() for column, name, _ in _LOG_TABLE}
     columns["stall"] = (table["stall"] == 1).tolist()
     after = columns["buffer_after_s"]
     columns["buffer_before_s"] = [0.0, *after[:-1]]
     return list(map(EpochRecord, *(columns[name] for name in EpochRecord._fields[:-1])))
 
-
-def _read_log_table(fh, path: str | Path) -> np.ndarray:
-    """The rows of the log file ``fh`` as a structured array, checked; a
-    ValueError names the first bad row of the file, its line and column."""
-    if tuple(next(csv.reader([fh.readline()]))) != LOG_COLUMNS:
-        raise ValueError(f"{path}: expected header {','.join(LOG_COLUMNS)}")
-    try:
-        table = _parse_log_rows(fh)
-    except UnicodeDecodeError:
-        raise
-    except ValueError:
-        table = None
-    if table is None or _log_faults(table).any():
-        raise ValueError(f"{path}: {_first_bad_log_row(fh, table)}")
-    return table

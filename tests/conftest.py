@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 
-from abrsim import ChannelTrace
+from abrsim import ChannelTrace, channel, session
 
 
 def constant_trace(rate_kbps: float, duration_s: float = 100000.0) -> ChannelTrace:
@@ -23,3 +25,34 @@ def assert_buffer_law(history, b_max_s: float) -> None:
 def count_switches(history) -> int:
     xs = [rec.x for rec in history]
     return sum(1 for i in range(1, len(xs)) if xs[i] != xs[i - 1])
+
+
+def reject_nul_as_python_3_10(monkeypatch) -> None:
+    """Make ``csv.reader`` raise on a line that holds a NUL byte, as it does
+    on Python 3.10 (3.11 reads NUL as an ordinary character)."""
+    reader = csv.reader
+
+    def reader_3_10(lines, *args, **kwargs):
+        def checked():
+            for line in lines:
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+        return reader(checked(), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader_3_10)
+
+
+def record_parses(monkeypatch) -> list:
+    """Record each call of ``parse_csv_rows`` by the trace and log readers as
+    ``(lines, max_rows)``, ``lines`` being "file" for an open file."""
+    calls = []
+    parse = channel.parse_csv_rows
+
+    def recording(lines, max_rows=None, **options):
+        calls.append(("file" if hasattr(lines, "read") else lines, max_rows))
+        return parse(lines, max_rows, **options)
+
+    monkeypatch.setattr(channel, "parse_csv_rows", recording)
+    monkeypatch.setattr(session, "parse_csv_rows", recording)
+    return calls

@@ -18,7 +18,7 @@ from abrsim import (
     write_trace,
 )
 
-from conftest import constant_trace
+from conftest import constant_trace, record_parses, reject_nul_as_python_3_10
 from session_oracle import download
 
 
@@ -160,6 +160,40 @@ def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):
     with pytest.raises(TraceError) as info:
         load_trace(path)
     assert str(info.value) == f"{path}: line 3: non-finite sample (1.0, inf)"
+
+
+@pytest.mark.parametrize("python", ["3.10", "3.11"])
+@pytest.mark.parametrize(
+    "rows, header, expected",
+    [
+        (["0,5000", "1,6\x000"], "timestamp_s,throughput_kbps", "line 3: cannot parse row ['1', '6\\x000']"),
+        (["0,5000", "1,6000"], "timestamp_s,through\x00put_kbps", "expected header timestamp_s,throughput_kbps"),
+    ],
+    ids=["row", "header"],
+)
+def test_load_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, python, rows, header, expected):
+    # Python 3.10's csv rejects NUL: the reader splits the bad row's fields
+    # and the header without giving it one, and keeps the NUL in the message
+    if python == "3.10":
+        reject_nul_as_python_3_10(monkeypatch)
+    path = _write(tmp_path, rows, header=header)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: {expected}"
+
+
+@pytest.mark.parametrize("row, expected", [("2,inf", "line 4: non-finite sample (2.0, inf)"),
+                                           ("1,6000", "line 4: timestamps not increasing at sample 3")],
+                         ids=["inf", "not-increasing"])
+def test_load_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, row, expected):
+    # a row that parses but breaks a rule is found in the parsed table: the
+    # whole-file parse is the only one
+    path = _write(tmp_path, ["0,5000", "1,6000", row, "3,7000"])
+    calls = record_parses(monkeypatch)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: {expected}"
+    assert calls == [("file", None)]
 
 
 def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):

@@ -219,6 +219,16 @@ def test_benchmark_rejects_a_bad_bmax(assets, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_run_rejects_a_bad_bmax_as_benchmark_does(assets, tmp_path, capsys):
+    manifest, trace = assets
+    # one check and one message for the buffer bound, raised before any output
+    for bmax in ("nan", "inf", "0", "-1"):
+        out = tmp_path / f"out{bmax}"
+        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--bmax", bmax, "--out", out) == 1
+        assert capsys.readouterr().err == f"abrsim: error: b_max_s must be positive and finite, got {float(bmax)!r}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["zero", "above-top"])
 def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, capsys, which):
     manifest, trace = assets

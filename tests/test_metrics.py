@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -126,8 +127,11 @@ def test_empty_log_flagged():
 
 
 def test_qoe_validation():
-    with pytest.raises(ValueError):
-        qoe_metrics([], fixture_manifest(), 0, 20.0)
+    # tau follows SessionConfig.tau_resume's rule
+    for bad in (math.nan, math.inf, 1.5, 0):
+        with pytest.raises(ValueError) as info:
+            qoe_metrics(fixture_history(), fixture_manifest(), bad, DURATION)
+        assert str(info.value) == f"tau must be an integer >= 1, got {bad!r}"
     with pytest.raises(ValueError):
         qoe_metrics([], fixture_manifest(), 2, 0.0)
 

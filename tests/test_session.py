@@ -30,7 +30,7 @@ from abrsim import (
 
 from abrsim.session import LOG_COLUMNS
 
-from conftest import assert_buffer_law, constant_trace
+from conftest import assert_buffer_law, constant_trace, record_parses, reject_nul_as_python_3_10
 from session_oracle import DownloadResult, run_oracle, step
 
 
@@ -124,13 +124,16 @@ def test_step_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SessionConfig(b_max_s=0.0)
-    with pytest.raises(ValueError):
-        SessionConfig(b_max_s=10.0, tau_resume=0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="SessionConfig.b_max_s must be a finite number"):
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError) as info:
             SessionConfig(b_max_s=bad)
+        assert str(info.value) == f"b_max_s must be positive and finite, got {bad!r}"
+    # with a tau_resume of nan or inf, playback would never resume after a stall
+    for bad in (math.nan, math.inf, 1.5, 0, True):
+        with pytest.raises(ValueError) as info:
+            SessionConfig(b_max_s=10.0, tau_resume=bad)
+        assert str(info.value) == f"tau_resume must be an integer >= 1, got {bad!r}"
+    assert SessionConfig(b_max_s=10.0, tau_resume=np.int64(3)).tau_resume == 3
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +450,40 @@ def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, mon
     assert opened == [path]
 
 
+@pytest.mark.parametrize("python", ["3.10", "3.11"])
+def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, python):
+    # Python 3.10's csv rejects NUL: the reader splits the bad row's fields
+    # without giving it one, and keeps the NUL in the message
+    if python == "3.10":
+        reject_nul_as_python_3_10(monkeypatch)
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:3], path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(_put(lines[2].split(","), 3, "2\x000"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value) == f"{path}: line 3: column size_kbit: '2\\x000' is not a number"
+
+
+@pytest.mark.parametrize("column, text", [(8, "2"), (9, "inf")], ids=["stall-2", "inf"])
+def test_log_csv_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, column, text):
+    # a row that parses but breaks a rule is found in the parsed table: the
+    # whole-file parse is the only one of the table, and only the bad row's
+    # fields are parsed again, each alone, to name the column
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:6], path)
+    lines = path.read_text().splitlines()
+    lines[4] = ",".join(_put(lines[4].split(","), column, text))
+    path.write_text("\n".join(lines) + "\n")
+    calls = record_parses(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert str(info.value).startswith(f"{path}: line 5: column {LOG_COLUMNS[column]} is {text!r}")
+    assert calls[0] == ("file", None)
+    assert calls[1:] == [([lines[4] + "\n"], None)] * (column + 1)
+
+
 def test_log_csv_names_the_line_of_an_undecodable_byte(tmp_path):
     man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
     state = run_session(ScriptedPolicy([1, 2, 1]), SessionConfig(b_max_s=120.0), man,
@@ -596,7 +633,8 @@ def log_files(draw):
     for i, fields in enumerate(rows):
         if draw(st.booleans()):
             fields = [f'"{f}"' for f in fields]
-            if (grammar is None or i != grammar[0]) and draw(st.booleans()):
+            # a short row cut to no fields is a blank line, with no field to quote
+            if fields and (grammar is None or i != grammar[0]) and draw(st.booleans()):
                 # a newline inside the quotes: one row on two lines
                 fields[-1] = fields[-1][:-1] + newline + '"'
         blanks = draw(st.integers(0, 2))
