@@ -568,3 +568,20 @@ def test_a_closed_form_session_has_pinned_bytes():
     assert any(r.stall for r in history) and policy.state.gamma < horizon
     assert (hashlib.sha256(l2a_bytes(history)).hexdigest()
             == "08c41324f3f63830c8367e7cffb69d0bac71640b4dcb4c64308cea27d7443f68")
+
+
+def test_a_seeded_live_session_at_beta_0_3_has_pinned_records():
+    # a live buffer (b_max 20 s) on a 0.1 s trace: the session stalls, the
+    # budget blocks steps, and every field of every record, omega included,
+    # is pinned
+    horizon = 300
+    man = synthesize_manifest(horizon, LADDER, 2.0, vbr_jitter=0.1, seed=18)
+    trace = generate_markovian(900, 750, 23000, 0.01, 0.1, seed=18)
+    policy = L2APolicy(LADDER, 2.0, 20.0, horizon, beta=0.3)
+    history = run_session(policy, SessionConfig(b_max_s=20.0, tau_resume=2), man, trace).history
+    assert any(r.stall for r in history) and policy.state.gamma < horizon
+    assert len({r.x for r in history}) > 2
+    records = (np.array([rec[:-1] for rec in history], dtype="<f8").tobytes()
+               + np.array([rec.omega for rec in history], dtype="<f8").tobytes())
+    assert (hashlib.sha256(records).hexdigest()
+            == "b3d55a773c2ff897f1f634a55f626cd6b43fb63b57f2ea9f06b1612906773cc3")
