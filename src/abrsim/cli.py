@@ -36,6 +36,9 @@ COMPARISON_COLUMNS = (
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
 SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
+# one convergence row: the epoch, then each series as _fmt writes a float
+# ('%.6g' % v is f"{v:.6g}" for every double, non-finite ones included)
+_CONVERGENCE_ROW = "%d,%.6g,%.6g,%.6g\n"
 # β is the one policy setting; every other parameter is derived when the policy
 # is built (L2A's v_l and alpha from T, bb's v_b and gamma_p from the ladder and
 # the buffer) or a module constant (L2A's EPSILON, rb's RB_* constants)
@@ -232,12 +235,12 @@ def _write_csv_rows(path: Path, header, rows) -> None:
 
 
 def _write_convergence(path: Path, series) -> None:
-    """One row per epoch of the three rate series, in SERIES_KEYS order."""
-    _write_csv_rows(
-        path,
-        CONVERGENCE_COLUMNS,
-        ([str(t + 1)] + [_fmt(values[t]) for values in series] for t in range(len(series[0]))),
-    )
+    """One row per epoch of the three rate series, in SERIES_KEYS order,
+    formatted as ``_fmt`` formats them and written in one call."""
+    columns = [np.asarray(values, dtype=float).tolist() for values in series]
+    rows = zip(range(1, len(columns[0]) + 1), *columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CONVERGENCE_COLUMNS) + "\n" + "".join(map(_CONVERGENCE_ROW.__mod__, rows)))
 
 
 def _print_metrics(name: str, report: metrics.SessionReport) -> None:

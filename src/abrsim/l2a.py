@@ -89,7 +89,8 @@ class L2AState:
     """Per-session controller state, in Python floats.
 
     ``omega`` is the decision distribution, a tuple replaced (never mutated)
-    at each gradient step, so a reference to it stays a record of that epoch.
+    at each gradient step, so a reference to it stays a record of that epoch
+    and ``l2a_decide`` maps each one to a quality once.
     ``grad_accum`` is the queue-weighted gradient sum since the last step.
     """
 
@@ -111,41 +112,47 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     """Pick the quality index for the next epoch; mutates ``policy.state``.
 
     ``policy`` supplies the ladder, the segment duration, the buffer bound,
-    ``beta`` and the schedule.  With no feedback yet (first epoch) the
-    distribution stays at its initialization and the startup quality is
-    returned.
+    ``beta``, the schedule and the constants derived from them.  With no
+    feedback yet (first epoch) the distribution stays at its initialization
+    and the startup quality is returned.
     """
     state = policy.state
-    bitrates_kbps = policy.bitrates_kbps
     state.t += 1
-    t = state.t
-    if feedback is None:
-        return map_to_quality(state.omega, bitrates_kbps)
+    if feedback is not None:
+        c_prev = feedback.realized_rate_kbps
+        sizes_prev = feedback.row_sizes_kbit
+        # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
+        # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
+        # that order, with the same bits, and on a step feeds the sum straight
+        # into the projection's argument
+        q1, q2 = state.q1, state.q2
+        if state.gamma / state.t <= policy.beta:
+            denom = policy._two_alpha
+            state.omega = project_simplex([
+                o - (a + u + q1 * (d := s / c_prev) - q2 * d) / denom
+                for o, a, u, s in zip(state.omega, state.grad_accum, policy._utility_grad, sizes_prev)
+            ])
+            state.gamma += 1
+            state.grad_accum = [0.0] * len(state.omega)
+        else:
+            state.grad_accum = [
+                a + u + q1 * (d := s / c_prev) - q2 * d
+                for a, u, s in zip(state.grad_accum, policy._utility_grad, sizes_prev)
+            ]
 
-    c_prev = feedback.realized_rate_kbps
-    sizes_prev = feedback.row_sizes_kbit
-    # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
-    # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
-    # that order, with the same bits
-    w = UTILITY_WEIGHT / bitrates_kbps[-1]
-    v_l, q1, q2 = policy.v_l, state.q1, state.q2
-    state.grad_accum = [
-        a + v_l * -(r * w) + q1 * (d := s / c_prev) - q2 * d
-        for a, r, s in zip(state.grad_accum, bitrates_kbps, sizes_prev)
-    ]
+        # dual ascent on the queues, with the constraints at the post-step omega
+        v = policy.segment_duration_s
+        expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
+        state.q1 = max(q1 + (expected_dl - v), 0.0)
+        state.q2 = max(q2 + (v - expected_dl - policy._allowance_s), 0.0)
 
-    if state.gamma / t <= policy.beta:
-        denom = 2.0 * policy.alpha
-        state.omega = project_simplex([o - a / denom for o, a in zip(state.omega, state.grad_accum)])
-        state.gamma += 1
-        state.grad_accum = [0.0] * len(state.omega)
-
-    # dual ascent on the queues, with the constraints at the post-step omega
-    v = policy.segment_duration_s
-    expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
-    state.q1 = max(q1 + (expected_dl - v), 0.0)
-    state.q2 = max(q2 + (v - expected_dl - policy.b_max_s / policy.horizon_t), 0.0)
-    return map_to_quality(state.omega, bitrates_kbps)
+    # omega is replaced, never mutated, so the same object maps to the same quality
+    omega, quality = policy._last_quality
+    if state.omega is not omega:
+        omega = state.omega
+        quality = map_to_quality(omega, policy.bitrates_kbps)
+        policy._last_quality = (omega, quality)
+    return quality
 
 
 class L2APolicy:
@@ -171,6 +178,14 @@ class L2APolicy:
         self.segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
         self.b_max_s = float(require_positive("b_max_s", b_max_s))
         self.state = L2AState.initial(len(self.bitrates_kbps))
+        # per-epoch constants of l2a_decide: the v_l-weighted utility gradient
+        # per rung, the step's divisor and the per-epoch overflow allowance
+        w = UTILITY_WEIGHT / self.bitrates_kbps[-1]
+        self._utility_grad = tuple(self.v_l * -(r * w) for r in self.bitrates_kbps)
+        self._two_alpha = 2.0 * self.alpha
+        self._allowance_s = self.b_max_s / horizon_t
+        # the last (omega, quality) pair l2a_decide mapped
+        self._last_quality = (None, 0)
 
     @property
     def omega(self) -> tuple[float, ...]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,11 +67,11 @@ def qoe_metrics(
     resume segments minus the buffer that was left, all against that budget.
     Consistency is reported unclamped and flagged when the stall penalty
     exceeds the budget; horizons too short for switch metrics report 1 and
-    are flagged.
+    are flagged.  A ``duration_s`` that is not positive and finite is a
+    ValueError.
     """
     require_count("tau", tau)
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    require_positive("duration_s", duration_s)
     flags: list[str] = []
     t_total = len(history)
     if t_total == 0:
@@ -259,6 +261,26 @@ class ConvergenceSeries:
     one_hot_fallback: bool
 
 
+def _first_fault(history, manifest: Manifest, candidates) -> None:
+    """Raise the ValueError of the first of the records at ``candidates`` (in
+    epoch order) whose quality index is off the ladder, or whose bitrate or
+    segment size is not the manifest's at (t, x_t); return if none is."""
+    levels = manifest.bitrates_kbps
+    n = len(levels)
+    # indexing a flat memoryview of the sizes gives Python floats
+    flat_sizes = memoryview(manifest.segment_sizes_kbit.reshape(-1))
+    for idx in candidates:
+        t, x, bitrate, size = history[idx][:4]
+        if not 1 <= x <= n:
+            raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
+        if bitrate != levels[x - 1]:
+            raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
+                             f" at x_t={x} is {levels[x - 1]!r}")
+        if size != flat_sizes[idx * n + x - 1]:
+            raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
+                             f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+
+
 def regret_and_residuals(
     history: Sequence[EpochRecord],
     manifest: Manifest,
@@ -273,8 +295,12 @@ def regret_and_residuals(
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution; pass None to get residuals only.
     A quality index outside 1..N, or a bitrate or segment size other than
-    the manifest's at (t, x_t), is a ValueError naming the epoch.
+    the manifest's at (t, x_t), is a ValueError naming the first such epoch,
+    and so is a segment duration or buffer bound that is not positive and
+    finite.
     """
+    require_positive("segment_duration_s", segment_duration_s)
+    require_positive("b_max_s", b_max_s)
     t_total = len(history)
     ladder = np.asarray(manifest.bitrates_kbps, dtype=float)
     n = ladder.size
@@ -284,35 +310,38 @@ def regret_and_residuals(
     if t_total > manifest.num_segments:
         raise ValueError("more epochs than manifest segments")
 
-    levels = manifest.bitrates_kbps
     sizes = manifest.segment_sizes_kbit[:t_total]
-    # indexing a flat memoryview of the sizes gives Python floats
-    flat_sizes = memoryview(sizes.reshape(-1))
-    omegas = np.zeros((t_total, n))
-    rates_c = []
-    fallback = False
-    # unpacking each record costs less than reading its fields one by one
-    for idx, (t, x, bitrate, size, rate, _, _, _, _, _, _, omega) in enumerate(history):
-        if not 1 <= x <= n:
-            raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
-        if bitrate != levels[x - 1]:
-            raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
-                             f" at x_t={x} is {levels[x - 1]!r}")
-        if size != flat_sizes[idx * n + x - 1]:
-            raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
-                             f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
-        if omega is None:
-            omegas[idx, x - 1] = 1.0
-            fallback = True
-        else:
-            omegas[idx] = omega
-        rates_c.append(rate)
+    _, xs, bitrates, chosen_sizes, rates_c, *_, omega_column = zip(*history)
+    x = np.asarray(xs)
+    if x.dtype.kind not in "iu":
+        # indices numpy does not read as integers: every record checked alone
+        _first_fault(history, manifest, range(t_total))
+        x = np.array(xs, dtype=np.intp)
+    # the columns checked as a whole; the flagged records are checked alone,
+    # in epoch order, and the first that fails names its epoch
+    rows = np.arange(t_total)
+    level = x - 1
+    on_ladder = (level >= 0) & (level < n)
+    level = np.where(on_ladder, level, 0)
+    flagged = ~on_ladder | (np.asarray(bitrates) != ladder[level])
+    flagged |= np.asarray(chosen_sizes) != sizes[rows, level]
+    _first_fault(history, manifest, np.flatnonzero(flagged).tolist())
 
-    rates_c = np.array(rates_c)
-    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / rates_c
+    fallback = any(map(is_, omega_column, repeat(None)))
+    if fallback:
+        # the one-hot distribution of the chosen quality where none was logged
+        omegas = np.zeros((t_total, n))
+        omegas[rows, level] = 1.0
+        logged = [idx for idx, omega in enumerate(omega_column) if omega is not None]
+        if logged:
+            omegas[logged] = [omega_column[idx] for idx in logged]
+    else:
+        omegas = np.array(omega_column, dtype=float)
+
+    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / np.array(rates_c)
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
-    epochs = np.arange(1, t_total + 1)
+    epochs = rows + 1
     residual1 = np.cumsum(g1) / epochs
     residual2 = np.cumsum(g2) / epochs
 

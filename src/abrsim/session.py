@@ -21,6 +21,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -78,8 +79,9 @@ class SessionConfig:
 class EpochFeedback(NamedTuple):
     """What the client learns once an epoch completes.
 
-    An immutable ``NamedTuple``: ``run_session`` builds one per epoch,
-    positionally, and gives it to the policy's next ``decide``.
+    An immutable ``NamedTuple``: ``run_session`` builds one per epoch from
+    all its fields by ``tuple.__new__``, and gives it to the policy's next
+    ``decide``.
     """
 
     realized_rate_kbps: float
@@ -90,9 +92,9 @@ class EpochFeedback(NamedTuple):
 class EpochRecord(NamedTuple):
     """One line of the per-epoch session log (t and x are 1-based).
 
-    An immutable ``NamedTuple``: ``run_session`` builds one per epoch,
-    positionally, and ``rec._replace(omega=None)`` is a copy without the
-    distribution.
+    An immutable ``NamedTuple``: ``run_session`` and ``read_log_csv`` build
+    each record from all twelve fields by ``tuple.__new__``, and
+    ``rec._replace(omega=None)`` is a copy without the distribution.
     """
 
     t: int
@@ -183,6 +185,8 @@ def run_session(
     state = SessionState()
     append = state.history.append
     decide = policy.decide
+    # tuple.__new__ with every field skips the NamedTuples' Python-level __new__
+    new = tuple.__new__
     buffer = clock = 0.0
     stalled = False
     since_stall = 0
@@ -239,10 +243,10 @@ def run_session(
                 stalled = False
                 since_stall = 0
 
-        append(EpochRecord(
+        append(new(EpochRecord, (
             t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, bool(underflow), stall_time, omega,
-        ))
-        feedback = EpochFeedback(rate, row, buffer)
+        )))
+        feedback = new(EpochFeedback, (rate, row, buffer))
     state.epoch_t = manifest.num_segments + 1
     state.buffer_s = buffer
     state.wall_clock_s = clock
@@ -326,5 +330,7 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     columns["stall"] = (table["stall"] == 1).tolist()
     after = columns["buffer_after_s"]
     columns["buffer_before_s"] = [0.0, *after[:-1]]
-    return list(map(EpochRecord, *(columns[name] for name in EpochRecord._fields[:-1])))
+    columns["omega"] = repeat(None)
+    fields = zip(*(columns[name] for name in EpochRecord._fields))
+    return list(map(tuple.__new__, repeat(EpochRecord), fields))
 

@@ -29,9 +29,9 @@ def project_simplex(v) -> tuple[float, ...]:
     total = 0.0
     for rank, u in enumerate(sorted(values, reverse=True), start=1):
         total += u
-        excess = total - 1.0
-        if u - excess / rank > 0:
-            theta = excess / rank
+        shift = (total - 1.0) / rank
+        if u - shift > 0:
+            theta = shift
     if theta is None:
         # only when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from abrsim import load_manifest, load_trace, media, session
+from abrsim import cli, load_manifest, load_trace, media, session
 from abrsim.cli import main
 
 
@@ -365,6 +365,21 @@ def test_compare_grid(tmp_path):
     for line in lines[1:]:
         assert len(line.split(",")) == 7
 
+
+
+def test_convergence_rows_are_written_as_fmt_writes_them(tmp_path):
+    # the one-call writer against the row loop it replaced, over doubles of
+    # every kind, given as numpy arrays (compare) or lists (benchmark)
+    rng = np.random.default_rng(18)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e16, 0.1, 123456.5]
+    series = [np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])
+              for _ in range(3)]
+    path = tmp_path / "convergence.csv"
+    for given in (series, [values.tolist() for values in series]):
+        cli._write_convergence(path, given)
+        rows = ([str(t + 1)] + [cli._fmt(values[t]) for values in series] for t in range(len(series[0])))
+        expected = "".join(",".join(row) + "\n" for row in [list(cli.CONVERGENCE_COLUMNS), *rows])
+        assert path.read_bytes() == expected.encode()
 
 def test_compare_deterministic(tmp_path):
     cfg = _compare_config(tmp_path, segments=40)

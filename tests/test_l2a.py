@@ -270,6 +270,23 @@ def test_prediction_exact_for_linear_constraints():
     assert g2_prev + grad_g2 @ (omega_new - omega_prev) == pytest.approx(g2_new, abs=1e-12)
 
 
+
+def test_the_quality_follows_a_replaced_omega():
+    # with the budget spent no step is taken, so only a new omega can move the
+    # quality: each one replaced between decides is mapped afresh
+    policy = L2APolicy(LADDER, 2.0, 120.0, 600, beta=0.2)
+    state = policy.state
+    assert l2a_decide(policy, None) == 1
+    state.gamma = state.t = 10
+    feedback = make_feedback([2.0 * r for r in LADDER], 5000.0)
+    for n in (8, 3, 3, 5, 1):
+        state.omega = tuple(1.0 if i == n - 1 else 0.0 for i in range(len(LADDER)))
+        assert l2a_decide(policy, feedback) == n
+        assert l2a_decide(policy, feedback) == n
+        assert state.gamma == 10
+    state.omega = (0.0,) * 6 + (0.5, 0.5)
+    assert l2a_decide(policy, feedback) == map_to_quality(state.omega, LADDER) == 7
+
 def test_queue_floor_at_zero():
     # blocked update (gamma/t > beta) keeps omega, so the queue adds the raw
     # previous-epoch constraint value: q1 = [0.5 + (-1)]^+ = 0

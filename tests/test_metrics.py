@@ -1,11 +1,14 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abrsim
 
@@ -20,6 +23,7 @@ from abrsim import (
     synthesize_manifest,
 )
 
+from metrics_oracle import reference_regret_and_residuals
 from fixture_log import DURATION, EXPECTED, TAU, fixture_history, fixture_manifest
 from simplex_grid import simplex_grid
 
@@ -448,3 +452,90 @@ def test_empty_history_series():
     man = fixture_manifest()
     series = regret_and_residuals([], man, None, 2.0, 120.0)
     assert series.residual1_rate.size == 0
+
+
+# ---------------------------------------------------------------------------
+# the column checks and the omega matrix against the record loop
+
+
+# a fault in one record: the quality index off the ladder or not an integer,
+# or the bitrate or the size of another rung
+RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size")
+
+
+@st.composite
+def scored_histories(draw):
+    """A manifest and a session history with omega logged on every epoch, on
+    none or on some, and up to three faulty records (one record may carry
+    two faults); bitrates and sizes are at times written as integers."""
+    n = draw(st.integers(2, 6))
+    ladder = tuple(float(r) for r in sorted(draw(st.sets(st.integers(100, 20000), min_size=n, max_size=n))))
+    t_total = draw(st.integers(1, 40))
+    man = synthesize_manifest(t_total + draw(st.integers(0, 3)), ladder, 2.0,
+                              vbr_jitter=draw(st.sampled_from([0.0, 0.2])), seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logged = draw(st.sampled_from(["all", "none", "mixed"]))
+    first_t = draw(st.sampled_from([1, 6]))
+    records = []
+    for idx in range(t_total):
+        x = int(rng.integers(1, n + 1))
+        bitrate, size = ladder[x - 1], float(man.segment_sizes_kbit[idx, x - 1])
+        if rng.random() < 0.2:
+            bitrate = int(bitrate)
+        if rng.random() < 0.2 and size.is_integer():
+            size = int(size)
+        has_omega = logged == "all" or (logged == "mixed" and rng.random() < 0.5)
+        omega = tuple(rng.dirichlet(np.ones(n)).tolist()) if has_omega else None
+        records.append(EpochRecord(first_t + idx, x, bitrate, size, float(rng.uniform(300.0, 30000.0)),
+                                   1.0, 0.0, 10.0, 10.0, False, 0.0, omega))
+    for _ in range(draw(st.integers(0, 3))):
+        idx = draw(st.integers(0, t_total - 1))
+        kind = draw(st.sampled_from(RECORD_FAULTS))
+        rec = records[idx]
+        other = draw(st.integers(1, n))
+        if kind == "x-low":
+            rec = rec._replace(x=draw(st.integers(-3, 0)))
+        elif kind == "x-high":
+            rec = rec._replace(x=draw(st.integers(n + 1, n + 3)))
+        elif kind == "x-float":
+            rec = rec._replace(x=float(rec.x))
+        elif kind == "bitrate" and ladder[other - 1] != rec.bitrate_kbps:
+            rec = rec._replace(bitrate_kbps=ladder[other - 1])
+        elif kind == "size":
+            rec = rec._replace(size_kbit=rec.size_kbit * 1.5 + 1.0)
+        records[idx] = rec
+    star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
+    bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
+    return records, man, bench, draw(st.sampled_from([20.0, 120.0]))
+
+
+def scoring_outcome(score, history, man, bench, b_max):
+    """The bytes of every series and the fallback flag, or the error raised."""
+    try:
+        series = score(history, man, bench, 2.0, b_max)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    regret = None if series.regret_rate is None else series.regret_rate.tobytes()
+    return regret, series.residual1_rate.tobytes(), series.residual2_rate.tobytes(), series.one_hot_fallback
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_histories())
+def test_scoring_matches_the_record_loop_oracle(case):
+    history, man, bench, b_max = case
+    assert (scoring_outcome(regret_and_residuals, history, man, bench, b_max)
+            == scoring_outcome(reference_regret_and_residuals, history, man, bench, b_max))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_scoring_rejects_a_time_that_is_not_positive_and_finite(bad):
+    history, man = fixture_history(), fixture_manifest()
+    with pytest.raises(ValueError, match=re.escape(f"duration_s must be positive and finite, got {bad!r}")):
+        qoe_metrics(history, man, TAU, bad)
+    for name in ("segment_duration_s", "b_max_s"):
+        times = {"segment_duration_s": 2.0, "b_max_s": 120.0, name: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got {bad!r}")):
+            regret_and_residuals(history, man, None, **times)
+        # an empty history too: the check is where the time enters
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite")):
+            regret_and_residuals([], man, None, **times)

@@ -1,6 +1,7 @@
 import bisect
 import csv
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -572,7 +573,8 @@ FLOAT_COLUMNS = (2, 3, 4, 5, 6, 7, 9)
 # epoch and a column index drawn at random, and returns the bad row
 LOG_FAULTS = {
     "short": lambda f, t, j: f[:j],
-    "long": lambda f, t, j: [*f, f[j]],
+    # a field of the row repeated; after "short" the row may hold fewer than j
+    "long": lambda f, t, j: [*f, f[j % len(f)] if f else "1"],
     "nan": lambda f, t, j: _put(f, FLOAT_COLUMNS[j % 7], "nan"),
     "inf": lambda f, t, j: _put(f, FLOAT_COLUMNS[j % 7], "-inf" if j % 2 else "Infinity"),
     "float-in-int": lambda f, t, j: _put(f, INT_COLUMNS[j % 3], "1.0" if j % 2 else "2.5"),
@@ -594,6 +596,14 @@ GRAMMAR_FAULTS = {
 def _put(fields, j, text):
     return [*fields[:j], text, *fields[j + 1:]]
 
+
+
+def test_log_faults_compose_on_one_row():
+    # two faults may land on one row, in either order and at any column
+    row = [str(j) for j in range(len(LOG_COLUMNS))]
+    for first, second in itertools.product(LOG_FAULTS.values(), repeat=2):
+        for j, k in itertools.product(range(10), repeat=2):
+            assert isinstance(second(first(row, 1, j), 1, k), list)
 
 @st.composite
 def log_files(draw):
