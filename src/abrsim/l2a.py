@@ -163,7 +163,10 @@ class L2APolicy:
     T^(1 - EPSILON/2) and step size ``alpha`` = v_l * sqrt(T).  There is no
     rate-unit knob: the utility gradient is ``UTILITY_WEIGHT * r / r_N``
     (ladder top r_N), so rescaling the ladder, the sizes and the channel
-    together leaves every decision unchanged.
+    together leaves every decision unchanged.  ``l2a_decide``'s per-epoch
+    constants are derived here too, from the ladder, the schedule,
+    ``b_max_s`` and ``horizon_t``, so those are fixed once the policy is
+    built.
     """
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
