@@ -17,6 +17,7 @@ conservative lowest-quality cold start.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> 
     channel is its fixed point.  The dead-zone quantizer only switches up to
     levels whose rate times (1 + deadzone) fits under the smoothed estimate
     and only switches down when the current level no longer fits at all.
+    Both searches bisect ``bitrates_kbps``, which must be strictly
+    increasing, as ``RBPolicy`` checks.
     """
     if feedback is None:
         state.last_index = 1
@@ -77,18 +80,13 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> 
         state.bw_smooth_kbps += RB_EWMA_WEIGHT * (state.bw_probe_kbps - state.bw_smooth_kbps)
 
     smooth = state.bw_smooth_kbps
-    up = 0
-    for n, r in enumerate(bitrates_kbps, start=1):
-        if (1.0 + RB_DEADZONE) * r <= smooth:
-            up = n
+    # the highest level whose rate times (1 + deadzone) fits, 0 if none does
+    up = bisect_right(bitrates_kbps, smooth, key=lambda r: (1.0 + RB_DEADZONE) * r)
     cur = state.last_index
     if up > cur:
         new = up
     elif bitrates_kbps[cur - 1] > smooth:
-        new = 1
-        for n, r in enumerate(bitrates_kbps, start=1):
-            if r <= smooth:
-                new = n
+        new = max(1, bisect_right(bitrates_kbps, smooth))
     else:
         new = cur
     state.last_index = new
@@ -99,7 +97,10 @@ class RBPolicy:
     """Session adapter for the throughput-probe policy."""
 
     def __init__(self, bitrates_kbps):
-        self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
+        rates = tuple(float(r) for r in bitrates_kbps)
+        if any(a >= b for a, b in zip(rates, rates[1:])):
+            raise ValueError(f"bitrates_kbps must be strictly increasing, got {rates!r}")
+        self.bitrates_kbps = rates
         self.state = RBState()
 
     def decide(self, feedback: EpochFeedback | None) -> int:
@@ -160,7 +161,8 @@ def bb_decide(
     sizes, such as ``Manifest.sizes_row``, and ties go to the lowest level.
     When the maximizer would switch up past the level sustainable at the last
     observed throughput, it is capped at that level (but never forced below
-    the current one).
+    the current one); that level is found by bisecting ``bitrates_kbps``,
+    which must be strictly increasing, as a ``Manifest``'s ladder is.
     """
     if feedback is None:
         state.last_index = 1
@@ -173,11 +175,7 @@ def bb_decide(
     m = score.index(max(score)) + 1
 
     if m > state.last_index:
-        observed = float(feedback.realized_rate_kbps)
-        sustainable = 1
-        for n, r in enumerate(bitrates_kbps, start=1):
-            if float(r) <= observed:
-                sustainable = n
+        sustainable = max(1, bisect_right(bitrates_kbps, float(feedback.realized_rate_kbps)))
         if m > sustainable:
             m = max(sustainable, state.last_index)
 

@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "ChannelTrace",
     "TraceError",
-    "DEFAULT_FLOOR_KBPS",
+    "FLOOR_KBPS",
     "TRACE_HEADER",
     "concat_traces",
     "generate_markovian",
@@ -33,7 +33,7 @@ __all__ = [
 TRACE_HEADER = ("timestamp_s", "throughput_kbps")
 
 # Outage samples are floored so size/rate stays finite.
-DEFAULT_FLOOR_KBPS = 10.0
+FLOOR_KBPS = 10.0
 
 # rows per write in write_trace: a 30,000-sample trace is one write
 _WRITE_ROWS = 65536
@@ -102,24 +102,22 @@ class ChannelTrace:
         return float(self.throughputs_kbps.max())
 
 
-def load_trace(path: str | Path, floor_kbps: float = DEFAULT_FLOOR_KBPS) -> ChannelTrace:
+def load_trace(path: str | Path) -> ChannelTrace:
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.
 
-    Samples below ``floor_kbps`` (outages are often logged as zero) are
+    Samples below ``FLOOR_KBPS`` (outages are often logged as zero) are
     replaced by the floor so every download makes progress.  The file is read
     by ``read_csv_table``: the header's fields may hold surrounding spaces,
     columns after the second are ignored, and a row that cannot be parsed,
     holds a NaN or inf, or does not increase the timestamp is a TraceError
     naming its line.
     """
-    if not 0 < floor_kbps < math.inf:
-        raise ValueError(f"floor_kbps must be positive and finite, got {floor_kbps!r}")
     samples = read_csv_table(path, TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
                              _sample_faults, _sample_fault, TraceError, strip_header=True)
     if len(samples) < 2:
         raise TraceError(f"{path}: need at least 2 samples, got {len(samples)}")
     ts, tp = samples.T
-    return ChannelTrace(ts - ts[0], np.maximum(tp, floor_kbps))
+    return ChannelTrace(ts - ts[0], np.maximum(tp, FLOOR_KBPS))
 
 
 def _sample_faults(samples: np.ndarray) -> np.ndarray:

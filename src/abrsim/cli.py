@@ -1,10 +1,10 @@
 """Experiment harness: asset generation, single runs, and method comparisons.
 
 Subcommands: ``run``, ``compare``, ``gen trace``, ``gen manifest``,
-``concat-traces``, ``benchmark``.  A comparison is driven by one JSON config
-(flags override its fields) and emits a comparison CSV, one JSON report per
+``concat-traces``, ``benchmark``.  A comparison is driven by one JSON config,
+which alone determines it, and emits a comparison CSV, one JSON report per
 (method, trace), and a per-method convergence CSV, all byte-deterministic for
-a fixed config and seed.
+a fixed config.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _CONVERGENCE_ROW = "%d,%.6g,%.6g,%.6g\n"
 # is built (L2A's v_l and alpha from T, bb's v_b and gamma_p from the ladder and
 # the buffer) or a module constant (L2A's EPSILON, rb's RB_* constants)
 POLICIES = ("l2a", "rb", "bb")
-CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "floor_kbps", "manifest", "traces", "methods")
+CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "manifest", "traces", "methods")
 
 
 class CliError(Exception):
@@ -166,7 +166,7 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
     raise CliError("manifest spec needs 'path' or 'generate'")
 
 
-def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, channel.ChannelTrace]]:
+def _resolve_traces(spec, seed: int) -> list[tuple[str, channel.ChannelTrace]]:
     out: list[tuple[str, channel.ChannelTrace]] = []
     if isinstance(spec, dict) and "generate" in spec:
         g = _generate_block(spec, "traces")
@@ -188,7 +188,7 @@ def _resolve_traces(spec, seed: int, floor_kbps: float) -> list[tuple[str, chann
             path = entry["path"] if isinstance(entry, dict) else entry
             if not isinstance(path, str):
                 raise CliError(f"trace entry {entry!r}: the path must be a string")
-            out.append((Path(path).stem, channel.load_trace(path, floor_kbps)))
+            out.append((Path(path).stem, channel.load_trace(path)))
         return out
     raise CliError("traces spec needs a list of paths or a 'generate' block")
 
@@ -268,7 +268,6 @@ def run_compare(config: dict, out_dir: Path) -> None:
     b_max = _number(config, "b_max_s", SCENARIO_BMAX[scenario])
     tau = _number(config, "tau", DEFAULT_TAU, integral=True)
     seed = _number(config, "seed", 0, integral=True)
-    floor = _number(config, "floor_kbps", channel.DEFAULT_FLOOR_KBPS)
     methods = config.get("methods") or []
     if not isinstance(methods, list):
         raise CliError(f"key 'methods' in the config must be a list of method objects, got {methods!r}")
@@ -279,7 +278,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError("config needs at least one method")
 
     manifest = _resolve_manifest(config.get("manifest"), seed)
-    traces = _resolve_traces(config.get("traces"), seed, floor)
+    traces = _resolve_traces(config.get("traces"), seed)
     if not traces:
         raise CliError("config needs at least one trace")
     traces.sort(key=lambda item: item[0])
@@ -374,7 +373,7 @@ def _cmd_run(args) -> int:
     k = args.k if args.k is not None else _default_k(horizon)
     if not 1 <= k <= horizon:  # solve_benchmark's check and message, before the session runs
         raise CliError(f"window k={k} outside 1..{horizon}")
-    trace = channel.load_trace(args.trace, floor_kbps=args.floor)
+    trace = channel.load_trace(args.trace)
     b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
     cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
     spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
@@ -395,11 +394,6 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    for arg_name, cfg_key in (("scenario", "scenario"), ("bmax", "b_max_s"),
-                              ("tau", "tau"), ("seed", "seed")):
-        val = getattr(args, arg_name)
-        if val is not None:
-            config[cfg_key] = val
     run_compare(config, Path(args.out))
     return 0
 
@@ -423,7 +417,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_concat(args) -> int:
-    traces = [channel.load_trace(p, floor_kbps=args.floor) for p in args.traces]
+    traces = [channel.load_trace(p) for p in args.traces]
     channel.write_trace(channel.concat_traces(traces), Path(args.out))
     print(args.out)
     return 0
@@ -471,7 +465,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", choices=("vod", "live"), default="vod")
     p.add_argument("--bmax", type=float, default=None, help="override scenario buffer bound (s)")
     p.add_argument("--tau", type=int, default=DEFAULT_TAU)
-    p.add_argument("--floor", type=float, default=channel.DEFAULT_FLOOR_KBPS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,10 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run a method x trace grid from a JSON config")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--scenario", choices=("vod", "live"), default=None)
-    p_cmp.add_argument("--bmax", type=float, default=None)
-    p_cmp.add_argument("--tau", type=int, default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(fn=_cmd_compare)
 
@@ -518,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("concat-traces", help="splice trace CSVs end to end")
     p_cat.add_argument("traces", nargs="+")
-    p_cat.add_argument("--floor", type=float, default=channel.DEFAULT_FLOOR_KBPS)
     p_cat.add_argument("--out", required=True)
     p_cat.set_defaults(fn=_cmd_concat)
 

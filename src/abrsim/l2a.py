@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 
-from .session import EpochFeedback, require_positive
+from .session import EpochFeedback, require_count, require_positive
 from .simplex import project_simplex
 
 __all__ = [
@@ -172,9 +172,7 @@ class L2APolicy:
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
                  horizon_t: int, beta: float = 1.0):
         self.beta = check_beta(beta)
-        if horizon_t < 1:
-            raise ValueError("horizon_t must be at least 1")
-        self.horizon_t = horizon_t
+        self.horizon_t = require_count("horizon_t", horizon_t)
         self.v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
         self.alpha = self.v_l * math.sqrt(horizon_t)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)

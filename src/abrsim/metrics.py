@@ -16,6 +16,7 @@ quality level however many windows there are.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import is_
@@ -207,10 +208,13 @@ def solve_benchmark(
     allowance (V - b_max/T) and the segment duration V.  Two exact linear
     programs are solved: the smallest uniform slack s* that makes the window
     bounds feasible (reported; 0 when the instance is feasible as stated),
-    then the best bitrate with every bound widened by s* + 1e-10.
+    then the best bitrate with every bound widened by s* + 1e-10.  A ``k``
+    that is not an integer in 1..T is a ValueError naming it.
     """
     rates_c = np.asarray(realized_rate_kbps, dtype=float)
     t_total = rates_c.size
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"window k must be an integer, got {k!r}")
     if not 1 <= k <= t_total:
         raise ValueError(f"window k={k} outside 1..{t_total}")
     require_positive("b_max_s", b_max_s)
@@ -263,14 +267,17 @@ class ConvergenceSeries:
 
 def _first_fault(history, manifest: Manifest, candidates) -> None:
     """Raise the ValueError of the first of the records at ``candidates`` (in
-    epoch order) whose quality index is off the ladder, or whose bitrate or
-    segment size is not the manifest's at (t, x_t); return if none is."""
+    epoch order) whose quality index is not an integer or is off the ladder,
+    or whose bitrate or segment size is not the manifest's at (t, x_t);
+    return if none is."""
     levels = manifest.bitrates_kbps
     n = len(levels)
     # indexing a flat memoryview of the sizes gives Python floats
     flat_sizes = memoryview(manifest.segment_sizes_kbit.reshape(-1))
     for idx in candidates:
         t, x, bitrate, size = history[idx][:4]
+        if not isinstance(x, numbers.Integral):
+            raise ValueError(f"epoch {t}: quality index {x!r} is not an integer")
         if not 1 <= x <= n:
             raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
         if bitrate != levels[x - 1]:
@@ -294,8 +301,9 @@ def regret_and_residuals(
     policies fall back to the one-hot distribution of the chosen quality
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution; pass None to get residuals only.
-    A quality index outside 1..N, or a bitrate or segment size other than
-    the manifest's at (t, x_t), is a ValueError naming the first such epoch,
+    A quality index that is not an integer or lies outside 1..N, or a
+    bitrate or segment size other than the manifest's at (t, x_t), is a
+    ValueError naming the first such epoch,
     and so is a segment duration or buffer bound that is not positive and
     finite.
     """

@@ -7,6 +7,8 @@ bad history, the same first error."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from abrsim import ConvergenceSeries
@@ -30,6 +32,8 @@ def reference_regret_and_residuals(history, manifest, benchmark, segment_duratio
     rates_c = []
     fallback = False
     for idx, (t, x, bitrate, size, rate, _, _, _, _, _, _, omega) in enumerate(history):
+        if not isinstance(x, numbers.Integral):
+            raise ValueError(f"epoch {t}: quality index {x!r} is not an integer")
         if not 1 <= x <= n:
             raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
         if bitrate != levels[x - 1]:

@@ -12,11 +12,13 @@ from abrsim import (
     EpochFeedback,
     Manifest,
     RBPolicy,
+    RBState,
     bb_decide,
     derive_bb_parameters,
+    rb_decide,
     synthesize_manifest,
 )
-from abrsim.baselines import RB_EWMA_WEIGHT, RB_KAPPA, RB_PROBE_KBPS
+from abrsim.baselines import RB_DEADZONE, RB_EWMA_WEIGHT, RB_KAPPA, RB_PROBE_KBPS
 
 LADDER3 = (1000.0, 2000.0, 4000.0)
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
@@ -108,6 +110,73 @@ def test_rb_decisions_in_range_and_deterministic():
         results.append(picks)
         assert all(1 <= p <= 3 for p in picks)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("ladder", [(1000.0, 1000.0, 4000.0), (1000.0, 4000.0, 2000.0), (4000.0, 1000.0)])
+def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder):
+    # rb_decide bisects the ladder
+    with pytest.raises(ValueError, match=re.escape(f"bitrates_kbps must be strictly increasing, got {ladder!r}")):
+        RBPolicy(ladder)
+
+
+def reference_rb_decide(state, feedback, bitrates_kbps):
+    """``rb_decide`` as it ran before it bisected the ladder: its two
+    searches are loops over every level."""
+    if feedback is None:
+        state.last_index = 1
+        return 1
+
+    observed = float(feedback.realized_rate_kbps)
+    if not state.initialized:
+        state.bw_probe_kbps = observed
+        state.bw_smooth_kbps = observed
+        state.initialized = True
+    else:
+        overshoot = max(state.bw_probe_kbps - observed + RB_PROBE_KBPS, 0.0)
+        state.bw_probe_kbps = max(state.bw_probe_kbps + RB_KAPPA * (RB_PROBE_KBPS - overshoot), 0.0)
+        state.bw_smooth_kbps += RB_EWMA_WEIGHT * (state.bw_probe_kbps - state.bw_smooth_kbps)
+
+    smooth = state.bw_smooth_kbps
+    up = 0
+    for n, r in enumerate(bitrates_kbps, start=1):
+        if (1.0 + RB_DEADZONE) * r <= smooth:
+            up = n
+    cur = state.last_index
+    if up > cur:
+        new = up
+    elif bitrates_kbps[cur - 1] > smooth:
+        new = 1
+        for n, r in enumerate(bitrates_kbps, start=1):
+            if r <= smooth:
+                new = n
+    else:
+        new = cur
+    state.last_index = new
+    return new
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), decisions=st.integers(1, 40))
+def test_rb_decide_matches_the_loop_oracle(seed, decisions):
+    # the observed rates include each rung and each up-switch threshold, hit
+    # exactly when the state is not initialized yet, and their neighbours
+    rng = np.random.default_rng(seed)
+    n_levels = int(rng.integers(2, 10))
+    ladder = tuple(np.cumsum(rng.uniform(50.0, 5000.0, size=n_levels)).tolist())
+    edges = [e for r in ladder for e in (r, (1.0 + RB_DEADZONE) * r)]
+    edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    for _ in range(decisions):
+        last = int(rng.integers(1, n_levels + 1))
+        probe, smooth = (float(v) for v in rng.uniform(0.0, 1.2 * ladder[-1], 2))
+        initialized = bool(rng.random() < 0.5)
+        if rng.random() < 0.5:
+            rate = edges[int(rng.integers(len(edges)))]
+        else:
+            rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
+        feedback = None if rng.random() < 0.05 else fb(rate)
+        state, ref = (RBState(probe, smooth, last, initialized) for _ in range(2))
+        assert rb_decide(state, feedback, ladder) == reference_rb_decide(ref, feedback, ladder)
+        assert state == ref
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +334,8 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
     for t in range(1, decisions + 1):
         last = int(rng.integers(1, n_levels + 1))
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
+        if rng.random() < 0.3:  # a rung exactly, the edge of the sustainable level
+            rate = ladder[int(rng.integers(n_levels))]
         buffer_s = float(rng.uniform(0.0, b_max))
         feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.sizes_row(t), buffer_s)
         state, ref = BBState(v_b, gamma_p, last), BBState(v_b, gamma_p, last)

@@ -17,6 +17,7 @@ from abrsim import (
     load_trace,
     write_trace,
 )
+from abrsim.channel import FLOOR_KBPS
 
 from conftest import constant_trace, record_parses, reject_nul_as_python_3_10
 from session_oracle import download
@@ -39,8 +40,13 @@ def test_load_minimal(tmp_path):
 
 
 def test_load_applies_floor(tmp_path):
-    tr = load_trace(_write(tmp_path, ["0,0", "1,8000"]), floor_kbps=10.0)
-    assert tr.throughputs_kbps[0] == 10.0
+    path = _write(tmp_path, ["0,0", "1,8000"])
+    tr = load_trace(path)
+    assert FLOOR_KBPS == 10.0
+    assert tr.throughputs_kbps.tolist() == [FLOOR_KBPS, 8000.0]
+    # the floor is a constant, not a setting
+    with pytest.raises(TypeError, match="floor_kbps"):
+        load_trace(path, floor_kbps=1.0)
 
 
 def test_load_rebases_clock(tmp_path):
@@ -212,7 +218,7 @@ def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkey
     assert opened == [path]
 
 
-def reference_load_trace(path, floor_kbps=10.0):
+def reference_load_trace(path):
     """The row loop ``load_trace`` ran before it parsed with ``np.loadtxt``:
     ``csv.reader`` and ``float()``, each row checked as it is read."""
     ts, tp = [], []
@@ -239,7 +245,7 @@ def reference_load_trace(path, floor_kbps=10.0):
             prev = t
     if len(ts) < 2:
         raise TraceError(f"{path}: need at least 2 samples, got {len(ts)}")
-    return ChannelTrace(np.subtract(ts, ts[0]), np.maximum(tp, floor_kbps))
+    return ChannelTrace(np.subtract(ts, ts[0]), np.maximum(tp, FLOOR_KBPS))
 
 
 FAULTS = {
@@ -306,12 +312,6 @@ def test_load_matches_the_row_loop_oracle(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
     path.write_bytes(text.encode())
     assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
-
-
-@pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
-def test_load_rejects_bad_floor(tmp_path, floor):
-    with pytest.raises(ValueError, match=rf"floor_kbps must be positive and finite, got {floor!r}"):
-        load_trace(_write(tmp_path, ["0,5000", "1,8000"]), floor_kbps=floor)
 
 
 @pytest.mark.parametrize("field", ["timestamps_s", "throughputs_kbps"])
@@ -533,7 +533,7 @@ def test_trace_roundtrip(tmp_path):
     tr = generate_markovian(50, 750.5, 23000.25, 0.3, 0.5, seed=2)
     path = tmp_path / "t.csv"
     write_trace(tr, path)
-    back = load_trace(path, floor_kbps=1.0)
+    back = load_trace(path)
     assert np.array_equal(back.timestamps_s, tr.timestamps_s)
     assert np.array_equal(back.throughputs_kbps, tr.throughputs_kbps)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,10 +282,8 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
         (["gen", "trace", "--duration", "inf"], "duration_s must be positive and finite, got inf"),
         (["gen", "trace", "--duration", "60", "--step", "nan"], "step_s must be positive and finite, got nan"),
         (["gen", "trace", "--duration", "60", "--step", "inf"], "step_s must be positive and finite, got inf"),
-        # the floor is checked before the trace file is opened
-        (["concat-traces", "no.csv", "--floor", "nan"], "floor_kbps must be positive and finite, got nan"),
     ],
-    ids=["duration-inf", "step-nan", "step-inf", "floor-nan"],
+    ids=["duration-inf", "step-nan", "step-inf"],
 )
 def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
     assert run_cli(*argv, "--out", tmp_path / "trace.csv") == 1
@@ -445,7 +444,8 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
 def test_compare_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
-    for key, value in (("normalize_after_average", True), ("b_max", 20)):
+    # floor_kbps once set the trace outage floor, now the constant channel.FLOOR_KBPS
+    for key, value in (("normalize_after_average", True), ("b_max", 20), ("floor_kbps", 10)):
         cfg_path.write_text(json.dumps({**cfg, key: value}))
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
@@ -617,12 +617,44 @@ def test_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch, message, 
     assert not out.exists()
 
 
-def test_compare_scenario_override(tmp_path):
-    cfg = _compare_config(tmp_path, segments=30, count=1)
+def test_compare_scenario_override(tmp_path, monkeypatch):
+    # the config's "scenario" overrides the vod default: every session runs
+    # under the live 20 s bound, and a session fills its buffer up to it
+    cfg_path = _compare_config(tmp_path, segments=30, count=1)
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "scenario": "live"}))
+    runs = []
+    real_run_session = session.run_session
+
+    def recording_run_session(policy, config, manifest, trace):
+        state = real_run_session(policy, config, manifest, trace)
+        runs.append((config.b_max_s, max(rec.buffer_after_s for rec in state.history)))
+        return state
+
+    monkeypatch.setattr(session, "run_session", recording_run_session)
     out = tmp_path / "live"
-    assert run_cli("compare", "--config", cfg, "--out", out, "--scenario", "live") == 0
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 0
+    assert len(runs) == 4
+    assert all(b_max == 20.0 and peak <= 20.0 for b_max, peak in runs)
+    assert max(peak for _, peak in runs) == 20.0
     doc = json.loads((out / "sessions" / "rb__markovian-0000.json").read_text())
     assert doc["method"] == "rb"
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        # a comparison is determined by its config: no flag overrides a config key
+        ("compare", {"--config", "--out"}),
+        # the trace outage floor is the constant channel.FLOOR_KBPS
+        ("run", {"--manifest", "--trace", "--scenario", "--bmax", "--tau", "--abr", "--beta", "--k", "--out"}),
+        ("concat-traces", {"--out"}),
+    ],
+)
+def test_subcommand_options(capsys, command, options):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) == options | {"--help"}
 
 
 def test_undecodable_trace_is_an_input_error(assets, tmp_path, capsys):

@@ -212,8 +212,11 @@ def test_schedule_is_derived_and_beta_is_the_one_setting():
     for beta in (0.0, 1.5, math.nan, math.inf, "0.3"):
         with pytest.raises(ValueError, match=re.escape(f"beta must be a number in (0, 1], got {beta!r}")):
             L2APolicy(LADDER, 2.0, 120.0, 600, beta=beta)
-    with pytest.raises(ValueError, match="horizon_t"):
-        L2APolicy(LADDER, 2.0, 120.0, 0)
+    # nan once failed only at the first gradient step, and 2.5 and True ran a
+    # session on a fractional or unit horizon
+    for horizon in (0, math.nan, 2.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"horizon_t must be an integer >= 1, got {horizon!r}")):
+            L2APolicy(LADDER, 2.0, 120.0, horizon)
     # the schedule is not settable, and the utility is weighed against the
     # ladder top, so there is no rate-unit knob either
     for name in ("epsilon", "v_l", "alpha", "utility_rate_scale"):

@@ -236,6 +236,19 @@ def test_benchmark_rejects_non_finite_rates(bad):
         solve_benchmark(man, realized, 5, 2.0, 120.0)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, np.float64(3.0)], ids=["2.5", "3.0", "True", "float64-3.0"])
+def test_benchmark_rejects_a_window_that_is_not_an_integer(k):
+    # 2.5 and 3.0 once failed with a TypeError from slicing, and True was read as 1
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"window k must be an integer, got {k!r}")):
+        solve_benchmark(man, [2000.0] * 10, k, 2.0, 120.0)
+    # an integer out of range keeps its message
+    with pytest.raises(ValueError, match=re.escape("window k=0 outside 1..10")):
+        solve_benchmark(man, [2000.0] * 10, 0, 2.0, 120.0)
+    assert solve_benchmark(man, [2000.0] * 10, np.int64(3), 2.0, 120.0) == solve_benchmark(
+        man, [2000.0] * 10, 3, 2.0, 120.0)
+
+
 def _windows(manifest, realized, k, sliding=True):
     """Mean per-epoch download time of every length-k window, one row each."""
     dt = manifest.segment_sizes_kbit[: len(realized)] / np.asarray(realized)[:, None]
@@ -424,6 +437,17 @@ def test_regret_invariant_under_ladder_translation():
     ser_b = regret_and_residuals(recs_b, man_b, bench_b, 2.0, 120.0)
     assert np.allclose(ser_a.regret_rate, ser_b.regret_rate, atol=1e-9)
     assert np.array_equal(ser_a.residual1_rate, ser_b.residual1_rate)
+
+
+@pytest.mark.parametrize("x", [2.0, 2.5])
+def test_scoring_rejects_a_quality_index_that_is_not_an_integer(x):
+    # such a record once failed with a TypeError from indexing the ladder
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
+    recs = _one_hot_log(man, [1] * 10, [5000.0] * 10)
+    recs[6] = recs[6]._replace(x=x)
+    for score in (regret_and_residuals, reference_regret_and_residuals):
+        with pytest.raises(ValueError, match=re.escape(f"epoch 7: quality index {x!r} is not an integer")):
+            score(recs, man, None, 2.0, 120.0)
 
 
 def test_one_hot_residuals_equal_raw_per_decision_sums():
