@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from .l2a import L2APolicy, check_beta
 
 SCENARIO_BMAX = {"vod": 120.0, "live": 20.0}
 DEFAULT_TAU = 2
-DEFAULT_K_EXPONENT = 0.9
 
 COMPARISON_COLUMNS = (
     "method",
@@ -43,7 +41,7 @@ _CONVERGENCE_ROW = "%d,%.6g,%.6g,%.6g\n"
 # is built (L2A's v_l and alpha from T, bb's v_b and gamma_p from the ladder and
 # the buffer) or a module constant (L2A's EPSILON, rb's RB_* constants)
 POLICIES = ("l2a", "rb", "bb")
-CONFIG_KEYS = ("scenario", "b_max_s", "tau", "seed", "manifest", "traces", "methods")
+CONFIG_KEYS = ("scenario", "tau", "seed", "manifest", "traces", "methods")
 
 
 class CliError(Exception):
@@ -52,11 +50,6 @@ class CliError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
-
-
-def _default_k(horizon: int) -> int:
-    """Benchmark window ceil(T^0.9), clipped to 1..T."""
-    return max(1, min(horizon, math.ceil(horizon**DEFAULT_K_EXPONENT)))
 
 
 def method_name(spec: dict) -> str:
@@ -265,7 +258,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
     scenario = config.get("scenario", "vod")
     if scenario not in SCENARIO_BMAX:
         raise CliError(f"unknown scenario {scenario!r}")
-    b_max = _number(config, "b_max_s", SCENARIO_BMAX[scenario])
+    b_max = SCENARIO_BMAX[scenario]
     tau = _number(config, "tau", DEFAULT_TAU, integral=True)
     seed = _number(config, "seed", 0, integral=True)
     methods = config.get("methods") or []
@@ -282,8 +275,12 @@ def run_compare(config: dict, out_dir: Path) -> None:
     if not traces:
         raise CliError("config needs at least one trace")
     traces.sort(key=lambda item: item[0])
+    # a session is keyed by its trace's name, the file stem for a trace file
+    for (trace_name, _), (next_name, _) in zip(traces, traces[1:]):
+        if trace_name == next_name:
+            raise CliError(f"duplicate trace name {trace_name!r} in config:"
+                           " trace files need distinct file names")
 
-    k = _default_k(manifest.num_segments)
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
 
     names = sorted(method_name(m) for m in methods)
@@ -315,7 +312,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
         for trace_name, trace in traces:
             try:
                 state = session.run_session(policies.pop((name, trace_name)), sess_cfg, manifest, trace)
-                report, bench = metrics.evaluate_session(state.history, manifest, b_max, tau, k)
+                report, bench = metrics.evaluate_session(state.history, manifest, b_max, tau)
             except Exception as exc:
                 raise CliError(
                     f"session failed for method {name!r} on trace {trace_name!r}: {exc}"
@@ -369,18 +366,14 @@ def _cmd_run(args) -> int:
     if args.beta is not None and args.abr != "l2a":
         raise CliError(f"--beta not used by --abr {args.abr}")
     manifest = media.load_manifest(args.manifest)
-    horizon = manifest.num_segments
-    k = args.k if args.k is not None else _default_k(horizon)
-    if not 1 <= k <= horizon:  # solve_benchmark's check and message, before the session runs
-        raise CliError(f"window k={k} outside 1..{horizon}")
     trace = channel.load_trace(args.trace)
-    b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
+    b_max = SCENARIO_BMAX[args.scenario]
     cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
     spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
-    policy = build_policy(spec, manifest, b_max, horizon)
+    policy = build_policy(spec, manifest, b_max, manifest.num_segments)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-    report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau, k)
+    report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau)
     metrics.normalize_avg_bitrate([report])
 
     out = Path(args.out)
@@ -428,9 +421,8 @@ def _cmd_benchmark(args) -> int:
     history = session.read_log_csv(args.log)
     if not history:
         raise CliError(f"{args.log}: empty session log")
-    b_max = args.bmax if args.bmax is not None else SCENARIO_BMAX[args.scenario]
-    k = args.k if args.k is not None else _default_k(len(history))
-    report, bench = metrics.evaluate_session(history, manifest, b_max, DEFAULT_TAU, k)
+    report, bench = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario], DEFAULT_TAU)
+    k = metrics.benchmark_window(len(history))
     if "one-hot-omega" in report.flags:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
     if args.out:
@@ -461,12 +453,6 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="l2a switch-rate budget in (0, 1]")
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=("vod", "live"), default="vod")
-    p.add_argument("--bmax", type=float, default=None, help="override scenario buffer bound (s)")
-    p.add_argument("--tau", type=int, default=DEFAULT_TAU)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abrsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one session and write its log and report")
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--trace", required=True)
-    _add_scenario_flags(p_run)
+    p_run.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
+    p_run.add_argument("--tau", type=int, default=DEFAULT_TAU)
     _add_policy_flags(p_run)
-    p_run.add_argument("--k", type=int, default=None, help="benchmark window (default ceil(T^0.9))")
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -513,9 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="hindsight benchmark for an exported session log")
     p_bench.add_argument("--manifest", required=True)
     p_bench.add_argument("--log", required=True)
-    p_bench.add_argument("--scenario", choices=("vod", "live"), default="vod")
-    p_bench.add_argument("--bmax", type=float, default=None)
-    p_bench.add_argument("--k", type=int, default=None, help="benchmark window (default ceil(T^0.9))")
+    p_bench.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--series", default=None, help="write the convergence CSV here")
     p_bench.set_defaults(fn=_cmd_benchmark)

@@ -28,9 +28,9 @@ class Manifest:
 
     Sizes are stored in kbit and bitrates in kbps, so size divided by rate is
     a duration in seconds with no conversion factor.  Rows of
-    ``segment_sizes_kbit`` are segments (t = 1..T in the public API), columns
-    are quality levels (n = 1..N, strictly increasing target bitrate), and
-    every row is non-decreasing left to right.  Instances are treated as
+    ``segment_sizes_kbit`` are segments (t = 1..T in the public API, T >= 1),
+    columns are quality levels (n = 1..N, strictly increasing target bitrate),
+    and every row is non-decreasing left to right.  Instances are treated as
     immutable after construction and are safe to share between sessions.
     """
 
@@ -69,8 +69,8 @@ class Manifest:
 
         sizes = _convert("segment_sizes_kbit", "a matrix of numbers",
                          lambda rows: np.array(rows, dtype=float), self.segment_sizes_kbit)
-        if sizes.size == 0:
-            sizes = sizes.reshape(0, len(rates))
+        if sizes.ndim and not len(sizes):
+            raise ManifestError("segment_sizes_kbit holds no segments; a manifest needs at least one")
         if sizes.ndim != 2 or sizes.shape[1] != len(rates):
             raise ManifestError(
                 f"segment size matrix must have {len(rates)} columns, got shape {sizes.shape}"

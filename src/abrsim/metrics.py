@@ -31,6 +31,7 @@ __all__ = [
     "BenchmarkSolution",
     "ConvergenceSeries",
     "SessionReport",
+    "benchmark_window",
     "evaluate_session",
     "normalize_avg_bitrate",
     "qoe_metrics",
@@ -366,24 +367,29 @@ def regret_and_residuals(
 # The evaluation pipeline
 
 
+def benchmark_window(t_total: int) -> int:
+    """The benchmark window K = ceil(T^0.9) of a T-epoch session, clipped to 1..T."""
+    return max(1, min(t_total, math.ceil(t_total**0.9)))
+
+
 def evaluate_session(
     history: Sequence[EpochRecord],
     manifest: Manifest,
     b_max_s: float,
     tau: int,
-    k: int,
 ) -> tuple[SessionReport, BenchmarkSolution]:
     """Score one session log against its hindsight benchmark.
 
-    Solves the benchmark over length-``k`` windows of the log's realized
-    channel rates, then returns the five session metrics (viewing budget:
-    the manifest's duration) with the regret and residual series filled in,
-    together with the benchmark solution.  A log without decision
-    distributions is scored on its one-hot choices and flagged
-    ``one-hot-omega``.
+    Solves the benchmark over length-K windows of the log's realized channel
+    rates, K = ``benchmark_window(len(history))``, then returns the five
+    session metrics (viewing budget: the manifest's duration) with the regret
+    and residual series filled in, together with the benchmark solution.  A
+    log without decision distributions is scored on its one-hot choices and
+    flagged ``one-hot-omega``.
     """
     v = manifest.segment_duration_s
-    bench = solve_benchmark(manifest, [rec.rate_kbps for rec in history], k, v, b_max_s)
+    bench = solve_benchmark(manifest, [rec.rate_kbps for rec in history],
+                            benchmark_window(len(history)), v, b_max_s)
     series = regret_and_residuals(history, manifest, bench, v, b_max_s)
     report = qoe_metrics(history, manifest, tau, manifest.duration_s)
     report.regret_rate = series.regret_rate.tolist()

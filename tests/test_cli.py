@@ -111,16 +111,6 @@ def test_run_rejects_another_policys_flags(assets, tmp_path, capsys):
         assert not out.exists()
 
 
-def test_k_zero_is_an_error(assets, tmp_path, capsys):
-    manifest, trace = assets
-    out = tmp_path / "out"
-    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out, "--k", 0) == 1
-    assert "window k=0 outside 1..60" in capsys.readouterr().err
-    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
-    assert run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv", "--k", 0) == 1
-    assert "window k=0 outside 1..60" in capsys.readouterr().err
-
-
 def _count_sessions(monkeypatch):
     """Wrap ``session.run_session`` (which the CLI looks up at call time) to
     record each call."""
@@ -133,17 +123,6 @@ def _count_sessions(monkeypatch):
 
     monkeypatch.setattr(session, "run_session", counting)
     return calls
-
-
-def test_run_checks_k_before_the_session(tmp_path, capsys, monkeypatch):
-    trace, manifest = tmp_path / "trace.csv", tmp_path / "manifest.json"
-    assert run_cli("gen", "trace", "--duration", 900, "--out", trace) == 0
-    assert run_cli("gen", "manifest", "--segments", 200, "--out", manifest) == 0
-    calls = _count_sessions(monkeypatch)
-    code = run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path / "out", "--k", 500)
-    assert code == 1
-    assert "window k=500 outside 1..200" in capsys.readouterr().err
-    assert calls == []
 
 
 def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
@@ -159,6 +138,12 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
     for flag in ("--epsilon", "--alpha", "--rb.kappa", "--bb.vb", "--vl-exponent"):
         with pytest.raises(SystemExit):
             run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, flag, "0.5")
+    # the scenario alone sets the buffer bound, and K is always ceil(T^0.9)
+    for flag, value in (("--bmax", "20"), ("--k", "5")):
+        with pytest.raises(SystemExit):
+            run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, flag, value)
+        with pytest.raises(SystemExit):
+            run_cli("benchmark", "--manifest", manifest, "--log", "session.csv", flag, value)
 
 
 def test_concat_traces(tmp_path):
@@ -205,29 +190,6 @@ def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
     )
-
-
-def test_benchmark_rejects_a_bad_bmax(assets, tmp_path, capsys):
-    manifest, trace = assets
-    out = tmp_path / "out"
-    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
-    capsys.readouterr()
-    # nan once pivoted to a RuntimeError traceback; inf, 0 and -5 were scored
-    for bmax in ("nan", "inf", "0", "-5"):
-        assert run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv", "--bmax", bmax) == 1
-        err = capsys.readouterr().err
-        assert err == f"abrsim: error: b_max_s must be positive and finite, got {float(bmax)!r}\n"
-        assert "Traceback" not in err
-
-
-def test_run_rejects_a_bad_bmax_as_benchmark_does(assets, tmp_path, capsys):
-    manifest, trace = assets
-    # one check and one message for the buffer bound, raised before any output
-    for bmax in ("nan", "inf", "0", "-1"):
-        out = tmp_path / f"out{bmax}"
-        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--bmax", bmax, "--out", out) == 1
-        assert capsys.readouterr().err == f"abrsim: error: b_max_s must be positive and finite, got {float(bmax)!r}\n"
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["zero", "above-top"])
@@ -445,12 +407,14 @@ def test_compare_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
     # floor_kbps once set the trace outage floor, now the constant channel.FLOOR_KBPS
-    for key, value in (("normalize_after_average", True), ("b_max", 20), ("floor_kbps", 10)):
+    # b_max_s once overrode the scenario's buffer bound, now SCENARIO_BMAX[scenario]
+    for key, value in (("normalize_after_average", True), ("b_max", 20), ("floor_kbps", 10),
+                       ("b_max_s", 20)):
         cfg_path.write_text(json.dumps({**cfg, key: value}))
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert repr(key) in err and "b_max_s" in err
+        assert repr(key) in err and "(expected scenario, tau, seed," in err
         assert not out.exists()
 
 
@@ -483,7 +447,6 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
         (None, "tau", True, "key 'tau' in the config must be a number, got True"),
         (None, "seed", 1.9, "key 'seed' in the config must be an integer, got 1.9"),
         (None, "seed", "x", "key 'seed' in the config must be a number, got 'x'"),
-        (None, "b_max_s", None, "key 'b_max_s' in the config must be a number, got None"),
         ("manifest", "num_segments", 20.7,
          "key 'num_segments' in the manifest 'generate' block must be an integer, got 20.7"),
         ("manifest", "vbr_jitter", False,
@@ -495,7 +458,7 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
         ("traces", "count", float("inf"),
          "key 'count' in the traces 'generate' block must be an integer, got inf"),
     ],
-    ids=["tau-fraction", "tau-bool", "seed-fraction", "seed-string", "bmax-null",
+    ids=["tau-fraction", "tau-bool", "seed-fraction", "seed-string",
          "segments-fraction", "jitter-bool", "duration-string", "duration-huge", "count-inf"],
 )
 def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value, expected):
@@ -521,6 +484,46 @@ def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):
         out = tmp_path / name
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_compare_rejects_two_traces_of_one_name(assets, tmp_path, capsys):
+    # sessions are keyed by trace name, the file stem: two trace files named
+    # trace.csv once failed with a KeyError after --out was created
+    manifest, trace = assets
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "trace.csv").write_bytes(trace.read_bytes())
+    cfg_path = tmp_path / "dup.json"
+    cfg_path.write_text(json.dumps({
+        "manifest": {"path": str(manifest)},
+        "traces": [str(tmp_path / "a" / "trace.csv"), {"path": str(tmp_path / "b" / "trace.csv")}],
+        "methods": [{"abr": "rb"}],
+    }))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "abrsim: error: duplicate trace name 'trace' in config: trace files need distinct file names\n"
+    )
+    assert not out.exists()
+
+
+def test_a_manifest_with_no_segments_is_an_input_error(assets, tmp_path, capsys):
+    # such a manifest once loaded, and run or compare then failed scoring it
+    # with "window k=1 outside 1..0", compare after --out was created
+    _, trace = assets
+    manifest = tmp_path / "empty.json"
+    manifest.write_text(json.dumps({"segment_duration_s": 2.0, "bitrates_kbps": [1000, 3000],
+                                    "segment_sizes_kbit": []}))
+    cfg_path = tmp_path / "empty-config.json"
+    cfg_path.write_text(json.dumps({"manifest": {"path": str(manifest)}, "traces": [str(trace)],
+                                    "methods": [{"abr": "rb"}]}))
+    expected = f"abrsim: error: manifest {manifest}: segment_sizes_kbit holds no segments;"
+    for argv in (("run", "--manifest", manifest, "--trace", trace), ("compare", "--config", cfg_path)):
+        out = tmp_path / f"out-{argv[0]}"
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -645,9 +648,11 @@ def test_compare_scenario_override(tmp_path, monkeypatch):
     [
         # a comparison is determined by its config: no flag overrides a config key
         ("compare", {"--config", "--out"}),
-        # the trace outage floor is the constant channel.FLOOR_KBPS
-        ("run", {"--manifest", "--trace", "--scenario", "--bmax", "--tau", "--abr", "--beta", "--k", "--out"}),
+        # the trace outage floor is the constant channel.FLOOR_KBPS, the scenario
+        # alone sets the buffer bound, and the benchmark window is ceil(T^0.9)
+        ("run", {"--manifest", "--trace", "--scenario", "--tau", "--abr", "--beta", "--out"}),
         ("concat-traces", {"--out"}),
+        ("benchmark", {"--manifest", "--log", "--scenario", "--out", "--series"}),
     ],
 )
 def test_subcommand_options(capsys, command, options):

@@ -107,9 +107,14 @@ def test_synthesize_invalid_jitter():
         synthesize_manifest(5, (1000, 2000), 2.0, vbr_jitter=-0.1)
 
 
-def test_zero_segments_allowed():
-    man = synthesize_manifest(0, (1000, 2000), 2.0)
-    assert man.num_segments == 0
+def test_zero_segments_rejected():
+    # such a manifest once loaded, and run or compare then failed scoring it
+    # with "window k=1 outside 1..0", a message that named neither file nor field
+    for sizes in ([], np.zeros((0, 2))):
+        with pytest.raises(ManifestError, match="segment_sizes_kbit holds no segments"):
+            Manifest(2.0, (1000, 2000), sizes)
+    with pytest.raises(ManifestError, match="segment_sizes_kbit holds no segments"):
+        synthesize_manifest(0, (1000, 2000), 2.0)
 
 
 def test_roundtrip_file(tmp_path):
@@ -143,6 +148,7 @@ def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
              # values of the wrong shape or type are named by field too
              ("segment_sizes_kbit", [[2000, 6000], [2000]], "segment_sizes_kbit must be a matrix of numbers"),
              ("segment_sizes_kbit", [[2000, "abc"]], "segment_sizes_kbit must be a matrix of numbers"),
+             ("segment_sizes_kbit", [], "segment_sizes_kbit holds no segments"),
              ("segment_duration_s", "abc", "segment_duration_s must be a number"),
              ("bitrates_kbps", [1000, "abc"], "bitrates_kbps must be a list of numbers"))
     for field, value, message in cases:

@@ -170,10 +170,9 @@ def test_starvation_stalls_almost_every_epoch():
 
 
 def test_empty_horizon():
-    man = cbr_manifest(0)
-    state = run_session(ScriptedPolicy([]), SessionConfig(b_max_s=120.0), man, constant_trace(1000.0))
-    assert state.history == []
-    assert state.wall_clock_s == 0.0
+    # a manifest holds at least one segment, so no session has an empty horizon
+    with pytest.raises(ValueError, match="^segment_sizes_kbit holds no segments"):
+        cbr_manifest(0)
 
 
 def test_a_download_that_never_ends_stops_the_session():
@@ -184,7 +183,7 @@ def test_a_download_that_never_ends_stops_the_session():
         run_session(ScriptedPolicy([1, 1, 1]), SessionConfig(b_max_s=20.0), man, trace)
 
 
-@pytest.mark.parametrize("segments", [0, 2], ids=["empty-horizon", "two-segments"])
+@pytest.mark.parametrize("segments", [1, 2], ids=["one-segment", "two-segments"])
 def test_bmax_below_segment_duration_is_rejected_before_any_decision(segments):
     decided = []
 
@@ -759,7 +758,7 @@ def oracle_cases(draw):
     tau from 1 to 3, and a way to build a fresh policy of one of the four
     kinds (so that each loop gets its own)."""
     n_levels = draw(st.integers(2, 8))
-    horizon = draw(st.integers(0, 60))
+    horizon = draw(st.integers(1, 60))
     v = draw(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.5, 6.0))
     ratios = draw(st.lists(st.floats(1.05, 3.0), min_size=n_levels - 1, max_size=n_levels - 1))
     rates = tuple(np.cumprod([draw(st.floats(100.0, 2000.0)), *ratios]).tolist())
@@ -781,7 +780,7 @@ def oracle_cases(draw):
         make = lambda: BBPolicy(man, cfg.b_max_s)  # noqa: E731
     else:
         beta = draw(st.sampled_from([1.0, 0.3]))
-        make = lambda: L2APolicy(rates, v, cfg.b_max_s, max(horizon, 1), beta=beta)  # noqa: E731
+        make = lambda: L2APolicy(rates, v, cfg.b_max_s, horizon, beta=beta)  # noqa: E731
     return man, trace, cfg, make
 
 
