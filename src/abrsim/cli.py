@@ -256,8 +256,9 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError(f"unknown config keys {', '.join(map(repr, unknown))}"
                        f" (expected {', '.join(CONFIG_KEYS)})")
     scenario = config.get("scenario", "vod")
-    if scenario not in SCENARIO_BMAX:
-        raise CliError(f"unknown scenario {scenario!r}")
+    if not isinstance(scenario, str) or scenario not in SCENARIO_BMAX:
+        raise CliError(f"key 'scenario' in the config must be one of"
+                       f" {', '.join(map(repr, SCENARIO_BMAX))}, got {scenario!r}")
     b_max = SCENARIO_BMAX[scenario]
     tau = _number(config, "tau", DEFAULT_TAU, integral=True)
     seed = _number(config, "seed", 0, integral=True)

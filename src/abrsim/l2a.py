@@ -84,7 +84,7 @@ def map_to_quality(omega, bitrates_kbps) -> int:
     return n + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class L2AState:
     """Per-session controller state, in Python floats.
 
@@ -119,32 +119,30 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     state = policy.state
     state.t += 1
     if feedback is not None:
-        c_prev = feedback.realized_rate_kbps
-        sizes_prev = feedback.row_sizes_kbit
+        c_prev, sizes_prev, _ = feedback
+        beta, utility_grad, two_alpha, v, allowance_s = policy._decide_constants
         # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
         # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
         # that order, with the same bits, and on a step feeds the sum straight
         # into the projection's argument
         q1, q2 = state.q1, state.q2
-        if state.gamma / state.t <= policy.beta:
-            denom = policy._two_alpha
+        if state.gamma / state.t <= beta:
             state.omega = project_simplex([
-                o - (a + u + q1 * (d := s / c_prev) - q2 * d) / denom
-                for o, a, u, s in zip(state.omega, state.grad_accum, policy._utility_grad, sizes_prev)
+                o - (a + u + q1 * (d := s / c_prev) - q2 * d) / two_alpha
+                for o, a, u, s in zip(state.omega, state.grad_accum, utility_grad, sizes_prev)
             ])
             state.gamma += 1
             state.grad_accum = [0.0] * len(state.omega)
         else:
             state.grad_accum = [
                 a + u + q1 * (d := s / c_prev) - q2 * d
-                for a, u, s in zip(state.grad_accum, policy._utility_grad, sizes_prev)
+                for a, u, s in zip(state.grad_accum, utility_grad, sizes_prev)
             ]
 
         # dual ascent on the queues, with the constraints at the post-step omega
-        v = policy.segment_duration_s
         expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
         state.q1 = max(q1 + (expected_dl - v), 0.0)
-        state.q2 = max(q2 + (v - expected_dl - policy._allowance_s), 0.0)
+        state.q2 = max(q2 + (v - expected_dl - allowance_s), 0.0)
 
     # omega is replaced, never mutated, so the same object maps to the same quality
     omega, quality = policy._last_quality
@@ -164,9 +162,9 @@ class L2APolicy:
     rate-unit knob: the utility gradient is ``UTILITY_WEIGHT * r / r_N``
     (ladder top r_N), so rescaling the ladder, the sizes and the channel
     together leaves every decision unchanged.  ``l2a_decide``'s per-epoch
-    constants are derived here too, from the ladder, the schedule,
-    ``b_max_s`` and ``horizon_t``, so those are fixed once the policy is
-    built.
+    constants are derived here too, from ``beta``, the ladder, the schedule,
+    the segment duration, ``b_max_s`` and ``horizon_t``, so those are fixed
+    once the policy is built.
     """
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
@@ -179,12 +177,17 @@ class L2APolicy:
         self.segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
         self.b_max_s = float(require_positive("b_max_s", b_max_s))
         self.state = L2AState.initial(len(self.bitrates_kbps))
-        # per-epoch constants of l2a_decide: the v_l-weighted utility gradient
-        # per rung, the step's divisor and the per-epoch overflow allowance
+        # per-epoch constants of l2a_decide, read as one tuple: beta, the
+        # v_l-weighted utility gradient per rung, the step's divisor, the
+        # segment duration and the per-epoch overflow allowance
         w = UTILITY_WEIGHT / self.bitrates_kbps[-1]
-        self._utility_grad = tuple(self.v_l * -(r * w) for r in self.bitrates_kbps)
-        self._two_alpha = 2.0 * self.alpha
-        self._allowance_s = self.b_max_s / horizon_t
+        self._decide_constants = (
+            self.beta,
+            tuple(self.v_l * -(r * w) for r in self.bitrates_kbps),
+            2.0 * self.alpha,
+            self.segment_duration_s,
+            self.b_max_s / horizon_t,
+        )
         # the last (omega, quality) pair l2a_decide mapped
         self._last_quality = (None, 0)
 

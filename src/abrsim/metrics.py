@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import is_
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +56,17 @@ class SessionReport:
     flags: list[str] = field(default_factory=list)
 
 
+def _field(history, name: str):
+    """The field ``name`` of every record, in epoch order, without
+    transposing the records."""
+    return map(itemgetter(EpochRecord._fields.index(name)), history)
+
+
+def _column(history, name: str) -> np.ndarray:
+    """The field ``name`` of every record, read as floats."""
+    return np.fromiter(_field(history, name), float, len(history))
+
+
 def qoe_metrics(
     history: Sequence[EpochRecord],
     manifest: Manifest,
@@ -79,8 +90,7 @@ def qoe_metrics(
     if t_total == 0:
         return SessionReport(0.0, 1.0, 1.0, 1.0, 1.0, flags=["empty-log"])
 
-    _, _, rates, _, _, downloads, _, before, *_ = zip(*history)
-    rates = np.array(rates)
+    rates = _column(history, "bitrate_kbps")
     avg = float(rates.mean())
     r_lo = manifest.bitrates_kbps[0]
     r_hi = manifest.bitrates_kbps[-1]
@@ -93,8 +103,8 @@ def qoe_metrics(
         stability = 1.0 - float(np.count_nonzero(jumps)) / (t_total - 1)
         smoothness = 1.0 - float(jumps.sum()) / ((r_hi - r_lo) * (t_total - 1))
 
-    downloads = np.array(downloads)
-    before = np.array(before)
+    downloads = _column(history, "download_s")
+    before = _column(history, "buffer_before_s")
     stalled = before < downloads
     penalty = 0.0
     for t in np.nonzero(stalled)[0]:
@@ -174,9 +184,10 @@ def _lp_on_simplex(cost: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
     first = int(np.argmin(cost[:n]))
     basis = [rows] + [rows + 1 + i for i in range(p) if i != first]
     for _ in range(_MAX_PIVOTS):
+        b = mat[:, basis]
         # a solve, unlike the inverse, leaves binding rows rounding-size residuals
-        x = -np.linalg.solve(mat[:, basis].T, d[basis])
-        binv = np.linalg.inv(mat[:, basis])
+        x = -np.linalg.solve(b.T, d[basis])
+        binv = np.linalg.inv(b)
         reduced = d + x @ mat  # g's row slacks, sum(x[:n]) - 1, then x itself
         reduced[basis] = 0.0  # zero but for rounding
         j = int(np.argmin(reduced))
@@ -190,7 +201,10 @@ def _lp_on_simplex(cost: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
             raise RuntimeError("benchmark LP is infeasible (its dual is unbounded)")
         ratios = np.maximum(binv[pos] @ cost, 0.0) / col[pos]
         ties = pos[ratios <= ratios.min() + _TIE_TOL]
-        basis[ties[np.lexsort((binv[ties] / col[ties, None]).T[::-1])[0]]] = j
+        row = ties[0]
+        if ties.size > 1:
+            row = ties[np.lexsort((binv[ties] / col[ties, None]).T[::-1])[0]]
+        basis[row] = j
     raise RuntimeError(f"benchmark LP not solved in {_MAX_PIVOTS} pivots")
 
 
@@ -269,8 +283,8 @@ class ConvergenceSeries:
 def _first_fault(history, manifest: Manifest, candidates) -> None:
     """Raise the ValueError of the first of the records at ``candidates`` (in
     epoch order) whose quality index is not an integer or is off the ladder,
-    or whose bitrate or segment size is not the manifest's at (t, x_t);
-    return if none is."""
+    whose bitrate or segment size is not the manifest's at (t, x_t), or whose
+    logged omega does not have one entry per rung; return if none is."""
     levels = manifest.bitrates_kbps
     n = len(levels)
     # indexing a flat memoryview of the sizes gives Python floats
@@ -287,6 +301,9 @@ def _first_fault(history, manifest: Manifest, candidates) -> None:
         if size != flat_sizes[idx * n + x - 1]:
             raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
                              f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+        omega = history[idx].omega
+        if omega is not None and len(omega) != n:
+            raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
 
 
 def regret_and_residuals(
@@ -302,9 +319,9 @@ def regret_and_residuals(
     policies fall back to the one-hot distribution of the chosen quality
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution; pass None to get residuals only.
-    A quality index that is not an integer or lies outside 1..N, or a
-    bitrate or segment size other than the manifest's at (t, x_t), is a
-    ValueError naming the first such epoch,
+    A quality index that is not an integer or lies outside 1..N, a bitrate
+    or segment size other than the manifest's at (t, x_t), or a logged omega
+    without exactly N entries is a ValueError naming the first such epoch,
     and so is a segment duration or buffer bound that is not positive and
     finite.
     """
@@ -320,7 +337,7 @@ def regret_and_residuals(
         raise ValueError("more epochs than manifest segments")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
-    _, xs, bitrates, chosen_sizes, rates_c, *_, omega_column = zip(*history)
+    xs = list(_field(history, "x"))
     x = np.asarray(xs)
     if x.dtype.kind not in "iu":
         # indices numpy does not read as integers: every record checked alone
@@ -332,22 +349,29 @@ def regret_and_residuals(
     level = x - 1
     on_ladder = (level >= 0) & (level < n)
     level = np.where(on_ladder, level, 0)
-    flagged = ~on_ladder | (np.asarray(bitrates) != ladder[level])
-    flagged |= np.asarray(chosen_sizes) != sizes[rows, level]
+    flagged = ~on_ladder
+    try:
+        flagged |= _column(history, "bitrate_kbps") != ladder[level]
+        flagged |= _column(history, "size_kbit") != sizes[rows, level]
+    except (TypeError, ValueError, OverflowError):
+        flagged[:] = True  # fields numpy cannot read as floats
+    omega_column = list(_field(history, "omega"))
+    fallback = any(map(is_, omega_column, repeat(None)))
+    if fallback or set(map(len, omega_column)) != {n}:
+        logged = [idx for idx, omega in enumerate(omega_column) if omega is not None]
+        flagged[[idx for idx in logged if len(omega_column[idx]) != n]] = True
     _first_fault(history, manifest, np.flatnonzero(flagged).tolist())
 
-    fallback = any(map(is_, omega_column, repeat(None)))
     if fallback:
         # the one-hot distribution of the chosen quality where none was logged
         omegas = np.zeros((t_total, n))
         omegas[rows, level] = 1.0
-        logged = [idx for idx, omega in enumerate(omega_column) if omega is not None]
         if logged:
             omegas[logged] = [omega_column[idx] for idx in logged]
     else:
-        omegas = np.array(omega_column, dtype=float)
+        omegas = np.fromiter(chain.from_iterable(omega_column), float, t_total * n).reshape(t_total, n)
 
-    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / np.array(rates_c)
+    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _column(history, "rate_kbps")
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
     epochs = rows + 1

@@ -23,8 +23,6 @@ def project_simplex(v) -> tuple[float, ...]:
         raise ValueError("expected a non-empty 1-d vector") from None
     if not values:
         raise ValueError("expected a non-empty 1-d vector")
-    if not all(map(math.isfinite, values)):
-        raise ValueError("entries must be finite")
     theta = None
     total = 0.0
     for rank, u in enumerate(sorted(values, reverse=True), start=1):
@@ -32,6 +30,10 @@ def project_simplex(v) -> tuple[float, ...]:
         shift = (total - 1.0) / rank
         if u - shift > 0:
             theta = shift
+    # a nan or an infinity leaves the total non-finite, so finite entries need
+    # no scan unless their sum overflowed
+    if not math.isfinite(total) and not all(map(math.isfinite, values)):
+        raise ValueError("entries must be finite")
     if theta is None:
         # only when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")

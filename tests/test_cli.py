@@ -473,6 +473,21 @@ def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", [["live"], {"a": 1}, 3, None, "LIVE"],
+                         ids=["list", "object", "number", "null", "upper-case"])
+def test_compare_rejects_a_scenario_that_is_not_a_scenario_name(tmp_path, capsys, scenario):
+    # a list or an object once ended in "TypeError: unhashable type" with a traceback
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**cfg, "scenario": scenario}))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"abrsim: error: key 'scenario' in the config must be one of 'vod', 'live', got {scenario!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())

@@ -23,7 +23,7 @@ from abrsim import (
     synthesize_manifest,
 )
 
-from metrics_oracle import reference_regret_and_residuals
+from metrics_oracle import reference_lp_on_simplex, reference_qoe_metrics, reference_regret_and_residuals
 from fixture_log import DURATION, EXPECTED, TAU, fixture_history, fixture_manifest
 from simplex_grid import simplex_grid
 
@@ -347,18 +347,72 @@ def _highs_benchmark(linprog, manifest, realized, k, v, b_max, sliding):
     return slack, float(-res.fun)
 
 
-@pytest.mark.parametrize("b_max,sliding", [(120.0, True), (20.0, True), (120.0, False), (20.0, False)])
-def test_benchmark_matches_highs_on_eight_levels(b_max, sliding):
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    ladder = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
+EIGHT_LEVELS = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
+HIGHS_CASES = [(120.0, True), (20.0, True), (120.0, False), (20.0, False)]
+
+
+def highs_instances(b_max, sliding):
+    """The (manifest, realized rates, k) instances cross-checked against HiGHS."""
     rng = np.random.default_rng(31 + int(b_max) + sliding)
     for t_total, k in ((200, 119), (200, 10), (300, 1)):
-        man = synthesize_manifest(t_total, ladder, 2.0, vbr_jitter=0.1, seed=int(rng.integers(1e6)))
+        man = synthesize_manifest(t_total, EIGHT_LEVELS, 2.0, vbr_jitter=0.1, seed=int(rng.integers(1e6)))
         realized = rng.choice((750.0, 23000.0), t_total) * rng.uniform(0.3, 1.2)
+        yield man, realized, k
+
+
+@pytest.mark.parametrize("b_max,sliding", HIGHS_CASES)
+def test_benchmark_matches_highs_on_eight_levels(b_max, sliding):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for man, realized, k in highs_instances(b_max, sliding):
         sol = solve_benchmark(man, realized, k, 2.0, b_max, sliding=sliding)
         slack, objective = _highs_benchmark(linprog, man, realized, k, 2.0, b_max, sliding)
         assert abs(sol.slack_used - slack) <= 1e-9
         assert sol.objective == pytest.approx(objective, rel=1e-9)
+
+
+def solver_lps(monkeypatch, man, realized, k, b_max, sliding=True):
+    """The arguments and the result of each LP ``solve_benchmark`` solves."""
+    calls = []
+    solve = abrsim.metrics._lp_on_simplex
+
+    def recorded(*args):
+        x = solve(*args)
+        calls.append((args, x))
+        return x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(abrsim.metrics, "_lp_on_simplex", recorded)
+        solve_benchmark(man, realized, k, 2.0, b_max, sliding=sliding)
+    return calls
+
+
+@pytest.mark.parametrize("b_max,sliding", HIGHS_CASES)
+def test_pivot_loop_matches_the_reference_bitwise(monkeypatch, b_max, sliding):
+    for man, realized, k in highs_instances(b_max, sliding):
+        for args, x in solver_lps(monkeypatch, man, realized, k, b_max, sliding):
+            assert x.tobytes() == reference_lp_on_simplex(*args).tobytes()
+
+
+def test_pivot_loop_matches_the_reference_on_ratio_ties(monkeypatch):
+    # a CBR manifest on a constant-rate trace makes every window alike, so
+    # rows of g repeat and the ratio test ties; np.lexsort, which breaks the
+    # ties, runs only when more than one row ties
+    lexsort_calls = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        lexsort_calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    for t_total, k, rate, b_max in ((60, 10, 5000.0, 120.0), (60, 1, 1000.0, 20.0),
+                                    (120, 30, 23000.0, 20.0), (40, 40, 2600.0, 120.0)):
+        man = synthesize_manifest(t_total, EIGHT_LEVELS, 2.0, vbr_jitter=0.0, seed=3)
+        monkeypatch.setattr(np, "lexsort", counted)
+        calls = solver_lps(monkeypatch, man, [rate] * t_total, k, b_max)
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        for args, x in calls:
+            assert x.tobytes() == reference_lp_on_simplex(*args).tobytes()
+    assert lexsort_calls and min(lexsort_calls) > 1
 
 
 def test_benchmark_leaves_scipy_unimported():
@@ -483,8 +537,8 @@ def test_empty_history_series():
 
 
 # a fault in one record: the quality index off the ladder or not an integer,
-# or the bitrate or the size of another rung
-RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size")
+# the bitrate or the size of another rung, or an omega of another length
+RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "omega-length")
 
 
 @st.composite
@@ -527,6 +581,9 @@ def scored_histories(draw):
             rec = rec._replace(bitrate_kbps=ladder[other - 1])
         elif kind == "size":
             rec = rec._replace(size_kbit=rec.size_kbit * 1.5 + 1.0)
+        elif kind == "omega-length":
+            m = draw(st.integers(0, n + 2).filter(lambda m: m != n))
+            rec = rec._replace(omega=tuple(rng.uniform(0.0, 1.0, m).tolist()))
         records[idx] = rec
     star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
     bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
@@ -563,3 +620,70 @@ def test_scoring_rejects_a_time_that_is_not_positive_and_finite(bad):
         # an empty history too: the check is where the time enters
         with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite")):
             regret_and_residuals([], man, None, **times)
+
+
+def test_an_omega_of_the_wrong_length_names_its_epoch():
+    # all short once failed in np.einsum, mixed lengths with "inhomogeneous
+    # shape", and mixed lengths that sum to T*N could be read mis-shaped
+    man = Manifest(2.0, (1000.0, 4000.0, 8000.0), np.tile([2000.0, 8000.0, 16000.0], (6, 1)))
+    recs = _one_hot_log(man, [1, 2, 3, 1, 2, 3], [5000.0] * 6)
+    third = (1 / 3, 1 / 3, 1 / 3)
+    cases = [
+        ([(0.5, 0.5)] * 6, "epoch 1: omega has 2 entries; the ladder has 3"),
+        ([third, third, (0.25,) * 4, (0.5, 0.5), third, third], "epoch 3: omega has 4 entries; the ladder has 3"),
+        ([None, None, None, None, (1.0,), None], "epoch 5: omega has 1 entries; the ladder has 3"),
+    ]
+    for omegas, expected in cases:
+        history = [rec._replace(omega=omega) for rec, omega in zip(recs, omegas)]
+        for score in (regret_and_residuals, reference_regret_and_residuals):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                score(history, man, None, 2.0, 120.0)
+
+
+# ---------------------------------------------------------------------------
+# the five metrics against zip(*history)
+
+
+@st.composite
+def qoe_histories(draw):
+    """A manifest, a history of 0, 1, 2 or more epochs whose numeric fields
+    are all floats, all integers or a mix, and stalls that may fall in the
+    last tau epochs."""
+    n = draw(st.integers(2, 6))
+    ladder = sorted(draw(st.sets(st.integers(100, 20000), min_size=n, max_size=n)))
+    t_total = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 50))
+    tau = draw(st.integers(1, 10))
+    man = Manifest(2.0, tuple(map(float, ladder)), np.tile(np.array(ladder, dtype=float), (max(t_total, 1), 1)))
+    kind = draw(st.sampled_from(["float", "int", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def number(value):
+        whole = kind == "int" or (kind == "mixed" and rng.random() < 0.5)
+        return int(round(value)) if whole else float(value)
+
+    late_stall = draw(st.booleans())
+    records = []
+    for idx in range(t_total):
+        x = int(rng.integers(1, n + 1))
+        download = number(rng.uniform(0.0, 12.0))
+        before = number(rng.uniform(0.0, 12.0))
+        if late_stall and idx >= t_total - tau:
+            before, download = number(rng.uniform(0.0, 3.0)), number(rng.uniform(4.0, 12.0))
+        records.append(EpochRecord(idx + 1, x, number(ladder[x - 1]), 1.0, 1000.0, download, 0.0,
+                                   before, before, before < download, 0.0, None))
+    duration = draw(st.sampled_from([2.0 * max(t_total, 1), 3.5]))
+    return records, man, tau, duration
+
+
+def report_bits(report):
+    values = (report.avg_bitrate_kbps, report.stability, report.smoothness,
+              report.consistency, report.continuity)
+    return [float(v).hex() for v in values], [type(v) for v in values], report.flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=qoe_histories())
+def test_qoe_metrics_match_the_transposing_reference(case):
+    history, man, tau, duration = case
+    assert (report_bits(qoe_metrics(history, man, tau, duration))
+            == report_bits(reference_qoe_metrics(history, man, tau, duration)))

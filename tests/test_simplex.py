@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,3 +106,71 @@ def test_entries_too_large_to_project():
     # 2**60 - 1.0 rounds back to 2**60, so no rank has a positive margin
     with pytest.raises(ValueError, match="too large"):
         project_simplex([2.0**60, 0.0])
+
+
+def scan_first_project_simplex(v):
+    """``project_simplex`` as it ran when it scanned every entry for
+    finiteness before the running total, as an oracle for its outcome."""
+    try:
+        values = list(map(float, v))
+    except TypeError:
+        raise ValueError("expected a non-empty 1-d vector") from None
+    if not values:
+        raise ValueError("expected a non-empty 1-d vector")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("entries must be finite")
+    theta = None
+    total = 0.0
+    for rank, u in enumerate(sorted(values, reverse=True), start=1):
+        total += u
+        shift = (total - 1.0) / rank
+        if u - shift > 0:
+            theta = shift
+    if theta is None:
+        raise ValueError("entries too large to project")
+    return tuple([x - theta if x > theta else 0.0 for x in values])
+
+
+def projection_outcome(project, v):
+    """The bits of the projection, or the error it raised."""
+    try:
+        return [x.hex() for x in project(v)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_non_finite_entry_at_any_position_is_rejected(bad, n):
+    for pos in range(n):
+        v = [0.3 * i - 0.5 for i in range(n)]
+        v[pos] = bad
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            project_simplex(v)
+
+
+@pytest.mark.parametrize("v", [[math.inf, -math.inf], [-math.inf, 0.5, math.inf],
+                               [math.inf, 1.0, -math.inf, math.nan], [1e308, math.inf, -1e308]])
+def test_mixed_infinities_are_rejected(v):
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        project_simplex(v)
+
+
+@pytest.mark.parametrize("v", [
+    [1e308, 1e308, -1.0],
+    [-1e308, -1e308],
+    [-1.5e308, -1.5e308, 5.0],
+    [1.7e308, 1.7e308, -1.7e308, -1.7e308],
+    [1e308, 1e308, 1e308, -1e308, 0.25],
+    [-1e308, -1e308, 0.5, 0.25],
+])
+def test_finite_entries_whose_sum_overflows_behave_as_before(v):
+    # the total is not finite here, so the entries are scanned and found finite
+    assert projection_outcome(project_simplex, v) == projection_outcome(scan_first_project_simplex, v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(width=64) | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
+                min_size=1, max_size=8))
+def test_outcome_matches_the_scan_first_projection(vals):
+    assert projection_outcome(project_simplex, vals) == projection_outcome(scan_first_project_simplex, vals)
