@@ -182,21 +182,21 @@ def _lp_on_simplex(cost: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
     mat = np.hstack([-g.T, a[:, None], np.eye(p)])
     d = np.concatenate([h, [-1.0], np.zeros(p)])
     first = int(np.argmin(cost[:n]))
-    basis = [rows] + [rows + 1 + i for i in range(p) if i != first]
+    basis = np.array([rows] + [rows + 1 + i for i in range(p) if i != first])
     for _ in range(_MAX_PIVOTS):
         b = mat[:, basis]
         # a solve, unlike the inverse, leaves binding rows rounding-size residuals
         x = -np.linalg.solve(b.T, d[basis])
-        binv = np.linalg.inv(b)
         reduced = d + x @ mat  # g's row slacks, sum(x[:n]) - 1, then x itself
         reduced[basis] = 0.0  # zero but for rounding
-        j = int(np.argmin(reduced))
+        j = reduced.argmin()
         if reduced[j] >= -_COST_TOL:
             omega = np.maximum(x[:n], 0.0)
             x[:n] = omega / omega.sum()
             return x
+        binv = np.linalg.inv(b)  # only a pivot reads the inverse
         col = binv @ mat[:, j]
-        pos = np.flatnonzero(col[1:] > _PIVOT_TOL) + 1
+        pos = (col[1:] > _PIVOT_TOL).nonzero()[0] + 1
         if pos.size == 0:
             raise RuntimeError("benchmark LP is infeasible (its dual is unbounded)")
         ratios = np.maximum(binv[pos] @ cost, 0.0) / col[pos]

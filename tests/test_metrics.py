@@ -537,8 +537,11 @@ def test_empty_history_series():
 
 
 # a fault in one record: the quality index off the ladder or not an integer,
-# the bitrate or the size of another rung, or an omega of another length
-RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "omega-length")
+# the bitrate or the size of another rung, an omega of another length, or a
+# bitrate or size numpy cannot read as a float (a complex number that equals
+# the manifest's value is not a fault)
+RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "omega-length", "unreadable")
+UNREADABLE = (None, 10**400, [1.0], complex)
 
 
 @st.composite
@@ -579,11 +582,15 @@ def scored_histories(draw):
             rec = rec._replace(x=float(rec.x))
         elif kind == "bitrate" and ladder[other - 1] != rec.bitrate_kbps:
             rec = rec._replace(bitrate_kbps=ladder[other - 1])
-        elif kind == "size":
+        elif kind == "size" and isinstance(rec.size_kbit, (int, float)) and rec.size_kbit < 1e300:
             rec = rec._replace(size_kbit=rec.size_kbit * 1.5 + 1.0)
         elif kind == "omega-length":
             m = draw(st.integers(0, n + 2).filter(lambda m: m != n))
             rec = rec._replace(omega=tuple(rng.uniform(0.0, 1.0, m).tolist()))
+        elif kind == "unreadable":
+            name = draw(st.sampled_from(["bitrate_kbps", "size_kbit"]))
+            value = draw(st.sampled_from(UNREADABLE))
+            rec = rec._replace(**{name: value(getattr(rec, name)) if value is complex else value})
         records[idx] = rec
     star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
     bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
