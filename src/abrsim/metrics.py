@@ -358,6 +358,7 @@ def regret_and_residuals(
     omega_column = list(_field(history, "omega"))
     fallback = any(map(is_, omega_column, repeat(None)))
     if fallback or set(map(len, omega_column)) != {n}:
+        # the epochs that logged an omega; one of another length is a fault
         logged = [idx for idx, omega in enumerate(omega_column) if omega is not None]
         flagged[[idx for idx in logged if len(omega_column[idx]) != n]] = True
     _first_fault(history, manifest, np.flatnonzero(flagged).tolist())
