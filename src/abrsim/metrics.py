@@ -370,7 +370,8 @@ def regret_and_residuals(
         if logged:
             omegas[logged] = [omega_column[idx] for idx in logged]
     else:
-        omegas = np.fromiter(chain.from_iterable(omega_column), float, t_total * n).reshape(t_total, n)
+        omegas = np.fromiter(chain.from_iterable(omega_column), float, t_total * n)
+        omegas = omegas.reshape(t_total, n)
 
     expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _column(history, "rate_kbps")
     g1 = expected_dl - segment_duration_s

@@ -637,7 +637,8 @@ def test_an_omega_of_the_wrong_length_names_its_epoch():
     third = (1 / 3, 1 / 3, 1 / 3)
     cases = [
         ([(0.5, 0.5)] * 6, "epoch 1: omega has 2 entries; the ladder has 3"),
-        ([third, third, (0.25,) * 4, (0.5, 0.5), third, third], "epoch 3: omega has 4 entries; the ladder has 3"),
+        ([third, third, (0.25,) * 4, (0.5, 0.5), third, third],
+         "epoch 3: omega has 4 entries; the ladder has 3"),
         ([None, None, None, None, (1.0,), None], "epoch 5: omega has 1 entries; the ladder has 3"),
     ]
     for omegas, expected in cases:
@@ -660,7 +661,8 @@ def qoe_histories(draw):
     ladder = sorted(draw(st.sets(st.integers(100, 20000), min_size=n, max_size=n)))
     t_total = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 50))
     tau = draw(st.integers(1, 10))
-    man = Manifest(2.0, tuple(map(float, ladder)), np.tile(np.array(ladder, dtype=float), (max(t_total, 1), 1)))
+    sizes = np.tile(np.array(ladder, dtype=float), (max(t_total, 1), 1))
+    man = Manifest(2.0, tuple(map(float, ladder)), sizes)
     kind = draw(st.sampled_from(["float", "int", "mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
