@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -13,9 +14,12 @@ from abrsim import (
     Manifest,
     RBPolicy,
     RBState,
+    SessionConfig,
     bb_decide,
     derive_bb_parameters,
+    generate_markovian,
     rb_decide,
+    run_session,
     synthesize_manifest,
 )
 from abrsim.baselines import RB_DEADZONE, RB_EWMA_WEIGHT, RB_KAPPA, RB_PROBE_KBPS
@@ -347,3 +351,27 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
                 continue
         assert x == x_ref
         assert state.last_index == ref.last_index == x
+
+
+# ---------------------------------------------------------------------------
+# pinned sessions
+
+
+@pytest.mark.parametrize("abr, digest", [
+    ("rb", "ee37c184a3333f8115609d157090a0b139b73c6e7b37dc73fc01d1d583c3506c"),
+    # bb scores the ladder with math.log, so its pin holds for the libm it was
+    # taken on: glibc 2.36 (x86-64), Python 3.11.7, numpy 2.4.6
+    ("bb", "83805f00451c33f06c6e2e846ceee1d3db301950dfb7f7f3ef690e8afe20a736"),
+])
+def test_a_seeded_live_session_has_pinned_records(abr, digest):
+    # a live buffer (b_max 20 s) on a 0.1 s trace: the session stalls, the
+    # buffer bound delays requests, and every field of every record is pinned
+    horizon = 300
+    man = synthesize_manifest(horizon, PAPER_LADDER, 2.0, vbr_jitter=0.1, seed=22)
+    trace = generate_markovian(900, 750, 23000, 0.01, 0.1, seed=22)
+    policy = RBPolicy(PAPER_LADDER) if abr == "rb" else BBPolicy(man, 20.0)
+    history = run_session(policy, SessionConfig(b_max_s=20.0, tau_resume=2), man, trace).history
+    assert any(r.stall for r in history) and any(r.delta_s > 0 for r in history)
+    assert len({r.x for r in history}) > 2
+    records = np.array([rec[:-1] for rec in history], dtype="<f8").tobytes()
+    assert hashlib.sha256(records).hexdigest() == digest
