@@ -46,7 +46,7 @@ RB_DEADZONE = 0.15  # up-switch only if smoothed >= (1 + deadzone) * rate
 RB_EWMA_WEIGHT = 0.2
 
 
-@dataclass
+@dataclass(slots=True)
 class RBState:
     bw_probe_kbps: float = 0.0
     bw_smooth_kbps: float = 0.0
@@ -54,7 +54,7 @@ class RBState:
     initialized: bool = False
 
 
-def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> int:
+def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps, up_thresholds_kbps) -> int:
     """Throughput-probe decision; mutates ``state``.
 
     The probe rises additively by kappa*w per epoch while below the observed
@@ -62,8 +62,10 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> 
     channel is its fixed point.  The dead-zone quantizer only switches up to
     levels whose rate times (1 + deadzone) fits under the smoothed estimate
     and only switches down when the current level no longer fits at all.
-    Both searches bisect ``bitrates_kbps``, which must be strictly
-    increasing, as ``RBPolicy`` checks.
+    The up-switch search bisects ``up_thresholds_kbps``, each rung's
+    ``(1.0 + RB_DEADZONE) * r``, and the down-switch search bisects
+    ``bitrates_kbps``, which must be strictly increasing; ``RBPolicy``
+    checks the ladder and builds the thresholds.
     """
     if feedback is None:
         state.last_index = 1
@@ -75,13 +77,18 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps) -> 
         state.bw_smooth_kbps = observed
         state.initialized = True
     else:
-        overshoot = max(state.bw_probe_kbps - observed + RB_PROBE_KBPS, 0.0)
-        state.bw_probe_kbps = max(state.bw_probe_kbps + RB_KAPPA * (RB_PROBE_KBPS - overshoot), 0.0)
-        state.bw_smooth_kbps += RB_EWMA_WEIGHT * (state.bw_probe_kbps - state.bw_smooth_kbps)
+        # max(v, 0.0) as a comparison: the same result for every float
+        probe = state.bw_probe_kbps
+        overshoot = probe - observed + RB_PROBE_KBPS
+        probe += RB_KAPPA * (RB_PROBE_KBPS - (0.0 if overshoot < 0.0 else overshoot))
+        if probe < 0.0:
+            probe = 0.0
+        state.bw_probe_kbps = probe
+        state.bw_smooth_kbps += RB_EWMA_WEIGHT * (probe - state.bw_smooth_kbps)
 
     smooth = state.bw_smooth_kbps
-    # the highest level whose rate times (1 + deadzone) fits, 0 if none does
-    up = bisect_right(bitrates_kbps, smooth, key=lambda r: (1.0 + RB_DEADZONE) * r)
+    # the highest level whose up-switch threshold fits, 0 if none does
+    up = bisect_right(up_thresholds_kbps, smooth)
     cur = state.last_index
     if up > cur:
         new = up
@@ -101,17 +108,18 @@ class RBPolicy:
         if any(a >= b for a, b in zip(rates, rates[1:])):
             raise ValueError(f"bitrates_kbps must be strictly increasing, got {rates!r}")
         self.bitrates_kbps = rates
+        self._up_thresholds_kbps = tuple((1.0 + RB_DEADZONE) * r for r in rates)
         self.state = RBState()
 
     def decide(self, feedback: EpochFeedback | None) -> int:
-        return rb_decide(self.state, feedback, self.bitrates_kbps)
+        return rb_decide(self.state, feedback, self.bitrates_kbps, self._up_thresholds_kbps)
 
 
 # ---------------------------------------------------------------------------
 # BB: buffer-level utility maximization with an up-switch cap
 
 
-@dataclass
+@dataclass(slots=True)
 class BBState:
     v_b: float
     gamma_p: float
@@ -195,15 +203,25 @@ class BBPolicy:
         self.state = BBState(*derive_bb_parameters(
             manifest.bitrates_kbps, manifest.segment_duration_s, require_positive("b_max_s", b_max_s)
         ))
-        self._manifest = manifest
+        # what bb_decide reads of the manifest, fixed for the session; the
+        # row of segment t is sliced from the flat size view as run_session
+        # slices it
+        self._bitrates_kbps = manifest.bitrates_kbps
+        self._segment_duration_s = manifest.segment_duration_s
+        self._sizes = manifest._sizes_view
+        self._num_levels = manifest.num_levels
+        self._num_segments = manifest.num_segments
         self._t = 0
 
     def decide(self, feedback: EpochFeedback | None) -> int:
-        self._t += 1
+        self._t = t = self._t + 1
+        if t > self._num_segments:
+            raise IndexError(f"segment {t} outside 1..{self._num_segments}")
+        n = self._num_levels
         return bb_decide(
             self.state,
             feedback,
-            self._manifest.bitrates_kbps,
-            self._manifest.sizes_row(self._t),
-            self._manifest.segment_duration_s,
+            self._bitrates_kbps,
+            self._sizes[(t - 1) * n : t * n],
+            self._segment_duration_s,
         )

@@ -35,9 +35,10 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
+from typing import Sequence
 
 from .session import EpochFeedback, require_count, require_positive
 from .simplex import project_simplex
@@ -73,7 +74,9 @@ def map_to_quality(omega, bitrates_kbps) -> int:
     gap, rounding included, only grows away from the expected bitrate.
     """
     expected = reduce(add, map(mul, bitrates_kbps, omega), 0.0)
-    n = min(bisect.bisect_left(bitrates_kbps, expected), len(bitrates_kbps) - 1)
+    n = bisect.bisect_left(bitrates_kbps, expected)
+    if n == len(bitrates_kbps):
+        n -= 1
     gap = abs(bitrates_kbps[n] - expected)
     while n:
         lower = expected - bitrates_kbps[n - 1]
@@ -91,7 +94,8 @@ class L2AState:
     ``omega`` is the decision distribution, a tuple replaced (never mutated)
     at each gradient step, so a reference to it stays a record of that epoch
     and ``l2a_decide`` maps each one to a quality once.
-    ``grad_accum`` is the queue-weighted gradient sum since the last step.
+    ``grad_accum`` is the queue-weighted gradient sum since the last step,
+    also replaced rather than mutated.
     """
 
     omega: tuple[float, ...]
@@ -99,13 +103,13 @@ class L2AState:
     q2: float = 0.0
     gamma: int = 0  # switch counter
     t: int = 0  # epochs decided so far
-    grad_accum: list[float] = field(default_factory=list)
+    grad_accum: Sequence[float] = ()
 
     @classmethod
     def initial(cls, n_levels: int) -> "L2AState":
         """Conservative start: all mass on the lowest quality."""
         omega = (1.0,) + (0.0,) * (n_levels - 1)
-        return cls(omega=omega, grad_accum=[0.0] * n_levels)
+        return cls(omega=omega, grad_accum=(0.0,) * n_levels)
 
 
 def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
@@ -120,7 +124,7 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     state.t += 1
     if feedback is not None:
         c_prev, sizes_prev, _ = feedback
-        beta, utility_grad, two_alpha, v, allowance_s = policy._decide_constants
+        beta, utility_grad, two_alpha, v, allowance_s, zero_accum = policy._decide_constants
         # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
         # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in
         # that order, with the same bits, and on a step feeds the sum straight
@@ -132,17 +136,20 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
                 for o, a, u, s in zip(state.omega, state.grad_accum, utility_grad, sizes_prev)
             ])
             state.gamma += 1
-            state.grad_accum = [0.0] * len(state.omega)
+            state.grad_accum = zero_accum
         else:
             state.grad_accum = [
                 a + u + q1 * (d := s / c_prev) - q2 * d
                 for a, u, s in zip(state.grad_accum, utility_grad, sizes_prev)
             ]
 
-        # dual ascent on the queues, with the constraints at the post-step omega
+        # dual ascent on the queues, with the constraints at the post-step
+        # omega; each max(q, 0.0) as a comparison, the same for every float
         expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
-        state.q1 = max(q1 + (expected_dl - v), 0.0)
-        state.q2 = max(q2 + (v - expected_dl - allowance_s), 0.0)
+        q1 += expected_dl - v
+        q2 += v - expected_dl - allowance_s
+        state.q1 = 0.0 if q1 < 0.0 else q1
+        state.q2 = 0.0 if q2 < 0.0 else q2
 
     # omega is replaced, never mutated, so the same object maps to the same quality
     omega, quality = policy._last_quality
@@ -179,7 +186,8 @@ class L2APolicy:
         self.state = L2AState.initial(len(self.bitrates_kbps))
         # per-epoch constants of l2a_decide, read as one tuple: beta, the
         # v_l-weighted utility gradient per rung, the step's divisor, the
-        # segment duration and the per-epoch overflow allowance
+        # segment duration, the per-epoch overflow allowance and the zero
+        # accumulator a step leaves behind
         w = UTILITY_WEIGHT / self.bitrates_kbps[-1]
         self._decide_constants = (
             self.beta,
@@ -187,6 +195,7 @@ class L2APolicy:
             2.0 * self.alpha,
             self.segment_duration_s,
             self.b_max_s / horizon_t,
+            (0.0,) * len(self.bitrates_kbps),
         )
         # the last (omega, quality) pair l2a_decide mapped
         self._last_quality = (None, 0)

@@ -234,7 +234,7 @@ def run_session(
             drained = b0 - d
             stall_time = 0.0
         pre_append = drained + v
-        buffer = min(pre_append, b_max)
+        buffer = b_max if b_max < pre_append else pre_append  # min(pre_append, b_max)
         delta = pre_append - buffer
         clock += d + delta
         if stalled:
@@ -244,7 +244,7 @@ def run_session(
                 since_stall = 0
 
         append(new(EpochRecord, (
-            t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, bool(underflow), stall_time, omega,
+            t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega,
         )))
         feedback = new(EpochFeedback, (rate, row, buffer))
     state.epoch_t = manifest.num_segments + 1

@@ -32,9 +32,13 @@ def project_simplex(v) -> tuple[float, ...]:
             theta = shift
     # a nan or an infinity leaves the total non-finite, so finite entries need
     # no scan unless their sum overflowed
-    if not math.isfinite(total) and not all(map(math.isfinite, values)):
-        raise ValueError("entries must be finite")
+    if not math.isfinite(total):
+        if not all(map(math.isfinite, values)):
+            raise ValueError("entries must be finite")
+        # finite entries whose sum overflowed: a shift from an infinite total
+        # would put the point off the simplex
+        theta = None
     if theta is None:
-        # only when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
+        # also when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")
     return tuple([x - theta if x > theta else 0.0 for x in values])

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+from bisect import bisect_right
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -179,7 +181,8 @@ def test_rb_decide_matches_the_loop_oracle(seed, decisions):
             rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
         feedback = None if rng.random() < 0.05 else fb(rate)
         state, ref = (RBState(probe, smooth, last, initialized) for _ in range(2))
-        assert rb_decide(state, feedback, ladder) == reference_rb_decide(ref, feedback, ladder)
+        thresholds = tuple((1.0 + RB_DEADZONE) * r for r in ladder)
+        assert rb_decide(state, feedback, ladder, thresholds) == reference_rb_decide(ref, feedback, ladder)
         assert state == ref
 
 
@@ -351,6 +354,87 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
                 continue
         assert x == x_ref
         assert state.last_index == ref.last_index == x
+
+
+# ---------------------------------------------------------------------------
+# the session adapters against their decide functions called the old way
+
+
+def key_search_rb_decide(state, feedback, bitrates_kbps):
+    """``rb_decide`` as it ran before ``RBPolicy`` built its up-switch
+    thresholds: the up-switch search bisects the ladder with a key that
+    scales each rung on every call."""
+    if feedback is None:
+        state.last_index = 1
+        return 1
+
+    observed = float(feedback.realized_rate_kbps)
+    if not state.initialized:
+        state.bw_probe_kbps = observed
+        state.bw_smooth_kbps = observed
+        state.initialized = True
+    else:
+        overshoot = max(state.bw_probe_kbps - observed + RB_PROBE_KBPS, 0.0)
+        state.bw_probe_kbps = max(state.bw_probe_kbps + RB_KAPPA * (RB_PROBE_KBPS - overshoot), 0.0)
+        state.bw_smooth_kbps += RB_EWMA_WEIGHT * (state.bw_probe_kbps - state.bw_smooth_kbps)
+
+    smooth = state.bw_smooth_kbps
+    up = bisect_right(bitrates_kbps, smooth, key=lambda r: (1.0 + RB_DEADZONE) * r)
+    cur = state.last_index
+    if up > cur:
+        new = up
+    elif bitrates_kbps[cur - 1] > smooth:
+        new = max(1, bisect_right(bitrates_kbps, smooth))
+    else:
+        new = cur
+    state.last_index = new
+    return new
+
+
+def state_bits(state):
+    """The fields of a policy state, each float as its exact bits, so that a
+    NaN or a -0.0 compares as itself."""
+    return [x.hex() if isinstance(x, float) else x for x in astuple(state)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 60))
+def test_the_adapters_match_their_decide_functions_called_the_old_way(seed, horizon):
+    # the observed rates include each rung and each up-switch threshold and
+    # their neighbours, and the odd floats: zero of either sign, a negative
+    # rate, an infinity and a NaN
+    rng = np.random.default_rng(seed)
+    n_levels = int(rng.integers(2, 10))
+    ladder = tuple(np.cumsum(rng.uniform(50.0, 5000.0, size=n_levels)).tolist())
+    v = float(rng.uniform(0.5, 8.0))
+    b_max = float(rng.uniform(v, 60.0 * v))
+    sizes = np.asarray(ladder) * v * rng.uniform(0.5, 1.5, size=(horizon, n_levels))
+    man = Manifest(v, ladder, np.sort(sizes, axis=1))
+    edges = [e for r in ladder for e in (r, (1.0 + RB_DEADZONE) * r)]
+    edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    edges += [0.0, -0.0, -ladder[0], math.inf, math.nan]
+    rb, bb = RBPolicy(ladder), BBPolicy(man, b_max)
+    rb_ref, bb_ref = RBState(), BBState(*derive_bb_parameters(ladder, v, b_max))
+    feedback = None
+    for t in range(1, horizon + 1):
+        assert rb.decide(feedback) == key_search_rb_decide(rb_ref, feedback, ladder)
+        assert state_bits(rb.state) == state_bits(rb_ref)
+        assert bb.decide(feedback) == bb_decide(bb_ref, feedback, ladder, man.sizes_row(t), v)
+        assert state_bits(bb.state) == state_bits(bb_ref)
+        if rng.random() < 0.05:
+            feedback = None
+        else:
+            if rng.random() < 0.4:
+                rate = edges[int(rng.integers(len(edges)))]
+            else:
+                rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
+            feedback = EpochFeedback(rate, man.sizes_row(t), float(rng.uniform(0.0, b_max)))
+    # past the last segment, as Manifest.sizes_row
+    message = re.escape(f"segment {horizon + 1} outside 1..{horizon}")
+    with pytest.raises(IndexError, match=message):
+        man.sizes_row(horizon + 1)
+    with pytest.raises(IndexError, match=message):
+        bb.decide(feedback)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ def test_entries_too_large_to_project():
 
 def scan_first_project_simplex(v):
     """``project_simplex`` as it ran when it scanned every entry for
-    finiteness before the running total, as an oracle for its outcome."""
+    finiteness before the running total, as an oracle for its outcome, with
+    its rule for finite entries whose sum overflows."""
     try:
         values = list(map(float, v))
     except TypeError:
@@ -126,7 +127,7 @@ def scan_first_project_simplex(v):
         shift = (total - 1.0) / rank
         if u - shift > 0:
             theta = shift
-    if theta is None:
+    if theta is None or not math.isfinite(total):
         raise ValueError("entries too large to project")
     return tuple([x - theta if x > theta else 0.0 for x in values])
 
@@ -165,8 +166,11 @@ def test_mixed_infinities_are_rejected(v):
     [-1e308, -1e308, 0.5, 0.25],
 ])
 def test_finite_entries_whose_sum_overflows_behave_as_before(v):
-    # the total is not finite here, so the entries are scanned and found finite
-    assert projection_outcome(project_simplex, v) == projection_outcome(scan_first_project_simplex, v)
+    # the total is not finite here, so the entries are scanned and found
+    # finite, and the overflow is the entries-too-large error (a shift from an
+    # infinite total gave infinities: (inf, inf) for [-1e308, -1e308])
+    assert (projection_outcome(project_simplex, v) == projection_outcome(scan_first_project_simplex, v)
+            == "entries too large to project")
 
 
 @settings(max_examples=400, deadline=None)
@@ -174,3 +178,15 @@ def test_finite_entries_whose_sum_overflows_behave_as_before(v):
                 min_size=1, max_size=8))
 def test_outcome_matches_the_scan_first_projection(vals):
     assert projection_outcome(project_simplex, vals) == projection_outcome(scan_first_project_simplex, vals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]), min_size=1, max_size=8))
+def test_every_point_returned_is_finite_and_non_negative(vals):
+    try:
+        w = project_simplex(vals)
+    except ValueError as exc:
+        assert str(exc) == "entries too large to project"
+        return
+    assert all(math.isfinite(x) and x >= 0.0 for x in w)
