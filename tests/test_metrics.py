@@ -590,7 +590,13 @@ def scored_histories(draw):
         elif kind == "unreadable":
             name = draw(st.sampled_from(["bitrate_kbps", "size_kbit"]))
             value = draw(st.sampled_from(UNREADABLE))
-            rec = rec._replace(**{name: value(getattr(rec, name)) if value is complex else value})
+            current = getattr(rec, name)
+            if value is not complex:
+                rec = rec._replace(**{name: value})
+            elif isinstance(current, (int, float)) and abs(current) < 1e300:
+                # complex() cannot take a value that an earlier fault on this
+                # record made unreadable (None, 10**400, a list)
+                rec = rec._replace(**{name: complex(current)})
         records[idx] = rec
     star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
     bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
