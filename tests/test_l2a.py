@@ -26,7 +26,7 @@ from abrsim import (
 )
 
 import abrsim.l2a
-from abrsim.l2a import UTILITY_WEIGHT
+from abrsim.l2a import EPSILON, UTILITY_WEIGHT
 
 from conftest import constant_trace
 
@@ -80,10 +80,25 @@ def first_min_gap(omega, bitrates_kbps):
     return gaps.index(min(gaps)) + 1
 
 
-def scalar_decide(policy, feedback):
-    """``l2a_decide`` step by step: the three gradient vectors and the
-    constraint values at the new point from the functions above."""
-    state, bitrates_kbps = policy.state, policy.bitrates_kbps
+class OracleController:
+    """An oracle's controller: its own ``state``, and the settings of a policy
+    built from the same ladder, V, b_max, T and beta, with the schedule
+    v_l = T^(1 - EPSILON/2) and alpha = v_l * sqrt(T) derived here by the
+    package's expressions rather than read from a policy."""
+
+    def __init__(self, ladder, v, b_max, horizon, beta, state):
+        self.bitrates_kbps = tuple(ladder)
+        self.segment_duration_s, self.b_max_s, self.horizon_t, self.beta = v, b_max, horizon, beta
+        self.v_l = float(horizon) ** (1.0 - EPSILON / 2.0)
+        self.alpha = self.v_l * math.sqrt(horizon)
+        self.state = state
+
+
+def scalar_decide(controller, feedback):
+    """``l2a_decide`` step by step on an ``OracleController``: the three
+    gradient vectors and the constraint values at the new point from the
+    functions above."""
+    state, bitrates_kbps = controller.state, controller.bitrates_kbps
     state.t += 1
     if feedback is None:
         return first_min_gap(state.omega, bitrates_kbps)
@@ -91,19 +106,19 @@ def scalar_decide(policy, feedback):
     sizes_prev = feedback.row_sizes_kbit
     scale = UTILITY_WEIGHT / bitrates_kbps[-1]
     grad_f, grad_g1, grad_g2 = gradients(sizes_prev, c_prev, [r * scale for r in bitrates_kbps])
-    v_l, q1, q2 = policy.v_l, state.q1, state.q2
+    v_l, q1, q2 = controller.v_l, state.q1, state.q2
     state.grad_accum = [
         a + v_l * f + q1 * g1 + q2 * g2
         for a, f, g1, g2 in zip(state.grad_accum, grad_f, grad_g1, grad_g2)
     ]
-    if state.gamma / state.t <= policy.beta:
-        denom = 2.0 * policy.alpha
+    if state.gamma / state.t <= controller.beta:
+        denom = 2.0 * controller.alpha
         state.omega = project_simplex([w - a / denom for w, a in zip(state.omega, state.grad_accum)])
         state.gamma += 1
         state.grad_accum = [0.0] * len(state.omega)
     _, g1, g2 = loss_and_constraints(
-        state.omega, sizes_prev, bitrates_kbps, c_prev, policy.segment_duration_s, policy.b_max_s,
-        policy.horizon_t,
+        state.omega, sizes_prev, bitrates_kbps, c_prev, controller.segment_duration_s,
+        controller.b_max_s, controller.horizon_t,
     )
     state.q1 = max(q1 + g1, 0.0)
     state.q2 = max(q2 + g2, 0.0)
@@ -333,13 +348,14 @@ def test_switch_budget_bound_is_hard():
 
 
 def test_gamma_within_budget_at_every_epoch():
-    policy = L2APolicy(LADDER, 2.0, 120.0, 50, beta=0.25)
+    beta = 0.25
+    policy = L2APolicy(LADDER, 2.0, 120.0, 50, beta=beta)
     state = policy.state
     rng = np.random.default_rng(3)
     feedback = None
     for _ in range(50):
         l2a_decide(policy, feedback)
-        assert state.gamma <= policy.beta * state.t + 1
+        assert state.gamma <= beta * state.t + 1
         sizes = np.asarray(LADDER) * 2.0 * rng.uniform(0.9, 1.1, len(LADDER))
         feedback = make_feedback(np.sort(sizes), rng.uniform(800, 23000))
 
@@ -424,13 +440,13 @@ def test_decisions_do_not_depend_on_rate_units():
 # the numpy formulas as an oracle
 
 
-def reference_decide(policy, feedback):
+def reference_decide(controller, feedback):
     """The numpy formulas ``l2a_decide`` and its helpers ran before their
-    scalar rewrite, on a state holding numpy arrays.  The dot products sum in
+    scalar rewrite, on an ``OracleController`` whose state holds numpy arrays.  The dot products sum in
     numpy's order, which no Python summation order matches bit for bit."""
-    state = policy.state
+    state = controller.state
     state.t += 1
-    rates = np.asarray(policy.bitrates_kbps, dtype=float)
+    rates = np.asarray(controller.bitrates_kbps, dtype=float)
 
     def to_quality(omega):
         return int(np.argmin(np.abs(rates - float(rates @ omega)))) + 1
@@ -442,18 +458,18 @@ def reference_decide(policy, feedback):
     dl = sizes / c_prev
     grad_f, grad_g1, grad_g2 = -(rates * (UTILITY_WEIGHT / rates[-1])), dl, -dl
     state.grad_accum = (
-        state.grad_accum + policy.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
+        state.grad_accum + controller.v_l * grad_f + state.q1 * grad_g1 + state.q2 * grad_g2
     )
     omega_new = state.omega
-    if state.gamma / state.t <= policy.beta:
-        step_vec = state.grad_accum / (2.0 * policy.alpha)
+    if state.gamma / state.t <= controller.beta:
+        step_vec = state.grad_accum / (2.0 * controller.alpha)
         omega_new = np.array(project_simplex(state.omega - step_vec))
         state.gamma += 1
         state.grad_accum = np.zeros_like(state.grad_accum)
     expected_dl = float(sizes @ omega_new) / c_prev
-    v = policy.segment_duration_s
+    v = controller.segment_duration_s
     g1 = expected_dl - v
-    g2 = v - expected_dl - policy.b_max_s / policy.horizon_t
+    g2 = v - expected_dl - controller.b_max_s / controller.horizon_t
     state.q1 = max(state.q1 + g1, 0.0)
     state.q2 = max(state.q2 + g2, 0.0)
     state.omega = omega_new
@@ -472,10 +488,10 @@ def test_decide_matches_numpy_reference(seed, beta, epochs, extra_horizon):
     ladder = tuple(np.cumsum(rng.uniform(100.0, 4000.0, size=int(rng.integers(2, 10)))).tolist())
     man = synthesize_manifest(epochs, ladder, 2.0, vbr_jitter=0.2, seed=seed)
     b_max = float(rng.uniform(2.0, 120.0))
-    policy, reference = (L2APolicy(ladder, 2.0, b_max, epochs + extra_horizon, beta=beta)
-                         for _ in range(2))
+    policy = L2APolicy(ladder, 2.0, b_max, epochs + extra_horizon, beta=beta)
     state = policy.state
-    ref = reference.state = L2AState(omega=np.array(state.omega), grad_accum=np.zeros(len(ladder)))
+    ref = L2AState(omega=np.array(state.omega), grad_accum=np.zeros(len(ladder)))
+    reference = OracleController(ladder, 2.0, b_max, epochs + extra_horizon, beta, ref)
     midpoints = [(lo + hi) / 2.0 for lo, hi in zip(ladder, ladder[1:])]
     feedback = ref_feedback = None
     for t in range(1, epochs + 1):
@@ -519,12 +535,15 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
     man = synthesize_manifest(epochs, ladder, v, vbr_jitter=0.2, seed=seed)
     b_max = float(rng.uniform(v, 120.0))
     horizon = epochs + int(rng.integers(0, 3000))
-    policy, oracle_policy = (L2APolicy(ladder, v, b_max, horizon, beta=beta) for _ in range(2))
-    state, oracle = policy.state, oracle_policy.state
+    policy = L2APolicy(ladder, v, b_max, horizon, beta=beta)
+    state = policy.state
+    # the conservative start: all mass on the lowest quality
+    oracle = L2AState(omega=(1.0,) + (0.0,) * (len(ladder) - 1), grad_accum=(0.0,) * len(ladder))
+    oracle_controller = OracleController(ladder, v, b_max, horizon, beta, oracle)
     feedback = None
     for t in range(1, epochs + 1):
         x = l2a_decide(policy, feedback)
-        x_oracle = scalar_decide(oracle_policy, feedback)
+        x_oracle = scalar_decide(oracle_controller, feedback)
         assert x == x_oracle
         assert float_bytes(state.omega) == float_bytes(oracle.omega)
         assert float_bytes(state.grad_accum) == float_bytes(oracle.grad_accum)

@@ -298,15 +298,15 @@ def download_kinds(history, trace):
 
 
 def state_bytes(state):
-    """Every field of every record but ω, then the final state, as <f8."""
-    final = (state.epoch_t, state.buffer_s, state.wall_clock_s, state.stalled, state.segments_since_stall)
+    """Every field of every record, then the wall clock, as <f8; ω, None in
+    an rb or bb session, is left out."""
     return (np.array([rec[:-1] for rec in state.history], dtype="<f8").tobytes()
-            + np.array(final, dtype="<f8").tobytes())
+            + np.array([state.wall_clock_s], dtype="<f8").tobytes())
 
 
 @pytest.mark.parametrize("abr, digest", [
-    ("rb", "ab95b2812de08132eabc828439de072a09057401a203f84ac0216b968648e8f4"),
-    ("bb", "97414e049f04ae239ebb10e46600a5f9574c83c13f53454eae38a17c3115c1c6"),
+    ("rb", "d0210a47e21d2c40ae48a56e30d51d74f1b0ab5f43ebb63e5124b42ef91a7821"),
+    ("bb", "87b05de135e039691e428582ab5edc03ed64ffbe8c39d315f0be0866dd1a82d9"),
 ])
 def test_live_session_has_pinned_bytes(abr, digest):
     # numpy's Generator streams and the elementwise arithmetic of the
@@ -314,6 +314,7 @@ def test_live_session_has_pinned_bytes(abr, digest):
     state, trace = live_session(abr)
     kinds = download_kinds(state.history, trace)
     assert any(r.stall for r in state.history)
+    assert all(r.omega is None for r in state.history)
     assert min(kinds.values()) > 0, kinds
     assert hashlib.sha256(state_bytes(state)).hexdigest() == digest
 
@@ -804,11 +805,8 @@ def test_run_session_matches_the_step_oracle_bit_for_bit(case):
     # each record holds the very tuple the policy exposed after that epoch's decide
     assert len(policy.seen) == man.num_segments
     assert all(rec.omega is omega for rec, omega in zip(state.history, policy.seen))
-    for name in ("epoch_t", "buffer_s", "wall_clock_s", "stalled", "segments_since_stall"):
-        mine, theirs = getattr(state, name), getattr(oracle, name)
-        assert type(mine) is type(theirs), name
-        assert (mine.hex() if isinstance(mine, float) else mine) == (
-            theirs.hex() if isinstance(theirs, float) else theirs), name
+    assert type(state.wall_clock_s) is type(oracle.wall_clock_s) is float
+    assert state.wall_clock_s.hex() == oracle.wall_clock_s.hex()
 
 
 @settings(max_examples=50, deadline=None)
