@@ -89,18 +89,6 @@ class ChannelTrace:
     def num_samples(self) -> int:
         return int(self.timestamps_s.size)
 
-    @property
-    def duration_s(self) -> float:
-        return float(self.timestamps_s[-1])
-
-    @property
-    def min_throughput_kbps(self) -> float:
-        return float(self.throughputs_kbps.min())
-
-    @property
-    def max_throughput_kbps(self) -> float:
-        return float(self.throughputs_kbps.max())
-
 
 def load_trace(path: str | Path) -> ChannelTrace:
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.

@@ -21,7 +21,6 @@ from .baselines import BBPolicy, RBPolicy
 from .l2a import L2APolicy, check_beta
 
 SCENARIO_BMAX = {"vod": 120.0, "live": 20.0}
-DEFAULT_TAU = 2
 
 COMPARISON_COLUMNS = (
     "method",
@@ -132,8 +131,6 @@ def _number(block: dict, key: str, default=None, *, integral: bool = False,
 
 
 def _resolve_manifest(spec, seed: int) -> media.Manifest:
-    if isinstance(spec, str):
-        return media.load_manifest(spec)
     if isinstance(spec, dict) and "path" in spec:
         if not isinstance(spec["path"], str):
             raise CliError(f"manifest 'path' must be a string, got {spec['path']!r}")
@@ -260,7 +257,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError(f"key 'scenario' in the config must be one of"
                        f" {', '.join(map(repr, SCENARIO_BMAX))}, got {scenario!r}")
     b_max = SCENARIO_BMAX[scenario]
-    tau = _number(config, "tau", DEFAULT_TAU, integral=True)
+    tau = _number(config, "tau", session.DEFAULT_TAU_RESUME, integral=True)
     seed = _number(config, "seed", 0, integral=True)
     methods = config.get("methods") or []
     if not isinstance(methods, list):
@@ -422,7 +419,8 @@ def _cmd_benchmark(args) -> int:
     history = session.read_log_csv(args.log)
     if not history:
         raise CliError(f"{args.log}: empty session log")
-    report, bench = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario], DEFAULT_TAU)
+    report, bench = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario],
+                                            session.DEFAULT_TAU_RESUME)
     k = metrics.benchmark_window(len(history))
     if "one-hot-omega" in report.flags:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
@@ -462,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--trace", required=True)
     p_run.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
-    p_run.add_argument("--tau", type=int, default=DEFAULT_TAU)
+    p_run.add_argument("--tau", type=int, default=session.DEFAULT_TAU_RESUME)
     _add_policy_flags(p_run)
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=_cmd_run)

@@ -105,18 +105,12 @@ class L2AState:
     t: int = 0  # epochs decided so far
     grad_accum: Sequence[float] = ()
 
-    @classmethod
-    def initial(cls, n_levels: int) -> "L2AState":
-        """Conservative start: all mass on the lowest quality."""
-        omega = (1.0,) + (0.0,) * (n_levels - 1)
-        return cls(omega=omega, grad_accum=(0.0,) * n_levels)
-
 
 def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     """Pick the quality index for the next epoch; mutates ``policy.state``.
 
-    ``policy`` supplies the ladder, the segment duration, the buffer bound,
-    ``beta``, the schedule and the constants derived from them.  With no
+    ``policy`` supplies the ladder and the per-epoch constants that
+    ``L2APolicy`` derives from its settings.  With no
     feedback yet (first epoch) the distribution stays at its initialization
     and the startup quality is returned.
     """
@@ -164,39 +158,45 @@ class L2APolicy:
     """Session adapter that owns one controller state per stream.
 
     ``beta`` is the switch-rate budget, the one setting.  The schedule is
-    derived from ``horizon_t`` here, once: cautiousness ``v_l`` =
-    T^(1 - EPSILON/2) and step size ``alpha`` = v_l * sqrt(T).  There is no
+    derived from ``horizon_t`` here, once: cautiousness v_l =
+    T^(1 - EPSILON/2) and step size alpha = v_l * sqrt(T).  There is no
     rate-unit knob: the utility gradient is ``UTILITY_WEIGHT * r / r_N``
     (ladder top r_N), so rescaling the ladder, the sizes and the channel
-    together leaves every decision unchanged.  ``l2a_decide``'s per-epoch
-    constants are derived here too, from ``beta``, the ladder, the schedule,
-    the segment duration, ``b_max_s`` and ``horizon_t``, so those are fixed
-    once the policy is built.
+    together leaves every decision unchanged.  The settings, the schedule,
+    the segment duration and ``b_max_s`` are kept only as the per-epoch
+    constants of ``l2a_decide``, one tuple, so they are fixed once the
+    policy is built; the class has slots, so assigning any of them
+    afterwards is an AttributeError.  The first state puts all mass on the
+    lowest quality.
     """
+
+    __slots__ = ("bitrates_kbps", "state", "_decide_constants", "_last_quality")
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
                  horizon_t: int, beta: float = 1.0):
-        self.beta = check_beta(beta)
-        self.horizon_t = require_count("horizon_t", horizon_t)
-        self.v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
-        self.alpha = self.v_l * math.sqrt(horizon_t)
+        check_beta(beta)
+        require_count("horizon_t", horizon_t)
+        v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
+        alpha = v_l * math.sqrt(horizon_t)
         self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
-        self.segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
-        self.b_max_s = float(require_positive("b_max_s", b_max_s))
-        self.state = L2AState.initial(len(self.bitrates_kbps))
+        segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
+        b_max_s = float(require_positive("b_max_s", b_max_s))
+        n = len(self.bitrates_kbps)
         # per-epoch constants of l2a_decide, read as one tuple: beta, the
         # v_l-weighted utility gradient per rung, the step's divisor, the
         # segment duration, the per-epoch overflow allowance and the zero
-        # accumulator a step leaves behind
+        # accumulator a step leaves behind, which the first state starts from
         w = UTILITY_WEIGHT / self.bitrates_kbps[-1]
+        zero_accum = (0.0,) * n
         self._decide_constants = (
-            self.beta,
-            tuple(self.v_l * -(r * w) for r in self.bitrates_kbps),
-            2.0 * self.alpha,
-            self.segment_duration_s,
-            self.b_max_s / horizon_t,
-            (0.0,) * len(self.bitrates_kbps),
+            beta,
+            tuple(v_l * -(r * w) for r in self.bitrates_kbps),
+            2.0 * alpha,
+            segment_duration_s,
+            b_max_s / horizon_t,
+            zero_accum,
         )
+        self.state = L2AState(omega=(1.0,) + (0.0,) * (n - 1), grad_accum=zero_accum)
         # the last (omega, quality) pair l2a_decide mapped
         self._last_quality = (None, 0)
 

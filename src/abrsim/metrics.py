@@ -287,8 +287,8 @@ def _first_fault(history, manifest: Manifest, candidates) -> None:
     logged omega does not have one entry per rung; return if none is."""
     levels = manifest.bitrates_kbps
     n = len(levels)
-    # indexing a flat memoryview of the sizes gives Python floats
-    flat_sizes = memoryview(manifest.segment_sizes_kbit.reshape(-1))
+    # indexing the manifest's flat memoryview of the sizes gives Python floats
+    flat_sizes = manifest._sizes_view
     for idx in candidates:
         t, x, bitrate, size = history[idx][:4]
         if not isinstance(x, numbers.Integral):

@@ -31,6 +31,7 @@ from .channel import ChannelTrace, parse_csv_rows, read_csv_table
 from .media import Manifest
 
 __all__ = [
+    "DEFAULT_TAU_RESUME",
     "EpochFeedback",
     "EpochRecord",
     "LOG_COLUMNS",
@@ -63,13 +64,16 @@ LOG_COLUMNS = tuple(name for name, _, _ in _LOG_TABLE)
 _LOG_ROW = ",".join("%d" if typ is int else "%r" for _, _, typ in _LOG_TABLE) + "\r\n"
 _LOG_DTYPE = np.dtype([(name, np.int64 if typ is int else np.float64) for name, _, typ in _LOG_TABLE])
 
+# segments appended after a stall before playback resumes, unless set
+DEFAULT_TAU_RESUME = 2
+
 
 @dataclass
 class SessionConfig:
     """Client-side playback parameters."""
 
     b_max_s: float
-    tau_resume: int = 2
+    tau_resume: int = DEFAULT_TAU_RESUME
 
     def __post_init__(self) -> None:
         require_positive("b_max_s", self.b_max_s)
@@ -111,15 +115,13 @@ class EpochRecord(NamedTuple):
     omega: tuple[float, ...] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
-    """Mutable per-session bookkeeping; one instance per stream."""
+    """What ``run_session`` returns: one record per epoch, and the wall
+    clock at which the session ends.  The final buffer is the last record's
+    ``buffer_after_s``."""
 
-    epoch_t: int = 1
-    buffer_s: float = 0.0
     wall_clock_s: float = 0.0
-    stalled: bool = False
-    segments_since_stall: int = 0
     history: list[EpochRecord] = field(default_factory=list)
 
 
@@ -130,7 +132,7 @@ class Policy(Protocol):
 
 
 class ScriptedPolicy:
-    """Replays a fixed quality-index sequence (tests, log replay)."""
+    """Plays a fixed quality-index sequence, one index per ``decide``."""
 
     def __init__(self, indices: Iterable[int]):
         self._it = iter(indices)
@@ -170,7 +172,9 @@ def run_session(
     tuple of floats the policy replaces rather than mutates), it is read
     after each ``decide`` and stored as is in that epoch's record for later
     regret analysis.  A ``b_max_s`` below the segment duration is a
-    ValueError raised before the first ``decide``.
+    ValueError raised before the first ``decide``.  The buffer, clock and
+    stall state live in locals; the state returned holds the records and
+    the final wall clock.
     """
     v = manifest.segment_duration_s
     b_max = config.b_max_s
@@ -247,11 +251,7 @@ def run_session(
             t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega,
         )))
         feedback = new(EpochFeedback, (rate, row, buffer))
-    state.epoch_t = manifest.num_segments + 1
-    state.buffer_s = buffer
     state.wall_clock_s = clock
-    state.stalled = stalled
-    state.segments_since_stall = since_stall
     return state
 
 

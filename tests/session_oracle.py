@@ -1,15 +1,17 @@
 """The per-epoch loop as it ran before ``run_session`` took the download and
 the buffer law inline: ``download`` drains one segment through the trace,
-``step`` advances one epoch, and ``run_oracle`` calls ``step`` once per
-epoch.  ``run_session`` must match ``run_oracle`` bit for bit."""
+``step`` advances one epoch of an ``OracleState``, and ``run_oracle`` calls
+``step`` once per epoch.  ``run_session`` must match ``run_oracle`` bit for
+bit."""
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from abrsim import ChannelTrace, EpochFeedback, EpochRecord, Manifest, SessionConfig, SessionState
+from abrsim import ChannelTrace, EpochFeedback, EpochRecord, Manifest, SessionConfig
 
 
 class DownloadResult(NamedTuple):
@@ -17,6 +19,18 @@ class DownloadResult(NamedTuple):
 
     duration_s: float
     effective_rate_kbps: float
+
+
+@dataclass
+class OracleState:
+    """The loop's bookkeeping between epochs; the next epoch is
+    ``len(history) + 1``."""
+
+    buffer_s: float = 0.0
+    wall_clock_s: float = 0.0
+    stalled: bool = False
+    segments_since_stall: int = 0
+    history: list[EpochRecord] = field(default_factory=list)
 
 
 def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> DownloadResult:
@@ -50,7 +64,7 @@ def download(trace: ChannelTrace, start_time_s: float, size_kbit: float) -> Down
 
 
 def step(
-    state: SessionState,
+    state: OracleState,
     config: SessionConfig,
     manifest: Manifest,
     trace: ChannelTrace,
@@ -64,13 +78,14 @@ def step(
     n_levels = manifest.num_levels
     if not 1 <= x_t <= n_levels:
         raise ValueError(f"quality index {x_t} outside 1..{n_levels}")
-    if state.epoch_t > manifest.num_segments:
-        raise ValueError(f"epoch {state.epoch_t} beyond horizon {manifest.num_segments}")
+    epoch = len(state.history) + 1
+    if epoch > manifest.num_segments:
+        raise ValueError(f"epoch {epoch} beyond horizon {manifest.num_segments}")
     v = manifest.segment_duration_s
     if config.b_max_s < v:
         raise ValueError("b_max_s smaller than the segment duration")
 
-    row = manifest.sizes_row(state.epoch_t)
+    row = manifest.sizes_row(epoch)
     size = row[x_t - 1]
     result = download(trace, state.wall_clock_s, size)
     d = result.duration_s
@@ -104,18 +119,17 @@ def step(
 
     rate = result.effective_rate_kbps
     state.history.append(EpochRecord(
-        state.epoch_t, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
+        epoch, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
         b0, b1, bool(underflow), stall_time, omega,
     ))
-    state.epoch_t += 1
     return EpochFeedback(rate, row, b1)
 
 
-def run_oracle(policy, config: SessionConfig, manifest: Manifest, trace: ChannelTrace) -> SessionState:
+def run_oracle(policy, config: SessionConfig, manifest: Manifest, trace: ChannelTrace) -> OracleState:
     """One ``step`` per epoch over the manifest's horizon, each storing the
     policy's ``omega`` attribute (None if it has none) as read after its
     ``decide``."""
-    state = SessionState()
+    state = OracleState()
     feedback = None
     for _ in range(manifest.num_segments):
         x = policy.decide(feedback)

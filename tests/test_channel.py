@@ -509,8 +509,8 @@ def test_effective_rate_within_trace_range():
     tr = generate_markovian(200, 750, 23000, 0.1, 1.0, seed=3)
     for _ in range(200):
         res = download(tr, float(rng.uniform(0, 300)), float(rng.uniform(10, 60000)))
-        assert res.effective_rate_kbps >= tr.min_throughput_kbps * (1 - 1e-12)
-        assert res.effective_rate_kbps <= tr.max_throughput_kbps * (1 + 1e-12)
+        assert res.effective_rate_kbps >= tr.throughputs_kbps.min() * (1 - 1e-12)
+        assert res.effective_rate_kbps <= tr.throughputs_kbps.max() * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +526,17 @@ def test_concat_traces_monotone_and_preserving():
     assert np.array_equal(cat.throughputs_kbps[:100], a.throughputs_kbps)
     assert np.array_equal(cat.throughputs_kbps[100:], b.throughputs_kbps)
     # second trace starts one sample step after the first one's end
-    assert cat.timestamps_s[100] == pytest.approx(a.duration_s + 1.0)
+    assert cat.timestamps_s[100] == pytest.approx(a.timestamps_s[-1] + 1.0)
+
+
+def test_concat_continues_a_one_sample_trace_after_one_second():
+    # a single sample has no interval to repeat, so its trace lasts 1 s
+    one = ChannelTrace([0.0], [500.0])
+    b = generate_markovian(5, 750, 23000, 0.5, 0.5, seed=1)
+    cat = concat_traces([one, b])
+    assert cat.timestamps_s.tolist() == [0.0] + (1.0 + b.timestamps_s).tolist()
+    assert cat.timestamps_s[1] == 1.0
+    assert cat.throughputs_kbps.tolist() == [500.0] + b.throughputs_kbps.tolist()
 
 
 def test_trace_roundtrip(tmp_path):

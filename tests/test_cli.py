@@ -502,6 +502,34 @@ def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_the_default_tau_is_stated_once():
+    args = cli.build_parser().parse_args(["run", "--manifest", "m.json", "--trace", "t.csv"])
+    assert args.tau == session.SessionConfig(b_max_s=20.0).tau_resume == session.DEFAULT_TAU_RESUME == 2
+
+
+def test_a_bare_manifest_path_is_not_a_manifest_spec(assets, tmp_path, capsys):
+    # a manifest is {"path": ...} or {"generate": ...}; a bare string, once
+    # read as a path, is rejected before anything is written, while a trace
+    # entry may still be one
+    manifest, trace = assets
+    cfg_path = tmp_path / "bare.json"
+    cfg_path.write_text(json.dumps({
+        "manifest": str(manifest),
+        "traces": [str(trace)],
+        "methods": [{"abr": "rb"}],
+    }))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == "abrsim: error: manifest spec needs 'path' or 'generate'\n"
+    assert not out.exists()
+    cfg_path.write_text(json.dumps({
+        "manifest": {"path": str(manifest)},
+        "traces": [str(trace)],
+        "methods": [{"abr": "rb"}],
+    }))
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 0
+
+
 def test_compare_rejects_two_traces_of_one_name(assets, tmp_path, capsys):
     # sessions are keyed by trace name, the file stem: two trace files named
     # trace.csv once failed with a KeyError after --out was created

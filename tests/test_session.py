@@ -1,5 +1,6 @@
 import bisect
 import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -21,7 +22,6 @@ from abrsim import (
     RBPolicy,
     ScriptedPolicy,
     SessionConfig,
-    SessionState,
     export_log_csv,
     generate_markovian,
     read_log_csv,
@@ -32,7 +32,7 @@ from abrsim import (
 from abrsim.session import LOG_COLUMNS
 
 from conftest import assert_buffer_law, constant_trace, record_parses, reject_nul_as_python_3_10
-from session_oracle import DownloadResult, run_oracle, step
+from session_oracle import DownloadResult, OracleState, run_oracle, step
 
 
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
@@ -49,7 +49,7 @@ def cbr_manifest(num_segments, bitrates=(1000.0, 2000.0), v=2.0):
 def test_step_plain_drain():
     # buffer 10, download 3 s, V = 2: no delay, new buffer 9
     man = Manifest(2.0, (1500.0, 3000.0), [[3000.0, 6000.0]])
-    state = SessionState(buffer_s=10.0)
+    state = OracleState(buffer_s=10.0)
     fb = step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
     rec = state.history[0]
     assert rec.download_s == pytest.approx(3.0, abs=1e-12)
@@ -63,7 +63,7 @@ def test_step_plain_drain():
 def test_step_overflow_delay():
     # buffer 119, download 0.5 s, V = 2, cap 120: delay 0.5, buffer exactly 120
     man = Manifest(2.0, (250.0, 500.0), [[500.0, 1000.0]])
-    state = SessionState(buffer_s=119.0)
+    state = OracleState(buffer_s=119.0)
     step(state, SessionConfig(b_max_s=120.0), man, constant_trace(1000.0), 1)
     rec = state.history[0]
     assert rec.delta_s == pytest.approx(0.5, abs=1e-12)
@@ -78,7 +78,7 @@ def test_stall_and_resume_walkthrough():
     man = Manifest(2.0, (500.0, 3000.0), sizes)
     cfg = SessionConfig(b_max_s=120.0, tau_resume=2)
     tr = constant_trace(1000.0)
-    state = SessionState()
+    state = OracleState()
 
     step(state, cfg, man, tr, 1)  # d = 3 > buffer 0: stall begins
     rec = state.history[-1]
@@ -102,7 +102,7 @@ def test_stall_and_resume_walkthrough():
 def test_tau_one_resumes_immediately():
     man = Manifest(2.0, (500.0, 3000.0), [[3000.0, 6000.0], [1000.0, 6000.0]])
     cfg = SessionConfig(b_max_s=120.0, tau_resume=1)
-    state = SessionState()
+    state = OracleState()
     step(state, cfg, man, constant_trace(1000.0), 1)
     assert not state.stalled
     step(state, cfg, man, constant_trace(1000.0), 1)
@@ -114,14 +114,16 @@ def test_step_validation():
     cfg = SessionConfig(b_max_s=120.0)
     tr = constant_trace(1000.0)
     with pytest.raises(ValueError, match="quality index"):
-        step(SessionState(), cfg, man, tr, 0)
+        step(OracleState(), cfg, man, tr, 0)
     with pytest.raises(ValueError, match="quality index"):
-        step(SessionState(), cfg, man, tr, 3)
-    state = SessionState(epoch_t=3)
-    with pytest.raises(ValueError, match="beyond horizon"):
+        step(OracleState(), cfg, man, tr, 3)
+    state = OracleState()
+    step(state, cfg, man, tr, 1)
+    step(state, cfg, man, tr, 1)
+    with pytest.raises(ValueError, match="^epoch 3 beyond horizon 2$"):
         step(state, cfg, man, tr, 1)
     with pytest.raises(ValueError, match="segment duration"):
-        step(SessionState(), SessionConfig(b_max_s=1.0), man, tr, 1)
+        step(OracleState(), SessionConfig(b_max_s=1.0), man, tr, 1)
 
 
 def test_config_validation():
@@ -147,7 +149,7 @@ def test_sawtooth_under_constant_channel():
     # delayed by exactly 1 s
     man = cbr_manifest(12, bitrates=(500.0, 2000.0))  # sizes 1000, 4000
     cfg = SessionConfig(b_max_s=6.0)
-    state = SessionState(buffer_s=2.0)
+    state = OracleState(buffer_s=2.0)
     for _ in range(12):
         step(state, cfg, man, constant_trace(1000.0), 1)
     buffers = [r.buffer_after_s for r in state.history]
@@ -167,6 +169,17 @@ def test_starvation_stalls_almost_every_epoch():
     stalls = sum(r.stall for r in state.history)
     assert stalls >= 18
     assert_buffer_law(state.history, cfg.b_max_s)
+
+
+def test_a_session_returns_its_records_and_its_wall_clock():
+    man = cbr_manifest(3)
+    state = run_session(ScriptedPolicy([1, 2, 1]), SessionConfig(b_max_s=20.0), man, constant_trace(1000.0))
+    assert [f.name for f in dataclasses.fields(state)] == ["wall_clock_s", "history"]
+    assert [r.x for r in state.history] == [1, 2, 1]
+    assert state.wall_clock_s == sum(r.download_s + r.delta_s for r in state.history)
+    # the final buffer is the last record's; there is no second copy to set
+    with pytest.raises(AttributeError):
+        state.buffer_s = 0.0
 
 
 def test_empty_horizon():
