@@ -449,8 +449,9 @@ def test_decisions_do_not_depend_on_rate_units():
 
 def reference_decide(controller, feedback):
     """The numpy formulas ``l2a_decide`` and its helpers ran before their
-    scalar rewrite, on an ``OracleController`` whose state holds numpy arrays.  The dot products sum in
-    numpy's order, which no Python summation order matches bit for bit."""
+    scalar rewrite, on an ``OracleController`` whose state holds numpy
+    arrays.  The dot products sum in numpy's order, which no Python
+    summation order matches bit for bit."""
     state = controller.state
     state.t += 1
     rates = np.asarray(controller.bitrates_kbps, dtype=float)
