@@ -179,7 +179,8 @@ def bb_decide(
     buffer_segments = float(feedback.buffer_s) / segment_duration_s
     v_b, gamma_p = state.v_b, state.gamma_p
     s1 = sizes_row_kbit[0]
-    score = [(v_b * (math.log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
+    log = math.log
+    score = [(v_b * (log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
     m = score.index(max(score)) + 1
 
     if m > state.last_index:

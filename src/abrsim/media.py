@@ -175,5 +175,6 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         "segment_sizes_kbit": manifest.segment_sizes_kbit.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        # json.dumps uses the C encoder; json.dump always runs the pure-Python one
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")

@@ -36,8 +36,17 @@ def project_simplex(v) -> tuple[float, ...]:
         if not all(map(math.isfinite, values)):
             raise ValueError("entries must be finite")
         # finite entries whose sum overflowed: a shift from an infinite total
-        # would put the point off the simplex
+        # would put the point off the simplex, so theta comes from the ranks
+        # whose running total is finite
         theta = None
+        total = 0.0
+        for rank, u in enumerate(sorted(values, reverse=True), start=1):
+            total += u
+            if not math.isfinite(total):
+                break
+            shift = (total - 1.0) / rank
+            if u - shift > 0:
+                theta = shift
     if theta is None:
         # also when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")

@@ -446,7 +446,7 @@ def test_the_adapters_match_their_decide_functions_called_the_old_way(seed, hori
     # bb scores the ladder with math.log, so its pin holds for the libm it was
     # taken on: glibc 2.36 (x86-64), Python 3.11.7, numpy 2.4.6
     ("bb", "83805f00451c33f06c6e2e846ceee1d3db301950dfb7f7f3ef690e8afe20a736"),
-])
+], ids=["rb", "bb"])
 def test_a_seeded_live_session_has_pinned_records(abr, digest):
     # a live buffer (b_max 20 s) on a 0.1 s trace: the session stalls, the
     # buffer bound delays requests, and every field of every record is pinned

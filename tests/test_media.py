@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from abrsim import Manifest, ManifestError, load_manifest, synthesize_manifest, write_manifest
+from abrsim.cli import main
 
 PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
@@ -125,6 +127,31 @@ def test_roundtrip_file(tmp_path):
     assert back.bitrates_kbps == man.bitrates_kbps
     assert back.segment_duration_s == man.segment_duration_s
     assert np.array_equal(back.segment_sizes_kbit, man.segment_sizes_kbit)
+
+
+def test_written_manifest_is_the_json_dump_of_its_fields(tmp_path):
+    man = synthesize_manifest(300, PAPER_LADDER, 2.0, vbr_jitter=0.3, seed=41)
+    path = tmp_path / "m.json"
+    write_manifest(man, path)
+    doc = {
+        "segment_duration_s": 2.0,
+        "bitrates_kbps": list(PAPER_LADDER),
+        "segment_sizes_kbit": man.segment_sizes_kbit.tolist(),
+    }
+    with open(tmp_path / "dump.json", "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+def test_generated_manifest_has_pinned_bytes(tmp_path):
+    # numpy's Generator streams and the float reprs are the same on every
+    # platform, so the file is too
+    path = tmp_path / "m.json"
+    assert main(["gen", "manifest", "--segments", "40", "--jitter", "0.2", "--seed", "5",
+                 "--out", str(path)]) == 0
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "e6d7858187fecec0e59b8bc755c58751524e6c62ddc4f9302c2afbf8a6a20926")
 
 
 def test_load_rejects_bad_json(tmp_path):

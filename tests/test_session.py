@@ -278,7 +278,7 @@ def closed_form_history(abr):
 @pytest.mark.parametrize("abr, digest", [
     ("rb", "d2b61450a1554e1f8534518bff13f0a5cb1a6fb48c2be9d4029bb9b2cfb468de"),
     ("l2a", "a41f1e6825ac38d4ba37a967bb6b29c929dfa74d23eff88a17e2890eeedb34bc"),
-])
+], ids=["rb", "l2a"])
 def test_exported_log_has_pinned_bytes(tmp_path, abr, digest):
     history = closed_form_history(abr)
     assert len({r.x for r in history}) > 1 and any(r.stall for r in history)
@@ -320,7 +320,7 @@ def state_bytes(state):
 @pytest.mark.parametrize("abr, digest", [
     ("rb", "d0210a47e21d2c40ae48a56e30d51d74f1b0ab5f43ebb63e5124b42ef91a7821"),
     ("bb", "87b05de135e039691e428582ab5edc03ed64ffbe8c39d315f0be0866dd1a82d9"),
-])
+], ids=["rb", "bb"])
 def test_live_session_has_pinned_bytes(abr, digest):
     # numpy's Generator streams and the elementwise arithmetic of the
     # generators are the same on every platform, so the inputs are too
@@ -699,13 +699,23 @@ def test_read_log_matches_the_row_loop_oracle(tmp_path_factory, case):
 
 @st.composite
 def session_cases(draw):
-    """A random manifest, trace and config, and the quality choices of either
-    L2A or a random script."""
+    """A random manifest, trace and config, and a way to build a fresh policy
+    of one of two kinds, L2A or a random script (so that each loop gets its
+    own).  The trace is either up to 20 samples 0.05 s to 5 s apart, or 65
+    to 2,000 samples as little as 1 ms apart, drawn from a seed: longer than
+    the window ``run_session`` searches first, with downloads and delays that
+    cross more samples than it, and often ending before the session does."""
     n_levels = draw(st.integers(2, 5))
     n_segments = draw(st.integers(1, 40))
     v = draw(st.floats(0.25, 8.0))
-    steps = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=20))
-    throughputs = draw(st.lists(st.floats(10.0, 5e4), min_size=len(steps), max_size=len(steps)))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=20))
+        throughputs = draw(st.lists(st.floats(10.0, 5e4), min_size=len(steps), max_size=len(steps)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n_samples = draw(st.integers(65, 2000))
+        steps = draw(st.sampled_from([0.001, 0.01, 0.1, 1.0])) * rng.uniform(0.5, 2.0, n_samples)
+        throughputs = rng.uniform(10.0, 5e4, n_samples)
     trace = ChannelTrace(np.concatenate(([0.0], np.cumsum(steps[:-1]))), np.array(throughputs))
     first_rate = draw(st.floats(50.0, 5000.0))
     ratios = draw(st.lists(st.floats(1.01, 4.0), min_size=n_levels - 1, max_size=n_levels - 1))
@@ -714,18 +724,19 @@ def session_cases(draw):
     man = Manifest(v, rates, np.sort(sizes, axis=1))
     cfg = SessionConfig(b_max_s=draw(st.floats(v, 8.0 * v)), tau_resume=draw(st.integers(1, 3)))
     if draw(st.booleans()):
-        policy = L2APolicy(rates, v, cfg.b_max_s, n_segments, beta=draw(st.sampled_from([1.0, 0.3])))
+        beta = draw(st.sampled_from([1.0, 0.3]))
+        make = lambda: L2APolicy(rates, v, cfg.b_max_s, n_segments, beta=beta)  # noqa: E731
     else:
-        policy = ScriptedPolicy(draw(st.lists(
-            st.integers(1, n_levels), min_size=n_segments, max_size=n_segments)))
-    return man, trace, cfg, policy
+        script = draw(st.lists(st.integers(1, n_levels), min_size=n_segments, max_size=n_segments))
+        make = lambda: ScriptedPolicy(script)  # noqa: E731
+    return man, trace, cfg, make
 
 
 @settings(max_examples=100, deadline=None)
 @given(session_cases())
 def test_session_properties_on_random_inputs(tmp_path_factory, case):
-    man, trace, cfg, policy = case
-    state = run_session(policy, cfg, man, trace)
+    man, trace, cfg, make = case
+    state = run_session(make(), cfg, man, trace)
     history = state.history
     assert len(history) == man.num_segments
     # the buffer stays in [0, b_max] at every boundary, and the delay law holds
@@ -806,8 +817,8 @@ def record_hex(rec):
             None if omega is None else tuple(map(float.hex, omega)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(oracle_cases())
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases() | session_cases())
 def test_run_session_matches_the_step_oracle_bit_for_bit(case):
     man, trace, cfg, make = case
     policy = OmegaRecorder(make())

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +112,8 @@ def test_entries_too_large_to_project():
 def scan_first_project_simplex(v):
     """``project_simplex`` as it ran when it scanned every entry for
     finiteness before the running total, as an oracle for its outcome, with
-    its rule for finite entries whose sum overflows."""
+    its rule for finite entries whose sum overflows: only the ranks whose
+    running total is finite can fix theta."""
     try:
         values = list(map(float, v))
     except TypeError:
@@ -124,12 +126,25 @@ def scan_first_project_simplex(v):
     total = 0.0
     for rank, u in enumerate(sorted(values, reverse=True), start=1):
         total += u
+        if not math.isfinite(total):
+            break
         shift = (total - 1.0) / rank
         if u - shift > 0:
             theta = shift
-    if theta is None or not math.isfinite(total):
+    if theta is None:
         raise ValueError("entries too large to project")
     return tuple([x - theta if x > theta else 0.0 for x in values])
+
+
+def exact_project(v):
+    """The projection in exact rational arithmetic, as Fractions."""
+    values = [Fraction(x) for x in v]
+    total = Fraction(0)
+    for rank, u in enumerate(sorted(values, reverse=True), start=1):
+        total += u
+        if u - (total - 1) / rank > 0:
+            theta = (total - 1) / rank
+    return [max(x - theta, Fraction(0)) for x in values]
 
 
 def projection_outcome(project, v):
@@ -157,20 +172,31 @@ def test_mixed_infinities_are_rejected(v):
         project_simplex(v)
 
 
-@pytest.mark.parametrize("v", [
-    [1e308, 1e308, -1.0],
-    [-1e308, -1e308],
-    [-1.5e308, -1.5e308, 5.0],
-    [1.7e308, 1.7e308, -1.7e308, -1.7e308],
-    [1e308, 1e308, 1e308, -1e308, 0.25],
-    [-1e308, -1e308, 0.5, 0.25],
-])
-def test_finite_entries_whose_sum_overflows_behave_as_before(v):
+TOO_LARGE = "entries too large to project"
+
+
+@pytest.mark.parametrize("v, want", [
+    ([1e308, 1e308, -1.0], TOO_LARGE),
+    ([-1e308, -1e308], TOO_LARGE),
+    ([-1.5e308, -1.5e308, 5.0], (0.0, 0.0, 1.0)),
+    ([1.7e308, 1.7e308, -1.7e308, -1.7e308], TOO_LARGE),
+    ([1e308, 1e308, 1e308, -1e308, 0.25], TOO_LARGE),
+    ([-1e308, -1e308, 0.5, 0.25], (0.0, 0.0, 0.625, 0.375)),
+    ([0.5, 0.2, -1e308, -1e308], (0.65, 0.35000000000000003, 0.0, 0.0)),
+], ids=[f"v{k}" for k in range(7)])
+def test_finite_entries_whose_sum_overflows_behave_as_before(v, want):
     # the total is not finite here, so the entries are scanned and found
-    # finite, and the overflow is the entries-too-large error (a shift from an
-    # infinite total gave infinities: (inf, inf) for [-1e308, -1e308])
-    assert (projection_outcome(project_simplex, v) == projection_outcome(scan_first_project_simplex, v)
-            == "entries too large to project")
+    # finite, and theta comes from the ranks whose running total is finite;
+    # if none of them has a positive margin, the overflow is the
+    # entries-too-large error (a shift from an infinite total gave
+    # infinities: (inf, inf) for [-1e308, -1e308])
+    outcome = projection_outcome(project_simplex, v)
+    assert outcome == projection_outcome(scan_first_project_simplex, v)
+    if want == TOO_LARGE:
+        assert outcome == TOO_LARGE
+    else:
+        assert outcome == [x.hex() for x in want]
+        assert all(math.isclose(x, e, rel_tol=0.0, abs_tol=1e-15) for x, e in zip(want, exact_project(v)))
 
 
 @settings(max_examples=400, deadline=None)
