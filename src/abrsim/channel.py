@@ -13,6 +13,8 @@ import bisect
 import csv
 import io
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +39,10 @@ FLOOR_KBPS = 10.0
 
 # rows per write in write_trace: a 30,000-sample trace is one write
 _WRITE_ROWS = 65536
+
+# the suffixes numpy's file opener decompresses by: a file named so is read
+# from its open handle, as text, whatever its name says
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 class TraceError(ValueError):
@@ -95,10 +101,10 @@ def load_trace(path: str | Path) -> ChannelTrace:
 
     Samples below ``FLOOR_KBPS`` (outages are often logged as zero) are
     replaced by the floor so every download makes progress.  The file is read
-    by ``read_csv_table``: the header's fields may hold surrounding spaces,
-    columns after the second are ignored, and a row that cannot be parsed,
-    holds a NaN or inf, or does not increase the timestamp is a TraceError
-    naming its line.
+    by ``read_csv_table``: the header's two names may hold surrounding spaces
+    (a third name is an error), a row's fields after the second are ignored,
+    and a row that cannot be parsed, holds a NaN or inf, or does not increase
+    the timestamp is a TraceError naming its line.
     """
     samples = read_csv_table(path, TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
                              _sample_faults, _sample_fault, TraceError, strip_header=True)
@@ -110,8 +116,9 @@ def load_trace(path: str | Path) -> ChannelTrace:
 
 def _sample_faults(samples: np.ndarray) -> np.ndarray:
     """Whether each sample is non-finite or does not increase the timestamp."""
-    faults = ~np.isfinite(samples).all(axis=1)
-    faults[1:] |= ~(samples[1:, 0] > samples[:-1, 0])
+    ts, tp = samples.T
+    faults = ~(np.isfinite(ts) & np.isfinite(tp))
+    faults[1:] |= ~(ts[1:] > ts[:-1])
     return faults
 
 
@@ -148,8 +155,11 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
     the one reader of trace and log files.
 
     The header's fields must be ``header`` (each stripped of surrounding
-    spaces first if ``strip_header``).  ``faults(table)`` flags the rows that
-    break a rule.  Only when a row cannot be parsed or is flagged is the file
+    spaces first if ``strip_header``), read from an open handle.  The body is
+    parsed from the file's name, which numpy reads in chunks rather than line
+    by line, or from the handle where the name would not give the same text
+    (``_chunked_name``).  ``faults(table)`` flags the rows that break a
+    rule.  Only when a row cannot be parsed or is flagged is the file
     read again, from the handle already open, to find the first bad row in
     file order; ``describe(text, fields, i, row)`` says what is wrong with it,
     given its text, its fields, its index and its parsed value (None when it
@@ -162,14 +172,19 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
     ``line N:``.
     """
 
-    def read(fh) -> np.ndarray:
+    def read(fh, name: str | None) -> np.ndarray:
+        # the body is parsed from the file ``name`` after its header line, or
+        # when ``name`` is None from ``fh``
         names = _fields(fh.readline())
         if strip_header:
             names = [h.strip() for h in names]
         if tuple(names) != header:
             raise error(f"{path}: expected header {','.join(header)}")
         try:
-            table = parse_csv_rows(fh, **parse)
+            if name is None:
+                table = parse_csv_rows(fh, **parse)
+            else:
+                table = parse_csv_rows(name, skiprows=1, encoding=fh.encoding, **parse)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -200,7 +215,7 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
 
     with open(path, newline="") as fh:
         try:
-            return read(fh)
+            return read(fh, _chunked_name(path, fh))
         except UnicodeDecodeError as exc:
             # raised on a chunk of the file, exc knows no line: decode it whole
             fh.seek(0)
@@ -212,9 +227,27 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
                 lines = (data[:whole.start] + b".").splitlines(keepends=True)
                 if len(lines) > 1:
                     # a bad row before the byte's line is the first fault
-                    read(io.StringIO(b"".join(lines[:-1]).decode(fh.encoding), newline=""))
+                    read(io.StringIO(b"".join(lines[:-1]).decode(fh.encoding), newline=""), None)
                 message = f"line {len(lines)}: {whole}"
             raise error(f"{path}: {message}") from None
+
+
+def _chunked_name(path, fh) -> str | None:
+    """The name from which ``np.loadtxt`` reads the text of ``fh``, the file
+    ``path`` open, or None if there is none.  A pipe opened again would not
+    give the text ``fh`` has read, so only a regular file has one.  numpy's
+    opener fetches a ``scheme://netloc`` string as a URL, so the name is
+    ``path`` joined to the working directory (not normalized, which could
+    step out of a symbolic link); it decompresses by suffix, so a name
+    ending in one of ``_DECOMPRESSED_SUFFIXES`` has none; and it needs the
+    working directory."""
+    name = os.fsdecode(path)
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or os.path.splitext(name)[1] in _DECOMPRESSED_SUFFIXES:
+        return None
+    try:
+        return os.path.join(os.getcwd(), name)
+    except OSError:
+        return None
 
 
 def _row(body: list[str], i: int) -> tuple[int, str]:

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 
@@ -45,14 +46,30 @@ def reject_nul_as_python_3_10(monkeypatch) -> None:
 
 def record_parses(monkeypatch) -> list:
     """Record each call of ``parse_csv_rows`` by the trace and log readers as
-    ``(lines, max_rows)``, ``lines`` being "file" for an open file."""
+    ``(lines, max_rows)``, ``lines`` being "path" for a file's name, which
+    numpy reads in chunks, and "file" for an open file, which it reads line
+    by line."""
     calls = []
     parse = channel.parse_csv_rows
 
+    def label(lines):
+        if isinstance(lines, (str, os.PathLike)):
+            return "path"
+        return "file" if hasattr(lines, "read") else lines
+
     def recording(lines, max_rows=None, **options):
-        calls.append(("file" if hasattr(lines, "read") else lines, max_rows))
+        calls.append((label(lines), max_rows))
         return parse(lines, max_rows, **options)
 
     monkeypatch.setattr(channel, "parse_csv_rows", recording)
     monkeypatch.setattr(session, "parse_csv_rows", recording)
     return calls
+
+
+def with_a_bad_byte(data: bytes, at: float | None) -> bytes:
+    """``data`` with a byte no UTF-8 text holds put at the fraction ``at``
+    of its length, or as it is if ``at`` is None."""
+    if at is None:
+        return data
+    k = int(at * len(data))
+    return data[:k] + b"\xff" + data[k:]

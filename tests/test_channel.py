@@ -2,6 +2,8 @@ import bisect
 import csv
 import hashlib
 import math
+import os
+import urllib.request
 import warnings
 
 import numpy as np
@@ -15,11 +17,14 @@ from abrsim import (
     concat_traces,
     generate_markovian,
     load_trace,
+    read_log_csv,
     write_trace,
 )
-from abrsim.channel import FLOOR_KBPS
+from abrsim.channel import _DECOMPRESSED_SUFFIXES, FLOOR_KBPS
+from abrsim.session import LOG_COLUMNS
 
-from conftest import constant_trace, record_parses, reject_nul_as_python_3_10
+from conftest import constant_trace, record_parses, reject_nul_as_python_3_10, with_a_bad_byte
+from csv_oracle import line_iterated
 from session_oracle import download
 
 
@@ -69,6 +74,15 @@ def test_load_rejects_short(tmp_path):
 def test_load_rejects_bad_header(tmp_path):
     with pytest.raises(TraceError, match="header"):
         load_trace(_write(tmp_path, ["0,5000", "1,8000"], header="time,rate"))
+
+
+def test_load_ignores_fields_after_the_second_but_not_a_third_header_name(tmp_path):
+    tr = load_trace(_write(tmp_path, ["0,5000,x", "1,8000,9,note"]))
+    assert tr.throughputs_kbps.tolist() == [5000.0, 8000.0]
+    path = _write(tmp_path, ["0,5000,x", "1,8000,9"], header="timestamp_s,throughput_kbps,note")
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: expected header timestamp_s,throughput_kbps"
 
 
 @pytest.mark.parametrize(
@@ -133,6 +147,115 @@ def test_load_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path, 
     assert str(info.value).startswith(f"{path}: {expected}")
 
 
+LOG_TEXT = ",".join(LOG_COLUMNS) + "\r\n" + "".join(
+    f"{t},1,1000.0,2000.0,1000.0,2.0,0.0,{2.0 * t!r},0,0.0\r\n" for t in range(1, 4))
+# a text file of each kind, read, and the same file with a bad row
+TEXT_FILES = {
+    "trace": (load_trace, "timestamp_s,throughput_kbps\n0,5000\n1,8000\n2,6000\n", ("2,6000", "2,inf")),
+    "log": (read_log_csv, LOG_TEXT, (",0,0.0\r\n", ",2,0.0\r\n")),
+}
+
+
+def read_outcome(read, path):
+    """The repr of what ``read`` returns, or the message of the ValueError
+    it raises."""
+    try:
+        value = read(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(value, ChannelTrace):
+        return repr((value.timestamps_s.tolist(), value.throughputs_kbps.tolist()))
+    return repr(value)
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-row"])
+@pytest.mark.parametrize(
+    "name, parsed_from",
+    [("x.csv.gz", "file"), ("x.csv.bz2", "file"), ("x.csv.xz", "file"), ("x.csv.lzma", "file"),
+     ("http://host/x.csv", "path"), ("http:/x.csv", "path")],
+    ids=["gz", "bz2", "xz", "lzma", "http-dir-netloc", "http-dir"],
+)
+def test_a_name_numpy_would_decompress_or_fetch_reads_as_text(tmp_path, monkeypatch, kind, bad, name,
+                                                              parsed_from):
+    # numpy's opener decompresses a name by its suffix and fetches a
+    # scheme://netloc name; such a name is a plain local text file here, read
+    # as the line-iterated reader read it.  The decoy is the file a URL's
+    # netloc and path name in the working directory.
+    read, text, (good_row, bad_row) = TEXT_FILES[kind]
+    if bad:
+        text = text.replace(good_row, bad_row, 1)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="")
+    (tmp_path / "host").mkdir()
+    (tmp_path / "host" / "x.csv").write_text(text.replace("1", "3"), newline="")
+    fetched = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: fetched.append(args))
+    with line_iterated():
+        expected = read_outcome(read, name)
+    calls = record_parses(monkeypatch)
+    assert read_outcome(read, name) == expected
+    assert expected.startswith(f"{name}: line") == bad
+    assert calls[0] == (parsed_from, None)
+    assert fetched == []
+
+
+def test_compressed_suffixes_cover_numpys_openers():
+    assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(_DECOMPRESSED_SUFFIXES)
+
+
+def test_load_reads_the_file_a_name_through_a_symbolic_link_opens(tmp_path, monkeypatch):
+    # "link/../trace.csv" opens trace.csv beside the link's target, not the
+    # one beside the link, which is what the name spells once normalized
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "a" / "b")
+    (tmp_path / "a" / "trace.csv").write_text("timestamp_s,throughput_kbps\n0,5000\n1,8000\n")
+    (tmp_path / "trace.csv").write_text("timestamp_s,throughput_kbps\n0,6000\n1,9000\n")
+    monkeypatch.chdir(tmp_path)
+    tr = load_trace("link/../trace.csv")
+    assert tr.throughputs_kbps.tolist() == [5000.0, 8000.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_reads_a_pipe_from_its_handle(monkeypatch):
+    # a pipe opened again gives what is left after the handle's first read:
+    # its body is parsed from the handle
+    text = "timestamp_s,throughput_kbps\n" + "".join(f"{i},5000\n" for i in range(3000))
+
+    def read_through_a_pipe():
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            return read_outcome(load_trace, f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    with line_iterated():
+        expected = read_through_a_pipe()
+    calls = record_parses(monkeypatch)
+    assert read_through_a_pipe() == expected
+    assert expected == repr((list(map(float, range(3000))), [5000.0] * 3000))
+    assert calls == [("file", None)]
+
+
+def test_load_reads_from_the_handle_without_a_working_directory(tmp_path, monkeypatch):
+    # numpy's opener needs the working directory; without one the body is
+    # parsed from the open handle
+    path = _write(tmp_path, ["0,5000", "1,8000", "2,inf"])
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    with line_iterated():
+        expected = read_outcome(load_trace, path)
+    calls = record_parses(monkeypatch)
+    assert read_outcome(load_trace, path) == expected == f"{path}: line 4: non-finite sample (2.0, inf)"
+    assert calls == [("file", None)]
+
+
 @pytest.mark.parametrize("row", ["1,nan", "nan,8000", "1,inf", "inf,8000", "1,-inf"])
 def test_load_rejects_non_finite_row(tmp_path, row):
     # the blank line is skipped, so the bad row is on line 5
@@ -193,13 +316,13 @@ def test_load_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, python
                          ids=["inf", "not-increasing"])
 def test_load_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, row, expected):
     # a row that parses but breaks a rule is found in the parsed table: the
-    # whole-file parse is the only one
+    # whole-file parse, from the file's name, is the only one
     path = _write(tmp_path, ["0,5000", "1,6000", row, "3,7000"])
     calls = record_parses(monkeypatch)
     with pytest.raises(TraceError) as info:
         load_trace(path)
     assert str(info.value) == f"{path}: {expected}"
-    assert calls == [("file", None)]
+    assert calls == [("path", None)]
 
 
 def test_load_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, monkeypatch):
@@ -258,13 +381,19 @@ FAULTS = {
 }
 
 
+# a trace header read as timestamp_s,throughput_kbps, and one that is not
+TRACE_HEADERS = ["timestamp_s,throughput_kbps", " timestamp_s , throughput_kbps ",
+                 '"timestamp_s","throughput_kbps"', "timestamp_s,throughput_kbps,x"]
+
+
 @st.composite
 def trace_files(draw):
-    """The text of a trace file: LF or CRLF endings, blank lines, a third
+    """The text of a trace file: LF, CRLF or lone-CR endings, a header
+    spelt several ways (one of them with a third name), blank lines, a third
     column, quoted values (some spanning a line break), numbers written
-    several ways, and at most two faults (a bad field, a short row, a NaN or
-    inf, a timestamp that does not increase), so that the first one in file
-    order must be the one named."""
+    several ways, no final line ending or one, and at most two faults (a bad
+    field, a short row, a NaN or inf, a timestamp that does not increase), so
+    that the first one in file order must be the one named."""
     n = draw(st.integers(0, 12))
     steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     rates = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
@@ -282,8 +411,8 @@ def trace_files(draw):
                 rows[i][0] = draw(spell)(times[i - 1] - draw(st.sampled_from([0.0, 0.5])))
         else:
             rows[i] = FAULTS[kind](*spelt[i])
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = ["timestamp_s,throughput_kbps"]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [draw(st.sampled_from(TRACE_HEADERS))]
     for fields in rows:
         if draw(st.booleans()) and all(f.strip() == f for f in fields):
             fields = [f'"{f}"' for f in fields]
@@ -312,6 +441,19 @@ def test_load_matches_the_row_loop_oracle(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
     path.write_bytes(text.encode())
     assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_files(), at=st.none() | st.floats(0.0, 1.0))
+def test_load_matches_the_line_iterated_oracle(tmp_path_factory, text, at):
+    # parsing the body from the file's name gives the table or the message
+    # that parsing it line by line from the open handle gave, also when a
+    # byte cannot be decoded
+    path = tmp_path_factory.getbasetemp() / "chunked_trace.csv"
+    path.write_bytes(with_a_bad_byte(text.encode(), at))
+    with line_iterated():
+        expected = load_outcome(load_trace, path)
+    assert load_outcome(load_trace, path) == expected
 
 
 @pytest.mark.parametrize("field", ["timestamps_s", "throughputs_kbps"])

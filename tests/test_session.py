@@ -31,7 +31,9 @@ from abrsim import (
 
 from abrsim.session import LOG_COLUMNS
 
-from conftest import assert_buffer_law, constant_trace, record_parses, reject_nul_as_python_3_10
+from conftest import (assert_buffer_law, constant_trace, record_parses, reject_nul_as_python_3_10,
+                      with_a_bad_byte)
+from csv_oracle import line_iterated
 from session_oracle import DownloadResult, OracleState, run_oracle, step
 
 
@@ -483,8 +485,9 @@ def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, pyt
 @pytest.mark.parametrize("column, text", [(8, "2"), (9, "inf")], ids=["stall-2", "inf"])
 def test_log_csv_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, column, text):
     # a row that parses but breaks a rule is found in the parsed table: the
-    # whole-file parse is the only one of the table, and only the bad row's
-    # fields are parsed again, each alone, to name the column
+    # whole-file parse, from the file's name, is the only one of the table,
+    # and only the bad row's fields are parsed again, each alone, to name the
+    # column
     path = tmp_path / "log.csv"
     export_log_csv(closed_form_history("rb")[:6], path)
     lines = path.read_text().splitlines()
@@ -494,7 +497,7 @@ def test_log_csv_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, colum
     with pytest.raises(ValueError) as info:
         read_log_csv(path)
     assert str(info.value).startswith(f"{path}: line 5: column {LOG_COLUMNS[column]} is {text!r}")
-    assert calls[0] == ("file", None)
+    assert calls[0] == ("path", None)
     assert calls[1:] == [([lines[4] + "\n"], None)] * (column + 1)
 
 
@@ -620,12 +623,13 @@ def test_log_faults_compose_on_one_row():
 
 @st.composite
 def log_files(draw):
-    """The text of a session log: LF or CRLF endings, blank lines, quoted
-    values (some spanning a line break) and numbers written several ways,
-    and either up to two faults that both readers report alike (so that the
-    first one in file order must be the one named) or one fault only numpy's
-    grammar rejects.  Returns the
-    text and, for a grammar fault, its line and message."""
+    """The text of a session log: LF, CRLF or lone-CR endings, blank lines,
+    quoted values (some spanning a line break), numbers written several
+    ways, no final line ending or one, and either up to two faults that both
+    readers report alike (so that the first one in file order must be the
+    one named; a row with an extra field is one) or one fault only numpy's
+    grammar rejects.  Returns the text and, for a grammar fault, its line and
+    message."""
     n = draw(st.integers(0, 10))
     number = st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-05, 1e16, 5e-324, 0.30000000000000004])
     spell = st.sampled_from([repr, lambda v: f"{v:.6g}", lambda v: f"{v:.3e}", lambda v: f" {v!r} "])
@@ -649,7 +653,7 @@ def log_files(draw):
             i = draw(st.integers(0, n - 1))
             kind = draw(st.sampled_from(sorted(LOG_FAULTS)))
             rows[i] = LOG_FAULTS[kind](rows[i], i + 1, draw(st.integers(0, 9)))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = [",".join(LOG_COLUMNS)]
     line_of = []
     physical = 1
@@ -691,6 +695,19 @@ def test_read_log_matches_the_row_loop_oracle(tmp_path_factory, case):
         line, message = grammar
         assert isinstance(expected, list)
         assert read_outcome(read_log_csv, path) == f"{path}: line {line}: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=log_files(), at=st.none() | st.floats(0.0, 1.0))
+def test_read_log_matches_the_line_iterated_oracle(tmp_path_factory, case, at):
+    # parsing the body from the file's name gives the records or the message
+    # that parsing it line by line from the open handle gave, grammar faults
+    # included, also when a byte cannot be decoded
+    path = tmp_path_factory.getbasetemp() / "chunked_log.csv"
+    path.write_bytes(with_a_bad_byte(case[0].encode(), at))
+    with line_iterated():
+        expected = read_outcome(read_log_csv, path)
+    assert read_outcome(read_log_csv, path) == expected
 
 
 # ---------------------------------------------------------------------------
