@@ -155,7 +155,8 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
     the one reader of trace and log files.
 
     The header's fields must be ``header`` (each stripped of surrounding
-    spaces first if ``strip_header``), read from an open handle.  The body is
+    spaces first if ``strip_header``), read from an open handle as
+    ``csv.reader`` reads the first row, which may span lines.  The body is
     parsed from the file's name, which numpy reads in chunks rather than line
     by line, or from the handle where the name would not give the same text
     (``_chunked_name``).  ``faults(table)`` flags the rows that break a
@@ -165,26 +166,31 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
     given its text, its fields, its index and its parsed value (None when it
     cannot be parsed).  Rows are counted as ``csv.reader`` counts them, as
     the parse does: blank lines are no rows, and a quoted field that spans a
-    newline keeps its row whole, on the line where the row ends (the header
-    being line 1).  A byte the file's encoding cannot decode is reported with
-    its line, unless a row before that line is bad.  Each fault is an
-    ``error`` whose message starts with the file and, for a row or a byte,
-    ``line N:``.
+    newline keeps its row whole, on the line where the row ends (the header's
+    lines counting first).  A byte the file's encoding cannot decode is
+    reported with its line, unless a row before that line is bad.  Each fault
+    is an ``error`` whose message starts with the file and, for a row or a
+    byte, ``line N:``.
     """
 
     def read(fh, name: str | None) -> np.ndarray:
-        # the body is parsed from the file ``name`` after its header line, or
-        # when ``name`` is None from ``fh``
-        names = _fields(fh.readline())
+        # the body is parsed from the file ``name`` after the header's lines,
+        # or when ``name`` is None from ``fh``, where the header's read stops
+        reader = csv.reader(iter(fh.readline, ""))
+        try:
+            names = next(reader, [])
+        except csv.Error:  # a NUL byte on Python 3.10, or a field past csv's limit
+            names = []
         if strip_header:
             names = [h.strip() for h in names]
         if tuple(names) != header:
             raise error(f"{path}: expected header {','.join(header)}")
+        skip = reader.line_num
         try:
             if name is None:
                 table = parse_csv_rows(fh, **parse)
             else:
-                table = parse_csv_rows(name, skiprows=1, encoding=fh.encoding, **parse)
+                table = parse_csv_rows(name, skiprows=skip, encoding=fh.encoding, **parse)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -194,7 +200,7 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
             if not flagged.any():
                 return table
         fh.seek(0)
-        body = fh.readlines()[1:]
+        body = fh.readlines()[skip:]
         if table is None:
             # the first row whose prefix fails the parse; the rows before it
             # are checked first
@@ -202,7 +208,7 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
             table = parse_csv_rows(body, unparsed, **parse)
             flagged = np.append(faults(table), True)
         i = int(flagged.argmax())
-        line, text = _row(body, i)
+        line, text = _row(body, i, skip)
         row = table[i] if i < len(table) else None
         raise error(f"{path}: line {line}: {describe(text, _fields(text), i, row)}")
 
@@ -250,16 +256,16 @@ def _chunked_name(path, fh) -> str | None:
         return None
 
 
-def _row(body: list[str], i: int) -> tuple[int, str]:
+def _row(body: list[str], i: int, header_lines: int = 1) -> tuple[int, str]:
     """The line and the text of row ``i`` of ``body``, the lines after the
-    header, as ``csv.reader`` counts rows and lines."""
+    header's ``header_lines``, as ``csv.reader`` counts rows and lines."""
     # Python 3.10's csv rejects a NUL byte, which ends no field and no row
     reader = csv.reader(line.replace("\0", " ") for line in body)
     start = 0
     for fields in reader:
         if fields:
             if not i:
-                return reader.line_num + 1, "".join(body[start:reader.line_num])
+                return reader.line_num + header_lines, "".join(body[start:reader.line_num])
             i -= 1
         start = reader.line_num
 

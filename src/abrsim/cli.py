@@ -194,7 +194,7 @@ def _benchmark_dict(bench: metrics.BenchmarkSolution) -> dict:
 
 
 def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
-                 bench: metrics.BenchmarkSolution) -> dict:
+                 bench: metrics.BenchmarkSolution, series: metrics.ConvergenceSeries) -> dict:
     return {
         "method": name,
         "trace": trace_name,
@@ -204,8 +204,8 @@ def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
         "smoothness": float(report.smoothness),
         "consistency": float(report.consistency),
         "continuity": float(report.continuity),
-        "flags": list(report.flags),
-        "series": {key: getattr(report, key) for key in SERIES_KEYS},
+        "flags": report.flags + (["one-hot-omega"] if series.one_hot_fallback else []),
+        "series": {key: getattr(series, key).tolist() for key in SERIES_KEYS},
         "benchmark": _benchmark_dict(bench),
     }
 
@@ -234,12 +234,10 @@ def _write_convergence(path: Path, series) -> None:
 
 
 def _print_metrics(name: str, report: metrics.SessionReport) -> None:
-    print(
-        f"{name}: avg_bitrate={_fmt(report.avg_bitrate_kbps)} kbps"
-        + (f" normalized={_fmt(report.normalized_avg_bitrate)}" if report.normalized_avg_bitrate is not None else "")
-        + f" stability={_fmt(report.stability)} smoothness={_fmt(report.smoothness)}"
-        + f" consistency={_fmt(report.consistency)} continuity={_fmt(report.continuity)}"
-    )
+    print(f"{name}: avg_bitrate={_fmt(report.avg_bitrate_kbps)} kbps"
+          f" normalized={_fmt(report.normalized_avg_bitrate)}"
+          f" stability={_fmt(report.stability)} smoothness={_fmt(report.smoothness)}"
+          f" consistency={_fmt(report.consistency)} continuity={_fmt(report.continuity)}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +301,20 @@ def run_compare(config: dict, out_dir: Path) -> None:
     sessions_dir = out_dir / "sessions"
     sessions_dir.mkdir(exist_ok=True)
 
-    # by_method[name] = list of (trace_name, report, benchmark), in trace order
+    # by_method[name] = list of (trace_name, report, benchmark, series), in trace order
     by_method: dict[str, list] = {n: [] for n in names}
 
     for name in names:
         for trace_name, trace in traces:
             try:
                 state = session.run_session(policies.pop((name, trace_name)), sess_cfg, manifest, trace)
-                report, bench = metrics.evaluate_session(state.history, manifest, b_max, tau)
+                bench, series = metrics.evaluate_session(state.history, manifest, b_max)
+                report = metrics.qoe_metrics(state.history, manifest, tau, manifest.duration_s)
             except Exception as exc:
                 raise CliError(
                     f"session failed for method {name!r} on trace {trace_name!r}: {exc}"
                 ) from exc
-            by_method[name].append((trace_name, report, bench))
+            by_method[name].append((trace_name, report, bench, series))
 
     # bitrates are normalized per trace across methods, then averaged
     for t_idx in range(len(traces)):
@@ -323,7 +322,7 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
     rows = []
     for name in names:
-        reports = [report for _, report, _ in by_method[name]]
+        reports = [report for _, report, _, _ in by_method[name]]
         means = {c: float(np.mean([getattr(r, c) for r in reports])) for c in COMPARISON_COLUMNS[1:]}
         rows.append({"method": name, **means})
 
@@ -338,14 +337,14 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
     for name in names:
         entries = by_method[name]
-        for trace_name, report, bench in entries:
+        for trace_name, report, bench, series in entries:
             _write_json(
-                _report_dict(name, trace_name, report, bench),
+                _report_dict(name, trace_name, report, bench, series),
                 sessions_dir / f"{name}__{trace_name}.json",
             )
         _write_convergence(
             out_dir / f"convergence_{name}.csv",
-            [np.mean([getattr(report, key) for _, report, _ in entries], axis=0) for key in SERIES_KEYS],
+            [np.mean([getattr(series, key) for *_, series in entries], axis=0) for key in SERIES_KEYS],
         )
 
     for row in rows:
@@ -371,13 +370,14 @@ def _cmd_run(args) -> int:
     policy = build_policy(spec, manifest, b_max, manifest.num_segments)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-    report, bench = metrics.evaluate_session(state.history, manifest, b_max, args.tau)
+    bench, series = metrics.evaluate_session(state.history, manifest, b_max)
+    report = metrics.qoe_metrics(state.history, manifest, args.tau, manifest.duration_s)
     metrics.normalize_avg_bitrate([report])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     session.export_log_csv(state.history, out / f"session_{name}.csv")
-    _write_json(_report_dict(name, Path(args.trace).stem, report, bench), out / f"report_{name}.json")
+    _write_json(_report_dict(name, Path(args.trace).stem, report, bench, series), out / f"report_{name}.json")
     _print_metrics(name, report)
     return 0
 
@@ -419,15 +419,14 @@ def _cmd_benchmark(args) -> int:
     history = session.read_log_csv(args.log)
     if not history:
         raise CliError(f"{args.log}: empty session log")
-    report, bench = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario],
-                                            session.DEFAULT_TAU_RESUME)
+    bench, series = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario])
     k = metrics.benchmark_window(len(history))
-    if "one-hot-omega" in report.flags:
+    if series.one_hot_fallback:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
     if args.out:
         _write_json({"k": k, **_benchmark_dict(bench)}, Path(args.out))
     if args.series:
-        _write_convergence(Path(args.series), [getattr(report, key) for key in SERIES_KEYS])
+        _write_convergence(Path(args.series), [getattr(series, key) for key in SERIES_KEYS])
     print(
         f"k={k} objective={_fmt(bench.objective)} kbps"
         f" omega_star=[{', '.join(_fmt(w) for w in bench.omega_star)}]"

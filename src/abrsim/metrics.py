@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass
 class SessionReport:
-    """Per-session metric summary plus optional convergence series."""
+    """The five session metrics, the normalized average bitrate once set, and flags."""
 
     avg_bitrate_kbps: float
     stability: float
@@ -50,9 +50,6 @@ class SessionReport:
     consistency: float
     continuity: float
     normalized_avg_bitrate: float | None = None
-    regret_rate: list[float] | None = None
-    residual1_rate: list[float] | None = None
-    residual2_rate: list[float] | None = None
     flags: list[str] = field(default_factory=list)
 
 
@@ -63,8 +60,19 @@ def _field(history, name: str):
 
 
 def _column(history, name: str) -> np.ndarray:
-    """The field ``name`` of every record, read as floats."""
-    return np.fromiter(_field(history, name), float, len(history))
+    """The field ``name`` of every record, as floats.  A value that is not a
+    real number is a ValueError that names the first such epoch and the field."""
+    values = list(_field(history, name))
+    try:
+        column = np.asarray(values)
+        if column.ndim == 1 and column.dtype.kind in "biuf":
+            return column.astype(float, copy=False)
+    except ValueError:  # sequences of unequal lengths among the values
+        pass
+    for rec, value in zip(history, values):
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"epoch {rec.t}: {name} is {value!r}, not a real number")
+    return np.array(values, dtype=float)  # integers past int64 read as objects
 
 
 def qoe_metrics(
@@ -81,7 +89,7 @@ def qoe_metrics(
     Consistency is reported unclamped and flagged when the stall penalty
     exceeds the budget; horizons too short for switch metrics report 1 and
     are flagged.  A ``duration_s`` that is not positive and finite is a
-    ValueError.
+    ValueError, and so is a field read that is not a real number.
     """
     require_count("tau", tau)
     require_positive("duration_s", duration_s)
@@ -322,8 +330,8 @@ def regret_and_residuals(
     A quality index that is not an integer or lies outside 1..N, a bitrate
     or segment size other than the manifest's at (t, x_t), or a logged omega
     without exactly N entries is a ValueError naming the first such epoch,
-    and so is a segment duration or buffer bound that is not positive and
-    finite.
+    and so is a rate that is not a real number; so is a segment duration or
+    buffer bound that is not positive and finite.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -398,29 +406,14 @@ def benchmark_window(t_total: int) -> int:
     return max(1, min(t_total, math.ceil(t_total**0.9)))
 
 
-def evaluate_session(
-    history: Sequence[EpochRecord],
-    manifest: Manifest,
-    b_max_s: float,
-    tau: int,
-) -> tuple[SessionReport, BenchmarkSolution]:
-    """Score one session log against its hindsight benchmark.
-
-    Solves the benchmark over length-K windows of the log's realized channel
-    rates, K = ``benchmark_window(len(history))``, then returns the five
-    session metrics (viewing budget: the manifest's duration) with the regret
-    and residual series filled in, together with the benchmark solution.  A
-    log without decision distributions is scored on its one-hot choices and
-    flagged ``one-hot-omega``.
-    """
+def evaluate_session(history: Sequence[EpochRecord], manifest: Manifest,
+                     b_max_s: float) -> tuple[BenchmarkSolution, ConvergenceSeries]:
+    """Solve the hindsight benchmark of one session log over length-K windows
+    of its realized channel rates, K = ``benchmark_window(len(history))``, and
+    return it with the regret and residual series measured against it, on the
+    one-hot choices where the log has no decision distributions.  The session
+    metrics are another stage, ``qoe_metrics``."""
     v = manifest.segment_duration_s
-    bench = solve_benchmark(manifest, [rec.rate_kbps for rec in history],
+    bench = solve_benchmark(manifest, _column(history, "rate_kbps"),
                             benchmark_window(len(history)), v, b_max_s)
-    series = regret_and_residuals(history, manifest, bench, v, b_max_s)
-    report = qoe_metrics(history, manifest, tau, manifest.duration_s)
-    report.regret_rate = series.regret_rate.tolist()
-    report.residual1_rate = series.residual1_rate.tolist()
-    report.residual2_rate = series.residual2_rate.tolist()
-    if series.one_hot_fallback:
-        report.flags.append("one-hot-omega")
-    return report, bench
+    return bench, regret_and_residuals(history, manifest, bench, v, b_max_s)

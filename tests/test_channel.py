@@ -76,6 +76,14 @@ def test_load_rejects_bad_header(tmp_path):
         load_trace(_write(tmp_path, ["0,5000", "1,8000"], header="time,rate"))
 
 
+def test_a_header_csv_cannot_read_is_a_bad_header(tmp_path):
+    # a name longer than csv's field limit once escaped as a csv.Error
+    path = _write(tmp_path, ["0,5000", "1,8000"], header="timestamp_s," + "x" * (csv.field_size_limit() + 1))
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: expected header timestamp_s,throughput_kbps"
+
+
 def test_load_ignores_fields_after_the_second_but_not_a_third_header_name(tmp_path):
     tr = load_trace(_write(tmp_path, ["0,5000,x", "1,8000,9,note"]))
     assert tr.throughputs_kbps.tolist() == [5000.0, 8000.0]
@@ -280,6 +288,27 @@ def test_load_counts_a_quoted_line_break_as_csv_does(tmp_path, rows, expected):
     with pytest.raises(TraceError) as info:
         load_trace(path)
     assert str(info.value) == f"{path}: {expected}"
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "trace.csv.gz"], ids=["by-name", "from-the-handle"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (["0,5000", "1,6000"], repr(([0.0, 1.0], [5000.0, 6000.0]))),
+        (["0,5000", "1,abc"], "{name}: line 4: cannot parse row ['1', 'abc']"),
+        (["0,5000", "", "1,inf"], "{name}: line 5: non-finite sample (1.0, inf)"),
+    ],
+    ids=["good", "unparseable", "non-finite"],
+)
+def test_load_reads_a_header_quoted_across_a_line_break_as_csv_does(tmp_path, monkeypatch, name, newline,
+                                                                    rows, expected):
+    # csv reads the header's last name, quoted across a line break, as one
+    # header row on lines 1 and 2: the body starts on line 3, whether it is
+    # parsed from the file's name or from the open handle
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(newline.join(['timestamp_s,"throughput_kbps', '"', *rows, ""]), newline="")
+    assert read_outcome(load_trace, name) == read_outcome(reference_load_trace, name) == expected.format(name=name)
 
 
 def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from abrsim import cli, load_manifest, load_trace, media, session
+from abrsim import cli, load_manifest, load_trace, media, metrics, session
 from abrsim.cli import main
 
 
@@ -252,10 +252,18 @@ def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"abrsim: error: {message}\n"
 
 
-def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
+def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatch, capsys):
+    # benchmark runs the benchmark and series stages only: it never scores
+    # the session metrics, and its series are the ones run reports
     manifest, trace = assets
     out = tmp_path / "out"
     assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    capsys.readouterr()
+
+    def no_metrics(*args, **kwargs):
+        raise AssertionError("benchmark called qoe_metrics")
+
+    monkeypatch.setattr(metrics, "qoe_metrics", no_metrics)
     bench_json, series_csv = tmp_path / "bench.json", tmp_path / "series.csv"
     assert (
         run_cli(
@@ -264,7 +272,9 @@ def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path):
         )
         == 0
     )
+    assert capsys.readouterr().err == "note: log carries no decision distributions; using one-hot choices\n"
     report = json.loads((out / "report_rb.json").read_text())
+    assert report["flags"][-1] == "one-hot-omega"
     assert json.loads(bench_json.read_text())["omega_star"] == report["benchmark"]["omega_star"]
     header, *rows = series_csv.read_text().splitlines()
     keys = header.split(",")[1:]
@@ -330,7 +340,7 @@ def test_compare_grid(tmp_path):
 
 def test_convergence_rows_are_written_as_fmt_writes_them(tmp_path):
     # the one-call writer against the row loop it replaced, over doubles of
-    # every kind, given as numpy arrays (compare) or lists (benchmark)
+    # every kind, given as numpy arrays (compare and benchmark) or as lists
     rng = np.random.default_rng(18)
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e16, 0.1, 123456.5]
     series = [np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])

@@ -16,6 +16,7 @@ from abrsim import (
     BenchmarkSolution,
     EpochRecord,
     Manifest,
+    evaluate_session,
     normalize_avg_bitrate,
     qoe_metrics,
     regret_and_residuals,
@@ -538,10 +539,10 @@ def test_empty_history_series():
 
 # a fault in one record: the quality index off the ladder or not an integer,
 # the bitrate or the size of another rung, an omega of another length, or a
-# bitrate or size numpy cannot read as a float (a complex number that equals
-# the manifest's value is not a fault)
+# bitrate or size that is not a float (a complex number that equals the
+# manifest's value is not a fault; the value's numeric string is)
 RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "omega-length", "unreadable")
-UNREADABLE = (None, 10**400, [1.0], complex)
+UNREADABLE = (None, 10**400, [1.0], complex, repr)
 
 
 @st.composite
@@ -591,12 +592,13 @@ def scored_histories(draw):
             name = draw(st.sampled_from(["bitrate_kbps", "size_kbit"]))
             value = draw(st.sampled_from(UNREADABLE))
             current = getattr(rec, name)
-            if value is not complex:
+            if not callable(value):
                 rec = rec._replace(**{name: value})
             elif isinstance(current, (int, float)) and abs(current) < 1e300:
-                # complex() cannot take a value that an earlier fault on this
-                # record made unreadable (None, 10**400, a list)
-                rec = rec._replace(**{name: complex(current)})
+                # the value as a complex number or a string; not a value that
+                # an earlier fault on this record made unreadable (None,
+                # 10**400, a list)
+                rec = rec._replace(**{name: value(current)})
         records[idx] = rec
     star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
     bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
@@ -652,6 +654,29 @@ def test_an_omega_of_the_wrong_length_names_its_epoch():
         for score in (regret_and_residuals, reference_regret_and_residuals):
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 score(history, man, None, 2.0, 120.0)
+
+
+def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
+    # np.fromiter once read None as NaN and parsed a numeric string: a None
+    # rate scored to NaN series, and a string bitrate passed the manifest check
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
+    recs = _one_hot_log(man, [1, 2] * 5, [5000.0] * 10)
+    no_rate = [*recs[:3], recs[3]._replace(rate_kbps=None), *recs[4:]]
+    string_bitrate = [*recs[:4], recs[4]._replace(bitrate_kbps="1000.0"), *recs[5:]]
+    # the record loop reads rates with np.array, so it fails on None in einsum
+    for history, expected, scores in [
+        (no_rate, "epoch 4: rate_kbps is None, not a real number", [regret_and_residuals]),
+        (string_bitrate, "epoch 5: r_kbps is '1000.0'; the manifest's bitrate at x_t=1 is 1000.0",
+         [regret_and_residuals, reference_regret_and_residuals]),
+    ]:
+        for score in scores:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                score(history, man, None, 2.0, 120.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            evaluate_session(history, man, 120.0)
+    no_download = [*recs[:2], recs[2]._replace(download_s=None), *recs[3:]]
+    with pytest.raises(ValueError, match=f"^{re.escape('epoch 3: download_s is None, not a real number')}$"):
+        qoe_metrics(no_download, man, 2, 20.0)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,31 @@ def test_log_csv_roundtrip(tmp_path):
         assert a._replace(omega=None) == b
 
 
+@pytest.mark.parametrize(
+    "header, expected",
+    [
+        (",".join(f'"{name}"' for name in LOG_COLUMNS), None),
+        (",".join(LOG_COLUMNS[:-1]) + ',"stall_s\r\n"', "expected header"),
+        (",".join(LOG_COLUMNS[:-1]) + ',"stall_s\r\n0,1"', "expected header"),
+    ],
+    ids=["quoted-names", "name-across-a-line-break", "name-across-the-first-row"],
+)
+def test_log_csv_reads_the_header_as_csv_does(tmp_path, header, expected):
+    # each name is read as csv reads the header row, which may span lines: a
+    # name quoted across a line break holds the line break, so it is not a
+    # log column's name, and no row is parsed from inside the header
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:3], path)
+    body = path.read_bytes().decode().split("\r\n", 1)[1]
+    path.write_text(header + "\r\n" + body, newline="")
+    outcome = read_outcome(read_log_csv, path)
+    assert outcome == read_outcome(reference_read_log_csv, path)
+    if expected is None:
+        assert outcome == [tuple(map(repr, rec._replace(omega=None))) for rec in closed_form_history("rb")[:3]]
+    else:
+        assert outcome == f"{path}: {expected} {','.join(LOG_COLUMNS)}"
+
+
 def closed_form_history(abr):
     """A session on inputs from exact arithmetic on small integers (no RNG, no
     libm), so every platform and Python version builds the same records;
