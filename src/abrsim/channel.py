@@ -40,6 +40,9 @@ FLOOR_KBPS = 10.0
 # rows per write in write_trace: a 30,000-sample trace is one write
 _WRITE_ROWS = 65536
 
+# the longest field a fault message quotes whole
+_SHOWN_CHARS = 64
+
 # the suffixes numpy's file opener decompresses by: a file named so is read
 # from its open handle, as text, whatever its name says
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
@@ -208,9 +211,16 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
             table = parse_csv_rows(body, unparsed, **parse)
             flagged = np.append(faults(table), True)
         i = int(flagged.argmax())
-        line, text = _row(body, i, skip)
+        # numpy reads a field of any length, so csv splits the rows with its
+        # limit raised to the body's length, and then restored
+        limit = csv.field_size_limit(max(csv.field_size_limit(), sum(map(len, body))))
+        try:
+            line, text = _row(body, i, skip)
+            fields = _fields(text)
+        finally:
+            csv.field_size_limit(limit)
         row = table[i] if i < len(table) else None
-        raise error(f"{path}: line {line}: {describe(text, _fields(text), i, row)}")
+        raise error(f"{path}: line {line}: {describe(text, fields, i, row)}")
 
     def fails(body: list[str], rows: int) -> bool:
         try:
@@ -273,9 +283,18 @@ def _row(body: list[str], i: int, header_lines: int = 1) -> tuple[int, str]:
 def _fields(text: str) -> list[str]:
     """The fields ``csv.reader`` splits the row ``text`` into; as Python
     3.10's csv rejects a NUL byte, a character the text does not hold stands
-    in for it."""
+    in for it.  A field longer than ``_SHOWN_CHARS`` is a ``_LongField``."""
     stand_in = next(c for c in map(chr, range(0xE000, 0xE001 + len(text))) if c not in text)
-    return [f.replace(stand_in, "\0") for f in next(csv.reader([text.replace("\0", stand_in)]))]
+    fields = [f.replace(stand_in, "\0") for f in next(csv.reader([text.replace("\0", stand_in)]))]
+    return [_LongField(f) if len(f) > _SHOWN_CHARS else f for f in fields]
+
+
+class _LongField(str):
+    """A field whose repr, as a fault message quotes it, is its first
+    ``_SHOWN_CHARS // 2`` characters and its length."""
+
+    def __repr__(self) -> str:
+        return f"{self[:_SHOWN_CHARS // 2]!r}... ({len(self)} characters)"
 
 
 def generate_markovian(

@@ -25,9 +25,13 @@ The switch-rate budget ``beta`` is the one setting.  ``UTILITY_WEIGHT`` and
 ``EPSILON`` are constants, and ``L2APolicy`` derives the cautiousness v_l and
 the step size alpha from the horizon T when it is built.
 
-Each dot product is one left fold, ``reduce(add, map(mul, a, b), 0.0)``, not
-``sum``: CPython 3.12 made float ``sum`` compensated, so with ``sum`` the bits
-of omega, and at times a decision, would depend on the Python version.
+Each dot product is a left fold from 0.0 in rung order, not ``sum``: CPython
+3.12 made float ``sum`` compensated, so with ``sum`` the bits of omega, and at
+times a decision, would depend on the Python version.  A gradient step takes
+its two folds in one pass over the rungs: after the simplex shift it clips
+each entry to the new omega and adds it, times the rung's bitrate and times
+its size, to the expected bitrate and the expected download size.  Outside a
+step the one fold is ``reduce(add, map(mul, a, b), 0.0)``, with the same bits.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .session import EpochFeedback, require_count, require_positive
-from .simplex import project_simplex
+from .simplex import _shift
 
 __all__ = [
     "L2APolicy",
@@ -73,7 +77,13 @@ def map_to_quality(omega, bitrates_kbps) -> int:
     of ``abs(r - expected)`` over a strictly increasing ladder, because each
     gap, rounding included, only grows away from the expected bitrate.
     """
-    expected = reduce(add, map(mul, bitrates_kbps, omega), 0.0)
+    return _nearest(reduce(add, map(mul, bitrates_kbps, omega), 0.0), bitrates_kbps)
+
+
+def _nearest(expected: float, bitrates_kbps) -> int:
+    """Quality index (1-based) of the rung nearest the expected bitrate
+    ``expected``; ties go low.  The search of ``map_to_quality``, and of
+    ``l2a_decide``'s step, which takes the expectation as it clips."""
     n = bisect.bisect_left(bitrates_kbps, expected)
     if n == len(bitrates_kbps):
         n -= 1
@@ -125,10 +135,23 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
         # into the projection's argument
         q1, q2 = state.q1, state.q2
         if state.gamma / state.t <= beta:
-            state.omega = project_simplex([
+            step = [
                 o - (a + u + q1 * (d := s / c_prev) - q2 * d) / two_alpha
                 for o, a, u, s in zip(state.omega, state.grad_accum, utility_grad, sizes_prev)
-            ])
+            ]
+            theta = _shift(step)
+            # one pass clips each entry and folds the new omega into the
+            # expected bitrate and the expected download size, left to right
+            # from 0.0 as reduce(add, map(mul, ...), 0.0) would
+            omega = []
+            expected_r = expected_s = 0.0
+            for x, r, s in zip(step, policy.bitrates_kbps, sizes_prev):
+                w = x - theta if x > theta else 0.0
+                expected_r += r * w
+                expected_s += s * w
+                omega.append(w)
+            state.omega = omega = tuple(omega)
+            policy._last_quality = (omega, _nearest(expected_r, policy.bitrates_kbps))
             state.gamma += 1
             state.grad_accum = zero_accum
         else:
@@ -136,10 +159,11 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
                 a + u + q1 * (d := s / c_prev) - q2 * d
                 for a, u, s in zip(state.grad_accum, utility_grad, sizes_prev)
             ]
+            expected_s = reduce(add, map(mul, sizes_prev, state.omega), 0.0)
 
         # dual ascent on the queues, with the constraints at the post-step
         # omega; each max(q, 0.0) as a comparison, the same for every float
-        expected_dl = reduce(add, map(mul, sizes_prev, state.omega), 0.0) / c_prev
+        expected_dl = expected_s / c_prev
         q1 += expected_dl - v
         q2 += v - expected_dl - allowance_s
         state.q1 = 0.0 if q1 < 0.0 else q1

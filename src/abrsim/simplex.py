@@ -12,15 +12,24 @@ def project_simplex(v) -> tuple[float, ...]:
 
     Sort-based exact algorithm: find the largest prefix of the descending
     sort whose running mean excess stays below its entries, derive the
-    shift theta from it, and clip.  O(N log N), no iteration.  Takes any
-    sequence of numbers and returns a tuple of Python floats: on the short
-    vectors L2A projects, numpy's per-call overhead costs more than the
-    arithmetic.
+    shift theta from it (``_shift``), and clip.  O(N log N), no iteration.
+    Takes any sequence of numbers and returns a tuple of Python floats: on
+    the short vectors L2A projects, numpy's per-call overhead costs more
+    than the arithmetic.
     """
     try:
         values = list(map(float, v))
     except TypeError:
         raise ValueError("expected a non-empty 1-d vector") from None
+    theta = _shift(values)
+    return tuple([x - theta if x > theta else 0.0 for x in values])
+
+
+def _shift(values: list[float]) -> float:
+    """The shift theta that projects the Python floats ``values`` onto the
+    simplex: entry ``x`` maps to ``x - theta`` if ``x > theta``, else to 0.0.
+    The one shift of ``project_simplex`` and of L2A's gradient step, which
+    clips as it takes its expectations."""
     if not values:
         raise ValueError("expected a non-empty 1-d vector")
     theta = None
@@ -50,4 +59,4 @@ def project_simplex(v) -> tuple[float, ...]:
     if theta is None:
         # also when rounding swallows the 1.0, for entries beyond 2**53 in magnitude
         raise ValueError("entries too large to project")
-    return tuple([x - theta if x > theta else 0.0 for x in values])
+    return theta

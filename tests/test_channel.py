@@ -320,6 +320,29 @@ def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):
     assert str(info.value) == f"{path}: line 3: non-finite sample (1.0, inf)"
 
 
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (["0,5000", "1," + "x" * 200_000],
+         "line 3: cannot parse row ['1', '" + "x" * 32 + "'... (200000 characters)]"),
+        # numpy parses a row with a long third field, which csv still splits
+        # for the row count: the bad row after it is the one named
+        (["0,5000," + "y" * 200_000, "1,6000", "2,abc"], "line 4: cannot parse row ['2', 'abc']"),
+    ],
+    ids=["bad-row", "before-a-bad-row"],
+)
+def test_load_describes_a_row_with_a_field_past_csv_limit(tmp_path, rows, expected):
+    # csv's field limit once escaped the failure path as a csv.Error; the
+    # message quotes a long field by its start and its length, and the limit
+    # is restored
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, rows)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}: {expected}"
+    assert csv.field_size_limit() == limit
+
+
 @pytest.mark.parametrize("python", ["3.10", "3.11"])
 @pytest.mark.parametrize(
     "rows, header, expected",

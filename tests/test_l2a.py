@@ -562,6 +562,45 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
         feedback = EpochFeedback(rate, man.sizes_row(t), float(rng.uniform(0.0, b_max)))
 
 
+def one_step_against_the_oracle(ladder, omega, grad_accum, feedback):
+    """One gradient step of ``l2a_decide`` from ``omega`` and ``grad_accum``
+    (empty queues, no step taken yet) and of ``scalar_decide`` from the same
+    state; each quality, omega and the queues must hold the same bits.
+    Returns the quality and the policy's state."""
+    policy = L2APolicy(ladder, 2.0, 20.0, 10, beta=1.0)
+    state = policy.state
+    state.omega, state.grad_accum = omega, grad_accum
+    oracle = L2AState(omega=omega, grad_accum=grad_accum)
+    x = l2a_decide(policy, feedback)
+    assert state.gamma == 1
+    assert x == scalar_decide(OracleController(ladder, 2.0, 20.0, 10, 1.0, oracle), feedback)
+    assert float_bytes(state.omega) == float_bytes(oracle.omega)
+    assert float_bytes((state.q1, state.q2)) == float_bytes((oracle.q1, oracle.q2))
+    return x, state
+
+
+def test_a_step_onto_a_midpoint_maps_low_as_the_oracle():
+    # an accumulator that cancels the utility gradient leaves the projection's
+    # argument at omega = (0.5, 0.5): the expected bitrate the step folds is
+    # 2000, the midpoint of 1000 and 3000, and the tie goes low
+    ladder = (1000.0, 3000.0)
+    utility_grad = L2APolicy(ladder, 2.0, 20.0, 10)._decide_constants[1]
+    x, state = one_step_against_the_oracle(ladder, (0.5, 0.5), tuple(-u for u in utility_grad),
+                                           make_feedback((2000.0, 6000.0), 2500.0))
+    assert state.omega == (0.5, 0.5)
+    assert x == 1
+
+
+def test_a_step_that_clips_rungs_to_zero_matches_the_oracle():
+    omega = (0.1, 0.2, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1)
+    grad_accum = (40.0, -10.0, 30.0, 0.0, -5.0, 20.0, 0.0, 0.0)
+    _, state = one_step_against_the_oracle(LADDER, omega, grad_accum,
+                                           make_feedback([2.0 * r for r in LADDER], 3000.0))
+    # three rungs are clipped, and the queue update reads the clipped omega
+    assert [w == 0.0 for w in state.omega] == [True, False, True, False, False, True, False, False]
+    assert state.q1 > 0.0
+
+
 def compensated_sum(values, start=0):
     """Float ``sum`` the way CPython 3.12 computes it: Neumaier summation."""
     total, compensation = float(start), 0.0

@@ -507,6 +507,23 @@ def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, pyt
     assert str(info.value) == f"{path}: line 3: column size_kbit: '2\\x000' is not a number"
 
 
+def test_log_csv_describes_a_field_past_csv_limit(tmp_path):
+    # csv's field limit once escaped the failure path as a csv.Error; the
+    # message quotes a long field by its start and its length, and the limit
+    # is restored
+    limit = csv.field_size_limit()
+    path = tmp_path / "log.csv"
+    export_log_csv(closed_form_history("rb")[:3], path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(_put(lines[2].split(","), 3, "x" * 200_000))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_log_csv(path)
+    assert (str(info.value) == f"{path}: line 3: column size_kbit: '{'x' * 32}'... (200000 characters)"
+            " is not a number")
+    assert csv.field_size_limit() == limit
+
+
 @pytest.mark.parametrize("column, text", [(8, "2"), (9, "inf")], ids=["stall-2", "inf"])
 def test_log_csv_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, column, text):
     # a row that parses but breaks a rule is found in the parsed table: the
