@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import is_, itemgetter
@@ -73,6 +74,22 @@ def _column(history, name: str) -> np.ndarray:
         if not isinstance(value, numbers.Real):
             raise ValueError(f"epoch {rec.t}: {name} is {value!r}, not a real number")
     return np.array(values, dtype=float)  # integers past int64 read as objects
+
+
+def _omegas(history, indices, omegas: list, n: int) -> np.ndarray:
+    """The ``omegas`` logged by the records at ``indices``, each ``n``
+    entries long, as a matrix of floats, one row each.  ``struct`` packs only
+    real numbers, so an entry that is not one (None, a string) is a
+    ValueError that names the first such epoch and ``omega``."""
+    try:
+        packed = struct.pack(f"{len(omegas) * n}d", *chain.from_iterable(omegas))
+    except struct.error:
+        for idx, omega in zip(indices, omegas):
+            for entry in omega:
+                if not isinstance(entry, numbers.Real):
+                    raise ValueError(f"epoch {history[idx].t}: omega holds {entry!r}, not a real number") from None
+        return np.array(omegas, dtype=float)  # integers past a float's range
+    return np.frombuffer(packed).reshape(len(omegas), n)
 
 
 def qoe_metrics(
@@ -330,8 +347,8 @@ def regret_and_residuals(
     A quality index that is not an integer or lies outside 1..N, a bitrate
     or segment size other than the manifest's at (t, x_t), or a logged omega
     without exactly N entries is a ValueError naming the first such epoch,
-    and so is a rate that is not a real number; so is a segment duration or
-    buffer bound that is not positive and finite.
+    and so is a rate or a logged omega entry that is not a real number; so
+    is a segment duration or buffer bound that is not positive and finite.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -376,10 +393,9 @@ def regret_and_residuals(
         omegas = np.zeros((t_total, n))
         omegas[rows, level] = 1.0
         if logged:
-            omegas[logged] = [omega_column[idx] for idx in logged]
+            omegas[logged] = _omegas(history, logged, [omega_column[idx] for idx in logged], n)
     else:
-        omegas = np.fromiter(chain.from_iterable(omega_column), float, t_total * n)
-        omegas = omegas.reshape(t_total, n)
+        omegas = _omegas(history, rows, omega_column, n)
 
     expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _column(history, "rate_kbps")
     g1 = expected_dl - segment_duration_s

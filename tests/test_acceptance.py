@@ -33,6 +33,7 @@ from abrsim.cli import main as cli_main
 
 from conftest import assert_buffer_law, count_switches
 from fixture_log import DURATION, EXPECTED, TAU, fixture_history, fixture_manifest
+from simplex_grid import simplex_grid
 
 LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 V = 2.0
@@ -91,23 +92,11 @@ def markov_suite():
 # 1. simplex projection vs dense grid
 
 
-def _simplex_grid(n, resolution):
-    steps = int(round(1.0 / resolution))
-    if n == 2:
-        w = np.arange(steps + 1) / steps
-        return np.stack([1.0 - w, w], axis=1)
-    pts = []
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            pts.append((i / steps, j / steps, (steps - i - j) / steps))
-    return np.array(pts)
-
-
 def test_criterion_1_simplex_projection_oracle():
     start = time.perf_counter()
     worst = 0.0
     for n in (2, 3):
-        grid = _simplex_grid(n, 1e-3)
+        grid = simplex_grid(n, 1e-3)
         grid_sq = np.square(grid).sum(axis=1)
         rng = np.random.default_rng(10 + n)
         for _ in range(100):

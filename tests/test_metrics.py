@@ -677,6 +677,16 @@ def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
     no_download = [*recs[:2], recs[2]._replace(download_s=None), *recs[3:]]
     with pytest.raises(ValueError, match=f"^{re.escape('epoch 3: download_s is None, not a real number')}$"):
         qoe_metrics(no_download, man, 2, 20.0)
+    # a logged omega entry, read with np.fromiter when every record logged
+    # one and assigned into the one-hot matrix when some did not: None scored
+    # to NaN series, and a numeric string was parsed
+    logged = [rec._replace(omega=(0.5, 0.5)) for rec in recs]
+    for entries, shown in [((None, 1.0), "None"), (("0.5", "0.5"), "'0.5'")]:
+        for history in (logged, [*recs[:5], *logged[5:]]):
+            history = [*history[:6], history[6]._replace(omega=entries), *history[7:]]
+            expected = f"epoch 7: omega holds {shown}, not a real number"
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                regret_and_residuals(history, man, None, 2.0, 120.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -906,3 +907,15 @@ def test_run_session_rejects_an_index_off_the_ladder_as_the_oracle_does(n_levels
             run(ScriptedPolicy(script), SessionConfig(b_max_s=20.0), man, trace)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == f"quality index {script[-1]} outside 1..{n_levels}"
+
+
+@pytest.mark.parametrize("x", [2.0, 1.5, np.float64(2.0), "2", None], ids=["2.0", "1.5", "float64", "str", "None"])
+def test_run_session_rejects_an_index_that_is_not_an_integer(x):
+    # 2.0 once ended in memoryview's TypeError, and "2" or None in the
+    # comparison's; an integer of any integral type plays as that integer
+    man, trace, config = cbr_manifest(5), constant_trace(5000.0), SessionConfig(b_max_s=20.0)
+    with pytest.raises(ValueError, match=f"^epoch 3: quality index {re.escape(repr(x))} is not an integer$"):
+        run_session(ScriptedPolicy([1, 2, x, 1, 2]), config, man, trace)
+    played = run_session(ScriptedPolicy([True, np.int64(2), 1, np.int8(1), 2]), config, man, trace).history
+    plain = run_session(ScriptedPolicy([1, 2, 1, 1, 2]), config, man, trace).history
+    assert played == plain

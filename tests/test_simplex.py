@@ -33,11 +33,11 @@ def test_clipping_case():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a non-empty 1-d vector$"):
         project_simplex([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^entries must be finite$"):
         project_simplex([np.inf, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a non-empty 1-d vector$"):
         project_simplex([[0.1, 0.9]])
 
 
@@ -109,33 +109,6 @@ def test_entries_too_large_to_project():
         project_simplex([2.0**60, 0.0])
 
 
-def scan_first_project_simplex(v):
-    """``project_simplex`` as it ran when it scanned every entry for
-    finiteness before the running total, as an oracle for its outcome, with
-    its rule for finite entries whose sum overflows: only the ranks whose
-    running total is finite can fix theta."""
-    try:
-        values = list(map(float, v))
-    except TypeError:
-        raise ValueError("expected a non-empty 1-d vector") from None
-    if not values:
-        raise ValueError("expected a non-empty 1-d vector")
-    if not all(map(math.isfinite, values)):
-        raise ValueError("entries must be finite")
-    theta = None
-    total = 0.0
-    for rank, u in enumerate(sorted(values, reverse=True), start=1):
-        total += u
-        if not math.isfinite(total):
-            break
-        shift = (total - 1.0) / rank
-        if u - shift > 0:
-            theta = shift
-    if theta is None:
-        raise ValueError("entries too large to project")
-    return tuple([x - theta if x > theta else 0.0 for x in values])
-
-
 def exact_project(v):
     """The projection in exact rational arithmetic, as Fractions."""
     values = [Fraction(x) for x in v]
@@ -191,19 +164,11 @@ def test_finite_entries_whose_sum_overflows_behave_as_before(v, want):
     # entries-too-large error (a shift from an infinite total gave
     # infinities: (inf, inf) for [-1e308, -1e308])
     outcome = projection_outcome(project_simplex, v)
-    assert outcome == projection_outcome(scan_first_project_simplex, v)
     if want == TOO_LARGE:
         assert outcome == TOO_LARGE
     else:
         assert outcome == [x.hex() for x in want]
         assert all(math.isclose(x, e, rel_tol=0.0, abs_tol=1e-15) for x, e in zip(want, exact_project(v)))
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.floats(width=64) | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
-                min_size=1, max_size=8))
-def test_outcome_matches_the_scan_first_projection(vals):
-    assert projection_outcome(project_simplex, vals) == projection_outcome(scan_first_project_simplex, vals)
 
 
 @settings(max_examples=400, deadline=None)
