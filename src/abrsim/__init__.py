@@ -19,6 +19,7 @@ from .channel import (
     concat_traces,
     generate_markovian,
     load_trace,
+    slot_clock,
     write_trace,
 )
 from .l2a import (
@@ -32,7 +33,7 @@ from .metrics import (
     BenchmarkSolution,
     ConvergenceSeries,
     SessionReport,
-    evaluate_session,
+    hindsight_benchmark,
     normalize_avg_bitrate,
     qoe_metrics,
     regret_and_residuals,
@@ -74,9 +75,9 @@ __all__ = [
     "bb_decide",
     "concat_traces",
     "derive_bb_parameters",
-    "evaluate_session",
     "export_log_csv",
     "generate_markovian",
+    "hindsight_benchmark",
     "l2a_decide",
     "load_manifest",
     "load_trace",
@@ -88,6 +89,7 @@ __all__ = [
     "read_log_csv",
     "regret_and_residuals",
     "run_session",
+    "slot_clock",
     "solve_benchmark",
     "synthesize_manifest",
     "write_manifest",

@@ -36,6 +36,15 @@ __all__ = [
 ]
 
 
+def _rate(feedback: EpochFeedback) -> float:
+    """The feedback's realized rate as a float, or a ValueError naming it if
+    it is not positive and finite."""
+    rate = float(feedback.realized_rate_kbps)
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"realized_rate_kbps must be positive and finite, got {rate!r}")
+    return rate
+
+
 # ---------------------------------------------------------------------------
 # RB: throughput probe + smoothing + dead-zone quantizer
 
@@ -65,13 +74,15 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps, up_
     The up-switch search bisects ``up_thresholds_kbps``, each rung's
     ``(1.0 + RB_DEADZONE) * r``, and the down-switch search bisects
     ``bitrates_kbps``, which must be strictly increasing; ``RBPolicy``
-    checks the ladder and builds the thresholds.
+    checks the ladder and builds the thresholds.  A realized rate that is not
+    positive and finite is a ValueError naming it: a NaN estimate would fit
+    every up-switch threshold and lock the quantizer to the top rung.
     """
     if feedback is None:
         state.last_index = 1
         return 1
 
-    observed = float(feedback.realized_rate_kbps)
+    observed = _rate(feedback)
     if not state.initialized:
         state.bw_probe_kbps = observed
         state.bw_smooth_kbps = observed
@@ -170,7 +181,9 @@ def bb_decide(
     When the maximizer would switch up past the level sustainable at the last
     observed throughput, it is capped at that level (but never forced below
     the current one); that level is found by bisecting ``bitrates_kbps``,
-    which must be strictly increasing, as a ``Manifest``'s ladder is.
+    which must be strictly increasing, as a ``Manifest``'s ladder is; the
+    realized rate it reads there must be positive and finite, or it is a
+    ValueError naming it.
     """
     if feedback is None:
         state.last_index = 1
@@ -184,7 +197,7 @@ def bb_decide(
     m = score.index(max(score)) + 1
 
     if m > state.last_index:
-        sustainable = max(1, bisect_right(bitrates_kbps, float(feedback.realized_rate_kbps)))
+        sustainable = max(1, bisect_right(bitrates_kbps, _rate(feedback)))
         if m > sustainable:
             m = max(sustainable, state.last_index)
 

@@ -1,5 +1,5 @@
-"""Channel rate process: trace files, a two-state synthetic generator, and
-trace concatenation.
+"""Channel rate process: trace files, a two-state synthetic generator, trace
+concatenation, and the slot clock (a trace's mean rate per content slot).
 
 A trace is a piecewise-constant bandwidth profile; ``session.run_session``
 drains each segment's bits through it (the fluid model), so the realized
@@ -13,6 +13,7 @@ import bisect
 import csv
 import io
 import math
+import numbers
 import os
 import stat
 import warnings
@@ -29,6 +30,7 @@ __all__ = [
     "concat_traces",
     "generate_markovian",
     "load_trace",
+    "slot_clock",
     "write_trace",
 ]
 
@@ -65,7 +67,7 @@ class ChannelTrace:
     # memoryviews of the timestamps, the throughputs and the kbit delivered
     # from t=0 up to each timestamp (indexing them gives Python floats
     # without copying the trace), and the index of the last sample; the
-    # download in session.run_session reads them
+    # download in session.run_session and slot_clock read them
     _views: tuple[memoryview, memoryview, memoryview, int] = field(
         init=False, repr=False, compare=False
     )
@@ -323,6 +325,34 @@ def generate_markovian(
     in_low = np.concatenate(([False], np.cumsum(flips) % 2 == 1))
     values = np.where(in_low, float(low_kbps), float(high_kbps))
     return ChannelTrace(np.arange(n) * float(step_s), values)
+
+
+def slot_clock(trace: ChannelTrace, segment_duration_s: float, num_slots: int) -> np.ndarray:
+    """The trace's mean rate over each content slot [(t-1)V, tV), t = 1..``num_slots``:
+    the kbit the fluid model delivers over the slot divided by V, the last
+    sample's rate lasting forever as in ``session.run_session``.
+
+    This is the channel that a player fetching segment t during slot t would
+    meet, and no decision changes it, so it is one yardstick per trace for the
+    hindsight benchmark of every method run on the trace.  A slot that lies
+    inside one sample gets that sample's rate exactly.  A V that is not
+    positive and finite, or a slot count that is not an integer >= 0, is a
+    ValueError naming it.
+    """
+    v = segment_duration_s
+    if not (isinstance(v, numbers.Real) and 0.0 < v < math.inf):
+        raise ValueError(f"segment_duration_s must be positive and finite, got {v!r}")
+    if isinstance(num_slots, bool) or not (isinstance(num_slots, numbers.Integral) and num_slots >= 0):
+        raise ValueError(f"num_slots must be an integer >= 0, got {num_slots!r}")
+    ts, tp = trace.timestamps_s, trace.throughputs_kbps
+    cum = np.asarray(trace._views[2])
+    edges = np.arange(num_slots + 1) * float(v)
+    start, end = edges[:-1], edges[1:]
+    # the sample the slot starts in, and the last sample that starts before it ends
+    first = np.searchsorted(ts, start, side="right") - 1
+    last = np.searchsorted(ts, end, side="left") - 1
+    kbit = (cum[last] - cum[first]) + tp[last] * (end - ts[last]) - tp[first] * (start - ts[first])
+    return np.where(first == last, tp[first], kbit / v)
 
 
 def concat_traces(traces) -> ChannelTrace:

@@ -193,6 +193,16 @@ def _benchmark_dict(bench: metrics.BenchmarkSolution) -> dict:
     }
 
 
+def _slot_benchmark(manifest: media.Manifest, trace: channel.ChannelTrace, t_total: int,
+                    b_max_s: float) -> metrics.BenchmarkSolution:
+    """The benchmark of a ``t_total``-epoch session on ``trace``, against the
+    trace's slot clock: the channel a player fetching segment t during slot t
+    would meet.  No decision changes it, so every method's session on the
+    trace is measured against this one solution."""
+    yardstick = channel.slot_clock(trace, manifest.segment_duration_s, t_total)
+    return metrics.hindsight_benchmark(manifest, yardstick, b_max_s)
+
+
 def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
                  bench: metrics.BenchmarkSolution, series: metrics.ConvergenceSeries) -> dict:
     return {
@@ -297,6 +307,15 @@ def run_compare(config: dict, out_dir: Path) -> None:
                     f"cannot build method {name!r} for trace {trace_name!r}: {exc}"
                 ) from exc
 
+    # one benchmark per trace, solved before any session: every method's regret
+    # on a trace is measured against it
+    benches = {}
+    for trace_name, trace in traces:
+        try:
+            benches[trace_name] = _slot_benchmark(manifest, trace, manifest.num_segments, b_max)
+        except Exception as exc:
+            raise CliError(f"benchmark failed on trace {trace_name!r}: {exc}") from exc
+
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions_dir = out_dir / "sessions"
     sessions_dir.mkdir(exist_ok=True)
@@ -306,9 +325,11 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
     for name in names:
         for trace_name, trace in traces:
+            bench = benches[trace_name]
             try:
                 state = session.run_session(policies.pop((name, trace_name)), sess_cfg, manifest, trace)
-                bench, series = metrics.evaluate_session(state.history, manifest, b_max)
+                series = metrics.regret_and_residuals(state.history, manifest, bench,
+                                                      manifest.segment_duration_s, b_max)
                 report = metrics.qoe_metrics(state.history, manifest, tau, manifest.duration_s)
             except Exception as exc:
                 raise CliError(
@@ -370,7 +391,8 @@ def _cmd_run(args) -> int:
     policy = build_policy(spec, manifest, b_max, manifest.num_segments)
     name = method_name(spec)
     state = session.run_session(policy, cfg, manifest, trace)
-    bench, series = metrics.evaluate_session(state.history, manifest, b_max)
+    bench = _slot_benchmark(manifest, trace, len(state.history), b_max)
+    series = metrics.regret_and_residuals(state.history, manifest, bench, manifest.segment_duration_s, b_max)
     report = metrics.qoe_metrics(state.history, manifest, args.tau, manifest.duration_s)
     metrics.normalize_avg_bitrate([report])
 
@@ -419,7 +441,10 @@ def _cmd_benchmark(args) -> int:
     history = session.read_log_csv(args.log)
     if not history:
         raise CliError(f"{args.log}: empty session log")
-    bench, series = metrics.evaluate_session(history, manifest, SCENARIO_BMAX[args.scenario])
+    trace = channel.load_trace(args.trace)
+    b_max = SCENARIO_BMAX[args.scenario]
+    bench = _slot_benchmark(manifest, trace, len(history), b_max)
+    series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
     k = metrics.benchmark_window(len(history))
     if series.one_hot_fallback:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)
@@ -497,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="hindsight benchmark for an exported session log")
     p_bench.add_argument("--manifest", required=True)
     p_bench.add_argument("--log", required=True)
+    p_bench.add_argument("--trace", required=True, help="the trace the session ran on: its slot clock is the yardstick")
     p_bench.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--series", default=None, help="write the convergence CSV here")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +115,42 @@ def _convert(name: str, kind: str, convert, value):
     """``convert(value)``, or a ManifestError naming the field ``name``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ManifestError(f"{name} must be {kind}: {exc}") from exc
+
+
+# the types json gives a JSON number; a bool is not one, though numpy reads it as 1 or 0
+_NUMBER_TYPES = {int, float}
+
+
+def _require_json_numbers(doc: dict) -> None:
+    """Raise a ManifestError naming the first entry of the manifest ``doc``
+    where a number belongs that is not a JSON number.  The types are checked
+    as sets, so a manifest of numbers passes with no Python loop per entry;
+    a field of another shape is left to ``Manifest`` to reject."""
+    duration = doc["segment_duration_s"]
+    if type(duration) not in _NUMBER_TYPES:
+        raise ManifestError(f"segment_duration_s must be a number, got {duration!r}")
+    rates = doc["bitrates_kbps"]
+    if isinstance(rates, list) and not set(map(type, rates)) <= _NUMBER_TYPES:
+        n = next(n for n, rate in enumerate(rates) if type(rate) not in _NUMBER_TYPES)
+        raise ManifestError(f"bitrates_kbps must be a list of numbers: level {n + 1} is {rates[n]!r}")
+    rows = doc["segment_sizes_kbit"]
+    if (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        t, n = next((t, n) for t, row in enumerate(rows) for n, size in enumerate(row)
+                    if type(size) not in _NUMBER_TYPES)
+        raise ManifestError(f"segment_sizes_kbit must be a matrix of numbers:"
+                            f" segment {t + 1}, level {n + 1} is {rows[t][n]!r}")
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Load a manifest JSON file and validate every ladder invariant.
 
-    Every error is a ManifestError naming the file and the field.
+    Every error is a ManifestError naming the file and the field.  Every
+    number must be a JSON number: a string, a bool or a null where one is
+    expected is an error that names the field and, for a bitrate, its level
+    or, for a size, its segment and level.
     """
     try:
         with open(path) as fh:
@@ -129,6 +158,7 @@ def load_manifest(path: str | Path) -> Manifest:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     try:
+        _require_json_numbers(doc)
         return Manifest(
             segment_duration_s=doc["segment_duration_s"],
             bitrates_kbps=doc["bitrates_kbps"],

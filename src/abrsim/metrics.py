@@ -6,11 +6,12 @@ smoothness (switch amplitude), consistency (stall seconds against the viewing
 time budget) and continuity (stall count against the resumable segment
 budget).  The benchmark is the best fixed decision distribution in hindsight
 whose average download time stays within bounds over every length-K window of
-the realized channel; regret is the cumulative loss gap against it.  The
-benchmark is solved exactly, as two linear programs (the smallest uniform
-slack that makes the window bounds feasible, then the best bitrate at that
-slack), by a small revised simplex on their duals: the dual has one row per
-quality level however many windows there are.
+a yardstick channel, one rate per epoch (``hindsight_benchmark``); regret is
+the cumulative loss gap against it.  The benchmark is solved exactly, as two
+linear programs (the smallest uniform slack that makes the window bounds
+feasible, then the best bitrate at that slack), by a small revised simplex on
+their duals: the dual has one row per quality level however many windows
+there are.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "ConvergenceSeries",
     "SessionReport",
     "benchmark_window",
-    "evaluate_session",
+    "hindsight_benchmark",
     "normalize_avg_bitrate",
     "qoe_metrics",
     "regret_and_residuals",
@@ -422,14 +423,16 @@ def benchmark_window(t_total: int) -> int:
     return max(1, min(t_total, math.ceil(t_total**0.9)))
 
 
-def evaluate_session(history: Sequence[EpochRecord], manifest: Manifest,
-                     b_max_s: float) -> tuple[BenchmarkSolution, ConvergenceSeries]:
-    """Solve the hindsight benchmark of one session log over length-K windows
-    of its realized channel rates, K = ``benchmark_window(len(history))``, and
-    return it with the regret and residual series measured against it, on the
-    one-hot choices where the log has no decision distributions.  The session
-    metrics are another stage, ``qoe_metrics``."""
-    v = manifest.segment_duration_s
-    bench = solve_benchmark(manifest, _column(history, "rate_kbps"),
-                            benchmark_window(len(history)), v, b_max_s)
-    return bench, regret_and_residuals(history, manifest, bench, v, b_max_s)
+def hindsight_benchmark(manifest: Manifest, yardstick_kbps, b_max_s: float) -> BenchmarkSolution:
+    """The benchmark stage: ``solve_benchmark`` over length-K windows of the
+    rate series ``yardstick_kbps``, one rate per epoch, with K =
+    ``benchmark_window(len(yardstick_kbps))`` and the manifest's segment
+    duration.  The yardstick is the caller's choice: ``run``, ``compare`` and
+    ``benchmark`` pass the slot clock of the session's trace
+    (``channel.slot_clock``), which no decision changes, so every method run
+    on one trace is measured against one benchmark.  The series stage,
+    ``regret_and_residuals``, takes the solution; the session metrics are a
+    third stage, ``qoe_metrics``."""
+    rates = np.asarray(yardstick_kbps, dtype=float)
+    return solve_benchmark(manifest, rates, benchmark_window(rates.size),
+                           manifest.segment_duration_s, b_max_s)

@@ -123,17 +123,39 @@ def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder):
         RBPolicy(ladder)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -400.0])
+def test_a_rate_that_is_not_positive_and_finite_is_an_error(bad):
+    # one NaN rate once locked rb to the top rung: on this ladder 800, NaN,
+    # 500 and 400 kbps picked 1, 8, 8 and 8, as a NaN estimate fits every
+    # up-switch threshold
+    message = f"^{re.escape(f'realized_rate_kbps must be positive and finite, got {bad!r}')}$"
+    rb = RBPolicy(PAPER_LADDER)
+    assert [rb.decide(None), rb.decide(fb(800.0))] == [1, 1]
+    with pytest.raises(ValueError, match=message):
+        rb.decide(fb(bad))
+    # bb reads the rate when it would switch up, as on a full buffer
+    v_b, gamma_p = derive_bb_parameters(LADDER3, 2.0, 120.0)
+    state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=1)
+    assert bb_decide(state, fb(25000.0, buffer_s=120.0), LADDER3, (2000.0, 4000.0, 8000.0), 2.0) == 3
+    state.last_index = 1
+    with pytest.raises(ValueError, match=message):
+        bb_decide(state, fb(bad, buffer_s=120.0), LADDER3, (2000.0, 4000.0, 8000.0), 2.0)
+
+
 def reference_rb_decide(state, feedback, bitrates_kbps):
     """``rb_decide`` as it ran before it bisected the ladder: its two
     searches are loops over every level.  The up-switch loop compares as
     ``bisect_right`` does, ``not smooth < threshold``, which is
     ``threshold <= smooth`` except on a NaN estimate, which fits every
-    threshold."""
+    threshold.  A rate that is not positive and finite raises before the
+    state changes."""
     if feedback is None:
         state.last_index = 1
         return 1
 
     observed = float(feedback.realized_rate_kbps)
+    if not (observed > 0.0 and math.isfinite(observed)):
+        raise ValueError(f"realized_rate_kbps must be positive and finite, got {observed!r}")
     if not state.initialized:
         state.bw_probe_kbps = observed
         state.bw_smooth_kbps = observed
@@ -175,7 +197,7 @@ def test_rb_decide_matches_the_loop_oracle(seed, decisions):
     # observed rates include each rung and each up-switch threshold, hit
     # exactly when the state is not initialized yet, their neighbours, and
     # the odd floats: zero of either sign, a negative rate, an infinity and
-    # a NaN
+    # a NaN, which both reject with the same error and the state untouched
     rng = np.random.default_rng(seed)
     n_levels = int(rng.integers(2, 10))
     ladder = tuple(np.cumsum(rng.uniform(50.0, 5000.0, size=n_levels)).tolist())
@@ -193,7 +215,13 @@ def test_rb_decide_matches_the_loop_oracle(seed, decisions):
             rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
         feedback = None if rng.random() < 0.05 else fb(rate)
         rb.state, ref = (RBState(probe, smooth, last, initialized) for _ in range(2))
-        assert rb.decide(feedback) == reference_rb_decide(ref, feedback, ladder)
+        try:
+            expected = reference_rb_decide(ref, feedback, ladder)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                rb.decide(feedback)
+        else:
+            assert rb.decide(feedback) == expected
         assert state_bits(rb.state) == state_bits(ref)
 
 

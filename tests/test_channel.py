@@ -3,8 +3,10 @@ import csv
 import hashlib
 import math
 import os
+import re
 import urllib.request
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from abrsim import (
     generate_markovian,
     load_trace,
     read_log_csv,
+    slot_clock,
     write_trace,
 )
 from abrsim.channel import _DECOMPRESSED_SUFFIXES, FLOOR_KBPS
@@ -705,6 +708,73 @@ def test_effective_rate_within_trace_range():
         res = download(tr, float(rng.uniform(0, 300)), float(rng.uniform(10, 60000)))
         assert res.effective_rate_kbps >= tr.throughputs_kbps.min() * (1 - 1e-12)
         assert res.effective_rate_kbps <= tr.throughputs_kbps.max() * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the slot clock
+
+
+def test_slot_clock_gives_a_slot_inside_one_sample_its_rate_exactly():
+    # slots of V=0.1 s: the cumulative kbit at their edges, differenced and
+    # divided by V, would miss most of these rates in the last bits
+    trace = ChannelTrace([0.0, 0.5, 0.7], [0.3, 7.7, 1234.5678])
+    got = slot_clock(trace, 0.1, 12)
+    assert got[:5].tolist() == [0.3] * 5
+    # [0.5, 0.6) lies inside sample 1; the edge 0.7 is 7 * 0.1 rounded up,
+    # so [0.6, 0.7000000000000001) spans samples 1 and 2
+    assert got[5] == 7.7
+    assert got[6] == pytest.approx((7.7 * 0.1 + 1234.5678 * (7 * 0.1 - 0.7)) / 0.1, rel=1e-12)
+    # slots past the last sample take its rate, which lasts forever
+    assert got[7:].tolist() == [1234.5678] * 5
+
+
+def test_slot_clock_past_the_trace_end_takes_the_last_rate():
+    trace = generate_markovian(30, 750, 23000, 0.3, 1.0, seed=4)
+    got = slot_clock(trace, 2.0, 40)
+    assert got.shape == (40,)
+    assert got[15:].tolist() == [float(trace.throughputs_kbps[-1])] * 25
+    assert slot_clock(trace, 2.0, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("v, slots, expected", [
+    (0.0, 5, "segment_duration_s must be positive and finite, got 0.0"),
+    (math.nan, 5, "segment_duration_s must be positive and finite, got nan"),
+    (2.0, -1, "num_slots must be an integer >= 0, got -1"),
+    (2.0, 2.5, "num_slots must be an integer >= 0, got 2.5"),
+])
+def test_slot_clock_rejects_a_bad_slot_duration_or_count(v, slots, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        slot_clock(generate_markovian(10, 750, 23000, 0.3, seed=0), v, slots)
+
+
+def exact_slot_rate(ts, tp, start, end):
+    """The mean rate of the piecewise-constant profile (``ts``, ``tp``, the
+    last rate lasting forever) over [start, end), in exact arithmetic."""
+    bounds = [*ts[1:], max(end, ts[-1])]
+    kbit = sum(rate * max(Fraction(0), min(end, hi) - max(start, lo))
+               for lo, hi, rate in zip(ts, bounds, tp))
+    return kbit / (end - start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=8),
+    rates=st.lists(st.floats(1.0, 1e5), min_size=9, max_size=9),
+    v=st.floats(0.05, 10.0),
+    slots=st.integers(0, 40),
+)
+def test_slot_clock_matches_the_exact_integral_of_the_trace(steps, rates, v, slots):
+    trace = ChannelTrace(np.concatenate(([0.0], np.cumsum(steps))), rates[:len(steps) + 1])
+    got = slot_clock(trace, v, slots)
+    ts = [Fraction(t) for t in trace.timestamps_s.tolist()]
+    tp = [Fraction(r) for r in trace.throughputs_kbps.tolist()]
+    # rounding: each slot edge, and each sample's kbit in the cumulative sum,
+    # is off by a few ulps of the kbit delivered up to the slot's end
+    eps = 2.0**-52
+    for t in range(1, slots + 1):
+        exact = exact_slot_rate(ts, tp, (t - 1) * Fraction(v), t * Fraction(v))
+        bound = 8 * (len(ts) + 2) * eps * max(rates) * (t * v) / v
+        assert abs(got[t - 1] - exact) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from abrsim import cli, load_manifest, load_trace, media, metrics, session
+from abrsim import cli, generate_markovian, load_manifest, load_trace, media, metrics, session, slot_clock
 from abrsim.cli import main
 
 
@@ -130,7 +130,7 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
     with pytest.raises(SystemExit):
         run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, "--k-exponent", "0.5")
     with pytest.raises(SystemExit):
-        run_cli("benchmark", "--manifest", manifest, "--log", "session.csv", "--disjoint-windows")
+        run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", "session.csv", "--disjoint-windows")
     # the session log has one format, the CSV that `benchmark` reads
     with pytest.raises(SystemExit):
         run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, "--format", "json")
@@ -143,7 +143,7 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, flag, value)
         with pytest.raises(SystemExit):
-            run_cli("benchmark", "--manifest", manifest, "--log", "session.csv", flag, value)
+            run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", "session.csv", flag, value)
 
 
 def test_concat_traces(tmp_path):
@@ -164,7 +164,7 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     bench_json = tmp_path / "bench.json"
     series_csv = tmp_path / "series.csv"
     code = run_cli(
-        "benchmark", "--manifest", manifest, "--log", out / "session_rb.csv",
+        "benchmark", "--manifest", manifest, "--trace", trace, "--log", out / "session_rb.csv",
         "--out", bench_json, "--series", series_csv,
     )
     assert code == 0
@@ -176,6 +176,10 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     assert len(lines) == 61
     captured = capsys.readouterr()
     assert "one-hot" in captured.err
+    # the yardstick is the slot clock of the session's trace, so the trace is required
+    with pytest.raises(SystemExit):
+        run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv")
+    assert "the following arguments are required: --trace" in capsys.readouterr().err
 
 
 def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
@@ -186,7 +190,7 @@ def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
     log = tmp_path / "truncated.csv"
     # the file ends inside the 30th row, after its C_kbps field
     log.write_text("\n".join(lines[:30]) + "\n" + ",".join(lines[30].split(",")[:5]))
-    assert run_cli("benchmark", "--manifest", manifest, "--log", log) == 1
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log) == 1
     assert capsys.readouterr().err == (
         f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
     )
@@ -207,7 +211,7 @@ def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, caps
     log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     # x_t=0 once scored as the top quality and x_t=N+1 raised an IndexError traceback
-    assert run_cli("benchmark", "--manifest", manifest, "--log", log) == 1
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log) == 1
     assert capsys.readouterr().err == f"abrsim: error: epoch 5: quality index {bad_x} outside 1..{n}\n"
 
 
@@ -232,7 +236,7 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     # such a row was once scored without a word, its regret read from x_t
-    assert run_cli("benchmark", "--manifest", manifest, "--log", bad) == 1
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", bad) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"abrsim: error: {expected}")
     assert "Traceback" not in err
@@ -254,7 +258,8 @@ def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
 
 def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatch, capsys):
     # benchmark runs the benchmark and series stages only: it never scores
-    # the session metrics, and its series are the ones run reports
+    # the session metrics, and its benchmark and series are the ones run
+    # reports
     manifest, trace = assets
     out = tmp_path / "out"
     assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
@@ -267,7 +272,7 @@ def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatc
     bench_json, series_csv = tmp_path / "bench.json", tmp_path / "series.csv"
     assert (
         run_cli(
-            "benchmark", "--manifest", manifest, "--log", out / "session_rb.csv",
+            "benchmark", "--manifest", manifest, "--trace", trace, "--log", out / "session_rb.csv",
             "--out", bench_json, "--series", series_csv,
         )
         == 0
@@ -275,7 +280,8 @@ def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatc
     assert capsys.readouterr().err == "note: log carries no decision distributions; using one-hot choices\n"
     report = json.loads((out / "report_rb.json").read_text())
     assert report["flags"][-1] == "one-hot-omega"
-    assert json.loads(bench_json.read_text())["omega_star"] == report["benchmark"]["omega_star"]
+    # both solve against the trace's slot clock, so the benchmark is the same object
+    assert json.loads(bench_json.read_text()) == {"k": metrics.benchmark_window(60), **report["benchmark"]}
     header, *rows = series_csv.read_text().splitlines()
     keys = header.split(",")[1:]
     for t, row in enumerate(rows):
@@ -336,6 +342,28 @@ def test_compare_grid(tmp_path):
     for line in lines[1:]:
         assert len(line.split(",")) == 7
 
+
+
+def test_compare_solves_one_benchmark_per_trace_for_every_method(tmp_path, monkeypatch):
+    # the yardstick is each trace's slot clock, which no method changes, so
+    # one solve per trace serves every session on it
+    calls = []
+    real = metrics.solve_benchmark
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "solve_benchmark", counting)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--config", _compare_config(tmp_path, count=3), "--out", out) == 0
+    assert len(calls) == 3
+    for i, args in enumerate(calls):
+        trace = generate_markovian(600, 750, 23000, 0.05, seed=i)
+        assert np.array_equal(args[1], slot_clock(trace, 2.0, 50))
+        docs = [json.loads(p.read_text()) for p in sorted((out / "sessions").glob(f"*__markovian-{i:04d}.json"))]
+        assert len(docs) == 4
+        assert all(doc["benchmark"] == docs[0]["benchmark"] for doc in docs)
 
 
 def test_convergence_rows_are_written_as_fmt_writes_them(tmp_path):
@@ -705,7 +733,7 @@ def test_compare_scenario_override(tmp_path, monkeypatch):
         # alone sets the buffer bound, and the benchmark window is ceil(T^0.9)
         ("run", {"--manifest", "--trace", "--scenario", "--tau", "--abr", "--beta", "--out"}),
         ("concat-traces", {"--out"}),
-        ("benchmark", {"--manifest", "--log", "--scenario", "--out", "--series"}),
+        ("benchmark", {"--manifest", "--log", "--trace", "--scenario", "--out", "--series"}),
     ],
 )
 def test_subcommand_options(capsys, command, options):

@@ -186,6 +186,35 @@ def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
         assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("segment_sizes_kbit", [[2000, 6000], [2000, "700.5"]],
+     "segment_sizes_kbit must be a matrix of numbers: segment 2, level 2 is '700.5'"),
+    ("segment_sizes_kbit", [[2000, 6000], [True, 6000]],
+     "segment_sizes_kbit must be a matrix of numbers: segment 2, level 1 is True"),
+    ("segment_sizes_kbit", [[None, 6000]],
+     "segment_sizes_kbit must be a matrix of numbers: segment 1, level 1 is None"),
+    ("bitrates_kbps", ["370", 3000], "bitrates_kbps must be a list of numbers: level 1 is '370'"),
+    ("bitrates_kbps", [1000, True], "bitrates_kbps must be a list of numbers: level 2 is True"),
+    ("segment_duration_s", "2.0", "segment_duration_s must be a number, got '2.0'"),
+    ("segment_duration_s", False, "segment_duration_s must be a number, got False"),
+    # a JSON integer past the float range once raised an OverflowError
+    ("segment_sizes_kbit", [[2000, 10**400], [2000, 6000]],
+     "segment_sizes_kbit must be a matrix of numbers: int too large to convert to float"),
+    ("bitrates_kbps", [1000, 10**400], "bitrates_kbps must be a list of numbers: int too large to convert to float"),
+], ids=["size-string", "size-bool", "size-null", "rate-string", "rate-bool", "duration-string",
+        "duration-bool", "size-past-float-range", "rate-past-float-range"])
+def test_load_rejects_a_number_that_is_not_a_json_number(tmp_path, field, value, expected):
+    # numpy once read the size "700.5" as 700.5 and true as 1.0, and the
+    # ladder and the duration were converted with float() the same way
+    good = {"segment_duration_s": 2.0, "bitrates_kbps": [1000, 3000],
+            "segment_sizes_kbit": [[2000, 6000], [2000, 6000]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**good, field: value}))
+    with pytest.raises(ManifestError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"manifest {path}: {expected}"
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"bitrates_kbps": [1000, 2000]}))

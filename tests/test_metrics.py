@@ -16,7 +16,6 @@ from abrsim import (
     BenchmarkSolution,
     EpochRecord,
     Manifest,
-    evaluate_session,
     normalize_avg_bitrate,
     qoe_metrics,
     regret_and_residuals,
@@ -672,8 +671,6 @@ def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
         for score in scores:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 score(history, man, None, 2.0, 120.0)
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            evaluate_session(history, man, 120.0)
     no_download = [*recs[:2], recs[2]._replace(download_s=None), *recs[3:]]
     with pytest.raises(ValueError, match=f"^{re.escape('epoch 3: download_s is None, not a real number')}$"):
         qoe_metrics(no_download, man, 2, 20.0)
