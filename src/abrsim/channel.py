@@ -344,15 +344,21 @@ def slot_clock(trace: ChannelTrace, segment_duration_s: float, num_slots: int) -
         raise ValueError(f"segment_duration_s must be positive and finite, got {v!r}")
     if isinstance(num_slots, bool) or not (isinstance(num_slots, numbers.Integral) and num_slots >= 0):
         raise ValueError(f"num_slots must be an integer >= 0, got {num_slots!r}")
+    edges = np.arange(num_slots + 1) * float(v)
+    kbit, first, last = _fluid_kbit(trace, edges[:-1], edges[1:])
+    return np.where(first == last, trace.throughputs_kbps[first], kbit / v)
+
+
+def _fluid_kbit(trace: ChannelTrace, start: np.ndarray, end: np.ndarray):
+    """The kbit the fluid model delivers over each interval [start, end), the
+    last sample's rate lasting forever, with the sample each interval starts
+    in and the last sample that starts before it ends."""
     ts, tp = trace.timestamps_s, trace.throughputs_kbps
     cum = np.asarray(trace._views[2])
-    edges = np.arange(num_slots + 1) * float(v)
-    start, end = edges[:-1], edges[1:]
-    # the sample the slot starts in, and the last sample that starts before it ends
     first = np.searchsorted(ts, start, side="right") - 1
     last = np.searchsorted(ts, end, side="left") - 1
     kbit = (cum[last] - cum[first]) + tp[last] * (end - ts[last]) - tp[first] * (start - ts[first])
-    return np.where(first == last, tp[first], kbit / v)
+    return kbit, first, last
 
 
 def concat_traces(traces) -> ChannelTrace:

@@ -436,6 +436,36 @@ def _cmd_concat(args) -> int:
     return 0
 
 
+# how far, relative to its size, a logged download replayed through the trace
+# it ran on may be from its size; the gap grows with the trace's cumulative
+# kbit, and the logs of ``run`` came within 1.3e-10 at T=25,600
+_REPLAY_RTOL = 1e-9
+
+
+def _check_log_ran_on(history, trace: channel.ChannelTrace, log_path, trace_path) -> None:
+    """A CliError unless each logged download, replayed through ``trace``,
+    delivers its size_kbit within a relative ``_REPLAY_RTOL``.
+
+    Epoch t's download starts at the running sum of ``download_s + delta_s``
+    over the epochs before it, the clock ``session.run_session`` forms, and
+    lasts ``download_s``.  A log that ran on another trace then names its
+    first such epoch.
+    """
+    download = np.array([rec.download_s for rec in history])
+    size = np.array([rec.size_kbit for rec in history])
+    clock = np.cumsum(download + np.array([rec.delta_s for rec in history]))
+    start = np.concatenate(([0.0], clock[:-1]))
+    kbit, _, _ = channel._fluid_kbit(trace, start, start + download)
+    bad = np.flatnonzero(~(np.abs(kbit - size) <= _REPLAY_RTOL * size))
+    if bad.size:
+        i = int(bad[0])
+        raise CliError(
+            f"{log_path}: epoch {history[i].t} did not run on trace {trace_path}: its download of"
+            f" {float(download[i])!r} s from {float(start[i])!r} s delivers {float(kbit[i])!r} kbit"
+            f" there, not its size_kbit {float(size[i])!r}"
+        )
+
+
 def _cmd_benchmark(args) -> int:
     manifest = media.load_manifest(args.manifest)
     history = session.read_log_csv(args.log)
@@ -445,6 +475,8 @@ def _cmd_benchmark(args) -> int:
     b_max = SCENARIO_BMAX[args.scenario]
     bench = _slot_benchmark(manifest, trace, len(history), b_max)
     series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
+    # after scoring, so that a record the manifest contradicts is named first
+    _check_log_ran_on(history, trace, args.log, args.trace)
     k = metrics.benchmark_window(len(history))
     if series.one_hot_fallback:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)

@@ -63,8 +63,9 @@ EPSILON = 0.2
 
 
 def check_beta(beta):
-    """``beta`` if it is a switch-rate budget in (0, 1], else a ValueError naming it."""
-    if not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):
+    """``beta`` if it is a switch-rate budget in (0, 1] and not a bool, else a
+    ValueError naming it."""
+    if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):
         raise ValueError(f"beta must be a number in (0, 1], got {beta!r}")
     return beta
 

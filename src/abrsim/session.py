@@ -149,8 +149,9 @@ class ScriptedPolicy:
 
 
 def require_positive(name: str, value):
-    """``value`` if it is a positive finite real number, else a ValueError naming ``name``."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    """``value`` if it is a positive finite real number and not a bool, else a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 

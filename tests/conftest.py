@@ -2,6 +2,7 @@ import csv
 import os
 
 import numpy as np
+from hypothesis import strategies as st
 
 from abrsim import ChannelTrace, channel, session
 
@@ -73,3 +74,45 @@ def with_a_bad_byte(data: bytes, at: float | None) -> bytes:
         return data
     k = int(at * len(data))
     return data[:k] + b"\xff" + data[k:]
+
+
+def csv_text(draw, header: str, rows, quotable=lambda fields: True, breakable=lambda i: True):
+    """``rows`` (lists of fields) under ``header`` as CSV text, with drawn
+    line endings (LF, CRLF or lone CR), blank lines, quoting (if
+    ``quotable(fields)``), a quoted line break (if ``breakable(i)`` for row
+    ``i``) and final line ending; and the line each row ends on."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header]
+    line_of = []
+    physical = 1
+    for i, fields in enumerate(rows):
+        if quotable(fields) and draw(st.booleans()):
+            fields = [f'"{f}"' for f in fields]
+            # a short row cut to no fields is a blank line, with no field to quote
+            if fields and breakable(i) and draw(st.booleans()):
+                # a newline inside the quotes: one row on two lines
+                fields[-1] = fields[-1][:-1] + newline + '"'
+        blanks = draw(st.integers(0, 2))
+        lines.extend([""] * blanks)
+        lines.append(",".join(fields))
+        physical += blanks + 1 + lines[-1].count(newline)
+        line_of.append(physical)
+    return newline.join(lines) + (newline if draw(st.booleans()) else ""), line_of
+
+
+def load_outcome(load, path):
+    """The repr of the trace ``load`` reads, or the message of its ValueError."""
+    try:
+        trace = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return repr((trace.timestamps_s.tolist(), trace.throughputs_kbps.tolist()))
+
+
+def read_outcome(read, path):
+    """The repr of every field ``read`` reads, or the message of its ValueError."""
+    try:
+        records = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [tuple(map(repr, rec)) for rec in records]

@@ -26,7 +26,8 @@ from abrsim import (
 from abrsim.channel import _DECOMPRESSED_SUFFIXES, FLOOR_KBPS
 from abrsim.session import LOG_COLUMNS
 
-from conftest import constant_trace, record_parses, reject_nul_as_python_3_10, with_a_bad_byte
+from conftest import (constant_trace, csv_text, load_outcome, read_outcome, record_parses,
+                      reject_nul_as_python_3_10, with_a_bad_byte)
 from csv_oracle import line_iterated
 from session_oracle import download
 
@@ -160,23 +161,13 @@ def test_load_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path, 
 
 LOG_TEXT = ",".join(LOG_COLUMNS) + "\r\n" + "".join(
     f"{t},1,1000.0,2000.0,1000.0,2.0,0.0,{2.0 * t!r},0,0.0\r\n" for t in range(1, 4))
-# a text file of each kind, read, and the same file with a bad row
+# a text file of each kind, its reader and the reader's outcome, and the
+# same file with a bad row
 TEXT_FILES = {
-    "trace": (load_trace, "timestamp_s,throughput_kbps\n0,5000\n1,8000\n2,6000\n", ("2,6000", "2,inf")),
-    "log": (read_log_csv, LOG_TEXT, (",0,0.0\r\n", ",2,0.0\r\n")),
+    "trace": (load_trace, load_outcome, "timestamp_s,throughput_kbps\n0,5000\n1,8000\n2,6000\n",
+              ("2,6000", "2,inf")),
+    "log": (read_log_csv, read_outcome, LOG_TEXT, (",0,0.0\r\n", ",2,0.0\r\n")),
 }
-
-
-def read_outcome(read, path):
-    """The repr of what ``read`` returns, or the message of the ValueError
-    it raises."""
-    try:
-        value = read(path)
-    except ValueError as exc:
-        return str(exc)
-    if isinstance(value, ChannelTrace):
-        return repr((value.timestamps_s.tolist(), value.throughputs_kbps.tolist()))
-    return repr(value)
 
 
 @pytest.mark.parametrize("kind", sorted(TEXT_FILES))
@@ -193,7 +184,7 @@ def test_a_name_numpy_would_decompress_or_fetch_reads_as_text(tmp_path, monkeypa
     # scheme://netloc name; such a name is a plain local text file here, read
     # as the line-iterated reader read it.  The decoy is the file a URL's
     # netloc and path name in the working directory.
-    read, text, (good_row, bad_row) = TEXT_FILES[kind]
+    read, outcome, text, (good_row, bad_row) = TEXT_FILES[kind]
     if bad:
         text = text.replace(good_row, bad_row, 1)
     monkeypatch.chdir(tmp_path)
@@ -205,10 +196,10 @@ def test_a_name_numpy_would_decompress_or_fetch_reads_as_text(tmp_path, monkeypa
     fetched = []
     monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: fetched.append(args))
     with line_iterated():
-        expected = read_outcome(read, name)
+        expected = outcome(read, name)
     calls = record_parses(monkeypatch)
-    assert read_outcome(read, name) == expected
-    assert expected.startswith(f"{name}: line") == bad
+    assert outcome(read, name) == expected
+    assert str(expected).startswith(f"{name}: line") == bad
     assert calls[0] == (parsed_from, None)
     assert fetched == []
 
@@ -240,7 +231,7 @@ def test_load_reads_a_pipe_from_its_handle(monkeypatch):
         os.write(w, text.encode())
         os.close(w)
         try:
-            return read_outcome(load_trace, f"/dev/fd/{r}")
+            return load_outcome(load_trace, f"/dev/fd/{r}")
         finally:
             os.close(r)
 
@@ -261,9 +252,9 @@ def test_load_reads_from_the_handle_without_a_working_directory(tmp_path, monkey
     monkeypatch.chdir(gone)
     gone.rmdir()
     with line_iterated():
-        expected = read_outcome(load_trace, path)
+        expected = load_outcome(load_trace, path)
     calls = record_parses(monkeypatch)
-    assert read_outcome(load_trace, path) == expected == f"{path}: line 4: non-finite sample (2.0, inf)"
+    assert load_outcome(load_trace, path) == expected == f"{path}: line 4: non-finite sample (2.0, inf)"
     assert calls == [("file", None)]
 
 
@@ -311,7 +302,7 @@ def test_load_reads_a_header_quoted_across_a_line_break_as_csv_does(tmp_path, mo
     # parsed from the file's name or from the open handle
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(newline.join(['timestamp_s,"throughput_kbps', '"', *rows, ""]), newline="")
-    assert read_outcome(load_trace, name) == read_outcome(reference_load_trace, name) == expected.format(name=name)
+    assert load_outcome(load_trace, name) == load_outcome(reference_load_trace, name) == expected.format(name=name)
 
 
 def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):
@@ -443,12 +434,12 @@ TRACE_HEADERS = ["timestamp_s,throughput_kbps", " timestamp_s , throughput_kbps 
 
 @st.composite
 def trace_files(draw):
-    """The text of a trace file: LF, CRLF or lone-CR endings, a header
-    spelt several ways (one of them with a third name), blank lines, a third
-    column, quoted values (some spanning a line break), numbers written
-    several ways, no final line ending or one, and at most two faults (a bad
-    field, a short row, a NaN or inf, a timestamp that does not increase), so
-    that the first one in file order must be the one named."""
+    """The text of a trace file: a header spelt several ways (one of them
+    with a third name), a third column, numbers written several ways, at
+    most two faults (a bad field, a short row, a NaN or inf, a timestamp that
+    does not increase), so that the first one in file order must be the one
+    named, and the layout of ``csv_text``, quoting only rows without
+    surrounding spaces."""
     n = draw(st.integers(0, 12))
     steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     rates = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
@@ -466,44 +457,34 @@ def trace_files(draw):
                 rows[i][0] = draw(spell)(times[i - 1] - draw(st.sampled_from([0.0, 0.5])))
         else:
             rows[i] = FAULTS[kind](*spelt[i])
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    lines = [draw(st.sampled_from(TRACE_HEADERS))]
     for fields in rows:
-        if draw(st.booleans()) and all(f.strip() == f for f in fields):
-            fields = [f'"{f}"' for f in fields]
-            if draw(st.booleans()):
-                # a newline inside the quotes: one row on two lines
-                fields[-1] = fields[-1][:-1] + newline + '"'
         if len(fields) == 2 and draw(st.booleans()):
-            fields = [*fields, draw(st.sampled_from(["x", "", "1e5", "a b"]))]
-        lines.extend([""] * draw(st.integers(0, 2)))
-        lines.append(",".join(fields))
-    return newline.join(lines) + (newline if draw(st.booleans()) else "")
-
-
-def load_outcome(load, path):
-    """The trace's bytes, or the message of the TraceError raised."""
-    try:
-        trace = load(path)
-    except TraceError as exc:
-        return str(exc)
-    return trace.timestamps_s.tobytes(), trace.throughputs_kbps.tobytes()
+            fields.append(draw(st.sampled_from(["x", "", "1e5", "a b"])))
+    text, _ = csv_text(draw, draw(st.sampled_from(TRACE_HEADERS)), rows,
+                       quotable=lambda fields: all(f.strip() == f for f in fields))
+    return text
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=trace_files())
 def test_load_matches_the_row_loop_oracle(tmp_path_factory, text):
+    # the text reads as the row loop reads it, and parsing the body from the
+    # file's name gives the table or the message that parsing it line by
+    # line from the open handle gave
     path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
     path.write_bytes(text.encode())
-    assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
+    outcome = load_outcome(load_trace, path)
+    assert outcome == load_outcome(reference_load_trace, path)
+    with line_iterated():
+        assert load_outcome(load_trace, path) == outcome
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=trace_files(), at=st.none() | st.floats(0.0, 1.0))
+@given(text=trace_files(), at=st.floats(0.0, 1.0))
 def test_load_matches_the_line_iterated_oracle(tmp_path_factory, text, at):
-    # parsing the body from the file's name gives the table or the message
-    # that parsing it line by line from the open handle gave, also when a
-    # byte cannot be decoded
+    # a file with a byte that cannot be decoded, which only the
+    # line-iterated reader reads as the package does: the same table or
+    # the same message
     path = tmp_path_factory.getbasetemp() / "chunked_trace.csv"
     path.write_bytes(with_a_bad_byte(text.encode(), at))
     with line_iterated():

@@ -180,6 +180,23 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv")
     assert "the following arguments are required: --trace" in capsys.readouterr().err
+    # each logged download, replayed through --trace from the clock the
+    # session formed, must deliver its size within a relative 1e-9: epoch 5's
+    # download stretched by 1e-12 does, by 1e-6 does not, and on another trace
+    # some epoch does not; the error names the log, that epoch and the trace
+    fine = tmp_path / "fine.csv"
+    assert run_cli("gen", "trace", "--duration", 900, "--step", 0.1, "--seed", 7, "--out", fine) == 0
+    records = session.read_log_csv(out / "session_rb.csv")
+    log = tmp_path / "stretched.csv"
+    for gap, on, epoch in [(1e-12, trace, None), (1e-6, trace, "5"), (0.0, fine, r"\d+")]:
+        stretched = records[4]._replace(download_s=records[4].download_s * (1 + gap))
+        session.export_log_csv([*records[:4], stretched, *records[5:]], log)
+        capsys.readouterr()
+        assert run_cli("benchmark", "--manifest", manifest, "--trace", on, "--log", log) == (epoch is not None)
+        assert epoch is None or re.fullmatch(
+            rf"abrsim: error: {re.escape(str(log))}: epoch {epoch} did not run on trace {re.escape(str(on))}: "
+            r"its download of \S+ s from \S+ s delivers \S+ kbit there, not its size_kbit \S+\n",
+            capsys.readouterr().err)
 
 
 def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
@@ -620,7 +637,7 @@ def test_compare_rejects_removed_utility_rate_scale(tmp_path, capsys):
 def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
-    for beta in ("0.3", float("nan"), float("inf"), 0, 1.5):
+    for beta in ("0.3", float("nan"), float("inf"), 0, 1.5, True):
         cfg["methods"] = [{"abr": "l2a", "beta": beta}]
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "x"
