@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .media import Manifest
-from .session import EpochFeedback, require_positive
+from .channel import require_positive
+from .media import Manifest, require_ladder
+from .session import EpochFeedback
 
 __all__ = [
     "BBPolicy",
@@ -115,10 +116,7 @@ class RBPolicy:
     """Session adapter for the throughput-probe policy."""
 
     def __init__(self, bitrates_kbps):
-        rates = tuple(float(r) for r in bitrates_kbps)
-        if any(a >= b for a, b in zip(rates, rates[1:])):
-            raise ValueError(f"bitrates_kbps must be strictly increasing, got {rates!r}")
-        self.bitrates_kbps = rates
+        self.bitrates_kbps = rates = require_ladder(bitrates_kbps)
         self._up_thresholds_kbps = tuple((1.0 + RB_DEADZONE) * r for r in rates)
         self.state = RBState()
 

@@ -1,5 +1,7 @@
 """Channel rate process: trace files, a two-state synthetic generator, trace
 concatenation, and the slot clock (a trace's mean rate per content slot).
+Also the checks of a positive number and of an integer argument, which the
+modules above it share.
 
 A trace is a piecewise-constant bandwidth profile; ``session.run_session``
 drains each segment's bits through it (the fluid model), so the realized
@@ -52,6 +54,22 @@ _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 class TraceError(ValueError):
     """Malformed trace file."""
+
+
+def require_positive(name: str, value):
+    """``value`` if it is a positive finite real number and not a bool, else a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def require_count(name: str, value, least: int = 1):
+    """``value`` if it is an integer of at least ``least`` and not a bool, else
+    a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -316,9 +334,9 @@ def generate_markovian(
         raise ValueError(f"p_transition must be in (0, 1), got {p_transition}")
     if not 0.0 < low_kbps < high_kbps < math.inf:
         raise ValueError("need 0 < low_kbps < high_kbps < inf")
-    for name, value in (("duration_s", duration_s), ("step_s", step_s)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    require_positive("duration_s", duration_s)
+    require_positive("step_s", step_s)
+    require_count("seed", seed, 0)
     n = max(1, math.ceil(duration_s / step_s))
     rng = np.random.default_rng(seed)
     flips = rng.random(n - 1) < p_transition
@@ -339,11 +357,8 @@ def slot_clock(trace: ChannelTrace, segment_duration_s: float, num_slots: int) -
     positive and finite, or a slot count that is not an integer >= 0, is a
     ValueError naming it.
     """
-    v = segment_duration_s
-    if not (isinstance(v, numbers.Real) and 0.0 < v < math.inf):
-        raise ValueError(f"segment_duration_s must be positive and finite, got {v!r}")
-    if isinstance(num_slots, bool) or not (isinstance(num_slots, numbers.Integral) and num_slots >= 0):
-        raise ValueError(f"num_slots must be an integer >= 0, got {num_slots!r}")
+    v = require_positive("segment_duration_s", segment_duration_s)
+    require_count("num_slots", num_slots, 0)
     edges = np.arange(num_slots + 1) * float(v)
     kbit, first, last = _fluid_kbit(trace, edges[:-1], edges[1:])
     return np.where(first == last, trace.throughputs_kbps[first], kbit / v)

@@ -44,7 +44,9 @@ from functools import reduce
 from operator import add, mul
 from typing import Sequence
 
-from .session import EpochFeedback, require_count, require_positive
+from .channel import require_count, require_positive
+from .media import require_ladder
+from .session import EpochFeedback
 from .simplex import _shift
 
 __all__ = [
@@ -192,7 +194,8 @@ class L2APolicy:
     constants of ``l2a_decide``, one tuple, so they are fixed once the
     policy is built; the class has slots, so assigning any of them
     afterwards is an AttributeError.  The first state puts all mass on the
-    lowest quality.
+    lowest quality.  A ladder that is not strictly increasing, or a rung
+    that is not positive and finite, is a ValueError, as for ``RBPolicy``.
     """
 
     __slots__ = ("bitrates_kbps", "state", "_decide_constants", "_last_quality")
@@ -203,7 +206,7 @@ class L2APolicy:
         require_count("horizon_t", horizon_t)
         v_l = float(horizon_t) ** (1.0 - EPSILON / 2.0)
         alpha = v_l * math.sqrt(horizon_t)
-        self.bitrates_kbps = tuple(float(r) for r in bitrates_kbps)
+        self.bitrates_kbps = require_ladder(bitrates_kbps)
         segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
         b_max_s = float(require_positive("b_max_s", b_max_s))
         n = len(self.bitrates_kbps)

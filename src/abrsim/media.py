@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import require_count
+
 __all__ = [
     "Manifest",
     "ManifestError",
@@ -21,6 +23,18 @@ __all__ = [
 
 class ManifestError(ValueError):
     """Malformed manifest input or broken ladder invariant."""
+
+
+def require_ladder(bitrates_kbps) -> tuple[float, ...]:
+    """The ladder as a tuple of floats if it is strictly increasing and every
+    rung is positive and finite, else a ValueError naming ``bitrates_kbps``:
+    the rule a policy's search of its ladder rests on."""
+    rates = tuple(float(r) for r in bitrates_kbps)
+    if any(a >= b for a, b in zip(rates, rates[1:])):
+        raise ValueError(f"bitrates_kbps must be strictly increasing, got {rates!r}")
+    if not all(0.0 < r < math.inf for r in rates):
+        raise ValueError(f"bitrates_kbps must be positive and finite, got {rates!r}")
+    return rates
 
 
 @dataclass
@@ -189,6 +203,7 @@ def synthesize_manifest(
         raise ValueError(f"vbr_jitter must be in [0, 0.5), got {vbr_jitter}")
     if num_segments < 0:
         raise ValueError("num_segments must be non-negative")
+    require_count("seed", seed, 0)
     rates = np.asarray(bitrates_kbps, dtype=float)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-vbr_jitter, vbr_jitter, size=(num_segments, rates.size))

@@ -26,8 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .channel import require_count, require_positive
 from .media import Manifest
-from .session import EpochRecord, require_count, require_positive
+from .session import EpochRecord
 
 __all__ = [
     "BenchmarkSolution",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .channel import ChannelTrace, parse_csv_rows, read_csv_table
+from .channel import ChannelTrace, parse_csv_rows, read_csv_table, require_count, require_positive
 from .media import Manifest
 
 __all__ = [
@@ -146,21 +145,6 @@ class ScriptedPolicy:
 
     def decide(self, feedback: EpochFeedback | None) -> int:
         return next(self._it)
-
-
-def require_positive(name: str, value):
-    """``value`` if it is a positive finite real number and not a bool, else a
-    ValueError naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def require_count(name: str, value):
-    """``value`` if it is an integer of at least 1, else a ValueError naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def run_session(

@@ -12,6 +12,7 @@ from abrsim import (
     BBPolicy,
     BBState,
     EpochFeedback,
+    L2APolicy,
     Manifest,
     RBPolicy,
     RBState,
@@ -116,11 +117,28 @@ def test_rb_decisions_in_range_and_deterministic():
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("ladder", [(1000.0, 1000.0, 4000.0), (1000.0, 4000.0, 2000.0), (4000.0, 1000.0)])
-def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder):
-    # rb_decide bisects the ladder
-    with pytest.raises(ValueError, match=re.escape(f"bitrates_kbps must be strictly increasing, got {ladder!r}")):
-        RBPolicy(ladder)
+@pytest.mark.parametrize(
+    "ladder, rule",
+    [
+        ((1000.0, 1000.0, 4000.0), "strictly increasing"),
+        ((1000.0, 4000.0, 2000.0), "strictly increasing"),
+        ((4000.0, 1000.0), "strictly increasing"),
+        # L2A's first omega, all mass on the 3000 kbps rung, once mapped to 3
+        ((3000.0, 1000.0, 2000.0), "strictly increasing"),
+        ((1000.0, 0.0), "strictly increasing"),
+        ((0.0, 1000.0), "positive and finite"),
+        ((math.nan, 1000.0), "positive and finite"),
+        ((1000.0, math.inf), "positive and finite"),
+    ],
+    ids=[f"ladder{i}" for i in range(8)],
+)
+def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder, rule):
+    # rb_decide and L2A's map to a quality both bisect the ladder, so each
+    # policy takes only a ladder of positive, finite, strictly increasing rungs
+    message = f"^{re.escape(f'bitrates_kbps must be {rule}, got {ladder!r}')}$"
+    for build in (RBPolicy, lambda rates: L2APolicy(rates, 2.0, 20.0, 100)):
+        with pytest.raises(ValueError, match=message):
+            build(ladder)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -400.0])

@@ -550,6 +550,9 @@ def test_markovian_validation():
             generate_markovian(bad, 750, 23000, 0.05)
         with pytest.raises(ValueError, match=rf"step_s must be positive and finite, got {bad!r}"):
             generate_markovian(100, 750, 23000, 0.05, step_s=bad)
+    # a bool is not a length of time: True once built a one-sample trace
+    with pytest.raises(ValueError, match="^duration_s must be positive and finite, got True$"):
+        generate_markovian(True, 750, 23000, 0.05, step_s=True)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +725,7 @@ def test_slot_clock_past_the_trace_end_takes_the_last_rate():
     (math.nan, 5, "segment_duration_s must be positive and finite, got nan"),
     (2.0, -1, "num_slots must be an integer >= 0, got -1"),
     (2.0, 2.5, "num_slots must be an integer >= 0, got 2.5"),
+    (True, 3, "segment_duration_s must be positive and finite, got True"),
 ])
 def test_slot_clock_rejects_a_bad_slot_duration_or_count(v, slots, expected):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +91,7 @@ def test_run_flags_one_hot_series_only_for_index_policies(assets, tmp_path):
     assert "one-hot-omega" not in flags["l2a"]
 
 
-def test_run_live_scenario_bmax(assets, tmp_path):
+def test_run_live_scenario_bmax(assets, tmp_path, capsys):
     manifest, trace = assets
     out = tmp_path / "live"
     assert (
@@ -100,6 +104,15 @@ def test_run_live_scenario_bmax(assets, tmp_path):
     records = session.read_log_csv(out / "session_bb.csv")
     assert len(records) == 60
     assert all(rec.buffer_after_s <= 20.0 for rec in records)
+    # a segment longer than the live bound cannot be buffered: rejected
+    # before the session starts and before any output
+    long_segments = tmp_path / "manifest-v30.json"
+    assert run_cli("gen", "manifest", "--segments", 10, "--segment-duration", 30, "--out", long_segments) == 0
+    capsys.readouterr()
+    out = tmp_path / "live-v30"
+    assert run_cli("run", "--manifest", long_segments, "--trace", trace, "--scenario", "live", "--out", out) == 1
+    assert capsys.readouterr().err == "abrsim: error: b_max_s smaller than the segment duration\n"
+    assert not out.exists()
 
 
 def test_run_rejects_another_policys_flags(assets, tmp_path, capsys):
@@ -199,18 +212,46 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
             capsys.readouterr().err)
 
 
-def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
-    manifest, trace = assets
+def truncated_log(manifest, trace, tmp_path):
+    """An rb log of a run on ``trace`` that ends inside its 30th row, after
+    its C_kbps field."""
     out = tmp_path / "out"
     assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
     lines = (out / "session_rb.csv").read_text().splitlines()
     log = tmp_path / "truncated.csv"
-    # the file ends inside the 30th row, after its C_kbps field
     log.write_text("\n".join(lines[:30]) + "\n" + ",".join(lines[30].split(",")[:5]))
+    return log
+
+
+def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
+    manifest, trace = assets
+    log = truncated_log(manifest, trace, tmp_path)
+    capsys.readouterr()
     assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log) == 1
     assert capsys.readouterr().err == (
         f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
     )
+
+
+def test_the_entry_point_is_main_and_a_process_fails_with_one_line(assets, tmp_path):
+    # the installed abrsim script calls the [project.scripts] entry point
+    # (read with a regex: Python 3.10 has no tomllib); in a process of its
+    # own, main's exit status is the process's, and an input error is one
+    # line of stderr with no traceback
+    root = Path(__file__).resolve().parents[1]
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", (root / "pyproject.toml").read_text(),
+                        re.M | re.S)
+    assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts.group(1), re.M) == [("abrsim", "abrsim.cli:main")]
+    manifest, trace = assets
+    log = truncated_log(manifest, trace, tmp_path)
+    path = os.pathsep.join([str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "abrsim.cli", "benchmark", "--manifest", str(manifest), "--trace", str(trace),
+         "--log", str(log)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
 
 
 @pytest.mark.parametrize("which", ["zero", "above-top"])
@@ -232,7 +273,7 @@ def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, caps
     assert capsys.readouterr().err == f"abrsim: error: epoch 5: quality index {bad_x} outside 1..{n}\n"
 
 
-@pytest.mark.parametrize("column", ["x_t", "size_kbit"])
+@pytest.mark.parametrize("column", ["x_t", "size_kbit", "size_kbit-before-x_t-0"])
 def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_path, capsys, column):
     manifest, trace = assets
     out = tmp_path / "out"
@@ -249,6 +290,11 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
         fields[3] = repr(float(fields[3]) + 1.0)
         expected = f"epoch 5: size_kbit is {fields[3]}; the manifest's size at x_t={fields[1]}"
     lines[5] = ",".join(fields)
+    if column == "size_kbit-before-x_t-0":
+        # a quality index off the ladder at epoch 9 too: the first fault in
+        # epoch order is the one named
+        later = lines[9].split(",")
+        lines[9] = ",".join([later[0], "0", *later[2:]])
     bad = tmp_path / "mismatch.csv"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -265,8 +311,10 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
         (["gen", "trace", "--duration", "inf"], "duration_s must be positive and finite, got inf"),
         (["gen", "trace", "--duration", "60", "--step", "nan"], "step_s must be positive and finite, got nan"),
         (["gen", "trace", "--duration", "60", "--step", "inf"], "step_s must be positive and finite, got inf"),
+        # numpy's own "expected non-negative integer" named no flag
+        (["gen", "trace", "--duration", "60", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ],
-    ids=["duration-inf", "step-nan", "step-inf"],
+    ids=["duration-inf", "step-nan", "step-inf", "seed-negative"],
 )
 def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
     assert run_cli(*argv, "--out", tmp_path / "trace.csv") == 1
@@ -469,7 +517,7 @@ def test_compare_rejects_unknown_config_key(tmp_path, capsys):
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert repr(key) in err and "(expected scenario, tau, seed," in err
+        assert f"unknown config keys {key!r} (expected scenario, tau, seed," in err
         assert not out.exists()
 
 
@@ -512,9 +560,13 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
          "key 'duration_s' in the traces 'generate' block is out of the float range"),
         ("traces", "count", float("inf"),
          "key 'count' in the traces 'generate' block must be an integer, got inf"),
+        # the first trace's seed, and the manifest's
+        (None, "seed", -1, "seed must be an integer >= 0, got -1"),
+        ("manifest", "seed", -1, "seed must be an integer >= 0, got -1"),
     ],
     ids=["tau-fraction", "tau-bool", "seed-fraction", "seed-string",
-         "segments-fraction", "jitter-bool", "duration-string", "duration-huge", "count-inf"],
+         "segments-fraction", "jitter-bool", "duration-string", "duration-huge", "count-inf",
+         "seed-negative", "manifest-seed-negative"],
 )
 def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value, expected):
     # each was once truncated, read as 1 or 0, or failed with a message that named no field

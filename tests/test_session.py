@@ -395,9 +395,11 @@ def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
         (lambda f: ["3"] + f[1:5] + ["nan"] + f[6:], "column t is '3'; expected epoch 2"),
         (lambda f: f[:4] + ["x"] + f[5:8] + ["2", "inf"], "column C_kbps: 'x' is not a number"),
         (lambda f: f[:8] + ["2", "inf"], "column stall is '2'; expected 0 or 1"),
+        # a digit separator, which Python's float() reads and numpy's grammar does not
+        (lambda f: f[:3] + ["1_000"] + f[4:], "column size_kbit: '1_000' is not a number"),
     ],
     ids=["short", "long", "nan", "inf", "float-t", "word-stall", "stall-2", "skipped-t",
-         "skipped-t-and-nan", "word-rate-and-stall-2", "stall-2-and-inf"],
+         "skipped-t-and-nan", "word-rate-and-stall-2", "stall-2-and-inf", "digit-separator"],
 )
 def test_log_csv_rejects_malformed_row(tmp_path, edit, message):
     man = synthesize_manifest(3, (370, 750), 2.0, vbr_jitter=0.1, seed=3)
