@@ -145,8 +145,9 @@ def derive_bb_parameters(
     utilities.  The two parameters are set so these thresholds span from one
     segment of buffer up to a nearly full buffer: the lowest level wins near
     an empty buffer and the top level wins as the buffer approaches b_max.
+    A ladder that ``require_ladder`` rejects is a ManifestError.
     """
-    rates = np.asarray(bitrates_kbps, dtype=float)
+    rates = np.asarray(require_ladder(bitrates_kbps))
     sizes = rates * segment_duration_s
     util = np.log(sizes / sizes[0])
     a = (sizes[1:] * util[:-1] - sizes[:-1] * util[1:]) / (sizes[1:] - sizes[:-1])

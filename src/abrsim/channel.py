@@ -202,7 +202,7 @@ def read_csv_table(path: str | Path, header: tuple[str, ...], parse: dict, fault
         reader = csv.reader(iter(fh.readline, ""))
         try:
             names = next(reader, [])
-        except csv.Error:  # a NUL byte on Python 3.10, or a field past csv's limit
+        except csv.Error:  # a field past csv's limit
             names = []
         if strip_header:
             names = [h.strip() for h in names]
@@ -289,8 +289,7 @@ def _chunked_name(path, fh) -> str | None:
 def _row(body: list[str], i: int, header_lines: int = 1) -> tuple[int, str]:
     """The line and the text of row ``i`` of ``body``, the lines after the
     header's ``header_lines``, as ``csv.reader`` counts rows and lines."""
-    # Python 3.10's csv rejects a NUL byte, which ends no field and no row
-    reader = csv.reader(line.replace("\0", " ") for line in body)
+    reader = csv.reader(body)
     start = 0
     for fields in reader:
         if fields:
@@ -301,12 +300,9 @@ def _row(body: list[str], i: int, header_lines: int = 1) -> tuple[int, str]:
 
 
 def _fields(text: str) -> list[str]:
-    """The fields ``csv.reader`` splits the row ``text`` into; as Python
-    3.10's csv rejects a NUL byte, a character the text does not hold stands
-    in for it.  A field longer than ``_SHOWN_CHARS`` is a ``_LongField``."""
-    stand_in = next(c for c in map(chr, range(0xE000, 0xE001 + len(text))) if c not in text)
-    fields = [f.replace(stand_in, "\0") for f in next(csv.reader([text.replace("\0", stand_in)]))]
-    return [_LongField(f) if len(f) > _SHOWN_CHARS else f for f in fields]
+    """The fields ``csv.reader`` splits the row ``text`` into.  A field longer
+    than ``_SHOWN_CHARS`` is a ``_LongField``."""
+    return [_LongField(f) if len(f) > _SHOWN_CHARS else f for f in next(csv.reader([text]))]
 
 
 class _LongField(str):
@@ -332,8 +328,10 @@ def generate_markovian(
     """
     if not 0.0 < p_transition < 1.0:
         raise ValueError(f"p_transition must be in (0, 1), got {p_transition}")
-    if not 0.0 < low_kbps < high_kbps < math.inf:
-        raise ValueError("need 0 < low_kbps < high_kbps < inf")
+    require_positive("low_kbps", low_kbps)
+    require_positive("high_kbps", high_kbps)
+    if not low_kbps < high_kbps:
+        raise ValueError(f"low_kbps must be below high_kbps, got {low_kbps!r} and {high_kbps!r}")
     require_positive("duration_s", duration_s)
     require_positive("step_s", step_s)
     require_count("seed", seed, 0)

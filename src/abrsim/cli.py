@@ -568,7 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, media.ManifestError, channel.TraceError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"abrsim: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # an input that asks for more than the host has

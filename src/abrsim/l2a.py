@@ -194,8 +194,8 @@ class L2APolicy:
     constants of ``l2a_decide``, one tuple, so they are fixed once the
     policy is built; the class has slots, so assigning any of them
     afterwards is an AttributeError.  The first state puts all mass on the
-    lowest quality.  A ladder that is not strictly increasing, or a rung
-    that is not positive and finite, is a ValueError, as for ``RBPolicy``.
+    lowest quality.  A ladder that ``media.require_ladder`` rejects is a
+    ManifestError with a ``Manifest``'s message, as for ``RBPolicy``.
     """
 
     __slots__ = ("bitrates_kbps", "state", "_decide_constants", "_last_quality")

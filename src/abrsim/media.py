@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -26,14 +27,23 @@ class ManifestError(ValueError):
 
 
 def require_ladder(bitrates_kbps) -> tuple[float, ...]:
-    """The ladder as a tuple of floats if it is strictly increasing and every
-    rung is positive and finite, else a ValueError naming ``bitrates_kbps``:
-    the rule a policy's search of its ladder rests on."""
-    rates = tuple(float(r) for r in bitrates_kbps)
-    if any(a >= b for a, b in zip(rates, rates[1:])):
-        raise ValueError(f"bitrates_kbps must be strictly increasing, got {rates!r}")
-    if not all(0.0 < r < math.inf for r in rates):
-        raise ValueError(f"bitrates_kbps must be positive and finite, got {rates!r}")
+    """The ladder as a tuple of floats if it has at least two levels and each
+    is a number, positive and finite, in strictly increasing order, else a
+    ManifestError naming ``bitrates_kbps`` and the level: the rule of every
+    manifest's ladder, and the one a policy's search of its ladder rests on."""
+    rates = _convert("bitrates_kbps", "a list of numbers", list, bitrates_kbps)
+    if not _numbers(rates):
+        n = next(n for n, rate in enumerate(rates) if not _is_number(type(rate)))
+        raise ManifestError(f"bitrates_kbps must be a list of numbers: level {n + 1} is {rates[n]!r}")
+    rates = _convert("bitrates_kbps", "a list of numbers", lambda rs: tuple(map(float, rs)), rates)
+    if len(rates) < 2:
+        raise ManifestError("need at least two quality levels")
+    for n, rate in enumerate(rates):
+        if not 0 < rate < math.inf:
+            raise ManifestError(f"bitrates_kbps: level {n + 1} is {rate!r}; rates must be positive and finite")
+        if n and rate <= rates[n - 1]:
+            raise ManifestError(f"bitrate ladder not strictly increasing at level {n + 1}"
+                                f" ({rate:g} kbps after {rates[n - 1]:g} kbps)")
     return rates
 
 
@@ -45,8 +55,11 @@ class Manifest:
     a duration in seconds with no conversion factor.  Rows of
     ``segment_sizes_kbit`` are segments (t = 1..T in the public API, T >= 1),
     columns are quality levels (n = 1..N, strictly increasing target bitrate),
-    and every row is non-decreasing left to right.  Instances are treated as
-    immutable after construction and are safe to share between sessions.
+    and every row is non-decreasing left to right.  The duration, every
+    bitrate and every size must be a number: a string, a bool or a None
+    where one belongs is an error that names the field and, for a bitrate,
+    its level or, for a size, its segment and level.  Instances are treated
+    as immutable after construction and are safe to share between sessions.
     """
 
     segment_duration_s: float
@@ -60,30 +73,22 @@ class Manifest:
     _sizes_view: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        duration = _convert("segment_duration_s", "a number", float, self.segment_duration_s)
-        if not 0 < duration < math.inf:
-            raise ManifestError(
-                f"segment_duration_s is {duration!r}; it must be positive and finite"
-            )
-        self.segment_duration_s = duration
-        rates = _convert("bitrates_kbps", "a list of numbers",
-                         lambda rs: tuple(float(r) for r in rs), self.bitrates_kbps)
-        if len(rates) < 2:
-            raise ManifestError("need at least two quality levels")
-        for n, rate in enumerate(rates):
-            if not 0 < rate < math.inf:
-                raise ManifestError(
-                    f"bitrates_kbps: level {n + 1} is {rate!r}; rates must be positive and finite"
-                )
-            if n and rate <= rates[n - 1]:
-                raise ManifestError(
-                    f"bitrate ladder not strictly increasing at level {n + 1} "
-                    f"({rates[n]:g} kbps after {rates[n - 1]:g} kbps)"
-                )
-        self.bitrates_kbps = rates
+        self.segment_duration_s = _require_duration(self.segment_duration_s)
+        self.bitrates_kbps = rates = require_ladder(self.bitrates_kbps)
 
+        # a numeric array passes on its dtype, and a field of another shape
+        # than a list of rows is left to the shape check
+        rows = self.segment_sizes_kbit
+        if isinstance(rows, np.ndarray) and rows.dtype.kind not in "iuf":
+            rows = rows.tolist()
+        if (isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {list, tuple, np.ndarray}
+                and not _numbers(chain.from_iterable(rows))):
+            t, n = next((t, n) for t, row in enumerate(rows) for n, size in enumerate(row)
+                        if not _is_number(type(size)))
+            raise ManifestError(f"segment_sizes_kbit must be a matrix of numbers:"
+                                f" segment {t + 1}, level {n + 1} is {rows[t][n]!r}")
         sizes = _convert("segment_sizes_kbit", "a matrix of numbers",
-                         lambda rows: np.array(rows, dtype=float), self.segment_sizes_kbit)
+                         lambda rows: np.array(rows, dtype=float), rows)
         if sizes.ndim and not len(sizes):
             raise ManifestError("segment_sizes_kbit holds no segments; a manifest needs at least one")
         if sizes.ndim != 2 or sizes.shape[1] != len(rates):
@@ -133,38 +138,33 @@ def _convert(name: str, kind: str, convert, value):
         raise ManifestError(f"{name} must be {kind}: {exc}") from exc
 
 
-# the types json gives a JSON number; a bool is not one, though numpy reads it as 1 or 0
-_NUMBER_TYPES = {int, float}
+def _is_number(kind: type) -> bool:
+    """Whether a value of type ``kind`` is a number; a bool is not one,
+    though numpy reads it as 1 or 0."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
-def _require_json_numbers(doc: dict) -> None:
-    """Raise a ManifestError naming the first entry of the manifest ``doc``
-    where a number belongs that is not a JSON number.  The types are checked
-    as sets, so a manifest of numbers passes with no Python loop per entry;
-    a field of another shape is left to ``Manifest`` to reject."""
-    duration = doc["segment_duration_s"]
-    if type(duration) not in _NUMBER_TYPES:
-        raise ManifestError(f"segment_duration_s must be a number, got {duration!r}")
-    rates = doc["bitrates_kbps"]
-    if isinstance(rates, list) and not set(map(type, rates)) <= _NUMBER_TYPES:
-        n = next(n for n, rate in enumerate(rates) if type(rate) not in _NUMBER_TYPES)
-        raise ManifestError(f"bitrates_kbps must be a list of numbers: level {n + 1} is {rates[n]!r}")
-    rows = doc["segment_sizes_kbit"]
-    if (isinstance(rows, list) and set(map(type, rows)) <= {list}
-            and not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
-        t, n = next((t, n) for t, row in enumerate(rows) for n, size in enumerate(row)
-                    if type(size) not in _NUMBER_TYPES)
-        raise ManifestError(f"segment_sizes_kbit must be a matrix of numbers:"
-                            f" segment {t + 1}, level {n + 1} is {rows[t][n]!r}")
+def _numbers(values) -> bool:
+    """Whether every one of ``values`` is a number.  The types are checked as
+    a set, so values of a few types pass with no Python loop per value."""
+    return all(map(_is_number, set(map(type, values))))
+
+
+def _require_duration(segment_duration_s) -> float:
+    """The segment duration as a float if it is a number, positive and
+    finite, else a ManifestError naming ``segment_duration_s``."""
+    if not _is_number(type(segment_duration_s)):
+        raise ManifestError(f"segment_duration_s must be a number, got {segment_duration_s!r}")
+    duration = _convert("segment_duration_s", "a number", float, segment_duration_s)
+    if not 0 < duration < math.inf:
+        raise ManifestError(f"segment_duration_s is {duration!r}; it must be positive and finite")
+    return duration
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Load a manifest JSON file and validate every ladder invariant.
 
-    Every error is a ManifestError naming the file and the field.  Every
-    number must be a JSON number: a string, a bool or a null where one is
-    expected is an error that names the field and, for a bitrate, its level
-    or, for a size, its segment and level.
+    Every error is a ManifestError naming the file and the field.
     """
     try:
         with open(path) as fh:
@@ -172,7 +172,6 @@ def load_manifest(path: str | Path) -> Manifest:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     try:
-        _require_json_numbers(doc)
         return Manifest(
             segment_duration_s=doc["segment_duration_s"],
             bitrates_kbps=doc["bitrates_kbps"],
@@ -199,17 +198,18 @@ def synthesize_manifest(
     value still lies within the jitter band of its own level).  Jitter 0
     yields an exact CBR matrix.  Deterministic for a fixed seed.
     """
-    if not 0.0 <= vbr_jitter < 0.5:
-        raise ValueError(f"vbr_jitter must be in [0, 0.5), got {vbr_jitter}")
-    if num_segments < 0:
-        raise ValueError("num_segments must be non-negative")
+    if not (_is_number(type(vbr_jitter)) and 0.0 <= vbr_jitter < 0.5):
+        raise ValueError(f"vbr_jitter must be in [0, 0.5), got {vbr_jitter!r}")
+    require_count("num_segments", num_segments, 0)
     require_count("seed", seed, 0)
-    rates = np.asarray(bitrates_kbps, dtype=float)
+    duration = _require_duration(segment_duration_s)
+    ladder = require_ladder(bitrates_kbps)
+    rates = np.asarray(ladder)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-vbr_jitter, vbr_jitter, size=(num_segments, rates.size))
-    sizes = rates * segment_duration_s * (1.0 + noise)
+    sizes = rates * duration * (1.0 + noise)
     sizes = np.maximum.accumulate(sizes, axis=1)
-    return Manifest(float(segment_duration_s), tuple(rates), sizes)
+    return Manifest(duration, ladder, sizes)
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:

@@ -1,4 +1,3 @@
-import csv
 import os
 
 import numpy as np
@@ -27,22 +26,6 @@ def assert_buffer_law(history, b_max_s: float) -> None:
 def count_switches(history) -> int:
     xs = [rec.x for rec in history]
     return sum(1 for i in range(1, len(xs)) if xs[i] != xs[i - 1])
-
-
-def reject_nul_as_python_3_10(monkeypatch) -> None:
-    """Make ``csv.reader`` raise on a line that holds a NUL byte, as it does
-    on Python 3.10 (3.11 reads NUL as an ordinary character)."""
-    reader = csv.reader
-
-    def reader_3_10(lines, *args, **kwargs):
-        def checked():
-            for line in lines:
-                if "\0" in line:
-                    raise csv.Error("line contains NUL")
-                yield line
-        return reader(checked(), *args, **kwargs)
-
-    monkeypatch.setattr(csv, "reader", reader_3_10)
 
 
 def record_parses(monkeypatch) -> list:

@@ -14,6 +14,7 @@ from abrsim import (
     EpochFeedback,
     L2APolicy,
     Manifest,
+    ManifestError,
     RBPolicy,
     RBState,
     SessionConfig,
@@ -118,26 +119,34 @@ def test_rb_decisions_in_range_and_deterministic():
 
 
 @pytest.mark.parametrize(
-    "ladder, rule",
+    "ladder, message",
     [
-        ((1000.0, 1000.0, 4000.0), "strictly increasing"),
-        ((1000.0, 4000.0, 2000.0), "strictly increasing"),
-        ((4000.0, 1000.0), "strictly increasing"),
+        ((1000.0, 1000.0, 4000.0), "bitrate ladder not strictly increasing at level 2 (1000 kbps after 1000 kbps)"),
+        ((1000.0, 4000.0, 2000.0), "bitrate ladder not strictly increasing at level 3 (2000 kbps after 4000 kbps)"),
+        ((4000.0, 1000.0), "bitrate ladder not strictly increasing at level 2 (1000 kbps after 4000 kbps)"),
         # L2A's first omega, all mass on the 3000 kbps rung, once mapped to 3
-        ((3000.0, 1000.0, 2000.0), "strictly increasing"),
-        ((1000.0, 0.0), "strictly increasing"),
-        ((0.0, 1000.0), "positive and finite"),
-        ((math.nan, 1000.0), "positive and finite"),
-        ((1000.0, math.inf), "positive and finite"),
+        ((3000.0, 1000.0, 2000.0), "bitrate ladder not strictly increasing at level 2 (1000 kbps after 3000 kbps)"),
+        ((1000.0, 0.0), "bitrates_kbps: level 2 is 0.0; rates must be positive and finite"),
+        ((0.0, 1000.0), "bitrates_kbps: level 1 is 0.0; rates must be positive and finite"),
+        ((math.nan, 1000.0), "bitrates_kbps: level 1 is nan; rates must be positive and finite"),
+        ((1000.0, math.inf), "bitrates_kbps: level 2 is inf; rates must be positive and finite"),
+        # an empty or one-rung ladder once ended in an IndexError in L2A and bb
+        ((), "need at least two quality levels"),
+        ((1000.0,), "need at least two quality levels"),
+        # float() once read True as 1 kbps and "370" as 370 kbps
+        ((True, 2000.0), "bitrates_kbps must be a list of numbers: level 1 is True"),
+        (("370", "750"), "bitrates_kbps must be a list of numbers: level 1 is '370'"),
     ],
-    ids=[f"ladder{i}" for i in range(8)],
+    ids=[f"ladder{i}" for i in range(12)],
 )
-def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder, rule):
-    # rb_decide and L2A's map to a quality both bisect the ladder, so each
-    # policy takes only a ladder of positive, finite, strictly increasing rungs
-    message = f"^{re.escape(f'bitrates_kbps must be {rule}, got {ladder!r}')}$"
-    for build in (RBPolicy, lambda rates: L2APolicy(rates, 2.0, 20.0, 100)):
-        with pytest.raises(ValueError, match=message):
+def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder, message):
+    # rb_decide, bb's cap and L2A's map to a quality all bisect the ladder,
+    # so each takes only a manifest's ladder, and rejects any other with the
+    # manifest's message
+    builds = (RBPolicy, lambda rates: L2APolicy(rates, 2.0, 20.0, 100),
+              lambda rates: derive_bb_parameters(rates, 2.0, 20.0))
+    for build in builds:
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             build(ladder)
 
 

@@ -26,8 +26,7 @@ from abrsim import (
 from abrsim.channel import _DECOMPRESSED_SUFFIXES, FLOOR_KBPS
 from abrsim.session import LOG_COLUMNS
 
-from conftest import (constant_trace, csv_text, load_outcome, read_outcome, record_parses,
-                      reject_nul_as_python_3_10, with_a_bad_byte)
+from conftest import constant_trace, csv_text, load_outcome, read_outcome, record_parses, with_a_bad_byte
 from csv_oracle import line_iterated
 from session_oracle import download
 
@@ -306,8 +305,8 @@ def test_load_reads_a_header_quoted_across_a_line_break_as_csv_does(tmp_path, mo
 
 
 def test_load_reports_a_bad_row_before_one_with_a_nul_byte(tmp_path):
-    # the failure path counts the rows of the whole file with csv, whose
-    # reader rejects a NUL byte on Python 3.10
+    # the failure path counts the rows of the whole file with csv, which
+    # reads a NUL byte as an ordinary character
     path = _write(tmp_path, ["0,5000", "1,inf", "2,6\x000"])
     with pytest.raises(TraceError) as info:
         load_trace(path)
@@ -337,7 +336,6 @@ def test_load_describes_a_row_with_a_field_past_csv_limit(tmp_path, rows, expect
     assert csv.field_size_limit() == limit
 
 
-@pytest.mark.parametrize("python", ["3.10", "3.11"])
 @pytest.mark.parametrize(
     "rows, header, expected",
     [
@@ -346,11 +344,8 @@ def test_load_describes_a_row_with_a_field_past_csv_limit(tmp_path, rows, expect
     ],
     ids=["row", "header"],
 )
-def test_load_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, python, rows, header, expected):
-    # Python 3.10's csv rejects NUL: the reader splits the bad row's fields
-    # and the header without giving it one, and keeps the NUL in the message
-    if python == "3.10":
-        reject_nul_as_python_3_10(monkeypatch)
+def test_load_describes_a_nul_byte_on_every_python(tmp_path, rows, header, expected):
+    # csv reads NUL as an ordinary character: the message keeps it
     path = _write(tmp_path, rows, header=header)
     with pytest.raises(TraceError) as info:
         load_trace(path)
@@ -539,12 +534,15 @@ def test_markovian_validation():
         generate_markovian(100, 750, 23000, 0.0)
     with pytest.raises(ValueError):
         generate_markovian(100, 750, 23000, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^low_kbps must be below high_kbps, got 23000 and 750$"):
         generate_markovian(100, 23000, 750, 0.05)
     with pytest.raises(ValueError):
         generate_markovian(100, 750, 23000, 0.05, step_s=0.0)
-    with pytest.raises(ValueError, match="high_kbps < inf"):
+    with pytest.raises(ValueError, match="^high_kbps must be positive and finite, got inf$"):
         generate_markovian(100, 750, np.inf, 0.05)
+    # True once built a trace whose low state was 1 kbps
+    with pytest.raises(ValueError, match="^low_kbps must be positive and finite, got True$"):
+        generate_markovian(10, True, 23000, 0.05)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=rf"duration_s must be positive and finite, got {bad!r}"):
             generate_markovian(bad, 750, 23000, 0.05)

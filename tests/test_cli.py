@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -234,14 +235,12 @@ def test_benchmark_rejects_a_truncated_log(assets, tmp_path, capsys):
 
 
 def test_the_entry_point_is_main_and_a_process_fails_with_one_line(assets, tmp_path):
-    # the installed abrsim script calls the [project.scripts] entry point
-    # (read with a regex: Python 3.10 has no tomllib); in a process of its
-    # own, main's exit status is the process's, and an input error is one
-    # line of stderr with no traceback
+    # the installed abrsim script calls the [project.scripts] entry point;
+    # in a process of its own, main's exit status is the process's, and an
+    # input error is one line of stderr with no traceback
     root = Path(__file__).resolve().parents[1]
-    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", (root / "pyproject.toml").read_text(),
-                        re.M | re.S)
-    assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts.group(1), re.M) == [("abrsim", "abrsim.cli:main")]
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"abrsim": "abrsim.cli:main"}
     manifest, trace = assets
     log = truncated_log(manifest, trace, tmp_path)
     path = os.pathsep.join([str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])

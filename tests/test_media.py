@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_synthesize_invalid_jitter():
         synthesize_manifest(5, (1000, 2000), 2.0, vbr_jitter=-0.1)
 
 
+@pytest.mark.parametrize("args, kwargs, expected", [
+    # a float count once ended in numpy's TypeError
+    ((2.5, (1000.0, 2000.0), 2.0), {}, "num_segments must be an integer >= 0, got 2.5"),
+    # False once built a CBR manifest
+    ((5, (1000.0, 2000.0), 2.0), {"vbr_jitter": False}, "vbr_jitter must be in [0, 0.5), got False"),
+    ((3, ["370", "750"], 2.0), {}, "bitrates_kbps must be a list of numbers: level 1 is '370'"),
+    ((3, (1000.0, 2000.0), True), {}, "segment_duration_s must be a number, got True"),
+], ids=["count-float", "jitter-bool", "rates-strings", "duration-bool"])
+def test_synthesize_rejects_an_argument_by_its_rule(args, kwargs, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        synthesize_manifest(*args, **kwargs)
+
+
 def test_zero_segments_rejected():
     # such a manifest once loaded, and run or compare then failed scoring it
     # with "window k=1 outside 1..0", a message that named neither file nor field
@@ -201,15 +215,27 @@ def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
     ("segment_sizes_kbit", [[2000, 10**400], [2000, 6000]],
      "segment_sizes_kbit must be a matrix of numbers: int too large to convert to float"),
     ("bitrates_kbps", [1000, 10**400], "bitrates_kbps must be a list of numbers: int too large to convert to float"),
+    # in memory, each of these was once read as a number: True as 1 s
+    ("segment_duration_s", True, "segment_duration_s must be a number, got True"),
+    ("bitrates_kbps", ["370", "750"], "bitrates_kbps must be a list of numbers: level 1 is '370'"),
+    ("segment_sizes_kbit", [["1", "2"], [2000, 6000]],
+     "segment_sizes_kbit must be a matrix of numbers: segment 1, level 1 is '1'"),
+    ("segment_sizes_kbit", np.ones((2, 2), dtype=bool),
+     "segment_sizes_kbit must be a matrix of numbers: segment 1, level 1 is True"),
 ], ids=["size-string", "size-bool", "size-null", "rate-string", "rate-bool", "duration-string",
-        "duration-bool", "size-past-float-range", "rate-past-float-range"])
+        "duration-bool", "size-past-float-range", "rate-past-float-range", "duration-true", "rates-strings",
+        "sizes-strings", "size-bool-array"])
 def test_load_rejects_a_number_that_is_not_a_json_number(tmp_path, field, value, expected):
     # numpy once read the size "700.5" as 700.5 and true as 1.0, and the
-    # ladder and the duration were converted with float() the same way
+    # ladder and the duration were converted with float() the same way; a
+    # manifest built in memory obeys the rule as a file does
     good = {"segment_duration_s": 2.0, "bitrates_kbps": [1000, 3000],
             "segment_sizes_kbit": [[2000, 6000], [2000, 6000]]}
+    with pytest.raises(ManifestError) as err:
+        Manifest(**{**good, field: value})
+    assert str(err.value) == expected
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({**good, field: value}))
+    path.write_text(json.dumps({**good, field: value.tolist() if isinstance(value, np.ndarray) else value}))
     with pytest.raises(ManifestError) as err:
         load_manifest(path)
     assert str(err.value) == f"manifest {path}: {expected}"

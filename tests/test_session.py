@@ -32,8 +32,7 @@ from abrsim import (
 
 from abrsim.session import LOG_COLUMNS
 
-from conftest import (assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses,
-                      reject_nul_as_python_3_10, with_a_bad_byte)
+from conftest import assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses, with_a_bad_byte
 from csv_oracle import line_iterated
 from session_oracle import DownloadResult, OracleState, run_oracle, step
 
@@ -495,12 +494,8 @@ def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, mon
     assert opened == [path]
 
 
-@pytest.mark.parametrize("python", ["3.10", "3.11"])
-def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path, monkeypatch, python):
-    # Python 3.10's csv rejects NUL: the reader splits the bad row's fields
-    # without giving it one, and keeps the NUL in the message
-    if python == "3.10":
-        reject_nul_as_python_3_10(monkeypatch)
+def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path):
+    # csv reads NUL as an ordinary character: the message keeps it
     path = tmp_path / "log.csv"
     export_log_csv(closed_form_history("rb")[:3], path)
     lines = path.read_text().splitlines()
