@@ -145,9 +145,12 @@ def derive_bb_parameters(
     utilities.  The two parameters are set so these thresholds span from one
     segment of buffer up to a nearly full buffer: the lowest level wins near
     an empty buffer and the top level wins as the buffer approaches b_max.
-    A ladder that ``require_ladder`` rejects is a ManifestError.
+    A ladder that ``require_ladder`` rejects is a ManifestError, and a
+    duration that ``require_positive`` rejects is a ValueError naming it.
     """
     rates = np.asarray(require_ladder(bitrates_kbps))
+    segment_duration_s = float(require_positive("segment_duration_s", segment_duration_s))
+    b_max_s = float(require_positive("b_max_s", b_max_s))
     sizes = rates * segment_duration_s
     util = np.log(sizes / sizes[0])
     a = (sizes[1:] * util[:-1] - sizes[:-1] * util[1:]) / (sizes[1:] - sizes[:-1])
@@ -213,9 +216,7 @@ class BBPolicy:
     """
 
     def __init__(self, manifest: Manifest, b_max_s: float):
-        self.state = BBState(*derive_bb_parameters(
-            manifest.bitrates_kbps, manifest.segment_duration_s, require_positive("b_max_s", b_max_s)
-        ))
+        self.state = BBState(*derive_bb_parameters(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s))
         # what bb_decide reads of the manifest, fixed for the session; the
         # row of segment t is sliced from the flat size view as run_session
         # slices it

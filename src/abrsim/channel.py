@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import stat
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,9 +58,10 @@ class TraceError(ValueError):
 
 
 def require_positive(name: str, value):
-    """``value`` if it is a positive finite real number and not a bool, else a
-    ValueError naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    """``value`` if it is a positive real number that a float holds finitely
+    and not a bool, else a ValueError naming ``name``: an int past the float
+    range is not finite to any float arithmetic on it."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
@@ -326,8 +328,9 @@ def generate_markovian(
     Starts in the high state; emits one sample per ``step_s`` so transitions
     are independent of segment download durations.  Deterministic per seed.
     """
-    if not 0.0 < p_transition < 1.0:
-        raise ValueError(f"p_transition must be in (0, 1), got {p_transition}")
+    if isinstance(p_transition, bool) or not (isinstance(p_transition, numbers.Real)
+                                              and 0.0 < p_transition < 1.0):
+        raise ValueError(f"p_transition must be in (0, 1), got {p_transition!r}")
     require_positive("low_kbps", low_kbps)
     require_positive("high_kbps", high_kbps)
     if not low_kbps < high_kbps:

@@ -33,9 +33,10 @@ COMPARISON_COLUMNS = (
 )
 CONVERGENCE_COLUMNS = ("t", "regret_rate", "residual1_rate", "residual2_rate")
 SERIES_KEYS = CONVERGENCE_COLUMNS[1:]
-# one convergence row: the epoch, then each series as _fmt writes a float
-# ('%.6g' % v is f"{v:.6g}" for every double, non-finite ones included)
+# one row of each CSV: the epoch or the method, then each value as _fmt writes
+# it ('%.6g' % v is f"{v:.6g}" for every double, non-finite ones included)
 _CONVERGENCE_ROW = "%d,%.6g,%.6g,%.6g\n"
+_COMPARISON_ROW = "%s" + ",%.6g" * (len(COMPARISON_COLUMNS) - 1) + "\n"
 # β is the one policy setting; every other parameter is derived when the policy
 # is built (L2A's v_l and alpha from T, bb's v_b and gamma_p from the ladder and
 # the buffer) or a module constant (L2A's EPSILON, rb's RB_* constants)
@@ -138,17 +139,10 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
     if isinstance(spec, dict) and "generate" in spec:
         g = _generate_block(spec, "manifest")
         where = "the manifest 'generate' block"
-        rates = g["bitrates_kbps"]
-        if not (isinstance(rates, list)
-                and all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in rates)):
-            raise CliError(f"key 'bitrates_kbps' in {where} must be a list of numbers, got {rates!r}")
-        try:
-            rates = [float(r) for r in rates]
-        except OverflowError:  # an int past the float range
-            raise CliError(f"key 'bitrates_kbps' in {where} is out of the float range") from None
+        # the ladder's rule, media.require_ladder, checks bitrates_kbps
         return media.synthesize_manifest(
             _number(g, "num_segments", integral=True, where=where),
-            rates,
+            g["bitrates_kbps"],
             _number(g, "segment_duration_s", where=where),
             vbr_jitter=_number(g, "vbr_jitter", 0.0, where=where),
             seed=_number(g, "seed", seed, integral=True, where=where),
@@ -208,12 +202,7 @@ def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
     return {
         "method": name,
         "trace": trace_name,
-        "avg_bitrate_kbps": float(report.avg_bitrate_kbps),
-        "normalized_avg_bitrate": report.normalized_avg_bitrate,
-        "stability": float(report.stability),
-        "smoothness": float(report.smoothness),
-        "consistency": float(report.consistency),
-        "continuity": float(report.continuity),
+        **{c: float(getattr(report, c)) for c in COMPARISON_COLUMNS[1:]},
         "flags": report.flags + (["one-hot-omega"] if series.one_hot_fallback else []),
         "series": {key: getattr(series, key).tolist() for key in SERIES_KEYS},
         "benchmark": _benchmark_dict(bench),
@@ -227,35 +216,74 @@ def _write_json(doc, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_csv_rows(path: Path, header, rows) -> None:
+def _write_csv(path: Path, columns, row_format: str, rows) -> None:
+    """The header ``columns``, then each of ``rows`` formatted by the ``%``
+    template ``row_format``, written in one call."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(columns) + "\n" + "".join(map(row_format.__mod__, rows)))
 
 
 def _write_convergence(path: Path, series) -> None:
     """One row per epoch of the three rate series, in SERIES_KEYS order,
-    formatted as ``_fmt`` formats them and written in one call."""
+    formatted as ``_fmt`` formats them."""
     columns = [np.asarray(values, dtype=float).tolist() for values in series]
-    rows = zip(range(1, len(columns[0]) + 1), *columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CONVERGENCE_COLUMNS) + "\n" + "".join(map(_CONVERGENCE_ROW.__mod__, rows)))
+    _write_csv(path, CONVERGENCE_COLUMNS, _CONVERGENCE_ROW, zip(range(1, len(columns[0]) + 1), *columns))
 
 
 def _print_metrics(name: str, report: metrics.SessionReport) -> None:
-    print(f"{name}: avg_bitrate={_fmt(report.avg_bitrate_kbps)} kbps"
-          f" normalized={_fmt(report.normalized_avg_bitrate)}"
-          f" stability={_fmt(report.stability)} smoothness={_fmt(report.smoothness)}"
-          f" consistency={_fmt(report.consistency)} continuity={_fmt(report.continuity)}")
+    """One line of ``report``'s metrics, named as the comparison CSV's columns."""
+    print(f"{name}: " + " ".join(f"{c}={_fmt(getattr(report, c))}" for c in COMPARISON_COLUMNS[1:]))
 
 
 # ---------------------------------------------------------------------------
-# compare
+# the evaluation pipeline shared by run and compare
+
+
+def _sessions(manifest: media.Manifest, traces, specs: dict, cfg: session.SessionConfig):
+    """Every session of each method of ``specs`` (name -> method spec, in
+    order) on each of ``traces`` ((name, trace) pairs), yielded one at a
+    time, method by method, as ``(name, trace_name, history, report, bench,
+    series)``: the session's log, its metrics (not yet normalized), its
+    trace's benchmark and its regret and residual series against it.
+
+    One fresh policy per session and one benchmark per trace, the trace's
+    slot clock, are all built and solved before the first session runs, so
+    a bad method or trace fails before any session.  Each failure is a
+    CliError naming the method or the trace.  Only the session being scored
+    holds a log, so a caller that keeps the other fields keeps no log.
+    """
+    b_max = cfg.b_max_s
+    policies = {}
+    for name, spec in specs.items():
+        for trace_name, _ in traces:
+            try:
+                policies[name, trace_name] = build_policy(spec, manifest, b_max, manifest.num_segments)
+            except Exception as exc:
+                raise CliError(f"cannot build method {name!r} for trace {trace_name!r}: {exc}") from exc
+    # every method's regret on a trace is measured against its one benchmark
+    benches = {}
+    for trace_name, trace in traces:
+        try:
+            benches[trace_name] = _slot_benchmark(manifest, trace, manifest.num_segments, b_max)
+        except Exception as exc:
+            raise CliError(f"benchmark failed on trace {trace_name!r}: {exc}") from exc
+    for name in specs:
+        for trace_name, trace in traces:
+            bench = benches[trace_name]
+            try:
+                history = session.run_session(policies.pop((name, trace_name)), cfg, manifest, trace).history
+                series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
+                report = metrics.qoe_metrics(history, manifest, cfg.tau_resume, manifest.duration_s)
+            except Exception as exc:
+                raise CliError(f"session failed for method {name!r} on trace {trace_name!r}: {exc}") from exc
+            yield name, trace_name, history, report, bench, series
 
 
 def run_compare(config: dict, out_dir: Path) -> None:
-    """Run every (method x trace) session, aggregate, and write artifacts."""
+    """Run every (method x trace) session, aggregate, and write artifacts.
+
+    Nothing is written to ``out_dir`` unless every session is scored.
+    """
     unknown = sorted(set(config) - set(CONFIG_KEYS))
     if unknown:
         raise CliError(f"unknown config keys {', '.join(map(repr, unknown))}"
@@ -289,91 +317,35 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
 
-    names = sorted(method_name(m) for m in methods)
-    if len(set(names)) != len(names):
-        raise CliError(f"duplicate method names in config: {names}")
     specs = {method_name(m): m for m in methods}
-    # one fresh policy per session, all built before the first session runs,
-    # so a bad method spec fails before any session or solve
-    policies = {}
-    for name in names:
-        for trace_name, _ in traces:
-            try:
-                policies[name, trace_name] = build_policy(
-                    specs[name], manifest, b_max, manifest.num_segments
-                )
-            except Exception as exc:
-                raise CliError(
-                    f"cannot build method {name!r} for trace {trace_name!r}: {exc}"
-                ) from exc
-
-    # one benchmark per trace, solved before any session: every method's regret
-    # on a trace is measured against it
-    benches = {}
-    for trace_name, trace in traces:
-        try:
-            benches[trace_name] = _slot_benchmark(manifest, trace, manifest.num_segments, b_max)
-        except Exception as exc:
-            raise CliError(f"benchmark failed on trace {trace_name!r}: {exc}") from exc
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sessions_dir = out_dir / "sessions"
-    sessions_dir.mkdir(exist_ok=True)
-
+    if len(specs) != len(methods):
+        raise CliError(f"duplicate method names in config: {sorted(method_name(m) for m in methods)}")
+    specs = dict(sorted(specs.items()))
     # by_method[name] = list of (trace_name, report, benchmark, series), in trace order
-    by_method: dict[str, list] = {n: [] for n in names}
-
-    for name in names:
-        for trace_name, trace in traces:
-            bench = benches[trace_name]
-            try:
-                state = session.run_session(policies.pop((name, trace_name)), sess_cfg, manifest, trace)
-                series = metrics.regret_and_residuals(state.history, manifest, bench,
-                                                      manifest.segment_duration_s, b_max)
-                report = metrics.qoe_metrics(state.history, manifest, tau, manifest.duration_s)
-            except Exception as exc:
-                raise CliError(
-                    f"session failed for method {name!r} on trace {trace_name!r}: {exc}"
-                ) from exc
-            by_method[name].append((trace_name, report, bench, series))
-
+    by_method: dict[str, list] = {name: [] for name in specs}
+    for name, trace_name, _, report, bench, series in _sessions(manifest, traces, specs, sess_cfg):
+        by_method[name].append((trace_name, report, bench, series))
     # bitrates are normalized per trace across methods, then averaged
-    for t_idx in range(len(traces)):
-        metrics.normalize_avg_bitrate([by_method[n][t_idx][1] for n in names])
+    for cells in zip(*by_method.values()):
+        metrics.normalize_avg_bitrate([report for _, report, _, _ in cells])
+    means = {
+        name: metrics.SessionReport(**{c: float(np.mean([getattr(report, c) for _, report, _, _ in cells]))
+                                       for c in COMPARISON_COLUMNS[1:]})
+        for name, cells in by_method.items()
+    }
 
-    rows = []
-    for name in names:
-        reports = [report for _, report, _, _ in by_method[name]]
-        means = {c: float(np.mean([getattr(r, c) for r in reports])) for c in COMPARISON_COLUMNS[1:]}
-        rows.append({"method": name, **means})
-
-    _write_csv_rows(
-        out_dir / "comparison.csv",
-        COMPARISON_COLUMNS,
-        [
-            [row["method"]] + [_fmt(row[c]) for c in COMPARISON_COLUMNS[1:]]
-            for row in rows
-        ],
-    )
-
-    for name in names:
-        entries = by_method[name]
-        for trace_name, report, bench, series in entries:
-            _write_json(
-                _report_dict(name, trace_name, report, bench, series),
-                sessions_dir / f"{name}__{trace_name}.json",
-            )
-        _write_convergence(
-            out_dir / f"convergence_{name}.csv",
-            [np.mean([getattr(series, key) for *_, series in entries], axis=0) for key in SERIES_KEYS],
-        )
-
-    for row in rows:
-        print(
-            f"{row['method']}: norm_bitrate={_fmt(row['normalized_avg_bitrate'])}"
-            f" stability={_fmt(row['stability'])} smoothness={_fmt(row['smoothness'])}"
-            f" consistency={_fmt(row['consistency'])} continuity={_fmt(row['continuity'])}"
-        )
+    sessions_dir = out_dir / "sessions"
+    sessions_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, _COMPARISON_ROW,
+               [(name, *(getattr(report, c) for c in COMPARISON_COLUMNS[1:])) for name, report in means.items()])
+    for name, cells in by_method.items():
+        for trace_name, report, bench, series in cells:
+            _write_json(_report_dict(name, trace_name, report, bench, series),
+                        sessions_dir / f"{name}__{trace_name}.json")
+        _write_convergence(out_dir / f"convergence_{name}.csv",
+                           [np.mean([getattr(s, key) for *_, s in cells], axis=0) for key in SERIES_KEYS])
+    for name, report in means.items():
+        _print_metrics(name, report)
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +357,18 @@ def _cmd_run(args) -> int:
         raise CliError(f"--beta not used by --abr {args.abr}")
     manifest = media.load_manifest(args.manifest)
     trace = channel.load_trace(args.trace)
-    b_max = SCENARIO_BMAX[args.scenario]
-    cfg = session.SessionConfig(b_max_s=b_max, tau_resume=args.tau)
+    cfg = session.SessionConfig(b_max_s=SCENARIO_BMAX[args.scenario], tau_resume=args.tau)
     spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
-    policy = build_policy(spec, manifest, b_max, manifest.num_segments)
     name = method_name(spec)
-    state = session.run_session(policy, cfg, manifest, trace)
-    bench = _slot_benchmark(manifest, trace, len(state.history), b_max)
-    series = metrics.regret_and_residuals(state.history, manifest, bench, manifest.segment_duration_s, b_max)
-    report = metrics.qoe_metrics(state.history, manifest, args.tau, manifest.duration_s)
+    # compare's pipeline on one method and one trace: its one cell
+    ((_, trace_name, history, report, bench, series),) = _sessions(
+        manifest, [(Path(args.trace).stem, trace)], {name: spec}, cfg)
     metrics.normalize_avg_bitrate([report])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    session.export_log_csv(state.history, out / f"session_{name}.csv")
-    _write_json(_report_dict(name, Path(args.trace).stem, report, bench, series), out / f"report_{name}.json")
+    session.export_log_csv(history, out / f"session_{name}.csv")
+    _write_json(_report_dict(name, trace_name, report, bench, series), out / f"report_{name}.json")
     _print_metrics(name, report)
     return 0
 
@@ -503,11 +472,6 @@ def _parse_bitrates(text: str) -> list[float]:
 # argument parsing
 
 
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abr", choices=POLICIES, default="l2a")
-    p.add_argument("--beta", type=float, help="l2a switch-rate budget in (0, 1]")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abrsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -517,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", required=True)
     p_run.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
     p_run.add_argument("--tau", type=int, default=session.DEFAULT_TAU_RESUME)
-    _add_policy_flags(p_run)
+    p_run.add_argument("--abr", choices=POLICIES, default="l2a")
+    p_run.add_argument("--beta", type=float, help="l2a switch-rate budget in (0, 1]")
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=_cmd_run)
 

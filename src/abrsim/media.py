@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -27,10 +28,13 @@ class ManifestError(ValueError):
 
 
 def require_ladder(bitrates_kbps) -> tuple[float, ...]:
-    """The ladder as a tuple of floats if it has at least two levels and each
-    is a number, positive and finite, in strictly increasing order, else a
-    ManifestError naming ``bitrates_kbps`` and the level: the rule of every
-    manifest's ladder, and the one a policy's search of its ladder rests on."""
+    """The ladder as a tuple of floats if it is a list (not a string, bytes or
+    a mapping) of at least two levels, each a number, positive and finite, in
+    strictly increasing order, else a ManifestError naming ``bitrates_kbps``
+    and the level: the rule of every manifest's ladder, and the one a
+    policy's search of its ladder rests on."""
+    if isinstance(bitrates_kbps, (str, bytes, bytearray, Mapping)):
+        raise ManifestError(f"bitrates_kbps must be a list of numbers, got {bitrates_kbps!r}")
     rates = _convert("bitrates_kbps", "a list of numbers", list, bitrates_kbps)
     if not _numbers(rates):
         n = next(n for n, rate in enumerate(rates) if not _is_number(type(rate)))

@@ -136,15 +136,21 @@ def test_rb_decisions_in_range_and_deterministic():
         # float() once read True as 1 kbps and "370" as 370 kbps
         ((True, 2000.0), "bitrates_kbps must be a list of numbers: level 1 is True"),
         (("370", "750"), "bitrates_kbps must be a list of numbers: level 1 is '370'"),
+        # each iterates as a list would: bytes once read as 49 and 50 kbps,
+        # a string as its characters, and a mapping as its keys
+        (b"12", "bitrates_kbps must be a list of numbers, got b'12'"),
+        ("12", "bitrates_kbps must be a list of numbers, got '12'"),
+        ({1000.0: "a", 2000.0: "b"}, "bitrates_kbps must be a list of numbers, got {1000.0: 'a', 2000.0: 'b'}"),
     ],
-    ids=[f"ladder{i}" for i in range(12)],
+    ids=[f"ladder{i}" for i in range(15)],
 )
 def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder, message):
     # rb_decide, bb's cap and L2A's map to a quality all bisect the ladder,
     # so each takes only a manifest's ladder, and rejects any other with the
     # manifest's message
     builds = (RBPolicy, lambda rates: L2APolicy(rates, 2.0, 20.0, 100),
-              lambda rates: derive_bb_parameters(rates, 2.0, 20.0))
+              lambda rates: derive_bb_parameters(rates, 2.0, 20.0),
+              lambda rates: synthesize_manifest(1, rates, 2.0))
     for build in builds:
         with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             build(ladder)
@@ -335,11 +341,16 @@ def test_bb_threshold_design_spans_buffer_range():
         assert thresholds[-1] == pytest.approx(max(b_max / 2.0 - 1.0, 2.0), abs=1e-9)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0, "20"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0, "20", True])
 def test_bb_rejects_a_buffer_bound_that_is_not_positive_and_finite(bad):
+    # derive_bb_parameters checks both of its durations, as BBPolicy relies
+    # on: True was once read as V = 1 s, and "20" ended in a TypeError
     man = synthesize_manifest(3, PAPER_LADDER, 2.0, vbr_jitter=0.0, seed=0)
-    with pytest.raises(ValueError, match=re.escape(f"b_max_s must be positive and finite, got {bad!r}")):
-        BBPolicy(man, bad)
+    for name, build in (("b_max_s", lambda: BBPolicy(man, bad)),
+                        ("b_max_s", lambda: derive_bb_parameters(PAPER_LADDER, 2.0, bad)),
+                        ("segment_duration_s", lambda: derive_bb_parameters(PAPER_LADDER, bad, 20.0))):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be positive and finite, got {bad!r}')}$"):
+            build()
 
 
 def test_bb_two_level_fallback():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from abrsim import (
     ChannelTrace,
+    L2APolicy,
+    SessionConfig,
     TraceError,
     concat_traces,
     generate_markovian,
@@ -551,6 +553,27 @@ def test_markovian_validation():
     # a bool is not a length of time: True once built a one-sample trace
     with pytest.raises(ValueError, match="^duration_s must be positive and finite, got True$"):
         generate_markovian(True, 750, 23000, 0.05, step_s=True)
+    # a string once ended in a TypeError from the comparison, and True was 1
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'p_transition must be in (0, 1), got {bad!r}')}$"):
+            generate_markovian(10, 750, 23000, bad)
+
+
+def test_an_int_past_the_float_range_is_not_finite():
+    # each passed 0 < value < inf, exact for an int, and then ended in an
+    # OverflowError, or (the session's buffer bound) in scoring
+    huge = 10**400
+
+    def rejects(name, build):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be positive and finite, got {huge!r}')}$"):
+            build()
+
+    for name, args in (("duration_s", (huge, 750, 23000, 0.05)), ("low_kbps", (10, huge, 23000, 0.05)),
+                       ("high_kbps", (10, 750, huge, 0.05)), ("step_s", (10, 750, 23000, 0.05, huge))):
+        rejects(name, lambda: generate_markovian(*args))
+    rejects("segment_duration_s", lambda: slot_clock(generate_markovian(10, 750, 23000, 0.3), huge, 3))
+    rejects("b_max_s", lambda: L2APolicy((1000.0, 2000.0), 2.0, huge, 10))
+    rejects("b_max_s", lambda: SessionConfig(b_max_s=huge))
 
 
 # ---------------------------------------------------------------------------

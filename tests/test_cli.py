@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -106,13 +108,17 @@ def test_run_live_scenario_bmax(assets, tmp_path, capsys):
     assert len(records) == 60
     assert all(rec.buffer_after_s <= 20.0 for rec in records)
     # a segment longer than the live bound cannot be buffered: rejected
-    # before the session starts and before any output
+    # before the session starts and before any output, named as compare
+    # names a failed session
     long_segments = tmp_path / "manifest-v30.json"
     assert run_cli("gen", "manifest", "--segments", 10, "--segment-duration", 30, "--out", long_segments) == 0
     capsys.readouterr()
     out = tmp_path / "live-v30"
     assert run_cli("run", "--manifest", long_segments, "--trace", trace, "--scenario", "live", "--out", out) == 1
-    assert capsys.readouterr().err == "abrsim: error: b_max_s smaller than the segment duration\n"
+    assert capsys.readouterr().err == (
+        "abrsim: error: session failed for method 'l2a-beta1' on trace 'trace':"
+        " b_max_s smaller than the segment duration\n"
+    )
     assert not out.exists()
 
 
@@ -158,6 +164,21 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
             run_cli("run", "--manifest", manifest, "--trace", trace, "--out", tmp_path, flag, value)
         with pytest.raises(SystemExit):
             run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", "session.csv", flag, value)
+
+
+def test_the_workflow_calls_the_cli_with_options_it_has():
+    # CI runs the installed abrsim script once per subcommand; a renamed flag
+    # would break that step without failing any test here, so each of its
+    # abrsim calls is parsed by the CLI's own parser
+    root = Path(__file__).resolve().parents[1]
+    text = (root / ".github" / "workflows" / "tests.yml").read_text()
+    step = text.split("- name: Installed console script", 1)[1].split("\n      - ", 1)[0]
+    calls = [line.strip() for line in step.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("abrsim ")]
+    assert {shlex.split(call)[1] for call in calls} == {"gen", "run", "benchmark", "compare"}
+    for call in calls:
+        # an unknown or missing option exits through argparse
+        cli.build_parser().parse_args(shlex.split(call.replace("$RUNNER_TEMP", "/runner-temp"))[1:])
 
 
 def test_concat_traces(tmp_path):
@@ -456,6 +477,82 @@ def test_compare_deterministic(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("spec, scenario", [
+    ({"abr": "l2a", "beta": 0.3}, "vod"),
+    ({"abr": "rb"}, "live"),
+    ({"abr": "bb"}, "vod"),
+], ids=["l2a", "rb-live", "bb"])
+def test_run_is_the_one_cell_of_a_compare(assets, tmp_path, capsys, spec, scenario):
+    # run and compare share one session pipeline: run's report is the session
+    # JSON of a one-method compare of the same manifest and trace, and both
+    # print the same metrics line
+    manifest, trace = assets
+    flags = [arg for key, value in spec.items() for arg in (f"--{key}", value)]
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, *flags, "--scenario", scenario,
+                   "--out", tmp_path / "run") == 0
+    ran = capsys.readouterr().out
+    name = cli.method_name(spec)
+    report = tmp_path / "run" / f"report_{name}.json"
+    cfg_path = tmp_path / "one.json"
+    cfg_path.write_text(json.dumps({"scenario": scenario, "manifest": {"path": str(manifest)},
+                                    "traces": [str(trace)], "methods": [spec]}))
+    assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "cmp") == 0
+    assert capsys.readouterr().out == ran
+    assert ran.startswith(f"{name}: avg_bitrate_kbps=")
+    assert report.read_bytes() == (tmp_path / "cmp" / "sessions" / f"{name}__trace.json").read_bytes()
+
+
+def test_a_compare_whose_session_fails_writes_nothing(assets, tmp_path, capsys):
+    # a V=30 s manifest cannot be buffered under the live 20 s bound; the
+    # session fails after every policy is built and every benchmark solved,
+    # and once left an empty sessions/ directory behind
+    _, trace = assets
+    manifest = tmp_path / "manifest-v30.json"
+    assert run_cli("gen", "manifest", "--segments", 10, "--segment-duration", 30, "--out", manifest) == 0
+    cfg_path = tmp_path / "live.json"
+    cfg_path.write_text(json.dumps({"scenario": "live", "manifest": {"path": str(manifest)},
+                                    "traces": [str(trace)], "methods": [{"abr": "rb"}, {"abr": "l2a"}]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "abrsim: error: session failed for method 'l2a-beta1' on trace 'trace':"
+        " b_max_s smaller than the segment duration\n"
+    )
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pinned_compare(tmp_path_factory):
+    """The artifacts of a compare of the four methods on two 600 s traces
+    and a 50-segment manifest, all generated from ``_compare_config``."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    out = tmp / "out"
+    assert run_cli("compare", "--config", _compare_config(tmp), "--out", out) == 0
+    return out
+
+
+# printed to 6 significant digits, these files hash the same under each
+# OPENBLAS_CORETYPE tried (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott);
+# the session JSONs, which print every bit, do not yet (ROADMAP item 13)
+PINNED_CSVS = {
+    "comparison.csv": "49fd1e8912cf2a4c21efb5e7d7a4db1fbd4c4a391ea73af4f6968fb4d1316759",
+    "convergence_bb.csv": "2884a7c83f4fde48213542a018d89d1cd005d356d532de87c0c9fcd15583a3d5",
+    "convergence_l2a-beta0.3.csv": "f97a8d9d395d0267f431dd003e37d06c88288bc7ac7adb1c28db22a46be6b25c",
+    "convergence_l2a-beta1.csv": "786ac86bf196d2d8450837d3cdc35efceb915bb8552fb38f57c5d2b065caa717",
+    "convergence_rb.csv": "b9b4aa43bedf54044513f0a9b81539a017062e34c40841904c67be20f2d10426",
+}
+
+
+@pytest.mark.parametrize("name, digest", PINNED_CSVS.items(), ids=list(PINNED_CSVS))
+def test_compare_csvs_are_pinned(pinned_compare, name, digest):
+    assert hashlib.sha256((pinned_compare / name).read_bytes()).hexdigest() == digest
+
+
+def test_compare_writes_exactly_the_pinned_csvs(pinned_compare):
+    assert sorted(p.name for p in pinned_compare.glob("*.csv")) == sorted(PINNED_CSVS)
+
+
 def test_compare_unknown_method_fails_with_name(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
@@ -706,10 +803,10 @@ def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
          "key 'methods' in the config must be a list of method objects, got {'abr': 'rb'}"),
         ("traces", [{"path": 5}], "trace entry {'path': 5}: the path must be a string"),
         ("manifest", {"path": 0}, "manifest 'path' must be a string, got 0"),
-        ("bitrates_kbps", "12",
-         "key 'bitrates_kbps' in the manifest 'generate' block must be a list of numbers, got '12'"),
+        # the generate block's ladder follows a manifest's ladder rule
+        ("bitrates_kbps", "12", "bitrates_kbps must be a list of numbers, got '12'"),
         ("bitrates_kbps", [370, 10**400],
-         "key 'bitrates_kbps' in the manifest 'generate' block is out of the float range"),
+         "bitrates_kbps must be a list of numbers: int too large to convert to float"),
     ],
     ids=["method-string", "methods-object", "trace-path-number", "manifest-path-number",
          "bitrates-string", "bitrates-huge"],

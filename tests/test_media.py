@@ -222,9 +222,13 @@ def test_load_rejects_non_finite_values_by_file_and_field(tmp_path):
      "segment_sizes_kbit must be a matrix of numbers: segment 1, level 1 is '1'"),
     ("segment_sizes_kbit", np.ones((2, 2), dtype=bool),
      "segment_sizes_kbit must be a matrix of numbers: segment 1, level 1 is True"),
+    # a string was once read as its characters, and an object as its keys
+    ("bitrates_kbps", "12", "bitrates_kbps must be a list of numbers, got '12'"),
+    ("bitrates_kbps", {"1000": 1, "3000": 2},
+     "bitrates_kbps must be a list of numbers, got {'1000': 1, '3000': 2}"),
 ], ids=["size-string", "size-bool", "size-null", "rate-string", "rate-bool", "duration-string",
         "duration-bool", "size-past-float-range", "rate-past-float-range", "duration-true", "rates-strings",
-        "sizes-strings", "size-bool-array"])
+        "sizes-strings", "size-bool-array", "ladder-string", "ladder-object"])
 def test_load_rejects_a_number_that_is_not_a_json_number(tmp_path, field, value, expected):
     # numpy once read the size "700.5" as 700.5 and true as 1.0, and the
     # ladder and the duration were converted with float() the same way; a
