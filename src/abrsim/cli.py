@@ -420,16 +420,17 @@ def _check_log_ran_on(history, trace: channel.ChannelTrace, log_path, trace_path
     lasts ``download_s``.  A log that ran on another trace then names its
     first such epoch.
     """
-    download = np.array([rec.download_s for rec in history])
-    size = np.array([rec.size_kbit for rec in history])
-    clock = np.cumsum(download + np.array([rec.delta_s for rec in history]))
+    columns = session._columns(history)
+    download, size, delta = (metrics._reals(columns[name], name, columns["t"])
+                             for name in ("download_s", "size_kbit", "delta_s"))
+    clock = np.cumsum(download + delta)
     start = np.concatenate(([0.0], clock[:-1]))
     kbit, _, _ = channel._fluid_kbit(trace, start, start + download)
     bad = np.flatnonzero(~(np.abs(kbit - size) <= _REPLAY_RTOL * size))
     if bad.size:
         i = int(bad[0])
         raise CliError(
-            f"{log_path}: epoch {history[i].t} did not run on trace {trace_path}: its download of"
+            f"{log_path}: epoch {columns['t'][i]} did not run on trace {trace_path}: its download of"
             f" {float(download[i])!r} s from {float(start[i])!r} s delivers {float(kbit[i])!r} kbit"
             f" there, not its size_kbit {float(size[i])!r}"
         )
@@ -473,10 +474,12 @@ def _parse_bitrates(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="abrsim", description=__doc__)
+    # whole option names only: argparse's default accepts any unique prefix
+    # (``--sc`` for ``--scenario``), so a renamed flag kept its old spelling
+    parser = argparse.ArgumentParser(prog="abrsim", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one session and write its log and report")
+    p_run = sub.add_parser("run", help="run one session and write its log and report", allow_abbrev=False)
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--trace", required=True)
     p_run.add_argument("--scenario", choices=tuple(SCENARIO_BMAX), default="vod")
@@ -486,14 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run a method x trace grid from a JSON config")
+    p_cmp = sub.add_parser("compare", help="run a method x trace grid from a JSON config", allow_abbrev=False)
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(fn=_cmd_compare)
 
-    p_gen = sub.add_parser("gen", help="generate synthetic assets")
+    p_gen = sub.add_parser("gen", help="generate synthetic assets", allow_abbrev=False)
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    g_trace = gen_sub.add_parser("trace", help="two-state markovian trace CSV")
+    g_trace = gen_sub.add_parser("trace", help="two-state markovian trace CSV", allow_abbrev=False)
     g_trace.add_argument("--duration", type=float, required=True)
     g_trace.add_argument("--low", type=float, default=750.0)
     g_trace.add_argument("--high", type=float, default=23000.0)
@@ -502,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_trace.add_argument("--seed", type=int, default=0)
     g_trace.add_argument("--out", required=True)
     g_trace.set_defaults(fn=_cmd_gen)
-    g_man = gen_sub.add_parser("manifest", help="synthetic ladder manifest JSON")
+    g_man = gen_sub.add_parser("manifest", help="synthetic ladder manifest JSON", allow_abbrev=False)
     g_man.add_argument("--segments", type=int, required=True)
     g_man.add_argument("--bitrates", default="370,750,1500,3000,5800,12000,17000,20000")
     g_man.add_argument("--segment-duration", dest="segment_duration", type=float, default=2.0)
@@ -511,12 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     g_man.add_argument("--out", required=True)
     g_man.set_defaults(fn=_cmd_gen)
 
-    p_cat = sub.add_parser("concat-traces", help="splice trace CSVs end to end")
+    p_cat = sub.add_parser("concat-traces", help="splice trace CSVs end to end", allow_abbrev=False)
     p_cat.add_argument("traces", nargs="+")
     p_cat.add_argument("--out", required=True)
     p_cat.set_defaults(fn=_cmd_concat)
 
-    p_bench = sub.add_parser("benchmark", help="hindsight benchmark for an exported session log")
+    p_bench = sub.add_parser("benchmark", help="hindsight benchmark for an exported session log", allow_abbrev=False)
     p_bench.add_argument("--manifest", required=True)
     p_bench.add_argument("--log", required=True)
     p_bench.add_argument("--trace", required=True, help="the trace the session ran on: its slot clock is the yardstick")

@@ -21,14 +21,14 @@ import numbers
 import struct
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import is_, itemgetter
+from operator import is_
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import require_count, require_positive
 from .media import Manifest
-from .session import EpochRecord
+from .session import EpochRecord, _columns
 
 __all__ = [
     "BenchmarkSolution",
@@ -56,42 +56,23 @@ class SessionReport:
     flags: list[str] = field(default_factory=list)
 
 
-def _field(history, name: str):
-    """The field ``name`` of every record, in epoch order, without
-    transposing the records."""
-    return map(itemgetter(EpochRecord._fields.index(name)), history)
-
-
-def _column(history, name: str) -> np.ndarray:
-    """The field ``name`` of every record, as floats.  A value that is not a
-    real number is a ValueError that names the first such epoch and the field."""
-    values = list(_field(history, name))
+def _reals(values: Sequence, name: str, epochs: Sequence[int], width: int = 1) -> np.ndarray:
+    """``values``, ``width`` of them per epoch of ``epochs``, as float64, by
+    one ``struct.pack``: any Python or numpy number counts, a bool and a
+    ``Decimal`` included.  Only if that fails are they packed one by one, and
+    the first that does not pack is a ValueError naming its epoch and
+    ``name``: an int past the float range, or else not a real number."""
     try:
-        column = np.asarray(values)
-        if column.ndim == 1 and column.dtype.kind in "biuf":
-            return column.astype(float, copy=False)
-    except ValueError:  # sequences of unequal lengths among the values
-        pass
-    for rec, value in zip(history, values):
-        if not isinstance(value, numbers.Real):
-            raise ValueError(f"epoch {rec.t}: {name} is {value!r}, not a real number")
-    return np.array(values, dtype=float)  # integers past int64 read as objects
-
-
-def _omegas(history, indices, omegas: list, n: int) -> np.ndarray:
-    """The ``omegas`` logged by the records at ``indices``, each ``n``
-    entries long, as a matrix of floats, one row each.  ``struct`` packs only
-    real numbers, so an entry that is not one (None, a string) is a
-    ValueError that names the first such epoch and ``omega``."""
-    try:
-        packed = struct.pack(f"{len(omegas) * n}d", *chain.from_iterable(omegas))
+        return np.frombuffer(struct.pack(f"{len(values)}d", *values))
     except struct.error:
-        for idx, omega in zip(indices, omegas):
-            for entry in omega:
-                if not isinstance(entry, numbers.Real):
-                    raise ValueError(f"epoch {history[idx].t}: omega holds {entry!r}, not a real number") from None
-        return np.array(omegas, dtype=float)  # integers past a float's range
-    return np.frombuffer(packed).reshape(len(omegas), n)
+        for i, value in enumerate(values):
+            try:
+                struct.pack("d", value)
+            except struct.error:
+                fault = ("is out of the float range" if isinstance(value, int)
+                         else f"{'is' if width == 1 else 'holds'} {value!r}, not a real number")
+                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
+        raise
 
 
 def qoe_metrics(
@@ -108,7 +89,8 @@ def qoe_metrics(
     Consistency is reported unclamped and flagged when the stall penalty
     exceeds the budget; horizons too short for switch metrics report 1 and
     are flagged.  A ``duration_s`` that is not positive and finite is a
-    ValueError, and so is a field read that is not a real number.
+    ValueError, and so is a field read that ``_reals`` does not read as a
+    float: one that is not a number, or an int past the float range.
     """
     require_count("tau", tau)
     require_positive("duration_s", duration_s)
@@ -117,7 +99,9 @@ def qoe_metrics(
     if t_total == 0:
         return SessionReport(0.0, 1.0, 1.0, 1.0, 1.0, flags=["empty-log"])
 
-    rates = _column(history, "bitrate_kbps")
+    columns = _columns(history)
+    ts = columns["t"]
+    rates = _reals(columns["bitrate_kbps"], "bitrate_kbps", ts)
     avg = float(rates.mean())
     r_lo = manifest.bitrates_kbps[0]
     r_hi = manifest.bitrates_kbps[-1]
@@ -130,8 +114,8 @@ def qoe_metrics(
         stability = 1.0 - float(np.count_nonzero(jumps)) / (t_total - 1)
         smoothness = 1.0 - float(jumps.sum()) / ((r_hi - r_lo) * (t_total - 1))
 
-    downloads = _column(history, "download_s")
-    before = _column(history, "buffer_before_s")
+    downloads = _reals(columns["download_s"], "download_s", ts)
+    before = _reals(columns["buffer_before_s"], "buffer_before_s", ts)
     stalled = before < downloads
     penalty = 0.0
     for t in np.nonzero(stalled)[0]:
@@ -349,8 +333,9 @@ def regret_and_residuals(
     A quality index that is not an integer or lies outside 1..N, a bitrate
     or segment size other than the manifest's at (t, x_t), or a logged omega
     without exactly N entries is a ValueError naming the first such epoch,
-    and so is a rate or a logged omega entry that is not a real number; so
-    is a segment duration or buffer bound that is not positive and finite.
+    and so is a rate or a logged omega entry that ``_reals`` does not read
+    as a float; so is a segment duration or buffer bound that is not
+    positive and finite.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -364,12 +349,14 @@ def regret_and_residuals(
         raise ValueError("more epochs than manifest segments")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
-    xs = list(_field(history, "x"))
-    x = np.asarray(xs)
-    if x.dtype.kind not in "iu":
-        # indices numpy does not read as integers: every record checked alone
+    columns = _columns(history)
+    ts = columns["t"]
+    try:
+        x = np.frombuffer(struct.pack(f"{t_total}q", *columns["x"]), dtype=np.int64)
+    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
+        # an index that is not an int64: every record checked alone
         _first_fault(history, manifest, range(t_total))
-        x = np.array(xs, dtype=np.intp)
+        raise
     # the columns checked as a whole; the flagged records are checked alone,
     # in epoch order, and the first that fails names its epoch
     rows = np.arange(t_total)
@@ -378,11 +365,11 @@ def regret_and_residuals(
     level = np.where(on_ladder, level, 0)
     flagged = ~on_ladder
     try:
-        flagged |= _column(history, "bitrate_kbps") != ladder[level]
-        flagged |= _column(history, "size_kbit") != sizes[rows, level]
-    except (TypeError, ValueError, OverflowError):
-        flagged[:] = True  # fields numpy cannot read as floats
-    omega_column = list(_field(history, "omega"))
+        flagged |= _reals(columns["bitrate_kbps"], "bitrate_kbps", ts) != ladder[level]
+        flagged |= _reals(columns["size_kbit"], "size_kbit", ts) != sizes[rows, level]
+    except ValueError:  # fields that do not pack as floats
+        flagged[:] = True
+    omega_column = columns["omega"]
     fallback = any(map(is_, omega_column, repeat(None)))
     if fallback or set(map(len, omega_column)) != {n}:
         # the epochs that logged an omega; one of another length is a fault
@@ -395,11 +382,12 @@ def regret_and_residuals(
         omegas = np.zeros((t_total, n))
         omegas[rows, level] = 1.0
         if logged:
-            omegas[logged] = _omegas(history, logged, [omega_column[idx] for idx in logged], n)
+            entries = list(chain.from_iterable(omega_column[idx] for idx in logged))
+            omegas[logged] = _reals(entries, "omega", [ts[idx] for idx in logged], n).reshape(-1, n)
     else:
-        omegas = _omegas(history, rows, omega_column, n)
+        omegas = _reals(list(chain.from_iterable(omega_column)), "omega", ts, n).reshape(t_total, n)
 
-    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _column(history, "rate_kbps")
+    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _reals(columns["rate_kbps"], "rate_kbps", ts)
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
     epochs = rows + 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -279,6 +279,12 @@ def run_session(
     return state
 
 
+def _columns(history: Iterable[EpochRecord]) -> dict[str, tuple]:
+    """Each field of ``history`` by name, as a tuple in epoch order (empty
+    for no records): the one transposition of a history's records."""
+    return dict(zip(EpochRecord._fields, chain(zip(*history), repeat(()))))
+
+
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity).
 
@@ -289,8 +295,8 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     are formatted from the record fields column by column and written in one
     call.
     """
-    columns = dict(zip(EpochRecord._fields, zip(*history)))
-    values = [map(typ, columns.get(name, ())) for _, name, typ in _LOG_TABLE]
+    columns = _columns(history)
+    values = [map(typ, columns[name]) for _, name, typ in _LOG_TABLE]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 

@@ -533,8 +533,9 @@ def pinned_compare(tmp_path_factory):
 
 
 # printed to 6 significant digits, these files hash the same under each
-# OPENBLAS_CORETYPE tried (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott);
-# the session JSONs, which print every bit, do not yet (ROADMAP item 13)
+# OpenBLAS kernel tried (SkylakeX, Haswell, Sandybridge, Nehalem, and Katmai,
+# which OPENBLAS_CORETYPE=Prescott selects on scipy-openblas 0.3.31); the
+# session JSONs, which print every bit, do not yet (ROADMAP item 13)
 PINNED_CSVS = {
     "comparison.csv": "49fd1e8912cf2a4c21efb5e7d7a4db1fbd4c4a391ea73af4f6968fb4d1316759",
     "convergence_bb.csv": "2884a7c83f4fde48213542a018d89d1cd005d356d532de87c0c9fcd15583a3d5",
@@ -906,6 +907,21 @@ def test_subcommand_options(capsys, command, options):
         main([command, "--help"])
     assert info.value.code == 0
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) == options | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--manifest", "m.json", "--trace", "t.csv", "--out", "out", "--sc", "live"],
+    ["gen", "trace", "--duration", "10", "--out", "t.csv", "--see", "3"],
+])
+def test_an_option_is_spelled_out(argv, tmp_path, monkeypatch, capsys):
+    # argparse's default takes a unique prefix for the whole option, so
+    # "--sc live" once ran the live scenario
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"abrsim: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_undecodable_trace_is_an_input_error(assets, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import numbers
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -686,6 +688,88 @@ def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
                 regret_and_residuals(history, man, None, 2.0, 120.0)
 
 
+# the fields scoring reads, each with the scoring stages that read it; "omega"
+# is the first entry of epoch 3's logged omega, with omega logged on every
+# epoch or, in "omega-some", on all but epoch 4
+SCORED_FIELDS = {
+    "bitrate_kbps": (qoe_metrics, regret_and_residuals),
+    "size_kbit": (regret_and_residuals,),
+    "rate_kbps": (regret_and_residuals,),
+    "download_s": (qoe_metrics,),
+    "buffer_before_s": (qoe_metrics,),
+    "x": (regret_and_residuals,),
+    "omega": (regret_and_residuals,),
+    "omega-some": (regret_and_residuals,),
+}
+# every value but the last three equals 1, the value of every scored field
+ONE_AND_OTHERS = (np.float64(1.0), np.int64(1), 1, True, Decimal("1"), "1.5", None, 10**400)
+
+
+def _ones_history(field, value):
+    """Four epochs on a 1 kbps, 1 kbit rung whose every scored field is 1,
+    with ``value`` in epoch 3's ``field``."""
+    rec = EpochRecord(1, 1, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, False, 0.0, (1.0, 0.0))
+    history = [rec._replace(t=t) for t in range(1, 5)]
+    if field.startswith("omega"):
+        history[2] = history[2]._replace(omega=(value, 0.0))
+        if field == "omega-some":
+            history[3] = history[3]._replace(omega=None)
+    else:
+        history[2] = history[2]._replace(**{field: value})
+    return history
+
+
+def _score_bits(score, history):
+    man = Manifest(2.0, (1.0, 2.0), np.tile([1.0, 2.0], (4, 1)))
+    bench = BenchmarkSolution((1.0, 0.0), 1.0, 0.0, 0.0)
+    if score is qoe_metrics:
+        return report_bits(qoe_metrics(history, man, 2, 8.0))
+    series = regret_and_residuals(history, man, bench, 2.0, 20.0)
+    return [a.tobytes() for a in (series.regret_rate, series.residual1_rate, series.residual2_rate)]
+
+
+def _expected_fault(score, field, value):
+    """The message of ``value`` in epoch 3's ``field``, or None where it is
+    read as the 1 it equals."""
+    name = field.split("-")[0]
+    if field == "x":
+        if not isinstance(value, numbers.Integral):
+            return f"epoch 3: quality index {value!r} is not an integer"
+        return None if value == 1 else f"epoch 3: quality index {value} outside 1..2"
+    if not isinstance(value, (str, type(None))) and value == 1:
+        return None
+    if score is regret_and_residuals and name in ("bitrate_kbps", "size_kbit"):
+        # checked against the manifest's value at x_t first
+        shown = "r_kbps" if name == "bitrate_kbps" else name
+        kind = "bitrate" if name == "bitrate_kbps" else "size"
+        return f"epoch 3: {shown} is {value!r}; the manifest's {kind} at x_t=1 is 1.0"
+    if isinstance(value, int):
+        return f"epoch 3: {name} is out of the float range"
+    return f"epoch 3: {name} {'holds' if name == 'omega' else 'is'} {value!r}, not a real number"
+
+
+@pytest.mark.parametrize("value", ONE_AND_OTHERS,
+                         ids=["float64", "int64", "int", "bool", "Decimal", "str", "None", "int-10**400"])
+@pytest.mark.parametrize("field", SCORED_FIELDS)
+def test_every_scored_field_reads_a_number_by_one_rule(field, value):
+    # any Python or numpy number is read as the float it equals, a bool
+    # included; text and None are not real numbers, and an int past the float
+    # range is out of it (a Decimal field and 10**400 once failed, the latter
+    # with a bare OverflowError)
+    history = _ones_history(field, value)
+    faults = []
+    for score in SCORED_FIELDS[field]:
+        expected = _expected_fault(score, field, value)
+        faults.append(expected is None)
+        if expected is None:
+            ones = _ones_history(field, 1 if field == "x" else 1.0)
+            assert _score_bits(score, history) == _score_bits(score, ones)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                _score_bits(score, history)
+    assert len(set(faults)) == 1  # both stages accept a value, or both reject it
+
+
 # ---------------------------------------------------------------------------
 # the five metrics against zip(*history)
 
@@ -734,3 +818,28 @@ def test_qoe_metrics_match_the_transposing_reference(case):
     history, man, tau, duration = case
     assert (report_bits(qoe_metrics(history, man, tau, duration))
             == report_bits(reference_qoe_metrics(history, man, tau, duration)))
+
+
+def _as_numpy_numbers(history):
+    """``history`` with every float field, and every entry of a logged
+    omega, an equal numpy float64, and an int quality index a numpy int64."""
+    def swap(value):
+        return np.float64(value) if type(value) is float else value
+
+    return [EpochRecord(rec.t, np.int64(rec.x) if type(rec.x) is int else rec.x, *map(swap, rec[2:-1]),
+                        None if rec.omega is None else tuple(map(swap, rec.omega)))
+            for rec in history]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored=scored_histories(), case=qoe_histories())
+def test_numpy_numbers_score_as_the_numbers_they_equal(scored, case):
+    history, man, bench, b_max = scored
+    plain = scoring_outcome(regret_and_residuals, history, man, bench, b_max)
+    swapped = scoring_outcome(regret_and_residuals, _as_numpy_numbers(history), man, bench, b_max)
+    if len(plain) == 2:  # a fault: the same error at the same epoch (a value's repr may differ)
+        plain, swapped = (plain[0], plain[1].split(":")[0]), (swapped[0], swapped[1].split(":")[0])
+    assert swapped == plain
+    history, man, tau, duration = case
+    assert (report_bits(qoe_metrics(_as_numpy_numbers(history), man, tau, duration))
+            == report_bits(qoe_metrics(history, man, tau, duration)))
