@@ -44,6 +44,7 @@ from .session import (
     EpochRecord,
     ScriptedPolicy,
     SessionConfig,
+    SessionLog,
     SessionState,
     export_log_csv,
     read_log_csv,
@@ -69,6 +70,7 @@ __all__ = [
     "RBState",
     "ScriptedPolicy",
     "SessionConfig",
+    "SessionLog",
     "SessionReport",
     "SessionState",
     "TraceError",

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "Policy",
     "ScriptedPolicy",
     "SessionConfig",
+    "SessionLog",
     "SessionState",
     "export_log_csv",
     "read_log_csv",
@@ -102,8 +104,9 @@ class EpochFeedback(NamedTuple):
 class EpochRecord(NamedTuple):
     """One line of the per-epoch session log (t and x are 1-based).
 
-    An immutable ``NamedTuple``: ``run_session`` and ``read_log_csv`` build
-    each record from all twelve fields by ``tuple.__new__``, and
+    An immutable ``NamedTuple``, and the type of every record read from a
+    ``SessionLog``, which stores each epoch as a plain tuple of these twelve
+    fields and builds the record only when it is read;
     ``rec._replace(omega=None)`` is a copy without the distribution.
     """
 
@@ -121,14 +124,51 @@ class EpochRecord(NamedTuple):
     omega: tuple[float, ...] | None = None
 
 
+class SessionLog(Sequence):
+    """A session's history: a read-only sequence of ``EpochRecord``.
+
+    Each epoch is stored as a plain tuple of the record's twelve fields, and
+    an ``EpochRecord`` is built, by ``tuple.__new__``, only when one is read:
+    by index, by slice (as a list) or by iteration.  CPython's cyclic GC
+    untracks an exact tuple whose items are untracked, but never an instance
+    of a tuple subclass, so kept NamedTuple records would be walked by every
+    full collection.  A row stays untracked only while each field is an atom
+    or an exact tuple of atoms.  A log equals another log, or a list, of the
+    same records.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[tuple] = ()):
+        self._rows = list(rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(tuple.__new__, repeat(EpochRecord), self._rows[index]))
+        return tuple.__new__(EpochRecord, self._rows[index])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(EpochRecord), self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, SessionLog):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return self._rows == other
+        return NotImplemented
+
+
 @dataclass(slots=True)
 class SessionState:
-    """What ``run_session`` returns: one record per epoch, and the wall
-    clock at which the session ends.  The final buffer is the last record's
-    ``buffer_after_s``."""
+    """What ``run_session`` returns: the history, one record per epoch in a
+    ``SessionLog``, and the wall clock at which the session ends.  The final
+    buffer is the last record's ``buffer_after_s``."""
 
     wall_clock_s: float = 0.0
-    history: list[EpochRecord] = field(default_factory=list)
+    history: SessionLog = field(default_factory=SessionLog)
 
 
 class Policy(Protocol):
@@ -138,13 +178,22 @@ class Policy(Protocol):
 
 
 class ScriptedPolicy:
-    """Plays a fixed quality-index sequence, one index per ``decide``."""
+    """Plays a fixed quality-index sequence, one index per ``decide``; a
+    ``decide`` past the script's end is a ValueError."""
 
     def __init__(self, indices: Iterable[int]):
         self._it = iter(indices)
+        self._played = 0
 
     def decide(self, feedback: EpochFeedback | None) -> int:
-        return next(self._it)
+        try:
+            x = next(self._it)
+        except StopIteration:
+            # a StopIteration let out would end a map or generator running
+            # sessions as if it were exhausted, dropping this one silently
+            raise ValueError(f"ScriptedPolicy: the script ended after {self._played} indices") from None
+        self._played += 1
+        return x
 
 
 def run_session(
@@ -191,9 +240,9 @@ def run_session(
     bisect_right = bisect.bisect_right
     inf = math.inf
     state = SessionState()
-    append = state.history.append
+    append = state.history._rows.append
     decide = policy.decide
-    # tuple.__new__ with every field skips the NamedTuples' Python-level __new__
+    # tuple.__new__ with every field skips the NamedTuple's Python-level __new__
     new = tuple.__new__
     buffer = clock = 0.0
     stalled = False
@@ -271,9 +320,7 @@ def run_session(
                 stalled = False
                 since_stall = 0
 
-        append(new(EpochRecord, (
-            t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega,
-        )))
+        append((t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega))
         feedback = new(EpochFeedback, (rate, row, buffer))
     state.wall_clock_s = clock
     return state
@@ -281,8 +328,11 @@ def run_session(
 
 def _columns(history: Iterable[EpochRecord]) -> dict[str, tuple]:
     """Each field of ``history`` by name, as a tuple in epoch order (empty
-    for no records): the one transposition of a history's records."""
-    return dict(zip(EpochRecord._fields, chain(zip(*history), repeat(()))))
+    for no records): the one transposition of a history's records.  A
+    ``SessionLog``'s rows are transposed as stored, without building a
+    record; any other iterable of records as it is."""
+    rows = history._rows if isinstance(history, SessionLog) else history
+    return dict(zip(EpochRecord._fields, chain(zip(*rows), repeat(()))))
 
 
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
@@ -342,8 +392,9 @@ def _log_faults(table: np.ndarray) -> np.ndarray:
     return faults
 
 
-def read_log_csv(path: str | Path) -> list[EpochRecord]:
-    """Read a log written by ``export_log_csv``.
+def read_log_csv(path: str | Path) -> SessionLog:
+    """Read a log written by ``export_log_csv``, as a ``SessionLog`` whose
+    rows are zipped from the parsed columns (``omega`` None).
 
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
@@ -361,6 +412,5 @@ def read_log_csv(path: str | Path) -> list[EpochRecord]:
     after = columns["buffer_after_s"]
     columns["buffer_before_s"] = [0.0, *after[:-1]]
     columns["omega"] = repeat(None)
-    fields = zip(*(columns[name] for name in EpochRecord._fields))
-    return list(map(tuple.__new__, repeat(EpochRecord), fields))
+    return SessionLog(zip(*(columns[name] for name in EpochRecord._fields)))
 

@@ -1,9 +1,11 @@
 import bisect
 import csv
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
+import platform
 import re
 import warnings
 
@@ -23,6 +25,7 @@ from abrsim import (
     RBPolicy,
     ScriptedPolicy,
     SessionConfig,
+    SessionLog,
     export_log_csv,
     generate_markovian,
     read_log_csv,
@@ -183,6 +186,19 @@ def test_a_session_returns_its_records_and_its_wall_clock():
     # the final buffer is the last record's; there is no second copy to set
     with pytest.raises(AttributeError):
         state.buffer_s = 0.0
+
+
+def test_a_script_that_ends_before_the_manifest_is_a_value_error():
+    man, trace, cfg = cbr_manifest(5), constant_trace(5000.0), SessionConfig(b_max_s=20.0)
+    with pytest.raises(ValueError, match="^ScriptedPolicy: the script ended after 0 indices$"):
+        ScriptedPolicy([]).decide(None)
+    with pytest.raises(ValueError, match="^ScriptedPolicy: the script ended after 2 indices$"):
+        run_session(ScriptedPolicy([1, 2]), cfg, man, trace)
+    # inside map, a StopIteration would end the iteration after the first
+    # session and drop the second without an error
+    with pytest.raises(ValueError, match="^ScriptedPolicy: the script ended after 2 indices$"):
+        list(map(lambda policy: run_session(policy, cfg, man, trace),
+                 [ScriptedPolicy([1] * 5), ScriptedPolicy([1, 2])]))
 
 
 def test_empty_horizon():
@@ -904,3 +920,65 @@ def test_run_session_rejects_an_index_that_is_not_an_integer(x):
     played = run_session(ScriptedPolicy([True, np.int64(2), 1, np.int8(1), 2]), config, man, trace).history
     plain = run_session(ScriptedPolicy([1, 2, 1, 1, 2]), config, man, trace).history
     assert played == plain
+
+
+# ---------------------------------------------------------------------------
+# SessionLog, the history that run_session and read_log_csv return
+
+
+def short_history(source, tmp_path):
+    """A 50-epoch live history: a session of l2a (beta 1), rb or bb, or the rb
+    session's exported log as ``read_log_csv`` reads it back."""
+    man = synthesize_manifest(50, PAPER_LADDER, 2.0, vbr_jitter=0.1, seed=4)
+    trace = generate_markovian(300, 750, 23000, 0.05, 0.1, seed=4)
+    policy = {
+        "l2a": lambda: L2APolicy(man.bitrates_kbps, 2.0, 20.0, 50, beta=1.0),
+        "bb": lambda: BBPolicy(man, 20.0),
+    }.get(source, lambda: RBPolicy(man.bitrates_kbps))()
+    history = run_session(policy, SessionConfig(b_max_s=20.0, tau_resume=2), man, trace).history
+    if source != "read_log_csv":
+        return history
+    path = tmp_path / f"{source}.csv"
+    export_log_csv(history, path)
+    return read_log_csv(path)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="gc.is_tracked and the untracking of exact tuples by the collector are CPython's")
+@pytest.mark.parametrize("source", ["l2a", "rb", "bb", "read_log_csv"])
+def test_no_row_of_a_history_stays_tracked_by_the_gc(tmp_path, source):
+    # a row the collector keeps tracked is walked by every full collection
+    # for as long as the history lives; a field that is not an atom or an
+    # exact tuple of atoms (a list, a NamedTuple) would keep its row tracked
+    history = short_history(source, tmp_path)
+    assert len({rec.x for rec in history}) > 1 and (source == "l2a") == (history[0].omega is not None)
+    # a tuple is untracked only once each of its items is, and one collection
+    # can examine an L2A row before the omega tuple that row holds
+    gc.collect()
+    gc.collect()
+    assert [rec.t for rec, row in zip(history, history._rows) if gc.is_tracked(row)] == []
+
+
+@pytest.mark.parametrize("source", ["l2a", "read_log_csv", "empty"])
+def test_a_session_log_keeps_the_list_contract(tmp_path, source):
+    log = SessionLog() if source == "empty" else short_history(source, tmp_path)
+    again = SessionLog() if source == "empty" else short_history(source, tmp_path)
+    records = list(log)
+    assert len(log) == len(records) == (0 if source == "empty" else 50)
+    assert bool(log) is (source != "empty")
+    assert all(type(rec) is EpochRecord for rec in records)
+    if records:
+        assert type(log[0]) is type(log[-1]) is EpochRecord
+        assert (log[0], log[-1]) == (records[0], records[-1])
+        assert log != records[:-1] and records[:-1] != log
+    else:
+        with pytest.raises(IndexError):
+            log[0]
+    sliced = log[1:-1:2]
+    assert type(sliced) is list and sliced == records[1:-1:2]
+    assert all(type(rec) is EpochRecord for rec in sliced)
+    assert log == records and records == log
+    assert log == again and again == log
+    export_log_csv(log, tmp_path / "log.csv")
+    export_log_csv(records, tmp_path / "list.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
