@@ -52,6 +52,24 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _config_object(obj, what: str, required=(), optional=()) -> dict:
+    """``obj``, one object of a ``compare`` config, named ``what`` in errors.
+
+    The rule of every such object: it is a JSON object that holds each key
+    of ``required`` and no key outside ``required`` and ``optional``.
+    Anything else is a CliError naming ``what`` and, for a key, the key.
+    """
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise CliError(f"unknown key {key!r} in {what} (expected {', '.join(required + optional)})")
+    for key in required:
+        if key not in obj:
+            raise CliError(f"missing key {key!r} in {what}")
+    return obj
+
+
 def method_name(spec: dict) -> str:
     """The method's ``name``, or one made from ``abr`` and, for ``l2a``, ``beta``.
 
@@ -64,26 +82,24 @@ def method_name(spec: dict) -> str:
             raise CliError(f"method name {name!r} must be a non-empty string"
                            " with no path separator or NUL")
         return name
-    kind = spec.get("abr", "?")
-    if kind == "l2a":
+    abr = spec.get("abr", "?")
+    if abr == "l2a":
         # checked first, so a bad beta gets the parameter error rather than a format error
         return f"l2a-beta{check_beta(spec.get('beta', 1.0)):g}"
-    return str(kind)
+    return str(abr)
 
 
 def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t: int):
-    """Instantiate a policy from a method spec: ``abr``, ``name`` and, for ``l2a``, ``beta``."""
-    kind = spec.get("abr")
-    if kind not in POLICIES:
-        raise CliError(f"unknown abr method {kind!r} (expected l2a, rb, or bb)")
-    keys = ("abr", "name", "beta") if kind == "l2a" else ("abr", "name")
-    for key in spec:
-        if key not in keys:
-            raise CliError(f"unknown key {key!r} for abr method {kind!r} (expected {', '.join(keys)})")
-    if kind == "l2a":
+    """Instantiate a policy from a method spec: ``abr``, ``name`` and, for
+    ``l2a``, ``beta``, under the rule of ``_config_object``."""
+    abr = spec.get("abr")
+    if abr not in POLICIES:
+        raise CliError(f"unknown abr method {abr!r} (expected l2a, rb, or bb)")
+    _config_object(spec, f"abr method {abr!r}", ("abr",), ("name", "beta") if abr == "l2a" else ("name",))
+    if abr == "l2a":
         return L2APolicy(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t,
                          beta=spec.get("beta", 1.0))
-    if kind == "rb":
+    if abr == "rb":
         return RBPolicy(manifest.bitrates_kbps)
     return BBPolicy(manifest, b_max_s)
 
@@ -91,24 +107,8 @@ def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t
 # `generate` block keys: (required, optional), for the manifest and the traces
 GENERATE_KEYS = {
     "manifest": (("num_segments", "bitrates_kbps", "segment_duration_s"), ("vbr_jitter", "seed")),
-    "traces": (("duration_s", "low_kbps", "high_kbps", "p_transition"), ("kind", "count", "step_s")),
+    "traces": (("duration_s", "low_kbps", "high_kbps", "p_transition"), ("count", "step_s")),
 }
-
-
-def _generate_block(spec: dict, what: str) -> dict:
-    """``spec["generate"]`` once every required key is present and no unknown key is."""
-    block = spec["generate"]
-    required, optional = GENERATE_KEYS[what]
-    if not isinstance(block, dict):
-        raise CliError(f"{what} 'generate' must be an object with keys {', '.join(required)}")
-    for key in block:
-        if key not in required and key not in optional:
-            raise CliError(f"unknown key {key!r} in the {what} 'generate' block"
-                           f" (expected {', '.join(required + optional)})")
-    for key in required:
-        if key not in block:
-            raise CliError(f"missing key {key!r} in the {what} 'generate' block")
-    return block
 
 
 def _number(block: dict, key: str, default=None, *, integral: bool = False,
@@ -133,12 +133,14 @@ def _number(block: dict, key: str, default=None, *, integral: bool = False,
 
 def _resolve_manifest(spec, seed: int) -> media.Manifest:
     if isinstance(spec, dict) and "path" in spec:
-        if not isinstance(spec["path"], str):
-            raise CliError(f"manifest 'path' must be a string, got {spec['path']!r}")
-        return media.load_manifest(spec["path"])
+        path = _config_object(spec, "the manifest spec", ("path",))["path"]
+        if not isinstance(path, str):
+            raise CliError(f"manifest 'path' must be a string, got {path!r}")
+        return media.load_manifest(path)
     if isinstance(spec, dict) and "generate" in spec:
-        g = _generate_block(spec, "manifest")
         where = "the manifest 'generate' block"
+        g = _config_object(_config_object(spec, "the manifest spec", ("generate",))["generate"],
+                           where, *GENERATE_KEYS["manifest"])
         # the ladder's rule, media.require_ladder, checks bitrates_kbps
         return media.synthesize_manifest(
             _number(g, "num_segments", integral=True, where=where),
@@ -153,10 +155,9 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
 def _resolve_traces(spec, seed: int) -> list[tuple[str, channel.ChannelTrace]]:
     out: list[tuple[str, channel.ChannelTrace]] = []
     if isinstance(spec, dict) and "generate" in spec:
-        g = _generate_block(spec, "traces")
-        if g.get("kind", "markovian") != "markovian":
-            raise CliError(f"unknown trace kind {g['kind']!r} (expected 'markovian')")
         where = "the traces 'generate' block"
+        g = _config_object(_config_object(spec, "the traces spec", ("generate",))["generate"],
+                           where, *GENERATE_KEYS["traces"])
         count = _number(g, "count", 1, integral=True, where=where)
         args = [_number(g, key, where=where)
                 for key in ("duration_s", "low_kbps", "high_kbps", "p_transition")]
@@ -167,9 +168,9 @@ def _resolve_traces(spec, seed: int) -> list[tuple[str, channel.ChannelTrace]]:
         return out
     if isinstance(spec, list):
         for entry in spec:
-            if isinstance(entry, dict) and "path" not in entry:
-                raise CliError(f"trace entry {entry!r} needs a 'path'")
-            path = entry["path"] if isinstance(entry, dict) else entry
+            path = entry
+            if isinstance(entry, dict):
+                path = _config_object(entry, f"trace entry {entry!r}", ("path",))["path"]
             if not isinstance(path, str):
                 raise CliError(f"trace entry {entry!r}: the path must be a string")
             out.append((Path(path).stem, channel.load_trace(path)))
@@ -282,12 +283,10 @@ def _sessions(manifest: media.Manifest, traces, specs: dict, cfg: session.Sessio
 def run_compare(config: dict, out_dir: Path) -> None:
     """Run every (method x trace) session, aggregate, and write artifacts.
 
-    Nothing is written to ``out_dir`` unless every session is scored.
+    The config and each object in it are read under ``_config_object``'s
+    rule.  Nothing is written to ``out_dir`` unless every session is scored.
     """
-    unknown = sorted(set(config) - set(CONFIG_KEYS))
-    if unknown:
-        raise CliError(f"unknown config keys {', '.join(map(repr, unknown))}"
-                       f" (expected {', '.join(CONFIG_KEYS)})")
+    _config_object(config, "the config", optional=CONFIG_KEYS)
     scenario = config.get("scenario", "vod")
     if not isinstance(scenario, str) or scenario not in SCENARIO_BMAX:
         raise CliError(f"key 'scenario' in the config must be one of"
@@ -296,11 +295,8 @@ def run_compare(config: dict, out_dir: Path) -> None:
     tau = _number(config, "tau", session.DEFAULT_TAU_RESUME, integral=True)
     seed = _number(config, "seed", 0, integral=True)
     methods = config.get("methods") or []
-    if not isinstance(methods, list):
+    if not isinstance(methods, list) or not all(isinstance(spec, dict) for spec in methods):
         raise CliError(f"key 'methods' in the config must be a list of method objects, got {methods!r}")
-    for spec in methods:
-        if not isinstance(spec, dict):
-            raise CliError(f"method entry {spec!r} must be an object with an 'abr' key")
     if not methods:
         raise CliError("config needs at least one method")
 

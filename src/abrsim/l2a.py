@@ -125,12 +125,15 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     ``policy`` supplies the ladder and the per-epoch constants that
     ``L2APolicy`` derives from its settings.  With no
     feedback yet (first epoch) the distribution stays at its initialization
-    and the startup quality is returned.
+    and the startup quality is returned.  A realized rate that is not
+    positive and finite is a ValueError naming it, as for ``rb`` and ``bb``.
     """
     state = policy.state
     state.t += 1
     if feedback is not None:
         c_prev, sizes_prev, _ = feedback
+        if not 0.0 < c_prev < math.inf:
+            raise ValueError(f"realized_rate_kbps must be positive and finite, got {float(c_prev)!r}")
         beta, utility_grad, two_alpha, v, allowance_s, zero_accum = policy._decide_constants
         # the gradients of (f, g1, g2) are -w*r, d and -d, with d = s / c the
         # download time of each level: one pass adds v_l*f + q1*g1 + q2*g2 in

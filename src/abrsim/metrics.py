@@ -329,7 +329,8 @@ def regret_and_residuals(
     Uses each epoch's logged decision distribution when present; index-only
     policies fall back to the one-hot distribution of the chosen quality
     (flagged), on which the expected and raw per-decision values coincide.
-    Regret requires a benchmark solution; pass None to get residuals only.
+    Regret requires a benchmark solution, whose ``objective`` is read as
+    omega*'s expected bitrate; pass None to get residuals only.
     A quality index that is not an integer or lies outside 1..N, a bitrate
     or segment size other than the manifest's at (t, x_t), or a logged omega
     without exactly N entries is a ValueError naming the first such epoch,
@@ -396,9 +397,8 @@ def regret_and_residuals(
 
     regret = None
     if benchmark is not None:
-        star = float(ladder @ np.asarray(benchmark.omega_star))
         losses = -(omegas @ ladder)
-        regret = (np.cumsum(losses) + epochs * star) / epochs
+        regret = (np.cumsum(losses) + epochs * benchmark.objective) / epochs
 
     return ConvergenceSeries(regret, residual1, residual2, fallback)
 

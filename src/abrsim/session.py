@@ -206,10 +206,10 @@ def run_session(
 
     Fully deterministic given (policy state, manifest, trace).  Each epoch
     the policy's quality index (1-based) is checked against the ladder (one
-    that is not an integer is a ValueError naming the epoch), the segment is
-    drained through the trace under the fluid model, and the buffer law of
-    the module docstring is applied; the buffer stays in [0, b_max_s] at
-    every epoch boundary by construction.  If the policy
+    that is not an integer or lies off the ladder is a ValueError naming the
+    epoch), the segment is drained through the trace under the fluid model,
+    and the buffer law of the module docstring is applied; the buffer stays
+    in [0, b_max_s] at every epoch boundary by construction.  If the policy
     exposes an ``omega`` attribute (its current decision distribution, a
     tuple of floats the policy replaces rather than mutates), it is read
     after each ``decide`` and stored as is in that epoch's record for later
@@ -255,7 +255,7 @@ def run_session(
         row = sizes[(t - 1) * n : t * n]
         try:
             if not 1 <= x <= n:
-                raise ValueError(f"quality index {x} outside 1..{n}")
+                raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
             size = row[x - 1]
         except TypeError:  # an index that neither compares nor indexes as an integer
             raise ValueError(f"epoch {t}: quality index {x!r} is not an integer") from None

@@ -76,9 +76,9 @@ def step(
     ``omega`` in the epoch record; mutates ``state`` and returns the
     epoch's feedback."""
     n_levels = manifest.num_levels
-    if not 1 <= x_t <= n_levels:
-        raise ValueError(f"quality index {x_t} outside 1..{n_levels}")
     epoch = len(state.history) + 1
+    if not 1 <= x_t <= n_levels:
+        raise ValueError(f"epoch {epoch}: quality index {x_t} outside 1..{n_levels}")
     if epoch > manifest.num_segments:
         raise ValueError(f"epoch {epoch} beyond horizon {manifest.num_segments}")
     v = manifest.segment_duration_s

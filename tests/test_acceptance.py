@@ -375,7 +375,6 @@ def test_criterion_10_compare_determinism(tmp_path):
         },
         "traces": {
             "generate": {
-                "kind": "markovian",
                 "count": 3,
                 "duration_s": 1500,
                 "low_kbps": 750,

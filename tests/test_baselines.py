@@ -156,6 +156,25 @@ def test_rb_rejects_a_ladder_that_is_not_strictly_increasing(ladder, message):
             build(ladder)
 
 
+@pytest.mark.parametrize("bad", [0.0, -500.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda man: L2APolicy(man.bitrates_kbps, 2.0, 20.0, man.num_segments),
+     lambda man: RBPolicy(man.bitrates_kbps),
+     lambda man: BBPolicy(man, 20.0)],
+    ids=["l2a", "rb", "bb"],
+)
+def test_every_policy_rejects_a_rate_that_is_not_positive_and_finite(build, bad):
+    # L2A divided by the rate unchecked: 0 was a ZeroDivisionError, -500 and
+    # inf moved omega silently, and nan failed only on a step epoch
+    man = synthesize_manifest(10, LADDER3, 2.0)
+    policy = build(man)
+    policy.decide(None)
+    message = f"^{re.escape(f'realized_rate_kbps must be positive and finite, got {bad!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        policy.decide(EpochFeedback(bad, man.sizes_row(1), 5.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -400.0])
 def test_a_rate_that_is_not_positive_and_finite_is_an_error(bad):
     # one NaN rate once locked rb to the top rung: on this ladder 800, NaN,

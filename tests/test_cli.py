@@ -166,19 +166,26 @@ def test_removed_evaluation_flags_are_rejected(assets, tmp_path):
             run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", "session.csv", flag, value)
 
 
-def test_the_workflow_calls_the_cli_with_options_it_has():
+def test_the_workflow_calls_the_cli_with_options_it_has(tmp_path):
     # CI runs the installed abrsim script once per subcommand; a renamed flag
-    # would break that step without failing any test here, so each of its
-    # abrsim calls is parsed by the CLI's own parser
+    # or a config rule that its compare.json breaks would fail that step
+    # without failing any test here, so each of its abrsim calls is parsed by
+    # the CLI's own parser and then run in process, in order, with
+    # $RUNNER_TEMP as tmp_path and its heredoc compare.json written first
     root = Path(__file__).resolve().parents[1]
     text = (root / ".github" / "workflows" / "tests.yml").read_text()
     step = text.split("- name: Installed console script", 1)[1].split("\n      - ", 1)[0]
-    calls = [line.strip() for line in step.replace("\\\n", " ").splitlines()
+    temp = step.replace("$RUNNER_TEMP", str(tmp_path))
+    ((target, body),) = re.findall(r'cat > "([^"]+)" <<EOF\n(.*?)\n *EOF\n', temp, re.S)
+    Path(target).write_text(body)
+    calls = [line.strip() for line in temp.replace("\\\n", " ").splitlines()
              if line.strip().startswith("abrsim ")]
-    assert {shlex.split(call)[1] for call in calls} == {"gen", "run", "benchmark", "compare"}
+    assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare"]
     for call in calls:
         # an unknown or missing option exits through argparse
-        cli.build_parser().parse_args(shlex.split(call.replace("$RUNNER_TEMP", "/runner-temp"))[1:])
+        cli.build_parser().parse_args(shlex.split(call)[1:])
+    for call in calls:
+        assert main(shlex.split(call)[1:]) == 0, call
 
 
 def test_concat_traces(tmp_path):
@@ -390,7 +397,6 @@ def _compare_config(tmp_path, segments=50, count=2):
         },
         "traces": {
             "generate": {
-                "kind": "markovian",
                 "count": count,
                 "duration_s": 600,
                 "low_kbps": 750,
@@ -585,7 +591,7 @@ def test_compare_rejects_unknown_method_key(tmp_path, capsys, abr, name, keys):
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"cannot build method {name!r}" in err
-        assert f"unknown key {key!r} for abr method {abr!r} (expected abr, name" in err
+        assert f"unknown key {key!r} in abr method {abr!r} (expected abr, name" in err
         assert not out.exists()
 
 
@@ -614,7 +620,7 @@ def test_compare_rejects_unknown_config_key(tmp_path, capsys):
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert f"unknown config keys {key!r} (expected scenario, tau, seed," in err
+        assert f"unknown key {key!r} in the config (expected scenario, tau, seed," in err
         assert not out.exists()
 
 
@@ -625,13 +631,12 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
     misspelt["manifest"]["generate"]["vbr_jiter"] = 0.3
     missing = json.loads(json.dumps(cfg))
     del missing["traces"]["generate"]["low_kbps"]
-    other_kind = json.loads(json.dumps(cfg))
-    other_kind["traces"]["generate"]["kind"] = "gilbert"
     endless = json.loads(json.dumps(cfg))
     endless["traces"]["generate"]["duration_s"] = float("inf")  # the JSON token Infinity
     for name, bad, expected in (("misspelt", misspelt, "unknown key 'vbr_jiter'"),
                                 ("missing", missing, "missing key 'low_kbps'"),
-                                ("kind", other_kind, "unknown trace kind 'gilbert'"),
+                                ("number", {**cfg, "traces": {"generate": 5}},
+                                 "the traces 'generate' block must be a JSON object, got 5"),
                                 ("inf", endless, "duration_s must be positive and finite, got inf")):
         cfg_path.write_text(json.dumps(bad))
         out = tmp_path / name
@@ -698,12 +703,53 @@ def test_compare_needs_a_manifest_and_trace_paths(tmp_path, capsys):
     no_manifest = {key: value for key, value in cfg.items() if key != "manifest"}
     no_path = {**cfg, "traces": [{"file": "trace.csv"}]}
     for name, bad, expected in (("manifest", no_manifest, "manifest spec needs"),
-                                ("path", no_path, "needs a 'path'")):
+                                ("path", no_path, "unknown key 'file' in trace entry {'file': 'trace.csv'}"
+                                                  " (expected path)")):
         cfg_path.write_text(json.dumps(bad))
         out = tmp_path / name
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        (lambda cfg, manifest, trace: [], "the config must be a JSON object, got []"),
+        (lambda cfg, manifest, trace: 5, "the config must be a JSON object, got 5"),
+        (lambda cfg, manifest, trace: None, "the config must be a JSON object, got None"),
+        (lambda cfg, manifest, trace: "x", "the config must be a JSON object, got 'x'"),
+        (lambda cfg, manifest, trace: {**cfg, "manifest": {**cfg["manifest"], "seed": 1}},
+         "unknown key 'seed' in the manifest spec (expected generate)"),
+        (lambda cfg, manifest, trace: {**cfg, "manifest": {**cfg["manifest"], "path": manifest}},
+         "unknown key 'generate' in the manifest spec (expected path)"),
+        (lambda cfg, manifest, trace: {**cfg, "traces": {**cfg["traces"], "count": 3}},
+         "unknown key 'count' in the traces spec (expected generate)"),
+        (lambda cfg, manifest, trace: {**cfg, "traces": [{"name": "x", "path": trace}]},
+         "unknown key 'name' in trace entry {'name': 'x', 'path': TRACE} (expected path)"),
+        (lambda cfg, manifest, trace: {**cfg, "traces": {"generate": {**cfg["traces"]["generate"],
+                                                                       "kind": "markovian"}}},
+         "unknown key 'kind' in the traces 'generate' block"
+         " (expected duration_s, low_kbps, high_kbps, p_transition, count, step_s)"),
+    ],
+    ids=["config-list", "config-number", "config-null", "config-string", "manifest-extra-key",
+         "manifest-path-and-generate", "traces-count-beside-generate", "trace-entry-name", "traces-kind"],
+)
+def test_every_config_object_follows_one_key_rule(assets, tmp_path, capsys, bad, expected):
+    # the config and each of its objects is a JSON object with its required
+    # keys and no other key: a config of [], 5 or null once ended in a
+    # traceback, "x" in "unknown config keys 'x'", and each misplaced key here
+    # was once ignored (a "count" beside the traces' generate block ran one
+    # trace, not three)
+    manifest, trace = str(assets[0]), str(assets[1])
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg_path.write_text(json.dumps(bad(json.loads(cfg_path.read_text()), manifest, trace)))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"abrsim: error: {expected.replace('TRACE', repr(trace))}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_the_default_tau_is_stated_once():
@@ -799,7 +845,7 @@ def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, expected",
     [
-        ("methods", ["l2a"], "method entry 'l2a' must be an object with an 'abr' key"),
+        ("methods", ["l2a"], "key 'methods' in the config must be a list of method objects, got ['l2a']"),
         ("methods", {"abr": "rb"},
          "key 'methods' in the config must be a list of method objects, got {'abr': 'rb'}"),
         ("traces", [{"path": 5}], "trace entry {'path': 5}: the path must be a string"),

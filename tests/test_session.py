@@ -904,10 +904,10 @@ def test_run_session_rejects_an_index_off_the_ladder_as_the_oracle_does(n_levels
     script = [1] * bad_at + [data.draw(st.sampled_from([0, n_levels + 1]))]
     messages = []
     for run in (run_session, run_oracle):
-        with pytest.raises(ValueError, match=r"^quality index -?\d+ outside 1\.\.\d+$") as info:
+        with pytest.raises(ValueError, match=r"^epoch \d+: quality index -?\d+ outside 1\.\.\d+$") as info:
             run(ScriptedPolicy(script), SessionConfig(b_max_s=20.0), man, trace)
         messages.append(str(info.value))
-    assert messages[0] == messages[1] == f"quality index {script[-1]} outside 1..{n_levels}"
+    assert messages[0] == messages[1] == f"epoch {bad_at + 1}: quality index {script[-1]} outside 1..{n_levels}"
 
 
 @pytest.mark.parametrize("x", [2.0, 1.5, np.float64(2.0), "2", None], ids=["2.0", "1.5", "float64", "str", "None"])
