@@ -71,35 +71,35 @@ def _config_object(obj, what: str, required=(), optional=()) -> dict:
 
 
 def method_name(spec: dict) -> str:
-    """The method's ``name``, or one made from ``abr`` and, for ``l2a``, ``beta``.
-
-    A name is part of the artifact file names, so one that is not a string,
-    is empty, or holds a path separator or a NUL is a CliError.
-    """
+    """The name of the method ``spec`` (``name``, else ``l2a-beta<beta>`` for
+    ``l2a`` and the ``abr`` value for the others), under the one rule of a
+    method spec: a name is part of the artifact file names, so it must be a
+    non-empty string with no path separator or NUL; ``beta`` (default 1)
+    passes ``check_beta``; ``abr`` is one of POLICIES; and no key but ``abr``,
+    ``name`` and, for ``l2a``, ``beta`` is held.  Each fault is a CliError,
+    and an unknown ``abr`` or key names the method."""
     if "name" in spec:
         name = spec["name"]
         if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
             raise CliError(f"method name {name!r} must be a non-empty string"
                            " with no path separator or NUL")
-        return name
-    abr = spec.get("abr", "?")
-    if abr == "l2a":
-        # checked first, so a bad beta gets the parameter error rather than a format error
-        return f"l2a-beta{check_beta(spec.get('beta', 1.0)):g}"
-    return str(abr)
+    abr = spec.get("abr")
+    # checked before the default name formats it, so a bad beta gets the parameter error
+    beta = check_beta(spec.get("beta", 1.0)) if abr == "l2a" else None
+    name = spec.get("name", str(abr) if beta is None else f"l2a-beta{beta:g}")
+    if abr not in POLICIES:
+        raise CliError(f"unknown abr {abr!r} in method {name!r} (expected l2a, rb, or bb)")
+    _config_object(spec, f"method {name!r}", ("abr",), ("name",) if beta is None else ("name", "beta"))
+    return name
 
 
 def build_policy(spec: dict, manifest: media.Manifest, b_max_s: float, horizon_t: int):
-    """Instantiate a policy from a method spec: ``abr``, ``name`` and, for
-    ``l2a``, ``beta``, under the rule of ``_config_object``."""
-    abr = spec.get("abr")
-    if abr not in POLICIES:
-        raise CliError(f"unknown abr method {abr!r} (expected l2a, rb, or bb)")
-    _config_object(spec, f"abr method {abr!r}", ("abr",), ("name", "beta") if abr == "l2a" else ("name",))
-    if abr == "l2a":
+    """Instantiate the policy of a method spec, which ``method_name`` checks."""
+    method_name(spec)
+    if spec["abr"] == "l2a":
         return L2APolicy(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s, horizon_t,
                          beta=spec.get("beta", 1.0))
-    if abr == "rb":
+    if spec["abr"] == "rb":
         return RBPolicy(manifest.bitrates_kbps)
     return BBPolicy(manifest, b_max_s)
 
@@ -111,23 +111,26 @@ GENERATE_KEYS = {
 }
 
 
-def _number(block: dict, key: str, default=None, *, integral: bool = False,
+def _number(block: dict, key: str, default=None, *, least: int | None = None,
             where: str = "the config"):
-    """``block[key]`` (or ``default``) as a float, or as an int if ``integral``.
+    """``block[key]`` (or ``default``) as a float or, given ``least``, as an
+    int of at least ``least``.
 
     A bool, a non-number or, for an integer field, a value that is not
-    integral is a CliError naming the key.
+    integral or is below ``least`` is a CliError naming the key and ``where``.
     """
     value = block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"key {key!r} in {where} must be a number, got {value!r}")
-    if not integral:
+    if least is None:
         try:
             return float(value)
         except OverflowError:  # an int past the float range
             raise CliError(f"key {key!r} in {where} is out of the float range") from None
     if isinstance(value, float) and not value.is_integer():
         raise CliError(f"key {key!r} in {where} must be an integer, got {value!r}")
+    if value < least:
+        raise CliError(f"key {key!r} in {where} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -143,11 +146,11 @@ def _resolve_manifest(spec, seed: int) -> media.Manifest:
                            where, *GENERATE_KEYS["manifest"])
         # the ladder's rule, media.require_ladder, checks bitrates_kbps
         return media.synthesize_manifest(
-            _number(g, "num_segments", integral=True, where=where),
+            _number(g, "num_segments", least=1, where=where),
             g["bitrates_kbps"],
             _number(g, "segment_duration_s", where=where),
             vbr_jitter=_number(g, "vbr_jitter", 0.0, where=where),
-            seed=_number(g, "seed", seed, integral=True, where=where),
+            seed=_number(g, "seed", seed, least=0, where=where),
         )
     raise CliError("manifest spec needs 'path' or 'generate'")
 
@@ -158,7 +161,7 @@ def _resolve_traces(spec, seed: int) -> list[tuple[str, channel.ChannelTrace]]:
         where = "the traces 'generate' block"
         g = _config_object(_config_object(spec, "the traces spec", ("generate",))["generate"],
                            where, *GENERATE_KEYS["traces"])
-        count = _number(g, "count", 1, integral=True, where=where)
+        count = _number(g, "count", 1, least=1, where=where)
         args = [_number(g, key, where=where)
                 for key in ("duration_s", "low_kbps", "high_kbps", "p_transition")]
         step_s = _number(g, "step_s", 1.0, where=where)
@@ -186,16 +189,6 @@ def _benchmark_dict(bench: metrics.BenchmarkSolution) -> dict:
         "slack_used": float(bench.slack_used),
         "binding_windows": int(bench.binding_windows),
     }
-
-
-def _slot_benchmark(manifest: media.Manifest, trace: channel.ChannelTrace, t_total: int,
-                    b_max_s: float) -> metrics.BenchmarkSolution:
-    """The benchmark of a ``t_total``-epoch session on ``trace``, against the
-    trace's slot clock: the channel a player fetching segment t during slot t
-    would meet.  No decision changes it, so every method's session on the
-    trace is measured against this one solution."""
-    yardstick = channel.slot_clock(trace, manifest.segment_duration_s, t_total)
-    return metrics.hindsight_benchmark(manifest, yardstick, b_max_s)
 
 
 def _report_dict(name: str, trace_name: str, report: metrics.SessionReport,
@@ -241,38 +234,28 @@ def _print_metrics(name: str, report: metrics.SessionReport) -> None:
 
 
 def _sessions(manifest: media.Manifest, traces, specs: dict, cfg: session.SessionConfig):
-    """Every session of each method of ``specs`` (name -> method spec, in
-    order) on each of ``traces`` ((name, trace) pairs), yielded one at a
-    time, method by method, as ``(name, trace_name, history, report, bench,
-    series)``: the session's log, its metrics (not yet normalized), its
-    trace's benchmark and its regret and residual series against it.
+    """Every session of each method of ``specs`` (name -> method spec, as
+    ``method_name`` checked it, in order) on each of ``traces`` ((name,
+    trace) pairs), yielded one at a time, trace by trace, as ``(name,
+    trace_name, history, report, bench, series)``: the session's log, its
+    metrics (not yet normalized), its trace's benchmark and its regret and
+    residual series against it.
 
-    One fresh policy per session and one benchmark per trace, the trace's
-    slot clock, are all built and solved before the first session runs, so
-    a bad method or trace fails before any session.  Each failure is a
-    CliError naming the method or the trace.  Only the session being scored
+    Each trace's benchmark is solved once, before its sessions, and each
+    session runs a fresh policy.  Each failure is a CliError naming the
+    trace and, for a session, the method.  Only the session being scored
     holds a log, so a caller that keeps the other fields keeps no log.
     """
     b_max = cfg.b_max_s
-    policies = {}
-    for name, spec in specs.items():
-        for trace_name, _ in traces:
-            try:
-                policies[name, trace_name] = build_policy(spec, manifest, b_max, manifest.num_segments)
-            except Exception as exc:
-                raise CliError(f"cannot build method {name!r} for trace {trace_name!r}: {exc}") from exc
-    # every method's regret on a trace is measured against its one benchmark
-    benches = {}
     for trace_name, trace in traces:
         try:
-            benches[trace_name] = _slot_benchmark(manifest, trace, manifest.num_segments, b_max)
+            bench = metrics.hindsight_benchmark(manifest, trace, manifest.num_segments, b_max)
         except Exception as exc:
             raise CliError(f"benchmark failed on trace {trace_name!r}: {exc}") from exc
-    for name in specs:
-        for trace_name, trace in traces:
-            bench = benches[trace_name]
+        for name, spec in specs.items():
             try:
-                history = session.run_session(policies.pop((name, trace_name)), cfg, manifest, trace).history
+                policy = build_policy(spec, manifest, b_max, manifest.num_segments)
+                history = session.run_session(policy, cfg, manifest, trace).history
                 series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
                 report = metrics.qoe_metrics(history, manifest, cfg.tau_resume, manifest.duration_s)
             except Exception as exc:
@@ -284,7 +267,9 @@ def run_compare(config: dict, out_dir: Path) -> None:
     """Run every (method x trace) session, aggregate, and write artifacts.
 
     The config and each object in it are read under ``_config_object``'s
-    rule.  Nothing is written to ``out_dir`` unless every session is scored.
+    rule, and each method spec under ``method_name``'s before any manifest
+    or trace is loaded.  Nothing is written to ``out_dir`` unless every
+    session is scored.
     """
     _config_object(config, "the config", optional=CONFIG_KEYS)
     scenario = config.get("scenario", "vod")
@@ -292,13 +277,17 @@ def run_compare(config: dict, out_dir: Path) -> None:
         raise CliError(f"key 'scenario' in the config must be one of"
                        f" {', '.join(map(repr, SCENARIO_BMAX))}, got {scenario!r}")
     b_max = SCENARIO_BMAX[scenario]
-    tau = _number(config, "tau", session.DEFAULT_TAU_RESUME, integral=True)
-    seed = _number(config, "seed", 0, integral=True)
+    tau = _number(config, "tau", session.DEFAULT_TAU_RESUME, least=1)
+    seed = _number(config, "seed", 0, least=0)
     methods = config.get("methods") or []
     if not isinstance(methods, list) or not all(isinstance(spec, dict) for spec in methods):
         raise CliError(f"key 'methods' in the config must be a list of method objects, got {methods!r}")
     if not methods:
         raise CliError("config needs at least one method")
+    names = [method_name(m) for m in methods]
+    if len(set(names)) != len(names):
+        raise CliError(f"duplicate method names in config: {sorted(names)}")
+    specs = dict(sorted(zip(names, methods)))
 
     manifest = _resolve_manifest(config.get("manifest"), seed)
     traces = _resolve_traces(config.get("traces"), seed)
@@ -312,11 +301,6 @@ def run_compare(config: dict, out_dir: Path) -> None:
                            " trace files need distinct file names")
 
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
-
-    specs = {method_name(m): m for m in methods}
-    if len(specs) != len(methods):
-        raise CliError(f"duplicate method names in config: {sorted(method_name(m) for m in methods)}")
-    specs = dict(sorted(specs.items()))
     # by_method[name] = list of (trace_name, report, benchmark, series), in trace order
     by_method: dict[str, list] = {name: [] for name in specs}
     for name, trace_name, _, report, bench, series in _sessions(manifest, traces, specs, sess_cfg):
@@ -351,11 +335,12 @@ def run_compare(config: dict, out_dir: Path) -> None:
 def _cmd_run(args) -> int:
     if args.beta is not None and args.abr != "l2a":
         raise CliError(f"--beta not used by --abr {args.abr}")
+    channel.require_count("--tau", args.tau)
+    spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
+    name = method_name(spec)
     manifest = media.load_manifest(args.manifest)
     trace = channel.load_trace(args.trace)
     cfg = session.SessionConfig(b_max_s=SCENARIO_BMAX[args.scenario], tau_resume=args.tau)
-    spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
-    name = method_name(spec)
     # compare's pipeline on one method and one trace: its one cell
     ((_, trace_name, history, report, bench, series),) = _sessions(
         manifest, [(Path(args.trace).stem, trace)], {name: spec}, cfg)
@@ -370,9 +355,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    run_compare(config, Path(args.out))
+    run_compare(media.read_json(args.config, "config"), Path(args.out))
     return 0
 
 
@@ -439,7 +422,7 @@ def _cmd_benchmark(args) -> int:
         raise CliError(f"{args.log}: empty session log")
     trace = channel.load_trace(args.trace)
     b_max = SCENARIO_BMAX[args.scenario]
-    bench = _slot_benchmark(manifest, trace, len(history), b_max)
+    bench = metrics.hindsight_benchmark(manifest, trace, len(history), b_max)
     series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
     # after scoring, so that a record the manifest contradicts is named first
     _check_log_ran_on(history, trace, args.log, args.trace)

@@ -165,16 +165,33 @@ def _require_duration(segment_duration_s) -> float:
     return duration
 
 
+def _one_value_per_key(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key stated twice is a ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is stated twice in one object")
+        doc[key] = value
+    return doc
+
+
+def read_json(path: str | Path, what: str, error: type[ValueError] = ValueError):
+    """The JSON document in the file at ``path``.  A file that cannot be read
+    or parsed, or that holds an object stating a key twice (``json`` alone
+    keeps the last value), is an ``error`` naming ``what`` and the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=_one_value_per_key)
+    except (OSError, ValueError) as exc:  # ValueError: a parse, decode or repeated-key fault
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Load a manifest JSON file and validate every ladder invariant.
 
     Every error is a ManifestError naming the file and the field.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    doc = read_json(path, "manifest", ManifestError)
     try:
         return Manifest(
             segment_duration_s=doc["segment_duration_s"],

@@ -6,7 +6,7 @@ smoothness (switch amplitude), consistency (stall seconds against the viewing
 time budget) and continuity (stall count against the resumable segment
 budget).  The benchmark is the best fixed decision distribution in hindsight
 whose average download time stays within bounds over every length-K window of
-a yardstick channel, one rate per epoch (``hindsight_benchmark``); regret is
+a trace's slot clock, one rate per epoch (``hindsight_benchmark``); regret is
 the cumulative loss gap against it.  The benchmark is solved exactly, as two
 linear programs (the smallest uniform slack that makes the window bounds
 feasible, then the best bitrate at that slack), by a small revised simplex on
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import require_count, require_positive
+from .channel import ChannelTrace, require_count, require_positive, slot_clock
 from .media import Manifest
 from .session import EpochRecord, _columns
 
@@ -235,7 +235,8 @@ def solve_benchmark(
     programs are solved: the smallest uniform slack s* that makes the window
     bounds feasible (reported; 0 when the instance is feasible as stated),
     then the best bitrate with every bound widened by s* + 1e-10.  A ``k``
-    that is not an integer in 1..T is a ValueError naming it.
+    that is not an integer in 1..T is a ValueError naming it, and so is a
+    realized rate that is not positive and finite, by its epoch and value.
     """
     rates_c = np.asarray(realized_rate_kbps, dtype=float)
     t_total = rates_c.size
@@ -246,11 +247,10 @@ def solve_benchmark(
     require_positive("b_max_s", b_max_s)
     if t_total > manifest.num_segments:
         raise ValueError("more realized rates than manifest segments")
-    bad = np.flatnonzero(~np.isfinite(rates_c))
+    bad = np.flatnonzero(~(np.isfinite(rates_c) & (rates_c > 0)))
     if bad.size:
-        raise ValueError(f"realized rate at epoch {bad[0] + 1} is not finite: {rates_c[bad[0]]}")
-    if np.any(rates_c <= 0):
-        raise ValueError("realized rates must be positive")
+        raise ValueError(f"realized rate at epoch {bad[0] + 1} must be positive and finite,"
+                         f" got {float(rates_c[bad[0]])!r}")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
     ladder = np.asarray(manifest.bitrates_kbps, dtype=float)
@@ -412,16 +412,15 @@ def benchmark_window(t_total: int) -> int:
     return max(1, min(t_total, math.ceil(t_total**0.9)))
 
 
-def hindsight_benchmark(manifest: Manifest, yardstick_kbps, b_max_s: float) -> BenchmarkSolution:
-    """The benchmark stage: ``solve_benchmark`` over length-K windows of the
-    rate series ``yardstick_kbps``, one rate per epoch, with K =
-    ``benchmark_window(len(yardstick_kbps))`` and the manifest's segment
-    duration.  The yardstick is the caller's choice: ``run``, ``compare`` and
-    ``benchmark`` pass the slot clock of the session's trace
-    (``channel.slot_clock``), which no decision changes, so every method run
-    on one trace is measured against one benchmark.  The series stage,
-    ``regret_and_residuals``, takes the solution; the session metrics are a
-    third stage, ``qoe_metrics``."""
-    rates = np.asarray(yardstick_kbps, dtype=float)
-    return solve_benchmark(manifest, rates, benchmark_window(rates.size),
-                           manifest.segment_duration_s, b_max_s)
+def hindsight_benchmark(manifest: Manifest, trace: ChannelTrace, t_total: int,
+                        b_max_s: float) -> BenchmarkSolution:
+    """The benchmark stage of a ``t_total``-epoch session on ``trace``:
+    ``solve_benchmark`` over length-K windows of the trace's slot clock
+    (``channel.slot_clock``), with K = ``benchmark_window(t_total)`` and the
+    manifest's segment duration.  The slot clock is the channel a player
+    fetching segment t during slot t would meet; no decision changes it, so
+    every method run on one trace is measured against one benchmark.  The
+    series stage, ``regret_and_residuals``, takes the solution; the session
+    metrics are a third stage, ``qoe_metrics``."""
+    v = manifest.segment_duration_s
+    return solve_benchmark(manifest, slot_clock(trace, v, t_total), benchmark_window(t_total), v, b_max_s)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abrsim import cli, generate_markovian, load_manifest, load_trace, media, metrics, session, slot_clock
+from abrsim import channel, cli, generate_markovian, load_manifest, load_trace, media, metrics, session, slot_clock
 from abrsim.cli import main
 
 
@@ -566,8 +566,8 @@ def test_compare_unknown_method_fails_with_name(tmp_path, capsys):
     cfg["methods"] = [{"abr": "nope", "name": "mystery"}]
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
-    err = capsys.readouterr().err
-    assert "mystery" in err and "markovian-0000" in err
+    assert capsys.readouterr().err == (
+        "abrsim: error: unknown abr 'nope' in method 'mystery' (expected l2a, rb, or bb)\n")
 
 
 @pytest.mark.parametrize(
@@ -589,9 +589,8 @@ def test_compare_rejects_unknown_method_key(tmp_path, capsys, abr, name, keys):
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert f"cannot build method {name!r}" in err
-        assert f"unknown key {key!r} in abr method {abr!r} (expected abr, name" in err
+        assert capsys.readouterr().err == (f"abrsim: error: unknown key {key!r} in method {name!r}"
+                                           f" (expected abr, name{', beta' if abr == 'l2a' else ''})\n")
         assert not out.exists()
 
 
@@ -603,9 +602,52 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
     calls = _count_sessions(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
-    err = capsys.readouterr().err
-    assert "'kapa'" in err and "zz-last" in err
+    assert capsys.readouterr().err == "abrsim: error: unknown key 'kapa' in method 'zz-last' (expected abr, name)\n"
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inputs", ["manifest-path", "manifest-generate"])
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ({"abr": "nope", "name": "zz-last"}, "unknown abr 'nope' in method 'zz-last' (expected l2a, rb, or bb)"),
+        ({"abr": "l2a", "name": "zz-last", "kapa": 0.3},
+         "unknown key 'kapa' in method 'zz-last' (expected abr, name, beta)"),
+        ({"abr": "l2a", "name": "zz-last", "beta": 1.5}, "beta must be a number in (0, 1], got 1.5"),
+        ({"abr": "rb", "name": "zz/last"},
+         "method name 'zz/last' must be a non-empty string with no path separator or NUL"),
+    ],
+    ids=["abr", "key", "beta", "name"],
+)
+def test_a_bad_method_is_refused_before_any_input_loads(assets, tmp_path, capsys, monkeypatch,
+                                                        inputs, spec, expected):
+    # a method spec is checked once, right after the methods are read: a
+    # bad last method was once reported after the manifest and every trace
+    # had loaded, as "cannot build method 'zz-last' for trace 'markovian-0000'"
+    loads = []
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            loads.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((media, "load_manifest"), (media, "synthesize_manifest"),
+                         (channel, "load_trace"), (channel, "generate_markovian")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    if inputs == "manifest-path":
+        cfg = {**cfg, "manifest": {"path": str(assets[0])}}
+    else:
+        cfg = {**cfg, "traces": [str(assets[1])]}
+    cfg["methods"].append(spec)
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == f"abrsim: error: {expected}\n"
+    assert loads == []
     assert not out.exists()
 
 
@@ -663,8 +705,8 @@ def test_compare_rejects_unknown_or_missing_generate_key(tmp_path, capsys):
         ("traces", "count", float("inf"),
          "key 'count' in the traces 'generate' block must be an integer, got inf"),
         # the first trace's seed, and the manifest's
-        (None, "seed", -1, "seed must be an integer >= 0, got -1"),
-        ("manifest", "seed", -1, "seed must be an integer >= 0, got -1"),
+        (None, "seed", -1, "key 'seed' in the config must be an integer >= 0, got -1"),
+        ("manifest", "seed", -1, "key 'seed' in the manifest 'generate' block must be an integer >= 0, got -1"),
     ],
     ids=["tau-fraction", "tau-bool", "seed-fraction", "seed-string",
          "segments-fraction", "jitter-bool", "duration-string", "duration-huge", "count-inf",
@@ -679,6 +721,50 @@ def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value,
     out = tmp_path / "out"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
     assert capsys.readouterr().err == f"abrsim: error: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, edit, expected",
+    [
+        # a key stated twice once ran its last value: live, l2a-beta1, V = 4 s
+        ("config", lambda text: text.replace('"scenario": "vod"', '"scenario": "vod", "scenario": "live"'),
+         "cannot read config INPUT: key 'scenario' is stated twice in one object"),
+        ("config", lambda text: text.replace('"beta": 0.3', '"beta": 0.3, "beta": 1.0'),
+         "cannot read config INPUT: key 'beta' is stated twice in one object"),
+        ("manifest", '{"segment_duration_s": 2.0, "segment_duration_s": 4.0, "bitrates_kbps": [1000, 3000],'
+                     ' "segment_sizes_kbit": [[2000, 6000]]}',
+         "cannot read manifest INPUT: key 'segment_duration_s' is stated twice in one object"),
+        # a config that did not parse was once reported without its file
+        ("config", lambda text: '{"scenario": "vod",',
+         "cannot read config INPUT: Expecting property name enclosed in double quotes: line 1 column 20 (char 19)"),
+        # an integer below its least value was once reported under another name, or under none
+        ("config", lambda text: text.replace('"tau": 2', '"tau": 0'),
+         "key 'tau' in the config must be an integer >= 1, got 0"),
+        ("run", ["--tau", "0"], "--tau must be an integer >= 1, got 0"),
+        ("config", lambda text: text.replace('"count": 1', '"count": 0'),
+         "key 'count' in the traces 'generate' block must be an integer >= 1, got 0"),
+        ("config", lambda text: text.replace('"num_segments": 10', '"num_segments": 0'),
+         "key 'num_segments' in the manifest 'generate' block must be an integer >= 1, got 0"),
+    ],
+    ids=["config-repeated-key", "method-repeated-key", "manifest-repeated-key", "config-unparsed",
+         "tau-zero", "run-tau-zero", "count-zero", "segments-zero"],
+)
+def test_an_input_is_read_as_written_or_refused_by_name(assets, tmp_path, capsys, kind, edit, expected):
+    manifest, trace = assets
+    path = _compare_config(tmp_path, segments=10, count=1)
+    argv = ["compare", "--config", path]
+    if kind == "config":
+        path.write_text(edit(path.read_text()))
+    elif kind == "manifest":
+        path = tmp_path / "repeated.json"
+        path.write_text(edit)
+        argv = ["run", "--manifest", path, "--trace", trace]
+    else:
+        argv = ["run", "--manifest", manifest, "--trace", trace, *edit]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err == f"abrsim: error: {expected.replace('INPUT', str(path))}\n"
     assert not out.exists()
 
 

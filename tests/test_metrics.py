@@ -228,13 +228,15 @@ def test_benchmark_validation():
             solve_benchmark(man, [2000.0] * 10, 5, 2.0, b_max)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
 def test_benchmark_rejects_non_finite_rates(bad):
+    # a rate that is not positive once named neither its epoch nor its value
     man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
     realized = [2000.0] * 10
     realized[3] = bad
     realized[7] = bad
-    with pytest.raises(ValueError, match="epoch 4 "):
+    expected = f"realized rate at epoch 4 must be positive and finite, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         solve_benchmark(man, realized, 5, 2.0, 120.0)
 
 
