@@ -125,7 +125,9 @@ def load_trace(path: str | Path) -> ChannelTrace:
     """Read a trace CSV, rebase its clock to zero, and floor the throughputs.
 
     Samples below ``FLOOR_KBPS`` (outages are often logged as zero) are
-    replaced by the floor so every download makes progress.  The file is read
+    replaced by the floor so every download makes progress.  One sample is
+    a trace, as for ``ChannelTrace``: the last rate lasts forever; a file
+    with no sample is a TraceError naming it.  The file is read
     by ``read_csv_table``: the header's two names may hold surrounding spaces
     (a third name is an error), a row's fields after the second are ignored,
     and a row that cannot be parsed, holds a NaN or inf, or does not increase
@@ -133,8 +135,8 @@ def load_trace(path: str | Path) -> ChannelTrace:
     """
     samples = read_csv_table(path, TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
                              _sample_faults, _sample_fault, TraceError, strip_header=True)
-    if len(samples) < 2:
-        raise TraceError(f"{path}: need at least 2 samples, got {len(samples)}")
+    if not len(samples):
+        raise TraceError(f"{path}: need at least 1 sample, got 0")
     ts, tp = samples.T
     return ChannelTrace(ts - ts[0], np.maximum(tp, FLOOR_KBPS))
 

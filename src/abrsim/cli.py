@@ -73,16 +73,18 @@ def _config_object(obj, what: str, required=(), optional=()) -> dict:
 def method_name(spec: dict) -> str:
     """The name of the method ``spec`` (``name``, else ``l2a-beta<beta>`` for
     ``l2a`` and the ``abr`` value for the others), under the one rule of a
-    method spec: a name is part of the artifact file names, so it must be a
-    non-empty string with no path separator or NUL; ``beta`` (default 1)
+    method spec: a name is part of the artifact file names and a field of
+    the comparison CSV and of a stdout line, so it must be a non-empty
+    string with no path separator, NUL, comma, double quote or line break
+    (CR or LF); ``beta`` (default 1)
     passes ``check_beta``; ``abr`` is one of POLICIES; and no key but ``abr``,
     ``name`` and, for ``l2a``, ``beta`` is held.  Each fault is a CliError,
     and an unknown ``abr`` or key names the method."""
     if "name" in spec:
         name = spec["name"]
-        if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
-            raise CliError(f"method name {name!r} must be a non-empty string"
-                           " with no path separator or NUL")
+        if not isinstance(name, str) or not name or any(c in name for c in '/\\\0,"\r\n'):
+            raise CliError(f"method name {name!r} must be a non-empty string with no"
+                           " path separator, NUL, comma, double quote or line break")
     abr = spec.get("abr")
     # checked before the default name formats it, so a bad beta gets the parameter error
     beta = check_beta(spec.get("beta", 1.0)) if abr == "l2a" else None
@@ -299,6 +301,16 @@ def run_compare(config: dict, out_dir: Path) -> None:
         if trace_name == next_name:
             raise CliError(f"duplicate trace name {trace_name!r} in config:"
                            " trace files need distinct file names")
+    # each session's report is sessions/{method}__{trace}.json, and "__" may
+    # occur in either name, so two pairs could name one file
+    report_pairs = {}
+    for trace_name, _ in traces:
+        for name in specs:
+            file = f"{name}__{trace_name}.json"
+            other = report_pairs.setdefault(file, (name, trace_name))
+            if other != (name, trace_name):
+                raise CliError(f"two sessions would write sessions/{file}: method {other[0]!r} on trace"
+                               f" {other[1]!r} and method {name!r} on trace {trace_name!r}")
 
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
     # by_method[name] = list of (trace_name, report, benchmark, series), in trace order
@@ -400,7 +412,7 @@ def _check_log_ran_on(history, trace: channel.ChannelTrace, log_path, trace_path
     first such epoch.
     """
     columns = session._columns(history)
-    download, size, delta = (metrics._reals(columns[name], name, columns["t"])
+    download, size, delta = (session._reals(columns[name], name, columns["t"])
                              for name in ("download_s", "size_kbit", "delta_s"))
     clock = np.cumsum(download + delta)
     start = np.concatenate(([0.0], clock[:-1]))

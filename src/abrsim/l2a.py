@@ -8,11 +8,12 @@ and overflow pressure.  Each epoch it
    constraint functions to a running accumulator,
 2. takes a projected gradient step ``omega = proj(omega - accum / (2 alpha))``
    when the switching budget allows (at most a ``beta`` fraction of epochs),
-   flushing the accumulator,
+   flushing the accumulator and mapping the new distribution to the quality
+   whose ladder bitrate is nearest the expected bitrate,
 3. performs dual ascent on the queues with the previous epoch's constraint
    values at the new point, and
-4. maps the distribution to the quality whose ladder bitrate is nearest the
-   expected bitrate.
+4. returns the quality of the last step, since omega changes only on a step
+   (the lowest quality before the first one).
 
 The loss is the negated expected bitrate over the ladder top r_N, weighted by
 ``UTILITY_WEIGHT``, and the constraints are the expected download time
@@ -105,8 +106,9 @@ class L2AState:
     """Per-session controller state, in Python floats.
 
     ``omega`` is the decision distribution, a tuple replaced (never mutated)
-    at each gradient step, so a reference to it stays a record of that epoch
-    and ``l2a_decide`` maps each one to a quality once.
+    at each gradient step, so a reference to it stays a record of that epoch.
+    ``last_index`` is the quality that step mapped omega to, which
+    ``l2a_decide`` returns until the next step (1 for the all-lowest start).
     ``grad_accum`` is the queue-weighted gradient sum since the last step,
     also replaced rather than mutated.
     """
@@ -117,6 +119,7 @@ class L2AState:
     gamma: int = 0  # switch counter
     t: int = 0  # epochs decided so far
     grad_accum: Sequence[float] = ()
+    last_index: int = 1
 
 
 def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
@@ -125,7 +128,8 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
     ``policy`` supplies the ladder and the per-epoch constants that
     ``L2APolicy`` derives from its settings.  With no
     feedback yet (first epoch) the distribution stays at its initialization
-    and the startup quality is returned.  A realized rate that is not
+    and the startup quality is returned; after that, the quality the last
+    gradient step mapped omega to.  A realized rate that is not
     positive and finite is a ValueError naming it, as for ``rb`` and ``bb``.
     """
     state = policy.state
@@ -156,8 +160,8 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
                 expected_r += r * w
                 expected_s += s * w
                 omega.append(w)
-            state.omega = omega = tuple(omega)
-            policy._last_quality = (omega, _nearest(expected_r, policy.bitrates_kbps))
+            state.omega = tuple(omega)
+            state.last_index = _nearest(expected_r, policy.bitrates_kbps)
             state.gamma += 1
             state.grad_accum = zero_accum
         else:
@@ -174,14 +178,7 @@ def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
         q2 += v - expected_dl - allowance_s
         state.q1 = 0.0 if q1 < 0.0 else q1
         state.q2 = 0.0 if q2 < 0.0 else q2
-
-    # omega is replaced, never mutated, so the same object maps to the same quality
-    omega, quality = policy._last_quality
-    if state.omega is not omega:
-        omega = state.omega
-        quality = map_to_quality(omega, policy.bitrates_kbps)
-        policy._last_quality = (omega, quality)
-    return quality
+    return state.last_index
 
 
 class L2APolicy:
@@ -201,7 +198,7 @@ class L2APolicy:
     ManifestError with a ``Manifest``'s message, as for ``RBPolicy``.
     """
 
-    __slots__ = ("bitrates_kbps", "state", "_decide_constants", "_last_quality")
+    __slots__ = ("bitrates_kbps", "state", "_decide_constants")
 
     def __init__(self, bitrates_kbps, segment_duration_s: float, b_max_s: float,
                  horizon_t: int, beta: float = 1.0):
@@ -228,8 +225,6 @@ class L2APolicy:
             zero_accum,
         )
         self.state = L2AState(omega=(1.0,) + (0.0,) * (n - 1), grad_accum=zero_accum)
-        # the last (omega, quality) pair l2a_decide mapped
-        self._last_quality = (None, 0)
 
     @property
     def omega(self) -> tuple[float, ...]:

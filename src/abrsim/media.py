@@ -221,7 +221,7 @@ def synthesize_manifest(
     """
     if not (_is_number(type(vbr_jitter)) and 0.0 <= vbr_jitter < 0.5):
         raise ValueError(f"vbr_jitter must be in [0, 0.5), got {vbr_jitter!r}")
-    require_count("num_segments", num_segments, 0)
+    require_count("num_segments", num_segments)
     require_count("seed", seed, 0)
     duration = _require_duration(segment_duration_s)
     ladder = require_ladder(bitrates_kbps)

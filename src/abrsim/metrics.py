@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelTrace, require_count, require_positive, slot_clock
 from .media import Manifest
-from .session import EpochRecord, _columns
+from .session import EpochRecord, _columns, _reals
 
 __all__ = [
     "BenchmarkSolution",
@@ -54,25 +54,6 @@ class SessionReport:
     continuity: float
     normalized_avg_bitrate: float | None = None
     flags: list[str] = field(default_factory=list)
-
-
-def _reals(values: Sequence, name: str, epochs: Sequence[int], width: int = 1) -> np.ndarray:
-    """``values``, ``width`` of them per epoch of ``epochs``, as float64, by
-    one ``struct.pack``: any Python or numpy number counts, a bool and a
-    ``Decimal`` included.  Only if that fails are they packed one by one, and
-    the first that does not pack is a ValueError naming its epoch and
-    ``name``: an int past the float range, or else not a real number."""
-    try:
-        return np.frombuffer(struct.pack(f"{len(values)}d", *values))
-    except struct.error:
-        for i, value in enumerate(values):
-            try:
-                struct.pack("d", value)
-            except struct.error:
-                fault = ("is out of the float range" if isinstance(value, int)
-                         else f"{'is' if width == 1 else 'holds'} {value!r}, not a real number")
-                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
-        raise
 
 
 def qoe_metrics(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -335,18 +337,74 @@ def _columns(history: Iterable[EpochRecord]) -> dict[str, tuple]:
     return dict(zip(EpochRecord._fields, chain(zip(*rows), repeat(()))))
 
 
+def _reals(values: Sequence, name: str, epochs: Sequence[int], width: int = 1) -> np.ndarray:
+    """``values``, ``width`` of them per epoch of ``epochs``, as float64, by
+    one ``struct.pack``: any Python or numpy number counts, a bool and a
+    ``Decimal`` included.  Only if that fails are they packed one by one, and
+    the first that does not pack is a ValueError naming its epoch and
+    ``name``: an int past the float range, or else not a real number."""
+    try:
+        return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+    except struct.error:
+        for i, value in enumerate(values):
+            try:
+                struct.pack("d", value)
+            except struct.error:
+                fault = ("is out of the float range" if isinstance(value, int)
+                         else f"{'is' if width == 1 else 'holds'} {value!r}, not a real number")
+                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
+        raise
+
+
+def _ints(values: Sequence, name: str, epochs: Sequence[int]) -> np.ndarray:
+    """``values``, one per epoch of ``epochs``, as int64, by one
+    ``struct.pack``: any Python or numpy integer counts, a bool included.
+    Only if that fails are they packed one by one, and the first that does
+    not pack is a ValueError naming its epoch and ``name``: an int past the
+    int64 range, or else not an integer."""
+    try:
+        return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
+    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
+        for epoch, value in zip(epochs, values):
+            try:
+                struct.pack("q", value)
+            except (struct.error, TypeError):
+                fault = ("is out of the int64 range" if isinstance(value, numbers.Integral)
+                         else f"is {value!r}, not an integer")
+                raise ValueError(f"epoch {epoch}: {name} {fault}") from None
+        raise
+
+
+# the types a record's stall may have
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity).
 
     The header, then one row per record, each line ended with ``\\r\\n`` as
-    ``csv.writer`` ends them: ``t``, ``x_t`` and ``stall`` as integers, every
-    other column as the ``repr`` of its value as a Python float, so numpy
-    scalars write the same text as the Python numbers they equal.  The rows
-    are formatted from the record fields column by column and written in one
-    call.
+    ``csv.writer`` ends them: ``t`` and ``x_t`` as integers, read by
+    ``_ints``; ``stall``, a bool (numpy's too), as 1 or 0; and every other
+    column as the ``repr`` of its value read by ``_reals`` as a float, so
+    numpy scalars write the same text as the Python numbers they equal.  So
+    the log holds only what the scorers take: a value they refuse, such as
+    an ``x`` of 2.7 or a bitrate of ``"370"``, is a ValueError naming its
+    epoch (its record's place, from 1) and its field, raised before the
+    file is opened.  The rows are formatted column by column and written in
+    one call.
     """
     columns = _columns(history)
-    values = [map(typ, columns[name]) for _, name, typ in _LOG_TABLE]
+    epochs = range(1, len(columns["t"]) + 1)
+    values = []
+    for _, name, typ in _LOG_TABLE:
+        column = columns[name]
+        if name == "stall":
+            if not {*map(type, column)} <= _BOOLS:
+                epoch, value = next((e, v) for e, v in zip(epochs, column) if type(v) not in _BOOLS)
+                raise ValueError(f"epoch {epoch}: stall is {value!r}, not a bool")
+        else:
+            column = (_ints if typ is int else _reals)(column, name, epochs).tolist()
+        values.append(column)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 

@@ -199,6 +199,20 @@ def test_concat_traces(tmp_path):
     assert np.all(np.diff(tr.timestamps_s) > 0)
 
 
+def test_a_one_sample_trace_from_gen_is_read_by_every_subcommand(assets, tmp_path):
+    # gen trace --duration 0.5 writes one sample, which run, benchmark and
+    # concat-traces once refused with "need at least 2 samples, got 1"
+    manifest, _ = assets
+    trace, out = tmp_path / "one.csv", tmp_path / "out"
+    assert run_cli("gen", "trace", "--duration", 0.5, "--seed", 7, "--out", trace) == 0
+    assert load_trace(trace).num_samples == 1
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", out / "session_rb.csv") == 0
+    cat = tmp_path / "cat.csv"
+    assert run_cli("concat-traces", trace, trace, "--out", cat) == 0
+    assert load_trace(cat).timestamps_s.tolist() == [0.0, 1.0]
+
+
 def test_benchmark_subcommand(assets, tmp_path, capsys):
     manifest, trace = assets
     out = tmp_path / "out"
@@ -616,7 +630,8 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
          "unknown key 'kapa' in method 'zz-last' (expected abr, name, beta)"),
         ({"abr": "l2a", "name": "zz-last", "beta": 1.5}, "beta must be a number in (0, 1], got 1.5"),
         ({"abr": "rb", "name": "zz/last"},
-         "method name 'zz/last' must be a non-empty string with no path separator or NUL"),
+         "method name 'zz/last' must be a non-empty string with no"
+         " path separator, NUL, comma, double quote or line break"),
     ],
     ids=["abr", "key", "beta", "name"],
 )
@@ -887,6 +902,27 @@ def test_compare_rejects_two_traces_of_one_name(assets, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_rejects_two_sessions_that_name_one_report(assets, tmp_path, capsys, monkeypatch):
+    # method a on trace b__c and method a__b on trace c both write
+    # sessions/a__b__c.json: the run once exited 0 with 5 of its 6 reports
+    manifest, trace = assets
+    for stem in ("c", "b__c"):
+        (tmp_path / f"{stem}.csv").write_bytes(trace.read_bytes())
+    cfg_path = tmp_path / "clash.json"
+    cfg_path.write_text(json.dumps({
+        "manifest": {"path": str(manifest)},
+        "traces": [str(tmp_path / "c.csv"), str(tmp_path / "b__c.csv")],
+        "methods": [{"abr": "rb", "name": "a"}, {"abr": "bb", "name": "a__b"}, {"abr": "bb"}],
+    }))
+    calls = _count_sessions(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == ("abrsim: error: two sessions would write sessions/a__b__c.json:"
+                                       " method 'a' on trace 'b__c' and method 'a__b' on trace 'c'\n")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_a_manifest_with_no_segments_is_an_input_error(assets, tmp_path, capsys):
     # such a manifest once loaded, and run or compare then failed scoring it
     # with "window k=1 outside 1..0", compare after --out was created
@@ -972,9 +1008,23 @@ def test_compare_rejects_a_method_name_that_is_not_a_file_name(tmp_path, capsys,
     out = tmp_path / "out" / "cmp"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
     err = capsys.readouterr().err
-    assert err == (f"abrsim: error: method name {name!r} must be a non-empty string"
-                   " with no path separator or NUL\n")
+    assert err == (f"abrsim: error: method name {name!r} must be a non-empty string with no"
+                   " path separator, NUL, comma, double quote or line break\n")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["x,y\nz", 'x"y', "x\ry", "x\ny"], ids=["comma-lf", "quote", "cr", "lf"])
+def test_compare_rejects_a_method_name_that_is_not_a_csv_field(tmp_path, capsys, name):
+    # "x,y\nz" once wrote comparison.csv rows "x,y" and "z,811.333,..." of the wrong width
+    cfg_path = _compare_config(tmp_path, segments=10, count=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["methods"] = [{"abr": "rb", "name": name}]
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out" / "cmp"
+    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
+    assert capsys.readouterr().err == (f"abrsim: error: method name {name!r} must be a non-empty string with no"
+                                       " path separator, NUL, comma, double quote or line break\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -112,7 +112,7 @@ def test_synthesize_invalid_jitter():
 
 @pytest.mark.parametrize("args, kwargs, expected", [
     # a float count once ended in numpy's TypeError
-    ((2.5, (1000.0, 2000.0), 2.0), {}, "num_segments must be an integer >= 0, got 2.5"),
+    ((2.5, (1000.0, 2000.0), 2.0), {}, "num_segments must be an integer >= 1, got 2.5"),
     # False once built a CBR manifest
     ((5, (1000.0, 2000.0), 2.0), {"vbr_jitter": False}, "vbr_jitter must be in [0, 0.5), got False"),
     ((3, ["370", "750"], 2.0), {}, "bitrates_kbps must be a list of numbers: level 1 is '370'"),
@@ -129,7 +129,9 @@ def test_zero_segments_rejected():
     for sizes in ([], np.zeros((0, 2))):
         with pytest.raises(ManifestError, match="segment_sizes_kbit holds no segments"):
             Manifest(2.0, (1000, 2000), sizes)
-    with pytest.raises(ManifestError, match="segment_sizes_kbit holds no segments"):
+    # synthesize_manifest names its count, which gen manifest --segments sets;
+    # it once left the empty matrix to Manifest
+    with pytest.raises(ValueError, match=r"^num_segments must be an integer >= 1, got 0$"):
         synthesize_manifest(0, (1000, 2000), 2.0)
 
 

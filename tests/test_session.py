@@ -203,7 +203,7 @@ def test_a_script_that_ends_before_the_manifest_is_a_value_error():
 
 def test_empty_horizon():
     # a manifest holds at least one segment, so no session has an empty horizon
-    with pytest.raises(ValueError, match="^segment_sizes_kbit holds no segments"):
+    with pytest.raises(ValueError, match="^num_segments must be an integer >= 1, got 0"):
         cbr_manifest(0)
 
 
@@ -393,6 +393,29 @@ def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
     for history in ([plain, second], [numpy_scalars(plain), numpy_scalars(second)]):
         export_log_csv(history, path)
         assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("x", 2.7, "epoch 2: x is 2.7, not an integer"),
+        ("bitrate_kbps", "370", "epoch 2: bitrate_kbps is '370', not a real number"),
+        ("t", 2 ** 63, "epoch 2: t is out of the int64 range"),
+        ("rate_kbps", 10 ** 400, "epoch 2: rate_kbps is out of the float range"),
+        ("stall", 1, "epoch 2: stall is 1, not a bool"),
+    ],
+    ids=["float-x", "text-bitrate", "huge-t", "huge-rate", "int-stall"],
+)
+def test_log_writer_refuses_a_value_of_the_wrong_kind(tmp_path, field, value, message):
+    # int() and float() once wrote x=2.7 as 2 and the bitrate "370" as 370.0,
+    # a log that read back and scored although the history itself did not
+    history = closed_form_history("rb")[:3]
+    history[1] = history[1]._replace(**{field: value})
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError) as info:
+        export_log_csv(history, path)
+    assert str(info.value) == message
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
