@@ -70,6 +70,14 @@ def _config_object(obj, what: str, required=(), optional=()) -> dict:
     return obj
 
 
+def _beta(value, what: str):
+    """``value`` if ``check_beta`` takes it, else a CliError naming ``what``."""
+    try:
+        return check_beta(value)
+    except ValueError:
+        raise CliError(f"{what} must be a number in (0, 1], got {value!r}") from None
+
+
 def method_name(spec: dict) -> str:
     """The name of the method ``spec`` (``name``, else ``l2a-beta<beta>`` for
     ``l2a`` and the ``abr`` value for the others), under the one rule of a
@@ -79,15 +87,18 @@ def method_name(spec: dict) -> str:
     (CR or LF); ``beta`` (default 1)
     passes ``check_beta``; ``abr`` is one of POLICIES; and no key but ``abr``,
     ``name`` and, for ``l2a``, ``beta`` is held.  Each fault is a CliError,
-    and an unknown ``abr`` or key names the method."""
+    and a bad ``beta``, an unknown ``abr`` or an unknown key names the
+    method (a ``beta`` names an unnamed method by its spec)."""
     if "name" in spec:
         name = spec["name"]
         if not isinstance(name, str) or not name or any(c in name for c in '/\\\0,"\r\n'):
             raise CliError(f"method name {name!r} must be a non-empty string with no"
                            " path separator, NUL, comma, double quote or line break")
     abr = spec.get("abr")
-    # checked before the default name formats it, so a bad beta gets the parameter error
-    beta = check_beta(spec.get("beta", 1.0)) if abr == "l2a" else None
+    # checked before the default name formats it; a method without a name is named by its spec
+    beta = None
+    if abr == "l2a":
+        beta = _beta(spec.get("beta", 1.0), f"key 'beta' in method {spec.get('name', spec)!r}")
     name = spec.get("name", str(abr) if beta is None else f"l2a-beta{beta:g}")
     if abr not in POLICIES:
         raise CliError(f"unknown abr {abr!r} in method {name!r} (expected l2a, rb, or bb)")
@@ -345,8 +356,10 @@ def run_compare(config: dict, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.beta is not None and args.abr != "l2a":
-        raise CliError(f"--beta not used by --abr {args.abr}")
+    if args.beta is not None:
+        if args.abr != "l2a":
+            raise CliError(f"--beta not used by --abr {args.abr}")
+        _beta(args.beta, "--beta")
     channel.require_count("--tau", args.tau)
     spec = {"abr": args.abr} if args.beta is None else {"abr": args.abr, "beta": args.beta}
     name = method_name(spec)
@@ -412,7 +425,7 @@ def _check_log_ran_on(history, trace: channel.ChannelTrace, log_path, trace_path
     first such epoch.
     """
     columns = session._columns(history)
-    download, size, delta = (session._reals(columns[name], name, columns["t"])
+    download, size, delta = (session._pack(columns[name], name, columns["t"])
                              for name in ("download_s", "size_kbit", "delta_s"))
     clock = np.cumsum(download + delta)
     start = np.concatenate(([0.0], clock[:-1]))
@@ -432,6 +445,9 @@ def _cmd_benchmark(args) -> int:
     history = session.read_log_csv(args.log)
     if not history:
         raise CliError(f"{args.log}: empty session log")
+    if len(history) > manifest.num_segments:
+        raise CliError(f"{args.log}: {len(history)} records, more than the {manifest.num_segments}"
+                       f" segments of manifest {args.manifest}")
     trace = channel.load_trace(args.trace)
     b_max = SCENARIO_BMAX[args.scenario]
     bench = metrics.hindsight_benchmark(manifest, trace, len(history), b_max)

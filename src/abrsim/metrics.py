@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import is_
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelTrace, require_count, require_positive, slot_clock
 from .media import Manifest
-from .session import EpochRecord, _columns, _reals
+from .session import EpochRecord, _columns, _pack
 
 __all__ = [
     "BenchmarkSolution",
@@ -70,7 +69,7 @@ def qoe_metrics(
     Consistency is reported unclamped and flagged when the stall penalty
     exceeds the budget; horizons too short for switch metrics report 1 and
     are flagged.  A ``duration_s`` that is not positive and finite is a
-    ValueError, and so is a field read that ``_reals`` does not read as a
+    ValueError, and so is a field read that ``_pack`` does not pack as a
     float: one that is not a number, or an int past the float range.
     """
     require_count("tau", tau)
@@ -82,7 +81,7 @@ def qoe_metrics(
 
     columns = _columns(history)
     ts = columns["t"]
-    rates = _reals(columns["bitrate_kbps"], "bitrate_kbps", ts)
+    rates = _pack(columns["bitrate_kbps"], "bitrate_kbps", ts)
     avg = float(rates.mean())
     r_lo = manifest.bitrates_kbps[0]
     r_hi = manifest.bitrates_kbps[-1]
@@ -95,8 +94,8 @@ def qoe_metrics(
         stability = 1.0 - float(np.count_nonzero(jumps)) / (t_total - 1)
         smoothness = 1.0 - float(jumps.sum()) / ((r_hi - r_lo) * (t_total - 1))
 
-    downloads = _reals(columns["download_s"], "download_s", ts)
-    before = _reals(columns["buffer_before_s"], "buffer_before_s", ts)
+    downloads = _pack(columns["download_s"], "download_s", ts)
+    before = _pack(columns["buffer_before_s"], "buffer_before_s", ts)
     stalled = before < downloads
     penalty = 0.0
     for t in np.nonzero(stalled)[0]:
@@ -315,7 +314,7 @@ def regret_and_residuals(
     A quality index that is not an integer or lies outside 1..N, a bitrate
     or segment size other than the manifest's at (t, x_t), or a logged omega
     without exactly N entries is a ValueError naming the first such epoch,
-    and so is a rate or a logged omega entry that ``_reals`` does not read
+    and so is a rate or a logged omega entry that ``_pack`` does not pack
     as a float; so is a segment duration or buffer bound that is not
     positive and finite.
     """
@@ -334,8 +333,8 @@ def regret_and_residuals(
     columns = _columns(history)
     ts = columns["t"]
     try:
-        x = np.frombuffer(struct.pack(f"{t_total}q", *columns["x"]), dtype=np.int64)
-    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
+        x = _pack(columns["x"], "x", ts, "q")
+    except ValueError:
         # an index that is not an int64: every record checked alone
         _first_fault(history, manifest, range(t_total))
         raise
@@ -347,29 +346,25 @@ def regret_and_residuals(
     level = np.where(on_ladder, level, 0)
     flagged = ~on_ladder
     try:
-        flagged |= _reals(columns["bitrate_kbps"], "bitrate_kbps", ts) != ladder[level]
-        flagged |= _reals(columns["size_kbit"], "size_kbit", ts) != sizes[rows, level]
+        flagged |= _pack(columns["bitrate_kbps"], "bitrate_kbps", ts) != ladder[level]
+        flagged |= _pack(columns["size_kbit"], "size_kbit", ts) != sizes[rows, level]
     except ValueError:  # fields that do not pack as floats
         flagged[:] = True
+    # whether each epoch logged an omega; one of another length is a fault
     omega_column = columns["omega"]
-    fallback = any(map(is_, omega_column, repeat(None)))
-    if fallback or set(map(len, omega_column)) != {n}:
-        # the epochs that logged an omega; one of another length is a fault
-        logged = [idx for idx, omega in enumerate(omega_column) if omega is not None]
-        flagged[[idx for idx in logged if len(omega_column[idx]) != n]] = True
+    logged = np.fromiter(map(is_not, omega_column, repeat(None)), bool, t_total)
+    logged_omegas = list(compress(omega_column, logged))
+    flagged[logged] |= np.fromiter(map(len, logged_omegas), np.intp, len(logged_omegas)) != n
     _first_fault(history, manifest, np.flatnonzero(flagged).tolist())
 
-    if fallback:
-        # the one-hot distribution of the chosen quality where none was logged
-        omegas = np.zeros((t_total, n))
-        omegas[rows, level] = 1.0
-        if logged:
-            entries = list(chain.from_iterable(omega_column[idx] for idx in logged))
-            omegas[logged] = _reals(entries, "omega", [ts[idx] for idx in logged], n).reshape(-1, n)
-    else:
-        omegas = _reals(list(chain.from_iterable(omega_column)), "omega", ts, n).reshape(t_total, n)
+    # the one-hot distribution of the chosen quality, each logged omega written over its row
+    omegas = np.zeros((t_total, n))
+    omegas[rows, level] = 1.0
+    omegas[logged] = _pack(list(chain.from_iterable(logged_omegas)), "omega", list(compress(ts, logged)),
+                           width=n).reshape(-1, n)
+    fallback = len(logged_omegas) < t_total
 
-    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _reals(columns["rate_kbps"], "rate_kbps", ts)
+    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _pack(columns["rate_kbps"], "rate_kbps", ts)
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
     epochs = rows + 1

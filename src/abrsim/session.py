@@ -337,41 +337,25 @@ def _columns(history: Iterable[EpochRecord]) -> dict[str, tuple]:
     return dict(zip(EpochRecord._fields, chain(zip(*rows), repeat(()))))
 
 
-def _reals(values: Sequence, name: str, epochs: Sequence[int], width: int = 1) -> np.ndarray:
-    """``values``, ``width`` of them per epoch of ``epochs``, as float64, by
-    one ``struct.pack``: any Python or numpy number counts, a bool and a
-    ``Decimal`` included.  Only if that fails are they packed one by one, and
-    the first that does not pack is a ValueError naming its epoch and
-    ``name``: an int past the float range, or else not a real number."""
+def _pack(values: Sequence, name: str, epochs: Sequence[int], code: str = "d", width: int = 1) -> np.ndarray:
+    """``values``, ``width`` of them per epoch of ``epochs``, as float64 (the
+    struct code ``d``) or int64 (``q``), by one ``struct.pack``: any Python or
+    numpy number counts as a float, a bool and a ``Decimal`` included, and
+    any Python or numpy integer, a bool included, as an int.  Only if that
+    fails are they packed one by one, and the first that does not pack is a
+    ValueError naming its epoch and ``name``: an integer past the type's
+    range, or else not a number of the type."""
     try:
-        return np.frombuffer(struct.pack(f"{len(values)}d", *values))
-    except struct.error:
+        return np.frombuffer(struct.pack(f"{len(values)}{code}", *values), dtype=code)
+    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
         for i, value in enumerate(values):
             try:
-                struct.pack("d", value)
-            except struct.error:
-                fault = ("is out of the float range" if isinstance(value, int)
-                         else f"{'is' if width == 1 else 'holds'} {value!r}, not a real number")
-                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
-        raise
-
-
-def _ints(values: Sequence, name: str, epochs: Sequence[int]) -> np.ndarray:
-    """``values``, one per epoch of ``epochs``, as int64, by one
-    ``struct.pack``: any Python or numpy integer counts, a bool included.
-    Only if that fails are they packed one by one, and the first that does
-    not pack is a ValueError naming its epoch and ``name``: an int past the
-    int64 range, or else not an integer."""
-    try:
-        return np.frombuffer(struct.pack(f"{len(values)}q", *values), dtype=np.int64)
-    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
-        for epoch, value in zip(epochs, values):
-            try:
-                struct.pack("q", value)
+                struct.pack(code, value)
             except (struct.error, TypeError):
-                fault = ("is out of the int64 range" if isinstance(value, numbers.Integral)
-                         else f"is {value!r}, not an integer")
-                raise ValueError(f"epoch {epoch}: {name} {fault}") from None
+                span, kind = ("float", "a real number") if code == "d" else ("int64", "an integer")
+                fault = (f"is out of the {span} range" if isinstance(value, numbers.Integral)
+                         else f"{'is' if width == 1 else 'holds'} {value!r}, not {kind}")
+                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
         raise
 
 
@@ -383,27 +367,35 @@ def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity).
 
     The header, then one row per record, each line ended with ``\\r\\n`` as
-    ``csv.writer`` ends them: ``t`` and ``x_t`` as integers, read by
-    ``_ints``; ``stall``, a bool (numpy's too), as 1 or 0; and every other
-    column as the ``repr`` of its value read by ``_reals`` as a float, so
-    numpy scalars write the same text as the Python numbers they equal.  So
-    the log holds only what the scorers take: a value they refuse, such as
-    an ``x`` of 2.7 or a bitrate of ``"370"``, is a ValueError naming its
-    epoch (its record's place, from 1) and its field, raised before the
-    file is opened.  The rows are formatted column by column and written in
-    one call.
+    ``csv.writer`` ends them: ``t`` and ``x_t`` as integers, packed by
+    ``_pack`` as int64; ``stall``, a bool (numpy's too), as 1 or 0; and every
+    other column as the ``repr`` of its value packed by ``_pack`` as a float,
+    so numpy scalars write the same text as the Python numbers they equal.
+    Each packed column then keeps ``read_log_csv``'s rule for it, by
+    ``_broken_rule``: ``t`` counts 1, 2, 3, ..., and every float is finite.
+    So the log holds only what the scorers take and the reader reads back: a
+    value they refuse, such as an ``x`` of 2.7, a bitrate of ``"370"``, a
+    NaN download time or a second ``t`` of 5, is a ValueError naming its
+    epoch (its record's place, from 1) and its field, raised before the file
+    is opened.  The rows are formatted column by column and written in one
+    call.
     """
     columns = _columns(history)
     epochs = range(1, len(columns["t"]) + 1)
     values = []
-    for _, name, typ in _LOG_TABLE:
+    for log_name, name, typ in _LOG_TABLE:
         column = columns[name]
         if name == "stall":
             if not {*map(type, column)} <= _BOOLS:
                 epoch, value = next((e, v) for e, v in zip(epochs, column) if type(v) not in _BOOLS)
                 raise ValueError(f"epoch {epoch}: stall is {value!r}, not a bool")
         else:
-            column = (_ints if typ is int else _reals)(column, name, epochs).tolist()
+            packed = _pack(column, name, epochs, "q" if typ is int else "d")
+            column = packed.tolist()
+            broken, rule = _broken_rule(log_name, packed)
+            if broken.any():
+                epoch = int(broken.argmax()) + 1
+                raise ValueError(f"epoch {epoch}: {name} is {column[epoch - 1]!r}; {rule.format(epoch=epoch)}")
         values.append(column)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))

@@ -295,6 +295,21 @@ def test_the_entry_point_is_main_and_a_process_fails_with_one_line(assets, tmp_p
     assert proc.stderr == f"abrsim: error: {log}: line 31: column download_s missing; expected 10 fields, got 5\n"
 
 
+def test_benchmark_rejects_a_log_longer_than_its_manifest(assets, tmp_path, capsys):
+    # once "more realized rates than manifest segments", naming no file
+    manifest, trace = assets
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    short = tmp_path / "short.json"
+    assert run_cli("gen", "manifest", "--segments", 10, "--out", short) == 0
+    capsys.readouterr()
+    log = out / "session_rb.csv"
+    assert run_cli("benchmark", "--manifest", short, "--trace", trace, "--log", log) == 1
+    assert capsys.readouterr().err == (
+        f"abrsim: error: {log}: 60 records, more than the 10 segments of manifest {short}\n"
+    )
+
+
 @pytest.mark.parametrize("which", ["zero", "above-top"])
 def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, capsys, which):
     manifest, trace = assets
@@ -628,7 +643,8 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
         ({"abr": "nope", "name": "zz-last"}, "unknown abr 'nope' in method 'zz-last' (expected l2a, rb, or bb)"),
         ({"abr": "l2a", "name": "zz-last", "kapa": 0.3},
          "unknown key 'kapa' in method 'zz-last' (expected abr, name, beta)"),
-        ({"abr": "l2a", "name": "zz-last", "beta": 1.5}, "beta must be a number in (0, 1], got 1.5"),
+        ({"abr": "l2a", "name": "zz-last", "beta": 1.5},
+         "key 'beta' in method 'zz-last' must be a number in (0, 1], got 1.5"),
         ({"abr": "rb", "name": "zz/last"},
          "method name 'zz/last' must be a non-empty string with no"
          " path separator, NUL, comma, double quote or line break"),
@@ -757,13 +773,15 @@ def test_compare_config_numbers_are_checked(tmp_path, capsys, block, key, value,
         ("config", lambda text: text.replace('"tau": 2', '"tau": 0'),
          "key 'tau' in the config must be an integer >= 1, got 0"),
         ("run", ["--tau", "0"], "--tau must be an integer >= 1, got 0"),
+        # a bad beta once named neither its flag nor its method
+        ("run", ["--beta", "0"], "--beta must be a number in (0, 1], got 0.0"),
         ("config", lambda text: text.replace('"count": 1', '"count": 0'),
          "key 'count' in the traces 'generate' block must be an integer >= 1, got 0"),
         ("config", lambda text: text.replace('"num_segments": 10', '"num_segments": 0'),
          "key 'num_segments' in the manifest 'generate' block must be an integer >= 1, got 0"),
     ],
     ids=["config-repeated-key", "method-repeated-key", "manifest-repeated-key", "config-unparsed",
-         "tau-zero", "run-tau-zero", "count-zero", "segments-zero"],
+         "tau-zero", "run-tau-zero", "run-beta-zero", "count-zero", "segments-zero"],
 )
 def test_an_input_is_read_as_written_or_refused_by_name(assets, tmp_path, capsys, kind, edit, expected):
     manifest, trace = assets
@@ -960,7 +978,9 @@ def test_compare_non_numeric_beta_gets_the_parameter_error(tmp_path, capsys):
         out = tmp_path / "x"
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err == f"abrsim: error: beta must be a number in (0, 1], got {beta!r}\n"
+        # a method without a name is named by its spec
+        assert err == (f"abrsim: error: key 'beta' in method {cfg['methods'][0]!r}"
+                       f" must be a number in (0, 1], got {beta!r}\n")
         assert not out.exists()
 
 

@@ -403,8 +403,11 @@ def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
         ("t", 2 ** 63, "epoch 2: t is out of the int64 range"),
         ("rate_kbps", 10 ** 400, "epoch 2: rate_kbps is out of the float range"),
         ("stall", 1, "epoch 2: stall is 1, not a bool"),
+        # the reader's rules: each once wrote a log that read_log_csv refused
+        ("download_s", math.nan, "epoch 2: download_s is nan; values must be finite"),
+        ("t", 5, "epoch 2: t is 5; expected epoch 2"),
     ],
-    ids=["float-x", "text-bitrate", "huge-t", "huge-rate", "int-stall"],
+    ids=["float-x", "text-bitrate", "huge-t", "huge-rate", "int-stall", "nan-download", "t-out-of-sequence"],
 )
 def test_log_writer_refuses_a_value_of_the_wrong_kind(tmp_path, field, value, message):
     # int() and float() once wrote x=2.7 as 2 and the bitrate "370" as 370.0,
@@ -700,6 +703,33 @@ def test_log_faults_compose_on_one_row():
     for first, second in itertools.product(LOG_FAULTS.values(), repeat=2):
         for j, k in itertools.product(range(10), repeat=2):
             assert isinstance(second(first(row, 1, j), 1, k), list)
+
+# the record fields the log writes as floats
+_FLOAT_FIELDS = ("bitrate_kbps", "size_kbit", "rate_kbps", "download_s", "delta_s", "buffer_after_s", "stall_s")
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(1, 12), data=st.data())
+def test_the_log_writer_writes_only_what_the_reader_reads(tmp_path_factory, length, data):
+    # a history with one float set to NaN or +-inf, or one t moved: the
+    # writer refuses it, or the reader reads back every field it wrote
+    history = list(closed_form_history(data.draw(st.sampled_from(["rb", "l2a"]))))[:length]
+    i = data.draw(st.integers(0, length - 1))
+    if data.draw(st.booleans()):
+        field = data.draw(st.sampled_from(_FLOAT_FIELDS))
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        field, value = "t", data.draw(st.integers(-3, length + 3))
+    history[i] = history[i]._replace(**{field: value})
+    path = tmp_path_factory.getbasetemp() / "written_log.csv"
+    path.unlink(missing_ok=True)
+    try:
+        export_log_csv(history, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert read_log_csv(path) == [rec._replace(omega=None) for rec in history]
+
 
 @st.composite
 def log_files(draw):
