@@ -448,8 +448,15 @@ def _cmd_benchmark(args) -> int:
     if len(history) > manifest.num_segments:
         raise CliError(f"{args.log}: {len(history)} records, more than the {manifest.num_segments}"
                        f" segments of manifest {args.manifest}")
-    trace = channel.load_trace(args.trace)
     b_max = SCENARIO_BMAX[args.scenario]
+    # run_session caps every buffer at b_max exactly, so a larger one ran
+    # under another bound
+    after = session._columns(history)["buffer_after_s"]
+    over = next((i for i, buffer in enumerate(after) if buffer > b_max), None)
+    if over is not None:
+        raise CliError(f"{args.log}: epoch {over + 1}: buffer_s {after[over]!r} s is above the {b_max!r} s"
+                       f" b_max of scenario {args.scenario}")
+    trace = channel.load_trace(args.trace)
     bench = metrics.hindsight_benchmark(manifest, trace, len(history), b_max)
     series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
     # after scoring, so that a record the manifest contradicts is named first

@@ -226,7 +226,8 @@ def solve_benchmark(
         raise ValueError(f"window k={k} outside 1..{t_total}")
     require_positive("b_max_s", b_max_s)
     if t_total > manifest.num_segments:
-        raise ValueError("more realized rates than manifest segments")
+        raise ValueError(f"{t_total} realized rates, more than the {manifest.num_segments} segments of the"
+                         " manifest")
     bad = np.flatnonzero(~(np.isfinite(rates_c) & (rates_c > 0)))
     if bad.size:
         raise ValueError(f"realized rate at epoch {bad[0] + 1} must be positive and finite,"
@@ -327,7 +328,7 @@ def regret_and_residuals(
         empty = np.zeros(0)
         return ConvergenceSeries(empty if benchmark else None, empty, empty, False)
     if t_total > manifest.num_segments:
-        raise ValueError("more epochs than manifest segments")
+        raise ValueError(f"{t_total} epochs, more than the {manifest.num_segments} segments of the manifest")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
     columns = _columns(history)

@@ -107,8 +107,8 @@ class EpochRecord(NamedTuple):
     """One line of the per-epoch session log (t and x are 1-based).
 
     An immutable ``NamedTuple``, and the type of every record read from a
-    ``SessionLog``, which stores each epoch as a plain tuple of these twelve
-    fields and builds the record only when it is read;
+    ``SessionLog``, which stores these twelve fields of each epoch in one
+    flat list and builds the record only when it is read;
     ``rec._replace(omega=None)`` is a copy without the distribution.
     """
 
@@ -126,48 +126,58 @@ class EpochRecord(NamedTuple):
     omega: tuple[float, ...] | None = None
 
 
+# the fields a SessionLog stores per epoch
+_WIDTH = len(EpochRecord._fields)
+
+
 class SessionLog(Sequence):
     """A session's history: a read-only sequence of ``EpochRecord``.
 
-    Each epoch is stored as a plain tuple of the record's twelve fields, and
-    an ``EpochRecord`` is built, by ``tuple.__new__``, only when one is read:
-    by index, by slice (as a list) or by iteration.  CPython's cyclic GC
-    untracks an exact tuple whose items are untracked, but never an instance
-    of a tuple subclass, so kept NamedTuple records would be walked by every
-    full collection.  A row stays untracked only while each field is an atom
-    or an exact tuple of atoms.  A log equals another log, or a list, of the
+    The fields of every epoch are stored in one flat list, twelve per epoch
+    in ``EpochRecord``'s order, and an ``EpochRecord`` is built, by
+    ``tuple.__new__`` from its twelve fields, only when one is read: by index
+    (negative ones and ``IndexError`` as a list's), by slice (as a list) or
+    by iteration.  So a history keeps no object per epoch: each field is an
+    atom or an exact tuple of atoms (ω), which CPython's cyclic GC untracks,
+    and the flat list is the one tracked object.  A kept row or NamedTuple
+    record would be GC-tracked, and the allocation of one per epoch would
+    start young collections.  A log equals another log, or a list, of the
     same records.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_flat",)
 
     def __init__(self, rows: Iterable[tuple] = ()):
-        self._rows = list(rows)
+        self._flat = list(chain.from_iterable(rows))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._flat) // _WIDTH
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(tuple.__new__, repeat(EpochRecord), self._rows[index]))
-        return tuple.__new__(EpochRecord, self._rows[index])
+        flat = self._flat
+        # the offset of each record read, as a list indexes its positions
+        at = range(0, len(flat), _WIDTH)[index]
+        if isinstance(at, range):
+            return [tuple.__new__(EpochRecord, flat[i : i + _WIDTH]) for i in at]
+        return tuple.__new__(EpochRecord, flat[at : at + _WIDTH])
 
     def __iter__(self):
-        return map(tuple.__new__, repeat(EpochRecord), self._rows)
+        return map(tuple.__new__, repeat(EpochRecord), zip(*[iter(self._flat)] * _WIDTH))
 
     def __eq__(self, other):
         if isinstance(other, SessionLog):
-            return self._rows == other._rows
+            return self._flat == other._flat
         if isinstance(other, list):
-            return self._rows == other
+            return list(self) == other
         return NotImplemented
 
 
 @dataclass(slots=True)
 class SessionState:
-    """What ``run_session`` returns: the history, one record per epoch in a
-    ``SessionLog``, and the wall clock at which the session ends.  The final
-    buffer is the last record's ``buffer_after_s``."""
+    """What ``run_session`` returns: the history, a ``SessionLog`` of one
+    record per epoch held as twelve fields of its flat list, and the wall
+    clock at which the session ends.  The final buffer is the last record's
+    ``buffer_after_s``."""
 
     wall_clock_s: float = 0.0
     history: SessionLog = field(default_factory=SessionLog)
@@ -218,7 +228,9 @@ def run_session(
     regret analysis.  A ``b_max_s`` below the segment duration is a
     ValueError raised before the first ``decide``.  The buffer, clock and
     stall state live in locals; the state returned holds the records and
-    the final wall clock.
+    the final wall clock.  Each epoch's twelve fields are added to the
+    history's flat list by one ``extend`` of a tuple display, which dies at
+    once, so the loop keeps no GC-tracked object per epoch.
 
     The download's start sample and the first sample whose cumulative kbit
     reaches the download's end are bisected first in the ``_WINDOW`` samples
@@ -242,7 +254,7 @@ def run_session(
     bisect_right = bisect.bisect_right
     inf = math.inf
     state = SessionState()
-    append = state.history._rows.append
+    extend = state.history._flat.extend
     decide = policy.decide
     # tuple.__new__ with every field skips the NamedTuple's Python-level __new__
     new = tuple.__new__
@@ -322,19 +334,21 @@ def run_session(
                 stalled = False
                 since_stall = 0
 
-        append((t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega))
+        extend((t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega))
         feedback = new(EpochFeedback, (rate, row, buffer))
     state.wall_clock_s = clock
     return state
 
 
-def _columns(history: Iterable[EpochRecord]) -> dict[str, tuple]:
-    """Each field of ``history`` by name, as a tuple in epoch order (empty
-    for no records): the one transposition of a history's records.  A
-    ``SessionLog``'s rows are transposed as stored, without building a
-    record; any other iterable of records as it is."""
-    rows = history._rows if isinstance(history, SessionLog) else history
-    return dict(zip(EpochRecord._fields, chain(zip(*rows), repeat(()))))
+def _columns(history: Iterable[EpochRecord]) -> dict[str, Sequence]:
+    """Each field of ``history`` by name, in epoch order (empty for no
+    records).  Field i of a ``SessionLog`` is the list ``flat[i::12]``, read
+    from its flat list with no transposition and no record built; any other
+    iterable of records is transposed by ``zip(*history)`` into tuples."""
+    if isinstance(history, SessionLog):
+        flat = history._flat
+        return {name: flat[i::_WIDTH] for i, name in enumerate(EpochRecord._fields)}
+    return dict(zip(EpochRecord._fields, chain(zip(*history), repeat(()))))
 
 
 def _pack(values: Sequence, name: str, epochs: Sequence[int], code: str = "d", width: int = 1) -> np.ndarray:
@@ -444,7 +458,8 @@ def _log_faults(table: np.ndarray) -> np.ndarray:
 
 def read_log_csv(path: str | Path) -> SessionLog:
     """Read a log written by ``export_log_csv``, as a ``SessionLog`` whose
-    rows are zipped from the parsed columns (``omega`` None).
+    flat list is filled from the parsed columns, each written into its
+    field's place by one extended-slice assignment (``omega`` None).
 
     The exported schema carries the post-epoch buffer; the pre-epoch buffer is
     reconstructed from the previous row (B_0 = 0), which is exact because the
@@ -459,8 +474,11 @@ def read_log_csv(path: str | Path) -> SessionLog:
                            ValueError)
     columns = {name: table[column].tolist() for column, name, _ in _LOG_TABLE}
     columns["stall"] = (table["stall"] == 1).tolist()
-    after = columns["buffer_after_s"]
-    columns["buffer_before_s"] = [0.0, *after[:-1]]
-    columns["omega"] = repeat(None)
-    return SessionLog(zip(*(columns[name] for name in EpochRecord._fields)))
-
+    # B_0 = 0, then each epoch's buffer after; [:-1] keeps an empty log empty
+    columns["buffer_before_s"] = [0.0, *columns["buffer_after_s"]][:-1]
+    log = SessionLog()
+    flat = log._flat = [None] * (len(table) * _WIDTH)
+    for i, name in enumerate(EpochRecord._fields):
+        if name in columns:  # omega stays None
+            flat[i::_WIDTH] = columns[name]
+    return log

@@ -34,7 +34,7 @@ def reference_regret_and_residuals(history, manifest, benchmark, segment_duratio
         empty = np.zeros(0)
         return ConvergenceSeries(empty if benchmark else None, empty, empty, False)
     if t_total > manifest.num_segments:
-        raise ValueError("more epochs than manifest segments")
+        raise ValueError(f"{t_total} epochs, more than the {manifest.num_segments} segments of the manifest")
 
     levels = manifest.bitrates_kbps
     sizes = manifest.segment_sizes_kbit[:t_total]

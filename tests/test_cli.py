@@ -310,6 +310,33 @@ def test_benchmark_rejects_a_log_longer_than_its_manifest(assets, tmp_path, caps
     )
 
 
+def test_benchmark_rejects_a_log_whose_buffer_passes_the_scenario_bound(assets, tmp_path, capsys):
+    # a vod log scored with --scenario live once printed a benchmark and its
+    # series and exited 0; run_session caps each buffer at b_max exactly
+    manifest, trace = assets
+    out = tmp_path / "out"
+    for scenario in ("vod", "live"):
+        assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "l2a", "--beta", "0.3",
+                       "--scenario", scenario, "--out", out / scenario) == 0
+    vod_log, live_log = (out / scenario / "session_l2a-beta0.3.csv" for scenario in ("vod", "live"))
+    buffers = [float(rec.buffer_after_s) for rec in session.read_log_csv(vod_log)]
+    first = next(i for i, buffer in enumerate(buffers) if buffer > 20.0)
+    assert max(session.read_log_csv(live_log), key=lambda rec: rec.buffer_after_s).buffer_after_s == 20.0
+    capsys.readouterr()
+    for log, scenario in ((vod_log, "vod"), (live_log, "live"), (live_log, "vod")):
+        assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log,
+                       "--scenario", scenario) == 0
+    capsys.readouterr()
+    series = tmp_path / "series.csv"
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", vod_log,
+                   "--scenario", "live", "--series", series) == 1
+    assert capsys.readouterr() == ("", (
+        f"abrsim: error: {vod_log}: epoch {first + 1}: buffer_s {buffers[first]!r} s is above the 20.0 s"
+        f" b_max of scenario live\n"
+    ))
+    assert not series.exists()
+
+
 @pytest.mark.parametrize("which", ["zero", "above-top"])
 def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, capsys, which):
     manifest, trace = assets

@@ -659,6 +659,18 @@ def test_an_omega_of_the_wrong_length_names_its_epoch():
                 score(history, man, None, 2.0, 120.0)
 
 
+def test_a_history_longer_than_the_manifest_names_both_counts():
+    # once "more epochs than manifest segments" and "more realized rates than
+    # manifest segments", naming neither count
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (5, 1)))
+    history = _one_hot_log(man, [1, 2, 1, 2, 1, 2], [5000.0] * 6)
+    for score in (regret_and_residuals, reference_regret_and_residuals):
+        with pytest.raises(ValueError, match="^6 epochs, more than the 5 segments of the manifest$"):
+            score(history, man, None, 2.0, 120.0)
+    with pytest.raises(ValueError, match="^6 realized rates, more than the 5 segments of the manifest$"):
+        solve_benchmark(man, [2000.0] * 6, 3, 2.0, 120.0)
+
+
 def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
     # np.fromiter once read None as NaN and parsed a numeric string: a None
     # rate scored to NaN series, and a string bitrate passed the manifest check

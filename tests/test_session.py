@@ -33,7 +33,7 @@ from abrsim import (
     synthesize_manifest,
 )
 
-from abrsim.session import LOG_COLUMNS
+from abrsim.session import LOG_COLUMNS, _columns
 
 from conftest import assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses, with_a_bad_byte
 from csv_oracle import line_iterated
@@ -1000,16 +1000,47 @@ def short_history(source, tmp_path):
                     reason="gc.is_tracked and the untracking of exact tuples by the collector are CPython's")
 @pytest.mark.parametrize("source", ["l2a", "rb", "bb", "read_log_csv"])
 def test_no_row_of_a_history_stays_tracked_by_the_gc(tmp_path, source):
-    # a row the collector keeps tracked is walked by every full collection
-    # for as long as the history lives; a field that is not an atom or an
-    # exact tuple of atoms (a list, a NamedTuple) would keep its row tracked
+    # an object the collector keeps tracked is walked by every full
+    # collection for as long as the history lives; a field that is not an
+    # atom or an exact tuple of atoms (a list, a NamedTuple) would stay tracked
     history = short_history(source, tmp_path)
     assert len({rec.x for rec in history}) > 1 and (source == "l2a") == (history[0].omega is not None)
-    # a tuple is untracked only once each of its items is, and one collection
-    # can examine an L2A row before the omega tuple that row holds
+    # the history holds one object, its flat list of fields, and no row
+    flat = history._flat
+    width = len(EpochRecord._fields)
+    held = [obj for obj in gc.get_referents(history) if obj is not SessionLog]
+    assert len(held) == 1 and held[0] is flat and len(flat) == width * len(history)
+    # a collection untracks an exact tuple once it finds every item
+    # untracked, so a tuple examined before a tuple it holds needs a second
     gc.collect()
     gc.collect()
-    assert [rec.t for rec, row in zip(history, history._rows) if gc.is_tracked(row)] == []
+    assert [i // width + 1 for i, value in enumerate(flat) if gc.is_tracked(value)] == []
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="the generation-0 count of allocations less deallocations is CPython's")
+@pytest.mark.parametrize("method", ["rb", "bb"])
+def test_a_baseline_session_starts_no_young_collection(method):
+    # a session that keeps nothing GC-tracked per epoch leaves the young
+    # generation's count where it was: the objects of an epoch die with it
+    man = synthesize_manifest(3000, PAPER_LADDER, 2.0, vbr_jitter=0.1, seed=4)
+    trace = generate_markovian(12000, 750, 23000, 0.05, 0.1, seed=4)
+    policy = BBPolicy(man, 20.0) if method == "bb" else RBPolicy(man.bitrates_kbps)
+    config = SessionConfig(b_max_s=20.0)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        history = run_session(policy, config, man, trace).history
+    finally:
+        gc.callbacks.remove(count)
+    assert len(history) == 3000 and any(rec.stall for rec in history)
+    assert started == []
 
 
 @pytest.mark.parametrize("source", ["l2a", "read_log_csv", "empty"])
@@ -1035,3 +1066,42 @@ def test_a_session_log_keeps_the_list_contract(tmp_path, source):
     export_log_csv(log, tmp_path / "log.csv")
     export_log_csv(records, tmp_path / "list.csv")
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def contract_logs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("contract")
+    return {"l2a": short_history("l2a", tmp_path), "read_log_csv": short_history("read_log_csv", tmp_path),
+            "empty": SessionLog()}
+
+
+def read_or_refuse(sequence, key):
+    """``sequence[key]``, or IndexError if that raises it."""
+    try:
+        return sequence[key]
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("source", ["l2a", "read_log_csv", "empty"])
+@given(data=st.data())
+def test_a_session_log_indexes_and_slices_as_a_list(contract_logs, source, data):
+    # the flat store computes each record's place itself; a list of the
+    # same records is what it must read as
+    log = contract_logs[source]
+    records = list(log)
+    n = len(records)
+    for index in range(-n - 1, n + 1):
+        got = read_or_refuse(log, index)
+        assert got == read_or_refuse(records, index)
+        assert got is IndexError or type(got) is EpochRecord
+    bound = st.none() | st.integers(-n - 3, n + 3)
+    key = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+    sliced = log[key]
+    assert type(sliced) is list and sliced == records[key]
+    assert all(type(rec) is EpochRecord for rec in sliced)
+    # field i of the store, read without a record, is field i of each record
+    columns = _columns(log)
+    for name, column in _columns(records).items():
+        assert columns[name] == list(column) == [getattr(rec, name) for rec in records]
