@@ -86,8 +86,9 @@ class ChannelTrace:
     throughputs_kbps: np.ndarray
     # memoryviews of the timestamps, the throughputs and the kbit delivered
     # from t=0 up to each timestamp (indexing them gives Python floats
-    # without copying the trace), and the index of the last sample; the
-    # download in session.run_session and slot_clock read them
+    # without copying the trace), and the index of the last sample: the
+    # download in session.run_session reads all four, slot_clock the
+    # cumulative kbit
     _views: tuple[memoryview, memoryview, memoryview, int] = field(
         init=False, repr=False, compare=False
     )
@@ -363,20 +364,14 @@ def slot_clock(trace: ChannelTrace, segment_duration_s: float, num_slots: int) -
     v = require_positive("segment_duration_s", segment_duration_s)
     require_count("num_slots", num_slots, 0)
     edges = np.arange(num_slots + 1) * float(v)
-    kbit, first, last = _fluid_kbit(trace, edges[:-1], edges[1:])
-    return np.where(first == last, trace.throughputs_kbps[first], kbit / v)
-
-
-def _fluid_kbit(trace: ChannelTrace, start: np.ndarray, end: np.ndarray):
-    """The kbit the fluid model delivers over each interval [start, end), the
-    last sample's rate lasting forever, with the sample each interval starts
-    in and the last sample that starts before it ends."""
+    start, end = edges[:-1], edges[1:]
     ts, tp = trace.timestamps_s, trace.throughputs_kbps
     cum = np.asarray(trace._views[2])
+    # the sample each slot starts in and the last sample that starts before it ends
     first = np.searchsorted(ts, start, side="right") - 1
     last = np.searchsorted(ts, end, side="left") - 1
     kbit = (cum[last] - cum[first]) + tp[last] * (end - ts[last]) - tp[first] * (start - ts[first])
-    return kbit, first, last
+    return np.where(first == last, tp[first], kbit / v)
 
 
 def concat_traces(traces) -> ChannelTrace:

@@ -409,37 +409,6 @@ def _cmd_concat(args) -> int:
     return 0
 
 
-# how far, relative to its size, a logged download replayed through the trace
-# it ran on may be from its size; the gap grows with the trace's cumulative
-# kbit, and the logs of ``run`` came within 1.3e-10 at T=25,600
-_REPLAY_RTOL = 1e-9
-
-
-def _check_log_ran_on(history, trace: channel.ChannelTrace, log_path, trace_path) -> None:
-    """A CliError unless each logged download, replayed through ``trace``,
-    delivers its size_kbit within a relative ``_REPLAY_RTOL``.
-
-    Epoch t's download starts at the running sum of ``download_s + delta_s``
-    over the epochs before it, the clock ``session.run_session`` forms, and
-    lasts ``download_s``.  A log that ran on another trace then names its
-    first such epoch.
-    """
-    columns = session._columns(history)
-    download, size, delta = (session._pack(columns[name], name, columns["t"])
-                             for name in ("download_s", "size_kbit", "delta_s"))
-    clock = np.cumsum(download + delta)
-    start = np.concatenate(([0.0], clock[:-1]))
-    kbit, _, _ = channel._fluid_kbit(trace, start, start + download)
-    bad = np.flatnonzero(~(np.abs(kbit - size) <= _REPLAY_RTOL * size))
-    if bad.size:
-        i = int(bad[0])
-        raise CliError(
-            f"{log_path}: epoch {columns['t'][i]} did not run on trace {trace_path}: its download of"
-            f" {float(download[i])!r} s from {float(start[i])!r} s delivers {float(kbit[i])!r} kbit"
-            f" there, not its size_kbit {float(size[i])!r}"
-        )
-
-
 def _cmd_benchmark(args) -> int:
     manifest = media.load_manifest(args.manifest)
     history = session.read_log_csv(args.log)
@@ -449,18 +418,14 @@ def _cmd_benchmark(args) -> int:
         raise CliError(f"{args.log}: {len(history)} records, more than the {manifest.num_segments}"
                        f" segments of manifest {args.manifest}")
     b_max = SCENARIO_BMAX[args.scenario]
-    # run_session caps every buffer at b_max exactly, so a larger one ran
-    # under another bound
-    after = session._columns(history)["buffer_after_s"]
-    over = next((i for i, buffer in enumerate(after) if buffer > b_max), None)
-    if over is not None:
-        raise CliError(f"{args.log}: epoch {over + 1}: buffer_s {after[over]!r} s is above the {b_max!r} s"
-                       f" b_max of scenario {args.scenario}")
+    if b_max < manifest.segment_duration_s:
+        raise CliError(f"the {b_max!r} s b_max of scenario {args.scenario} is below the"
+                       f" {manifest.segment_duration_s!r} s segments of manifest {args.manifest}")
     trace = channel.load_trace(args.trace)
+    # a log is scored only if it is the session that its decisions replay to
+    session._check_replay(history, manifest, trace, b_max, args.log)
     bench = metrics.hindsight_benchmark(manifest, trace, len(history), b_max)
     series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
-    # after scoring, so that a record the manifest contradicts is named first
-    _check_log_ran_on(history, trace, args.log, args.trace)
     k = metrics.benchmark_window(len(history))
     if series.one_hot_fallback:
         print("note: log carries no decision distributions; using one-hot choices", file=sys.stderr)

@@ -8,7 +8,9 @@ Delta = [pre_append_buffer + V - B_max]^+ so the buffer never exceeds B_max
 at an epoch boundary.  An underflow (buffer < d) pauses playback until
 ``tau_resume`` segments have been appended since the pause began; while
 paused the buffer does not drain, but new stall indicator epochs are still
-recorded whenever buffer < d.
+recorded whenever buffer < d.  The buffer starts empty, so the startup pause
+lasts exactly ``tau_resume`` epochs, each with ``stall_s == download_s``; a
+later underflow stalls for d - b0 < d, as b0 >= V after any epoch.
 
 A download drains the segment's bits through the trace's piecewise-constant
 rate (the fluid model), so its duration is exact even when it spans several
@@ -338,6 +340,42 @@ def run_session(
         feedback = new(EpochFeedback, (rate, row, buffer))
     state.wall_clock_s = clock
     return state
+
+
+def _startup_pause(history: SessionLog) -> int:
+    """The ``tau_resume`` that ``history`` ran under: its leading run of
+    epochs with ``stall_s == download_s`` (module docstring), at least 1.  A
+    session of T epochs that never leaves its pause replays alike under any
+    tau_resume >= T, so T is taken."""
+    columns = _columns(history)
+    paused = zip(columns["stall_s"], columns["download_s"])
+    return max(1, next((i for i, (stall, d) in enumerate(paused) if stall != d), len(history)))
+
+
+def _check_replay(history: SessionLog, manifest: Manifest, trace: ChannelTrace, b_max_s: float, log_name) -> None:
+    """A ValueError unless ``history``, read from the log ``log_name``, is
+    the ``SessionLog`` that ``run_session`` gives for a ``ScriptedPolicy`` of
+    its ``x`` over the manifest's first len(history) segments and ``trace``,
+    at ``b_max_s`` and ``_startup_pause(history)``: the error names the log,
+    the first epoch and log column where the two differ and both values.  A
+    quality index off the ladder gets ``run_session``'s error once the
+    epochs before it are compared."""
+    x = _columns(history)["x"]
+    n = manifest.num_levels
+    played = next((i for i, xt in enumerate(x) if not 1 <= xt <= n), len(x))
+    if played:
+        tau = _startup_pause(history)
+        prefix = Manifest(manifest.segment_duration_s, manifest.bitrates_kbps, manifest.segment_sizes_kbit[:played])
+        replay = run_session(ScriptedPolicy(x), SessionConfig(b_max_s, tau), prefix, trace).history._flat
+        logged = history._flat
+        if replay != logged[: len(replay)]:
+            i = next(i for i, pair in enumerate(zip(logged, replay)) if pair[0] != pair[1])
+            name = EpochRecord._fields[i % _WIDTH]
+            column = next((log for log, field_name, _ in _LOG_TABLE if field_name == name), name)
+            raise ValueError(f"{log_name}: epoch {i // _WIDTH + 1}: {column} is {logged[i]!r}, but its replay"
+                             f" at b_max {b_max_s!r} s and tau {tau} gives {replay[i]!r}")
+    if played < len(x):
+        raise ValueError(f"epoch {played + 1}: quality index {x[played]} outside 1..{n}")
 
 
 def _columns(history: Iterable[EpochRecord]) -> dict[str, Sequence]:

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,8 @@ def test_the_workflow_calls_the_cli_with_options_it_has(tmp_path):
     Path(target).write_text(body)
     calls = [line.strip() for line in temp.replace("\\\n", " ").splitlines()
              if line.strip().startswith("abrsim ")]
-    assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare"]
+    assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare", "run",
+                                                        "benchmark"]
     for call in calls:
         # an unknown or missing option exits through argparse
         cli.build_parser().parse_args(shlex.split(call)[1:])
@@ -236,22 +238,23 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli("benchmark", "--manifest", manifest, "--log", out / "session_rb.csv")
     assert "the following arguments are required: --trace" in capsys.readouterr().err
-    # each logged download, replayed through --trace from the clock the
-    # session formed, must deliver its size within a relative 1e-9: epoch 5's
-    # download stretched by 1e-12 does, by 1e-6 does not, and on another trace
-    # some epoch does not; the error names the log, that epoch and the trace
+    # the log is replayed through --trace and must give itself back exactly:
+    # epoch 5's download stretched by 1e-12 or 1e-6 is refused (a relative
+    # 1e-9 once passed), and so is the log on another trace; the error names
+    # the log, the first epoch and column that differ and both values
     fine = tmp_path / "fine.csv"
     assert run_cli("gen", "trace", "--duration", 900, "--step", 0.1, "--seed", 7, "--out", fine) == 0
     records = session.read_log_csv(out / "session_rb.csv")
     log = tmp_path / "stretched.csv"
-    for gap, on, epoch in [(1e-12, trace, None), (1e-6, trace, "5"), (0.0, fine, r"\d+")]:
+    for gap, on, epoch, column in [(1e-12, trace, "5", "download_s"), (1e-6, trace, "5", "download_s"),
+                                   (0.0, fine, r"\d+", r"\w+")]:
         stretched = records[4]._replace(download_s=records[4].download_s * (1 + gap))
         session.export_log_csv([*records[:4], stretched, *records[5:]], log)
         capsys.readouterr()
-        assert run_cli("benchmark", "--manifest", manifest, "--trace", on, "--log", log) == (epoch is not None)
-        assert epoch is None or re.fullmatch(
-            rf"abrsim: error: {re.escape(str(log))}: epoch {epoch} did not run on trace {re.escape(str(on))}: "
-            r"its download of \S+ s from \S+ s delivers \S+ kbit there, not its size_kbit \S+\n",
+        assert run_cli("benchmark", "--manifest", manifest, "--trace", on, "--log", log) == 1
+        assert re.fullmatch(
+            rf"abrsim: error: {re.escape(str(log))}: epoch {epoch}: {column} is \S+, but its replay"
+            r" at b_max 120\.0 s and tau 2 gives \S+\n",
             capsys.readouterr().err)
 
 
@@ -311,8 +314,11 @@ def test_benchmark_rejects_a_log_longer_than_its_manifest(assets, tmp_path, caps
 
 
 def test_benchmark_rejects_a_log_whose_buffer_passes_the_scenario_bound(assets, tmp_path, capsys):
-    # a vod log scored with --scenario live once printed a benchmark and its
-    # series and exited 0; run_session caps each buffer at b_max exactly
+    # a vod log scored with --scenario live, and a live log scored with
+    # --scenario vod, once printed a benchmark and its series and exited 0;
+    # replayed under the other bound, each is refused at the first epoch
+    # where that bound moves the delay: the vod log's first buffer above
+    # 20 s, and the live log's first delay
     manifest, trace = assets
     out = tmp_path / "out"
     for scenario in ("vod", "live"):
@@ -321,20 +327,78 @@ def test_benchmark_rejects_a_log_whose_buffer_passes_the_scenario_bound(assets, 
     vod_log, live_log = (out / scenario / "session_l2a-beta0.3.csv" for scenario in ("vod", "live"))
     buffers = [float(rec.buffer_after_s) for rec in session.read_log_csv(vod_log)]
     first = next(i for i, buffer in enumerate(buffers) if buffer > 20.0)
-    assert max(session.read_log_csv(live_log), key=lambda rec: rec.buffer_after_s).buffer_after_s == 20.0
+    live = session.read_log_csv(live_log)
+    assert max(live, key=lambda rec: rec.buffer_after_s).buffer_after_s == 20.0
+    delayed = next(rec for rec in live if rec.delta_s > 0)
     capsys.readouterr()
-    for log, scenario in ((vod_log, "vod"), (live_log, "live"), (live_log, "vod")):
+    for log, scenario in ((vod_log, "vod"), (live_log, "live")):
         assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log,
                        "--scenario", scenario) == 0
     capsys.readouterr()
     series = tmp_path / "series.csv"
     assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", vod_log,
                    "--scenario", "live", "--series", series) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"abrsim: error: {re.escape(str(vod_log))}: epoch {first + 1}: delta_s is 0\.0,"
+                        r" but its replay at b_max 20\.0 s and tau 2 gives \S+\n", captured.err)
+    assert not series.exists()
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", live_log,
+                   "--scenario", "vod", "--series", series) == 1
     assert capsys.readouterr() == ("", (
-        f"abrsim: error: {vod_log}: epoch {first + 1}: buffer_s {buffers[first]!r} s is above the 20.0 s"
-        f" b_max of scenario live\n"
+        f"abrsim: error: {live_log}: epoch {delayed.t}: delta_s is {delayed.delta_s!r}, but its replay"
+        f" at b_max 120.0 s and tau 2 gives 0.0\n"
     ))
     assert not series.exists()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("C_kbps", "-5"), ("C_kbps", "1e308"), ("C_kbps", "1e-320"),
+    ("buffer_s", "-5"), ("buffer_s", "-1e308"),
+    ("stall_s", "-5"), ("stall_s", "1e308"),
+    ("delta_s", "1e-320"),
+    ("download_s", "1e308"), ("download_s", "-1e308"),
+])
+def test_benchmark_refuses_a_log_edited_at_one_field(assets, tmp_path, capsys, monkeypatch, column, value):
+    # each edit was once scored (exit 0) or refused after numpy warned of an
+    # overflow; the replay names the edited field before any benchmark is solved
+    manifest, trace = assets
+    short = tmp_path / "short.json"
+    assert run_cli("gen", "manifest", "--segments", 40, "--out", short) == 0
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", short, "--trace", trace, "--out", out) == 0
+    header, *rows = (out / "session_l2a-beta1.csv").read_text().splitlines()
+    fields = rows[3].split(",")
+    assert fields[0] == "4"
+    fields[session.LOG_COLUMNS.index(column)] = value
+    rows[3] = ",".join(fields)
+    log = tmp_path / "edited.csv"
+    log.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("benchmark solved for an edited log")
+
+    monkeypatch.setattr(metrics, "solve_benchmark", no_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("benchmark", "--manifest", short, "--trace", trace, "--log", log) == 1
+    assert caught == []
+    assert re.fullmatch(rf"abrsim: error: {re.escape(str(log))}: epoch 4: {column} is {re.escape(repr(float(value)))},"
+                        r" but its replay at b_max 120\.0 s and tau 2 gives \S+\n", capsys.readouterr().err)
+
+
+def test_benchmark_rejects_a_scenario_whose_bound_is_below_the_segment_duration(assets, tmp_path, capsys):
+    # the replay's own "b_max_s smaller than the segment duration" named no input
+    _, trace = assets
+    manifest, out = tmp_path / "long.json", tmp_path / "out"
+    assert run_cli("gen", "manifest", "--segments", 10, "--segment-duration", 30, "--out", manifest) == 0
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", out / "session_l2a-beta1.csv",
+                   "--scenario", "live") == 1
+    assert capsys.readouterr() == ("", f"abrsim: error: the 20.0 s b_max of scenario live is below the 30.0 s"
+                                       f" segments of manifest {manifest}\n")
 
 
 @pytest.mark.parametrize("which", ["zero", "above-top"])
@@ -365,13 +429,17 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
     lines = log.read_text().splitlines()
     fields = lines[5].split(",")
     assert fields[0] == "5"
+    ladder = load_manifest(manifest)
     if column == "x_t":
         # another level on the ladder, with r_kbps and size_kbit left as they are
         fields[1] = "7" if fields[1] != "7" else "3"
-        expected = f"epoch 5: r_kbps is {float(fields[2])!r}; the manifest's bitrate at x_t="
+        expected = f"r_kbps is {float(fields[2])!r}, but its replay at b_max 120.0 s and tau 2 gives" \
+                   f" {ladder.bitrates_kbps[int(fields[1]) - 1]!r}"
     else:
-        fields[3] = repr(float(fields[3]) + 1.0)
-        expected = f"epoch 5: size_kbit is {fields[3]}; the manifest's size at x_t={fields[1]}"
+        size = float(ladder.segment_sizes_kbit[4, int(fields[1]) - 1])
+        assert float(fields[3]) == size
+        fields[3] = repr(size + 1.0)
+        expected = f"size_kbit is {fields[3]}, but its replay at b_max 120.0 s and tau 2 gives {size!r}"
     lines[5] = ",".join(fields)
     if column == "size_kbit-before-x_t-0":
         # a quality index off the ladder at epoch 9 too: the first fault in
@@ -383,9 +451,7 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
     capsys.readouterr()
     # such a row was once scored without a word, its regret read from x_t
     assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", bad) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"abrsim: error: {expected}")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"abrsim: error: {bad}: epoch 5: {expected}\n"
 
 
 @pytest.mark.parametrize(
@@ -404,13 +470,21 @@ def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"abrsim: error: {message}\n"
 
 
-def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("scenario", ["vod", "live"])
+@pytest.mark.parametrize("method", [["l2a", "--beta", "1"], ["l2a", "--beta", "0.3"], ["rb"], ["bb"]],
+                         ids=["l2a-beta1", "l2a-beta0.3", "rb", "bb"])
+def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatch, capsys, method, scenario, tau):
     # benchmark runs the benchmark and series stages only: it never scores
-    # the session metrics, and its benchmark and series are the ones run
-    # reports
+    # the session metrics, and its benchmark is the one run reports, and
+    # its series too for a policy with no decision distribution; it reads
+    # tau from the log, whose replay under --scenario is the log
     manifest, trace = assets
     out = tmp_path / "out"
-    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", "rb", "--out", out) == 0
+    abr, *beta = method
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--abr", *method, "--scenario", scenario,
+                   "--tau", tau, "--out", out) == 0
+    name = abr if not beta else f"l2a-beta{beta[1]}"
     capsys.readouterr()
 
     def no_metrics(*args, **kwargs):
@@ -420,16 +494,18 @@ def test_run_and_benchmark_agree_for_one_hot_policy(assets, tmp_path, monkeypatc
     bench_json, series_csv = tmp_path / "bench.json", tmp_path / "series.csv"
     assert (
         run_cli(
-            "benchmark", "--manifest", manifest, "--trace", trace, "--log", out / "session_rb.csv",
-            "--out", bench_json, "--series", series_csv,
+            "benchmark", "--manifest", manifest, "--trace", trace, "--log", out / f"session_{name}.csv",
+            "--scenario", scenario, "--out", bench_json, "--series", series_csv,
         )
         == 0
     )
     assert capsys.readouterr().err == "note: log carries no decision distributions; using one-hot choices\n"
-    report = json.loads((out / "report_rb.json").read_text())
-    assert report["flags"][-1] == "one-hot-omega"
+    report = json.loads((out / f"report_{name}.json").read_text())
     # both solve against the trace's slot clock, so the benchmark is the same object
     assert json.loads(bench_json.read_text()) == {"k": metrics.benchmark_window(60), **report["benchmark"]}
+    if abr == "l2a":
+        return
+    assert report["flags"][-1] == "one-hot-omega"
     header, *rows = series_csv.read_text().splitlines()
     keys = header.split(",")[1:]
     for t, row in enumerate(rows):

@@ -33,7 +33,7 @@ from abrsim import (
     synthesize_manifest,
 )
 
-from abrsim.session import LOG_COLUMNS, _columns
+from abrsim.session import LOG_COLUMNS, _check_replay, _columns, _startup_pause
 
 from conftest import assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses, with_a_bad_byte
 from csv_oracle import line_iterated
@@ -266,6 +266,23 @@ def test_replay_reproduces_log():
     for a, b in zip(first.history, replay.history):
         assert a._replace(omega=None) == b._replace(omega=None)
     assert replay.wall_clock_s == first.wall_clock_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.integers(1, 5), segments=st.integers(1, 8), levels=st.integers(2, 3), data=st.data())
+def test_a_log_replays_to_itself_under_the_tau_of_its_startup_pause(tau, segments, levels, data):
+    # T <= tau included: a session that never leaves its pause reads as tau = T
+    v = data.draw(st.sampled_from([0.5, 2.0]))
+    b_max = v * data.draw(st.sampled_from([1.0, 1.5, 4.0, 60.0]))
+    sizes = np.sort(data.draw(arrays(float, (segments, levels), elements=st.floats(1.0, 1e4))), axis=1)
+    man = Manifest(v, tuple(1000.0 * level for level in range(1, levels + 1)), sizes)
+    steps = data.draw(st.lists(st.floats(0.1, 10.0), max_size=5))
+    rates = data.draw(st.lists(st.floats(1.0, 1e4), min_size=len(steps) + 1, max_size=len(steps) + 1))
+    trace = ChannelTrace(np.cumsum([0.0, *steps]), np.array(rates))
+    script = data.draw(st.lists(st.integers(1, levels), min_size=segments, max_size=segments))
+    log = run_session(ScriptedPolicy(script), SessionConfig(b_max, tau), man, trace).history
+    assert _startup_pause(log) == min(tau, segments)
+    _check_replay(log, man, trace, b_max, "log")
 
 
 def test_log_csv_roundtrip(tmp_path):
