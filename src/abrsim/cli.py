@@ -79,30 +79,22 @@ def _beta(value, what: str):
 
 
 def method_name(spec: dict) -> str:
-    """The name of the method ``spec`` (``name``, else ``l2a-beta<beta>`` for
-    ``l2a`` and the ``abr`` value for the others), under the one rule of a
-    method spec: a name is part of the artifact file names and a field of
-    the comparison CSV and of a stdout line, so it must be a non-empty
-    string with no path separator, NUL, comma, double quote or line break
-    (CR or LF); ``beta`` (default 1)
-    passes ``check_beta``; ``abr`` is one of POLICIES; and no key but ``abr``,
-    ``name`` and, for ``l2a``, ``beta`` is held.  Each fault is a CliError,
-    and a bad ``beta``, an unknown ``abr`` or an unknown key names the
-    method (a ``beta`` names an unnamed method by its spec)."""
-    if "name" in spec:
-        name = spec["name"]
-        if not isinstance(name, str) or not name or any(c in name for c in '/\\\0,"\r\n'):
-            raise CliError(f"method name {name!r} must be a non-empty string with no"
-                           " path separator, NUL, comma, double quote or line break")
+    """The name of the method ``spec``, derived from it: ``l2a-beta<beta>``
+    for ``l2a`` and the ``abr`` value for the others, so a name holds no
+    underscore, comma, quote, path separator or line break.  The rule of a
+    method spec: ``abr`` is one of POLICIES, ``beta`` (``l2a`` only, default
+    1) passes ``check_beta``, and no other key is held.  Each fault is a
+    CliError naming the method, by its spec while it has no name (an unknown
+    ``abr``, a bad ``beta``)."""
     abr = spec.get("abr")
-    # checked before the default name formats it; a method without a name is named by its spec
-    beta = None
-    if abr == "l2a":
-        beta = _beta(spec.get("beta", 1.0), f"key 'beta' in method {spec.get('name', spec)!r}")
-    name = spec.get("name", str(abr) if beta is None else f"l2a-beta{beta:g}")
     if abr not in POLICIES:
-        raise CliError(f"unknown abr {abr!r} in method {name!r} (expected l2a, rb, or bb)")
-    _config_object(spec, f"method {name!r}", ("abr",), ("name",) if beta is None else ("name", "beta"))
+        raise CliError(f"unknown abr {abr!r} in method {spec!r} (expected l2a, rb, or bb)")
+    if abr != "l2a":
+        _config_object(spec, f"method {abr!r}", ("abr",))
+        return abr
+    beta = _beta(spec.get("beta", 1.0), f"key 'beta' in method {spec!r}")
+    name = f"l2a-beta{beta:g}"
+    _config_object(spec, f"method {name!r}", ("abr",), ("beta",))
     return name
 
 
@@ -307,21 +299,12 @@ def run_compare(config: dict, out_dir: Path) -> None:
     if not traces:
         raise CliError("config needs at least one trace")
     traces.sort(key=lambda item: item[0])
-    # a session is keyed by its trace's name, the file stem for a trace file
+    # a session is keyed by its trace's name, the file stem for a trace file;
+    # a method name holds no "_", so sessions/{method}__{trace}.json names one pair
     for (trace_name, _), (next_name, _) in zip(traces, traces[1:]):
         if trace_name == next_name:
             raise CliError(f"duplicate trace name {trace_name!r} in config:"
                            " trace files need distinct file names")
-    # each session's report is sessions/{method}__{trace}.json, and "__" may
-    # occur in either name, so two pairs could name one file
-    report_pairs = {}
-    for trace_name, _ in traces:
-        for name in specs:
-            file = f"{name}__{trace_name}.json"
-            other = report_pairs.setdefault(file, (name, trace_name))
-            if other != (name, trace_name):
-                raise CliError(f"two sessions would write sessions/{file}: method {other[0]!r} on trace"
-                               f" {other[1]!r} and method {name!r} on trace {trace_name!r}")
 
     sess_cfg = session.SessionConfig(b_max_s=b_max, tau_resume=tau)
     # by_method[name] = list of (trace_name, report, benchmark, series), in trace order

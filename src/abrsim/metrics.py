@@ -275,14 +275,15 @@ class ConvergenceSeries:
 def _first_fault(history, manifest: Manifest, candidates) -> None:
     """Raise the ValueError of the first of the records at ``candidates`` (in
     epoch order) whose quality index is not an integer or is off the ladder,
-    whose bitrate or segment size is not the manifest's at (t, x_t), or whose
+    whose bitrate or segment size is not the manifest's at (t, x_t), whose
+    rate does not pack as a float or is not positive and finite, or whose
     logged omega does not have one entry per rung; return if none is."""
     levels = manifest.bitrates_kbps
     n = len(levels)
     # indexing the manifest's flat memoryview of the sizes gives Python floats
     flat_sizes = manifest._sizes_view
     for idx in candidates:
-        t, x, bitrate, size = history[idx][:4]
+        t, x, bitrate, size, rate = history[idx][:5]
         if not isinstance(x, numbers.Integral):
             raise ValueError(f"epoch {t}: quality index {x!r} is not an integer")
         if not 1 <= x <= n:
@@ -293,6 +294,9 @@ def _first_fault(history, manifest: Manifest, candidates) -> None:
         if size != flat_sizes[idx * n + x - 1]:
             raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
                              f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+        rate = float(_pack((rate,), "rate_kbps", (t,))[0])
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"epoch {t}: rate_kbps must be positive and finite, got {rate!r}")
         omega = history[idx].omega
         if omega is not None and len(omega) != n:
             raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
@@ -313,11 +317,11 @@ def regret_and_residuals(
     Regret requires a benchmark solution, whose ``objective`` is read as
     omega*'s expected bitrate; pass None to get residuals only.
     A quality index that is not an integer or lies outside 1..N, a bitrate
-    or segment size other than the manifest's at (t, x_t), or a logged omega
-    without exactly N entries is a ValueError naming the first such epoch,
-    and so is a rate or a logged omega entry that ``_pack`` does not pack
-    as a float; so is a segment duration or buffer bound that is not
-    positive and finite.
+    or segment size other than the manifest's at (t, x_t), a rate that is not
+    positive and finite, or a logged omega without exactly N entries is a
+    ValueError naming the first such epoch, and so is a rate, bitrate, size
+    or logged omega entry that ``_pack`` does not pack as a float; so is a
+    segment duration or buffer bound that is not positive and finite.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -347,6 +351,10 @@ def regret_and_residuals(
     level = np.where(on_ladder, level, 0)
     flagged = ~on_ladder
     try:
+        # the rates are read first, so a bitrate or size that does not pack
+        # leaves them read; a rate that does not pack is named by _first_fault
+        rates = _pack(columns["rate_kbps"], "rate_kbps", ts)
+        flagged |= ~((rates > 0.0) & (rates < math.inf))
         flagged |= _pack(columns["bitrate_kbps"], "bitrate_kbps", ts) != ladder[level]
         flagged |= _pack(columns["size_kbit"], "size_kbit", ts) != sizes[rows, level]
     except ValueError:  # fields that do not pack as floats
@@ -365,7 +373,7 @@ def regret_and_residuals(
                            width=n).reshape(-1, n)
     fallback = len(logged_omegas) < t_total
 
-    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / _pack(columns["rate_kbps"], "rate_kbps", ts)
+    expected_dl = np.einsum("tn,tn->t", sizes, omegas) / rates
     g1 = expected_dl - segment_duration_s
     g2 = segment_duration_s - expected_dl - b_max_s / t_total
     epochs = rows + 1

@@ -358,8 +358,8 @@ def _check_replay(history: SessionLog, manifest: Manifest, trace: ChannelTrace, 
     its ``x`` over the manifest's first len(history) segments and ``trace``,
     at ``b_max_s`` and ``_startup_pause(history)``: the error names the log,
     the first epoch and log column where the two differ and both values.  A
-    quality index off the ladder gets ``run_session``'s error once the
-    epochs before it are compared."""
+    quality index off the ladder gets ``run_session``'s error, after the log's
+    name, once the epochs before it are compared."""
     x = _columns(history)["x"]
     n = manifest.num_levels
     played = next((i for i, xt in enumerate(x) if not 1 <= xt <= n), len(x))
@@ -375,7 +375,7 @@ def _check_replay(history: SessionLog, manifest: Manifest, trace: ChannelTrace, 
             raise ValueError(f"{log_name}: epoch {i // _WIDTH + 1}: {column} is {logged[i]!r}, but its replay"
                              f" at b_max {b_max_s!r} s and tau {tau} gives {replay[i]!r}")
     if played < len(x):
-        raise ValueError(f"epoch {played + 1}: quality index {x[played]} outside 1..{n}")
+        raise ValueError(f"{log_name}: epoch {played + 1}: quality index {x[played]} outside 1..{n}")
 
 
 def _columns(history: Iterable[EpochRecord]) -> dict[str, Sequence]:

@@ -3,8 +3,8 @@ oracles.
 
 - ``reference_regret_and_residuals``: ``regret_and_residuals`` as it ran
   before it checked the log's columns as a whole.  One Python loop over the
-  records checks each record's quality index, bitrate, segment size and
-  omega length in turn and copies its omega, or the one-hot distribution of
+  records checks each record's quality index, bitrate, segment size, rate
+  and omega length in turn and copies its omega, or the one-hot distribution of
   its choice, into the matrix row by row.  The package's function must give
   the same series, the same ``one_hot_fallback`` and, on a bad history, the
   same first error.
@@ -54,6 +54,8 @@ def reference_regret_and_residuals(history, manifest, benchmark, segment_duratio
         if size != flat_sizes[idx * n + x - 1]:
             raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
                              f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"epoch {t}: rate_kbps must be positive and finite, got {float(rate)!r}")
         if omega is not None and len(omega) != n:
             raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
         if omega is None:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrsim import channel, cli, generate_markovian, load_manifest, load_trace, media, metrics, session, slot_clock
 from abrsim.cli import main
@@ -417,7 +419,7 @@ def test_benchmark_rejects_a_quality_index_off_the_ladder(assets, tmp_path, caps
     capsys.readouterr()
     # x_t=0 once scored as the top quality and x_t=N+1 raised an IndexError traceback
     assert run_cli("benchmark", "--manifest", manifest, "--trace", trace, "--log", log) == 1
-    assert capsys.readouterr().err == f"abrsim: error: epoch 5: quality index {bad_x} outside 1..{n}\n"
+    assert capsys.readouterr().err == f"abrsim: error: {log}: epoch 5: quality index {bad_x} outside 1..{n}\n"
 
 
 @pytest.mark.parametrize("column", ["x_t", "size_kbit", "size_kbit-before-x_t-0"])
@@ -695,21 +697,24 @@ def test_compare_writes_exactly_the_pinned_csvs(pinned_compare):
 def test_compare_unknown_method_fails_with_name(tmp_path, capsys):
     cfg_path = _compare_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
-    cfg["methods"] = [{"abr": "nope", "name": "mystery"}]
+    cfg["methods"] = [{"abr": "nope"}]
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
+    # a method with no policy has no name yet, so it is named by its spec
     assert capsys.readouterr().err == (
-        "abrsim: error: unknown abr 'nope' in method 'mystery' (expected l2a, rb, or bb)\n")
+        "abrsim: error: unknown abr 'nope' in method {'abr': 'nope'} (expected l2a, rb, or bb)\n")
 
 
 @pytest.mark.parametrize(
     "abr, name, keys",
     [
         # average_blocked_grads is a removed ablation switch; epsilon, v_l and
-        # alpha are removed tuning overrides, as are kappa and v_b
-        ("l2a", "l2a-beta1", ("betta", "vl_exponent", "average_blocked_grads", "epsilon", "v_l", "alpha")),
-        ("rb", "rb", ("kappa",)),
-        ("bb", "bb", ("v_b",)),
+        # alpha are removed tuning overrides, as are kappa and v_b; a name is
+        # derived from the spec, never set
+        ("l2a", "l2a-beta1",
+         ("betta", "vl_exponent", "average_blocked_grads", "epsilon", "v_l", "alpha", "name")),
+        ("rb", "rb", ("kappa", "name")),
+        ("bb", "bb", ("v_b", "name")),
     ],
     ids=["l2a", "rb", "bb"],
 )
@@ -722,19 +727,19 @@ def test_compare_rejects_unknown_method_key(tmp_path, capsys, abr, name, keys):
         out = tmp_path / key
         assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
         assert capsys.readouterr().err == (f"abrsim: error: unknown key {key!r} in method {name!r}"
-                                           f" (expected abr, name{', beta' if abr == 'l2a' else ''})\n")
+                                           f" (expected abr{', beta' if abr == 'l2a' else ''})\n")
         assert not out.exists()
 
 
 def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
     cfg_path = _compare_config(tmp_path, segments=10, count=2)
     cfg = json.loads(cfg_path.read_text())
-    cfg["methods"].append({"abr": "rb", "name": "zz-last", "kapa": 0.3})
+    cfg["methods"].append({"abr": "rb", "kapa": 0.3})
     cfg_path.write_text(json.dumps(cfg))
     calls = _count_sessions(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
-    assert capsys.readouterr().err == "abrsim: error: unknown key 'kapa' in method 'zz-last' (expected abr, name)\n"
+    assert capsys.readouterr().err == "abrsim: error: unknown key 'kapa' in method 'rb' (expected abr)\n"
     assert calls == []
     assert not out.exists()
 
@@ -743,14 +748,12 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "spec, expected",
     [
-        ({"abr": "nope", "name": "zz-last"}, "unknown abr 'nope' in method 'zz-last' (expected l2a, rb, or bb)"),
-        ({"abr": "l2a", "name": "zz-last", "kapa": 0.3},
-         "unknown key 'kapa' in method 'zz-last' (expected abr, name, beta)"),
-        ({"abr": "l2a", "name": "zz-last", "beta": 1.5},
-         "key 'beta' in method 'zz-last' must be a number in (0, 1], got 1.5"),
-        ({"abr": "rb", "name": "zz/last"},
-         "method name 'zz/last' must be a non-empty string with no"
-         " path separator, NUL, comma, double quote or line break"),
+        ({"abr": "nope"}, "unknown abr 'nope' in method {'abr': 'nope'} (expected l2a, rb, or bb)"),
+        ({"abr": "l2a", "beta": 0.5, "kapa": 0.3},
+         "unknown key 'kapa' in method 'l2a-beta0.5' (expected abr, beta)"),
+        ({"abr": "l2a", "beta": 1.5},
+         "key 'beta' in method {'abr': 'l2a', 'beta': 1.5} must be a number in (0, 1], got 1.5"),
+        ({"abr": "rb", "name": "zz/last"}, "unknown key 'name' in method 'rb' (expected abr)"),
     ],
     ids=["abr", "key", "beta", "name"],
 )
@@ -1023,25 +1026,37 @@ def test_compare_rejects_two_traces_of_one_name(assets, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_compare_rejects_two_sessions_that_name_one_report(assets, tmp_path, capsys, monkeypatch):
-    # method a on trace b__c and method a__b on trace c both write
-    # sessions/a__b__c.json: the run once exited 0 with 5 of its 6 reports
-    manifest, trace = assets
-    for stem in ("c", "b__c"):
-        (tmp_path / f"{stem}.csv").write_bytes(trace.read_bytes())
-    cfg_path = tmp_path / "clash.json"
-    cfg_path.write_text(json.dumps({
-        "manifest": {"path": str(manifest)},
-        "traces": [str(tmp_path / "c.csv"), str(tmp_path / "b__c.csv")],
-        "methods": [{"abr": "rb", "name": "a"}, {"abr": "bb", "name": "a__b"}, {"abr": "bb"}],
-    }))
-    calls = _count_sessions(monkeypatch)
-    out = tmp_path / "out"
-    assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
-    assert capsys.readouterr().err == ("abrsim: error: two sessions would write sessions/a__b__c.json:"
-                                       " method 'a' on trace 'b__c' and method 'a__b' on trace 'c'\n")
-    assert calls == []
-    assert not out.exists()
+# method specs of every policy, l2a at any beta in (0, 1]
+METHOD_SPECS = st.sampled_from([{"abr": "rb"}, {"abr": "bb"}]) | st.builds(
+    lambda beta: {"abr": "l2a", "beta": beta}, st.floats(0.0, 1.0, exclude_min=True))
+# trace file stems with "_" and "__" anywhere, at either end included
+TRACE_STEMS = st.sampled_from(["_", "__", "_a", "a_", "a__b", "__a__"]) | st.text("ab_", min_size=1, max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(specs=st.lists(METHOD_SPECS, min_size=1, max_size=3, unique_by=cli.method_name),
+       stems=st.lists(TRACE_STEMS, min_size=1, max_size=3, unique=True))
+def test_every_session_of_a_compare_writes_its_own_report(tmp_path_factory, specs, stems):
+    # a method name is derived from its spec and holds no "_", so the report
+    # sessions/{method}__{trace}.json of one pair is never that of another
+    # (a hand-set name "a__b" on trace "c" once wrote the report of "a" on "b__c")
+    tmp = tmp_path_factory.mktemp("pairs")
+    manifest = tmp / "manifest.json"
+    assert run_cli("gen", "manifest", "--segments", 6, "--out", manifest) == 0
+    for i, stem in enumerate(stems):
+        assert run_cli("gen", "trace", "--duration", 30, "--seed", i, "--out", tmp / f"{stem}.csv") == 0
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({"manifest": {"path": str(manifest)},
+                               "traces": [str(tmp / f"{stem}.csv") for stem in stems], "methods": specs}))
+    assert run_cli("compare", "--config", cfg, "--out", tmp / "out") == 0
+    reports = {}
+    for path in (tmp / "out" / "sessions").iterdir():
+        method, _, rest = path.name.partition("_")
+        assert rest.startswith("_") and rest.endswith(".json")
+        doc = json.loads(path.read_text())
+        assert (doc["method"], doc["trace"]) == (method, rest[1:-len(".json")])
+        reports[path.name] = (method, doc["trace"])
+    assert sorted(reports.values()) == sorted((cli.method_name(spec), stem) for spec in specs for stem in stems)
 
 
 def test_a_manifest_with_no_segments_is_an_input_error(assets, tmp_path, capsys):
@@ -1123,7 +1138,8 @@ def test_compare_rejects_config_entries_of_the_wrong_shape(tmp_path, capsys, key
 @pytest.mark.parametrize("name", ["../esc", "a/b", "a\\b", "", 5])
 def test_compare_rejects_a_method_name_that_is_not_a_file_name(tmp_path, capsys, name):
     # "../esc" once wrote OUT/esc__<trace>.json outside sessions/ and a partial
-    # comparison.csv, then failed on convergence_../esc.csv
+    # comparison.csv, then failed on convergence_../esc.csv; a name is
+    # derived from the spec, so a name key is refused as any unknown key
     cfg_path = _compare_config(tmp_path, segments=10, count=1)
     cfg = json.loads(cfg_path.read_text())
     cfg["methods"] = [{"abr": "rb", "name": name}]
@@ -1131,8 +1147,7 @@ def test_compare_rejects_a_method_name_that_is_not_a_file_name(tmp_path, capsys,
     out = tmp_path / "out" / "cmp"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
     err = capsys.readouterr().err
-    assert err == (f"abrsim: error: method name {name!r} must be a non-empty string with no"
-                   " path separator, NUL, comma, double quote or line break\n")
+    assert err == "abrsim: error: unknown key 'name' in method 'rb' (expected abr)\n"
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -1146,8 +1161,7 @@ def test_compare_rejects_a_method_name_that_is_not_a_csv_field(tmp_path, capsys,
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out" / "cmp"
     assert run_cli("compare", "--config", cfg_path, "--out", out) == 1
-    assert capsys.readouterr().err == (f"abrsim: error: method name {name!r} must be a non-empty string with no"
-                                       " path separator, NUL, comma, double quote or line break\n")
+    assert capsys.readouterr().err == "abrsim: error: unknown key 'name' in method 'rb' (expected abr)\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -541,11 +541,13 @@ def test_empty_history_series():
 
 
 # a fault in one record: the quality index off the ladder or not an integer,
-# the bitrate or the size of another rung, an omega of another length, or a
-# bitrate or size that is not a float (a complex number that equals the
-# manifest's value is not a fault; the value's numeric string is)
-RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "omega-length", "unreadable")
+# the bitrate or the size of another rung, a rate that is not positive and
+# finite, an omega of another length, or a bitrate or size that is not a
+# float (a complex number that equals the manifest's value is not a fault;
+# the value's numeric string is)
+RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "rate", "omega-length", "unreadable")
 UNREADABLE = (None, 10**400, [1.0], complex, repr)
+BAD_RATES = (0.0, -5.0, math.nan, math.inf)
 
 
 @st.composite
@@ -588,6 +590,8 @@ def scored_histories(draw):
             rec = rec._replace(bitrate_kbps=ladder[other - 1])
         elif kind == "size" and isinstance(rec.size_kbit, (int, float)) and rec.size_kbit < 1e300:
             rec = rec._replace(size_kbit=rec.size_kbit * 1.5 + 1.0)
+        elif kind == "rate":
+            rec = rec._replace(rate_kbps=draw(st.sampled_from(BAD_RATES)))
         elif kind == "omega-length":
             m = draw(st.integers(0, n + 2).filter(lambda m: m != n))
             rec = rec._replace(omega=tuple(rng.uniform(0.0, 1.0, m).tolist()))
@@ -638,6 +642,21 @@ def test_scoring_rejects_a_time_that_is_not_positive_and_finite(bad):
         # an empty history too: the check is where the time enters
         with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite")):
             regret_and_residuals([], man, None, **times)
+
+
+@pytest.mark.parametrize("bad", BAD_RATES, ids=["zero", "negative", "nan", "inf"])
+def test_scoring_rejects_a_rate_that_is_not_positive_and_finite(bad):
+    # each was once scored with no error: 0.0 to an infinite series (with
+    # numpy's divide-by-zero warning), -5.0 to a negative residual rate, nan
+    # to a nan series and inf to a finite one; a later fault is not named first
+    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
+    recs = _one_hot_log(man, [1, 2] * 5, [5000.0] * 10)
+    history = [*recs[:2], recs[2]._replace(rate_kbps=bad), *recs[3:6], recs[6]._replace(bitrate_kbps=4000.0),
+               *recs[7:]]
+    expected = f"epoch 3: rate_kbps must be positive and finite, got {bad!r}"
+    for score in (regret_and_residuals, reference_regret_and_residuals):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            score(history, man, None, 2.0, 120.0)
 
 
 def test_an_omega_of_the_wrong_length_names_its_epoch():
