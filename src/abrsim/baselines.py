@@ -211,19 +211,18 @@ class BBPolicy:
     """Session adapter for the buffer-utility policy.
 
     Needs the manifest because the utility uses the upcoming segment's actual
-    sizes, which the client knows ahead of time; ``v_b`` and ``gamma_p`` come
-    from ``derive_bb_parameters``.
+    sizes, which the client knows ahead of time: its ``t``-th ``decide``
+    scores the manifest's row ``rows[t - 1]``, and past the last segment
+    raises the ``IndexError`` of ``Manifest.sizes_row``; ``v_b`` and
+    ``gamma_p`` come from ``derive_bb_parameters``.
     """
 
     def __init__(self, manifest: Manifest, b_max_s: float):
         self.state = BBState(*derive_bb_parameters(manifest.bitrates_kbps, manifest.segment_duration_s, b_max_s))
-        # what bb_decide reads of the manifest, fixed for the session; the
-        # row of segment t is sliced from the flat size view as run_session
-        # slices it
+        # what bb_decide reads of the manifest, fixed for the session
         self._bitrates_kbps = manifest.bitrates_kbps
         self._segment_duration_s = manifest.segment_duration_s
-        self._sizes = manifest._sizes_view
-        self._num_levels = manifest.num_levels
+        self._rows = manifest.rows
         self._num_segments = manifest.num_segments
         self._t = 0
 
@@ -231,11 +230,4 @@ class BBPolicy:
         self._t = t = self._t + 1
         if t > self._num_segments:
             raise IndexError(f"segment {t} outside 1..{self._num_segments}")
-        n = self._num_levels
-        return bb_decide(
-            self.state,
-            feedback,
-            self._bitrates_kbps,
-            self._sizes[(t - 1) * n : t * n],
-            self._segment_duration_s,
-        )
+        return bb_decide(self.state, feedback, self._bitrates_kbps, self._rows[t - 1], self._segment_duration_s)

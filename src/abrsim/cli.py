@@ -81,19 +81,24 @@ def _beta(value, what: str):
 def method_name(spec: dict) -> str:
     """The name of the method ``spec``, derived from it: ``l2a-beta<beta>``
     for ``l2a`` and the ``abr`` value for the others, so a name holds no
-    underscore, comma, quote, path separator or line break.  The rule of a
-    method spec: ``abr`` is one of POLICIES, ``beta`` (``l2a`` only, default
-    1) passes ``check_beta``, and no other key is held.  Each fault is a
-    CliError naming the method, by its spec while it has no name (an unknown
-    ``abr``, a bad ``beta``)."""
-    abr = spec.get("abr")
+    underscore, comma, quote, path separator or line break.  β is written
+    with ``:g`` when that text reads back as β, and as its ``repr``
+    otherwise, so two distinct β never share a name.  The rule of a method
+    spec: ``abr`` is held and is one of POLICIES, ``beta`` (``l2a`` only,
+    default 1) passes ``check_beta``, and no other key is held.  Each fault
+    is a CliError naming the method, by its spec while it has no name (no
+    or an unknown ``abr``, a bad ``beta``)."""
+    if "abr" not in spec:
+        raise CliError(f"missing key 'abr' in method {spec!r}")
+    abr = spec["abr"]
     if abr not in POLICIES:
         raise CliError(f"unknown abr {abr!r} in method {spec!r} (expected l2a, rb, or bb)")
     if abr != "l2a":
         _config_object(spec, f"method {abr!r}", ("abr",))
         return abr
     beta = _beta(spec.get("beta", 1.0), f"key 'beta' in method {spec!r}")
-    name = f"l2a-beta{beta:g}"
+    text = f"{beta:g}"
+    name = f"l2a-beta{text if float(text) == beta else repr(beta)}"
     _config_object(spec, f"method {name!r}", ("abr",), ("beta",))
     return name
 

@@ -59,7 +59,10 @@ class Manifest:
     a duration in seconds with no conversion factor.  Rows of
     ``segment_sizes_kbit`` are segments (t = 1..T in the public API, T >= 1),
     columns are quality levels (n = 1..N, strictly increasing target bitrate),
-    and every row is non-decreasing left to right.  The duration, every
+    and every row is non-decreasing left to right.  ``rows`` holds the same
+    sizes once more, one tuple of Python floats per segment (``rows[t - 1]``
+    is segment t), built once here so that the per-epoch code indexes and
+    iterates a row with no slice and no float built per read.  The duration, every
     bitrate and every size must be a number: a string, a bool or a None
     where one belongs is an error that names the field and, for a bitrate,
     its level or, for a size, its segment and level.  Instances are treated
@@ -72,9 +75,7 @@ class Manifest:
     # read on every epoch, so set once here rather than computed per read
     num_segments: int = field(init=False, repr=False, compare=False)
     num_levels: int = field(init=False, repr=False, compare=False)
-    # one flat memoryview of the size matrix, row after row: a row slice of
-    # it indexes to Python floats without copying the matrix
-    _sizes_view: memoryview = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.segment_duration_s = _require_duration(self.segment_duration_s)
@@ -115,23 +116,19 @@ class Manifest:
         sizes.setflags(write=False)
         self.segment_sizes_kbit = sizes
         self.num_segments, self.num_levels = sizes.shape
-        self._sizes_view = memoryview(sizes.reshape(-1))
+        self.rows = tuple(map(tuple, sizes.tolist()))
 
     @property
     def duration_s(self) -> float:
         """Total playback duration of the content."""
         return self.num_segments * self.segment_duration_s
 
-    def sizes_row(self, t: int) -> memoryview:
-        """Sizes of segment ``t`` (1-based) across all quality levels.
-
-        A read-only memoryview of the size matrix's row: indexing it gives
-        Python floats, and ``np.asarray`` on it gives the row without a copy.
-        """
+    def sizes_row(self, t: int) -> tuple[float, ...]:
+        """Sizes of segment ``t`` (1-based) across all quality levels: the
+        row ``rows[t - 1]``, a tuple of Python floats."""
         if not 1 <= t <= self.num_segments:
             raise IndexError(f"segment {t} outside 1..{self.num_segments}")
-        n = self.num_levels
-        return self._sizes_view[(t - 1) * n : t * n]
+        return self.rows[t - 1]
 
 
 def _convert(name: str, kind: str, convert, value):

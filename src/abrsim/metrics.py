@@ -280,8 +280,7 @@ def _first_fault(history, manifest: Manifest, candidates) -> None:
     logged omega does not have one entry per rung; return if none is."""
     levels = manifest.bitrates_kbps
     n = len(levels)
-    # indexing the manifest's flat memoryview of the sizes gives Python floats
-    flat_sizes = manifest._sizes_view
+    rows = manifest.rows
     for idx in candidates:
         t, x, bitrate, size, rate = history[idx][:5]
         if not isinstance(x, numbers.Integral):
@@ -291,9 +290,9 @@ def _first_fault(history, manifest: Manifest, candidates) -> None:
         if bitrate != levels[x - 1]:
             raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
                              f" at x_t={x} is {levels[x - 1]!r}")
-        if size != flat_sizes[idx * n + x - 1]:
+        if size != rows[idx][x - 1]:
             raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
-                             f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
+                             f" at x_t={x} is {rows[idx][x - 1]!r}")
         rate = float(_pack((rate,), "rate_kbps", (t,))[0])
         if not 0.0 < rate < math.inf:
             raise ValueError(f"epoch {t}: rate_kbps must be positive and finite, got {rate!r}")

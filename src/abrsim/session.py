@@ -101,7 +101,7 @@ class EpochFeedback(NamedTuple):
     """
 
     realized_rate_kbps: float
-    row_sizes_kbit: Sequence[float]  # the manifest's read-only row view, ``Manifest.sizes_row``
+    row_sizes_kbit: Sequence[float]  # the epoch's segment's row, ``Manifest.rows[t - 1]``
     buffer_s: float
 
 
@@ -227,7 +227,8 @@ def run_session(
     exposes an ``omega`` attribute (its current decision distribution, a
     tuple of floats the policy replaces rather than mutates), it is read
     after each ``decide`` and stored as is in that epoch's record for later
-    regret analysis.  A ``b_max_s`` below the segment duration is a
+    regret analysis.  The segment's sizes are the manifest's row
+    ``rows[t - 1]``, which the next feedback carries as is.  A ``b_max_s`` below the segment duration is a
     ValueError raised before the first ``decide``.  The buffer, clock and
     stall state live in locals; the state returned holds the records and
     the final wall clock.  Each epoch's twelve fields are added to the
@@ -248,7 +249,6 @@ def run_session(
         raise ValueError("b_max_s smaller than the segment duration")
     tau = config.tau_resume
     n = manifest.num_levels
-    sizes = manifest._sizes_view
     bitrates = manifest.bitrates_kbps
     ts, tp, cum, last = trace._views
     samples = last + 1
@@ -265,10 +265,9 @@ def run_session(
     since_stall = 0
     i = 0  # the previous download's start sample
     feedback: EpochFeedback | None = None
-    for t in range(1, manifest.num_segments + 1):
+    for t, row in enumerate(manifest.rows, 1):
         x = decide(feedback)
         omega = getattr(policy, "omega", None)
-        row = sizes[(t - 1) * n : t * n]
         try:
             if not 1 <= x <= n:
                 raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")

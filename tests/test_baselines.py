@@ -24,6 +24,7 @@ from abrsim import (
     run_session,
     synthesize_manifest,
 )
+from abrsim import baselines
 from abrsim.baselines import RB_DEADZONE, RB_EWMA_WEIGHT, RB_KAPPA, RB_PROBE_KBPS
 
 LADDER3 = (1000.0, 2000.0, 4000.0)
@@ -460,6 +461,21 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
         man.sizes_row(decisions + 1)
     with pytest.raises(IndexError, match=message):
         bb.decide(None)
+
+
+def test_bb_scores_the_row_of_segment_t_and_refuses_one_past_the_last(monkeypatch):
+    man = Manifest(2.0, (1000.0, 3000.0), [[2000.0, 6000.0], [1900.0, 5800.0]])
+    bb = BBPolicy(man, 20.0)
+    rows = []
+    real = baselines.bb_decide
+    monkeypatch.setattr(baselines, "bb_decide",
+                        lambda state, fb, ladder, row, v: rows.append(row) or real(state, fb, ladder, row, v))
+    bb.decide(None)
+    bb.decide(EpochFeedback(5000.0, man.rows[0], 20.0))
+    with pytest.raises(IndexError, match=re.escape("segment 3 outside 1..2")):
+        bb.decide(EpochFeedback(5000.0, man.rows[1], 20.0))
+    # the manifest's own rows, not copies
+    assert len(rows) == 2 and rows[0] is man.rows[0] and rows[1] is man.rows[1]
 
 
 # ---------------------------------------------------------------------------

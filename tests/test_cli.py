@@ -174,17 +174,19 @@ def test_the_workflow_calls_the_cli_with_options_it_has(tmp_path):
     # or a config rule that its compare.json breaks would fail that step
     # without failing any test here, so each of its abrsim calls is parsed by
     # the CLI's own parser and then run in process, in order, with
-    # $RUNNER_TEMP as tmp_path and its heredoc compare.json written first
+    # $RUNNER_TEMP as tmp_path and its heredoc configs written first
     root = Path(__file__).resolve().parents[1]
     text = (root / ".github" / "workflows" / "tests.yml").read_text()
     step = text.split("- name: Installed console script", 1)[1].split("\n      - ", 1)[0]
     temp = step.replace("$RUNNER_TEMP", str(tmp_path))
-    ((target, body),) = re.findall(r'cat > "([^"]+)" <<EOF\n(.*?)\n *EOF\n', temp, re.S)
-    Path(target).write_text(body)
+    heredocs = re.findall(r'cat > "([^"]+)" <<EOF\n(.*?)\n *EOF\n', temp, re.S)
+    assert len(heredocs) == 2
+    for target, body in heredocs:
+        Path(target).write_text(body)
     calls = [line.strip() for line in temp.replace("\\\n", " ").splitlines()
              if line.strip().startswith("abrsim ")]
-    assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare", "run",
-                                                        "benchmark"]
+    assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare", "compare",
+                                                        "run", "benchmark"]
     for call in calls:
         # an unknown or missing option exits through argparse
         cli.build_parser().parse_args(shlex.split(call)[1:])
@@ -754,8 +756,9 @@ def test_compare_bad_last_method_runs_no_session(tmp_path, capsys, monkeypatch):
         ({"abr": "l2a", "beta": 1.5},
          "key 'beta' in method {'abr': 'l2a', 'beta': 1.5} must be a number in (0, 1], got 1.5"),
         ({"abr": "rb", "name": "zz/last"}, "unknown key 'name' in method 'rb' (expected abr)"),
+        ({"beta": 0.3}, "missing key 'abr' in method {'beta': 0.3}"),
     ],
-    ids=["abr", "key", "beta", "name"],
+    ids=["abr", "key", "beta", "name", "no-abr"],
 )
 def test_a_bad_method_is_refused_before_any_input_loads(assets, tmp_path, capsys, monkeypatch,
                                                         inputs, spec, expected):
@@ -1057,6 +1060,34 @@ def test_every_session_of_a_compare_writes_its_own_report(tmp_path_factory, spec
         assert (doc["method"], doc["trace"]) == (method, rest[1:-len(".json")])
         reports[path.name] = (method, doc["trace"])
     assert sorted(reports.values()) == sorted((cli.method_name(spec), stem) for spec in specs for stem in stems)
+
+
+@pytest.mark.parametrize("beta, name", [
+    (1, "l2a-beta1"), (1.0, "l2a-beta1"), (0.3, "l2a-beta0.3"), (0.123456, "l2a-beta0.123456"),
+    (1e-07, "l2a-beta1e-07"), (0.3000001, "l2a-beta0.3000001"), (0.1 + 0.2, "l2a-beta0.30000000000000004"),
+])
+def test_an_l2a_name_writes_beta_with_g_when_that_reads_back(beta, name):
+    assert cli.method_name({"abr": "l2a", "beta": beta}) == name
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
+def test_distinct_betas_get_distinct_names(a, b):
+    names = cli.method_name({"abr": "l2a", "beta": a}), cli.method_name({"abr": "l2a", "beta": b})
+    assert float(names[0].removeprefix("l2a-beta")) == a
+    assert (names[0] == names[1]) == (a == b)
+
+
+def test_two_betas_alike_to_six_digits_write_their_own_reports(assets, tmp_path):
+    # both were once named l2a-beta0.3, and the config refused as duplicates
+    manifest, trace = assets
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"manifest": {"path": str(manifest)}, "traces": [str(trace)],
+                                    "methods": [{"abr": "l2a", "beta": 0.3}, {"abr": "l2a", "beta": 0.3000001}]}))
+    assert run_cli("compare", "--config", cfg_path, "--out", tmp_path / "out") == 0
+    sessions = tmp_path / "out" / "sessions"
+    assert sorted(p.name for p in sessions.iterdir()) == ["l2a-beta0.3000001__trace.json", "l2a-beta0.3__trace.json"]
+    for name in ("l2a-beta0.3", "l2a-beta0.3000001"):
+        assert json.loads((sessions / f"{name}__trace.json").read_text())["method"] == name
 
 
 def test_a_manifest_with_no_segments_is_an_input_error(assets, tmp_path, capsys):

@@ -23,7 +23,7 @@ def test_small_explicit_manifest():
     man = Manifest(2.0, (1000, 3000), [[800, 3100], [790, 2900], [810, 3050]])
     assert man.num_segments == 3
     assert man.num_levels == 2
-    assert man.sizes_row(2).tolist() == [790.0, 2900.0]
+    assert man.sizes_row(2) == (790.0, 2900.0)
 
 
 def test_non_increasing_ladder_rejected():
@@ -62,6 +62,19 @@ def test_non_finite_ladder_and_duration_name_the_field():
 def test_decreasing_row_names_position():
     with pytest.raises(ManifestError, match="segment 1"):
         Manifest(2.0, (1000, 3000), [[3000, 800], [800, 3000]])
+
+
+@pytest.mark.parametrize("man", [
+    synthesize_manifest(40, PAPER_LADDER, 2.0, vbr_jitter=0.3, seed=5),
+    Manifest(2.0, (1000, 3000), [[800, 3100], [790, 2900.5], [810, 3050]]),
+], ids=["synthesized", "ints"])
+def test_each_row_is_a_tuple_of_floats_with_the_bits_of_the_size_matrix(man):
+    assert len(man.rows) == man.num_segments
+    for t in range(1, man.num_segments + 1):
+        row = man.rows[t - 1]
+        assert type(row) is tuple and {type(size) for size in row} == {float}
+        assert np.array(row).tobytes() == man.segment_sizes_kbit[t - 1].tobytes()
+        assert man.sizes_row(t) is row
 
 
 def test_row_access_bounds():

@@ -229,6 +229,23 @@ def test_bmax_below_segment_duration_is_rejected_before_any_decision(segments):
     assert decided == []
 
 
+def test_each_feedback_carries_the_manifest_row_of_its_segment():
+    man = synthesize_manifest(30, PAPER_LADDER, 2.0, vbr_jitter=0.2, seed=2)
+    feedbacks = []
+
+    class Recording:
+        def decide(self, feedback):
+            feedbacks.append(feedback)
+            return 3
+
+    run_session(Recording(), SessionConfig(b_max_s=20.0), man, constant_trace(4000.0))
+    assert feedbacks[0] is None and len(feedbacks) == man.num_segments
+    # epoch t's feedback reaches decision t + 1, carrying the row itself:
+    # the rows are built once by the manifest and shared, not rebuilt
+    for t, feedback in enumerate(feedbacks[1:], 1):
+        assert feedback.row_sizes_kbit is man.rows[t - 1]
+
+
 def test_wall_clock_identity_on_markovian():
     man = synthesize_manifest(80, (370, 750, 1500, 3000), 2.0, vbr_jitter=0.1, seed=1)
     trace = generate_markovian(2000, 750, 23000, 0.05, 1.0, seed=5)
