@@ -180,6 +180,10 @@ def bb_decide(
     Maximizes (v_b * (ln(S_n/S_1) + gamma_p) - buffer_segments) / S_n over the
     ladder, on Python floats; ``sizes_row_kbit`` is any sequence of the
     sizes, such as ``Manifest.sizes_row``, and ties go to the lowest level.
+    The rungs are scored in one pass that keeps the first level whose score
+    is greater than the best so far, with no score list: that is the
+    comparison ``max`` makes, so the level is ``score.index(max(score)) + 1``
+    for every list of scores, ties, -0.0 and NaN included.
     When the maximizer would switch up past the level sustainable at the last
     observed throughput, it is capped at that level (but never forced below
     the current one); that level is found by bisecting ``bitrates_kbps``,
@@ -195,8 +199,14 @@ def bb_decide(
     v_b, gamma_p = state.v_b, state.gamma_p
     s1 = sizes_row_kbit[0]
     log = math.log
-    score = [(v_b * (log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
-    m = score.index(max(score)) + 1
+    m = level = 0
+    best = None
+    for s in sizes_row_kbit:
+        level += 1
+        score = (v_b * (log(s / s1) + gamma_p) - buffer_segments) / s
+        if best is None or score > best:
+            best = score
+            m = level
 
     if m > state.last_index:
         sustainable = max(1, bisect_right(bitrates_kbps, _rate(feedback)))

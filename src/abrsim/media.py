@@ -174,12 +174,14 @@ def _one_value_per_key(pairs) -> dict:
 
 def read_json(path: str | Path, what: str, error: type[ValueError] = ValueError):
     """The JSON document in the file at ``path``.  A file that cannot be read
-    or parsed, or that holds an object stating a key twice (``json`` alone
-    keeps the last value), is an ``error`` naming ``what`` and the file."""
+    or parsed, that nests deeper than the parser's recursion limit, or that
+    holds an object stating a key twice (``json`` alone keeps the last
+    value), is an ``error`` naming ``what`` and the file."""
     try:
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_one_value_per_key)
-    except (OSError, ValueError) as exc:  # ValueError: a parse, decode or repeated-key fault
+    # ValueError: a parse, decode or repeated-key fault; RecursionError: nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 

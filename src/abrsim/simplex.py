@@ -29,15 +29,23 @@ def _shift(values: list[float]) -> float:
     """The shift theta that projects the Python floats ``values`` onto the
     simplex: entry ``x`` maps to ``x - theta`` if ``x > theta``, else to 0.0.
     The one shift of ``project_simplex`` and of L2A's gradient step, which
-    clips as it takes its expectations."""
+    clips as it takes its expectations.
+
+    One pass on floats only, with the bits of the textbook ``u - shift > 0``
+    over an int rank: IEEE subtraction underflows gradually, so
+    ``u - shift > 0`` holds exactly when ``u > shift`` (both are false for a
+    NaN), and a rank below 2**53 is a float exactly, so ``(total - 1.0) /
+    rank`` divides the same two doubles."""
     if not values:
         raise ValueError("expected a non-empty 1-d vector")
     theta = None
     total = 0.0
-    for rank, u in enumerate(sorted(values, reverse=True), start=1):
+    rank = 0.0
+    for u in sorted(values, reverse=True):
         total += u
+        rank += 1.0
         shift = (total - 1.0) / rank
-        if u - shift > 0:
+        if u > shift:
             theta = shift
     # a nan or an infinity leaves the total non-finite, so finite entries need
     # no scan unless their sum overflowed
@@ -49,12 +57,14 @@ def _shift(values: list[float]) -> float:
         # whose running total is finite
         theta = None
         total = 0.0
-        for rank, u in enumerate(sorted(values, reverse=True), start=1):
+        rank = 0.0
+        for u in sorted(values, reverse=True):
             total += u
             if not math.isfinite(total):
                 break
+            rank += 1.0
             shift = (total - 1.0) / rank
-            if u - shift > 0:
+            if u > shift:
                 theta = shift
     if theta is None:
         # also when rounding swallows the 1.0, for entries beyond 2**53 in magnitude

@@ -393,6 +393,42 @@ def test_bb_equal_sizes_tie_goes_to_the_lowest_level():
         assert pick == 1
 
 
+def bb_argmax_with_a_score_list(v_b, gamma_p, sizes_row_kbit, buffer_segments):
+    """The level ``bb_decide`` picked before its up-switch cap when it scored
+    the rungs into a list and scanned it with ``max`` and then ``index``."""
+    s1 = sizes_row_kbit[0]
+    score = [(v_b * (math.log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
+    return score.index(max(score)) + 1
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:  # math.log of a size ratio that underflows to 0.0
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    # rows from a pool of a few sizes, so that levels tie; drawn in any order
+    rows=st.lists(st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1.0, 2000.0]), min_size=1, max_size=4)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)),
+    buffer_s=st.floats(0.0, 240.0) | st.floats(),
+    v_b=st.floats(1e-3, 1e3),
+    gamma_p=st.floats(-10.0, 10.0),
+)
+def test_bb_picks_the_first_level_of_highest_score(rows, buffer_s, v_b, gamma_p):
+    # from the top level no switch is up, so the cap never applies
+    n = len(rows)
+    state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=n)
+    ladder = tuple(float(k) for k in range(1, n + 1))
+    got = outcome(bb_decide, state, fb(1000.0, buffer_s, rows), ladder, tuple(rows), 2.0)
+    want = outcome(bb_argmax_with_a_score_list, v_b, gamma_p, rows, buffer_s / 2.0)
+    assert got == want
+    if len(set(rows)) == 1 and isinstance(got, int):
+        assert got == 1
+
+
 # ---------------------------------------------------------------------------
 # the numpy formula as an oracle
 

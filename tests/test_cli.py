@@ -910,6 +910,30 @@ def test_an_input_is_read_as_written_or_refused_by_name(assets, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("depth", [100_000, 995])
+@pytest.mark.parametrize("kind", ["config", "manifest"])
+def test_a_document_nested_past_the_recursion_limit_is_refused_by_name(assets, tmp_path, capsys, kind, depth):
+    # both once ended in a RecursionError traceback; a config nests arrays and
+    # a manifest objects, the parser's two recursive paths
+    _, trace = assets
+    path = tmp_path / "deep.json"
+    if kind == "config":
+        path.write_text("[" * depth + "]" * depth)
+        argv = ["compare", "--config", path]
+    else:
+        path.write_text('{"a": ' * depth + "1" + "}" * depth)
+        argv = ["run", "--manifest", path, "--trace", trace]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("abrsim: error: ") and err.count("\n") == 1
+    # 995 levels may parse where the C stack has a limit of its own (3.12 on),
+    # and are then refused as the wrong shape; 100,000 exceed every limit
+    if depth == 100_000:
+        assert err.startswith(f"abrsim: error: cannot read {kind} {path}: maximum recursion depth exceeded")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", [["live"], {"a": 1}, 3, None, "LIVE"],
                          ids=["list", "object", "number", "null", "upper-case"])
 def test_compare_rejects_a_scenario_that_is_not_a_scenario_name(tmp_path, capsys, scenario):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abrsim import project_simplex
+from abrsim.simplex import _shift
 
 from simplex_grid import simplex_grid
 
@@ -83,24 +84,84 @@ def reference_project(v):
     return np.maximum(v - theta, 0.0)
 
 
+# entries of every scale whose running total stays finite: 50 of them at most
+# 1e300 in magnitude, subnormals, and both zeros
+oracle_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e300, 1e300),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
 oracle_vectors = st.one_of(
-    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
+    st.lists(oracle_entries, min_size=1, max_size=50),
     # ties: entries drawn from a pool of a few values
-    st.lists(st.floats(-3, 3), min_size=1, max_size=4).flatmap(
+    st.lists(st.floats(-3, 3) | oracle_entries, min_size=1, max_size=4).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=50)
     ),
     # all entries equal
-    st.tuples(st.floats(-1e3, 1e3), st.integers(1, 50)).map(lambda p: [p[0]] * p[1]),
+    st.tuples(oracle_entries, st.integers(1, 50)).map(lambda p: [p[0]] * p[1]),
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(oracle_vectors)
 def test_matches_numpy_reference_bitwise(vals):
+    try:
+        want = reference_project(vals)
+    except IndexError:
+        # no rank has a positive margin: the top entry swallows the 1.0
+        with pytest.raises(ValueError, match="^entries too large to project$"):
+            project_simplex(vals)
+        return
     got = project_simplex(vals)
-    want = reference_project(vals)
     assert type(got) is tuple and all(type(x) is float for x in got)
     assert np.array(got).tobytes() == want.tobytes()
+
+
+def shift_with_int_ranks(values):
+    """``simplex._shift`` as it was written with ``enumerate``'s int ranks and
+    ``u - shift > 0``, as a bitwise oracle for its float-only pass."""
+    if not values:
+        raise ValueError("expected a non-empty 1-d vector")
+    theta = None
+    total = 0.0
+    for rank, u in enumerate(sorted(values, reverse=True), start=1):
+        total += u
+        shift = (total - 1.0) / rank
+        if u - shift > 0:
+            theta = shift
+    if not math.isfinite(total):
+        if not all(map(math.isfinite, values)):
+            raise ValueError("entries must be finite")
+        theta = None
+        total = 0.0
+        for rank, u in enumerate(sorted(values, reverse=True), start=1):
+            total += u
+            if not math.isfinite(total):
+                break
+            shift = (total - 1.0) / rank
+            if u - shift > 0:
+                theta = shift
+    if theta is None:
+        raise ValueError("entries too large to project")
+    return theta
+
+
+def shift_outcome(shift, values):
+    """The bits of the shift, or the error it raised."""
+    try:
+        return shift(list(values)).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.floats()  # every float: subnormals, both zeros, infinities, NaN
+                | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])  # totals that overflow
+                | st.floats(-3, 3), max_size=12))
+def test_shift_matches_the_int_rank_loop(vals):
+    assert shift_outcome(_shift, vals) == shift_outcome(shift_with_int_ranks, vals)
 
 
 def test_entries_too_large_to_project():
