@@ -38,9 +38,9 @@ __all__ = [
 
 
 def _rate(feedback: EpochFeedback) -> float:
-    """The feedback's realized rate as a float, or a ValueError naming it if
-    it is not positive and finite."""
-    rate = float(feedback.realized_rate_kbps)
+    """The feedback's realized rate, its entry 0, as a float, or a ValueError
+    naming it if it is not positive and finite."""
+    rate = float(feedback[0])
     if not 0.0 < rate < math.inf:
         raise ValueError(f"realized_rate_kbps must be positive and finite, got {rate!r}")
     return rate
@@ -77,7 +77,9 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps, up_
     ``bitrates_kbps``, which must be strictly increasing; ``RBPolicy``
     checks the ladder and builds the thresholds.  A realized rate that is not
     positive and finite is a ValueError naming it: a NaN estimate would fit
-    every up-switch threshold and lock the quantizer to the top rung.
+    every up-switch threshold and lock the quantizer to the top rung.  The
+    feedback is read by position, in ``EpochFeedback``'s field order, so a
+    plain tuple and an ``EpochFeedback`` of the same values decide alike.
     """
     if feedback is None:
         state.last_index = 1
@@ -189,13 +191,14 @@ def bb_decide(
     the current one); that level is found by bisecting ``bitrates_kbps``,
     which must be strictly increasing, as a ``Manifest``'s ladder is; the
     realized rate it reads there must be positive and finite, or it is a
-    ValueError naming it.
+    ValueError naming it.  The feedback is read by position, as in
+    ``rb_decide``.
     """
     if feedback is None:
         state.last_index = 1
         return 1
 
-    buffer_segments = float(feedback.buffer_s) / segment_duration_s
+    buffer_segments = float(feedback[2]) / segment_duration_s
     v_b, gamma_p = state.v_b, state.gamma_p
     s1 = sizes_row_kbit[0]
     log = math.log

@@ -330,6 +330,8 @@ def generate_markovian(
 
     Starts in the high state; emits one sample per ``step_s`` so transitions
     are independent of segment download durations.  Deterministic per seed.
+    A ``duration_s / step_s`` that overflows to infinity is a ValueError
+    naming both.
     """
     if isinstance(p_transition, bool) or not (isinstance(p_transition, numbers.Real)
                                               and 0.0 < p_transition < 1.0):
@@ -341,7 +343,10 @@ def generate_markovian(
     require_positive("duration_s", duration_s)
     require_positive("step_s", step_s)
     require_count("seed", seed, 0)
-    n = max(1, math.ceil(duration_s / step_s))
+    count = duration_s / step_s
+    if not count < math.inf:
+        raise ValueError(f"duration_s / step_s must be finite, got {duration_s!r} / {step_s!r}")
+    n = max(1, math.ceil(count))
     rng = np.random.default_rng(seed)
     flips = rng.random(n - 1) < p_transition
     in_low = np.concatenate(([False], np.cumsum(flips) % 2 == 1))

@@ -98,7 +98,8 @@ def qoe_metrics(
     before = _pack(columns["buffer_before_s"], "buffer_before_s", ts)
     stalled = before < downloads
     penalty = 0.0
-    for t in np.nonzero(stalled)[0]:
+    # Python ints, so a slice past the end clips for any tau, 2**63 included
+    for t in np.nonzero(stalled)[0].tolist():
         penalty += float(downloads[t : t + tau].sum()) - float(before[t])
     consistency = 1.0 - penalty / duration_s
     if consistency < 0:

@@ -93,11 +93,17 @@ class SessionConfig:
 
 
 class EpochFeedback(NamedTuple):
-    """What the client learns once an epoch completes.
+    """What the client learns once an epoch completes, in the order a
+    policy's ``decide`` reads it.
 
-    An immutable ``NamedTuple``: ``run_session`` builds one per epoch from
-    all its fields by ``tuple.__new__``, and gives it to the policy's next
-    ``decide``.
+    ``run_session`` gives each ``decide`` after the first the plain tuple
+    ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``, in these fields'
+    order, not an ``EpochFeedback``: a tuple display is several times
+    cheaper to build and to unpack.  So a policy reads the feedback by
+    position, as ``rb``, ``bb`` and L2A do, and one that reads it by field
+    name gets an ``AttributeError``.  A caller may still build an
+    ``EpochFeedback`` and give it to a ``decide`` by hand: it is a tuple with
+    the same positions.
     """
 
     realized_rate_kbps: float
@@ -186,7 +192,12 @@ class SessionState:
 
 
 class Policy(Protocol):
-    """Anything that can pick a quality index from per-epoch feedback."""
+    """Anything that can pick a quality index from per-epoch feedback: None
+    before the first segment, then the previous epoch's
+    ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``, a plain tuple in
+    ``EpochFeedback``'s field order, read by position.  A policy may also
+    expose an ``omega`` attribute (see ``run_session``), which the loop
+    reads only if the policy has it when the session starts."""
 
     def decide(self, feedback: EpochFeedback | None) -> int: ...
 
@@ -223,17 +234,23 @@ def run_session(
     that is not an integer or lies off the ladder is a ValueError naming the
     epoch), the segment is drained through the trace under the fluid model,
     and the buffer law of the module docstring is applied; the buffer stays
-    in [0, b_max_s] at every epoch boundary by construction.  If the policy
-    exposes an ``omega`` attribute (its current decision distribution, a
-    tuple of floats the policy replaces rather than mutates), it is read
-    after each ``decide`` and stored as is in that epoch's record for later
-    regret analysis.  The segment's sizes are the manifest's row
-    ``rows[t - 1]``, which the next feedback carries as is.  A ``b_max_s`` below the segment duration is a
-    ValueError raised before the first ``decide``.  The buffer, clock and
-    stall state live in locals; the state returned holds the records and
-    the final wall clock.  Each epoch's twelve fields are added to the
-    history's flat list by one ``extend`` of a tuple display, which dies at
-    once, so the loop keeps no GC-tracked object per epoch.
+    in [0, b_max_s] at every epoch boundary by construction.  Whether the
+    policy has an ``omega`` attribute (its current decision distribution, a
+    tuple of floats the policy replaces rather than mutates) is asked once,
+    by ``hasattr`` before the first ``decide``.  If it has, ``policy.omega``
+    is read after each ``decide`` and stored as is in that epoch's record for
+    later regret analysis, and an ``AttributeError`` raised in that read
+    propagates; if it has not, every record's ``omega`` is None, even if the
+    policy sets ``omega`` later.  The segment's sizes are the manifest's row
+    ``rows[t - 1]``, which the next feedback carries as is: each ``decide``
+    after the first gets the plain tuple ``(rate, row, buffer_after_s)`` of
+    the epoch before, in ``EpochFeedback``'s field order.  A ``b_max_s``
+    below the segment duration is a ValueError raised before the first
+    ``decide``.  The buffer, clock and stall state live in locals; the state
+    returned holds the records and the final wall clock.  Each epoch's
+    twelve fields are added to the history's flat list by one ``extend`` of
+    a tuple display, which dies at once, so the loop keeps no GC-tracked
+    object per epoch.
 
     The download's start sample and the first sample whose cumulative kbit
     reaches the download's end are bisected first in the ``_WINDOW`` samples
@@ -258,16 +275,17 @@ def run_session(
     state = SessionState()
     extend = state.history._flat.extend
     decide = policy.decide
-    # tuple.__new__ with every field skips the NamedTuple's Python-level __new__
-    new = tuple.__new__
+    has_omega = hasattr(policy, "omega")
+    omega = None
     buffer = clock = 0.0
     stalled = False
     since_stall = 0
     i = 0  # the previous download's start sample
-    feedback: EpochFeedback | None = None
+    feedback = None
     for t, row in enumerate(manifest.rows, 1):
         x = decide(feedback)
-        omega = getattr(policy, "omega", None)
+        if has_omega:
+            omega = policy.omega
         try:
             if not 1 <= x <= n:
                 raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
@@ -336,7 +354,7 @@ def run_session(
                 since_stall = 0
 
         extend((t, x, bitrates[x - 1], size, rate, d, delta, b0, buffer, underflow, stall_time, omega))
-        feedback = new(EpochFeedback, (rate, row, buffer))
+        feedback = (rate, row, buffer)
     state.wall_clock_s = clock
     return state
 

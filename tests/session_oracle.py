@@ -127,11 +127,12 @@ def step(
 
 def run_oracle(policy, config: SessionConfig, manifest: Manifest, trace: ChannelTrace) -> OracleState:
     """One ``step`` per epoch over the manifest's horizon, each storing the
-    policy's ``omega`` attribute (None if it has none) as read after its
-    ``decide``."""
+    policy's ``omega`` attribute as read after its ``decide``, or None if the
+    policy had none before its first ``decide``."""
     state = OracleState()
+    has_omega = hasattr(policy, "omega")
     feedback = None
     for _ in range(manifest.num_segments):
         x = policy.decide(feedback)
-        feedback = step(state, config, manifest, trace, x, omega=getattr(policy, "omega", None))
+        feedback = step(state, config, manifest, trace, x, omega=policy.omega if has_omega else None)
     return state

@@ -552,6 +552,9 @@ def test_markovian_validation():
             generate_markovian(bad, 750, 23000, 0.05)
         with pytest.raises(ValueError, match=rf"step_s must be positive and finite, got {bad!r}"):
             generate_markovian(100, 750, 23000, 0.05, step_s=bad)
+    # a sample count that overflows once ended in math.ceil's OverflowError
+    with pytest.raises(ValueError, match=r"^duration_s / step_s must be finite, got 10 / 1e-320$"):
+        generate_markovian(10, 750, 23000, 0.05, step_s=1e-320)
     # a bool is not a length of time: True once built a one-sample trace
     with pytest.raises(ValueError, match="^duration_s must be positive and finite, got True$"):
         generate_markovian(True, 750, 23000, 0.05, step_s=True)

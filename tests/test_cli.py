@@ -186,7 +186,7 @@ def test_the_workflow_calls_the_cli_with_options_it_has(tmp_path):
     calls = [line.strip() for line in temp.replace("\\\n", " ").splitlines()
              if line.strip().startswith("abrsim ")]
     assert [shlex.split(call)[1] for call in calls] == ["gen", "gen", "run", "benchmark", "compare", "compare",
-                                                        "run", "benchmark"]
+                                                        "run", "benchmark", "run", "run"]
     for call in calls:
         # an unknown or missing option exits through argparse
         cli.build_parser().parse_args(shlex.split(call)[1:])
@@ -466,8 +466,11 @@ def test_benchmark_rejects_a_row_that_disagrees_with_the_manifest(assets, tmp_pa
         (["gen", "trace", "--duration", "60", "--step", "inf"], "step_s must be positive and finite, got inf"),
         # numpy's own "expected non-negative integer" named no flag
         (["gen", "trace", "--duration", "60", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        # a sample count past the float range was math.ceil's OverflowError traceback
+        (["gen", "trace", "--duration", "10", "--step", "1e-320"],
+         "duration_s / step_s must be finite, got 10.0 / 1e-320"),
     ],
-    ids=["duration-inf", "step-nan", "step-inf", "seed-negative"],
+    ids=["duration-inf", "step-nan", "step-inf", "seed-negative", "sample-count-inf"],
 )
 def test_non_finite_arguments_are_input_errors(tmp_path, capsys, argv, message):
     assert run_cli(*argv, "--out", tmp_path / "trace.csv") == 1

@@ -533,7 +533,9 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
     oracle_controller = OracleController(ladder, v, b_max, horizon, beta, oracle)
     feedback = None
     for t in range(1, epochs + 1):
-        x = l2a_decide(policy, feedback)
+        # half the feedbacks as the session loop gives them, a plain tuple
+        given = feedback if feedback is None or rng.random() < 0.5 else tuple(feedback)
+        x = l2a_decide(policy, given)
         x_oracle = scalar_decide(oracle_controller, feedback)
         assert x == x_oracle
         assert float_bytes(state.omega) == float_bytes(oracle.omega)

@@ -142,6 +142,21 @@ def test_qoe_validation():
         qoe_metrics([], fixture_manifest(), 2, 0.0)
 
 
+def test_a_tau_past_the_horizon_scores_as_the_horizon():
+    # a stall's window of tau downloads clips at the log's end, so every tau
+    # >= T scores alike; a numpy int64 epoch made tau = 2**63 an OverflowError
+    man = fixture_manifest()
+    downloads = [1.0] * 10
+    downloads[4] = 3.0
+    buffers = [10.0] * 10
+    buffers[4] = 1.0
+    recs = simple_records([1] * 10, man.bitrates_kbps, (2000, 4000, 8000), [2000.0] * 10, buffers, downloads)
+    reports = [qoe_metrics(recs, man, tau, 100.0) for tau in (10, 2**63, 10**20)]
+    # the stall at epoch 5 takes the 3 s download and the five 1 s ones after it
+    assert reports[0].consistency == pytest.approx(1.0 - (3.0 + 5.0 - 1.0) / 100.0, abs=1e-12)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

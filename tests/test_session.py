@@ -238,12 +238,44 @@ def test_each_feedback_carries_the_manifest_row_of_its_segment():
             feedbacks.append(feedback)
             return 3
 
-    run_session(Recording(), SessionConfig(b_max_s=20.0), man, constant_trace(4000.0))
+    history = run_session(Recording(), SessionConfig(b_max_s=20.0), man, constant_trace(4000.0)).history
     assert feedbacks[0] is None and len(feedbacks) == man.num_segments
-    # epoch t's feedback reaches decision t + 1, carrying the row itself:
-    # the rows are built once by the manifest and shared, not rebuilt
-    for t, feedback in enumerate(feedbacks[1:], 1):
-        assert feedback.row_sizes_kbit is man.rows[t - 1]
+    # epoch t's feedback reaches decision t + 1 as a plain tuple in
+    # EpochFeedback's order, carrying the row itself: the rows are built
+    # once by the manifest and shared, not rebuilt
+    for t, (feedback, rec) in enumerate(zip(feedbacks[1:], history), 1):
+        assert type(feedback) is tuple and len(feedback) == 3
+        assert feedback[0] == rec.rate_kbps and feedback[2] == rec.buffer_after_s
+        assert feedback[1] is man.rows[t - 1]
+
+
+def test_a_policy_without_omega_when_the_session_starts_logs_none():
+    # omega is looked for once, before the first decide: one set later is not read
+    class LateOmega:
+        def decide(self, feedback):
+            self.omega = (1.0, 0.0)
+            return 1
+
+    history = run_session(LateOmega(), SessionConfig(b_max_s=20.0), cbr_manifest(5), constant_trace(1000.0)).history
+    assert [rec.omega for rec in history] == [None] * 5
+
+
+def test_an_attribute_error_inside_omega_mid_session_propagates():
+    class LosesOmega:
+        decided = 0
+
+        def decide(self, feedback):
+            self.decided += 1
+            return 1
+
+        @property
+        def omega(self):
+            if self.decided == 3:
+                raise AttributeError("omega lost at decision 3")
+            return (1.0, 0.0)
+
+    with pytest.raises(AttributeError, match="^omega lost at decision 3$"):
+        run_session(LosesOmega(), SessionConfig(b_max_s=20.0), cbr_manifest(5), constant_trace(1000.0))
 
 
 def test_wall_clock_identity_on_markovian():
