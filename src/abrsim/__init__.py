@@ -48,6 +48,7 @@ from .session import (
     SessionState,
     export_log_csv,
     read_log_csv,
+    replay_log,
     run_session,
 )
 from .simplex import project_simplex
@@ -90,6 +91,7 @@ __all__ = [
     "rb_decide",
     "read_log_csv",
     "regret_and_residuals",
+    "replay_log",
     "run_session",
     "slot_clock",
     "solve_benchmark",

@@ -181,7 +181,8 @@ def bb_decide(
 
     Maximizes (v_b * (ln(S_n/S_1) + gamma_p) - buffer_segments) / S_n over the
     ladder, on Python floats; ``sizes_row_kbit`` is any sequence of the
-    sizes, such as ``Manifest.sizes_row``, and ties go to the lowest level.
+    sizes, such as a row ``Manifest.rows[t - 1]``, and ties go to the lowest
+    level.
     The rungs are scored in one pass that keeps the first level whose score
     is greater than the best so far, with no score list: that is the
     comparison ``max`` makes, so the level is ``score.index(max(score)) + 1``
@@ -226,8 +227,8 @@ class BBPolicy:
     Needs the manifest because the utility uses the upcoming segment's actual
     sizes, which the client knows ahead of time: its ``t``-th ``decide``
     scores the manifest's row ``rows[t - 1]``, and past the last segment
-    raises the ``IndexError`` of ``Manifest.sizes_row``; ``v_b`` and
-    ``gamma_p`` come from ``derive_bb_parameters``.
+    raises an ``IndexError`` naming the segment, as ``segment 3 outside
+    1..2``; ``v_b`` and ``gamma_p`` come from ``derive_bb_parameters``.
     """
 
     def __init__(self, manifest: Manifest, b_max_s: float):

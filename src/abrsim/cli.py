@@ -411,7 +411,10 @@ def _cmd_benchmark(args) -> int:
                        f" {manifest.segment_duration_s!r} s segments of manifest {args.manifest}")
     trace = channel.load_trace(args.trace)
     # a log is scored only if it is the session that its decisions replay to
-    session._check_replay(history, manifest, trace, b_max, args.log)
+    try:
+        history = session.replay_log(history, manifest, trace, b_max)
+    except ValueError as exc:
+        raise CliError(f"{args.log}: {exc}") from None
     bench = metrics.hindsight_benchmark(manifest, trace, len(history), b_max)
     series = metrics.regret_and_residuals(history, manifest, bench, manifest.segment_duration_s, b_max)
     k = metrics.benchmark_window(len(history))

@@ -123,13 +123,6 @@ class Manifest:
         """Total playback duration of the content."""
         return self.num_segments * self.segment_duration_s
 
-    def sizes_row(self, t: int) -> tuple[float, ...]:
-        """Sizes of segment ``t`` (1-based) across all quality levels: the
-        row ``rows[t - 1]``, a tuple of Python floats."""
-        if not 1 <= t <= self.num_segments:
-            raise IndexError(f"segment {t} outside 1..{self.num_segments}")
-        return self.rows[t - 1]
-
 
 def _convert(name: str, kind: str, convert, value):
     """``convert(value)``, or a ManifestError naming the field ``name``."""

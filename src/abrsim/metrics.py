@@ -21,13 +21,13 @@ import numbers
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import is_not
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .channel import ChannelTrace, require_count, require_positive, slot_clock
 from .media import Manifest
-from .session import EpochRecord, _columns, _pack
+from .session import SessionLog, _columns, _pack
 
 __all__ = [
     "BenchmarkSolution",
@@ -56,7 +56,7 @@ class SessionReport:
 
 
 def qoe_metrics(
-    history: Sequence[EpochRecord],
+    history: SessionLog,
     manifest: Manifest,
     tau: int,
     duration_s: float,
@@ -66,11 +66,12 @@ def qoe_metrics(
     ``duration_s`` is the viewer's time budget, normally the content duration
     T*V.  A stall at epoch t contributes the download time of the tau
     resume segments minus the buffer that was left, all against that budget.
-    Consistency is reported unclamped and flagged when the stall penalty
-    exceeds the budget; horizons too short for switch metrics report 1 and
-    are flagged.  A ``duration_s`` that is not positive and finite is a
-    ValueError, and so is a field read that ``_pack`` does not pack as a
-    float: one that is not a number, or an int past the float range.
+    Consistency and continuity are reported unclamped, each flagged when it
+    is below 0; horizons too short for switch metrics report 1 and are
+    flagged.  ``history`` is a ``SessionLog`` that ``run_session`` returned
+    or that ``session.replay_log`` accepted, and its fields are not checked
+    again here.  A ``tau`` that is not an integer of at least 1, or a
+    ``duration_s`` that is not positive and finite, is a ValueError.
     """
     require_count("tau", tau)
     require_positive("duration_s", duration_s)
@@ -80,8 +81,7 @@ def qoe_metrics(
         return SessionReport(0.0, 1.0, 1.0, 1.0, 1.0, flags=["empty-log"])
 
     columns = _columns(history)
-    ts = columns["t"]
-    rates = _pack(columns["bitrate_kbps"], "bitrate_kbps", ts)
+    rates = _pack(columns["bitrate_kbps"])
     avg = float(rates.mean())
     r_lo = manifest.bitrates_kbps[0]
     r_hi = manifest.bitrates_kbps[-1]
@@ -94,8 +94,8 @@ def qoe_metrics(
         stability = 1.0 - float(np.count_nonzero(jumps)) / (t_total - 1)
         smoothness = 1.0 - float(jumps.sum()) / ((r_hi - r_lo) * (t_total - 1))
 
-    downloads = _pack(columns["download_s"], "download_s", ts)
-    before = _pack(columns["buffer_before_s"], "buffer_before_s", ts)
+    downloads = _pack(columns["download_s"])
+    before = _pack(columns["buffer_before_s"])
     stalled = before < downloads
     penalty = 0.0
     # Python ints, so a slice past the end clips for any tau, 2**63 included
@@ -105,6 +105,8 @@ def qoe_metrics(
     if consistency < 0:
         flags.append("consistency-negative")
     continuity = 1.0 - float(stalled.sum()) / math.ceil(t_total / tau)
+    if continuity < 0:
+        flags.append("continuity-negative")
 
     return SessionReport(avg, stability, smoothness, consistency, continuity, flags=flags)
 
@@ -273,37 +275,8 @@ class ConvergenceSeries:
     one_hot_fallback: bool
 
 
-def _first_fault(history, manifest: Manifest, candidates) -> None:
-    """Raise the ValueError of the first of the records at ``candidates`` (in
-    epoch order) whose quality index is not an integer or is off the ladder,
-    whose bitrate or segment size is not the manifest's at (t, x_t), whose
-    rate does not pack as a float or is not positive and finite, or whose
-    logged omega does not have one entry per rung; return if none is."""
-    levels = manifest.bitrates_kbps
-    n = len(levels)
-    rows = manifest.rows
-    for idx in candidates:
-        t, x, bitrate, size, rate = history[idx][:5]
-        if not isinstance(x, numbers.Integral):
-            raise ValueError(f"epoch {t}: quality index {x!r} is not an integer")
-        if not 1 <= x <= n:
-            raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
-        if bitrate != levels[x - 1]:
-            raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
-                             f" at x_t={x} is {levels[x - 1]!r}")
-        if size != rows[idx][x - 1]:
-            raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
-                             f" at x_t={x} is {rows[idx][x - 1]!r}")
-        rate = float(_pack((rate,), "rate_kbps", (t,))[0])
-        if not 0.0 < rate < math.inf:
-            raise ValueError(f"epoch {t}: rate_kbps must be positive and finite, got {rate!r}")
-        omega = history[idx].omega
-        if omega is not None and len(omega) != n:
-            raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
-
-
 def regret_and_residuals(
-    history: Sequence[EpochRecord],
+    history: SessionLog,
     manifest: Manifest,
     benchmark: BenchmarkSolution | None,
     segment_duration_s: float,
@@ -316,12 +289,11 @@ def regret_and_residuals(
     (flagged), on which the expected and raw per-decision values coincide.
     Regret requires a benchmark solution, whose ``objective`` is read as
     omega*'s expected bitrate; pass None to get residuals only.
-    A quality index that is not an integer or lies outside 1..N, a bitrate
-    or segment size other than the manifest's at (t, x_t), a rate that is not
-    positive and finite, or a logged omega without exactly N entries is a
-    ValueError naming the first such epoch, and so is a rate, bitrate, size
-    or logged omega entry that ``_pack`` does not pack as a float; so is a
-    segment duration or buffer bound that is not positive and finite.
+    ``history`` is a ``SessionLog`` that ``run_session`` returned or that
+    ``session.replay_log`` accepted, on ``manifest``: its quality indices lie
+    on the ladder, its rates are positive and finite and each logged omega
+    has one entry per rung, and none of that is checked again here.  A segment duration or buffer bound that is not
+    positive and finite is a ValueError.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -331,46 +303,20 @@ def regret_and_residuals(
     if t_total == 0:
         empty = np.zeros(0)
         return ConvergenceSeries(empty if benchmark else None, empty, empty, False)
-    if t_total > manifest.num_segments:
-        raise ValueError(f"{t_total} epochs, more than the {manifest.num_segments} segments of the manifest")
 
     sizes = manifest.segment_sizes_kbit[:t_total]
     columns = _columns(history)
-    ts = columns["t"]
-    try:
-        x = _pack(columns["x"], "x", ts, "q")
-    except ValueError:
-        # an index that is not an int64: every record checked alone
-        _first_fault(history, manifest, range(t_total))
-        raise
-    # the columns checked as a whole; the flagged records are checked alone,
-    # in epoch order, and the first that fails names its epoch
-    rows = np.arange(t_total)
-    level = x - 1
-    on_ladder = (level >= 0) & (level < n)
-    level = np.where(on_ladder, level, 0)
-    flagged = ~on_ladder
-    try:
-        # the rates are read first, so a bitrate or size that does not pack
-        # leaves them read; a rate that does not pack is named by _first_fault
-        rates = _pack(columns["rate_kbps"], "rate_kbps", ts)
-        flagged |= ~((rates > 0.0) & (rates < math.inf))
-        flagged |= _pack(columns["bitrate_kbps"], "bitrate_kbps", ts) != ladder[level]
-        flagged |= _pack(columns["size_kbit"], "size_kbit", ts) != sizes[rows, level]
-    except ValueError:  # fields that do not pack as floats
-        flagged[:] = True
-    # whether each epoch logged an omega; one of another length is a fault
+    rates = _pack(columns["rate_kbps"])
+    # whether each epoch logged an omega
     omega_column = columns["omega"]
     logged = np.fromiter(map(is_not, omega_column, repeat(None)), bool, t_total)
     logged_omegas = list(compress(omega_column, logged))
-    flagged[logged] |= np.fromiter(map(len, logged_omegas), np.intp, len(logged_omegas)) != n
-    _first_fault(history, manifest, np.flatnonzero(flagged).tolist())
 
     # the one-hot distribution of the chosen quality, each logged omega written over its row
+    rows = np.arange(t_total)
     omegas = np.zeros((t_total, n))
-    omegas[rows, level] = 1.0
-    omegas[logged] = _pack(list(chain.from_iterable(logged_omegas)), "omega", list(compress(ts, logged)),
-                           width=n).reshape(-1, n)
+    omegas[rows, _pack(columns["x"], "q") - 1] = 1.0
+    omegas[logged] = _pack(list(chain.from_iterable(logged_omegas))).reshape(-1, n)
     fallback = len(logged_omegas) < t_total
 
     expected_dl = np.einsum("tn,tn->t", sizes, omegas) / rates

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
@@ -46,6 +45,7 @@ __all__ = [
     "SessionState",
     "export_log_csv",
     "read_log_csv",
+    "replay_log",
     "run_session",
 ]
 
@@ -150,13 +150,15 @@ class SessionLog(Sequence):
     and the flat list is the one tracked object.  A kept row or NamedTuple
     record would be GC-tracked, and the allocation of one per epoch would
     start young collections.  A log equals another log, or a list, of the
-    same records.
+    same records.  ``SessionLog()`` is the empty history: a history of
+    records comes from ``run_session``, or from ``read_log_csv`` and then
+    ``replay_log``, the check for a history from outside.
     """
 
     __slots__ = ("_flat",)
 
-    def __init__(self, rows: Iterable[tuple] = ()):
-        self._flat = list(chain.from_iterable(rows))
+    def __init__(self):
+        self._flat = []
 
     def __len__(self) -> int:
         return len(self._flat) // _WIDTH
@@ -359,29 +361,34 @@ def run_session(
     return state
 
 
-def _startup_pause(history: SessionLog) -> int:
-    """The ``tau_resume`` that ``history`` ran under: its leading run of
-    epochs with ``stall_s == download_s`` (module docstring), at least 1.  A
-    session of T epochs that never leaves its pause replays alike under any
-    tau_resume >= T, so T is taken."""
+def replay_log(history: SessionLog, manifest: Manifest, trace: ChannelTrace, b_max_s: float) -> SessionLog:
+    """``history``, once it is checked to be the session it records: the
+    one check for a history from outside, such as a log that ``read_log_csv``
+    read.  The scorers and ``export_log_csv`` trust the ``SessionLog`` it
+    returns, as they trust one that ``run_session`` returned.
+
+    ``history`` is replayed: ``run_session`` runs a ``ScriptedPolicy`` of its
+    ``x`` over the manifest's first len(history) segments and ``trace``, at
+    ``b_max_s`` and the ``tau_resume`` of its startup pause, its leading run
+    of epochs with ``stall_s == download_s`` (module docstring), at least 1;
+    a session of T epochs that never leaves its pause replays alike under
+    any tau_resume >= T, so T is taken.  The replay must equal ``history`` in
+    every field of every epoch, ``omega`` included, which a replay, like a
+    log, leaves None.  Otherwise it is a ValueError, which names no file: a
+    history longer than the manifest names both counts; a difference names
+    the first epoch and log column where the two differ and both values; a
+    quality index off the ladder gets ``run_session``'s error, once the
+    epochs before it are compared.
+    """
+    if len(history) > manifest.num_segments:
+        raise ValueError(f"{len(history)} records, more than the {manifest.num_segments} segments of the manifest")
     columns = _columns(history)
-    paused = zip(columns["stall_s"], columns["download_s"])
-    return max(1, next((i for i, (stall, d) in enumerate(paused) if stall != d), len(history)))
-
-
-def _check_replay(history: SessionLog, manifest: Manifest, trace: ChannelTrace, b_max_s: float, log_name) -> None:
-    """A ValueError unless ``history``, read from the log ``log_name``, is
-    the ``SessionLog`` that ``run_session`` gives for a ``ScriptedPolicy`` of
-    its ``x`` over the manifest's first len(history) segments and ``trace``,
-    at ``b_max_s`` and ``_startup_pause(history)``: the error names the log,
-    the first epoch and log column where the two differ and both values.  A
-    quality index off the ladder gets ``run_session``'s error, after the log's
-    name, once the epochs before it are compared."""
-    x = _columns(history)["x"]
+    x = columns["x"]
     n = manifest.num_levels
     played = next((i for i, xt in enumerate(x) if not 1 <= xt <= n), len(x))
     if played:
-        tau = _startup_pause(history)
+        paused = zip(columns["stall_s"], columns["download_s"])
+        tau = max(1, next((i for i, (stall, d) in enumerate(paused) if stall != d), len(x)))
         prefix = Manifest(manifest.segment_duration_s, manifest.bitrates_kbps, manifest.segment_sizes_kbit[:played])
         replay = run_session(ScriptedPolicy(x), SessionConfig(b_max_s, tau), prefix, trace).history._flat
         logged = history._flat
@@ -389,83 +396,41 @@ def _check_replay(history: SessionLog, manifest: Manifest, trace: ChannelTrace, 
             i = next(i for i, pair in enumerate(zip(logged, replay)) if pair[0] != pair[1])
             name = EpochRecord._fields[i % _WIDTH]
             column = next((log for log, field_name, _ in _LOG_TABLE if field_name == name), name)
-            raise ValueError(f"{log_name}: epoch {i // _WIDTH + 1}: {column} is {logged[i]!r}, but its replay"
+            raise ValueError(f"epoch {i // _WIDTH + 1}: {column} is {logged[i]!r}, but its replay"
                              f" at b_max {b_max_s!r} s and tau {tau} gives {replay[i]!r}")
     if played < len(x):
-        raise ValueError(f"{log_name}: epoch {played + 1}: quality index {x[played]} outside 1..{n}")
+        raise ValueError(f"epoch {played + 1}: quality index {x[played]} outside 1..{n}")
+    return history
 
 
-def _columns(history: Iterable[EpochRecord]) -> dict[str, Sequence]:
-    """Each field of ``history`` by name, in epoch order (empty for no
-    records).  Field i of a ``SessionLog`` is the list ``flat[i::12]``, read
-    from its flat list with no transposition and no record built; any other
-    iterable of records is transposed by ``zip(*history)`` into tuples."""
-    if isinstance(history, SessionLog):
-        flat = history._flat
-        return {name: flat[i::_WIDTH] for i, name in enumerate(EpochRecord._fields)}
-    return dict(zip(EpochRecord._fields, chain(zip(*history), repeat(()))))
+def _columns(history: SessionLog) -> dict[str, list]:
+    """Each field of ``history`` by name, in epoch order: field i is the list
+    ``flat[i::12]``, read from its flat list with no record built."""
+    flat = history._flat
+    return {name: flat[i::_WIDTH] for i, name in enumerate(EpochRecord._fields)}
 
 
-def _pack(values: Sequence, name: str, epochs: Sequence[int], code: str = "d", width: int = 1) -> np.ndarray:
-    """``values``, ``width`` of them per epoch of ``epochs``, as float64 (the
-    struct code ``d``) or int64 (``q``), by one ``struct.pack``: any Python or
-    numpy number counts as a float, a bool and a ``Decimal`` included, and
-    any Python or numpy integer, a bool included, as an int.  Only if that
-    fails are they packed one by one, and the first that does not pack is a
-    ValueError naming its epoch and ``name``: an integer past the type's
-    range, or else not a number of the type."""
-    try:
-        return np.frombuffer(struct.pack(f"{len(values)}{code}", *values), dtype=code)
-    except (struct.error, TypeError):  # TypeError: a numpy array's __index__
-        for i, value in enumerate(values):
-            try:
-                struct.pack(code, value)
-            except (struct.error, TypeError):
-                span, kind = ("float", "a real number") if code == "d" else ("int64", "an integer")
-                fault = (f"is out of the {span} range" if isinstance(value, numbers.Integral)
-                         else f"{'is' if width == 1 else 'holds'} {value!r}, not {kind}")
-                raise ValueError(f"epoch {epochs[i // width]}: {name} {fault}") from None
-        raise
+def _pack(values: Sequence, code: str = "d") -> np.ndarray:
+    """``values`` as float64 (the struct code ``d``) or int64 (``q``), by one
+    ``struct.pack``, so any Python or numpy number reads as the float it
+    equals, and any Python or numpy integer, a bool included, as an int."""
+    return np.frombuffer(struct.pack(f"{len(values)}{code}", *values), dtype=code)
 
 
-# the types a record's stall may have
-_BOOLS = frozenset((bool, np.bool_))
-
-
-def export_log_csv(history: Iterable[EpochRecord], path: str | Path) -> None:
+def export_log_csv(history: SessionLog, path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity).
 
-    The header, then one row per record, each line ended with ``\\r\\n`` as
-    ``csv.writer`` ends them: ``t`` and ``x_t`` as integers, packed by
-    ``_pack`` as int64; ``stall``, a bool (numpy's too), as 1 or 0; and every
-    other column as the ``repr`` of its value packed by ``_pack`` as a float,
-    so numpy scalars write the same text as the Python numbers they equal.
-    Each packed column then keeps ``read_log_csv``'s rule for it, by
-    ``_broken_rule``: ``t`` counts 1, 2, 3, ..., and every float is finite.
-    So the log holds only what the scorers take and the reader reads back: a
-    value they refuse, such as an ``x`` of 2.7, a bitrate of ``"370"``, a
-    NaN download time or a second ``t`` of 5, is a ValueError naming its
-    epoch (its record's place, from 1) and its field, raised before the file
-    is opened.  The rows are formatted column by column and written in one
+    ``history`` is a ``SessionLog`` that ``run_session`` returned or that
+    ``replay_log`` accepted, so every log written reads back.  The header,
+    then one row per record, each line ended with ``\\r\\n`` as ``csv.writer``
+    ends them: ``t``, ``x_t`` and ``stall`` as integers (a bool as 1 or 0),
+    and every other column as the ``repr`` of its value packed by ``_pack``
+    as a float, so numpy scalars write the same text as the Python numbers
+    they equal.  The rows are formatted column by column and written in one
     call.
     """
     columns = _columns(history)
-    epochs = range(1, len(columns["t"]) + 1)
-    values = []
-    for log_name, name, typ in _LOG_TABLE:
-        column = columns[name]
-        if name == "stall":
-            if not {*map(type, column)} <= _BOOLS:
-                epoch, value = next((e, v) for e, v in zip(epochs, column) if type(v) not in _BOOLS)
-                raise ValueError(f"epoch {epoch}: stall is {value!r}, not a bool")
-        else:
-            packed = _pack(column, name, epochs, "q" if typ is int else "d")
-            column = packed.tolist()
-            broken, rule = _broken_rule(log_name, packed)
-            if broken.any():
-                epoch = int(broken.argmax()) + 1
-                raise ValueError(f"epoch {epoch}: {name} is {column[epoch - 1]!r}; {rule.format(epoch=epoch)}")
-        values.append(column)
+    values = [columns[name] if typ is int else _pack(columns[name]).tolist() for _, name, typ in _LOG_TABLE]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 

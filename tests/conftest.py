@@ -1,9 +1,18 @@
 import os
+from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
 
-from abrsim import ChannelTrace, channel, session
+from abrsim import ChannelTrace, SessionLog, channel, session
+
+
+def session_log(records) -> SessionLog:
+    """A ``SessionLog`` of ``records`` built by hand: the history a test
+    scores, writes or hands to ``replay_log`` when no session produced it."""
+    log = SessionLog()
+    log._flat = list(chain.from_iterable(records))
+    return log
 
 
 def constant_trace(rate_kbps: float, duration_s: float = 100000.0) -> ChannelTrace:

@@ -14,7 +14,9 @@ t = 5 with 2 s left), and every expected metric value was computed on paper:
 
 import numpy as np
 
-from abrsim import EpochRecord, Manifest
+from abrsim import EpochRecord, Manifest, SessionLog
+
+from conftest import session_log
 
 BITRATES = (1000.0, 2000.0, 4000.0)
 SIZES = (2000.0, 4000.0, 8000.0)
@@ -49,7 +51,7 @@ def fixture_manifest() -> Manifest:
     return Manifest(V, BITRATES, np.tile(SIZES, (len(_WALK), 1)))
 
 
-def fixture_history() -> list[EpochRecord]:
+def fixture_history() -> SessionLog:
     records = []
     for t, x, rate, dl, before, after, stall, stall_s in _WALK:
         records.append(
@@ -67,4 +69,4 @@ def fixture_history() -> list[EpochRecord]:
                 stall_s=stall_s,
             )
         )
-    return records
+    return session_log(records)

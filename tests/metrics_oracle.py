@@ -2,12 +2,10 @@
 oracles.
 
 - ``reference_regret_and_residuals``: ``regret_and_residuals`` as it ran
-  before it checked the log's columns as a whole.  One Python loop over the
-  records checks each record's quality index, bitrate, segment size, rate
-  and omega length in turn and copies its omega, or the one-hot distribution of
-  its choice, into the matrix row by row.  The package's function must give
-  the same series, the same ``one_hot_fallback`` and, on a bad history, the
-  same first error.
+  before it read the log's columns as a whole.  One Python loop over the
+  records copies each record's omega, or the one-hot distribution of its
+  choice, into the matrix row by row.  The package's function must give the
+  same series and the same ``one_hot_fallback``.
 - ``reference_qoe_metrics``: ``qoe_metrics`` as it ran when it transposed
   every record with ``zip(*history)`` and read each column with ``np.array``.
 - ``reference_lp_on_simplex``: the benchmark LP's pivot loop as it ran when
@@ -18,7 +16,6 @@ oracles.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -33,31 +30,12 @@ def reference_regret_and_residuals(history, manifest, benchmark, segment_duratio
     if t_total == 0:
         empty = np.zeros(0)
         return ConvergenceSeries(empty if benchmark else None, empty, empty, False)
-    if t_total > manifest.num_segments:
-        raise ValueError(f"{t_total} epochs, more than the {manifest.num_segments} segments of the manifest")
 
-    levels = manifest.bitrates_kbps
     sizes = manifest.segment_sizes_kbit[:t_total]
-    # indexing a flat memoryview of the sizes gives Python floats
-    flat_sizes = memoryview(sizes.reshape(-1))
     omegas = np.zeros((t_total, n))
     rates_c = []
     fallback = False
-    for idx, (t, x, bitrate, size, rate, _, _, _, _, _, _, omega) in enumerate(history):
-        if not isinstance(x, numbers.Integral):
-            raise ValueError(f"epoch {t}: quality index {x!r} is not an integer")
-        if not 1 <= x <= n:
-            raise ValueError(f"epoch {t}: quality index {x} outside 1..{n}")
-        if bitrate != levels[x - 1]:
-            raise ValueError(f"epoch {t}: r_kbps is {bitrate!r}; the manifest's bitrate"
-                             f" at x_t={x} is {levels[x - 1]!r}")
-        if size != flat_sizes[idx * n + x - 1]:
-            raise ValueError(f"epoch {t}: size_kbit is {size!r}; the manifest's size"
-                             f" at x_t={x} is {flat_sizes[idx * n + x - 1]!r}")
-        if not 0.0 < rate < math.inf:
-            raise ValueError(f"epoch {t}: rate_kbps must be positive and finite, got {float(rate)!r}")
-        if omega is not None and len(omega) != n:
-            raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
+    for idx, (_, x, _, _, rate, _, _, _, _, _, _, omega) in enumerate(history):
         if omega is None:
             omegas[idx, x - 1] = 1.0
             fallback = True
@@ -112,6 +90,8 @@ def reference_qoe_metrics(history, manifest, tau, duration_s):
     if consistency < 0:
         flags.append("consistency-negative")
     continuity = 1.0 - float(stalled.sum()) / math.ceil(t_total / tau)
+    if continuity < 0:
+        flags.append("continuity-negative")
 
     return SessionReport(avg, stability, smoothness, consistency, continuity, flags=flags)
 

@@ -85,7 +85,7 @@ def step(
     if config.b_max_s < v:
         raise ValueError("b_max_s smaller than the segment duration")
 
-    row = manifest.sizes_row(epoch)
+    row = manifest.rows[epoch - 1]
     size = row[x_t - 1]
     result = download(trace, state.wall_clock_s, size)
     d = result.duration_s

@@ -173,7 +173,7 @@ def test_every_policy_rejects_a_rate_that_is_not_positive_and_finite(build, bad)
     policy.decide(None)
     message = f"^{re.escape(f'realized_rate_kbps must be positive and finite, got {bad!r}')}$"
     with pytest.raises(ValueError, match=message):
-        policy.decide(EpochFeedback(bad, man.sizes_row(1), 5.0))
+        policy.decide(EpochFeedback(bad, man.rows[0], 5.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -400.0])
@@ -316,7 +316,7 @@ def test_bb_monotone_in_buffer_level():
         state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=len(PAPER_LADDER))
         pick = bb_decide(
             state, fb(25000.0, buffer_s=float(buffer_s)), PAPER_LADDER,
-            man.sizes_row(1), 2.0,
+            man.rows[0], 2.0,
         )
         assert pick >= last
         last = pick
@@ -482,7 +482,7 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
         if rng.random() < 0.3:  # a rung exactly, the edge of the sustainable level
             rate = ladder[int(rng.integers(n_levels))]
         buffer_s = float(rng.uniform(0.0, b_max))
-        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.sizes_row(t), buffer_s)
+        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.rows[t - 1], buffer_s)
         # half the feedbacks as the session loop gives them, a plain tuple
         given = feedback if feedback is None or rng.random() < 0.5 else tuple(feedback)
         bb.state.last_index = last
@@ -495,11 +495,8 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
                 continue
         assert x == x_ref
         assert state_bits(bb.state) == state_bits(ref)
-    # past the last segment, as Manifest.sizes_row
-    message = re.escape(f"segment {decisions + 1} outside 1..{decisions}")
-    with pytest.raises(IndexError, match=message):
-        man.sizes_row(decisions + 1)
-    with pytest.raises(IndexError, match=message):
+    # past the last segment
+    with pytest.raises(IndexError, match=re.escape(f"segment {decisions + 1} outside 1..{decisions}")):
         bb.decide(None)
 
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from abrsim import channel, cli, generate_markovian, load_manifest, load_trace, media, metrics, session, slot_clock
 from abrsim.cli import main
 
+from conftest import session_log
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -253,7 +255,7 @@ def test_benchmark_subcommand(assets, tmp_path, capsys):
     for gap, on, epoch, column in [(1e-12, trace, "5", "download_s"), (1e-6, trace, "5", "download_s"),
                                    (0.0, fine, r"\d+", r"\w+")]:
         stretched = records[4]._replace(download_s=records[4].download_s * (1 + gap))
-        session.export_log_csv([*records[:4], stretched, *records[5:]], log)
+        session.export_log_csv(session_log([*records[:4], stretched, *records[5:]]), log)
         capsys.readouterr()
         assert run_cli("benchmark", "--manifest", manifest, "--trace", on, "--log", log) == 1
         assert re.fullmatch(
@@ -315,6 +317,21 @@ def test_benchmark_rejects_a_log_longer_than_its_manifest(assets, tmp_path, caps
     assert capsys.readouterr().err == (
         f"abrsim: error: {log}: 60 records, more than the 10 segments of manifest {short}\n"
     )
+
+
+def test_a_continuity_below_zero_is_flagged(tmp_path, capsys):
+    # the console-script step's tau = 60 live run: 2 stall epochs against a
+    # budget of ceil(60 / 60) = 1 resumable segment once read continuity=-1
+    # with no flag of its own
+    manifest, trace, out = tmp_path / "m.json", tmp_path / "t.csv", tmp_path / "out"
+    assert run_cli("gen", "manifest", "--segments", 60, "--seed", 1, "--out", manifest) == 0
+    assert run_cli("gen", "trace", "--duration", 300, "--seed", 1, "--out", trace) == 0
+    assert run_cli("run", "--manifest", manifest, "--trace", trace, "--scenario", "live", "--tau", 60,
+                   "--out", out) == 0
+    assert "continuity=-1\n" in capsys.readouterr().out
+    report = json.loads((out / "report_l2a-beta1.json").read_text())
+    assert report["continuity"] == -1.0
+    assert report["flags"] == ["consistency-negative", "continuity-negative"]
 
 
 def test_benchmark_rejects_a_log_whose_buffer_passes_the_scenario_bound(assets, tmp_path, capsys):

@@ -23,7 +23,7 @@ def test_small_explicit_manifest():
     man = Manifest(2.0, (1000, 3000), [[800, 3100], [790, 2900], [810, 3050]])
     assert man.num_segments == 3
     assert man.num_levels == 2
-    assert man.sizes_row(2) == (790.0, 2900.0)
+    assert man.rows[1] == (790.0, 2900.0)
 
 
 def test_non_increasing_ladder_rejected():
@@ -74,15 +74,6 @@ def test_each_row_is_a_tuple_of_floats_with_the_bits_of_the_size_matrix(man):
         row = man.rows[t - 1]
         assert type(row) is tuple and {type(size) for size in row} == {float}
         assert np.array(row).tobytes() == man.segment_sizes_kbit[t - 1].tobytes()
-        assert man.sizes_row(t) is row
-
-
-def test_row_access_bounds():
-    man = Manifest(2.0, (1000, 3000), [[800, 3000]])
-    with pytest.raises(IndexError):
-        man.sizes_row(0)
-    with pytest.raises(IndexError):
-        man.sizes_row(2)
 
 
 def test_synthesize_zero_jitter_is_exact_cbr():

@@ -18,13 +18,19 @@ from abrsim import (
     BenchmarkSolution,
     EpochRecord,
     Manifest,
+    ScriptedPolicy,
+    SessionConfig,
+    SessionLog,
     normalize_avg_bitrate,
     qoe_metrics,
     regret_and_residuals,
+    replay_log,
+    run_session,
     solve_benchmark,
     synthesize_manifest,
 )
 
+from conftest import constant_trace, session_log
 from metrics_oracle import reference_lp_on_simplex, reference_qoe_metrics, reference_regret_and_residuals
 from fixture_log import DURATION, EXPECTED, TAU, fixture_history, fixture_manifest
 from simplex_grid import simplex_grid
@@ -49,7 +55,7 @@ def simple_records(xs, bitrates, sizes, rates, buffers_before, downloads, omegas
                 omega=None if omegas is None else tuple(omegas[i]),
             )
         )
-    return records
+    return session_log(records)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +134,7 @@ def test_short_horizon_convention():
 
 
 def test_empty_log_flagged():
-    report = qoe_metrics([], fixture_manifest(), 2, 20.0)
+    report = qoe_metrics(SessionLog(), fixture_manifest(), 2, 20.0)
     assert report.flags == ["empty-log"]
 
 
@@ -139,7 +145,7 @@ def test_qoe_validation():
             qoe_metrics(fixture_history(), fixture_manifest(), bad, DURATION)
         assert str(info.value) == f"tau must be an integer >= 1, got {bad!r}"
     with pytest.raises(ValueError):
-        qoe_metrics([], fixture_manifest(), 2, 0.0)
+        qoe_metrics(SessionLog(), fixture_manifest(), 2, 0.0)
 
 
 def test_a_tau_past_the_horizon_scores_as_the_horizon():
@@ -512,15 +518,32 @@ def test_regret_invariant_under_ladder_translation():
     assert np.array_equal(ser_a.residual1_rate, ser_b.residual1_rate)
 
 
+def _script_session(man, xs, rate_kbps=5000.0):
+    """The vod session of the quality script ``xs`` on a constant
+    ``rate_kbps`` channel, and the trace."""
+    trace = constant_trace(rate_kbps)
+    return run_session(ScriptedPolicy(xs), SessionConfig(120.0), man, trace).history, trace
+
+
+def _edited(log, epoch, **fields):
+    """``log`` with ``fields`` set in epoch ``epoch``'s record."""
+    return session_log([*log[: epoch - 1], log[epoch - 1]._replace(**fields), *log[epoch:]])
+
+
 @pytest.mark.parametrize("x", [2.0, 2.5])
 def test_scoring_rejects_a_quality_index_that_is_not_an_integer(x):
-    # such a record once failed with a TypeError from indexing the ladder
-    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
-    recs = _one_hot_log(man, [1] * 10, [5000.0] * 10)
-    recs[6] = recs[6]._replace(x=x)
-    for score in (regret_and_residuals, reference_regret_and_residuals):
-        with pytest.raises(ValueError, match=re.escape(f"epoch 7: quality index {x!r} is not an integer")):
-            score(recs, man, None, 2.0, 120.0)
+    # such a record was once scored into a TypeError from indexing the
+    # ladder; a history reaches scoring from run_session, which refuses the
+    # index from a policy, or through replay_log, whose replay refuses it
+    man = Manifest(2.0, (1000.0, 4000.0, 8000.0), np.tile([2000.0, 8000.0, 16000.0], (10, 1)))
+    script = [1] * 10
+    log, trace = _script_session(man, script)
+    script[6] = x
+    expected = f"^{re.escape(f'epoch 7: quality index {x!r} is not an integer')}$"
+    with pytest.raises(ValueError, match=expected):
+        run_session(ScriptedPolicy(script), SessionConfig(120.0), man, trace)
+    with pytest.raises(ValueError, match=expected):
+        replay_log(_edited(log, 7, x=x), man, trace, 120.0)
 
 
 def test_one_hot_residuals_equal_raw_per_decision_sums():
@@ -530,7 +553,7 @@ def test_one_hot_residuals_equal_raw_per_decision_sums():
     rates = rng.uniform(800, 6000, 30)
     recs = []
     for i, x in enumerate(xs):
-        row = man.sizes_row(i + 1)
+        row = man.rows[i]
         recs.append(
             EpochRecord(
                 t=i + 1, x=x, bitrate_kbps=man.bitrates_kbps[x - 1],
@@ -539,7 +562,7 @@ def test_one_hot_residuals_equal_raw_per_decision_sums():
                 buffer_before_s=50.0, buffer_after_s=50.0, stall=False, stall_s=0.0,
             )
         )
-    series = regret_and_residuals(recs, man, None, 2.0, 120.0)
+    series = regret_and_residuals(session_log(recs), man, None, 2.0, 120.0)
     raw_g1 = [rec.size_kbit / rec.rate_kbps - 2.0 for rec in recs]
     expected = np.cumsum(raw_g1) / np.arange(1, 31)
     assert np.allclose(series.residual1_rate, expected, atol=1e-12)
@@ -547,29 +570,18 @@ def test_one_hot_residuals_equal_raw_per_decision_sums():
 
 def test_empty_history_series():
     man = fixture_manifest()
-    series = regret_and_residuals([], man, None, 2.0, 120.0)
+    series = regret_and_residuals(SessionLog(), man, None, 2.0, 120.0)
     assert series.residual1_rate.size == 0
 
 
 # ---------------------------------------------------------------------------
-# the column checks and the omega matrix against the record loop
-
-
-# a fault in one record: the quality index off the ladder or not an integer,
-# the bitrate or the size of another rung, a rate that is not positive and
-# finite, an omega of another length, or a bitrate or size that is not a
-# float (a complex number that equals the manifest's value is not a fault;
-# the value's numeric string is)
-RECORD_FAULTS = ("x-low", "x-high", "x-float", "bitrate", "size", "rate", "omega-length", "unreadable")
-UNREADABLE = (None, 10**400, [1.0], complex, repr)
-BAD_RATES = (0.0, -5.0, math.nan, math.inf)
+# the omega matrix against the record loop, and where each fault is refused
 
 
 @st.composite
 def scored_histories(draw):
     """A manifest and a session history with omega logged on every epoch, on
-    none or on some, and up to three faulty records (one record may carry
-    two faults); bitrates and sizes are at times written as integers."""
+    none or on some."""
     n = draw(st.integers(2, 6))
     ladder = tuple(float(r) for r in sorted(draw(st.sets(st.integers(100, 20000), min_size=n, max_size=n))))
     t_total = draw(st.integers(1, 40))
@@ -577,62 +589,21 @@ def scored_histories(draw):
                               vbr_jitter=draw(st.sampled_from([0.0, 0.2])), seed=draw(st.integers(0, 99)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logged = draw(st.sampled_from(["all", "none", "mixed"]))
-    first_t = draw(st.sampled_from([1, 6]))
     records = []
     for idx in range(t_total):
         x = int(rng.integers(1, n + 1))
-        bitrate, size = ladder[x - 1], float(man.segment_sizes_kbit[idx, x - 1])
-        if rng.random() < 0.2:
-            bitrate = int(bitrate)
-        if rng.random() < 0.2 and size.is_integer():
-            size = int(size)
         has_omega = logged == "all" or (logged == "mixed" and rng.random() < 0.5)
         omega = tuple(rng.dirichlet(np.ones(n)).tolist()) if has_omega else None
-        records.append(EpochRecord(first_t + idx, x, bitrate, size, float(rng.uniform(300.0, 30000.0)),
-                                   1.0, 0.0, 10.0, 10.0, False, 0.0, omega))
-    for _ in range(draw(st.integers(0, 3))):
-        idx = draw(st.integers(0, t_total - 1))
-        kind = draw(st.sampled_from(RECORD_FAULTS))
-        rec = records[idx]
-        other = draw(st.integers(1, n))
-        if kind == "x-low":
-            rec = rec._replace(x=draw(st.integers(-3, 0)))
-        elif kind == "x-high":
-            rec = rec._replace(x=draw(st.integers(n + 1, n + 3)))
-        elif kind == "x-float":
-            rec = rec._replace(x=float(rec.x))
-        elif kind == "bitrate" and ladder[other - 1] != rec.bitrate_kbps:
-            rec = rec._replace(bitrate_kbps=ladder[other - 1])
-        elif kind == "size" and isinstance(rec.size_kbit, (int, float)) and rec.size_kbit < 1e300:
-            rec = rec._replace(size_kbit=rec.size_kbit * 1.5 + 1.0)
-        elif kind == "rate":
-            rec = rec._replace(rate_kbps=draw(st.sampled_from(BAD_RATES)))
-        elif kind == "omega-length":
-            m = draw(st.integers(0, n + 2).filter(lambda m: m != n))
-            rec = rec._replace(omega=tuple(rng.uniform(0.0, 1.0, m).tolist()))
-        elif kind == "unreadable":
-            name = draw(st.sampled_from(["bitrate_kbps", "size_kbit"]))
-            value = draw(st.sampled_from(UNREADABLE))
-            current = getattr(rec, name)
-            if not callable(value):
-                rec = rec._replace(**{name: value})
-            elif isinstance(current, (int, float)) and abs(current) < 1e300:
-                # the value as a complex number or a string; not a value that
-                # an earlier fault on this record made unreadable (None,
-                # 10**400, a list)
-                rec = rec._replace(**{name: value(current)})
-        records[idx] = rec
+        records.append(EpochRecord(idx + 1, x, ladder[x - 1], man.rows[idx][x - 1],
+                                   float(rng.uniform(300.0, 30000.0)), 1.0, 0.0, 10.0, 10.0, False, 0.0, omega))
     star = draw(st.none() | st.just(tuple(rng.dirichlet(np.ones(n)).tolist())))
     bench = None if star is None else BenchmarkSolution(star, float(np.dot(star, ladder)), 0.0, 0.0)
-    return records, man, bench, draw(st.sampled_from([20.0, 120.0]))
+    return session_log(records), man, bench, draw(st.sampled_from([20.0, 120.0]))
 
 
 def scoring_outcome(score, history, man, bench, b_max):
-    """The bytes of every series and the fallback flag, or the error raised."""
-    try:
-        series = score(history, man, bench, 2.0, b_max)
-    except (ValueError, TypeError) as exc:
-        return type(exc).__name__, str(exc)
+    """The bytes of every series and the fallback flag."""
+    series = score(history, man, bench, 2.0, b_max)
     regret = None if series.regret_rate is None else series.regret_rate.tobytes()
     return regret, series.residual1_rate.tobytes(), series.residual2_rate.tobytes(), series.one_hot_fallback
 
@@ -656,144 +627,135 @@ def test_scoring_rejects_a_time_that_is_not_positive_and_finite(bad):
             regret_and_residuals(history, man, None, **times)
         # an empty history too: the check is where the time enters
         with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite")):
-            regret_and_residuals([], man, None, **times)
+            regret_and_residuals(SessionLog(), man, None, **times)
+
+
+BAD_RATES = (0.0, -5.0, math.nan, math.inf)
 
 
 @pytest.mark.parametrize("bad", BAD_RATES, ids=["zero", "negative", "nan", "inf"])
 def test_scoring_rejects_a_rate_that_is_not_positive_and_finite(bad):
     # each was once scored with no error: 0.0 to an infinite series (with
     # numpy's divide-by-zero warning), -5.0 to a negative residual rate, nan
-    # to a nan series and inf to a finite one; a later fault is not named first
+    # to a nan series and inf to a finite one.  read_log_csv refuses a nan or
+    # inf field, and replay_log refuses each, as it refuses any rate but the
+    # one its replay meets, naming the first epoch that differs, not a later one
     man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
-    recs = _one_hot_log(man, [1, 2] * 5, [5000.0] * 10)
-    history = [*recs[:2], recs[2]._replace(rate_kbps=bad), *recs[3:6], recs[6]._replace(bitrate_kbps=4000.0),
-               *recs[7:]]
-    expected = f"epoch 3: rate_kbps must be positive and finite, got {bad!r}"
-    for score in (regret_and_residuals, reference_regret_and_residuals):
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            score(history, man, None, 2.0, 120.0)
+    log, trace = _script_session(man, [1, 2] * 5)
+    edited = _edited(_edited(log, 3, rate_kbps=bad), 7, bitrate_kbps=4000.0)
+    expected = f"epoch 3: C_kbps is {bad!r}, but its replay at b_max 120.0 s and tau 2 gives {log[2].rate_kbps!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        replay_log(edited, man, trace, 120.0)
 
 
 def test_an_omega_of_the_wrong_length_names_its_epoch():
     # all short once failed in np.einsum, mixed lengths with "inhomogeneous
-    # shape", and mixed lengths that sum to T*N could be read mis-shaped
+    # shape", and mixed lengths that sum to T*N could be read mis-shaped.  A
+    # log carries no omega, so replay_log refuses a history that carries one,
+    # of any length, at the first epoch that does
     man = Manifest(2.0, (1000.0, 4000.0, 8000.0), np.tile([2000.0, 8000.0, 16000.0], (6, 1)))
-    recs = _one_hot_log(man, [1, 2, 3, 1, 2, 3], [5000.0] * 6)
-    third = (1 / 3, 1 / 3, 1 / 3)
-    cases = [
-        ([(0.5, 0.5)] * 6, "epoch 1: omega has 2 entries; the ladder has 3"),
-        ([third, third, (0.25,) * 4, (0.5, 0.5), third, third],
-         "epoch 3: omega has 4 entries; the ladder has 3"),
-        ([None, None, None, None, (1.0,), None], "epoch 5: omega has 1 entries; the ladder has 3"),
-    ]
-    for omegas, expected in cases:
-        history = [rec._replace(omega=omega) for rec, omega in zip(recs, omegas)]
-        for score in (regret_and_residuals, reference_regret_and_residuals):
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                score(history, man, None, 2.0, 120.0)
+    log, trace = _script_session(man, [1, 2, 3, 1, 2, 3])
+    for epoch, omega in [(1, (0.5, 0.5)), (3, (0.25,) * 4), (5, (1.0,))]:
+        expected = f"epoch {epoch}: omega is {omega!r}, but its replay at b_max 120.0 s and tau 2 gives None"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            replay_log(_edited(log, epoch, omega=omega), man, trace, 120.0)
 
 
 def test_a_history_longer_than_the_manifest_names_both_counts():
     # once "more epochs than manifest segments" and "more realized rates than
-    # manifest segments", naming neither count
-    man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (5, 1)))
-    history = _one_hot_log(man, [1, 2, 1, 2, 1, 2], [5000.0] * 6)
-    for score in (regret_and_residuals, reference_regret_and_residuals):
-        with pytest.raises(ValueError, match="^6 epochs, more than the 5 segments of the manifest$"):
-            score(history, man, None, 2.0, 120.0)
+    # manifest segments", naming neither count; a history from outside is
+    # checked against its manifest by replay_log
+    sizes = [[2000.0, 8000.0]] * 6
+    log, trace = _script_session(Manifest(2.0, (1000.0, 4000.0), sizes), [1, 2, 1, 2, 1, 2])
+    man = Manifest(2.0, (1000.0, 4000.0), sizes[:5])
+    with pytest.raises(ValueError, match="^6 records, more than the 5 segments of the manifest$"):
+        replay_log(log, man, trace, 120.0)
     with pytest.raises(ValueError, match="^6 realized rates, more than the 5 segments of the manifest$"):
         solve_benchmark(man, [2000.0] * 6, 3, 2.0, 120.0)
 
 
 def test_a_field_that_is_not_a_real_number_names_its_epoch_and_field():
     # np.fromiter once read None as NaN and parsed a numeric string: a None
-    # rate scored to NaN series, and a string bitrate passed the manifest check
+    # rate scored to NaN series, and a string bitrate passed the manifest
+    # check.  A log holds only numbers (read_log_csv's grammar), and
+    # replay_log refuses a history that holds anything but its replay's
+    # values, naming the first epoch and field that differ
     man = Manifest(2.0, (1000.0, 4000.0), np.tile([2000.0, 8000.0], (10, 1)))
-    recs = _one_hot_log(man, [1, 2] * 5, [5000.0] * 10)
-    no_rate = [*recs[:3], recs[3]._replace(rate_kbps=None), *recs[4:]]
-    string_bitrate = [*recs[:4], recs[4]._replace(bitrate_kbps="1000.0"), *recs[5:]]
-    # the record loop reads rates with np.array, so it fails on None in einsum
-    for history, expected, scores in [
-        (no_rate, "epoch 4: rate_kbps is None, not a real number", [regret_and_residuals]),
-        (string_bitrate, "epoch 5: r_kbps is '1000.0'; the manifest's bitrate at x_t=1 is 1000.0",
-         [regret_and_residuals, reference_regret_and_residuals]),
-    ]:
-        for score in scores:
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                score(history, man, None, 2.0, 120.0)
-    no_download = [*recs[:2], recs[2]._replace(download_s=None), *recs[3:]]
-    with pytest.raises(ValueError, match=f"^{re.escape('epoch 3: download_s is None, not a real number')}$"):
-        qoe_metrics(no_download, man, 2, 20.0)
-    # a logged omega entry, read with np.fromiter when every record logged
-    # one and assigned into the one-hot matrix when some did not: None scored
-    # to NaN series, and a numeric string was parsed
-    logged = [rec._replace(omega=(0.5, 0.5)) for rec in recs]
-    for entries, shown in [((None, 1.0), "None"), (("0.5", "0.5"), "'0.5'")]:
-        for history in (logged, [*recs[:5], *logged[5:]]):
-            history = [*history[:6], history[6]._replace(omega=entries), *history[7:]]
-            expected = f"epoch 7: omega holds {shown}, not a real number"
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                regret_and_residuals(history, man, None, 2.0, 120.0)
+    log, trace = _script_session(man, [1, 2] * 5)
+    for epoch, field, value in [(4, "rate_kbps", None), (5, "bitrate_kbps", "1000.0"), (3, "download_s", None),
+                                (7, "omega", (None, 1.0)), (7, "omega", ("0.5", "0.5"))]:
+        column = {"rate_kbps": "C_kbps", "bitrate_kbps": "r_kbps"}.get(field, field)
+        expected = (f"epoch {epoch}: {column} is {value!r}, but its replay at b_max 120.0 s and tau 2 gives"
+                    f" {getattr(log[epoch - 1], field)!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            replay_log(_edited(log, epoch, **{field: value}), man, trace, 120.0)
 
 
-# the fields scoring reads, each with the scoring stages that read it; "omega"
-# is the first entry of epoch 3's logged omega, with omega logged on every
-# epoch or, in "omega-some", on all but epoch 4
-SCORED_FIELDS = {
-    "bitrate_kbps": (qoe_metrics, regret_and_residuals),
-    "size_kbit": (regret_and_residuals,),
-    "rate_kbps": (regret_and_residuals,),
-    "download_s": (qoe_metrics,),
-    "buffer_before_s": (qoe_metrics,),
-    "x": (regret_and_residuals,),
-    "omega": (regret_and_residuals,),
-    "omega-some": (regret_and_residuals,),
-}
+# the fields scoring reads, each entering the package its own way: "x" is a
+# policy's decision, which run_session checks; "omega" is the first entry of
+# the omega a policy exposes at epoch 3, logged on every epoch or, in
+# "omega-some", on all but epoch 4, which run_session stores as it is
+# given; every other field is one a log carries, which replay_log compares
+# with its replay
+SCORED_FIELDS = ("bitrate_kbps", "size_kbit", "rate_kbps", "download_s", "buffer_before_s", "x", "omega",
+                 "omega-some")
 # every value but the last three equals 1, the value of every scored field
 ONE_AND_OTHERS = (np.float64(1.0), np.int64(1), 1, True, Decimal("1"), "1.5", None, 10**400)
+# 1 kbit segments on the lowest rung (1 kbps) over a 1 kbps channel, with
+# V = 0.5 s and b_max = 1 s: epochs 1 and 2 are the startup pause (tau 2),
+# and epoch 3 starts with 1 s of buffer, so each scored field of epoch 3 is 1
+ONES_MANIFEST = Manifest(0.5, (1.0, 2.0), [[1.0, 2.0]] * 4)
+ONES_TRACE = constant_trace(1.0)
+ONES_CONFIG = SessionConfig(b_max_s=1.0, tau_resume=2)
 
 
-def _ones_history(field, value):
-    """Four epochs on a 1 kbps, 1 kbit rung whose every scored field is 1,
-    with ``value`` in epoch 3's ``field``."""
-    rec = EpochRecord(1, 1, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, False, 0.0, (1.0, 0.0))
-    history = [rec._replace(t=t) for t in range(1, 5)]
+class _OmegaPolicy:
+    """Plays the lowest rung and exposes ``omegas[t - 1]`` as its omega
+    after its t-th decide."""
+
+    def __init__(self, omegas):
+        self.omega = None
+        self._omegas = iter(omegas)
+
+    def decide(self, feedback):
+        self.omega = next(self._omegas)
+        return 1
+
+
+def _entered(field, value):
+    """The four-epoch session with ``value`` in epoch 3's ``field``, entered
+    as such a field enters the package: a decision or an omega through
+    run_session, any other field through replay_log, each raising its
+    ValueError for a value it refuses."""
+    if field == "x":
+        return run_session(ScriptedPolicy([1, 1, value, 1]), ONES_CONFIG, ONES_MANIFEST, ONES_TRACE).history
     if field.startswith("omega"):
-        history[2] = history[2]._replace(omega=(value, 0.0))
-        if field == "omega-some":
-            history[3] = history[3]._replace(omega=None)
-    else:
-        history[2] = history[2]._replace(**{field: value})
-    return history
+        omegas = [(1.0, 0.0), (1.0, 0.0), (value, 0.0), None if field == "omega-some" else (1.0, 0.0)]
+        return run_session(_OmegaPolicy(omegas), ONES_CONFIG, ONES_MANIFEST, ONES_TRACE).history
+    log = run_session(ScriptedPolicy([1] * 4), ONES_CONFIG, ONES_MANIFEST, ONES_TRACE).history
+    return replay_log(_edited(log, 3, **{field: value}), ONES_MANIFEST, ONES_TRACE, 1.0)
 
 
-def _score_bits(score, history):
-    man = Manifest(2.0, (1.0, 2.0), np.tile([1.0, 2.0], (4, 1)))
+def _score_bits(history):
     bench = BenchmarkSolution((1.0, 0.0), 1.0, 0.0, 0.0)
-    if score is qoe_metrics:
-        return report_bits(qoe_metrics(history, man, 2, 8.0))
-    series = regret_and_residuals(history, man, bench, 2.0, 20.0)
-    return [a.tobytes() for a in (series.regret_rate, series.residual1_rate, series.residual2_rate)]
+    series = regret_and_residuals(history, ONES_MANIFEST, bench, 0.5, 1.0)
+    return (report_bits(qoe_metrics(history, ONES_MANIFEST, 2, 2.0)),
+            [a.tobytes() for a in (series.regret_rate, series.residual1_rate, series.residual2_rate)])
 
 
-def _expected_fault(score, field, value):
+def _expected_fault(field, value):
     """The message of ``value`` in epoch 3's ``field``, or None where it is
     read as the 1 it equals."""
-    name = field.split("-")[0]
     if field == "x":
         if not isinstance(value, numbers.Integral):
             return f"epoch 3: quality index {value!r} is not an integer"
         return None if value == 1 else f"epoch 3: quality index {value} outside 1..2"
     if not isinstance(value, (str, type(None))) and value == 1:
         return None
-    if score is regret_and_residuals and name in ("bitrate_kbps", "size_kbit"):
-        # checked against the manifest's value at x_t first
-        shown = "r_kbps" if name == "bitrate_kbps" else name
-        kind = "bitrate" if name == "bitrate_kbps" else "size"
-        return f"epoch 3: {shown} is {value!r}; the manifest's {kind} at x_t=1 is 1.0"
-    if isinstance(value, int):
-        return f"epoch 3: {name} is out of the float range"
-    return f"epoch 3: {name} {'holds' if name == 'omega' else 'is'} {value!r}, not a real number"
+    if field.startswith("omega"):
+        return "epoch 1: omega is (1.0, 0.0), but its replay at b_max 1.0 s and tau 2 gives None"
+    column = {"bitrate_kbps": "r_kbps", "rate_kbps": "C_kbps"}.get(field, field)
+    return f"epoch 3: {column} is {value!r}, but its replay at b_max 1.0 s and tau 2 gives 1.0"
 
 
 @pytest.mark.parametrize("value", ONE_AND_OTHERS,
@@ -801,21 +763,20 @@ def _expected_fault(score, field, value):
 @pytest.mark.parametrize("field", SCORED_FIELDS)
 def test_every_scored_field_reads_a_number_by_one_rule(field, value):
     # any Python or numpy number is read as the float it equals, a bool
-    # included; text and None are not real numbers, and an int past the float
-    # range is out of it (a Decimal field and 10**400 once failed, the latter
-    # with a bare OverflowError)
-    history = _ones_history(field, value)
-    faults = []
-    for score in SCORED_FIELDS[field]:
-        expected = _expected_fault(score, field, value)
-        faults.append(expected is None)
-        if expected is None:
-            ones = _ones_history(field, 1 if field == "x" else 1.0)
-            assert _score_bits(score, history) == _score_bits(score, ones)
-        else:
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                _score_bits(score, history)
-    assert len(set(faults)) == 1  # both stages accept a value, or both reject it
+    # included (a Decimal field and 10**400 once failed in scoring, the
+    # latter with a bare OverflowError); text, None and an int past the float
+    # range are refused where they enter, naming the epoch and the field
+    expected = _expected_fault(field, value)
+    if expected is None:
+        assert _score_bits(_entered(field, value)) == _score_bits(_entered(field, 1 if field == "x" else 1.0))
+    elif field.startswith("omega"):
+        # run_session stores a policy's omega as it is given; from outside,
+        # replay_log refuses a history that carries one, whatever it holds
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            replay_log(_entered(field, value), ONES_MANIFEST, ONES_TRACE, 1.0)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _entered(field, value)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +812,7 @@ def qoe_histories(draw):
         records.append(EpochRecord(idx + 1, x, number(ladder[x - 1]), 1.0, 1000.0, download, 0.0,
                                    before, before, before < download, 0.0, None))
     duration = draw(st.sampled_from([2.0 * max(t_total, 1), 3.5]))
-    return records, man, tau, duration
+    return session_log(records), man, tau, duration
 
 
 def report_bits(report):
@@ -874,20 +835,17 @@ def _as_numpy_numbers(history):
     def swap(value):
         return np.float64(value) if type(value) is float else value
 
-    return [EpochRecord(rec.t, np.int64(rec.x) if type(rec.x) is int else rec.x, *map(swap, rec[2:-1]),
-                        None if rec.omega is None else tuple(map(swap, rec.omega)))
-            for rec in history]
+    return session_log(EpochRecord(rec.t, np.int64(rec.x) if type(rec.x) is int else rec.x, *map(swap, rec[2:-1]),
+                                   None if rec.omega is None else tuple(map(swap, rec.omega)))
+                       for rec in history)
 
 
 @settings(max_examples=150, deadline=None)
 @given(scored=scored_histories(), case=qoe_histories())
 def test_numpy_numbers_score_as_the_numbers_they_equal(scored, case):
     history, man, bench, b_max = scored
-    plain = scoring_outcome(regret_and_residuals, history, man, bench, b_max)
-    swapped = scoring_outcome(regret_and_residuals, _as_numpy_numbers(history), man, bench, b_max)
-    if len(plain) == 2:  # a fault: the same error at the same epoch (a value's repr may differ)
-        plain, swapped = (plain[0], plain[1].split(":")[0]), (swapped[0], swapped[1].split(":")[0])
-    assert swapped == plain
+    assert (scoring_outcome(regret_and_residuals, _as_numpy_numbers(history), man, bench, b_max)
+            == scoring_outcome(regret_and_residuals, history, man, bench, b_max))
     history, man, tau, duration = case
     assert (report_bits(qoe_metrics(_as_numpy_numbers(history), man, tau, duration))
             == report_bits(qoe_metrics(history, man, tau, duration)))

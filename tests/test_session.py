@@ -28,14 +28,19 @@ from abrsim import (
     SessionLog,
     export_log_csv,
     generate_markovian,
+    hindsight_benchmark,
+    qoe_metrics,
     read_log_csv,
+    regret_and_residuals,
+    replay_log,
     run_session,
     synthesize_manifest,
 )
 
-from abrsim.session import LOG_COLUMNS, _check_replay, _columns, _startup_pause
+from abrsim.session import LOG_COLUMNS, _columns
 
-from conftest import assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses, with_a_bad_byte
+from conftest import (assert_buffer_law, constant_trace, csv_text, read_outcome, record_parses, session_log,
+                      with_a_bad_byte)
 from csv_oracle import line_iterated
 from session_oracle import DownloadResult, OracleState, run_oracle, step
 
@@ -330,8 +335,44 @@ def test_a_log_replays_to_itself_under_the_tau_of_its_startup_pause(tau, segment
     trace = ChannelTrace(np.cumsum([0.0, *steps]), np.array(rates))
     script = data.draw(st.lists(st.integers(1, levels), min_size=segments, max_size=segments))
     log = run_session(ScriptedPolicy(script), SessionConfig(b_max, tau), man, trace).history
-    assert _startup_pause(log) == min(tau, segments)
-    _check_replay(log, man, trace, b_max, "log")
+    assert replay_log(log, man, trace, b_max) is log
+    # the tau of the replay, named once a field differs
+    last = log[-1]
+    edited = session_log([*log[:-1], last._replace(delta_s=last.delta_s + 1.0)])
+    with pytest.raises(ValueError, match=f" and tau {min(tau, segments)} gives "):
+        replay_log(edited, man, trace, b_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(["rb", "bb", "l2a-1", "l2a-0.3"]), segments=st.integers(1, 30),
+       seed=st.integers(0, 2**16), b_max=st.sampled_from([20.0, 120.0]), tau=st.integers(1, 4))
+def test_an_exported_log_reads_back_through_the_door_to_its_session(tmp_path_factory, method, segments, seed,
+                                                                     b_max, tau):
+    # the log drops omega and nothing else, so the door gives back the
+    # session's history without it; an rb or bb history has none, so it
+    # scores to the very series and report the session scored to
+    man = synthesize_manifest(segments, PAPER_LADDER, 2.0, vbr_jitter=0.1, seed=seed)
+    trace = generate_markovian(3.0 * segments, 750, 23000, 0.1, 0.5, seed=seed)
+    policy = {
+        "rb": lambda: RBPolicy(man.bitrates_kbps),
+        "bb": lambda: BBPolicy(man, b_max),
+    }.get(method, lambda: L2APolicy(man.bitrates_kbps, 2.0, b_max, segments, beta=float(method[4:])))()
+    history = run_session(policy, SessionConfig(b_max, tau), man, trace).history
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    export_log_csv(history, path)
+    back = replay_log(read_log_csv(path), man, trace, b_max)
+    assert back == [rec._replace(omega=None) for rec in history]
+    if method in ("rb", "bb"):
+        bench = hindsight_benchmark(man, trace, segments, b_max)
+
+        def scored(log):
+            series = regret_and_residuals(log, man, bench, 2.0, b_max)
+            report = qoe_metrics(log, man, tau, man.duration_s)
+            # a float's repr names its every bit
+            return ([a.tobytes() for a in (series.regret_rate, series.residual1_rate, series.residual2_rate)],
+                    series.one_hot_fallback, repr(report))
+
+        assert scored(back) == scored(history)
 
 
 def test_log_csv_roundtrip(tmp_path):
@@ -361,7 +402,7 @@ def test_log_csv_reads_the_header_as_csv_does(tmp_path, header, expected):
     # name quoted across a line break holds the line break, so it is not a
     # log column's name, and no row is parsed from inside the header
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:3], path)
+    export_log_csv(session_log(closed_form_history("rb")[:3]), path)
     body = path.read_bytes().decode().split("\r\n", 1)[1]
     path.write_text(header + "\r\n" + body, newline="")
     outcome = read_outcome(read_log_csv, path)
@@ -372,17 +413,24 @@ def test_log_csv_reads_the_header_as_csv_does(tmp_path, header, expected):
         assert outcome == f"{path}: {expected} {','.join(LOG_COLUMNS)}"
 
 
+def closed_form_inputs():
+    """The manifest (240 segments, V = 2 s) and the trace of the closed-form
+    sessions, which run at b_max 20 s and tau 2."""
+    ladder, v = (370.0, 750.0, 1500.0, 3000.0, 5800.0), 2.0
+    sizes = [[r * v * (1.0 + ((7 * t + 3 * n) % 11 - 5) / 100.0) for n, r in enumerate(ladder)]
+             for t in range(240)]
+    rates = [(900.0 if (i // 40) % 3 == 0 else 23000.0) + 100.0 * (i % 7) for i in range(2000)]
+    return Manifest(v, ladder, sizes), ChannelTrace(np.arange(2000.0), rates)
+
+
 def closed_form_history(abr):
     """A session on inputs from exact arithmetic on small integers (no RNG, no
     libm), so every platform and Python version builds the same records;
     both policies switch and stall in it."""
-    ladder, horizon, v, b_max = (370.0, 750.0, 1500.0, 3000.0, 5800.0), 240, 2.0, 20.0
-    sizes = [[r * v * (1.0 + ((7 * t + 3 * n) % 11 - 5) / 100.0) for n, r in enumerate(ladder)]
-             for t in range(horizon)]
-    rates = [(900.0 if (i // 40) % 3 == 0 else 23000.0) + 100.0 * (i % 7) for i in range(2000)]
-    policy = RBPolicy(ladder) if abr == "rb" else L2APolicy(ladder, v, b_max, horizon, beta=0.5)
-    return run_session(policy, SessionConfig(b_max_s=b_max, tau_resume=2), Manifest(v, ladder, sizes),
-                       ChannelTrace(np.arange(2000.0), rates)).history
+    man, trace = closed_form_inputs()
+    ladder = man.bitrates_kbps
+    policy = RBPolicy(ladder) if abr == "rb" else L2APolicy(ladder, 2.0, 20.0, 240, beta=0.5)
+    return run_session(policy, SessionConfig(b_max_s=20.0, tau_resume=2), man, trace).history
 
 
 @pytest.mark.parametrize("abr, digest", [
@@ -457,34 +505,36 @@ def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
     assert type(numpy_scalars(plain).stall) is np.bool_
     path = tmp_path / "log.csv"
     for history in ([plain, second], [numpy_scalars(plain), numpy_scalars(second)]):
-        export_log_csv(history, path)
+        export_log_csv(session_log(history), path)
         assert path.read_bytes() == expected
+
+
+_REPLAY_GIVES = ", but its replay at b_max 20.0 s and tau 2 gives {}"
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("x", 2.7, "epoch 2: x is 2.7, not an integer"),
-        ("bitrate_kbps", "370", "epoch 2: bitrate_kbps is '370', not a real number"),
-        ("t", 2 ** 63, "epoch 2: t is out of the int64 range"),
-        ("rate_kbps", 10 ** 400, "epoch 2: rate_kbps is out of the float range"),
-        ("stall", 1, "epoch 2: stall is 1, not a bool"),
-        # the reader's rules: each once wrote a log that read_log_csv refused
-        ("download_s", math.nan, "epoch 2: download_s is nan; values must be finite"),
-        ("t", 5, "epoch 2: t is 5; expected epoch 2"),
+        ("x", 2.7, "epoch 3: quality index 2.7 is not an integer"),
+        ("bitrate_kbps", "370", "epoch 3: r_kbps is '370'" + _REPLAY_GIVES),
+        ("t", 2 ** 63, f"epoch 3: t is {2 ** 63}" + _REPLAY_GIVES),
+        ("rate_kbps", 10 ** 400, f"epoch 3: C_kbps is {10 ** 400}" + _REPLAY_GIVES),
+        ("stall", 2, "epoch 3: stall is 2" + _REPLAY_GIVES),
+        ("download_s", math.nan, "epoch 3: download_s is nan" + _REPLAY_GIVES),
+        ("t", 5, "epoch 3: t is 5" + _REPLAY_GIVES),
     ],
     ids=["float-x", "text-bitrate", "huge-t", "huge-rate", "int-stall", "nan-download", "t-out-of-sequence"],
 )
-def test_log_writer_refuses_a_value_of_the_wrong_kind(tmp_path, field, value, message):
+def test_the_door_refuses_a_value_of_the_wrong_kind(field, value, message):
     # int() and float() once wrote x=2.7 as 2 and the bitrate "370" as 370.0,
-    # a log that read back and scored although the history itself did not
-    history = closed_form_history("rb")[:3]
-    history[1] = history[1]._replace(**{field: value})
-    path = tmp_path / "log.csv"
+    # a log that read back and scored although the history itself did not.
+    # The writer takes a history that replay_log accepted, and replay_log
+    # refuses each, naming its epoch, its field and the replay's value
+    man, trace = cbr_manifest(4, bitrates=(1000.0, 2000.0, 4000.0)), constant_trace(5000.0)
+    log = run_session(ScriptedPolicy([1, 2, 1, 3]), SessionConfig(b_max_s=20.0), man, trace).history
     with pytest.raises(ValueError) as info:
-        export_log_csv(history, path)
-    assert str(info.value) == message
-    assert not path.exists()
+        replay_log(session_log([*log[:2], log[2]._replace(**{field: value}), log[3]]), man, trace, 20.0)
+    assert str(info.value) == message.format(repr(getattr(log[2], field)))
 
 
 @pytest.mark.parametrize(
@@ -553,7 +603,7 @@ def test_log_csv_rejects_an_integer_read_through_a_float(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:3], path)
+    export_log_csv(session_log(closed_form_history("rb")[:3]), path)
     lines = path.read_text().splitlines()
     lines[2] = ",".join(_put(lines[2].split(","), column, text))
     path.write_text("\n".join(lines) + "\n")
@@ -568,7 +618,7 @@ def test_log_csv_counts_a_quoted_line_break_as_csv_does(tmp_path, spanning, bad,
     # a quoted field that spans a line break keeps its row whole; a row is
     # named by the line it ends on, as csv.reader counts lines
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:3], path)
+    export_log_csv(session_log(closed_form_history("rb")[:3]), path)
     lines = path.read_text().splitlines()
     lines[bad] = ",".join(_put(lines[bad].split(","), 8, "2"))
     stall_s = lines[spanning].rindex(",") + 1
@@ -583,7 +633,7 @@ def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, mon
     # a row that breaks a rule before one that cannot be parsed: the rows
     # before the unparseable one are checked first, from the open handle
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:6], path)
+    export_log_csv(session_log(closed_form_history("rb")[:6]), path)
     lines = path.read_text().splitlines()
     lines[3] = lines[3][:lines[3].rindex(",")] + ",inf"
     lines[5] = lines[5].replace(",", ",abc,", 1)
@@ -605,7 +655,7 @@ def test_log_csv_reports_the_first_bad_row_and_reads_the_file_once(tmp_path, mon
 def test_log_csv_describes_a_nul_byte_on_every_python(tmp_path):
     # csv reads NUL as an ordinary character: the message keeps it
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:3], path)
+    export_log_csv(session_log(closed_form_history("rb")[:3]), path)
     lines = path.read_text().splitlines()
     lines[2] = ",".join(_put(lines[2].split(","), 3, "2\x000"))
     path.write_text("\n".join(lines) + "\n")
@@ -620,7 +670,7 @@ def test_log_csv_describes_a_field_past_csv_limit(tmp_path):
     # is restored
     limit = csv.field_size_limit()
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:3], path)
+    export_log_csv(session_log(closed_form_history("rb")[:3]), path)
     lines = path.read_text().splitlines()
     lines[2] = ",".join(_put(lines[2].split(","), 3, "x" * 200_000))
     path.write_text("\n".join(lines) + "\n")
@@ -638,7 +688,7 @@ def test_log_csv_does_not_bisect_a_file_that_parsed(tmp_path, monkeypatch, colum
     # and only the bad row's fields are parsed again, each alone, to name the
     # column
     path = tmp_path / "log.csv"
-    export_log_csv(closed_form_history("rb")[:6], path)
+    export_log_csv(session_log(closed_form_history("rb")[:6]), path)
     lines = path.read_text().splitlines()
     lines[4] = ",".join(_put(lines[4].split(","), column, text))
     path.write_text("\n".join(lines) + "\n")
@@ -777,9 +827,12 @@ _FLOAT_FIELDS = ("bitrate_kbps", "size_kbit", "rate_kbps", "download_s", "delta_
 @settings(max_examples=200, deadline=None)
 @given(length=st.integers(1, 12), data=st.data())
 def test_the_log_writer_writes_only_what_the_reader_reads(tmp_path_factory, length, data):
-    # a history with one float set to NaN or +-inf, or one t moved: the
-    # writer refuses it, or the reader reads back every field it wrote
-    history = list(closed_form_history(data.draw(st.sampled_from(["rb", "l2a"]))))[:length]
+    # a history with one float set to NaN or +-inf, or one t moved, was once
+    # written as a log that read_log_csv refused: replay_log refuses it, or
+    # the log written of what it accepts reads back every field
+    man, trace = closed_form_inputs()
+    history = [rec._replace(omega=None)
+               for rec in closed_form_history(data.draw(st.sampled_from(["rb", "l2a"])))[:length]]
     i = data.draw(st.integers(0, length - 1))
     if data.draw(st.booleans()):
         field = data.draw(st.sampled_from(_FLOAT_FIELDS))
@@ -787,14 +840,13 @@ def test_the_log_writer_writes_only_what_the_reader_reads(tmp_path_factory, leng
     else:
         field, value = "t", data.draw(st.integers(-3, length + 3))
     history[i] = history[i]._replace(**{field: value})
-    path = tmp_path_factory.getbasetemp() / "written_log.csv"
-    path.unlink(missing_ok=True)
     try:
-        export_log_csv(history, path)
+        accepted = replay_log(session_log(history), man, trace, 20.0)
     except ValueError:
-        assert not path.exists()
         return
-    assert read_log_csv(path) == [rec._replace(omega=None) for rec in history]
+    path = tmp_path_factory.getbasetemp() / "written_log.csv"
+    export_log_csv(accepted, path)
+    assert read_log_csv(path) == history
 
 
 @st.composite
@@ -1130,8 +1182,8 @@ def test_a_session_log_keeps_the_list_contract(tmp_path, source):
     assert log == records and records == log
     assert log == again and again == log
     export_log_csv(log, tmp_path / "log.csv")
-    export_log_csv(records, tmp_path / "list.csv")
-    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    export_log_csv(session_log(records), tmp_path / "records.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -1168,6 +1220,5 @@ def test_a_session_log_indexes_and_slices_as_a_list(contract_logs, source, data)
     assert type(sliced) is list and sliced == records[key]
     assert all(type(rec) is EpochRecord for rec in sliced)
     # field i of the store, read without a record, is field i of each record
-    columns = _columns(log)
-    for name, column in _columns(records).items():
-        assert columns[name] == list(column) == [getattr(rec, name) for rec in records]
+    for name, column in _columns(log).items():
+        assert column == [getattr(rec, name) for rec in records]
