@@ -26,7 +26,6 @@ from .l2a import (
     L2APolicy,
     L2AState,
     l2a_decide,
-    map_to_quality,
 )
 from .media import Manifest, ManifestError, load_manifest, synthesize_manifest, write_manifest
 from .metrics import (
@@ -84,7 +83,6 @@ __all__ = [
     "l2a_decide",
     "load_manifest",
     "load_trace",
-    "map_to_quality",
     "normalize_avg_bitrate",
     "project_simplex",
     "qoe_metrics",

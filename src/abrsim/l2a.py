@@ -55,7 +55,6 @@ __all__ = [
     "L2AState",
     "check_beta",
     "l2a_decide",
-    "map_to_quality",
 ]
 
 # weight of the bitrate utility r / r_N (r_N the ladder top) against the
@@ -73,21 +72,16 @@ def check_beta(beta):
     return beta
 
 
-def map_to_quality(omega, bitrates_kbps) -> int:
-    """Quality index (1-based) nearest the expected bitrate; ties go low.
-
-    The first rung at or above the expected bitrate, or the one below it
-    while that one's gap is not larger: the same index as the first minimum
-    of ``abs(r - expected)`` over a strictly increasing ladder, because each
-    gap, rounding included, only grows away from the expected bitrate.
-    """
-    return _nearest(reduce(add, map(mul, bitrates_kbps, omega), 0.0), bitrates_kbps)
-
-
 def _nearest(expected: float, bitrates_kbps) -> int:
     """Quality index (1-based) of the rung nearest the expected bitrate
-    ``expected``; ties go low.  The search of ``map_to_quality``, and of
-    ``l2a_decide``'s step, which takes the expectation as it clips."""
+    ``expected``; ties go low.  The search of ``l2a_decide``'s step, which
+    takes the expectation as it clips.
+
+    The first rung at or above ``expected``, or the one below it while that
+    one's gap is not larger: the same index as the first minimum of
+    ``abs(r - expected)`` over a strictly increasing ladder, because each
+    gap, rounding included, only grows away from ``expected``.
+    """
     n = bisect.bisect_left(bitrates_kbps, expected)
     if n == len(bitrates_kbps):
         n -= 1

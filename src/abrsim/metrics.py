@@ -291,9 +291,10 @@ def regret_and_residuals(
     omega*'s expected bitrate; pass None to get residuals only.
     ``history`` is a ``SessionLog`` that ``run_session`` returned or that
     ``session.replay_log`` accepted, on ``manifest``: its quality indices lie
-    on the ladder, its rates are positive and finite and each logged omega
-    has one entry per rung, and none of that is checked again here.  A segment duration or buffer bound that is not
-    positive and finite is a ValueError.
+    on the ladder and its rates are positive and finite, and neither is
+    checked again here.  A logged omega whose length is not the ladder's,
+    which an in-process policy may log, is a ValueError naming its epoch, as
+    is a segment duration or buffer bound that is not positive and finite.
     """
     require_positive("segment_duration_s", segment_duration_s)
     require_positive("b_max_s", b_max_s)
@@ -311,6 +312,9 @@ def regret_and_residuals(
     omega_column = columns["omega"]
     logged = np.fromiter(map(is_not, omega_column, repeat(None)), bool, t_total)
     logged_omegas = list(compress(omega_column, logged))
+    if set(map(len, logged_omegas)) - {n}:
+        t, omega = next((t, w) for t, w in enumerate(omega_column, 1) if w is not None and len(w) != n)
+        raise ValueError(f"epoch {t}: omega has {len(omega)} entries; the ladder has {n}")
 
     # the one-hot distribution of the chosen quality, each logged omega written over its row
     rows = np.arange(t_total)

@@ -2,9 +2,17 @@ import os
 from itertools import chain
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from abrsim import ChannelTrace, SessionLog, channel, session
+
+# the one place the suite sets a Hypothesis option for every test: no
+# per-example deadline, since a draw's time depends on the host and not on
+# the code.  A test sets its own ``max_examples`` only where it needs a count
+# other than Hypothesis's 100.
+settings.register_profile("abrsim", deadline=None)
+settings.load_profile("abrsim")
 
 
 def session_log(records) -> SessionLog:

@@ -243,7 +243,7 @@ def state_bits(state):
     return [x.hex() if isinstance(x, float) else x for x in astuple(state)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1), decisions=st.integers(1, 40))
 def test_rb_decide_matches_the_loop_oracle(seed, decisions):
     # through the session adapter, which builds the up-switch thresholds; the
@@ -395,12 +395,26 @@ def test_bb_equal_sizes_tie_goes_to_the_lowest_level():
         assert pick == 1
 
 
-def bb_argmax_with_a_score_list(v_b, gamma_p, sizes_row_kbit, buffer_segments):
-    """The level ``bb_decide`` picked before its up-switch cap when it scored
-    the rungs into a list and scanned it with ``max`` and then ``index``."""
+def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_duration_s):
+    """``bb_decide`` as it ran when it scored the rungs into a list, scanned
+    it with ``max`` and then ``index``, and found the level sustainable at the
+    last observed rate with a loop over the ladder."""
+    if feedback is None:
+        state.last_index = 1
+        return 1
     s1 = sizes_row_kbit[0]
-    score = [(v_b * (math.log(s / s1) + gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
-    return score.index(max(score)) + 1
+    buffer_segments = feedback.buffer_s / segment_duration_s
+    score = [(state.v_b * (math.log(s / s1) + state.gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
+    m = score.index(max(score)) + 1
+    if m > state.last_index:
+        sustainable = 1
+        for n, r in enumerate(bitrates_kbps, start=1):
+            if r <= feedback.realized_rate_kbps:
+                sustainable = n
+        if m > sustainable:
+            m = max(sustainable, state.last_index)
+    state.last_index = m
+    return m
 
 
 def outcome(f, *args):
@@ -410,61 +424,27 @@ def outcome(f, *args):
         return str(exc)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(
+# a decision: the ladder, the segment duration, the state's fields, the row
+# of sizes, the feedback (or None) and whether the session loop's plain tuple
+# carries it
+scored_rows = st.builds(
+    lambda rows, buffer_s, v_b, gamma_p: [
+        # from the top level no switch is up, so the cap never applies
+        (tuple(float(k) for k in range(1, len(rows) + 1)), 2.0, (v_b, gamma_p, len(rows)),
+         tuple(rows), fb(1000.0, buffer_s, rows), False)],
     # rows from a pool of a few sizes, so that levels tie; drawn in any order
-    rows=st.lists(st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1.0, 2000.0]), min_size=1, max_size=4)
+    st.lists(st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1.0, 2000.0]), min_size=1, max_size=4)
     .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)),
-    buffer_s=st.floats(0.0, 240.0) | st.floats(),
-    v_b=st.floats(1e-3, 1e3),
-    gamma_p=st.floats(-10.0, 10.0),
+    st.floats(0.0, 240.0) | st.floats(),
+    st.floats(1e-3, 1e3),
+    st.floats(-10.0, 10.0),
 )
-def test_bb_picks_the_first_level_of_highest_score(rows, buffer_s, v_b, gamma_p):
-    # from the top level no switch is up, so the cap never applies
-    n = len(rows)
-    state = BBState(v_b=v_b, gamma_p=gamma_p, last_index=n)
-    ladder = tuple(float(k) for k in range(1, n + 1))
-    got = outcome(bb_decide, state, fb(1000.0, buffer_s, rows), ladder, tuple(rows), 2.0)
-    want = outcome(bb_argmax_with_a_score_list, v_b, gamma_p, rows, buffer_s / 2.0)
-    assert got == want
-    if len(set(rows)) == 1 and isinstance(got, int):
-        assert got == 1
 
 
-# ---------------------------------------------------------------------------
-# the numpy formula as an oracle
-
-
-def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_duration_s):
-    """``bb_decide`` as it ran on numpy before its scalar rewrite.  Also
-    returns the score vector, so that a test can tell a near tie: ``np.log``
-    and ``math.log`` differ in the last bit on a few inputs."""
-    if feedback is None:
-        state.last_index = 1
-        return 1, None
-
-    sizes = np.asarray(sizes_row_kbit, dtype=float)
-    buffer_segments = float(feedback.buffer_s) / segment_duration_s
-    util = np.log(sizes / sizes[0])
-    score = (state.v_b * (util + state.gamma_p) - buffer_segments) / sizes
-    m = int(np.argmax(score)) + 1
-
-    if m > state.last_index:
-        observed = float(feedback.realized_rate_kbps)
-        sustainable = 1
-        for n, r in enumerate(bitrates_kbps, start=1):
-            if float(r) <= observed:
-                sustainable = n
-        if m > sustainable:
-            m = max(sustainable, state.last_index)
-
-    state.last_index = m
-    return m, score
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), decisions=st.integers(1, 40))
-def test_bb_decide_matches_numpy_reference(seed, decisions):
+def capped_decisions(seed, decisions):
+    """Decisions of a session's policy: a random ladder and manifest rows, the
+    state's parameters as ``BBPolicy`` derives them, any last level, and a
+    rate that is at times a rung, the edge of the sustainable level."""
     rng = np.random.default_rng(seed)
     n_levels = int(rng.integers(2, 10))
     ladder = tuple(np.cumsum(rng.uniform(50.0, 5000.0, size=n_levels)).tolist())
@@ -473,36 +453,34 @@ def test_bb_decide_matches_numpy_reference(seed, decisions):
     v_b, gamma_p = derive_bb_parameters(ladder, v, b_max)
     sizes = np.asarray(ladder) * v * rng.uniform(0.5, 1.5, size=(decisions, n_levels))
     man = Manifest(v, ladder, np.sort(sizes, axis=1))
-    # through the session adapter, which reads segment t's sizes at decision t
-    bb = BBPolicy(man, b_max)
-    assert state_bits(bb.state) == state_bits(BBState(v_b, gamma_p))
-    for t in range(1, decisions + 1):
+    cases = []
+    for row in man.rows:
         last = int(rng.integers(1, n_levels + 1))
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
-        if rng.random() < 0.3:  # a rung exactly, the edge of the sustainable level
+        if rng.random() < 0.3:
             rate = ladder[int(rng.integers(n_levels))]
-        buffer_s = float(rng.uniform(0.0, b_max))
-        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, man.rows[t - 1], buffer_s)
-        # half the feedbacks as the session loop gives them, a plain tuple
-        given = feedback if feedback is None or rng.random() < 0.5 else tuple(feedback)
-        bb.state.last_index = last
-        ref = BBState(v_b, gamma_p, last)
-        x = bb.decide(given)
-        x_ref, score = reference_bb_decide(ref, feedback, ladder, man.segment_sizes_kbit[t - 1], v)
-        if score is not None:
-            first, second = np.sort(score)[::-1][:2]
-            if abs(first - second) <= 1e-12 * abs(first):
-                continue
-        assert x == x_ref
-        assert state_bits(bb.state) == state_bits(ref)
-    # past the last segment
-    with pytest.raises(IndexError, match=re.escape(f"segment {decisions + 1} outside 1..{decisions}")):
-        bb.decide(None)
+        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, row, float(rng.uniform(0.0, b_max)))
+        cases.append((ladder, v, (v_b, gamma_p, last), row, feedback, rng.random() < 0.5))
+    return cases
+
+
+@settings(max_examples=1000)
+@given(scored_rows | st.builds(capped_decisions, st.integers(0, 2**32 - 1), st.integers(1, 40)))
+def test_bb_picks_the_first_level_of_highest_score(cases):
+    for ladder, v, fields, row, feedback, as_tuple in cases:
+        state, ref = BBState(*fields), BBState(*fields)
+        given = tuple(feedback) if as_tuple and feedback else feedback
+        got = outcome(bb_decide, state, given, ladder, row, v)
+        assert got == outcome(reference_bb_decide, ref, feedback, ladder, row, v)
+        assert state_bits(state) == state_bits(ref)
+        if len(set(row)) == 1 and isinstance(got, int):
+            assert got == 1
 
 
 def test_bb_scores_the_row_of_segment_t_and_refuses_one_past_the_last(monkeypatch):
     man = Manifest(2.0, (1000.0, 3000.0), [[2000.0, 6000.0], [1900.0, 5800.0]])
     bb = BBPolicy(man, 20.0)
+    assert state_bits(bb.state) == state_bits(BBState(*derive_bb_parameters((1000.0, 3000.0), 2.0, 20.0)))
     rows = []
     real = baselines.bb_decide
     monkeypatch.setattr(baselines, "bb_decide",

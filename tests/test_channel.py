@@ -464,31 +464,20 @@ def trace_files(draw):
     return text
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=trace_files())
-def test_load_matches_the_row_loop_oracle(tmp_path_factory, text):
-    # the text reads as the row loop reads it, and parsing the body from the
-    # file's name gives the table or the message that parsing it line by
-    # line from the open handle gave
+@settings(max_examples=300)
+@given(text=trace_files(), at=st.none() | st.floats(0.0, 1.0))
+def test_load_matches_the_row_loop_oracle(tmp_path_factory, text, at):
+    # the file, or the file with a byte that cannot be decoded put at ``at``,
+    # read from its name: as the row loop reads it when it decodes, and with
+    # the table or the message that parsing the body line by line from the
+    # open handle gives
     path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(with_a_bad_byte(text.encode(), at))
     outcome = load_outcome(load_trace, path)
-    assert outcome == load_outcome(reference_load_trace, path)
+    if at is None:
+        assert outcome == load_outcome(reference_load_trace, path)
     with line_iterated():
         assert load_outcome(load_trace, path) == outcome
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=trace_files(), at=st.floats(0.0, 1.0))
-def test_load_matches_the_line_iterated_oracle(tmp_path_factory, text, at):
-    # a file with a byte that cannot be decoded, which only the
-    # line-iterated reader reads as the package does: the same table or
-    # the same message
-    path = tmp_path_factory.getbasetemp() / "chunked_trace.csv"
-    path.write_bytes(with_a_bad_byte(text.encode(), at))
-    with line_iterated():
-        expected = load_outcome(load_trace, path)
-    assert load_outcome(load_trace, path) == expected
 
 
 @pytest.mark.parametrize("field", ["timestamps_s", "throughputs_kbps"])
@@ -685,7 +674,7 @@ def download_cases(draw):
     return trace, start, draw(st.floats(1e-3, 2e6))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(download_cases())
 def test_download_matches_numpy_reference_bitwise(case):
     trace, start, size = case
@@ -694,7 +683,7 @@ def test_download_matches_numpy_reference_bitwise(case):
     assert [x.hex() for x in got] == [x.hex() for x in reference_download(trace, start, size)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     start=st.floats(0.0, 50.0),
     size_a=st.floats(1.0, 50000.0),
@@ -767,7 +756,7 @@ def exact_slot_rate(ts, tp, start, end):
     return kbit / (end - start)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     steps=st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=8),
     rates=st.lists(st.floats(1.0, 1e5), min_size=9, max_size=9),

@@ -1080,7 +1080,7 @@ METHOD_SPECS = st.sampled_from([{"abr": "rb"}, {"abr": "bb"}]) | st.builds(
 TRACE_STEMS = st.sampled_from(["_", "__", "_a", "a_", "a__b", "__a__"]) | st.text("ab_", min_size=1, max_size=6)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(specs=st.lists(METHOD_SPECS, min_size=1, max_size=3, unique_by=cli.method_name),
        stems=st.lists(TRACE_STEMS, min_size=1, max_size=3, unique=True))
 def test_every_session_of_a_compare_writes_its_own_report(tmp_path_factory, specs, stems):

@@ -1,13 +1,17 @@
 """Every name a module of the package imports is used: read by some
 expression of the module, or listed in its ``__all__``.  An unused import is
-what a deletion leaves behind."""
+what a deletion leaves behind.  And Hypothesis's options for every test are
+set in one place, the profile ``tests/conftest.py`` loads: a test's own
+``settings`` only sets how many examples it runs, since a ``deadline`` there
+would override the profile for that test alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "abrsim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "abrsim"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +41,23 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport struct\n"
               "from operator import is_, itemgetter as get\n__all__ = ['is_']\nget(os)\n")
     assert unused_imports(source) == ["struct"]
+
+
+def deadline_lines(source: str) -> list[int]:
+    """The lines of the ``settings(...)`` calls in ``source`` that pass a
+    ``deadline``, named as ``settings`` or as an attribute of a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "settings" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))
+            and any(keyword.arg == "deadline" for keyword in node.keywords)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py") if p.name != "conftest.py"))
+def test_no_settings_call_passes_a_deadline(module):
+    assert deadline_lines((TESTS / module).read_text()) == []
+
+
+def test_a_deadline_is_found():
+    source = ("import hypothesis\nfrom hypothesis import settings\n@settings(max_examples=5)\n"
+              "@hypothesis.settings(deadline=None)\ndef f():\n    return settings(5, deadline=1)\n")
+    assert deadline_lines(source) == [4, 6]

@@ -608,7 +608,7 @@ def scoring_outcome(score, history, man, bench, b_max):
     return regret, series.residual1_rate.tobytes(), series.residual2_rate.tobytes(), series.one_hot_fallback
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(case=scored_histories())
 def test_scoring_matches_the_record_loop_oracle(case):
     history, man, bench, b_max = case
@@ -659,6 +659,29 @@ def test_an_omega_of_the_wrong_length_names_its_epoch():
         expected = f"epoch {epoch}: omega is {omega!r}, but its replay at b_max 120.0 s and tau 2 gives None"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             replay_log(_edited(log, epoch, omega=omega), man, trace, 120.0)
+
+
+def _scored_omegas(omegas):
+    """Scores the 2-epoch session of a policy that shows ``omegas`` on a
+    3-rung ladder: run_session logs a policy's omega as it is given."""
+    man = Manifest(2.0, (1000.0, 2000.0, 4000.0), [[2000.0, 4000.0, 8000.0]] * 2)
+    history = run_session(_OmegaPolicy(omegas), SessionConfig(120.0), man, constant_trace(1000.0)).history
+    return regret_and_residuals(history, man, None, 2.0, 120.0)
+
+
+def test_omegas_of_mixed_lengths_name_the_first_of_another_length():
+    # 2 + 4 entries on 2 epochs of 3 rungs were once scored as two omegas of
+    # 3, with no error
+    with pytest.raises(ValueError, match="^epoch 1: omega has 2 entries; the ladder has 3$"):
+        _scored_omegas([(0.5, 0.5), (0.25,) * 4])
+    with pytest.raises(ValueError, match="^epoch 2: omega has 4 entries; the ladder has 3$"):
+        _scored_omegas([(0.5, 0.25, 0.25), (0.25,) * 4])
+
+
+def test_omegas_all_short_name_the_first_epoch():
+    # once numpy's "cannot reshape array of size 4 into shape (3)", naming no epoch
+    with pytest.raises(ValueError, match="^epoch 1: omega has 2 entries; the ladder has 3$"):
+        _scored_omegas([(0.5, 0.5)] * 2)
 
 
 def test_a_history_longer_than_the_manifest_names_both_counts():
@@ -821,7 +844,7 @@ def report_bits(report):
     return [float(v).hex() for v in values], [type(v) for v in values], report.flags
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(case=qoe_histories())
 def test_qoe_metrics_match_the_transposing_reference(case):
     history, man, tau, duration = case
@@ -840,7 +863,7 @@ def _as_numpy_numbers(history):
                        for rec in history)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(scored=scored_histories(), case=qoe_histories())
 def test_numpy_numbers_score_as_the_numbers_they_equal(scored, case):
     history, man, bench, b_max = scored

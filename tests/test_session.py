@@ -322,7 +322,7 @@ def test_replay_reproduces_log():
     assert replay.wall_clock_s == first.wall_clock_s
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(tau=st.integers(1, 5), segments=st.integers(1, 8), levels=st.integers(2, 3), data=st.data())
 def test_a_log_replays_to_itself_under_the_tau_of_its_startup_pause(tau, segments, levels, data):
     # T <= tau included: a session that never leaves its pause reads as tau = T
@@ -343,7 +343,7 @@ def test_a_log_replays_to_itself_under_the_tau_of_its_startup_pause(tau, segment
         replay_log(edited, man, trace, b_max)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(method=st.sampled_from(["rb", "bb", "l2a-1", "l2a-0.3"]), segments=st.integers(1, 30),
        seed=st.integers(0, 2**16), b_max=st.sampled_from([20.0, 120.0]), tau=st.integers(1, 4))
 def test_an_exported_log_reads_back_through_the_door_to_its_session(tmp_path_factory, method, segments, seed,
@@ -824,7 +824,7 @@ def test_log_faults_compose_on_one_row():
 _FLOAT_FIELDS = ("bitrate_kbps", "size_kbit", "rate_kbps", "download_s", "delta_s", "buffer_after_s", "stall_s")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(length=st.integers(1, 12), data=st.data())
 def test_the_log_writer_writes_only_what_the_reader_reads(tmp_path_factory, length, data):
     # a history with one float set to NaN or +-inf, or one t moved, was once
@@ -885,39 +885,28 @@ def log_files(draw):
     return text, grammar and (line_of[grammar[0]], grammar[1])
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=log_files())
-def test_read_log_matches_the_row_loop_oracle(tmp_path_factory, case):
-    # the text reads as the row loop reads it, but for a fault only numpy's
-    # grammar rejects; parsing the body from the file's name gives the
-    # records or the message that parsing it line by line from the open
-    # handle gave, grammar faults included
+@settings(max_examples=300)
+@given(case=log_files(), at=st.none() | st.floats(0.0, 1.0))
+def test_read_log_matches_the_row_loop_oracle(tmp_path_factory, case, at):
+    # the file, or the file with a byte that cannot be decoded put at ``at``,
+    # read from its name: as the row loop reads it when it decodes, but for a
+    # fault only numpy's grammar rejects, and with the records or the message
+    # that parsing the body line by line from the open handle gives, grammar
+    # faults included
     text, grammar = case
     path = tmp_path_factory.getbasetemp() / "oracle_log.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(with_a_bad_byte(text.encode(), at))
     outcome = read_outcome(read_log_csv, path)
-    expected = read_outcome(reference_read_log_csv, path)
-    if grammar is None:
-        assert outcome == expected
-    else:
-        line, message = grammar
-        assert isinstance(expected, list)
-        assert outcome == f"{path}: line {line}: {message}"
+    if at is None:
+        expected = read_outcome(reference_read_log_csv, path)
+        if grammar is None:
+            assert outcome == expected
+        else:
+            line, message = grammar
+            assert isinstance(expected, list)
+            assert outcome == f"{path}: line {line}: {message}"
     with line_iterated():
         assert read_outcome(read_log_csv, path) == outcome
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=log_files(), at=st.floats(0.0, 1.0))
-def test_read_log_matches_the_line_iterated_oracle(tmp_path_factory, case, at):
-    # a file with a byte that cannot be decoded, which only the
-    # line-iterated reader reads as the package does: the same records or
-    # the same message
-    path = tmp_path_factory.getbasetemp() / "chunked_log.csv"
-    path.write_bytes(with_a_bad_byte(case[0].encode(), at))
-    with line_iterated():
-        expected = read_outcome(read_log_csv, path)
-    assert read_outcome(read_log_csv, path) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1052,20 +1041,20 @@ def check_session(case, tmp_path_factory):
     assert read_log_csv(path) == replay.history
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(oracle_cases())
 def test_run_session_matches_the_step_oracle_bit_for_bit(tmp_path_factory, case):
     check_session(case, tmp_path_factory)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(session_cases())
 def test_session_properties_on_random_inputs(tmp_path_factory, case):
     # the odd manifests and traces of session_cases, under the same checks
     check_session(case, tmp_path_factory)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(n_levels=st.integers(2, 8), horizon=st.integers(1, 12), data=st.data())
 def test_run_session_rejects_an_index_off_the_ladder_as_the_oracle_does(n_levels, horizon, data):
     man = synthesize_manifest(horizon, np.cumprod([300.0] + [2.0] * (n_levels - 1)).tolist(), 2.0,
@@ -1201,7 +1190,6 @@ def read_or_refuse(sequence, key):
         return IndexError
 
 
-@settings(max_examples=100, deadline=None)
 @pytest.mark.parametrize("source", ["l2a", "read_log_csv", "empty"])
 @given(data=st.data())
 def test_a_session_log_indexes_and_slices_as_a_list(contract_logs, source, data):
