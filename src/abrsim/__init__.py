@@ -1,7 +1,8 @@
 """Trace-driven adaptive-bitrate streaming simulator and analysis toolkit.
 
 Quality indices and epoch numbers are 1-based throughout the public API; the
-underlying numpy matrices are plain 0-based arrays.
+underlying numpy matrices are plain 0-based arrays.  The package exports
+exactly the names its modules list in their ``__all__``.
 """
 
 from .baselines import (
@@ -14,6 +15,7 @@ from .baselines import (
     rb_decide,
 )
 from .channel import (
+    FLOOR_KBPS,
     ChannelTrace,
     TraceError,
     concat_traces,
@@ -22,16 +24,13 @@ from .channel import (
     slot_clock,
     write_trace,
 )
-from .l2a import (
-    L2APolicy,
-    L2AState,
-    l2a_decide,
-)
+from .l2a import L2APolicy, L2AState, check_beta, l2a_decide
 from .media import Manifest, ManifestError, load_manifest, synthesize_manifest, write_manifest
 from .metrics import (
     BenchmarkSolution,
     ConvergenceSeries,
     SessionReport,
+    benchmark_window,
     hindsight_benchmark,
     normalize_avg_bitrate,
     qoe_metrics,
@@ -39,8 +38,10 @@ from .metrics import (
     solve_benchmark,
 )
 from .session import (
-    EpochFeedback,
+    DEFAULT_TAU_RESUME,
+    LOG_COLUMNS,
     EpochRecord,
+    Policy,
     ScriptedPolicy,
     SessionConfig,
     SessionLog,
@@ -60,12 +61,15 @@ __all__ = [
     "BenchmarkSolution",
     "ChannelTrace",
     "ConvergenceSeries",
-    "EpochFeedback",
+    "DEFAULT_TAU_RESUME",
     "EpochRecord",
+    "FLOOR_KBPS",
     "L2APolicy",
     "L2AState",
+    "LOG_COLUMNS",
     "Manifest",
     "ManifestError",
+    "Policy",
     "RBPolicy",
     "RBState",
     "ScriptedPolicy",
@@ -75,6 +79,8 @@ __all__ = [
     "SessionState",
     "TraceError",
     "bb_decide",
+    "benchmark_window",
+    "check_beta",
     "concat_traces",
     "derive_bb_parameters",
     "export_log_csv",

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import require_positive
 from .media import Manifest, require_ladder
-from .session import EpochFeedback
 
 __all__ = [
     "BBPolicy",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 
-def _rate(feedback: EpochFeedback) -> float:
+def _rate(feedback: tuple) -> float:
     """The feedback's realized rate, its entry 0, as a float, or a ValueError
     naming it if it is not positive and finite."""
     rate = float(feedback[0])
@@ -64,7 +63,7 @@ class RBState:
     initialized: bool = False
 
 
-def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps, up_thresholds_kbps) -> int:
+def rb_decide(state: RBState, feedback: tuple | None, bitrates_kbps, up_thresholds_kbps) -> int:
     """Throughput-probe decision; mutates ``state``.
 
     The probe rises additively by kappa*w per epoch while below the observed
@@ -78,8 +77,7 @@ def rb_decide(state: RBState, feedback: EpochFeedback | None, bitrates_kbps, up_
     checks the ladder and builds the thresholds.  A realized rate that is not
     positive and finite is a ValueError naming it: a NaN estimate would fit
     every up-switch threshold and lock the quantizer to the top rung.  The
-    feedback is read by position, in ``EpochFeedback``'s field order, so a
-    plain tuple and an ``EpochFeedback`` of the same values decide alike.
+    feedback is read by position (``session.Policy``).
     """
     if feedback is None:
         state.last_index = 1
@@ -122,7 +120,7 @@ class RBPolicy:
         self._up_thresholds_kbps = tuple((1.0 + RB_DEADZONE) * r for r in rates)
         self.state = RBState()
 
-    def decide(self, feedback: EpochFeedback | None) -> int:
+    def decide(self, feedback: tuple | None) -> int:
         return rb_decide(self.state, feedback, self.bitrates_kbps, self._up_thresholds_kbps)
 
 
@@ -172,7 +170,7 @@ def derive_bb_parameters(
 
 def bb_decide(
     state: BBState,
-    feedback: EpochFeedback | None,
+    feedback: tuple | None,
     bitrates_kbps,
     sizes_row_kbit,
     segment_duration_s: float,
@@ -240,7 +238,7 @@ class BBPolicy:
         self._num_segments = manifest.num_segments
         self._t = 0
 
-    def decide(self, feedback: EpochFeedback | None) -> int:
+    def decide(self, feedback: tuple | None) -> int:
         self._t = t = self._t + 1
         if t > self._num_segments:
             raise IndexError(f"segment {t} outside 1..{self._num_segments}")

@@ -29,7 +29,6 @@ __all__ = [
     "ChannelTrace",
     "TraceError",
     "FLOOR_KBPS",
-    "TRACE_HEADER",
     "concat_traces",
     "generate_markovian",
     "load_trace",
@@ -37,7 +36,7 @@ __all__ = [
     "write_trace",
 ]
 
-TRACE_HEADER = ("timestamp_s", "throughput_kbps")
+_TRACE_HEADER = ("timestamp_s", "throughput_kbps")
 
 # Outage samples are floored so size/rate stays finite.
 FLOOR_KBPS = 10.0
@@ -134,7 +133,7 @@ def load_trace(path: str | Path) -> ChannelTrace:
     and a row that cannot be parsed, holds a NaN or inf, or does not increase
     the timestamp is a TraceError naming its line.
     """
-    samples = read_csv_table(path, TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
+    samples = read_csv_table(path, _TRACE_HEADER, {"usecols": (0, 1), "ndmin": 2},
                              _sample_faults, _sample_fault, TraceError, strip_header=True)
     if not len(samples):
         raise TraceError(f"{path}: need at least 1 sample, got 0")
@@ -411,7 +410,7 @@ def write_trace(trace: ChannelTrace, path: str | Path) -> None:
     long the trace is."""
     ts, tp = trace.timestamps_s, trace.throughputs_kbps
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.write(",".join(_TRACE_HEADER) + "\r\n")
         for i in range(0, ts.size, _WRITE_ROWS):
             rows = zip(ts[i:i + _WRITE_ROWS].tolist(), tp[i:i + _WRITE_ROWS].tolist())
             fh.write("".join(map("%r,%r\r\n".__mod__, rows)))

@@ -47,7 +47,6 @@ from typing import Sequence
 
 from .channel import require_count, require_positive
 from .media import require_ladder
-from .session import EpochFeedback
 from .simplex import _shift
 
 __all__ = [
@@ -116,7 +115,7 @@ class L2AState:
     last_index: int = 1
 
 
-def l2a_decide(policy: L2APolicy, feedback: EpochFeedback | None) -> int:
+def l2a_decide(policy: L2APolicy, feedback: tuple | None) -> int:
     """Pick the quality index for the next epoch; mutates ``policy.state``.
 
     ``policy`` supplies the ladder and the per-epoch constants that
@@ -224,5 +223,5 @@ class L2APolicy:
     def omega(self) -> tuple[float, ...]:
         return self.state.omega
 
-    def decide(self, feedback: EpochFeedback | None) -> int:
+    def decide(self, feedback: tuple | None) -> int:
         return l2a_decide(self, feedback)

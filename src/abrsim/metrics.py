@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import is_not
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelTrace, require_count, require_positive, slot_clock
 from .media import Manifest
-from .session import SessionLog, _columns, _pack
+from .session import SessionLog, _columns
 
 __all__ = [
     "BenchmarkSolution",
@@ -53,6 +54,13 @@ class SessionReport:
     continuity: float
     normalized_avg_bitrate: float | None = None
     flags: list[str] = field(default_factory=list)
+
+
+def _pack(values: Sequence, code: str = "d") -> np.ndarray:
+    """``values`` as float64 (the struct code ``d``) or int64 (``q``), by one
+    ``struct.pack``, so any Python or numpy number reads as the float it
+    equals, and any Python or numpy integer, a bool included, as an int."""
+    return np.frombuffer(struct.pack(f"{len(values)}{code}", *values), dtype=code)
 
 
 def qoe_metrics(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -35,7 +34,6 @@ from .media import Manifest
 
 __all__ = [
     "DEFAULT_TAU_RESUME",
-    "EpochFeedback",
     "EpochRecord",
     "LOG_COLUMNS",
     "Policy",
@@ -80,35 +78,19 @@ DEFAULT_TAU_RESUME = 2
 _WINDOW = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
-    """Client-side playback parameters."""
+    """Client-side playback parameters, checked once when built and fixed
+    after: assigning a field is a ``FrozenInstanceError``.  ``b_max_s`` is
+    stored as the float it equals, so a session under ``20``,
+    ``np.float64(20.0)`` or ``20.0`` holds the same Python floats."""
 
     b_max_s: float
     tau_resume: int = DEFAULT_TAU_RESUME
 
     def __post_init__(self) -> None:
-        require_positive("b_max_s", self.b_max_s)
+        object.__setattr__(self, "b_max_s", float(require_positive("b_max_s", self.b_max_s)))
         require_count("tau_resume", self.tau_resume)
-
-
-class EpochFeedback(NamedTuple):
-    """What the client learns once an epoch completes, in the order a
-    policy's ``decide`` reads it.
-
-    ``run_session`` gives each ``decide`` after the first the plain tuple
-    ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``, in these fields'
-    order, not an ``EpochFeedback``: a tuple display is several times
-    cheaper to build and to unpack.  So a policy reads the feedback by
-    position, as ``rb``, ``bb`` and L2A do, and one that reads it by field
-    name gets an ``AttributeError``.  A caller may still build an
-    ``EpochFeedback`` and give it to a ``decide`` by hand: it is a tuple with
-    the same positions.
-    """
-
-    realized_rate_kbps: float
-    row_sizes_kbit: Sequence[float]  # the epoch's segment's row, ``Manifest.rows[t - 1]``
-    buffer_s: float
 
 
 class EpochRecord(NamedTuple):
@@ -187,21 +169,26 @@ class SessionState:
     """What ``run_session`` returns: the history, a ``SessionLog`` of one
     record per epoch held as twelve fields of its flat list, and the wall
     clock at which the session ends.  The final buffer is the last record's
-    ``buffer_after_s``."""
+    ``buffer_after_s``.  Kept as a wrapper rather than returning the history
+    alone because ``wall_clock_s`` is read outside the package: perfbench's
+    ``session_failures`` checks it against the sum of the epochs."""
 
     wall_clock_s: float = 0.0
     history: SessionLog = field(default_factory=SessionLog)
 
 
 class Policy(Protocol):
-    """Anything that can pick a quality index from per-epoch feedback: None
-    before the first segment, then the previous epoch's
-    ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``, a plain tuple in
-    ``EpochFeedback``'s field order, read by position.  A policy may also
-    expose an ``omega`` attribute (see ``run_session``), which the loop
-    reads only if the policy has it when the session starts."""
+    """Anything that can pick a quality index from per-epoch feedback.
 
-    def decide(self, feedback: EpochFeedback | None) -> int: ...
+    The feedback is None before the first segment, then the plain tuple
+    ``(realized_rate_kbps, row_sizes_kbit, buffer_s)`` of the epoch before:
+    the rate the download realized, the segment's row of sizes
+    (``Manifest.rows[t - 1]``, the manifest's own tuple) and the buffer after
+    the epoch.  A policy reads it by position.  A policy may also expose an
+    ``omega`` attribute (see ``run_session``), which the loop reads only if
+    the policy has it when the session starts."""
+
+    def decide(self, feedback: tuple | None) -> int: ...
 
 
 class ScriptedPolicy:
@@ -212,7 +199,7 @@ class ScriptedPolicy:
         self._it = iter(indices)
         self._played = 0
 
-    def decide(self, feedback: EpochFeedback | None) -> int:
+    def decide(self, feedback: tuple | None) -> int:
         try:
             x = next(self._it)
         except StopIteration:
@@ -246,9 +233,8 @@ def run_session(
     policy sets ``omega`` later.  The segment's sizes are the manifest's row
     ``rows[t - 1]``, which the next feedback carries as is: each ``decide``
     after the first gets the plain tuple ``(rate, row, buffer_after_s)`` of
-    the epoch before, in ``EpochFeedback``'s field order.  A ``b_max_s``
-    below the segment duration is a ValueError raised before the first
-    ``decide``.  The buffer, clock and stall state live in locals; the state
+    the epoch before (``Policy``).  A ``b_max_s`` below the segment duration
+    is a ValueError raised before the first ``decide``.  The buffer, clock and stall state live in locals; the state
     returned holds the records and the final wall clock.  Each epoch's
     twelve fields are added to the history's flat list by one ``extend`` of
     a tuple display, which dies at once, so the loop keeps no GC-tracked
@@ -410,27 +396,20 @@ def _columns(history: SessionLog) -> dict[str, list]:
     return {name: flat[i::_WIDTH] for i, name in enumerate(EpochRecord._fields)}
 
 
-def _pack(values: Sequence, code: str = "d") -> np.ndarray:
-    """``values`` as float64 (the struct code ``d``) or int64 (``q``), by one
-    ``struct.pack``, so any Python or numpy number reads as the float it
-    equals, and any Python or numpy integer, a bool included, as an int."""
-    return np.frombuffer(struct.pack(f"{len(values)}{code}", *values), dtype=code)
-
-
 def export_log_csv(history: SessionLog, path: str | Path) -> None:
     """Write the per-epoch log in its CSV schema (full float fidelity).
 
     ``history`` is a ``SessionLog`` that ``run_session`` returned or that
     ``replay_log`` accepted, so every log written reads back.  The header,
     then one row per record, each line ended with ``\\r\\n`` as ``csv.writer``
-    ends them: ``t``, ``x_t`` and ``stall`` as integers (a bool as 1 or 0),
-    and every other column as the ``repr`` of its value packed by ``_pack``
-    as a float, so numpy scalars write the same text as the Python numbers
-    they equal.  The rows are formatted column by column and written in one
+    ends them: ``t``, ``x_t`` and ``stall`` as integers (a bool as 1 or 0; a
+    policy's numpy integer ``x`` as the int it equals), and every other
+    column as the ``repr`` of its value, which such a history holds as a
+    Python float.  The rows are formatted column by column and written in one
     call.
     """
     columns = _columns(history)
-    values = [columns[name] if typ is int else _pack(columns[name]).tolist() for _, name, typ in _LOG_TABLE]
+    values = [columns[name] for _, name, _ in _LOG_TABLE]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_COLUMNS) + "\r\n" + "".join(map(_LOG_ROW.__mod__, zip(*values))))
 

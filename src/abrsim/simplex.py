@@ -15,7 +15,9 @@ def project_simplex(v) -> tuple[float, ...]:
     shift theta from it (``_shift``), and clip.  O(N log N), no iteration.
     Takes any sequence of numbers and returns a tuple of Python floats: on
     the short vectors L2A projects, numpy's per-call overhead costs more
-    than the arithmetic.
+    than the arithmetic.  L2A calls ``_shift`` itself; this public form stays
+    because the acceptance test projects with it and perfbench's tracer names
+    it, with this module as its owner.
     """
     try:
         values = list(map(float, v))

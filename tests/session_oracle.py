@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from abrsim import ChannelTrace, EpochFeedback, EpochRecord, Manifest, SessionConfig
+from abrsim import ChannelTrace, EpochRecord, Manifest, SessionConfig
 
 
 class DownloadResult(NamedTuple):
@@ -71,10 +71,10 @@ def step(
     x_t: int,
     *,
     omega: tuple[float, ...] | None = None,
-) -> EpochFeedback:
+) -> tuple:
     """Advance one epoch with quality choice ``x_t`` (1-based), storing
     ``omega`` in the epoch record; mutates ``state`` and returns the
-    epoch's feedback."""
+    epoch's feedback ``(rate, row, buffer_after_s)``."""
     n_levels = manifest.num_levels
     epoch = len(state.history) + 1
     if not 1 <= x_t <= n_levels:
@@ -122,7 +122,7 @@ def step(
         epoch, x_t, manifest.bitrates_kbps[x_t - 1], size, rate, d, delta,
         b0, b1, bool(underflow), stall_time, omega,
     ))
-    return EpochFeedback(rate, row, b1)
+    return rate, row, b1
 
 
 def run_oracle(policy, config: SessionConfig, manifest: Manifest, trace: ChannelTrace) -> OracleState:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from abrsim import (
     BBPolicy,
     BBState,
-    EpochFeedback,
     L2APolicy,
     Manifest,
     ManifestError,
@@ -32,11 +31,8 @@ PAPER_LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
 
 def fb(rate, buffer_s=10.0, sizes=(2000.0, 4000.0, 8000.0)):
-    return EpochFeedback(
-        realized_rate_kbps=float(rate),
-        row_sizes_kbit=tuple(float(s) for s in sizes),
-        buffer_s=float(buffer_s),
-    )
+    """The feedback tuple ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``."""
+    return float(rate), tuple(float(s) for s in sizes), float(buffer_s)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def test_every_policy_rejects_a_rate_that_is_not_positive_and_finite(build, bad)
     policy.decide(None)
     message = f"^{re.escape(f'realized_rate_kbps must be positive and finite, got {bad!r}')}$"
     with pytest.raises(ValueError, match=message):
-        policy.decide(EpochFeedback(bad, man.rows[0], 5.0))
+        policy.decide((bad, man.rows[0], 5.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -400.0])
@@ -206,7 +202,7 @@ def reference_rb_decide(state, feedback, bitrates_kbps):
         state.last_index = 1
         return 1
 
-    observed = float(feedback.realized_rate_kbps)
+    observed = float(feedback[0])
     if not (observed > 0.0 and math.isfinite(observed)):
         raise ValueError(f"realized_rate_kbps must be positive and finite, got {observed!r}")
     if not state.initialized:
@@ -267,16 +263,14 @@ def test_rb_decide_matches_the_loop_oracle(seed, decisions):
         else:
             rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
         feedback = None if rng.random() < 0.05 else fb(rate)
-        # half the feedbacks as the session loop gives them, a plain tuple
-        given = feedback if feedback is None or rng.random() < 0.5 else tuple(feedback)
         rb.state, ref = (RBState(probe, smooth, last, initialized) for _ in range(2))
         try:
             expected = reference_rb_decide(ref, feedback, ladder)
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                rb.decide(given)
+                rb.decide(feedback)
         else:
-            assert rb.decide(given) == expected
+            assert rb.decide(feedback) == expected
         assert state_bits(rb.state) == state_bits(ref)
 
 
@@ -402,14 +396,15 @@ def reference_bb_decide(state, feedback, bitrates_kbps, sizes_row_kbit, segment_
     if feedback is None:
         state.last_index = 1
         return 1
+    rate, _, buffer_s = feedback
     s1 = sizes_row_kbit[0]
-    buffer_segments = feedback.buffer_s / segment_duration_s
+    buffer_segments = buffer_s / segment_duration_s
     score = [(state.v_b * (math.log(s / s1) + state.gamma_p) - buffer_segments) / s for s in sizes_row_kbit]
     m = score.index(max(score)) + 1
     if m > state.last_index:
         sustainable = 1
         for n, r in enumerate(bitrates_kbps, start=1):
-            if r <= feedback.realized_rate_kbps:
+            if r <= rate:
                 sustainable = n
         if m > sustainable:
             m = max(sustainable, state.last_index)
@@ -425,13 +420,12 @@ def outcome(f, *args):
 
 
 # a decision: the ladder, the segment duration, the state's fields, the row
-# of sizes, the feedback (or None) and whether the session loop's plain tuple
-# carries it
+# of sizes and the feedback (or None)
 scored_rows = st.builds(
     lambda rows, buffer_s, v_b, gamma_p: [
         # from the top level no switch is up, so the cap never applies
         (tuple(float(k) for k in range(1, len(rows) + 1)), 2.0, (v_b, gamma_p, len(rows)),
-         tuple(rows), fb(1000.0, buffer_s, rows), False)],
+         tuple(rows), fb(1000.0, buffer_s, rows))],
     # rows from a pool of a few sizes, so that levels tie; drawn in any order
     st.lists(st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1.0, 2000.0]), min_size=1, max_size=4)
     .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)),
@@ -459,18 +453,17 @@ def capped_decisions(seed, decisions):
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 4), np.log(ladder[-1] * 4))))
         if rng.random() < 0.3:
             rate = ladder[int(rng.integers(n_levels))]
-        feedback = None if rng.random() < 0.05 else EpochFeedback(rate, row, float(rng.uniform(0.0, b_max)))
-        cases.append((ladder, v, (v_b, gamma_p, last), row, feedback, rng.random() < 0.5))
+        feedback = None if rng.random() < 0.05 else (rate, row, float(rng.uniform(0.0, b_max)))
+        cases.append((ladder, v, (v_b, gamma_p, last), row, feedback))
     return cases
 
 
 @settings(max_examples=1000)
 @given(scored_rows | st.builds(capped_decisions, st.integers(0, 2**32 - 1), st.integers(1, 40)))
 def test_bb_picks_the_first_level_of_highest_score(cases):
-    for ladder, v, fields, row, feedback, as_tuple in cases:
+    for ladder, v, fields, row, feedback in cases:
         state, ref = BBState(*fields), BBState(*fields)
-        given = tuple(feedback) if as_tuple and feedback else feedback
-        got = outcome(bb_decide, state, given, ladder, row, v)
+        got = outcome(bb_decide, state, feedback, ladder, row, v)
         assert got == outcome(reference_bb_decide, ref, feedback, ladder, row, v)
         assert state_bits(state) == state_bits(ref)
         if len(set(row)) == 1 and isinstance(got, int):
@@ -486,9 +479,9 @@ def test_bb_scores_the_row_of_segment_t_and_refuses_one_past_the_last(monkeypatc
     monkeypatch.setattr(baselines, "bb_decide",
                         lambda state, fb, ladder, row, v: rows.append(row) or real(state, fb, ladder, row, v))
     bb.decide(None)
-    bb.decide(EpochFeedback(5000.0, man.rows[0], 20.0))
+    bb.decide((5000.0, man.rows[0], 20.0))
     with pytest.raises(IndexError, match=re.escape("segment 3 outside 1..2")):
-        bb.decide(EpochFeedback(5000.0, man.rows[1], 20.0))
+        bb.decide((5000.0, man.rows[1], 20.0))
     # the manifest's own rows, not copies
     assert len(rows) == 2 and rows[0] is man.rows[0] and rows[1] is man.rows[1]
 

@@ -3,9 +3,11 @@ expression of the module, or listed in its ``__all__``.  An unused import is
 what a deletion leaves behind.  And Hypothesis's options for every test are
 set in one place, the profile ``tests/conftest.py`` loads: a test's own
 ``settings`` only sets how many examples it runs, since a ``deadline`` there
-would override the profile for that test alone."""
+would override the profile for that test alone.  The package's ``__all__``
+is the one list of public names: the union of its modules' ``__all__``s."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,27 @@ def test_a_deadline_is_found():
     source = ("import hypothesis\nfrom hypothesis import settings\n@settings(max_examples=5)\n"
               "@hypothesis.settings(deadline=None)\ndef f():\n    return settings(5, deadline=1)\n")
     assert deadline_lines(source) == [4, 6]
+
+
+def one_sided_names(package_names, module_names) -> list[str]:
+    """Each name that only one of the package's ``__all__`` and the union of
+    its modules' ``__all__``s lists, and the side that lists it."""
+    package_names, module_names = set(package_names), set(module_names)
+    return ([f"{name}: only in abrsim.__all__" for name in sorted(package_names - module_names)]
+            + [f"{name}: only in a module's __all__" for name in sorted(module_names - package_names)])
+
+
+def test_the_package_exports_what_its_modules_export():
+    import abrsim
+
+    modules = [importlib.import_module(f"abrsim.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    exported = {name for module in modules for name in getattr(module, "__all__", ())}
+    assert one_sided_names(abrsim.__all__, exported) == []
+    assert len(abrsim.__all__) == len(set(abrsim.__all__))
+    assert [name for name in abrsim.__all__ if not hasattr(abrsim, name)] == []
+
+
+def test_a_one_sided_name_is_named():
+    assert one_sided_names(["a", "b", "Feedback"], ["b", "a", "window"]) == [
+        "Feedback: only in abrsim.__all__", "window: only in a module's __all__"]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from abrsim import (
     ChannelTrace,
-    EpochFeedback,
     L2APolicy,
     L2AState,
     Manifest,
@@ -33,12 +32,8 @@ LADDER = (370.0, 750.0, 1500.0, 3000.0, 5800.0, 12000.0, 17000.0, 20000.0)
 
 
 def make_feedback(sizes, rate, buffer_s=10.0):
-    sizes = tuple(float(s) for s in sizes)
-    return EpochFeedback(
-        realized_rate_kbps=float(rate),
-        row_sizes_kbit=sizes,
-        buffer_s=float(buffer_s),
-    )
+    """The feedback tuple ``(realized_rate_kbps, row_sizes_kbit, buffer_s)``."""
+    return float(rate), tuple(float(s) for s in sizes), float(buffer_s)
 
 
 def fold_dot(a, b):
@@ -101,8 +96,7 @@ def scalar_decide(controller, feedback):
     state.t += 1
     if feedback is None:
         return first_min_gap(state.omega, bitrates_kbps)
-    c_prev = feedback.realized_rate_kbps
-    sizes_prev = feedback.row_sizes_kbit
+    c_prev, sizes_prev, _ = feedback
     scale = UTILITY_WEIGHT / bitrates_kbps[-1]
     grad_f, grad_g1, grad_g2 = gradients(sizes_prev, c_prev, [r * scale for r in bitrates_kbps])
     v_l, q1, q2 = controller.v_l, state.q1, state.q2
@@ -444,8 +438,8 @@ def reference_decide(controller, feedback):
 
     if feedback is None:
         return to_quality(state.omega)
-    c_prev = float(feedback.realized_rate_kbps)
-    sizes = np.asarray(feedback.row_sizes_kbit, dtype=float)
+    c_prev = float(feedback[0])
+    sizes = np.asarray(feedback[1], dtype=float)
     dl = sizes / c_prev
     grad_f, grad_g1, grad_g2 = -(rates * (UTILITY_WEIGHT / rates[-1])), dl, -dl
     state.grad_accum = (
@@ -502,8 +496,8 @@ def test_decide_matches_numpy_reference(seed, beta, epochs, extra_horizon):
         # times of hundreds of seconds omega was seen to differ by 2e-12
         rate = float(np.exp(rng.uniform(np.log(ladder[0]), np.log(ladder[-1]))))
         buffer_s = float(rng.uniform(0.0, b_max))
-        feedback = EpochFeedback(rate, row, buffer_s)
-        ref_feedback = EpochFeedback(rate, man.segment_sizes_kbit[t - 1], buffer_s)
+        feedback = (rate, row, buffer_s)
+        ref_feedback = (rate, man.segment_sizes_kbit[t - 1], buffer_s)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +524,7 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
     oracle_controller = OracleController(ladder, v, b_max, horizon, beta, oracle)
     feedback = None
     for t in range(1, epochs + 1):
-        # half the feedbacks as the session loop gives them, a plain tuple
-        given = feedback if feedback is None or rng.random() < 0.5 else tuple(feedback)
-        x = l2a_decide(policy, given)
+        x = l2a_decide(policy, feedback)
         x_oracle = scalar_decide(oracle_controller, feedback)
         assert x == x_oracle
         assert float_bytes(state.omega) == float_bytes(oracle.omega)
@@ -541,7 +533,7 @@ def test_decide_matches_the_scalar_oracle_bit_for_bit(seed, beta, epochs):
         assert state.gamma == oracle.gamma
         # any channel, from far below the bottom rung to above the top one
         rate = float(np.exp(rng.uniform(np.log(ladder[0] / 20.0), np.log(ladder[-1] * 2.0))))
-        feedback = EpochFeedback(rate, man.rows[t - 1], float(rng.uniform(0.0, b_max)))
+        feedback = (rate, man.rows[t - 1], float(rng.uniform(0.0, b_max)))
 
 
 def one_step_against_the_oracle(ladder, omega, grad_accum, feedback):

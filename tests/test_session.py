@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from abrsim import (
     BBPolicy,
     ChannelTrace,
-    EpochFeedback,
     EpochRecord,
     L2APolicy,
     Manifest,
@@ -66,8 +65,8 @@ def test_step_plain_drain():
     assert rec.delta_s == 0.0
     assert rec.buffer_after_s == pytest.approx(9.0, abs=1e-12)
     assert not rec.stall
-    assert fb.buffer_s == rec.buffer_after_s
-    assert fb.realized_rate_kbps == pytest.approx(1000.0, abs=1e-9)
+    assert fb[2] == rec.buffer_after_s
+    assert fb[0] == pytest.approx(1000.0, abs=1e-9)
 
 
 def test_step_overflow_delay():
@@ -148,6 +147,31 @@ def test_config_validation():
             SessionConfig(b_max_s=10.0, tau_resume=bad)
         assert str(info.value) == f"tau_resume must be an integer >= 1, got {bad!r}"
     assert SessionConfig(b_max_s=10.0, tau_resume=np.int64(3)).tau_resume == 3
+
+
+def test_a_config_cannot_be_changed_past_its_checks():
+    # an assigned NaN bound once ran a session whose buffer passed 52 s
+    cfg = SessionConfig(b_max_s=20.0)
+    for name, bad in (("b_max_s", math.nan), ("tau_resume", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, bad)
+    assert (cfg.b_max_s, cfg.tau_resume) == (20.0, 2)
+
+
+def test_a_session_under_an_int_or_numpy_bound_holds_python_floats():
+    ladder = (370.0, 750.0, 1500.0, 3000.0)
+    man = synthesize_manifest(30, ladder, 2.0, vbr_jitter=0.1, seed=1)
+    trace = generate_markovian(200, 750, 23000, 0.05, 1.0, seed=2)
+
+    def fields(b_max_s):
+        state = run_session(RBPolicy(ladder), SessionConfig(b_max_s=b_max_s), man, trace)
+        flat = [*state.history._flat, state.wall_clock_s]
+        return [(type(v), v.hex() if isinstance(v, float) else v) for v in flat]
+
+    reference = fields(20.0)
+    # the bound is reached, so the buffer holds the stored bound itself
+    assert ("float", (20.0).hex()) in [(t.__name__, v) for t, v in reference]
+    assert fields(np.float64(20.0)) == fields(20) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +269,8 @@ def test_each_feedback_carries_the_manifest_row_of_its_segment():
 
     history = run_session(Recording(), SessionConfig(b_max_s=20.0), man, constant_trace(4000.0)).history
     assert feedbacks[0] is None and len(feedbacks) == man.num_segments
-    # epoch t's feedback reaches decision t + 1 as a plain tuple in
-    # EpochFeedback's order, carrying the row itself: the rows are built
+    # epoch t's feedback reaches decision t + 1 as the plain tuple
+    # (rate, row, buffer), carrying the row itself: the rows are built
     # once by the manifest and shared, not rebuilt
     for t, (feedback, rec) in enumerate(zip(feedbacks[1:], history), 1):
         assert type(feedback) is tuple and len(feedback) == 3
@@ -303,9 +327,8 @@ def test_records_are_immutable():
         t=1, x=2, bitrate_kbps=750.0, size_kbit=1500.0, rate_kbps=3000.0, download_s=0.5,
         delta_s=0.0, buffer_before_s=0.0, buffer_after_s=2.0, stall=True, stall_s=0.5,
     )
-    feedback = EpochFeedback(3000.0, (1000.0, 1500.0), 2.0)
     result = DownloadResult(0.5, 3000.0)
-    for rec in (record, feedback, result):
+    for rec in (record, result):
         for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, getattr(rec, name))
@@ -497,14 +520,12 @@ def test_log_text_of_numpy_scalars_and_extreme_floats(tmp_path):
                 b"1,3,1e+16,0.30000000000000004,5e-324,1e-05,0.0,123456789.125,1,2.5\r\n"
                 b"2,3,1e+16,0.30000000000000004,5e-324,1e-05,1.7976931348623157e+308,123456789.125,0,2.5\r\n")
 
-    def numpy_scalars(rec):
-        return EpochRecord(*(np.bool_(v) if isinstance(v, bool) else np.int64(v) if isinstance(v, int)
-                             else np.float64(v) for v in rec[:-1]))
-
-    assert [type(v) for v in numpy_scalars(plain)[:3]] == [np.int64, np.int64, np.float64]
-    assert type(numpy_scalars(plain).stall) is np.bool_
+    # a history holds Python floats (SessionConfig stores b_max_s as one), but
+    # x is what the policy returned, which may be a numpy integer
+    numpy_x = [rec._replace(x=np.int64(rec.x)) for rec in (plain, second)]
+    assert type(numpy_x[0].x) is np.int64
     path = tmp_path / "log.csv"
-    for history in ([plain, second], [numpy_scalars(plain), numpy_scalars(second)]):
+    for history in ([plain, second], numpy_x):
         export_log_csv(session_log(history), path)
         assert path.read_bytes() == expected
 
